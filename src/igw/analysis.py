@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom, norm
 
-from .exact_dist import Caps, IntervalProb, _progeny_snapshots, finite_horizon_death
+from .exact_dist import Caps, IntervalProb, finite_horizon_death, total_progeny_dist
 from .gw_engine import DEFAULT_EXACT_CAP, ExtendedCount, harmonic_moment, stream_for
 from .igw_process import TerminationKind, simulate_trajectory
 from .reproduction_laws import IGWParams, RegimeError, mean, thinned_pgf
@@ -197,15 +197,13 @@ def explosion_lower_bound(
     # exact region
     exact_top = min(switch_point, x + max_terms)
     if x <= exact_top:
-        snaps = _progeny_snapshots(law, exact_top, caps.z_cap, caps.s_cap)
         for y in range(x, exact_top + 1):
-            s_atoms, ov_high, ov_unknown = snaps[y]
+            dist = total_progeny_dist(law, y, s_cap=caps.s_cap)
             t = y + 1
-            nz = np.nonzero(s_atoms)[0]
-            p = float(np.dot(s_atoms[nz], binom.cdf(t, nz, theta)))
-            if ov_high > 0.0:
-                p += ov_high * float(binom.cdf(t, caps.s_cap + 1, theta))
-            p += ov_unknown  # unresolved mass could sit anywhere
+            nz = np.nonzero(dist.atoms)[0]
+            p = float(np.dot(dist.atoms[nz], binom.cdf(t, nz, theta)))
+            if dist.overflow > 0.0:
+                p += dist.overflow * float(binom.cdf(t, caps.s_cap + 1, theta))
             raw.append((y, min(p, 1.0), "exact"))
 
     # analytic region, extended until the terms are provably in geometric decay
@@ -216,11 +214,16 @@ def explosion_lower_bound(
     while True:
         if terms >= max_terms:
             return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False)
-        h_quad = harmonic_moment(law, y, quad_tol) + quad_tol
         if h_used is None:
-            h_used = h_quad
+            h_used = harmonic_moment(law, y, quad_tol) + quad_tol
         else:
-            h_used = min(h_quad, h_used * contraction ** (y - h_anchor_y))
+            carried = h_used * contraction ** (y - h_anchor_y)
+            # a quadrature of a nonnegative integrand is >= 0, so a fresh
+            # value is >= quad_tol and cannot beat a carried one below it
+            if carried < quad_tol:
+                h_used = carried
+            else:
+                h_used = min(harmonic_moment(law, y, quad_tol) + quad_tol, carried)
         h_anchor_y = y
         gamma_a = (y * y) * h_used
         gamma_b = _chernoff_thinning(y, theta, loose_bernoulli)
@@ -466,8 +469,6 @@ def ratio_crossing_errors(
 
 # -- inequality verification --------------------------------------------------------
 
-from .exact_dist import PRUNING_SLACK as _PRUNING_SLACK
-
 _SLACK = 1e-12
 
 
@@ -489,8 +490,8 @@ def submultiplicativity_check(
     intervals.
 
     "certified" means hi(x+y) <= lo(x)*lo(y), proving the inequality for
-    the true values; "pass" means hi(x+y) <= hi(x)*hi(y) up to the
-    documented pruning slack of the truncated sweep; anything else is
+    the true values; "pass" means hi(x+y) <= hi(x)*hi(y) up to float
+    rounding; anything else is
     reported indeterminate, not failed, since the inequality holds for the
     true probabilities and certified intervals can only be too wide, never
     wrong.
@@ -507,7 +508,7 @@ def submultiplicativity_check(
     iy = finite_horizon_death(y, params, n, caps)
     if ixy.hi <= ix.lo * iy.lo + _SLACK:
         status = "certified"
-    elif ixy.hi <= ix.hi * iy.hi + _SLACK + _PRUNING_SLACK:
+    elif ixy.hi <= ix.hi * iy.hi + _SLACK:
         status = "pass"
     else:
         status = "indeterminate"

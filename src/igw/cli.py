@@ -186,7 +186,7 @@ def _cmd_exact(args, out) -> int:
     params = _params(args)
     what = args.what
     if what == "total-progeny":
-        dist = total_progeny_dist(params.law, args.x, args.caps.z_cap, args.caps.s_cap)
+        dist = total_progeny_dist(params.law, args.x, s_cap=args.caps.s_cap)
         rows = [[k, _fmt(float(p))] for k, p in enumerate(dist.atoms) if p > 0.0]
         rows.append(["overflow", _fmt(dist.overflow)])
         _emit(out, _meta(args, warning=dist.warning or ""), ["value", "prob"], rows)
@@ -416,7 +416,10 @@ def _add_common(
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP)
     if caps:
-        p.add_argument("--caps", type=_parse_caps, default=Caps(), help="z,s,x truncation caps")
+        p.add_argument(
+            "--caps", type=_parse_caps, default=Caps(),
+            help="z,s,x truncation caps: total progeny s, chain state x; z is accepted and ignored",
+        )
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--config", default=None, help="key=value defaults file")
 

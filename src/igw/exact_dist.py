@@ -1,23 +1,27 @@
 """Exact truncated distributions and certified probability intervals.
 
-The workhorse is a dynamic program over the joint law of (Z_k, S_k): the
-generation size and the running total progeny of the auxiliary branching
-process.  Each generation convolves the offspring pmf Z_k-fold (computed by
-a rolling incremental convolution) and adds the new generation to the
-total.  Mass that leaves the tracked box (generation size beyond ``z_cap``
-or total beyond ``s_cap``) is moved to explicit overflow buckets, never
-dropped, so every downstream probability can be closed into a rigorous
-two-sided interval:
+The law of the total progeny S_x = Z_1 + ... + Z_x of the auxiliary
+branching process comes from its generating function.  With G_x the pgf of
+S_x and f the offspring pgf, splitting on the first generation gives the
+total-progeny functional equation (Harris 1963)
+
+    G_0 = 1,    G_x(u) = f(u * G_{x-1}(u)),
+
+so each G_x is composed from G_{x-1} by power series arithmetic.  The
+coefficient of u^s on the right depends only on coefficients 0..s of
+G_{x-1}, so truncating every series at ``s_cap`` is exact: atoms 0..s_cap
+are the true probabilities up to float rounding, and the missing mass
+1 - sum(atoms) lies provably beyond ``s_cap``.  Every downstream
+probability is closed into a rigorous two-sided interval:
 
 * lower envelope for death probabilities: untracked mass is routed to a
   phantom state whose only exit is the uniform per-step death floor p_0
   (never, when p_0 = 0),
 * upper envelope: untracked mass is treated as death-prone as its
-  provenance allows (totals provably beyond ``s_cap`` thin like a
-  Binomial(s_cap + 1, theta); mass whose location was pruned dies
-  outright; chain states beyond ``x_cap`` are clamped to ``x_cap``), valid
-  because the chain is stochastically monotone in its start state and
-  death probabilities are nonincreasing in it.
+  provenance allows (totals beyond ``s_cap`` thin like a
+  Binomial(s_cap + 1, theta); chain states beyond ``x_cap`` are clamped to
+  ``x_cap``), valid because the chain is stochastically monotone in its
+  start state and death probabilities are nonincreasing in it.
 
 One quantity needs no truncation at all: P_x(X_1 = 0) = E((1-theta)^{S_x})
 follows from the scalar recursion a_{j+1} = f(t * a_j) with t = 1 - theta,
@@ -26,31 +30,31 @@ exact to floating precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.stats import binom
 
 from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, pgf_eval
 
-#: tiny probability masses are swept into the unknown-location bucket
-#: rather than tracked; accumulated over a full sweep they stay far below
-#: every certified tolerance in use (the envelopes treat untracked mass
-#: worst-case, so pruning can only widen intervals, never break them).
-BAND_TRIM = 1e-22  # per-use edge trim of a convolution power
-CELL_BUDGET = 1e-24  # per-row absolute mass budget for extra band trimming
-ROW_PRUNE = 1e-16  # drop a generation-size row below this mass
-LIVE_EXIT = 1e-13  # freeze the sweep once the live mass is below this
-
-#: upper bound on the interval slack the pruning constants above can add to
-#: any certified probability over a full default-caps sweep.
-PRUNING_SLACK = 1e-7
+#: envelope-kernel entries below this are moved to the conservative column
+#: (state 0 in the death-upper kernel, the phantom in the death-lower one),
+#: which keeps the kernel powers out of the slow subnormal range.  Sound by
+#: monotonicity; each step moves at most (x_cap + 1) * KERNEL_FLOOR of mass,
+#: so an interval at horizon n moves outward by at most
+#: n * (x_cap + 1) * KERNEL_FLOOR at either end.
+KERNEL_FLOOR = 1e-200
 
 
 @dataclass(frozen=True)
 class Caps:
-    """Truncation bounds: generation size, total progeny, chain state."""
+    """Truncation bounds: generation size, total progeny, chain state.
+
+    ``z_cap`` is accepted for compatibility and affects no result: the
+    law of S_x is exact below ``s_cap`` without a generation-size cap.
+    """
 
     z_cap: int = 4096
     s_cap: int = 4096
@@ -65,9 +69,8 @@ class Caps:
 class TruncatedDist:
     """Probability vector on {0..cap} plus explicitly tracked leftover mass.
 
-    ``overflow`` accounts for every truncation event: mass on values beyond
-    the cap and mass whose location the truncated computation can no longer
-    resolve.  atoms.sum() + overflow = 1 up to float accumulation.
+    ``overflow`` is the mass on values beyond the cap.
+    atoms.sum() + overflow = 1 up to float accumulation.
     """
 
     atoms: np.ndarray
@@ -104,193 +107,75 @@ class IntervalProb:
         return self.hi - self.lo
 
 
-# -- the (Z, S) sweep ----------------------------------------------------------
+# -- the law of S_x by truncated pgf composition ---------------------------------
 
 
-class _SweepState:
-    __slots__ = ("rows", "dead", "ov_high", "ov_unknown", "snapshots", "frozen")
+class _Progeny(NamedTuple):
+    """P(S_x = offset + i) = coef[i] for offset + i <= s_cap; coef[0] and
+    coef[-1] are nonzero.  ``overflow`` is the mass beyond s_cap."""
 
-    def __init__(self, s_cap: int):
-        self.rows: dict[int, np.ndarray] = {}
-        self.dead = np.zeros(s_cap + 1)
-        self.ov_high = 0.0  # mass provably on totals > s_cap
-        self.ov_unknown = 0.0  # mass whose location was pruned away
-        self.snapshots: list[tuple[np.ndarray, float, float]] = []
-        self.frozen = False
+    coef: np.ndarray
+    offset: int
+    overflow: float
 
 
-_sweep_cache: dict[tuple, _SweepState] = {}
-
-
-def _trim_band(band: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero indices and values of a convolution power, with edges of
-    cumulative mass up to ``level`` dropped on each side (the dropped mass
-    is accounted by the caller via sums)."""
-    nz = np.nonzero(band > 0.0)[0]
+def _compose(law: OffspringLaw, prev: _Progeny, s_cap: int) -> _Progeny:
+    """Coefficients 0..s_cap of f(w) with w(u) = u * G_{x-1}(u), as the sum
+    of p_k * w^k.  The powers w^k start at k * (offset + 1), so each one
+    only needs the coefficients of w below s_cap + 1 - k * (offset + 1).
+    The arrays are rescaled by exact powers of two, so the convolutions run
+    near 1 and products of small probabilities stay out of the slow
+    subnormal range."""
+    out = np.zeros(s_cap + 1)
+    if len(prev.coef):
+        _, w_exp = math.frexp(float(prev.coef.max()))
+        w = np.ldexp(prev.coef, -w_exp)
+        power, p_off, p_exp = np.ones(1), 0, 0  # w^0
+        for k, p in enumerate(law.probs):
+            if k > 0:
+                p_off += prev.offset + 1
+                if p_off > s_cap:
+                    break
+                n = s_cap + 1 - p_off
+                power = np.convolve(power[:n], w[:n])[:n]
+                _, e = math.frexp(float(power.max()))
+                power = np.ldexp(power, -e)
+                p_exp += w_exp + e
+            if p > 0.0:
+                out[p_off : p_off + len(power)] += np.ldexp(p * power, p_exp)
+    else:
+        out[0] = law.p0  # every total is beyond s_cap, unless Z_1 = 0
+    nz = np.flatnonzero(out)
     if nz.size == 0:
-        return nz, band[nz]
-    vals = band[nz]
-    csum = np.cumsum(vals)
-    total = csum[-1]
-    lo = int(np.searchsorted(csum, level, side="right"))
-    hi = int(np.searchsorted(csum, total - level, side="left")) + 1
-    hi = max(hi, lo + 1)
-    return nz[lo:hi], vals[lo:hi]
+        return _Progeny(out[:0], s_cap + 1, 1.0)
+    coef = out[nz[0] : nz[-1] + 1].copy()
+    return _Progeny(coef, int(nz[0]), max(0.0, 1.0 - float(coef.sum())))
 
 
-def _advance_generation(
-    state: _SweepState, law: OffspringLaw, z_cap: int, s_cap: int
-) -> None:
-    pmf = law.probs_array
-    ov_high = state.ov_high
-    ov_unknown = state.ov_unknown
-    band = np.array([1.0])  # offspring total of 0 parents
-    band_z = 0
-    p0 = law.p0
-    k_min = next(k for k, p in enumerate(law.probs) if p > 0.0)
-
-    # contributions accumulate in sheared coordinates [z', s_source]: the new
-    # total is s_source + z', so unshearing is one shift per output row
-    newsh = np.zeros((z_cap + 1, s_cap + 1))
-    touched = np.zeros(z_cap + 1, dtype=bool)
-
-    for z in sorted(state.rows):
-        row = state.rows[z]
-        row_total = float(row.sum())
-        if row_total <= ROW_PRUNE:
-            ov_unknown += row_total
-            continue
-        s_nz = np.nonzero(row)[0]
-        a, b = int(s_nz[0]), int(s_nz[-1]) + 1
-        # reachability short-circuits: every surviving child count lands
-        # beyond s_cap, so only extinction (if possible) stays tracked
-        if k_min >= 1 and a + z * k_min > s_cap:
-            ov_high += row_total
-            continue
-        if k_min == 0 and a + 1 > s_cap:
-            ext = p0**z
-            state.dead[a:b] += ext * row[a:b]
-            ov_high += row_total * (1.0 - ext)
-            continue
-        while band_z < z:
-            band = np.convolve(band, pmf)[: z_cap + 1]
-            band_z += 1
-        band_mass = float(band.sum())
-        # generation sizes beyond z_cap land on totals s + z' > s_cap when
-        # z_cap >= s_cap - a; otherwise their location is unresolved
-        if a + z_cap + 1 > s_cap:
-            ov_high += row_total * (1.0 - band_mass)
-        else:
-            ov_unknown += row_total * (1.0 - band_mass)
-        nzi, nzv = _trim_band(band, max(BAND_TRIM, CELL_BUDGET / row_total))
-        ov_unknown += row_total * (band_mass - float(nzv.sum()))
-        # offspring totals that overshoot s_cap even from this row's lowest s
-        cut = int(np.searchsorted(nzi, s_cap - a, side="right"))
-        if cut < len(nzi):
-            ov_high += row_total * float(nzv[cut:].sum())
-            nzi, nzv = nzi[:cut], nzv[:cut]
-        if len(nzi) == 0:
-            continue
-        seg = row[a:b]
-        z0, z1 = int(nzi[0]), int(nzi[-1]) + 1
-        if z1 - z0 == len(nzi):
-            # contiguous offspring support: in-place block update
-            chunk = max(1, 8_000_000 // (b - a))
-            for i0 in range(0, len(nzi), chunk):
-                i1 = min(i0 + chunk, len(nzi))
-                newsh[z0 + i0 : z0 + i1, a:b] += nzv[i0:i1, None] * seg
-            touched[z0:z1] = True
-        else:
-            chunk = max(1, 4_000_000 // (b - a))
-            for i0 in range(0, len(nzi), chunk):
-                i1 = min(i0 + chunk, len(nzi))
-                newsh[nzi[i0:i1], a:b] += np.outer(nzv[i0:i1], seg)
-            touched[nzi] = True
-
-    new_rows: dict[int, np.ndarray] = {}
-    for zp in np.nonzero(touched)[0]:
-        zp = int(zp)
-        u_row = newsh[zp]
-        if zp == 0:
-            state.dead += u_row  # zero offspring leave the total where it was
-            continue
-        keep = s_cap - zp + 1  # u < keep lands at s = u + zp <= s_cap
-        tail = float(u_row[keep:].sum())
-        if tail > 0.0:
-            ov_high += tail
-        kept = u_row[:keep]
-        nz = np.nonzero(kept)[0]
-        if nz.size == 0:
-            continue
-        total = float(kept.sum())
-        # thin edge tails are dropped at creation so next-generation windows
-        # stay narrow; the mass is accounted as unresolved
-        level = max(BAND_TRIM, CELL_BUDGET / max(total, CELL_BUDGET))
-        if total <= 2.0 * level or total <= ROW_PRUNE:
-            ov_unknown += total
-            continue
-        vals = kept[nz]
-        csum = np.cumsum(vals)
-        lo_i = min(int(np.searchsorted(csum, level, side="right")), len(nz) - 1)
-        hi_i = int(np.searchsorted(csum, csum[-1] - level, side="left")) + 1
-        hi_i = min(max(hi_i, lo_i + 1), len(nz))
-        ov_unknown += total - float(vals[lo_i:hi_i].sum())
-        dst = np.zeros(s_cap + 1)
-        lo_u, hi_u = int(nz[lo_i]), int(nz[hi_i - 1]) + 1
-        dst[zp + lo_u : zp + hi_u] = u_row[lo_u:hi_u]
-        new_rows[zp] = dst
-
-    state.rows = new_rows
-    live = sum(float(r.sum()) for r in new_rows.values())
-    if live <= LIVE_EXIT:
-        ov_unknown += live
-        new_rows.clear()
-        state.frozen = True
-    state.ov_high = ov_high
-    state.ov_unknown = ov_unknown
+_progeny_cache: dict[tuple[OffspringLaw, int], list[_Progeny]] = {}
 
 
-def _marginal(state: _SweepState) -> tuple[np.ndarray, float, float]:
-    snap = state.dead.copy()
-    for row in state.rows.values():
-        snap += row
-    return snap, state.ov_high, state.ov_unknown
-
-
-def _progeny_snapshots(
-    law: OffspringLaw, x_max: int, z_cap: int, s_cap: int
-) -> list[tuple[np.ndarray, float, float]]:
-    """Marginal law of S_x as (atoms, provably-high mass, unresolved mass)
-    for every x = 0..x_max, from a single cached sweep per (law, caps) that
-    extends on demand."""
-    key = (law, z_cap, s_cap)
-    state = _sweep_cache.get(key)
-    if state is None:
-        state = _SweepState(s_cap)
-        init = np.zeros(s_cap + 1)
-        init[0] = 1.0
-        state.rows = {1: init}
-        state.snapshots.append(_marginal(state))  # x = 0: S_0 = 0
-        _sweep_cache[key] = state
-    while len(state.snapshots) <= x_max:
-        if state.frozen:
-            state.snapshots.append(_marginal(state))
-            continue
-        _advance_generation(state, law, z_cap, s_cap)
-        state.snapshots.append(_marginal(state))
-    return state.snapshots[: x_max + 1]
+def _progeny_laws(law: OffspringLaw, x_max: int, s_cap: int) -> list[_Progeny]:
+    """The law of S_x for every x = 0..x_max, from one cached list per
+    (law, s_cap) that grows by composition on demand."""
+    laws = _progeny_cache.setdefault((law, s_cap), [_Progeny(np.ones(1), 0, 0.0)])
+    while len(laws) <= x_max:
+        laws.append(_compose(law, laws[-1], s_cap))
+    return laws[: x_max + 1]
 
 
 def total_progeny_dist(
     law: OffspringLaw, x: int, z_cap: int = 4096, s_cap: int = 4096
 ) -> TruncatedDist:
-    """Exact (truncated) law of S_x = Z_1 + ... + Z_x."""
+    """Exact (truncated) law of S_x = Z_1 + ... + Z_x; ``z_cap`` is accepted
+    and ignored."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    atoms, ov_high, ov_unknown = _progeny_snapshots(law, x, z_cap, s_cap)[x]
-    overflow = ov_high + ov_unknown
+    coef, offset, overflow = _progeny_laws(law, x, s_cap)[x]
+    atoms = np.zeros(s_cap + 1)
+    atoms[offset : offset + len(coef)] = coef
     warning = "all-mass-in-overflow" if overflow > 1.0 - 1e-9 else None
-    return TruncatedDist(atoms.copy(), overflow, warning)
+    return TruncatedDist(atoms, overflow, warning)
 
 
 # -- thinning mixtures ----------------------------------------------------------
@@ -310,6 +195,12 @@ def _binom_matrix(theta: float, s_max: int, j_max: int) -> np.ndarray:
     return cached
 
 
+def _thinned(prog: _Progeny, B: np.ndarray) -> np.ndarray:
+    """Atoms of the theta-thinning of the tracked part of S_x, for the
+    binomial matrix ``B`` of ``_binom_matrix``."""
+    return prog.coef @ B[prog.offset : prog.offset + len(prog.coef)]
+
+
 def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDist:
     """Law of X_1 from state x: the theta-thinning of S_x.
 
@@ -319,15 +210,12 @@ def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDi
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    s_atoms, ov_high, ov_unknown = _progeny_snapshots(
-        params.law, x, caps.z_cap, caps.s_cap
-    )[x]
-    s_over = ov_high + ov_unknown
-    B = _binom_matrix(params.theta, caps.s_cap + 1, caps.x_cap)
-    atoms = s_atoms @ B[: caps.s_cap + 1]
-    x_over = max(0.0, (1.0 - s_over) - float(atoms.sum()))
-    warning = "all-mass-in-overflow" if s_over + x_over > 1.0 - 1e-9 else None
-    return TruncatedDist(atoms, s_over + x_over, warning)
+    prog = _progeny_laws(params.law, x, caps.s_cap)[x]
+    atoms = _thinned(prog, _binom_matrix(params.theta, caps.s_cap + 1, caps.x_cap))
+    x_over = max(0.0, (1.0 - prog.overflow) - float(atoms.sum()))
+    overflow = prog.overflow + x_over
+    warning = "all-mass-in-overflow" if overflow > 1.0 - 1e-9 else None
+    return TruncatedDist(atoms, overflow, warning)
 
 
 def one_step_death_prob(x: int, params: IGWParams) -> float:
@@ -351,15 +239,14 @@ def transition_kernel(
     Row x is ``one_step_dist(x)``; row 0 is the point mass at 0.  Returns
     the (x_cap+1) x (x_cap+2) matrix and any row warnings.
     """
-    snaps = _progeny_snapshots(params.law, x_cap, caps.z_cap, caps.s_cap)
     B = _binom_matrix(params.theta, caps.s_cap + 1, x_cap)
     K = np.zeros((x_cap + 1, x_cap + 2))
     warnings: list[str] = []
-    for x, (s_atoms, ov_high, ov_unknown) in enumerate(snaps):
-        row = s_atoms @ B[: caps.s_cap + 1]
+    for x, prog in enumerate(_progeny_laws(params.law, x_cap, caps.s_cap)):
+        row = _thinned(prog, B)
         K[x, : x_cap + 1] = row
         K[x, x_cap + 1] = max(0.0, 1.0 - float(row.sum()))
-        if ov_high + ov_unknown > 1.0 - 1e-9 and x > 0:
+        if prog.overflow > 1.0 - 1e-9 and x > 0:
             warnings.append(f"row {x}: all-mass-in-overflow")
     return K, warnings
 
@@ -374,35 +261,44 @@ def _envelope_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.nda
 
     The upper kernel treats untracked mass as death-prone as its knowledge
     allows: totals provably beyond ``s_cap`` thin like the stochastically
-    smallest consistent count, Binomial(s_cap + 1, theta); mass whose
-    location was pruned dies outright; chain states beyond ``x_cap`` clamp
-    to ``x_cap`` (valid by stochastic monotonicity).  The lower kernel
-    routes all untracked mass to a phantom state (the last column) that
-    dies at the uniform per-step floor p_0: from any state the first
-    auxiliary generation is empty with probability p_0, so every state dies
-    next step at least that often.  With p_0 = 0 the phantom never dies.
+    smallest consistent count, Binomial(s_cap + 1, theta); chain states
+    beyond ``x_cap`` clamp to ``x_cap`` (valid by stochastic monotonicity).
+    The lower kernel routes all untracked mass to a phantom state (the last
+    column) that dies at the uniform per-step floor p_0: from any state the
+    first auxiliary generation is empty with probability p_0, so every
+    state dies next step at least that often.  With p_0 = 0 the phantom
+    never dies.  Entries below ``KERNEL_FLOOR`` go to state 0 in the upper
+    kernel and to the phantom in the lower one.
     """
-    key = (params.law, params.theta, caps)
+    x_cap, s_cap = caps.x_cap, caps.s_cap
+    key = (params.law, params.theta, s_cap, x_cap)
     cached = _kernel_cache.get(key)
     if cached is not None:
         return cached
-    x_cap, s_cap = caps.x_cap, caps.s_cap
-    snaps = _progeny_snapshots(params.law, x_cap, caps.z_cap, s_cap)
     B = _binom_matrix(params.theta, s_cap + 1, x_cap)
     K_hi = np.zeros((x_cap + 1, x_cap + 1))
     K_lo = np.zeros((x_cap + 2, x_cap + 2))
-    for x, (s_atoms, ov_high, ov_unknown) in enumerate(snaps):
-        base = s_atoms @ B[: s_cap + 1]
-        row_hi = base + ov_high * B[s_cap + 1]
-        row_hi[0] += ov_unknown
+    for x, prog in enumerate(_progeny_laws(params.law, x_cap, s_cap)):
+        base = _thinned(prog, B)
+        row_hi = base + prog.overflow * B[s_cap + 1]
         row_hi[x_cap] += max(0.0, 1.0 - float(row_hi.sum()))
         K_hi[x] = row_hi
         K_lo[x, : x_cap + 1] = base
         K_lo[x, x_cap + 1] = max(0.0, 1.0 - float(base.sum()))
     K_lo[x_cap + 1, 0] = params.law.p0
     K_lo[x_cap + 1, x_cap + 1] = 1.0 - params.law.p0
+    _floor_into(K_hi, 0)
+    _floor_into(K_lo, x_cap + 1)
     _kernel_cache[key] = (K_hi, K_lo)
     return K_hi, K_lo
+
+
+def _floor_into(K: np.ndarray, col: int) -> None:
+    """Move every entry below ``KERNEL_FLOOR`` into column ``col`` of its row."""
+    small = K < KERNEL_FLOOR
+    small[:, col] = False
+    K[:, col] += np.where(small, K, 0.0).sum(axis=1)
+    K[small] = 0.0
 
 
 def _iterate(kernel: np.ndarray, x: int, n: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Shared test helpers: an exact rational enumeration oracle for small
-branching systems, independent of the production dynamic program."""
+branching systems, independent of the production pgf composition."""
 
 from __future__ import annotations
 
@@ -21,36 +21,45 @@ def law_fractions(law: OffspringLaw) -> dict[int, Fraction]:
     }
 
 
-def enumerate_joint(probs: dict[int, Fraction], x: int) -> dict[tuple[int, int], Fraction]:
+def enumerate_joint(
+    probs: dict[int, Fraction], x: int, cap: int | None = None
+) -> dict[tuple[int, int], Fraction]:
     """Exact joint law of (Z_x, S_x), by per-parent composition.
 
-    Deliberately naive: each parent's offspring are folded in one at a time
-    with rational arithmetic, so it shares nothing with the convolution
-    dynamic program it oracles.
+    Deliberately naive: the offspring total of z parents is folded in one
+    parent at a time with rational arithmetic, so it shares nothing with the
+    generating-function composition it oracles.  With ``cap``, states whose
+    total exceeds ``cap`` are dropped (totals never decrease), which keeps
+    the law of S_x exact on 0..cap.
     """
+    folds: list[dict[int, Fraction]] = [{0: Fraction(1)}]  # folds[z]: total of z parents
+
+    def offspring_total(z: int) -> dict[int, Fraction]:
+        while len(folds) <= z:
+            nxt: dict[int, Fraction] = defaultdict(Fraction)
+            for tot, q in folds[-1].items():
+                for k, pk in probs.items():
+                    if cap is None or tot + k <= cap:
+                        nxt[tot + k] += q * pk
+            folds.append(dict(nxt))
+        return folds[z]
+
     states: dict[tuple[int, int], Fraction] = {(1, 0): Fraction(1)}
     for _ in range(x):
         new: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
         for (z, s), p in states.items():
-            if z == 0:
-                new[(0, s)] += p
-                continue
-            gen: dict[int, Fraction] = {0: Fraction(1)}
-            for _parent in range(z):
-                nxt: dict[int, Fraction] = defaultdict(Fraction)
-                for tot, q in gen.items():
-                    for k, pk in probs.items():
-                        nxt[tot + k] += q * pk
-                gen = nxt
-            for zp, q in gen.items():
-                new[(zp, s + zp)] += p * q
+            for zp, q in offspring_total(z).items():
+                if cap is None or s + zp <= cap:
+                    new[(zp, s + zp)] += p * q
         states = new
     return dict(states)
 
 
-def enumerate_total_progeny(probs: dict[int, Fraction], x: int) -> dict[int, Fraction]:
+def enumerate_total_progeny(
+    probs: dict[int, Fraction], x: int, cap: int | None = None
+) -> dict[int, Fraction]:
     out: dict[int, Fraction] = defaultdict(Fraction)
-    for (_z, s), p in enumerate_joint(probs, x).items():
+    for (_z, s), p in enumerate_joint(probs, x, cap).items():
         out[s] += p
     return dict(out)
 

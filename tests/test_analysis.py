@@ -15,6 +15,7 @@ from igw import (
     fixed_point_q,
     geometric_absorption_check,
     geometric_death_bound,
+    harmonic_moment,
     mc_death_prob,
     mc_ratio_convergence,
     mean,
@@ -119,6 +120,27 @@ class TestExplosionCertificate:
         # analytic factor comes from the harmonic-moment side only
         exact_product = math.prod(1.0 - s.gamma for s in cert.steps if s.method == "exact")
         assert cert.bound <= exact_product
+
+    def test_pinned_bounds_with_one_quadrature(self, monkeypatch):
+        # the first quadrature's value, carried by the contraction, falls
+        # below quad_tol at once, so no later quadrature can improve on it
+        import igw.analysis
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return harmonic_moment(*args, **kwargs)
+
+        monkeypatch.setattr(igw.analysis, "harmonic_moment", counting)
+        params = IGWParams(OffspringLaw.binary(0.6), 0.92)
+        pinned = {2: 0.395418796324328, 8: 0.9961198811650055}
+        for x, want in pinned.items():
+            calls.clear()
+            cert = explosion_lower_bound(x, params)
+            assert cert.valid
+            assert cert.bound == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert len(calls) <= 1, calls
 
     def test_nondecreasing_in_start_state(self):
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)
@@ -239,10 +261,8 @@ class TestSubmultiplicativity:
         assert report.status in ("certified", "pass")
 
     def test_no_thinning_trivial(self, binary_half):
-        from igw.exact_dist import PRUNING_SLACK
-
         report = submultiplicativity_check(IGWParams(binary_half, 1.0), 2, 3, 4, SMALL_CAPS)
-        assert report.interval_xy.hi == pytest.approx(0.0, abs=PRUNING_SLACK)
+        assert report.interval_xy.hi == pytest.approx(0.0, abs=1e-12)
         assert report.interval_xy.lo == 0.0
         assert report.status in ("certified", "pass")
 

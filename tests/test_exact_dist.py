@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from igw import (
     finite_horizon_death,
     one_step_death_prob,
     one_step_dist,
+    parse_law_spec,
     pgf_eval,
     total_progeny_dist,
     transition_kernel,
@@ -62,6 +64,50 @@ class TestTotalProgenyDist:
         for x in (1, 5, 9):
             dist = total_progeny_dist(binary_half, x, 128, 128)
             assert dist.total() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", ["binary:0.5", "pmf:0=0.2,2=0.8", "pmf:1=0.3,2=0.3,5=0.4"])
+    def test_matches_tree_enumeration(self, spec):
+        # atoms and overflow at s_cap = 64 against exact rational enumeration
+        law = parse_law_spec(spec)
+        for x in range(1, 6):
+            expected = enumerate_total_progeny(law_fractions(law), x, cap=64)
+            dist = total_progeny_dist(law, x, s_cap=64)
+            want = np.array([float(expected.get(s, Fraction(0))) for s in range(65)])
+            assert np.abs(dist.atoms - want).max() <= 1e-12, (spec, x)
+            beyond = float(1 - sum(expected.values(), Fraction(0)))
+            assert abs(dist.overflow - beyond) <= 1e-12, (spec, x)
+
+    @pytest.mark.parametrize("spec", ["binary:0.6", "pmf:0=0.2,2=0.8", "pmf:1=0.3,2=0.3,5=0.4"])
+    def test_truncation_is_exact(self, spec):
+        # coefficients up to the cap never depend on the cap
+        law = parse_law_spec(spec)
+        for x in (1, 3, 8, 20):
+            small = total_progeny_dist(law, x, s_cap=64)
+            big = total_progeny_dist(law, x, s_cap=512)
+            np.testing.assert_allclose(small.atoms, big.atoms[:65], rtol=1e-14, atol=0.0)
+            beyond = float(big.atoms[65:].sum()) + big.overflow
+            # the two sides sum different numbers of terms
+            assert small.overflow == pytest.approx(beyond, abs=1e-13)
+
+    def test_mass_accounting_to_x_cap(self):
+        # each atom is a sum of at most s_cap + 1 nonnegative rounded terms;
+        # the budget allows s_cap + 1 ulps of 1 in the total mass
+        law = parse_law_spec("binary:0.6")
+        budget = 4097 * np.finfo(float).eps
+        for x in range(513):
+            dist = total_progeny_dist(law, x)
+            assert dist.atoms.min() >= 0.0 and dist.overflow >= 0.0, x
+            assert abs(dist.atoms.sum() + dist.overflow - 1.0) <= budget, x
+
+    def test_point_mass_law_is_fast(self):
+        # binary:1 always has two children, so S_x = 2^(x+1) - 2 is a single
+        # coefficient at every step; s_cap 4099 keeps the cache cold here
+        law = parse_law_spec("binary:1")
+        start = time.perf_counter()
+        dist = total_progeny_dist(law, 512, s_cap=4099)
+        assert time.perf_counter() - start < 0.1
+        assert dist.overflow == 1.0 and dist.atoms.sum() == 0.0
+        assert total_progeny_dist(law, 11, s_cap=4099).atoms[4094] == 1.0
 
 
 class TestOneStepDist:
@@ -155,15 +201,13 @@ class TestFiniteHorizonDeath:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_intervals_nested_as_caps_grow(self, binary_half):
-        # nesting holds up to the documented pruning budget
-        from igw.exact_dist import PRUNING_SLACK
-
+        # nesting holds up to float rounding
         params = IGWParams(binary_half, 0.7)
         tight = finite_horizon_death(2, params, 6, Caps(512, 512, 128))
         loose = finite_horizon_death(2, params, 6, Caps(64, 64, 16))
-        assert loose.lo <= tight.lo + PRUNING_SLACK
-        assert tight.hi <= loose.hi + PRUNING_SLACK
-        assert tight.width <= loose.width + PRUNING_SLACK
+        assert loose.lo <= tight.lo + 1e-12
+        assert tight.hi <= loose.hi + 1e-12
+        assert tight.width <= loose.width + 1e-12
 
     def test_horizon_validation(self, binary_half):
         with pytest.raises(ValueError):
