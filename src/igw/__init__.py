@@ -42,13 +42,16 @@ from .gw_engine import (
     thin,
 )
 from .igw_process import (
+    RNG_CHUNK,
     AlmostSureRegime,
+    ChunkPaths,
     MeanRegime,
     RegimeReport,
     TerminationKind,
     Trajectory,
     asymptotic_ratios,
     classify_regimes,
+    simulate_chunk,
     simulate_trajectory,
     step,
 )

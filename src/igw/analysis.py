@@ -15,25 +15,27 @@ Certificates
       closed in closed form once the terms provably decay geometrically.
 
 Monte Carlo
-    Replica r of an experiment draws from its own counter-based stream, so
-    estimates are bit-for-bit reproducible at any worker count.  Death-type
-    estimates come with Wilson score intervals; trajectories that are still
-    undecided at the horizon are reported separately, never folded into
-    either class.
+    Every experiment runs on the batched engine of :mod:`igw.igw_process`:
+    replicas advance in fixed chunks of ``RNG_CHUNK``, and chunk c draws from
+    the counter-based stream keyed by (master seed, purpose, c).  Chunking
+    does not depend on the worker count, so estimates are bit-for-bit
+    reproducible at any ``workers``.  Death-type estimates come with Wilson
+    score intervals; trajectories that are still undecided at the horizon
+    are reported separately, never folded into either class.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.stats import binom, norm
 
 from .exact_dist import Caps, IntervalProb, finite_horizon_death, total_progeny_dist
-from .gw_engine import DEFAULT_EXACT_CAP, ExtendedCount, harmonic_moment, stream_for
-from .igw_process import TerminationKind, simulate_trajectory
+from .gw_engine import ExtendedCount, harmonic_moment
+from .igw_process import EXPLODED, ChunkPaths, map_chunks, states_below
 from .reproduction_laws import IGWParams, RegimeError, mean, thinned_pgf
 
 #: every product factor is kept at least this large so certificates stay
@@ -310,24 +312,9 @@ class McDeathResult:
     undecided_fraction: float
 
 
-_CHUNK = 1024
-
-
-def _death_chunk(args) -> tuple[int, int, int]:
-    params, x, horizon, threshold, exact_cap, master_seed, start, stop = args
-    died = exploded = undecided = 0
-    for r in range(start, stop):
-        rng = stream_for(master_seed, r, f"mc-death:{x}")
-        traj = simulate_trajectory(
-            x, params, horizon, threshold, rng, exact_cap=exact_cap
-        )
-        if traj.termination is TerminationKind.DIED:
-            died += 1
-        elif traj.termination is TerminationKind.EXPLODED:
-            exploded += 1
-        else:
-            undecided += 1
-    return died, exploded, undecided
+def _verdict_counts(index: int, paths: ChunkPaths) -> np.ndarray:
+    """Died, exploded and undecided replicas of one chunk."""
+    return np.bincount(paths.termination, minlength=3)
 
 
 def mc_death_prob(
@@ -340,28 +327,19 @@ def mc_death_prob(
     *,
     confidence: float = 0.99,
     workers: int = 1,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> McDeathResult:
     """Fraction of trajectories absorbed at 0, with a Wilson interval.
 
-    Horizon-undecided trajectories are reported separately.  Replica r
-    always uses the stream derived from (master_seed, r), so the result is
-    identical at any worker count.
+    Horizon-undecided trajectories are reported separately.  Replica r runs
+    in chunk r // RNG_CHUNK, which draws from the stream derived from
+    (master_seed, "mc-death:x", chunk), so the result is identical at any
+    worker count.
     """
-    if replicas < 1:
-        raise ValueError("need at least one replica")
-    tasks = [
-        (params, x, horizon, threshold, exact_cap, master_seed, start, min(start + _CHUNK, replicas))
-        for start in range(0, replicas, _CHUNK)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_death_chunk, tasks))
-    else:
-        parts = [_death_chunk(t) for t in tasks]
-    died = sum(p[0] for p in parts)
-    exploded = sum(p[1] for p in parts)
-    undecided = sum(p[2] for p in parts)
+    parts = map_chunks(
+        _verdict_counts, x, params, horizon, threshold, master_seed, f"mc-death:{x}",
+        replicas, workers=workers,
+    )
+    died, exploded, undecided = (int(c) for c in np.sum(parts, axis=0))
     ci_lo, ci_hi = wilson_interval(died, replicas, confidence)
     est = McEstimate(replicas, died, died / replicas, ci_lo, ci_hi, confidence, master_seed)
     return McDeathResult(est, exploded / replicas, undecided / replicas)
@@ -385,6 +363,34 @@ class RatioTableRow:
 _RATIO_THRESHOLD = ExtendedCount(log_value=1e30)
 
 
+def _ratio_log_m(params: IGWParams) -> float:
+    law = params.law
+    if law.p0 > 0.0:
+        raise RegimeError("ratio experiments need p_0 = 0")
+    m = mean(law)
+    if m <= 1.0:
+        raise RegimeError("ratio experiments need a supercritical mean (m > 1)")
+    return math.log(m)
+
+
+def _ratio_paths(summarise, params, x0, replicas, master_seed, horizon, workers) -> list:
+    """``summarise`` over the recorded chunks of a growth-ratio run."""
+    return map_chunks(
+        summarise, x0, params, horizon, _RATIO_THRESHOLD, master_seed, f"mc-ratio:{x0}",
+        replicas, workers=workers, record=True,
+    )
+
+
+def _exploded_ratios(index: int, paths: ChunkPaths) -> list[np.ndarray]:
+    """Per step n, the defined Y_n of the chunk's exploding paths."""
+    exploded = paths.termination == EXPLODED
+    out = []
+    for n, row in enumerate(paths.ratio):
+        ys = row[exploded & (paths.steps > n)]
+        out.append(ys[~np.isnan(ys)])
+    return out
+
+
 def mc_ratio_convergence(
     params: IGWParams,
     x0: int,
@@ -392,36 +398,40 @@ def mc_ratio_convergence(
     master_seed: int,
     *,
     horizon: int = 256,
-    exact_cap: int = DEFAULT_EXACT_CAP,
+    workers: int = 1,
 ) -> list[RatioTableRow]:
     """Per-step table of the growth ratio Y_n = log(X_{n+1})/X_n over
     exploding paths only: count, median Y_n, and quantiles of the relative
-    error Y_n/log(m) - 1.  Deterministic given the seed."""
-    law = params.law
-    if law.p0 > 0.0:
-        raise RegimeError("ratio experiments need p_0 = 0")
-    m = mean(law)
-    if m <= 1.0:
-        raise RegimeError("ratio experiments need a supercritical mean (m > 1)")
-    log_m = math.log(m)
-    buckets: dict[int, list[float]] = {}
-    for r in range(replicas):
-        rng = stream_for(master_seed, r, f"mc-ratio:{x0}")
-        traj = simulate_trajectory(
-            x0, params, horizon, _RATIO_THRESHOLD, rng, exact_cap=exact_cap
-        )
-        if traj.termination is not TerminationKind.EXPLODED:
-            continue
-        for n, y in enumerate(traj.ratios):
-            if y is not None:
-                buckets.setdefault(n, []).append(y)
+    error Y_n/log(m) - 1.  Deterministic given the seed, at any worker
+    count."""
+    log_m = _ratio_log_m(params)
+    parts = _ratio_paths(_exploded_ratios, params, x0, replicas, master_seed, horizon, workers)
     rows = []
-    for n in sorted(buckets):
-        ys = np.asarray(buckets[n])
+    for n in range(max(len(p) for p in parts)):
+        ys = np.concatenate([p[n] for p in parts if n < len(p)])
+        if not ys.size:
+            continue
         errs = ys / log_m - 1.0
         q10, q50, q90 = np.quantile(errs, [0.1, 0.5, 0.9])
         rows.append(RatioTableRow(n, len(ys), float(np.median(ys)), float(q10), float(q50), float(q90)))
     return rows
+
+
+def _crossing_errors(level: ExtendedCount, log_m: float, index: int, paths: ChunkPaths) -> np.ndarray:
+    """(error at the first state >= level, error one step later) for each of
+    the chunk's exploding paths that has both ratios, in replica order."""
+    n_ratio = len(paths.ratio) - 1
+    if n_ratio < 1:
+        return np.empty((0, 2))
+    reached = ~states_below(paths.exact[:n_ratio], paths.log[:n_ratio], level)
+    reached &= np.arange(n_ratio)[:, None] < paths.steps - 1
+    reached &= paths.termination == EXPLODED
+    cols = np.nonzero(reached.any(axis=0))[0]
+    first = reached.argmax(axis=0)[cols]
+    y0 = paths.ratio[first, cols]
+    y1 = paths.ratio[first + 1, cols]
+    keep = ~(np.isnan(y0) | np.isnan(y1))
+    return np.abs(np.column_stack((y0[keep], y1[keep])) / log_m - 1.0)
 
 
 def ratio_crossing_errors(
@@ -432,7 +442,7 @@ def ratio_crossing_errors(
     master_seed: int,
     *,
     horizon: int = 256,
-    exact_cap: int = DEFAULT_EXACT_CAP,
+    workers: int = 1,
 ) -> list[tuple[float, float]]:
     """Per-path relative ratio errors at the first state >= ``level`` and at
     the following step, over exploding paths that reach both.
@@ -441,30 +451,10 @@ def ratio_crossing_errors(
     error should already be small when the state first clears ``level`` and
     should collapse further one step later.
     """
-    law = params.law
-    if law.p0 > 0.0:
-        raise RegimeError("ratio experiments need p_0 = 0")
-    m = mean(law)
-    if m <= 1.0:
-        raise RegimeError("ratio experiments need a supercritical mean (m > 1)")
-    log_m = math.log(m)
-    level_count = ExtendedCount.exact(level)
-    out: list[tuple[float, float]] = []
-    for r in range(replicas):
-        rng = stream_for(master_seed, r, f"mc-ratio:{x0}")
-        traj = simulate_trajectory(
-            x0, params, horizon, _RATIO_THRESHOLD, rng, exact_cap=exact_cap
-        )
-        if traj.termination is not TerminationKind.EXPLODED:
-            continue
-        for n in range(len(traj.ratios) - 1):
-            if traj.states[n] < level_count:
-                continue
-            y0, y1 = traj.ratios[n], traj.ratios[n + 1]
-            if y0 is not None and y1 is not None:
-                out.append((abs(y0 / log_m - 1.0), abs(y1 / log_m - 1.0)))
-            break
-    return out
+    log_m = _ratio_log_m(params)
+    summarise = partial(_crossing_errors, ExtendedCount.exact(level), log_m)
+    parts = _ratio_paths(summarise, params, x0, replicas, master_seed, horizon, workers)
+    return [(e0, e1) for e0, e1 in np.concatenate(parts).tolist()]
 
 
 # -- inequality verification --------------------------------------------------------

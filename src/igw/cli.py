@@ -36,7 +36,7 @@ from .exact_dist import (
     total_progeny_dist,
 )
 from .gw_engine import DEFAULT_EXACT_CAP, ExtendedCount
-from .igw_process import classify_regimes, simulate_trajectory
+from .igw_process import RNG_CHUNK, TERMINATIONS, ChunkPaths, classify_regimes, map_chunks
 from .reproduction_laws import (
     IGWParams,
     LawSpecError,
@@ -115,6 +115,11 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     return meta
 
 
+#: Monte Carlo outputs record how replicas map to random streams: replica r
+#: runs in chunk r // RNG_CHUNK, and each chunk has one stream.
+_RNG_META = {"rng-chunk": RNG_CHUNK}
+
+
 def _params(args: argparse.Namespace) -> IGWParams:
     if getattr(args, "law", None) is None:
         raise _UsageError("--law is required")
@@ -137,46 +142,31 @@ def _cmd_classify(args, out) -> int:
     return 0
 
 
-_SIM_CHUNK = 256
-
-
-def _simulate_chunk(job) -> list[list]:
-    params, x0, horizon, threshold, exact_cap, seed, start, stop = job
-    from .gw_engine import stream_for
-
+def _trajectory_rows(index: int, paths: ChunkPaths) -> list[list]:
+    """CSV rows of one chunk's recorded paths, replica by replica."""
+    exact, logs, ratio = paths.exact.tolist(), paths.log.tolist(), paths.ratio.tolist()
     rows = []
-    for replica in range(start, stop):
-        rng = stream_for(seed, replica, "simulate")
-        traj = simulate_trajectory(x0, params, horizon, threshold, rng, exact_cap=exact_cap)
-        term = traj.termination.value
-        for n, state in enumerate(traj.states):
-            if state.is_exact:
-                mode, value = "exact", state.exact_value
-            else:
-                mode, value = "log", ""
-            log_state = "" if state.is_zero() else _fmt(state.log())
-            y = traj.ratios[n] if n < len(traj.ratios) else None
-            rows.append([replica, n, mode, value, log_state, "" if y is None else _fmt(y), term])
+    for j, (kind, last) in enumerate(zip(paths.termination.tolist(), paths.steps.tolist())):
+        term = TERMINATIONS[kind].value
+        replica = index * RNG_CHUNK + j
+        for n in range(last + 1):
+            value = exact[n][j]
+            mode, shown = ("exact", value) if value >= 0 else ("log", "")
+            log_state = "" if value == 0 else _fmt(logs[n][j])
+            y = ratio[n][j] if n < last else math.nan
+            rows.append([replica, n, mode, shown, log_state, "" if math.isnan(y) else _fmt(y), term])
     return rows
 
 
 def _cmd_simulate(args, out) -> int:
     params = _params(args)
     threshold = _parse_threshold(args.threshold)
-    jobs = [
-        (params, args.x0, args.horizon, threshold, args.exact_cap, args.seed,
-         start, min(start + _SIM_CHUNK, args.replicas))
-        for start in range(0, args.replicas, _SIM_CHUNK)
-    ]
-    if args.workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            chunks = list(pool.map(_simulate_chunk, jobs))  # map preserves job order
-    else:
-        chunks = [_simulate_chunk(j) for j in jobs]
+    chunks = map_chunks(
+        _trajectory_rows, args.x0, params, args.horizon, threshold, args.seed, "simulate",
+        args.replicas, workers=args.workers, record=True,
+    )
     rows = [row for chunk in chunks for row in chunk]
-    _emit(out, _meta(args),
+    _emit(out, _meta(args, **_RNG_META),
           ["replica", "step", "state_mode", "state_value", "log_state", "y_ratio", "termination"],
           rows)
     return 0
@@ -264,12 +254,11 @@ def _cmd_mc(args, out) -> int:
             args.seed,
             confidence=args.confidence,
             workers=args.workers,
-            exact_cap=args.exact_cap,
         )
         est = result.estimate
         _emit(
             out,
-            _meta(args),
+            _meta(args, **_RNG_META),
             ["replicas", "died", "point", "ci_lo", "ci_hi", "exploded", "undecided"],
             [[
                 est.replicas,
@@ -285,11 +274,11 @@ def _cmd_mc(args, out) -> int:
     if args.what == "ratio":
         rows = mc_ratio_convergence(
             params, args.x0, args.replicas, args.seed,
-            horizon=args.horizon, exact_cap=args.exact_cap,
+            horizon=args.horizon, workers=args.workers,
         )
         _emit(
             out,
-            _meta(args),
+            _meta(args, **_RNG_META),
             ["step", "count", "median_y", "err_q10", "err_q50", "err_q90"],
             [
                 [r.step, r.count, _fmt(r.median_y), _fmt(r.err_q10), _fmt(r.err_q50), _fmt(r.err_q90)]
@@ -379,7 +368,6 @@ def _cmd_sweep(args, out) -> int:
                     int(x), params, args.replicas, args.horizon, threshold,
                     args.seed + index,  # per-point seed, deterministic in grid order
                     confidence=args.confidence, workers=args.workers,
-                    exact_cap=args.exact_cap,
                 )
                 est = result.estimate
                 rows.append([
@@ -392,9 +380,11 @@ def _cmd_sweep(args, out) -> int:
             index += 1
     if args.quantity == "death-interval":
         header = ["index", "theta", "x", "lo", "hi"]
+        meta = _meta(args)
     else:
         header = ["index", "theta", "x", "point", "ci_lo", "ci_hi", "undecided"]
-    _emit(out, _meta(args), header, rows)
+        meta = _meta(args, **_RNG_META)
+    _emit(out, meta, header, rows)
     return 0
 
 
@@ -414,7 +404,6 @@ def _add_common(
     if seed:
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP)
     if caps:
         p.add_argument(
             "--caps", type=_parse_caps, default=Caps(),

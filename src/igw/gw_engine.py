@@ -3,20 +3,24 @@ thinning, harmonic moments, and counter-based random streams.
 
 Population counts travel on a three-tier ladder:
 
-* exact integers while the count stays at or below ``EXACT_CAP`` (default
-  2**48); one generation advances by summing one offspring draw per
+* exact integers while the count stays at or below ``DEFAULT_EXACT_CAP``
+  (2**48); one generation advances by summing one offspring draw per
   individual, aggregated per generation,
 * floating point with Gaussian branching noise,
-  ``Z' = m*Z + sqrt(v*Z) * N(0,1)``, once the count leaves the exact range
-  but is still representable (below 1e300), preserving the fluctuation
-  scale of the almost-sure growth limit,
-* deterministic log-domain growth ``log Z' = log Z + log m`` beyond that,
-  where the relative fluctuations are far below anything observable.
+  ``Z' = m*Z + sqrt(v*Z) * N(0,1)``, once the count leaves the exact range,
+  preserving the fluctuation scale of the almost-sure growth limit,
+* deterministic growth ``log Z' = log Z + log m``, folded over all remaining
+  generations at once, as soon as the standard deviation of all remaining
+  branching noise relative to Z, sqrt(v / (m (m-1) Z)), is below 2**-60
+  (and at the latest above 1e300).  Beyond that level no draw could move
+  log Z by as much as one ulp.
 
 Promotion between tiers never overflows; it is how growth is handled.
-All randomness flows through :class:`RngStream`, a counter-based (Philox)
-stream keyed by (master_seed, stream_id) so that a replica's path depends
-only on its key, never on scheduling.
+The per-law constants these tiers read (m, v, log m, the handover level)
+are computed once per law by :func:`law_context`.  All randomness flows
+through :class:`RngStream`, a counter-based (Philox) stream keyed by
+(master_seed, stream_id) so that a path depends only on its key, never on
+scheduling.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Optional
 
 import numpy as np
@@ -34,9 +38,17 @@ from .reproduction_laws import OffspringLaw, RegimeError, mean, variance
 #: counts at or below this stay exact integers.
 DEFAULT_EXACT_CAP = 2**48
 
-#: log threshold beyond which the Gaussian tier hands over to deterministic
-#: log-domain growth (counts above 1e300).
+LOG_EXACT_CAP = math.log(DEFAULT_EXACT_CAP)
+
+#: upper clamp on the level at which the Gaussian tier hands over to
+#: deterministic log-domain growth (counts above 1e300).
 LOG_FLOAT_CAP = math.log(1e300)
+
+#: the Gaussian tier hands over once the relative standard deviation of all
+#: remaining branching noise is below this.  Counts there exceed the exact
+#: cap, so log Z > 33 and its ulp is >= 2**-47: a 10-sd draw moves log Z by
+#: under 1/800 of an ulp.
+HANDOVER_REL_SD = 2.0**-60
 
 #: log values are saturated here so they stay finite floats; any state this
 #: large exceeds every usable explosion threshold.
@@ -82,9 +94,9 @@ class ExtendedCount:
         return cls(exact_value=int(value))
 
     @classmethod
-    def from_log(cls, log_value: float, exact_cap: int = DEFAULT_EXACT_CAP) -> "ExtendedCount":
+    def from_log(cls, log_value: float) -> "ExtendedCount":
         """Build a count from its log, demoting to exact below the cap."""
-        if log_value <= math.log(exact_cap):
+        if log_value <= LOG_EXACT_CAP:
             return cls(exact_value=int(round(math.exp(log_value))))
         return cls(log_value=min(float(log_value), LOG_VALUE_LIMIT))
 
@@ -124,6 +136,49 @@ class ExtendedCount:
 ZERO_COUNT = ExtendedCount.exact(0)
 
 
+# -- per-law constants ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LawContext:
+    """The constants of one offspring law that every simulated step reads.
+
+    ``log_fold`` is log(m/(m-1)), the offset in the deterministic step
+    log S_x = x*log(m) + log(m/(m-1)) (nan unless m > 1).  ``handover_log``
+    is the log count above which the Gaussian tier folds the remaining
+    generations deterministically: -inf for a zero-variance supercritical
+    law, +inf unless m > 1.
+    """
+
+    law: OffspringLaw
+    m: float
+    v: float
+    log_m: float
+    log_fold: float
+    handover_log: float
+
+
+@lru_cache(maxsize=64)
+def law_context(law: OffspringLaw) -> LawContext:
+    """The law's constants, computed once per law (bounded cache)."""
+    m = mean(law)
+    v = variance(law)
+    log_m = math.log(m) if m > 0.0 else -math.inf
+    if m > 1.0:
+        log_fold = math.log(m / (m - 1.0))
+        # relative sd of the remaining noise: sqrt(v / (m (m-1) Z))
+        level = (
+            math.log(v / (m * (m - 1.0))) - 2.0 * math.log(HANDOVER_REL_SD)
+            if v > 0.0
+            else -math.inf
+        )
+        handover_log = min(level, LOG_FLOAT_CAP)
+    else:
+        log_fold = math.nan
+        handover_log = math.inf
+    return LawContext(law, m, v, log_m, log_fold, handover_log)
+
+
 # -- random streams -----------------------------------------------------------
 
 
@@ -142,6 +197,11 @@ class RngStream:
     def __post_init__(self) -> None:
         key = (self.master_seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
+
+    @property
+    def generator(self) -> np.random.Generator:
+        """The underlying generator, for drawing whole arrays at once."""
+        return self._gen
 
     def uniform(self) -> float:
         return float(self._gen.random())
@@ -162,14 +222,15 @@ class RngStream:
         return self._gen.multinomial(n, pvals)
 
 
-def stream_for(master_seed: int, replica_index: int, purpose: str) -> RngStream:
-    """Derive the stream for one replica of one experiment.
+def stream_for(master_seed: int, index: int, purpose: str) -> RngStream:
+    """Derive the stream for one unit of one experiment: a chunk of replicas
+    for the batched engine, a single path for the scalar reference.
 
-    The stream id is a stable hash of (purpose, replica_index), so replica
-    r's path is identical however replicas are spread over workers.
+    The stream id is a stable hash of (purpose, index), so a unit's draws
+    are identical however units are spread over workers.
     """
     digest = hashlib.blake2s(
-        f"{purpose}|{replica_index}".encode("utf-8"), digest_size=8
+        f"{purpose}|{index}".encode("utf-8"), digest_size=8
     ).digest()
     return RngStream(master_seed, int.from_bytes(digest, "big"))
 
@@ -213,7 +274,6 @@ def simulate_total_progeny(
     x: int,
     rng: RngStream,
     *,
-    exact_cap: int = DEFAULT_EXACT_CAP,
     record_generations: bool = True,
 ) -> tuple[list[ExtendedCount], ExtendedCount]:
     """Run the branching process for x generations from a single ancestor.
@@ -225,16 +285,14 @@ def simulate_total_progeny(
     """
     if x < 0:
         raise ValueError("generation count must be nonnegative")
-    m = mean(law)
-    v = variance(law)
-    log_m = math.log(m) if m > 0.0 else -math.inf
+    ctx = law_context(law)
+    m, v, log_m = ctx.m, ctx.v, ctx.log_m
 
     gens: list[ExtendedCount] = []
     z_int: Optional[int] = 1
     z_log = 0.0
     s_int: Optional[int] = 0
     s_log = -math.inf
-    log_cap = math.log(exact_cap)
 
     k = 0
     while k < x:
@@ -246,13 +304,13 @@ def simulate_total_progeny(
                 k = x
                 break
             z_int = _next_generation_exact(law, z_int, rng)
-            if z_int > exact_cap:
+            if z_int > DEFAULT_EXACT_CAP:
                 z_log = _log_of_int(z_int)
                 z_int = None
         else:
-            if (z_log > LOG_FLOAT_CAP or v == 0.0) and m > 1.0:
+            if z_log > ctx.handover_log:
                 # deterministic tier: fold every remaining generation at once
-                # (a zero-variance law has no fluctuations to preserve)
+                # (the remaining noise cannot move a float)
                 g = x - k
                 geom = g * log_m + math.log1p(-math.exp(-g * log_m)) - math.log(m - 1.0)
                 block_log = z_log + log_m + geom  # log sum_{j=1..g} Z * m^j
@@ -261,11 +319,7 @@ def simulate_total_progeny(
                 s_int = None
                 if record_generations:
                     for j in range(1, g + 1):
-                        gens.append(
-                            ExtendedCount.from_log(
-                                min(z_log + j * log_m, LOG_VALUE_LIMIT), exact_cap=exact_cap
-                            )
-                        )
+                        gens.append(ExtendedCount.from_log(min(z_log + j * log_m, LOG_VALUE_LIMIT)))
                 z_log = min(z_log + g * log_m, LOG_VALUE_LIMIT)
                 k = x
                 break
@@ -281,7 +335,7 @@ def simulate_total_progeny(
         if z_int is not None:
             if s_int is not None:
                 s_int += z_int
-                if s_int > exact_cap:
+                if s_int > DEFAULT_EXACT_CAP:
                     s_log = _log_of_int(s_int)
                     s_int = None
             else:
@@ -295,23 +349,17 @@ def simulate_total_progeny(
             else:
                 s_log = _logaddexp(s_log, z_log)
             if record_generations:
-                gens.append(ExtendedCount.from_log(z_log, exact_cap=exact_cap))
+                gens.append(ExtendedCount.from_log(z_log))
         k += 1
 
     if s_int is not None:
         total = ExtendedCount.exact(s_int)
     else:
-        total = ExtendedCount.from_log(min(s_log, LOG_VALUE_LIMIT), exact_cap=exact_cap)
+        total = ExtendedCount.from_log(min(s_log, LOG_VALUE_LIMIT))
     return gens, total
 
 
-def thin(
-    count: ExtendedCount,
-    theta: float,
-    rng: RngStream,
-    *,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-) -> ExtendedCount:
+def thin(count: ExtendedCount, theta: float, rng: RngStream) -> ExtendedCount:
     """Binomial thinning: each of ``count`` individuals survives w.p. theta.
 
     Exact binomial sampling up to 10^6 individuals, a rounded-and-clamped
@@ -334,7 +382,7 @@ def thin(
         sd = math.sqrt(n * theta * (1.0 - theta))
         drawn = int(round(mu + sd * rng.normal()))
         return ExtendedCount.exact(min(max(drawn, 0), n))
-    return ExtendedCount.from_log(count.log() + math.log(theta), exact_cap=exact_cap)
+    return ExtendedCount.from_log(count.log() + math.log(theta))
 
 
 # -- harmonic moments ----------------------------------------------------------

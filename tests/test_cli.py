@@ -118,6 +118,17 @@ class TestErrorsAndExitCodes:
         assert code == 3
         assert any("indeterminate" in ln for ln in data_lines(out))
 
+    def test_exact_cap_option_removed(self, capsys):
+        code, _, err = run_cli(
+            [
+                "simulate", "--law", "binary:0.5", "--theta", "0.9", "--x0", "2",
+                "--exact-cap", "0",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "--exact-cap" in err
+
 
 class TestVerify:
     def test_submult_ok(self, capsys):
@@ -155,6 +166,20 @@ class TestDeterminism:
         code2, out2, _ = run_cli(args + ["--workers", "2"], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+        assert meta_dict(out1)["rng-chunk"] == "1024"
+
+    def test_mc_ratio_byte_identical_across_workers(self, capsys):
+        # 1500 replicas: a full chunk and a partial one
+        args = [
+            "mc", "ratio", "--law", "binary:0.5", "--theta", "1.0", "--x0", "6",
+            "--replicas", "1500", "--seed", "5", "--horizon", "40",
+        ]
+        code1, out1, _ = run_cli(args + ["--workers", "1"], capsys)
+        code2, out2, _ = run_cli(args + ["--workers", "2"], capsys)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert meta_dict(out1)["rng-chunk"] == "1024"
+        assert int(data_lines(out1)[1].split(",")[1]) == 1500
 
     def test_simulate_repeatable(self, capsys):
         args = [
@@ -193,6 +218,7 @@ class TestDeterminism:
         first = lines[1].split(",")
         assert first[:4] == ["0", "0", "exact", "1"]
         assert lines[1].endswith("Exploded")
+        assert meta_dict(out)["rng-chunk"] == "1024"
 
 
 class TestMetadata:
@@ -244,6 +270,7 @@ class TestSweep:
         rows = [ln.split(",") for ln in data_lines(out)[1:]]
         assert len(rows) == 3
         assert all(float(r[3]) == 0.0 for r in rows)
+        assert meta_dict(out)["rng-chunk"] == "1024"
 
     def test_empty_grid_header_only(self, capsys):
         code, out, _ = run_cli(

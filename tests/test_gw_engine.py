@@ -163,6 +163,44 @@ class TestTotalProgeny:
         assert gens[-1].log() == pytest.approx(1200 * math.log(2), rel=1e-9)
         assert total.log() == pytest.approx(1201 * math.log(2), rel=1e-9)
 
+    def test_gaussian_tier_hands_over_once_noise_is_below_rounding(self, binary_half):
+        # m = 1.5, v = 0.25: the relative sd of the remaining noise falls
+        # below 2^-60 near Z = e^82, about 120 generations past the exact cap
+        class CountingStream(RngStream):
+            normals_drawn = 0
+
+            def normal(self):
+                self.normals_drawn += 1
+                return super().normal()
+
+        def reference_log_total(x, rng):
+            # the per-generation loop: Gaussian noise every generation up to
+            # 1e300, then the deterministic fold
+            m, v, log_m = 1.5, 0.25, math.log(1.5)
+            z, s, k = 1, 0, 0
+            while k < x and z <= DEFAULT_EXACT_CAP:
+                z += rng.binomial(z, 0.5)
+                s += z
+                k += 1
+            z_log, s_log = math.log(z), math.log(s)
+            while k < x and z_log <= math.log(1e300):
+                zf = math.exp(z_log)
+                z_log = math.log(m * zf + math.sqrt(v * zf) * rng.normal())
+                s_log = float(np.logaddexp(s_log, z_log))
+                k += 1
+            g = x - k
+            block = z_log + log_m + g * log_m + math.log1p(-math.exp(-g * log_m)) - math.log(m - 1.0)
+            return float(np.logaddexp(s_log, block))
+
+        for r in range(3):
+            rng = CountingStream(13, r)
+            _, total = simulate_total_progeny(binary_half, 5000, rng, record_generations=False)
+            reference = CountingStream(13, r)
+            want = reference_log_total(5000, reference)
+            assert rng.normals_drawn <= 200
+            assert reference.normals_drawn > 1000
+            assert total.log() == pytest.approx(want, rel=1e-10)
+
 
 class TestThin:
     def test_theta_one_identity(self):

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from igw import (
     AlmostSureRegime,
+    Caps,
     ExtendedCount,
     IGWParams,
     MeanRegime,
@@ -14,10 +16,14 @@ from igw import (
     asymptotic_ratios,
     chi,
     classify_regimes,
+    finite_horizon_death,
+    parse_law_spec,
+    simulate_chunk,
     simulate_trajectory,
     step,
     stream_for,
 )
+from igw.igw_process import DIED, EXPLODED, TERMINATIONS, UNDECIDED
 
 
 class TestStep:
@@ -205,3 +211,94 @@ class TestAsymptoticRatios:
         traj = simulate_trajectory(2, params, 5, ExtendedCount.from_log(1e20), stream_for(0, 0, "t"))
         with pytest.raises(RegimeError):
             asymptotic_ratios(traj, 0.9)
+
+
+class TestChunkEngine:
+    # one law per sampling path: point masses (one and two children), two
+    # atoms, multinomial
+    @pytest.mark.parametrize("spec", ["pmf:1=1", "binary:1", "binary:0.5", "pmf:1=0.3,2=0.3,5=0.4"])
+    @pytest.mark.parametrize("x", [1, 2])
+    def test_death_by_n_matches_exact_layer(self, spec, x):
+        params = IGWParams(parse_law_spec(spec), 0.5)
+        chunks, size = 16, 1024
+        dead_by = np.zeros(4)
+        for c in range(chunks):
+            paths = simulate_chunk(x, params, 4, ExtendedCount.exact(10**9), stream_for(5, c, spec))
+            died = paths.termination == DIED
+            dead_by += [np.sum(died & (paths.steps <= n)) for n in range(1, 5)]
+        total = chunks * size
+        for n in range(1, 5):
+            iv = finite_horizon_death(x, params, n, Caps(s_cap=512, x_cap=64))
+            p = 0.5 * (iv.lo + iv.hi)
+            se = math.sqrt(max(p * (1.0 - p), 1e-12) / total)
+            freq = dead_by[n - 1] / total
+            assert iv.lo - 4 * se <= freq <= iv.hi + 4 * se, (spec, x, n, freq, iv)
+
+    def test_three_tier_case_matches_scalar_reference(self):
+        # paths cross the exact, Gaussian and log tiers before exploding
+        params = IGWParams(OffspringLaw.binary(0.5), 0.9)
+        threshold = ExtendedCount.from_log(700.0)
+        counts = np.zeros(3)
+        for c in range(4):
+            paths = simulate_chunk(3, params, 200, threshold, stream_for(6, c, "tiers"))
+            counts += np.bincount(paths.termination, minlength=3)
+        n_chunk = counts.sum()
+        n_ref = 1500
+        ref = Counter(
+            simulate_trajectory(3, params, 200, threshold, stream_for(7, r, "tiers")).termination
+            for r in range(n_ref)
+        )
+        assert counts[UNDECIDED] == 0 and ref[TerminationKind.HORIZON] == 0
+        for code in (DIED, EXPLODED):
+            p1 = counts[code] / n_chunk
+            p2 = ref[TERMINATIONS[code]] / n_ref
+            se = math.sqrt(max(p1 * (1 - p1), 1e-12) / n_chunk + max(p2 * (1 - p2), 1e-12) / n_ref)
+            assert abs(p1 - p2) <= 4 * se, (TERMINATIONS[code], p1, p2)
+
+    @pytest.mark.parametrize("x0", [100, 400])
+    def test_first_step_in_gaussian_and_folded_tiers_matches_scalar(self, x0):
+        # S_100 leaves the exact range near generation 82 and stays Gaussian;
+        # S_400 is folded deterministically past generation ~200
+        params = IGWParams(OffspringLaw.binary(0.5), 1.0)
+        paths = simulate_chunk(
+            x0, params, 1, ExtendedCount.from_log(1e20), stream_for(3, 0, "g"), record=True
+        )
+        chunk = paths.log[1]
+        scalar = np.array([step(x0, params, stream_for(4, r, "g")).log() for r in range(300)])
+        se = math.sqrt(chunk.var() / chunk.size + scalar.var() / scalar.size)
+        assert abs(chunk.mean() - scalar.mean()) <= 4 * se
+
+    def test_undecided_paths_kept_apart_and_nondecreasing(self):
+        params = IGWParams(OffspringLaw.binary(0.5), 1.0)
+        paths = simulate_chunk(
+            5, params, 3, ExtendedCount.from_log(1e20), stream_for(4, 0, "nd"), 300, record=True
+        )
+        assert (paths.termination == UNDECIDED).all() and (paths.steps == 3).all()
+        assert paths.exact.shape == (4, 300) and paths.ratio.shape == (3, 300)
+        assert (np.diff(paths.log, axis=0) >= 0).all()
+        exact = paths.exact[:-1] >= 0
+        np.testing.assert_allclose(
+            paths.ratio[exact], (paths.log[1:] / paths.exact[:-1])[exact], rtol=1e-12
+        )
+
+    def test_threshold_at_start_explodes_at_step_zero(self):
+        params = IGWParams(OffspringLaw.binary(0.5), 0.9)
+        paths = simulate_chunk(5, params, 10, ExtendedCount.exact(5), stream_for(0, 0, "t"), 8)
+        assert (paths.termination == EXPLODED).all() and (paths.steps == 0).all()
+
+    def test_validation(self):
+        params = IGWParams(OffspringLaw.binary(0.5), 1.0)
+        rng = stream_for(0, 0, "t")
+        threshold = ExtendedCount.exact(10**6)
+        with pytest.raises(ValueError):
+            simulate_chunk(0, params, 10, threshold, rng)
+        with pytest.raises(ValueError):
+            simulate_chunk(1, params, 0, threshold, rng)
+        with pytest.raises(ValueError):
+            simulate_chunk(10, params, 10, ExtendedCount.exact(5), rng)
+
+    def test_rejects_laws_that_overflow_int64(self):
+        # 2^48 individuals with up to 2^15 children each reach 2^63
+        wide = OffspringLaw.explicit({1: 0.5, 2**15: 0.5}, max_k=2**15)
+        with pytest.raises(ValueError, match="int64"):
+            simulate_chunk(1, IGWParams(wide, 1.0), 10, ExtendedCount.exact(10**6), stream_for(0, 0, "t"))
