@@ -29,11 +29,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import binom, norm
 
-from .exact_dist import Caps, IntervalProb, finite_horizon_death, total_progeny_dist
+from .exact_dist import (
+    Caps,
+    IntervalProb,
+    binomial_table,
+    finite_horizon_death,
+    total_progeny_dist,
+)
 from .gw_engine import ExtendedCount, harmonic_moment
 from .igw_process import EXPLODED, ChunkPaths, map_chunks, states_below
 from .reproduction_laws import IGWParams, RegimeError, mean, thinned_pgf
@@ -199,13 +205,17 @@ def explosion_lower_bound(
     # exact region
     exact_top = min(switch_point, x + max_terms)
     if x <= exact_top:
+        # cdf[s, t] = P(Binomial(s, theta) <= t) for s <= s_cap + 1; every
+        # t >= s_cap + 1 reads the last column, where the cdf is 1
+        t_max = min(exact_top, caps.s_cap) + 1
+        cdf = np.cumsum(binomial_table(theta, caps.s_cap + 1, t_max), axis=1)
         for y in range(x, exact_top + 1):
             dist = total_progeny_dist(law, y, s_cap=caps.s_cap)
-            t = y + 1
+            t = min(y + 1, t_max)
             nz = np.nonzero(dist.atoms)[0]
-            p = float(np.dot(dist.atoms[nz], binom.cdf(t, nz, theta)))
+            p = float(np.dot(dist.atoms[nz], cdf[nz, t]))
             if dist.overflow > 0.0:
-                p += dist.overflow * float(binom.cdf(t, caps.s_cap + 1, theta))
+                p += dist.overflow * float(cdf[caps.s_cap + 1, t])
             raw.append((y, min(p, 1.0), "exact"))
 
     # analytic region, extended until the terms are provably in geometric decay
@@ -297,7 +307,7 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[f
     """Wilson score interval; well behaved for proportions near 0 and 1."""
     if n < 1:
         raise ValueError("need at least one trial")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom

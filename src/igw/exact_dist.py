@@ -23,6 +23,18 @@ probability is closed into a rigorous two-sided interval:
   ``x_cap``), valid because the chain is stochastically monotone in its
   start state and death probabilities are nonincreasing in it.
 
+Both envelope chains absorb at 0, so P_x(X_n = 0) = (K^n e_0)[x] for either
+kernel K.  One backward sweep u <- K u from u = e_0 therefore answers every
+start state x at once.  The columns are kept per horizon asked for, and a
+new horizon is swept on from the longest kept one below it.  The upper end
+of the total death probability adds a second column swept on the upper
+kernel, the closure K^n c with c_y = q*^y for y >= 1 and c_0 = 0.  It is
+kept apart from the death column, not folded into one sweep of the vector
+(1, q*, q*^2, ...): the death columns of the two kernels then round alike,
+so an interval whose truncation is invisible at float precision still has
+lo == hi.  The thinning itself is a table of binomial probabilities built
+by Pascal's rule.
+
 One quantity needs no truncation at all: P_x(X_1 = 0) = E((1-theta)^{S_x})
 follows from the scalar recursion a_{j+1} = f(t * a_j) with t = 1 - theta,
 exact to floating precision.
@@ -32,10 +44,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.stats import binom
 
 from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, pgf_eval
 
@@ -180,24 +192,35 @@ def total_progeny_dist(
 
 # -- thinning mixtures ----------------------------------------------------------
 
-_binom_cache: dict[tuple[float, int, int], np.ndarray] = {}
 
+def binomial_table(theta: float, s_max: int, j_max: int) -> np.ndarray:
+    """B[s, j] = P(Binomial(s, theta) = j) for s = 0..s_max, j = 0..j_max.
 
-def _binom_matrix(theta: float, s_max: int, j_max: int) -> np.ndarray:
-    """B[s, j] = P(Binomial(s, theta) = j) for s = 0..s_max, j = 0..j_max."""
-    key = (theta, s_max, j_max)
-    cached = _binom_cache.get(key)
-    if cached is None:
-        s = np.arange(s_max + 1)[:, None]
-        j = np.arange(j_max + 1)[None, :]
-        cached = binom.pmf(j, s, theta)
-        _binom_cache[key] = cached
-    return cached
+    Built by Pascal's rule, one row from the last:
+    B[s, j] = (1 - theta) * B[s-1, j] + theta * B[s-1, j-1].  Each entry is
+    a convex combination of two entries of the row before, so its relative
+    error grows by at most about one rounding per row.  Entries below the
+    smallest normal float are set to 0 as each row is made: the binomial
+    pmf there underflows anyway, and a subnormal left in would never decay
+    ((1 - theta) * 5e-324 rounds back up to 5e-324) and would slow every
+    product that reads the table.
+    """
+    keep, move = 1.0 - theta, theta
+    tiny = np.finfo(float).tiny
+    B = np.zeros((s_max + 1, j_max + 1))
+    B[0, 0] = 1.0
+    for s in range(1, s_max + 1):
+        w = min(s, j_max) + 1  # B[s - 1, w - 1] = 0 while s <= j_max
+        prev, row = B[s - 1, :w], B[s, :w]
+        np.multiply(prev, keep, out=row)
+        row[1:] += move * prev[:-1]
+        row[row < tiny] = 0.0
+    return B
 
 
 def _thinned(prog: _Progeny, B: np.ndarray) -> np.ndarray:
     """Atoms of the theta-thinning of the tracked part of S_x, for the
-    binomial matrix ``B`` of ``_binom_matrix``."""
+    binomial table ``B`` of ``binomial_table``."""
     return prog.coef @ B[prog.offset : prog.offset + len(prog.coef)]
 
 
@@ -211,7 +234,7 @@ def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDi
     if x < 0:
         raise ValueError("x must be nonnegative")
     prog = _progeny_laws(params.law, x, caps.s_cap)[x]
-    atoms = _thinned(prog, _binom_matrix(params.theta, caps.s_cap + 1, caps.x_cap))
+    atoms = _thinned(prog, binomial_table(params.theta, caps.s_cap, caps.x_cap))
     x_over = max(0.0, (1.0 - prog.overflow) - float(atoms.sum()))
     overflow = prog.overflow + x_over
     warning = "all-mass-in-overflow" if overflow > 1.0 - 1e-9 else None
@@ -239,7 +262,7 @@ def transition_kernel(
     Row x is ``one_step_dist(x)``; row 0 is the point mass at 0.  Returns
     the (x_cap+1) x (x_cap+2) matrix and any row warnings.
     """
-    B = _binom_matrix(params.theta, caps.s_cap + 1, x_cap)
+    B = binomial_table(params.theta, caps.s_cap, x_cap)
     K = np.zeros((x_cap + 1, x_cap + 2))
     warnings: list[str] = []
     for x, prog in enumerate(_progeny_laws(params.law, x_cap, caps.s_cap)):
@@ -252,8 +275,6 @@ def transition_kernel(
 
 
 # -- envelope kernels and certified intervals -----------------------------------
-
-_kernel_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _envelope_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
@@ -271,11 +292,7 @@ def _envelope_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.nda
     kernel and to the phantom in the lower one.
     """
     x_cap, s_cap = caps.x_cap, caps.s_cap
-    key = (params.law, params.theta, s_cap, x_cap)
-    cached = _kernel_cache.get(key)
-    if cached is not None:
-        return cached
-    B = _binom_matrix(params.theta, s_cap + 1, x_cap)
+    B = binomial_table(params.theta, s_cap + 1, x_cap)
     K_hi = np.zeros((x_cap + 1, x_cap + 1))
     K_lo = np.zeros((x_cap + 2, x_cap + 2))
     for x, prog in enumerate(_progeny_laws(params.law, x_cap, s_cap)):
@@ -289,7 +306,6 @@ def _envelope_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.nda
     K_lo[x_cap + 1, x_cap + 1] = 1.0 - params.law.p0
     _floor_into(K_hi, 0)
     _floor_into(K_lo, x_cap + 1)
-    _kernel_cache[key] = (K_hi, K_lo)
     return K_hi, K_lo
 
 
@@ -301,12 +317,57 @@ def _floor_into(K: np.ndarray, col: int) -> None:
     K[small] = 0.0
 
 
-def _iterate(kernel: np.ndarray, x: int, n: int) -> np.ndarray:
-    v = np.zeros(kernel.shape[0])
-    v[x] = 1.0
-    for _ in range(n):
-        v = v @ kernel
-    return v
+class _Envelope:
+    """The envelope kernels of one (law, theta, s_cap, x_cap) and the
+    columns swept backward from them, for every start state at once.
+
+    ``death[n]`` is (K_lo^n e_0, K_hi^n e_0): entry x is the lower and the
+    upper end of P_x(X_n = 0).  ``closure[n]`` is (K_hi^n c,) with
+    c_y = q*^y for y >= 1 and c_0 = 0: entry x closes the mass still alive
+    at horizon n by the fixed-point certificate.  Only the horizons asked
+    for are kept; a new one is swept on from the longest kept horizon below
+    it, so asking for n = 1, 2, ..., N costs N matvecs per column in all.
+    """
+
+    def __init__(self, params: IGWParams, caps: Caps) -> None:
+        self.params = params
+        self.K_hi, self.K_lo = _envelope_kernels(params, caps)
+        lo, hi = np.zeros(len(self.K_lo)), np.zeros(len(self.K_hi))
+        lo[0] = hi[0] = 1.0
+        self.death = {0: (lo, hi)}
+        self.closure: dict[int, tuple[np.ndarray]] = {}
+
+    def death_columns(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        return _sweep(self.death, (self.K_lo, self.K_hi), n)
+
+    def closure_column(self, n: int) -> np.ndarray:
+        if not self.closure:
+            from .analysis import fixed_point_q  # deferred: analysis builds on this module
+
+            c = fixed_point_q(self.params, 1e-13) ** np.arange(len(self.K_hi), dtype=float)
+            c[0] = 0.0
+            self.closure[0] = (c,)
+        return _sweep(self.closure, (self.K_hi,), n)[0]
+
+
+def _sweep(kept: dict[int, tuple], kernels: tuple[np.ndarray, ...], n: int) -> tuple:
+    """The columns at step n of u <- K u, one per kernel, swept on from the
+    longest horizon below n in ``kept`` (which holds step 0) and kept."""
+    cols = kept.get(n)
+    if cols is None:
+        m = max(k for k in kept if k < n)
+        cols = kept[m]
+        for _ in range(n - m):
+            cols = tuple(K @ u for K, u in zip(kernels, cols))
+        kept[n] = cols
+    return cols
+
+
+@lru_cache(maxsize=8)
+def _envelope(params: IGWParams, caps: Caps) -> _Envelope:
+    """The envelopes of the eight most recently used (params, caps); one
+    holds 2 x 8 (x_cap + 2)^2 bytes of kernels plus its columns."""
+    return _Envelope(params, caps)
 
 
 def finite_horizon_death(
@@ -317,10 +378,9 @@ def finite_horizon_death(
         raise ValueError("horizon must be >= 1")
     if not 0 <= x <= caps.x_cap:
         raise ValueError(f"start state {x} outside the tracked range 0..{caps.x_cap}")
-    K_hi, K_lo = _envelope_kernels(params, caps)
-    lo = float(_iterate(K_lo, x, n)[0])
-    hi = float(_iterate(K_hi, x, n)[0])
-    return IntervalProb(min(lo, hi), max(lo, hi))
+    lo, hi = _envelope(params, caps).death_columns(n)
+    lo_x, hi_x = float(lo[x]), float(hi[x])
+    return IntervalProb(min(lo_x, hi_x), max(lo_x, hi_x))
 
 
 def death_prob_interval(
@@ -342,14 +402,12 @@ def death_prob_interval(
         raise RegimeError("single-child laws form a pure thinning chain; no mixed regime")
     if not 1 <= x <= caps.x_cap:
         raise ValueError(f"start state {x} outside the tracked range 1..{caps.x_cap}")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     if params.theta == 1.0:
         return IntervalProb(0.0, 0.0)
-    from .analysis import fixed_point_q  # deferred: analysis builds on this module
-
-    K_hi, K_lo = _envelope_kernels(params, caps)
-    lo = float(_iterate(K_lo, x, horizon)[0])
-    v_hi = _iterate(K_hi, x, horizon)
-    q_star = fixed_point_q(params, 1e-13)
-    powers = q_star ** np.arange(caps.x_cap + 1)
-    hi = min(1.0, float(v_hi @ powers))
-    return IntervalProb(lo, max(lo, hi))
+    env = _envelope(params, caps)
+    lo, hi = env.death_columns(horizon)
+    lo_x = float(lo[x])
+    hi_x = min(1.0, float(hi[x] + env.closure_column(horizon)[x]))
+    return IntervalProb(lo_x, max(lo_x, hi_x))

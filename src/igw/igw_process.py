@@ -559,8 +559,8 @@ def map_chunks(
     job = partial(_run_chunk, summarise, x0, params, horizon, threshold, master_seed, purpose, record)
     if workers > 1 and len(sizes) > 1:
         # the platform's default start method: a chunk takes milliseconds,
-        # and spawned workers would each re-import numpy and scipy (~1.8 s
-        # for two workers, against 0.03 s forked)
+        # and spawned workers would each start an interpreter and re-import
+        # numpy and igw
         with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
             return list(pool.map(job, range(len(sizes)), sizes))
     return [job(index, size) for index, size in enumerate(sizes)]

@@ -12,6 +12,7 @@ from igw import (
     binary_death_bound,
     death_prob_interval,
     explosion_lower_bound,
+    finite_horizon_death,
     fixed_point_q,
     geometric_absorption_check,
     geometric_death_bound,
@@ -24,6 +25,7 @@ from igw import (
     thinned_pgf,
     wilson_interval,
 )
+from igw.exact_dist import _envelope
 
 SMALL_CAPS = Caps(256, 256, 64)
 
@@ -304,6 +306,14 @@ class TestGeometricAbsorption:
             assert row.survival_hi <= row.geometric_bound + 1e-12
             if row.n >= 2:
                 assert row.survival_hi < row.geometric_bound
+
+    def test_rows_match_finite_horizon_calls(self):
+        params = IGWParams(OffspringLaw.explicit({0: 0.2, 2: 0.8}), 0.9)
+        report = geometric_absorption_check(params, 2, 12, SMALL_CAPS)
+        _envelope.cache_clear()  # the calls below sweep again, longest horizon first
+        for row in reversed(report.rows):
+            iv = finite_horizon_death(2, params, row.n, SMALL_CAPS)
+            assert (row.survival_lo, row.survival_hi) == (1.0 - iv.hi, 1.0 - iv.lo)
 
     def test_certain_immediate_death(self):
         params = IGWParams(OffspringLaw.explicit({0: 1.0}), 0.5)

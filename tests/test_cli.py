@@ -1,8 +1,13 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import igw
 from igw import parse_law_spec
 from igw.cli import main
 
@@ -306,3 +311,14 @@ class TestConfigFile:
         code, out, _ = run_cli(["classify", "--config", str(cfg), "--theta", "0.9"], capsys)
         assert code == 0
         assert data_lines(out)[1] == "MeanExplodes,MixedDeathOrExplosion"
+
+
+def test_import_leaves_scipy_out():
+    # every CLI call pays the import; scipy.stats alone took over a second
+    src = str(Path(igw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, igw; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "[]"

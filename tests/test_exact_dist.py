@@ -21,6 +21,8 @@ from igw import (
     total_progeny_dist,
     transition_kernel,
 )
+from igw.analysis import fixed_point_q
+from igw.exact_dist import _envelope_kernels, binomial_table
 
 from conftest import enumerate_total_progeny, law_fractions, small_laws
 
@@ -108,6 +110,20 @@ class TestTotalProgenyDist:
         assert time.perf_counter() - start < 0.1
         assert dist.overflow == 1.0 and dist.atoms.sum() == 0.0
         assert total_progeny_dist(law, 11, s_cap=4099).atoms[4094] == 1.0
+
+
+class TestBinomialTable:
+    @pytest.mark.parametrize("theta", [0.05, 0.45, 0.92, 1.0])
+    def test_pascal_table_matches_scipy(self, theta):
+        from scipy.stats import binom
+
+        B = binomial_table(theta, 4097, 512)
+        ref = binom.pmf(np.arange(513)[None, :], np.arange(4098)[:, None], theta)
+        big = ref >= 1e-290
+        rel = np.abs(B[big] - ref[big]) / ref[big]
+        assert rel.max() <= 1e-12
+        # entries that would underflow are zero, not stuck subnormals
+        assert not np.any((B > 0.0) & (B < np.finfo(float).tiny))
 
 
 class TestOneStepDist:
@@ -248,6 +264,49 @@ class TestDeathProbInterval:
         iv = death_prob_interval(1, params, SMALL_CAPS, horizon=64)
         assert iv.hi == pytest.approx(1.0, abs=1e-9)
         assert iv.lo > 0.4
+
+
+def _forward(K: np.ndarray, x: int, n: int) -> np.ndarray:
+    """Reference: the law of the envelope chain at step n from state x,
+    by n forward products v <- v @ K."""
+    v = np.zeros(len(K))
+    v[x] = 1.0
+    for _ in range(n):
+        v = v @ K
+    return v
+
+
+class TestBackwardSweep:
+    """Every interval is read off one backward sweep per kernel; the
+    forward loop from each start state is the reference."""
+
+    @pytest.mark.parametrize(
+        "spec,theta", [("binary:1", 0.8), ("binary:0.5", 0.7), ("pmf:2=0.5,3=0.5", 0.6)]
+    )
+    def test_death_interval_matches_forward(self, spec, theta):
+        params = IGWParams(parse_law_spec(spec), theta)
+        K_hi, K_lo = _envelope_kernels(params, SMALL_CAPS)
+        powers = fixed_point_q(params, 1e-13) ** np.arange(len(K_hi))
+        for x in range(1, 9):
+            lo = _forward(K_lo, x, 128)[0]
+            hi = min(1.0, float(_forward(K_hi, x, 128) @ powers))
+            iv = death_prob_interval(x, params, SMALL_CAPS, horizon=128)
+            assert iv.lo == pytest.approx(lo, rel=1e-13, abs=0.0)
+            assert iv.hi == pytest.approx(max(lo, hi), rel=1e-13, abs=0.0)
+            assert iv.width <= max(lo, hi) - lo
+
+    @pytest.mark.parametrize(
+        "spec,theta", [("binary:0.5", 0.7), ("pmf:0=0.2,2=0.8", 0.9)]
+    )
+    def test_finite_horizon_matches_forward(self, spec, theta):
+        params = IGWParams(parse_law_spec(spec), theta)
+        K_hi, K_lo = _envelope_kernels(params, SMALL_CAPS)
+        for n in (1, 3, 12, 40):
+            for x in range(0, 9):
+                lo, hi = _forward(K_lo, x, n)[0], _forward(K_hi, x, n)[0]
+                iv = finite_horizon_death(x, params, n, SMALL_CAPS)
+                assert iv.lo == pytest.approx(min(lo, hi), rel=1e-13, abs=0.0)
+                assert iv.hi == pytest.approx(max(lo, hi), rel=1e-13, abs=0.0)
 
 
 class TestIntervalProb:
