@@ -10,8 +10,9 @@ Certificates
       phi(y) = y + 1 and psi(y) = y^2, the chance that the chain ever fails
       to gain a unit is controlled by gamma(y) >= P_y(X_1 <= y + 1), and
       P_y(always gaining) >= prod_k (1 - gamma(y + k)).  Small y use exact
-      one-step tail probabilities; large y use a Markov bound on 1/Z_y plus
-      an exponential-moment bound on the thinning, and the infinite tail is
+      one-step tail probabilities; large y use a Markov bound on 1/Z_y,
+      with E(1/Z_y) bounded above by one certified trapezoid sum, plus an
+      exponential-moment bound on the thinning, and the infinite tail is
       closed in closed form once the terms provably decay geometrically.
 
 Monte Carlo
@@ -140,12 +141,18 @@ class CertificateStep:
 
 @dataclass(frozen=True)
 class ExplosionCertificate:
+    """The product bound and its audit trail.  ``harmonic_bound`` is the
+    certified upper bound on E(1/Z_y) taken at state ``harmonic_y``, the
+    first analytic state; every later state carries it by the contraction."""
+
     start: int
     steps: tuple[CertificateStep, ...]
     tail_sum: float
     tail_sup: float
     bound: float
     valid: bool
+    harmonic_y: int
+    harmonic_bound: float
 
 
 def _bernoulli_decay(theta: float, loose: bool) -> float:
@@ -175,7 +182,6 @@ def explosion_lower_bound(
     caps: Caps = Caps(),
     switch_point: int = 64,
     *,
-    quad_tol: float = 1e-10,
     stop_eps: float = 1e-12,
     loose_bernoulli: bool = False,
     max_terms: int = 100_000,
@@ -185,10 +191,12 @@ def explosion_lower_bound(
     Requires p_0 = 0, p_1 != 1, x >= 1.  Exact one-step tail probabilities
     are used while x_k = x + k stays at or below ``switch_point`` (with
     untracked total-progeny mass bounded by its worst-case binomial tail);
-    beyond that, gamma(y) <= y^2 * E(1/Z_y) + Chernoff(thinning).  The
-    harmonic moments are quadratures sharpened by the provable one-step
-    contraction E(1/Z_{y+1}) <= (1 - (1-p_1)/2) * E(1/Z_y).  Returns bound
-    0 with ``valid=False`` if any stall probability reaches 1.
+    beyond that, gamma(y) <= y^2 * E(1/Z_y) + Chernoff(thinning).
+    E(1/Z_y) is bounded once, at the first analytic state, by the certified
+    trapezoid bound of :func:`harmonic_moment`, and carried to every later
+    state by the provable one-step contraction
+    E(1/Z_{y+1}) <= (1 - (1-p_1)/2) * E(1/Z_y).  Returns bound 0 with
+    ``valid=False`` if any stall probability reaches 1.
     """
     law = params.law
     theta = params.theta
@@ -219,24 +227,12 @@ def explosion_lower_bound(
             raw.append((y, min(p, 1.0), "exact"))
 
     # analytic region, extended until the terms are provably in geometric decay
-    y = max(x, switch_point + 1)
-    h_used = None
-    h_anchor_y = None
+    y = harmonic_y = max(x, switch_point + 1)
+    harmonic_bound = h_used = harmonic_moment(law, y)
     terms = 0
     while True:
         if terms >= max_terms:
-            return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False)
-        if h_used is None:
-            h_used = harmonic_moment(law, y, quad_tol) + quad_tol
-        else:
-            carried = h_used * contraction ** (y - h_anchor_y)
-            # a quadrature of a nonnegative integrand is >= 0, so a fresh
-            # value is >= quad_tol and cannot beat a carried one below it
-            if carried < quad_tol:
-                h_used = carried
-            else:
-                h_used = min(harmonic_moment(law, y, quad_tol) + quad_tol, carried)
-        h_anchor_y = y
+            return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, harmonic_y, harmonic_bound)
         gamma_a = (y * y) * h_used
         gamma_b = _chernoff_thinning(y, theta, loose_bernoulli)
         g = min(gamma_a + gamma_b, 1.0)
@@ -251,6 +247,7 @@ def explosion_lower_bound(
         if g <= stop_eps and ratio_a_ok and ratio_b_ok:
             break
         y += 1
+        h_used *= contraction
 
     # closed-form tail beyond the last explicit state Y
     Y = y
@@ -279,12 +276,12 @@ def explosion_lower_bound(
         CertificateStep(raw[i][0], raw[i][1], gammas[i], raw[i][2]) for i in range(len(raw))
     )
     if any(g >= 1.0 for g in gammas) or tail_sup >= 1.0 or not math.isfinite(tail_sum):
-        return ExplosionCertificate(x, steps, tail_sum, tail_sup, 0.0, False)
+        return ExplosionCertificate(x, steps, tail_sum, tail_sup, 0.0, False, harmonic_y, harmonic_bound)
 
     log_prod = sum(math.log1p(-g) for g in gammas)
     log_tail = -tail_sum / (1.0 - tail_sup)
     bound = math.exp(log_prod + log_tail)
-    return ExplosionCertificate(x, steps, tail_sum, tail_sup, bound, True)
+    return ExplosionCertificate(x, steps, tail_sum, tail_sup, bound, True, harmonic_y, harmonic_bound)
 
 
 # -- Monte Carlo -------------------------------------------------------------------

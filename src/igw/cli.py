@@ -225,9 +225,7 @@ def _cmd_bounds(args, out) -> int:
         return 0
     if what == "explosion":
         params = _params(args)
-        cert = explosion_lower_bound(
-            args.x, params, args.caps, args.switch_point, quad_tol=args.quad_tol
-        )
+        cert = explosion_lower_bound(args.x, params, args.caps, args.switch_point)
         rows = [[s.x_k, _fmt(s.gamma_raw), _fmt(s.gamma), s.method] for s in cert.steps]
         meta = _meta(
             args,
@@ -235,6 +233,7 @@ def _cmd_bounds(args, out) -> int:
             valid=cert.valid,
             tail_sum=_fmt(cert.tail_sum),
             tail_sup=_fmt(cert.tail_sup),
+            **{"harmonic-y": cert.harmonic_y, "harmonic-bound": _fmt(cert.harmonic_bound)},
         )
         _emit(out, meta, ["x_k", "gamma_raw", "gamma", "method"], rows)
         return 0
@@ -448,7 +447,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--q1", type=float, default=None, help="certified bound on the state-1 death probability")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--switch-point", type=int, default=64)
-    p.add_argument("--quad-tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("mc", help="Monte Carlo estimates")

@@ -164,13 +164,18 @@ def _compose(law: OffspringLaw, prev: _Progeny, s_cap: int) -> _Progeny:
     return _Progeny(coef, int(nz[0]), max(0.0, 1.0 - float(coef.sum())))
 
 
-_progeny_cache: dict[tuple[OffspringLaw, int], list[_Progeny]] = {}
+@lru_cache(maxsize=8)
+def _progeny_cache(law: OffspringLaw, s_cap: int) -> list[_Progeny]:
+    """The laws of S_0, S_1, ... computed so far for one (law, s_cap), for
+    the eight most recently used; one holds at most x_cap + 1 arrays of at
+    most s_cap + 1 floats."""
+    return [_Progeny(np.ones(1), 0, 0.0)]
 
 
 def _progeny_laws(law: OffspringLaw, x_max: int, s_cap: int) -> list[_Progeny]:
     """The law of S_x for every x = 0..x_max, from one cached list per
     (law, s_cap) that grows by composition on demand."""
-    laws = _progeny_cache.setdefault((law, s_cap), [_Progeny(np.ones(1), 0, 0.0)])
+    laws = _progeny_cache(law, s_cap)
     while len(laws) <= x_max:
         laws.append(_compose(law, laws[-1], s_cap))
     return laws[: x_max + 1]
@@ -234,7 +239,9 @@ def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDi
     if x < 0:
         raise ValueError("x must be nonnegative")
     prog = _progeny_laws(params.law, x, caps.s_cap)[x]
-    atoms = _thinned(prog, binomial_table(params.theta, caps.s_cap, caps.x_cap))
+    # Pascal rows up to the largest tracked total of S_x only: each row depends
+    # only on the rows before it, so the atoms equal those of the full table
+    atoms = _thinned(prog, binomial_table(params.theta, prog.offset + len(prog.coef) - 1, caps.x_cap))
     x_over = max(0.0, (1.0 - prog.overflow) - float(atoms.sum()))
     overflow = prog.overflow + x_over
     warning = "all-mass-in-overflow" if overflow > 1.0 - 1e-9 else None

@@ -387,53 +387,104 @@ def thin(count: ExtendedCount, theta: float, rng: RngStream) -> ExtendedCount:
 
 # -- harmonic moments ----------------------------------------------------------
 
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 60) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1) + recurse(
-            m, b, fm, frm, fb, right, tol / 2.0, depth + 1
-        )
-
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+#: unit roundoff of a float64 operation rounded to nearest, and the
+#: smallest normal float.
+_U = 2.0**-53
+_TINY = np.finfo(float).tiny
 
 
-def harmonic_moment(law: OffspringLaw, x: int, quad_tol: float = 1e-10) -> float:
-    """E(1/Z_x) for a law that cannot die out (p_0 = 0, so Z_x >= 1).
+@lru_cache(maxsize=1)
+def _trapezoid_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The fixed grid of :func:`harmonic_moment` and its cell widths.
 
-    Uses the identity E(1/Z_x) = integral_0^1 f_x(s)/s ds with f_x the
-    x-fold iterate of the generating function; the integrand's limit at
-    s -> 0 is p_1^x.  Absolute accuracy is the adaptive-quadrature
-    tolerance ``quad_tol``.
+    The dyadic points k / 2**16 on [0, 1] together with 1 - 2**(-j/64) for
+    j = 64..3392: 64 points per octave of 1 - s, from 1/2 down to 2**-53,
+    the spacing of the floats just below 1, where g rises steeply; 68,523
+    distinct floats in all.  Below 1/2 every point is a multiple of
+    2**-16, and from 1/2 on neighbours lie within a factor two of each
+    other, so every width and every 1 - s is exact.  Built on first use,
+    not at import.
+    """
+    dyadic = np.arange(2**16 + 1) / 2.0**16
+    geometric = 1.0 - np.exp2(-np.arange(64, 3393) / 64.0)
+    s = np.unique(np.concatenate((dyadic, geometric)))
+    return s, np.diff(s)
+
+
+def _iterate_upper(law: OffspringLaw, x: int, s: np.ndarray) -> np.ndarray:
+    """Upper bounds on f_x(s), the x-fold iterate of the generating function
+    of a law on {1..K}, at points s in [0, 1] whose 1 - s is exact.
+
+    Each point is bounded twice and the smaller bound kept:
+
+    * in s, by Horner iterates rounded upward: f is increasing, and each
+      step (at most 2K + 1 roundings) is inflated by 1 + 4K * 2**-53,
+      raised by the smallest normal float to cover underflow and clamped
+      at 1,
+    * in u = 1 - s, by a lower bound on u_x = 1 - f_x(s), iterated
+      downward through u -> 1 - f(1 - u) = u * sum_{i<K} T_{i+1} (1 - u)^i
+      with the tail sums T_j = sum_{k>=j} p_k; every term is nonnegative,
+      and each step (at most 4K - 2 roundings) is deflated by
+      1 - 4K^2 * 2**-53.  This is the accurate one near s = 1, where
+      f_x(s) is 1 up to a tiny u_x; 1 - u_x is rounded upward.
+    """
+    probs = law.probs
+    k_max = len(probs) - 1
+
+    up = 1.0 + 4 * k_max * _U
+    t = s.copy()
+    acc = np.empty_like(s)
+    for _ in range(x):
+        acc.fill(probs[-1])
+        for p in reversed(probs[:-1]):
+            acc *= t
+            if p:
+                acc += p
+        acc *= up
+        acc += _TINY
+        np.minimum(acc, 1.0, out=t)
+
+    tails = np.cumsum(probs[::-1])[::-1][1:]  # T_1..T_K
+    down = 1.0 - 4 * k_max * k_max * _U
+    u = 1.0 - s
+    v = np.empty_like(s)
+    for _ in range(x):
+        np.subtract(1.0, u, out=v)
+        acc.fill(tails[-1])
+        for tail in tails[-2::-1]:
+            acc *= v
+            acc += tail
+        acc *= u
+        acc *= down
+        np.minimum(acc, 1.0, out=u)
+
+    return np.minimum(t, np.nextafter(1.0 - u, 2.0))
+
+
+def harmonic_moment(law: OffspringLaw, x: int) -> float:
+    """A certified upper bound on E(1/Z_x) for a law that cannot die out
+    (p_0 = 0, so Z_x >= 1).
+
+    E(1/Z_x) = integral_0^1 g(s) ds with g(s) = f_x(s)/s, f_x the x-fold
+    iterate of the generating function.  With p_0 = 0,
+    g(s) = sum_n P(Z_x = n) s^(n-1) has nonnegative coefficients, so g is
+    nondecreasing and convex and every chord lies above it: the trapezoid
+    rule on any grid is an upper bound, and no error estimate is needed.
+    On the fixed grid of ``_trapezoid_grid`` (cells at most 2**-16 wide)
+    it exceeds the integral by at most 2**-35 * (E(Z_x) - 1).
+
+    Rounding cannot break the bound: f_x(s) is bounded above by
+    ``_iterate_upper``, g(0) = p_1^x is inflated for rounding, and the
+    final sum of nonnegative terms (at most N + 2 roundings on N grid
+    points) by 1 + (N + 4) * 2**-53.
     """
     if law.p0 > 0.0:
         raise RegimeError("harmonic moments via the pgf identity need p_0 = 0")
     if x < 1:
         raise ValueError("generation index must be >= 1")
-    probs = law.probs
-    p1x = law.p1**x
-
-    def integrand(s: float) -> float:
-        if s <= 0.0:
-            return p1x
-        t = s
-        for _ in range(x):
-            acc = 0.0
-            for p in reversed(probs):
-                acc = acc * t + p
-            t = acc
-        return t / s
-
-    return _adaptive_simpson(integrand, 0.0, 1.0, quad_tol)
+    s, width = _trapezoid_grid()
+    g = np.empty_like(s)
+    g[0] = law.p1**x * (1.0 + 4 * x * _U) + _TINY
+    np.divide(_iterate_upper(law, x, s)[1:], s[1:], out=g[1:])
+    total = 0.5 * float(np.sum(width * (g[:-1] + g[1:])))
+    return total * (1.0 + (len(s) + 4) * _U)

@@ -124,8 +124,11 @@ class TestExplosionCertificate:
         assert cert.bound <= exact_product
 
     def test_pinned_bounds_with_one_quadrature(self, monkeypatch):
-        # the first quadrature's value, carried by the contraction, falls
-        # below quad_tol at once, so no later quadrature can improve on it
+        # one certified harmonic bound per certificate, at the first analytic
+        # state y = 65, carried down by the contraction.  Pinned from this
+        # code; the second entries are the bounds an adaptive Simpson
+        # estimate padded by 1e-10 gave, which a certified E(1/Z_65) far
+        # below 1e-10 may only improve on.
         import igw.analysis
 
         calls = []
@@ -136,13 +139,19 @@ class TestExplosionCertificate:
 
         monkeypatch.setattr(igw.analysis, "harmonic_moment", counting)
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)
-        pinned = {2: 0.395418796324328, 8: 0.9961198811650055}
-        for x, want in pinned.items():
+        pinned = {
+            2: (0.3954270256435304, 0.395418796324328),
+            8: (0.9961406120673841, 0.9961198811650055),
+        }
+        for x, (want, simpson) in pinned.items():
             calls.clear()
             cert = explosion_lower_bound(x, params)
             assert cert.valid
             assert cert.bound == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert len(calls) <= 1, calls
+            assert cert.bound >= simpson
+            assert calls == [65]
+            assert cert.harmonic_y == 65
+            assert cert.harmonic_bound == harmonic_moment(params.law, 65)
 
     def test_nondecreasing_in_start_state(self):
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)

@@ -134,6 +134,17 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert "--exact-cap" in err
 
+    def test_quad_tol_option_removed(self, capsys):
+        code, _, err = run_cli(
+            [
+                "bounds", "explosion", "--law", "binary:1", "--theta", "0.9", "--x", "10",
+                "--quad-tol", "1e-10",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "--quad-tol" in err
+
 
 class TestVerify:
     def test_submult_ok(self, capsys):
@@ -241,6 +252,17 @@ class TestMetadata:
         meta = meta_dict(out)
         assert meta["caps"] == "4096,4096,512"
         assert meta["igw_version"]
+
+    def test_explosion_names_its_harmonic_bound(self, capsys):
+        args = ["bounds", "explosion", "--law", "binary:0.6", "--theta", "0.92", "--x", "8",
+                "--caps", "256,256,64"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        meta = meta_dict(out)
+        assert meta["harmonic-y"] == "65"
+        assert 0.0 < float(meta["harmonic-bound"]) < 1e-12
+        assert "quad-tol" not in meta
+        assert run_cli(args, capsys)[1] == out
 
 
 class TestSweep:

@@ -22,7 +22,7 @@ from igw import (
     transition_kernel,
 )
 from igw.analysis import fixed_point_q
-from igw.exact_dist import _envelope_kernels, binomial_table
+from igw.exact_dist import _envelope_kernels, _progeny_cache, _progeny_laws, _thinned, binomial_table
 
 from conftest import enumerate_total_progeny, law_fractions, small_laws
 
@@ -101,6 +101,12 @@ class TestTotalProgenyDist:
             assert dist.atoms.min() >= 0.0 and dist.overflow >= 0.0, x
             assert abs(dist.atoms.sum() + dist.overflow - 1.0) <= budget, x
 
+    def test_progeny_cache_is_bounded(self):
+        size = _progeny_cache.cache_parameters()["maxsize"]
+        for i in range(size + 3):
+            total_progeny_dist(OffspringLaw.binary(0.01 * (i + 1)), 4, s_cap=32)
+        assert _progeny_cache.cache_info().currsize == size
+
     def test_point_mass_law_is_fast(self):
         # binary:1 always has two children, so S_x = 2^(x+1) - 2 is a single
         # coefficient at every step; s_cap 4099 keeps the cache cold here
@@ -142,6 +148,17 @@ class TestOneStepDist:
     def test_zero_state(self):
         dist = one_step_dist(0, IGWParams(OffspringLaw.binary(0.5), 0.5), SMALL_CAPS)
         assert dist.atoms[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_support_rows_match_full_table(self):
+        # only the Pascal rows that S_x occupies are built; binary:1 at
+        # x >= 8 has every total beyond s_cap = 256, so no row at all
+        for spec, theta in (("binary:0.6", 0.92), ("pmf:1=0.3,2=0.3,5=0.4", 0.45), ("binary:1", 0.8)):
+            params = IGWParams(parse_law_spec(spec), theta)
+            full = binomial_table(theta, SMALL_CAPS.s_cap, SMALL_CAPS.x_cap)
+            for x in (0, 1, 5, 20, 64):
+                prog = _progeny_laws(params.law, x, SMALL_CAPS.s_cap)[x]
+                atoms = one_step_dist(x, params, SMALL_CAPS).atoms
+                assert np.array_equal(atoms, _thinned(prog, full)), (spec, x)
 
 
 class TestOneStepDeathProb:

@@ -13,11 +13,15 @@ from igw import (
     RngStream,
     chi,
     harmonic_moment,
+    mean,
+    parse_law_spec,
     simulate_total_progeny,
     stream_for,
     thin,
     variance,
 )
+
+from igw.gw_engine import _iterate_upper, _trapezoid_grid
 
 from conftest import enumerate_joint, enumerate_total_progeny, law_fractions
 
@@ -245,7 +249,63 @@ class TestHarmonicMoment:
     def test_unit_law(self):
         law = OffspringLaw.explicit({1: 1.0})
         for x in (1, 3, 10):
-            assert harmonic_moment(law, x) == pytest.approx(1.0, abs=1e-10)
+            h = harmonic_moment(law, x)
+            assert 1.0 <= h <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize(
+        "spec, y_max", [("binary:0.5", 4), ("pmf:1=0.3,2=0.3,5=0.4", 3), ("pmf:1=0.5,3=0.5", 4)]
+    )
+    def test_bound_brackets_exact_value(self, spec, y_max):
+        # exact <= bound: the trapezoid rule over a convex integrand, rounded
+        # outward.  bound - exact: at most (2**-16)**2 / 8 * (E(Z_y) - 1), the
+        # chord's excess over cells of width <= 2**-16, or 1e-10 if larger.
+        law = parse_law_spec(spec)
+        m = mean(law)
+        for y in range(1, y_max + 1):
+            joint = enumerate_joint(law_fractions(law), y)
+            exact = sum(p / Fraction(z) for (z, _s), p in joint.items())
+            bound = Fraction(harmonic_moment(law, y))
+            slack = max(1e-10, 2.0**-35 * (m**y - 1.0))
+            assert exact <= bound <= exact + Fraction(slack), (spec, y, float(bound - exact))
+
+    def test_five_child_law_stays_finite(self):
+        # the upward-rounded iterates are clamped at 1; unclamped, a K = 5
+        # law overflows within 65 generations
+        with np.errstate(over="raise", invalid="raise"):
+            h = harmonic_moment(parse_law_spec("pmf:1=0.3,2=0.3,5=0.4"), 65)
+        assert math.isfinite(h) and 0.0 < h < 1e-15
+
+    @pytest.mark.parametrize("spec", ["binary:0.5", "pmf:1=0.3,2=0.3,5=0.4", "pmf:2=0.5,3=0.5"])
+    def test_iterates_bound_pgf_from_above(self, spec):
+        # f_x(s) in exact dyadic arithmetic at every 613th grid point and the
+        # 300 points nearest 1, where the bound in 1 - s takes over
+        law = parse_law_spec(spec)
+        coef = [Fraction(p) for p in law.probs]
+        scale = max(c.denominator for c in coef)
+        ints = [int(c * scale) for c in coef]
+        k_max = len(ints) - 1
+        grid, _ = _trapezoid_grid()
+        s = np.concatenate((grid[::613], grid[-300:]))
+        for x in (1, 2, 3):
+            upper = _iterate_upper(law, x, s)
+            for point, bound in zip(s.tolist(), upper.tolist()):
+                num, den = point.as_integer_ratio()  # f(num/den) = sum b_k num^k den^(K-k) / (scale den^K)
+                for _ in range(x):
+                    num, den = (
+                        sum(b * num**k * den ** (k_max - k) for k, b in enumerate(ints) if b),
+                        scale * den**k_max,
+                    )
+                exact = Fraction(num, den)
+                assert exact <= Fraction(bound), (spec, x, point)
+                assert bound <= float(exact) * (1.0 + 1e-13) + 2.0**-51, (spec, x, point)
+
+    def test_grid_is_exact(self):
+        s, width = _trapezoid_grid()
+        assert len(s) == 68_523 and s[0] == 0.0 and s[-1] == 1.0
+        assert width.max() == 2.0**-16 and width.min() > 0.0
+        for a, b, w in zip(s[:-1].tolist(), s[1:].tolist(), width.tolist()):
+            assert Fraction(b) - Fraction(a) == Fraction(w)
+            assert Fraction(1) - Fraction(b) == Fraction(1.0 - b)
 
     def test_binary_one_generation(self, binary_half):
         assert harmonic_moment(binary_half, 1) == pytest.approx(0.75, abs=1e-10)
