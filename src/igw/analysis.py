@@ -155,15 +155,12 @@ class ExplosionCertificate:
     harmonic_bound: float
 
 
-def _bernoulli_decay(theta: float, loose: bool) -> float:
-    """E(e^{-survival indicator}) for one thinning trial, or the looser
-    classical constant e^{-theta^2} when asked to reproduce it."""
-    if loose:
-        return math.exp(-theta * theta)
+def _bernoulli_decay(theta: float) -> float:
+    """E(e^{-survival indicator}) for one thinning trial."""
     return 1.0 - theta + theta / math.e
 
 
-def _chernoff_thinning(y: int, theta: float, loose: bool) -> float:
+def _chernoff_thinning(y: int, theta: float) -> float:
     """Upper bound on P(Binomial(y^2, theta) <= y + 1).
 
     With no thinning the count is exactly y^2 > y + 1 for y >= 2, so the
@@ -171,7 +168,7 @@ def _chernoff_thinning(y: int, theta: float, loose: bool) -> float:
     """
     if theta == 1.0:
         return 0.0 if y * y > y + 1 else 1.0
-    beta = _bernoulli_decay(theta, loose)
+    beta = _bernoulli_decay(theta)
     log_b = (y + 1.0) + (y * y) * math.log(beta)
     return math.exp(log_b) if log_b < 0.0 else 1.0
 
@@ -183,7 +180,6 @@ def explosion_lower_bound(
     switch_point: int = 64,
     *,
     stop_eps: float = 1e-12,
-    loose_bernoulli: bool = False,
     max_terms: int = 100_000,
 ) -> ExplosionCertificate:
     """Certified lower bound on the explosion probability from state x.
@@ -234,7 +230,7 @@ def explosion_lower_bound(
         if terms >= max_terms:
             return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, harmonic_y, harmonic_bound)
         gamma_a = (y * y) * h_used
-        gamma_b = _chernoff_thinning(y, theta, loose_bernoulli)
+        gamma_b = _chernoff_thinning(y, theta)
         g = min(gamma_a + gamma_b, 1.0)
         raw.append((y, g, "tail-bound"))
         terms += 1
@@ -242,7 +238,7 @@ def explosion_lower_bound(
         if theta == 1.0:
             ratio_b_ok = True
         else:
-            beta = _bernoulli_decay(theta, loose_bernoulli)
+            beta = _bernoulli_decay(theta)
             ratio_b_ok = 1.0 + (2.0 * y + 1.0) * math.log(beta) < 0.0
         if g <= stop_eps and ratio_a_ok and ratio_b_ok:
             break
@@ -254,11 +250,11 @@ def explosion_lower_bound(
     r = contraction
     geom = r / (1.0 - r)
     tail_a = h_used * (Y * Y * geom + 2.0 * Y * r / (1.0 - r) ** 2 + r * (1.0 + r) / (1.0 - r) ** 3)
-    b_next = _chernoff_thinning(Y + 1, theta, loose_bernoulli)
+    b_next = _chernoff_thinning(Y + 1, theta)
     if theta == 1.0 or b_next == 0.0:
         tail_b = 0.0
     else:
-        beta = _bernoulli_decay(theta, loose_bernoulli)
+        beta = _bernoulli_decay(theta)
         r_b = math.e * beta ** (2.0 * (Y + 1.0) + 1.0)
         tail_b = b_next / (1.0 - r_b) if r_b < 1.0 else math.inf
     tail_sum = tail_a + tail_b

@@ -5,23 +5,35 @@ branching process comes from its generating function.  With G_x the pgf of
 S_x and f the offspring pgf, splitting on the first generation gives the
 total-progeny functional equation (Harris 1963)
 
-    G_0 = 1,    G_x(u) = f(u * G_{x-1}(u)),
+    G_0 = 1,    G_x(u) = f(u * G_{x-1}(u)).
 
-so each G_x is composed from G_{x-1} by power series arithmetic.  The
-coefficient of u^s on the right depends only on coefficients 0..s of
-G_{x-1}, so truncating every series at ``s_cap`` is exact: atoms 0..s_cap
-are the true probabilities up to float rounding, and the missing mass
-1 - sum(atoms) lies provably beyond ``s_cap``.  Every downstream
-probability is closed into a rigorous two-sided interval:
+Thinning commutes with it.  The law of X_1 from state x, the theta-thinning
+of S_x, has the pgf H_x(u) = G_x(1 - theta + theta*u), and
 
-* lower envelope for death probabilities: untracked mass is routed to a
-  phantom state whose only exit is the uniform per-step death floor p_0
-  (never, when p_0 = 0),
-* upper envelope: untracked mass is treated as death-prone as its
-  provenance allows (totals beyond ``s_cap`` thin like a
-  Binomial(s_cap + 1, theta); chain states beyond ``x_cap`` are clamped to
-  ``x_cap``), valid because the chain is stochastically monotone in its
-  start state and death probabilities are nonincreasing in it.
+    H_0 = 1,    H_x(u) = f((1 - theta + theta*u) * H_{x-1}(u)).
+
+Each series is composed from the one before by power series arithmetic.
+The coefficient of u^j on the right depends only on coefficients 0..j of
+the series before, so truncation is exact: atoms below the cap are the true
+probabilities up to float rounding, and the missing mass lies provably
+beyond the cap.  The law of S_x is cut at ``s_cap``; the law of X_1, and
+with it every kernel row, death interval and one-step law, is cut at
+``x_cap`` alone.  ``s_cap`` bounds only :func:`total_progeny_dist` and the
+exact region of the explosion certificate, which reads it.
+
+Every death probability is closed into a rigorous two-sided interval:
+
+* lower envelope: mass beyond ``x_cap`` is routed to a phantom state whose
+  only exit is the uniform per-step death floor p_0 (never, when p_0 = 0),
+* upper envelope: mass beyond ``x_cap`` is clamped to ``x_cap``, valid
+  because the chain is stochastically monotone in its start state and
+  death probabilities are nonincreasing in it.
+
+S_x is pathwise nondecreasing in x, so the tracked mass P_x(X_1 <= x_cap)
+of a row is nonincreasing in x.  Rows are composed up to the first one whose
+tracked mass is below ``KERNEL_FLOOR``; every later state shares one
+conservative row, and a sweep steps only the live rows, that shared row and
+the phantom.
 
 Both envelope chains absorb at 0, so P_x(X_n = 0) = (K^n e_0)[x] for either
 kernel K.  One backward sweep u <- K u from u = e_0 therefore answers every
@@ -32,8 +44,7 @@ kernel, the closure K^n c with c_y = q*^y for y >= 1 and c_0 = 0.  It is
 kept apart from the death column, not folded into one sweep of the vector
 (1, q*, q*^2, ...): the death columns of the two kernels then round alike,
 so an interval whose truncation is invisible at float precision still has
-lo == hi.  The thinning itself is a table of binomial probabilities built
-by Pascal's rule.
+lo == hi.
 
 One quantity needs no truncation at all: P_x(X_1 = 0) = E((1-theta)^{S_x})
 follows from the scalar recursion a_{j+1} = f(t * a_j) with t = 1 - theta,
@@ -45,7 +56,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,7 +65,8 @@ from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, pgf_eval
 
 #: envelope-kernel entries below this are moved to the conservative column
 #: (state 0 in the death-upper kernel, the phantom in the death-lower one),
-#: which keeps the kernel powers out of the slow subnormal range.  Sound by
+#: which keeps the kernel powers out of the slow subnormal range, and a row
+#: whose whole tracked mass is below it ends the live rows.  Sound by
 #: monotonicity; each step moves at most (x_cap + 1) * KERNEL_FLOOR of mass,
 #: so an interval at horizon n moves outward by at most
 #: n * (x_cap + 1) * KERNEL_FLOOR at either end.
@@ -64,8 +77,11 @@ KERNEL_FLOOR = 1e-200
 class Caps:
     """Truncation bounds: generation size, total progeny, chain state.
 
-    ``z_cap`` is accepted for compatibility and affects no result: the
-    law of S_x is exact below ``s_cap`` without a generation-size cap.
+    ``x_cap`` truncates the chain: one-step laws, kernel rows and every
+    death interval are exact below it and read nothing else.  ``s_cap``
+    truncates the law of S_x, which only :func:`total_progeny_dist` and the
+    exact region of the explosion certificate read.  ``z_cap`` is accepted
+    for compatibility and affects no result.
     """
 
     z_cap: int = 4096
@@ -123,32 +139,47 @@ class IntervalProb:
 
 
 class _Progeny(NamedTuple):
-    """P(S_x = offset + i) = coef[i] for offset + i <= s_cap; coef[0] and
-    coef[-1] are nonzero.  ``overflow`` is the mass beyond s_cap."""
+    """A truncated law: P(V = offset + i) = coef[i] for offset + i <= cap,
+    where V is S_x (cap s_cap) or its thinning X_1 (cap x_cap); coef[0] and
+    coef[-1] are nonzero.  ``overflow`` is the mass beyond the cap."""
 
     coef: np.ndarray
     offset: int
     overflow: float
 
 
-def _compose(law: OffspringLaw, prev: _Progeny, s_cap: int) -> _Progeny:
-    """Coefficients 0..s_cap of f(w) with w(u) = u * G_{x-1}(u), as the sum
-    of p_k * w^k.  The powers w^k start at k * (offset + 1), so each one
-    only needs the coefficients of w below s_cap + 1 - k * (offset + 1).
-    The arrays are rescaled by exact powers of two, so the convolutions run
-    near 1 and products of small probabilities stay out of the slow
-    subnormal range."""
-    out = np.zeros(s_cap + 1)
+def _atoms(row: _Progeny, cap: int) -> np.ndarray:
+    """The truncated law as a dense vector on 0..cap."""
+    atoms = np.zeros(cap + 1)
+    atoms[row.offset : row.offset + len(row.coef)] = row.coef
+    return atoms
+
+
+def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) -> _Progeny:
+    """Coefficients 0..cap of f(w) with w(u) = (1 - theta + theta*u) * prev(u),
+    as the sum of p_k * w^k: G_x from G_{x-1} at theta = 1 (w = u * G_{x-1}),
+    and H_x from H_{x-1} below it.  The powers w^k start at k times the
+    offset of w, so each one only needs the coefficients of w below
+    cap + 1 - k * offset.  The arrays are rescaled by exact powers of two,
+    so the convolutions run near 1 and products of small probabilities stay
+    out of the slow subnormal range."""
+    out = np.zeros(cap + 1)
     if len(prev.coef):
-        _, w_exp = math.frexp(float(prev.coef.max()))
-        w = np.ldexp(prev.coef, -w_exp)
+        if theta == 1.0:
+            w, w_off = prev.coef, prev.offset + 1
+        else:
+            w, w_off = np.zeros(len(prev.coef) + 1), prev.offset
+            w[:-1] = (1.0 - theta) * prev.coef
+            w[1:] += theta * prev.coef
+        _, w_exp = math.frexp(float(w.max()))
+        w = np.ldexp(w, -w_exp)
         power, p_off, p_exp = np.ones(1), 0, 0  # w^0
         for k, p in enumerate(law.probs):
             if k > 0:
-                p_off += prev.offset + 1
-                if p_off > s_cap:
+                p_off += w_off
+                if p_off > cap:
                     break
-                n = s_cap + 1 - p_off
+                n = cap + 1 - p_off
                 power = np.convolve(power[:n], w[:n])[:n]
                 _, e = math.frexp(float(power.max()))
                 power = np.ldexp(power, -e)
@@ -156,10 +187,10 @@ def _compose(law: OffspringLaw, prev: _Progeny, s_cap: int) -> _Progeny:
             if p > 0.0:
                 out[p_off : p_off + len(power)] += np.ldexp(p * power, p_exp)
     else:
-        out[0] = law.p0  # every total is beyond s_cap, unless Z_1 = 0
+        out[0] = law.p0  # all of prev lies beyond the cap, so only Z_1 = 0 stays below it
     nz = np.flatnonzero(out)
     if nz.size == 0:
-        return _Progeny(out[:0], s_cap + 1, 1.0)
+        return _Progeny(out[:0], cap + 1, 1.0)
     coef = out[nz[0] : nz[-1] + 1].copy()
     return _Progeny(coef, int(nz[0]), max(0.0, 1.0 - float(coef.sum())))
 
@@ -188,14 +219,12 @@ def total_progeny_dist(
     and ignored."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    coef, offset, overflow = _progeny_laws(law, x, s_cap)[x]
-    atoms = np.zeros(s_cap + 1)
-    atoms[offset : offset + len(coef)] = coef
-    warning = "all-mass-in-overflow" if overflow > 1.0 - 1e-9 else None
-    return TruncatedDist(atoms, overflow, warning)
+    prog = _progeny_laws(law, x, s_cap)[x]
+    warning = "all-mass-in-overflow" if prog.overflow > 1.0 - 1e-9 else None
+    return TruncatedDist(_atoms(prog, s_cap), prog.overflow, warning)
 
 
-# -- thinning mixtures ----------------------------------------------------------
+# -- binomial table (read by the explosion certificate's exact region) ----------
 
 
 def binomial_table(theta: float, s_max: int, j_max: int) -> np.ndarray:
@@ -223,29 +252,30 @@ def binomial_table(theta: float, s_max: int, j_max: int) -> np.ndarray:
     return B
 
 
-def _thinned(prog: _Progeny, B: np.ndarray) -> np.ndarray:
-    """Atoms of the theta-thinning of the tracked part of S_x, for the
-    binomial table ``B`` of ``binomial_table``."""
-    return prog.coef @ B[prog.offset : prog.offset + len(prog.coef)]
+# -- the law of X_1 by thinned pgf composition -----------------------------------
+
+
+def _thinned_rows(law: OffspringLaw, theta: float, x_cap: int) -> Iterator[_Progeny]:
+    """The laws of X_1 from x = 0, 1, 2, ... on 0..x_cap, by the thinned
+    total-progeny equation H_x(u) = f((1 - theta + theta*u) * H_{x-1}(u));
+    each row is composed only when it is asked for."""
+    row = _Progeny(np.ones(1), 0, 0.0)
+    while True:
+        yield row
+        row = _compose(law, row, x_cap, theta)
 
 
 def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDist:
-    """Law of X_1 from state x: the theta-thinning of S_x.
+    """Law of X_1 from state x, the theta-thinning of S_x, on 0..x_cap.
 
-    Total-progeny mass beyond ``s_cap`` cannot be resolved into atoms here
-    and is reported as overflow; the envelope constructions used for bounds
-    place it rigorously instead.
+    The atoms are exact up to float rounding whatever the law of S_x does
+    beyond ``s_cap``; the overflow is the mass of X_1 beyond ``x_cap``.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    prog = _progeny_laws(params.law, x, caps.s_cap)[x]
-    # Pascal rows up to the largest tracked total of S_x only: each row depends
-    # only on the rows before it, so the atoms equal those of the full table
-    atoms = _thinned(prog, binomial_table(params.theta, prog.offset + len(prog.coef) - 1, caps.x_cap))
-    x_over = max(0.0, (1.0 - prog.overflow) - float(atoms.sum()))
-    overflow = prog.overflow + x_over
-    warning = "all-mass-in-overflow" if overflow > 1.0 - 1e-9 else None
-    return TruncatedDist(atoms, overflow, warning)
+    row = next(islice(_thinned_rows(params.law, params.theta, caps.x_cap), x, None))
+    warning = "all-mass-in-overflow" if row.overflow > 1.0 - 1e-9 else None
+    return TruncatedDist(_atoms(row, caps.x_cap), row.overflow, warning)
 
 
 def one_step_death_prob(x: int, params: IGWParams) -> float:
@@ -266,17 +296,16 @@ def transition_kernel(
 ) -> tuple[np.ndarray, list[str]]:
     """One-step kernel rows for states 0..x_cap plus an overflow column.
 
-    Row x is ``one_step_dist(x)``; row 0 is the point mass at 0.  Returns
+    Row x is ``one_step_dist(x)`` at chain cap ``x_cap`` (``caps`` is
+    accepted and does not enter); row 0 is the point mass at 0.  Returns
     the (x_cap+1) x (x_cap+2) matrix and any row warnings.
     """
-    B = binomial_table(params.theta, caps.s_cap, x_cap)
     K = np.zeros((x_cap + 1, x_cap + 2))
     warnings: list[str] = []
-    for x, prog in enumerate(_progeny_laws(params.law, x_cap, caps.s_cap)):
-        row = _thinned(prog, B)
-        K[x, : x_cap + 1] = row
-        K[x, x_cap + 1] = max(0.0, 1.0 - float(row.sum()))
-        if prog.overflow > 1.0 - 1e-9 and x > 0:
+    for x, row in enumerate(islice(_thinned_rows(params.law, params.theta, x_cap), x_cap + 1)):
+        K[x, : x_cap + 1] = _atoms(row, x_cap)
+        K[x, x_cap + 1] = row.overflow
+        if row.overflow > 1.0 - 1e-9 and x > 0:
             warnings.append(f"row {x}: all-mass-in-overflow")
     return K, warnings
 
@@ -284,36 +313,70 @@ def transition_kernel(
 # -- envelope kernels and certified intervals -----------------------------------
 
 
-def _envelope_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
-    """(death-upper, death-lower) kernels on states 0..x_cap.
+class _Kernel(NamedTuple):
+    """A kernel stored by its distinct rows: state x steps by
+    ``rows[index[x]]``, so K u = (rows @ u)[index]."""
 
-    The upper kernel treats untracked mass as death-prone as its knowledge
-    allows: totals provably beyond ``s_cap`` thin like the stochastically
-    smallest consistent count, Binomial(s_cap + 1, theta); chain states
-    beyond ``x_cap`` clamp to ``x_cap`` (valid by stochastic monotonicity).
-    The lower kernel routes all untracked mass to a phantom state (the last
-    column) that dies at the uniform per-step floor p_0: from any state the
-    first auxiliary generation is empty with probability p_0, so every
-    state dies next step at least that often.  With p_0 = 0 the phantom
-    never dies.  Entries below ``KERNEL_FLOOR`` go to state 0 in the upper
-    kernel and to the phantom in the lower one.
+    rows: np.ndarray
+    index: np.ndarray
+
+    def step(self, u: np.ndarray) -> np.ndarray:
+        return (self.rows @ u)[self.index]
+
+    def dense(self) -> np.ndarray:
+        return self.rows[self.index]
+
+
+def _kernels(params: IGWParams, x_cap: int) -> tuple[_Kernel, _Kernel]:
+    """(death-upper, death-lower) kernels on states 0..x_cap, the lower one
+    with a phantom state x_cap + 1.
+
+    Row x holds the atoms of X_1 from x on 0..x_cap.  The only untracked
+    mass is X_1 > x_cap: the upper kernel clamps it to ``x_cap`` (valid by
+    stochastic monotonicity: death probabilities are nonincreasing in the
+    state), and the lower kernel routes it to the phantom, which dies at the
+    uniform per-step floor p_0: from any state the first auxiliary
+    generation is empty with probability p_0, so every state dies next step
+    at least that often.  With p_0 = 0 the phantom never dies.
+
+    S_x is pathwise nondecreasing in x, so the tracked mass
+    d_x = P_x(X_1 <= x_cap) is nonincreasing in x.  Rows are composed up to
+    the first r with d_r < ``KERNEL_FLOOR`` only; states r..x_cap share one
+    conservative row, d_r at state 0 and 1 - d_r at ``x_cap`` in the upper
+    kernel, everything to the phantom in the lower one.  Entries of the live
+    rows below ``KERNEL_FLOOR`` go to state 0 in the upper kernel and to the
+    phantom in the lower one.
     """
-    x_cap, s_cap = caps.x_cap, caps.s_cap
-    B = binomial_table(params.theta, s_cap + 1, x_cap)
-    K_hi = np.zeros((x_cap + 1, x_cap + 1))
-    K_lo = np.zeros((x_cap + 2, x_cap + 2))
-    for x, prog in enumerate(_progeny_laws(params.law, x_cap, s_cap)):
-        base = _thinned(prog, B)
-        row_hi = base + prog.overflow * B[s_cap + 1]
-        row_hi[x_cap] += max(0.0, 1.0 - float(row_hi.sum()))
-        K_hi[x] = row_hi
-        K_lo[x, : x_cap + 1] = base
-        K_lo[x, x_cap + 1] = max(0.0, 1.0 - float(base.sum()))
-    K_lo[x_cap + 1, 0] = params.law.p0
-    K_lo[x_cap + 1, x_cap + 1] = 1.0 - params.law.p0
-    _floor_into(K_hi, 0)
-    _floor_into(K_lo, x_cap + 1)
-    return K_hi, K_lo
+    live, shared = [], 0.0  # the shared row is unused when no row is dead
+    for row in islice(_thinned_rows(params.law, params.theta, x_cap), x_cap + 1):
+        mass = float(row.coef.sum())
+        if mass < KERNEL_FLOOR:
+            shared = mass
+            break
+        live.append(_atoms(row, x_cap))
+    r = len(live)
+    base = np.array(live)
+    lost = np.maximum(0.0, 1.0 - base.sum(axis=1))
+    hi = np.zeros((r + 1, x_cap + 1))
+    hi[:r] = base
+    hi[:r, x_cap] += lost
+    hi[r, 0], hi[r, x_cap] = shared, 1.0 - shared
+    lo = np.zeros((r + 2, x_cap + 2))
+    lo[:r, : x_cap + 1] = base
+    lo[:r, x_cap + 1] = lost
+    lo[r, x_cap + 1] = 1.0
+    lo[r + 1, 0], lo[r + 1, x_cap + 1] = params.law.p0, 1.0 - params.law.p0
+    _floor_into(hi, 0)
+    _floor_into(lo, x_cap + 1)
+    index = np.minimum(np.arange(x_cap + 1), r)
+    return _Kernel(hi, index), _Kernel(lo, np.append(index, r + 1))
+
+
+def _envelope_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
+    """The (death-upper, death-lower) kernels of ``_kernels`` as dense
+    matrices, (x_cap + 1)^2 and (x_cap + 2)^2; ``caps.s_cap`` does not enter."""
+    K_hi, K_lo = _kernels(params, caps.x_cap)
+    return K_hi.dense(), K_lo.dense()
 
 
 def _floor_into(K: np.ndarray, col: int) -> None:
@@ -325,8 +388,8 @@ def _floor_into(K: np.ndarray, col: int) -> None:
 
 
 class _Envelope:
-    """The envelope kernels of one (law, theta, s_cap, x_cap) and the
-    columns swept backward from them, for every start state at once.
+    """The envelope kernels of one (law, theta, x_cap) and the columns
+    swept backward from them, for every start state at once.
 
     ``death[n]`` is (K_lo^n e_0, K_hi^n e_0): entry x is the lower and the
     upper end of P_x(X_n = 0).  ``closure[n]`` is (K_hi^n c,) with
@@ -336,10 +399,10 @@ class _Envelope:
     it, so asking for n = 1, 2, ..., N costs N matvecs per column in all.
     """
 
-    def __init__(self, params: IGWParams, caps: Caps) -> None:
+    def __init__(self, params: IGWParams, x_cap: int) -> None:
         self.params = params
-        self.K_hi, self.K_lo = _envelope_kernels(params, caps)
-        lo, hi = np.zeros(len(self.K_lo)), np.zeros(len(self.K_hi))
+        self.K_hi, self.K_lo = _kernels(params, x_cap)
+        lo, hi = np.zeros(x_cap + 2), np.zeros(x_cap + 1)
         lo[0] = hi[0] = 1.0
         self.death = {0: (lo, hi)}
         self.closure: dict[int, tuple[np.ndarray]] = {}
@@ -351,13 +414,13 @@ class _Envelope:
         if not self.closure:
             from .analysis import fixed_point_q  # deferred: analysis builds on this module
 
-            c = fixed_point_q(self.params, 1e-13) ** np.arange(len(self.K_hi), dtype=float)
+            c = fixed_point_q(self.params, 1e-13) ** np.arange(len(self.K_hi.index), dtype=float)
             c[0] = 0.0
             self.closure[0] = (c,)
         return _sweep(self.closure, (self.K_hi,), n)[0]
 
 
-def _sweep(kept: dict[int, tuple], kernels: tuple[np.ndarray, ...], n: int) -> tuple:
+def _sweep(kept: dict[int, tuple], kernels: tuple[_Kernel, ...], n: int) -> tuple:
     """The columns at step n of u <- K u, one per kernel, swept on from the
     longest horizon below n in ``kept`` (which holds step 0) and kept."""
     cols = kept.get(n)
@@ -365,16 +428,16 @@ def _sweep(kept: dict[int, tuple], kernels: tuple[np.ndarray, ...], n: int) -> t
         m = max(k for k in kept if k < n)
         cols = kept[m]
         for _ in range(n - m):
-            cols = tuple(K @ u for K, u in zip(kernels, cols))
+            cols = tuple(K.step(u) for K, u in zip(kernels, cols))
         kept[n] = cols
     return cols
 
 
 @lru_cache(maxsize=8)
-def _envelope(params: IGWParams, caps: Caps) -> _Envelope:
-    """The envelopes of the eight most recently used (params, caps); one
-    holds 2 x 8 (x_cap + 2)^2 bytes of kernels plus its columns."""
-    return _Envelope(params, caps)
+def _envelope(params: IGWParams, x_cap: int) -> _Envelope:
+    """The envelopes of the eight most recently used (params, x_cap); one
+    holds at most 2 x 8 (x_cap + 2)^2 bytes of kernel rows plus its columns."""
+    return _Envelope(params, x_cap)
 
 
 def finite_horizon_death(
@@ -385,7 +448,7 @@ def finite_horizon_death(
         raise ValueError("horizon must be >= 1")
     if not 0 <= x <= caps.x_cap:
         raise ValueError(f"start state {x} outside the tracked range 0..{caps.x_cap}")
-    lo, hi = _envelope(params, caps).death_columns(n)
+    lo, hi = _envelope(params, caps.x_cap).death_columns(n)
     lo_x, hi_x = float(lo[x]), float(hi[x])
     return IntervalProb(min(lo_x, hi_x), max(lo_x, hi_x))
 
@@ -413,7 +476,7 @@ def death_prob_interval(
         raise ValueError("horizon must be >= 0")
     if params.theta == 1.0:
         return IntervalProb(0.0, 0.0)
-    env = _envelope(params, caps)
+    env = _envelope(params, caps.x_cap)
     lo, hi = env.death_columns(horizon)
     lo_x = float(lo[x])
     hi_x = min(1.0, float(hi[x] + env.closure_column(horizon)[x]))

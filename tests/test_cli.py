@@ -112,11 +112,11 @@ class TestErrorsAndExitCodes:
         assert code == 2
 
     def test_indeterminate_exit_three(self, capsys):
-        # caps starved enough that the interval slack swallows the margin
+        # x_cap starved enough that the interval slack swallows the margin
         code, out, _ = run_cli(
             [
-                "verify", "submult", "--law", "binary:0.9", "--theta", "0.52",
-                "--x", "4", "--y", "4", "--n", "4", "--caps", "8,8,8",
+                "verify", "submult", "--law", "binary:0.9", "--theta", "0.9",
+                "--x", "1", "--y", "3", "--n", "4", "--caps", "8,8,4",
             ],
             capsys,
         )

@@ -22,8 +22,10 @@ from igw import (
     transition_kernel,
 )
 from igw.analysis import fixed_point_q
-from igw.exact_dist import _envelope_kernels, _progeny_cache, _progeny_laws, _thinned, binomial_table
+import igw.exact_dist as exact_dist
+from igw.exact_dist import KERNEL_FLOOR, _envelope, _envelope_kernels, _kernels, _progeny_cache, binomial_table
 
+import reference
 from conftest import enumerate_total_progeny, law_fractions, small_laws
 
 SMALL_CAPS = Caps(256, 256, 64)
@@ -149,16 +151,23 @@ class TestOneStepDist:
         dist = one_step_dist(0, IGWParams(OffspringLaw.binary(0.5), 0.5), SMALL_CAPS)
         assert dist.atoms[0] == pytest.approx(1.0, abs=1e-15)
 
-    def test_support_rows_match_full_table(self):
-        # only the Pascal rows that S_x occupies are built; binary:1 at
-        # x >= 8 has every total beyond s_cap = 256, so no row at all
-        for spec, theta in (("binary:0.6", 0.92), ("pmf:1=0.3,2=0.3,5=0.4", 0.45), ("binary:1", 0.8)):
-            params = IGWParams(parse_law_spec(spec), theta)
-            full = binomial_table(theta, SMALL_CAPS.s_cap, SMALL_CAPS.x_cap)
-            for x in (0, 1, 5, 20, 64):
-                prog = _progeny_laws(params.law, x, SMALL_CAPS.s_cap)[x]
-                atoms = one_step_dist(x, params, SMALL_CAPS).atoms
-                assert np.array_equal(atoms, _thinned(prog, full)), (spec, x)
+    @pytest.mark.parametrize("spec,theta", [("binary:0.6", 0.92), ("pmf:1=0.5,3=0.5", 0.45), ("binary:1", 0.8)])
+    @pytest.mark.parametrize("caps", [SMALL_CAPS, Caps(8, 8, 16)], ids=["small", "starved"])
+    def test_matches_rational_thinning(self, spec, theta, caps):
+        # against the exact thinning of the enumerated law of S_x; at caps
+        # 8,8,16 S_x reaches beyond both caps, and the atoms stay exact
+        law = parse_law_spec(spec)
+        t = Fraction(theta)
+        for x in range(5):
+            prog = enumerate_total_progeny(law_fractions(law), x) if x else {0: Fraction(1)}
+            exact = [Fraction(0)] * (caps.x_cap + 1)
+            for s_val, p in prog.items():
+                for j in range(min(s_val, caps.x_cap) + 1):
+                    exact[j] += p * math.comb(s_val, j) * t**j * (1 - t) ** (s_val - j)
+            dist = one_step_dist(x, IGWParams(law, theta), caps)
+            want = np.array([float(e) for e in exact])
+            assert np.abs(dist.atoms - want).max() <= 1e-13, (spec, x)
+            assert abs(dist.overflow - float(1 - sum(exact))) <= 1e-13, (spec, x)
 
 
 class TestOneStepDeathProb:
@@ -324,6 +333,90 @@ class TestBackwardSweep:
                 iv = finite_horizon_death(x, params, n, SMALL_CAPS)
                 assert iv.lo == pytest.approx(min(lo, hi), rel=1e-13, abs=0.0)
                 assert iv.hi == pytest.approx(max(lo, hi), rel=1e-13, abs=0.0)
+
+
+#: the benchmark's certify and theta-grid points: (law, thetas, start states)
+CERTIFY_POINTS = ("binary:0.6", (0.8, 0.92), range(1, 21))
+GRID_POINTS = ("pmf:2=0.5,3=0.5", tuple(round(0.45 + i / 30.0, 6) for i in range(16)), range(1, 9))
+
+
+class TestThinnedKernels:
+    """Kernel rows by thinned composition at x_cap, against the progeny
+    route (the thinning of S_x through a Pascal table) in ``reference``."""
+
+    @pytest.mark.parametrize(
+        "spec,theta", [("binary:0.6", 0.92), ("pmf:1=0.3,2=0.3,5=0.4", 0.45), ("pmf:2=0.5,3=0.5", 0.6)]
+    )
+    def test_rows_match_progeny_route(self, spec, theta):
+        caps = Caps(1024, 1024, 256)
+        params = IGWParams(parse_law_spec(spec), theta)
+        ref, overflow, _ = reference.progeny_rows(params, caps)
+        K, _ = transition_kernel(params, caps.x_cap, caps)
+        exact = overflow == 0.0  # rows whose S_x lies wholly within s_cap
+        assert exact.sum() >= 5
+        got, want = K[exact, :-1], ref[exact]
+        nz = want > 0.0
+        assert np.all(got[~nz] == 0.0)
+        assert (np.abs(got[nz] - want[nz]) / want[nz]).max() <= 1e-13
+
+    @pytest.mark.parametrize("spec,thetas,xs", [CERTIFY_POINTS, GRID_POINTS], ids=["certify", "theta-grid"])
+    def test_intervals_nested_in_progeny_route(self, spec, thetas, xs):
+        caps = Caps()
+        for theta in thetas:
+            params = IGWParams(parse_law_spec(spec), theta)
+            ref = reference.death_intervals(params, caps, 256)
+            for x in xs:
+                iv, old = death_prob_interval(x, params, caps), ref[x - 1]
+                assert iv.lo >= old.lo * (1.0 - 1e-13), (theta, x)
+                assert iv.hi <= old.hi * (1.0 + 1e-13), (theta, x)
+
+    def test_s_cap_does_not_enter(self):
+        for spec, theta in (("binary:0.6", 0.92), ("pmf:2=0.5,3=0.5", 0.45), ("binary:0.5", 0.7)):
+            params = IGWParams(parse_law_spec(spec), theta)
+            small = [death_prob_interval(x, params, Caps(4096, 64, 512)) for x in range(1, 21)]
+            _envelope.cache_clear()
+            big = [death_prob_interval(x, params, Caps(4096, 4096, 512)) for x in range(1, 21)]
+            assert small == big, spec
+
+    def test_dead_rows_conservative(self):
+        # rows past the first one with tracked mass below the floor share
+        # one row that puts at least that mass on state 0
+        params = IGWParams(parse_law_spec("binary:0.6"), 0.92)
+        caps = Caps(1024, 1024, 512)
+        K_hi, K_lo = _envelope_kernels(params, caps)
+        ref, _, _ = reference.progeny_rows(params, caps)
+        r = len(_kernels(params, caps.x_cap)[0].rows) - 1
+        assert r < caps.x_cap
+        for x in range(r, caps.x_cap + 1):
+            # at x = r both sides are the same mass, rounded by two routes
+            assert K_hi[x, 0] >= ref[x].sum() * (1.0 - 1e-13), x
+            assert K_hi[x, 0] >= one_step_dist(x, params, caps).atoms.sum(), x
+            assert K_hi[x, 0] < KERNEL_FLOOR and K_hi[x, 0] + K_hi[x, caps.x_cap] == 1.0
+            assert K_lo[x, caps.x_cap + 1] == 1.0
+
+    def test_composition_count(self, monkeypatch):
+        # the rows stop at the first dead one: S_x >= 2^(x+1) - 2 here
+        calls = []
+        compose = exact_dist._compose
+
+        def counted(*args):
+            calls.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(exact_dist, "_compose", counted)
+        _kernels(IGWParams(parse_law_spec("pmf:2=0.5,3=0.5"), 0.45), Caps().x_cap)
+        assert 1 <= len(calls) <= 12
+
+    def test_envelope_reads_no_progeny_law(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("read while building an envelope")
+
+        monkeypatch.setattr(exact_dist, "binomial_table", forbidden)
+        monkeypatch.setattr(exact_dist, "_progeny_laws", forbidden)
+        _envelope.cache_clear()
+        params = IGWParams(parse_law_spec("binary:0.6"), 0.8)
+        assert death_prob_interval(3, params).width == 0.0
+        assert finite_horizon_death(3, params, 5).lo > 0.0
 
 
 class TestIntervalProb:
