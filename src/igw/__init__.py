@@ -30,16 +30,13 @@ from .exact_dist import (
     one_step_death_prob,
     one_step_dist,
     total_progeny_dist,
-    transition_kernel,
 )
 from .gw_engine import (
     DEFAULT_EXACT_CAP,
     ExtendedCount,
     RngStream,
     harmonic_moment,
-    simulate_total_progeny,
     stream_for,
-    thin,
 )
 from .igw_process import (
     RNG_CHUNK,
@@ -48,25 +45,18 @@ from .igw_process import (
     MeanRegime,
     RegimeReport,
     TerminationKind,
-    Trajectory,
-    asymptotic_ratios,
     classify_regimes,
     simulate_chunk,
-    simulate_trajectory,
-    step,
 )
 from .reproduction_laws import (
     IGWParams,
     LawSpecError,
     OffspringLaw,
     RegimeError,
-    chi,
     format_law_spec,
-    log_chi,
     mean,
     parse_law_spec,
     pgf_eval,
-    sample_offspring,
     thinned_pgf,
     variance,
 )

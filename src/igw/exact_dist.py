@@ -291,25 +291,6 @@ def one_step_death_prob(x: int, params: IGWParams) -> float:
     return a
 
 
-def transition_kernel(
-    params: IGWParams, x_cap: int, caps: Caps = Caps()
-) -> tuple[np.ndarray, list[str]]:
-    """One-step kernel rows for states 0..x_cap plus an overflow column.
-
-    Row x is ``one_step_dist(x)`` at chain cap ``x_cap`` (``caps`` is
-    accepted and does not enter); row 0 is the point mass at 0.  Returns
-    the (x_cap+1) x (x_cap+2) matrix and any row warnings.
-    """
-    K = np.zeros((x_cap + 1, x_cap + 2))
-    warnings: list[str] = []
-    for x, row in enumerate(islice(_thinned_rows(params.law, params.theta, x_cap), x_cap + 1)):
-        K[x, : x_cap + 1] = _atoms(row, x_cap)
-        K[x, x_cap + 1] = row.overflow
-        if row.overflow > 1.0 - 1e-9 and x > 0:
-            warnings.append(f"row {x}: all-mass-in-overflow")
-    return K, warnings
-
-
 # -- envelope kernels and certified intervals -----------------------------------
 
 
@@ -322,9 +303,6 @@ class _Kernel(NamedTuple):
 
     def step(self, u: np.ndarray) -> np.ndarray:
         return (self.rows @ u)[self.index]
-
-    def dense(self) -> np.ndarray:
-        return self.rows[self.index]
 
 
 def _kernels(params: IGWParams, x_cap: int) -> tuple[_Kernel, _Kernel]:
@@ -370,13 +348,6 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[_Kernel, _Kernel]:
     _floor_into(lo, x_cap + 1)
     index = np.minimum(np.arange(x_cap + 1), r)
     return _Kernel(hi, index), _Kernel(lo, np.append(index, r + 1))
-
-
-def _envelope_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
-    """The (death-upper, death-lower) kernels of ``_kernels`` as dense
-    matrices, (x_cap + 1)^2 and (x_cap + 2)^2; ``caps.s_cap`` does not enter."""
-    K_hi, K_lo = _kernels(params, caps.x_cap)
-    return K_hi.dense(), K_lo.dense()
 
 
 def _floor_into(K: np.ndarray, col: int) -> None:

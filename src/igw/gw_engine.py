@@ -1,11 +1,12 @@
-"""Branching-layer simulation: generation counts, total progeny, binomial
-thinning, harmonic moments, and counter-based random streams.
+"""Branching-layer building blocks: the count ladder, per-law constants,
+counter-based random streams, and harmonic moments.
 
-Population counts travel on a three-tier ladder:
+Population counts travel on a three-tier ladder, which the batched
+simulator in :mod:`igw.igw_process` advances:
 
 * exact integers while the count stays at or below ``DEFAULT_EXACT_CAP``
-  (2**48); one generation advances by summing one offspring draw per
-  individual, aggregated per generation,
+  (2**48); one generation advances by one binomial or multinomial draw
+  of the offspring counts of all its individuals,
 * floating point with Gaussian branching noise,
   ``Z' = m*Z + sqrt(v*Z) * N(0,1)``, once the count leaves the exact range,
   preserving the fluctuation scale of the almost-sure growth limit,
@@ -57,11 +58,6 @@ LOG_VALUE_LIMIT = 1e308
 #: binomial thinning is sampled exactly up to this count, by a rounded
 #: normal approximation above it.
 THIN_EXACT_LIMIT = 10**6
-
-#: per-individual inverse-CDF sampling is used up to this generation size;
-#: larger generations draw the per-value counts jointly (same distribution,
-#: constant cost in the generation size).
-INDIVIDUAL_DRAW_LIMIT = 1024
 
 _MASK64 = (1 << 64) - 1
 
@@ -133,9 +129,6 @@ class ExtendedCount:
         return f"ExtendedCount(log={self.log_value!r})"
 
 
-ZERO_COUNT = ExtendedCount.exact(0)
-
-
 # -- per-law constants ----------------------------------------------------------
 
 
@@ -203,186 +196,17 @@ class RngStream:
         """The underlying generator, for drawing whole arrays at once."""
         return self._gen
 
-    def uniform(self) -> float:
-        return float(self._gen.random())
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return self._gen.random(n)
-
-    def normal(self) -> float:
-        return float(self._gen.standard_normal())
-
-    def normals(self, n: int) -> np.ndarray:
-        return self._gen.standard_normal(n)
-
-    def binomial(self, n: int, p: float) -> int:
-        return int(self._gen.binomial(n, p))
-
-    def multinomial(self, n: int, pvals: np.ndarray) -> np.ndarray:
-        return self._gen.multinomial(n, pvals)
-
 
 def stream_for(master_seed: int, index: int, purpose: str) -> RngStream:
-    """Derive the stream for one unit of one experiment: a chunk of replicas
-    for the batched engine, a single path for the scalar reference.
+    """Derive the stream for chunk ``index`` of one experiment.
 
-    The stream id is a stable hash of (purpose, index), so a unit's draws
-    are identical however units are spread over workers.
+    The stream id is a stable hash of (purpose, index), so a chunk's draws
+    are identical however chunks are spread over workers.
     """
     digest = hashlib.blake2s(
         f"{purpose}|{index}".encode("utf-8"), digest_size=8
     ).digest()
     return RngStream(master_seed, int.from_bytes(digest, "big"))
-
-
-# -- generation advance --------------------------------------------------------
-
-
-def _next_generation_exact(law: OffspringLaw, z: int, rng: RngStream) -> int:
-    """One generation from z individuals, exact in distribution."""
-    pm = law.point_mass
-    if pm is not None:
-        return z * pm
-    two = law.two_atoms
-    if two is not None:
-        a, b, pb = two
-        nb = rng.binomial(z, pb)
-        return a * z + (b - a) * nb
-    if z <= INDIVIDUAL_DRAW_LIMIT:
-        counts = np.searchsorted(law.cum_probs, rng.uniforms(z), side="right")
-        return int(counts.sum())
-    draws = rng.multinomial(z, law.probs_array)
-    return int(np.dot(draws, law.ks_array))
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
-def _log_of_int(n: int) -> float:
-    return math.log(n) if n > 0 else -math.inf
-
-
-def simulate_total_progeny(
-    law: OffspringLaw,
-    x: int,
-    rng: RngStream,
-    *,
-    record_generations: bool = True,
-) -> tuple[list[ExtendedCount], ExtendedCount]:
-    """Run the branching process for x generations from a single ancestor.
-
-    Returns the per-generation populations Z_1..Z_x (empty when
-    ``record_generations`` is off) and the accumulated total
-    S_x = Z_1 + ... + Z_x.  x = 0 gives no generations and S_0 = 0.  The
-    same draws are consumed whether or not generations are recorded.
-    """
-    if x < 0:
-        raise ValueError("generation count must be nonnegative")
-    ctx = law_context(law)
-    m, v, log_m = ctx.m, ctx.v, ctx.log_m
-
-    gens: list[ExtendedCount] = []
-    z_int: Optional[int] = 1
-    z_log = 0.0
-    s_int: Optional[int] = 0
-    s_log = -math.inf
-
-    k = 0
-    while k < x:
-        if z_int is not None:
-            if z_int == 0:
-                # extinct: every later generation is zero and S stops growing
-                if record_generations:
-                    gens.extend([ZERO_COUNT] * (x - k))
-                k = x
-                break
-            z_int = _next_generation_exact(law, z_int, rng)
-            if z_int > DEFAULT_EXACT_CAP:
-                z_log = _log_of_int(z_int)
-                z_int = None
-        else:
-            if z_log > ctx.handover_log:
-                # deterministic tier: fold every remaining generation at once
-                # (the remaining noise cannot move a float)
-                g = x - k
-                geom = g * log_m + math.log1p(-math.exp(-g * log_m)) - math.log(m - 1.0)
-                block_log = z_log + log_m + geom  # log sum_{j=1..g} Z * m^j
-                s_cur = s_log if s_int is None else _log_of_int(s_int)
-                s_log = _logaddexp(s_cur, block_log)
-                s_int = None
-                if record_generations:
-                    for j in range(1, g + 1):
-                        gens.append(ExtendedCount.from_log(min(z_log + j * log_m, LOG_VALUE_LIMIT)))
-                z_log = min(z_log + g * log_m, LOG_VALUE_LIMIT)
-                k = x
-                break
-            zf = math.exp(z_log)
-            if v > 0.0:
-                zf = m * zf + math.sqrt(v * zf) * rng.normal()
-                if zf < 1.0:
-                    zf = 1.0  # unreachable at this scale; guards the log
-            else:
-                zf = m * zf
-            z_log = math.log(zf)
-
-        if z_int is not None:
-            if s_int is not None:
-                s_int += z_int
-                if s_int > DEFAULT_EXACT_CAP:
-                    s_log = _log_of_int(s_int)
-                    s_int = None
-            else:
-                s_log = _logaddexp(s_log, _log_of_int(z_int))
-            if record_generations:
-                gens.append(ExtendedCount.exact(z_int))
-        else:
-            if s_int is not None:
-                s_log = _logaddexp(_log_of_int(s_int), z_log)
-                s_int = None
-            else:
-                s_log = _logaddexp(s_log, z_log)
-            if record_generations:
-                gens.append(ExtendedCount.from_log(z_log))
-        k += 1
-
-    if s_int is not None:
-        total = ExtendedCount.exact(s_int)
-    else:
-        total = ExtendedCount.from_log(min(s_log, LOG_VALUE_LIMIT))
-    return gens, total
-
-
-def thin(count: ExtendedCount, theta: float, rng: RngStream) -> ExtendedCount:
-    """Binomial thinning: each of ``count`` individuals survives w.p. theta.
-
-    Exact binomial sampling up to 10^6 individuals, a rounded-and-clamped
-    normal approximation for larger exact counts, and a deterministic log
-    shift by log(theta) in the log tier.  theta = 1 returns the count
-    unchanged in every mode.
-    """
-    theta = float(theta)
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"thinning parameter {theta!r} outside (0, 1]")
-    if theta == 1.0:
-        return count
-    if count.is_exact:
-        n = count.exact_value
-        if n == 0:
-            return count
-        if n <= THIN_EXACT_LIMIT:
-            return ExtendedCount.exact(rng.binomial(n, theta))
-        mu = n * theta
-        sd = math.sqrt(n * theta * (1.0 - theta))
-        drawn = int(round(mu + sd * rng.normal()))
-        return ExtendedCount.exact(min(max(drawn, 0), n))
-    return ExtendedCount.from_log(count.log() + math.log(theta))
 
 
 # -- harmonic moments ----------------------------------------------------------

@@ -1,6 +1,5 @@
-"""The iterated chain itself: one-step transition, trajectory simulation
-with death/explosion detection, regime classification, and the growth-ratio
-diagnostic.
+"""The iterated chain itself: the batched simulator and regime
+classification.
 
 One step from state x >= 1 runs the auxiliary branching process for x
 generations, sums the total progeny S_x, and thins it binomially with
@@ -9,12 +8,10 @@ log tier makes the next total astronomically concentrated, so that step is
 computed deterministically: log S = x*log(m) + log(m/(m-1)) and
 log X' = log S + log(theta).
 
-Two implementations share these rules.  :func:`step` and
-:func:`simulate_trajectory` advance one path in Python and are the
-reference.  :func:`simulate_chunk` advances a block of replicas as numpy
-arrays drawing from one stream, and :func:`map_chunks` drives every Monte
-Carlo experiment through it: replica r belongs to chunk r // RNG_CHUNK,
-and chunk c draws from the stream keyed by (master seed, purpose, c).
+:func:`simulate_chunk` advances a block of replicas as numpy arrays drawing
+from one stream, and :func:`map_chunks` drives every Monte Carlo experiment
+through it: replica r belongs to chunk r // RNG_CHUNK, and chunk c draws
+from the stream keyed by (master seed, purpose, c).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -36,11 +33,8 @@ from .gw_engine import (
     ExtendedCount,
     LawContext,
     RngStream,
-    ZERO_COUNT,
     law_context,
-    simulate_total_progeny,
     stream_for,
-    thin,
 )
 from .reproduction_laws import (
     IGWParams,
@@ -76,124 +70,16 @@ class RegimeReport:
     as_regime: AlmostSureRegime
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A simulated path X_0..X_N with its termination verdict.
-
-    ``ratios[n]`` is log(X_{n+1}) / X_n when both states are >= 1, else
-    None; it is the quantity whose limit identifies the growth rate on
-    exploding paths.
-    """
-
-    initial_state: int
-    states: tuple[ExtendedCount, ...]
-    termination: TerminationKind
-    termination_step: int
-    ratios: tuple[Optional[float], ...]
-
-
-class RatioRow(NamedTuple):
-    step: int
-    state: ExtendedCount
-    y: float
-    relative_error: float
-
-
 def _as_count(x: Union[int, ExtendedCount]) -> ExtendedCount:
     if isinstance(x, ExtendedCount):
         return x
     return ExtendedCount.exact(int(x))
 
 
-def step(x: Union[int, ExtendedCount], params: IGWParams, rng: RngStream) -> ExtendedCount:
-    """One transition of the chain from state x."""
-    state = _as_count(x)
-    if state.is_zero():
-        return ZERO_COUNT
-    if state.is_exact:
-        _, total = simulate_total_progeny(
-            params.law,
-            state.exact_value,  # type: ignore[arg-type]
-            rng,
-            record_generations=False,
-        )
-        return thin(total, params.theta, rng)
-    ctx = law_context(params.law)
-    if ctx.m <= 1.0:
-        raise RegimeError("log-tier states only arise from supercritical growth (m > 1)")
-    # log S = x log m + log(m/(m-1)), then thin: + log theta.  An overflowing
-    # x leaves inf, which is saturated to a finite sentinel.
-    try:
-        xf = math.exp(state.log())
-    except OverflowError:
-        xf = math.inf
-    log_next = xf * ctx.log_m + _ratio_shift(ctx, params.theta)
-    return ExtendedCount.from_log(min(log_next, LOG_VALUE_LIMIT))
-
-
 def _ratio_shift(ctx: LawContext, theta: float) -> float:
     """log(m/(m-1)) + log(theta): the offset of a deterministic step (nan
     unless m > 1)."""
     return ctx.log_fold + math.log(theta)
-
-
-def simulate_trajectory(
-    x0: int,
-    params: IGWParams,
-    horizon: int,
-    explosion_threshold: Union[int, ExtendedCount],
-    rng: RngStream,
-) -> Trajectory:
-    """Iterate the chain from x0 until death, threshold crossing, or horizon.
-
-    Death means the first zero state (absorbing), explosion means the first
-    state at or above ``explosion_threshold``.  Trajectories that reach the
-    horizon undecided are reported as such, never folded into either class.
-    """
-    if x0 < 1:
-        raise ValueError("start the chain from a positive state")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    threshold = _as_count(explosion_threshold)
-    start = ExtendedCount.exact(x0)
-    if threshold < start:
-        raise ValueError("explosion threshold must be at least the start state")
-
-    ctx = law_context(params.law)
-    log_m = ctx.log_m
-    shift = _ratio_shift(ctx, params.theta)
-    monotone = params.theta == 1.0 and params.law.p0 == 0.0
-
-    states = [start]
-    ratios: list[Optional[float]] = []
-
-    if not start < threshold:
-        return Trajectory(x0, tuple(states), TerminationKind.EXPLODED, 0, ())
-
-    current = start
-    for n in range(horizon):
-        nxt = step(current, params, rng)
-        if monotone:
-            assert not nxt < current, "paths must be nondecreasing without thinning or deaths"
-
-        y: Optional[float] = None
-        if not current.is_zero() and not nxt.is_zero():
-            if current.is_exact:
-                y = nxt.log() / current.exact_value  # type: ignore[operator]
-            else:
-                # deterministic-tier step: log X' = X log m + shift exactly
-                xf = current.to_float()
-                y = log_m + (shift / xf if math.isfinite(xf) else 0.0)
-        ratios.append(y)
-        states.append(nxt)
-
-        if nxt.is_zero():
-            return Trajectory(x0, tuple(states), TerminationKind.DIED, n + 1, tuple(ratios))
-        if not nxt < threshold:
-            return Trajectory(x0, tuple(states), TerminationKind.EXPLODED, n + 1, tuple(ratios))
-        current = nxt
-
-    return Trajectory(x0, tuple(states), TerminationKind.HORIZON, horizon, tuple(ratios))
 
 
 def classify_regimes(params: IGWParams) -> RegimeReport:
@@ -225,25 +111,6 @@ def classify_regimes(params: IGWParams) -> RegimeReport:
     else:
         as_regime = AlmostSureRegime.MIXED
     return RegimeReport(mean_regime, as_regime)
-
-
-def asymptotic_ratios(traj: Trajectory, law_mean: float) -> list[RatioRow]:
-    """Per-step growth diagnostic rows (n, X_n, Y_n, Y_n/log(m) - 1).
-
-    Steps whose ratio is undefined (a zero on either end) are skipped.
-    Only meaningful for supercritical laws, where log m > 0.
-    """
-    if law_mean <= 1.0:
-        raise RegimeError("growth-ratio diagnostics need a supercritical mean (m > 1)")
-    if len(traj.states) < 2:
-        raise ValueError("trajectory must contain at least two states")
-    log_m = math.log(law_mean)
-    rows = []
-    for n, y in enumerate(traj.ratios):
-        if y is None:
-            continue
-        rows.append(RatioRow(n, traj.states[n], y, y / log_m - 1.0))
-    return rows
 
 
 # -- batched engine ----------------------------------------------------------------
@@ -344,8 +211,11 @@ def _point_mass_totals(ctx: LawContext, pm: int, x: np.ndarray) -> tuple[np.ndar
 
 def _chunk_totals(ctx: LawContext, x: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """S_x for each entry of x (all >= 1): exact values (-1 where S left the
-    exact range) and logs.  The same three tiers as
-    :func:`simulate_total_progeny`, each advanced for all replicas at once."""
+    exact range) and logs, each replica run for its own x generations from
+    one ancestor on the count ladder of :mod:`igw.gw_engine`: exact
+    generations while Z stays within the cap, Gaussian branching noise
+    beyond it, and one deterministic fold of the remaining generations once
+    that noise cannot move a float."""
     law = ctx.law
     if law.point_mass is not None:
         return _point_mass_totals(ctx, law.point_mass, x)
@@ -405,8 +275,12 @@ def _chunk_totals(ctx: LawContext, x: np.ndarray, gen: np.random.Generator) -> t
 def _chunk_step(
     ctx: LawContext, theta: float, xi: np.ndarray, xl: np.ndarray, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One transition for every replica (all states nonzero): :func:`step`
-    vectorised.  States are (exact values, -1 in the log tier; logs)."""
+    """One transition for every replica (all states nonzero).  States are
+    (exact values, -1 in the log tier; logs).  An exact state x moves to the
+    theta-thinning of S_x: binomial up to THIN_EXACT_LIMIT individuals, a
+    rounded normal clamped to [0, S] above it, and a shift by log(theta)
+    once S has left the exact range.  A log-tier state moves
+    deterministically to log X' = X log m + log(m/(m-1)) + log(theta)."""
     ni = np.empty_like(xi)
     nl = np.empty_like(xl)
     big = xi < 0
@@ -450,7 +324,9 @@ def simulate_chunk(
 ) -> ChunkPaths:
     """Iterate ``size`` independent copies of the chain from x0, all drawing
     from ``rng``, until each dies, crosses ``explosion_threshold`` or reaches
-    the horizon; :func:`simulate_trajectory` for a block of replicas.
+    the horizon.  Death is the first zero state, explosion the first state
+    at or above the threshold; paths still undecided at the horizon keep
+    their own verdict and are never folded into either class.
 
     Exact states are int64, so the law's largest offspring count must keep
     DEFAULT_EXACT_CAP * max_k below 2**63.  Per-step states and ratios are

@@ -8,9 +8,8 @@ and behaves identically to one in every operation.
 Besides the law itself this module provides the probability generating
 function f(s) = sum_k p_k s^k, the thinned generating function
 g(s) = f(1 - theta + theta*s) of a count whose individuals each survive
-independently with probability theta, the one-step mean map
-chi(x) = theta * (m + m^2 + ... + m^x) of the iterated chain, and inverse-CDF
-sampling from the law.
+independently with probability theta, and the law spec strings of the
+command line.
 """
 
 from __future__ import annotations
@@ -127,12 +126,6 @@ class OffspringLaw:
         return np.arange(len(self.probs), dtype=np.int64)
 
     @cached_property
-    def cum_probs(self) -> np.ndarray:
-        cum = np.cumsum(self.probs_array)
-        cum[-1] = 1.0  # guards inverse-CDF lookups against 1 - 1e-16 style sums
-        return cum
-
-    @cached_property
     def point_mass(self) -> Optional[int]:
         """The single supported value, if the law is deterministic."""
         nz = [k for k, p in enumerate(self.probs) if p > 0.0]
@@ -204,57 +197,6 @@ def thinned_pgf(params: IGWParams, s: float) -> float:
     of progeny from a single ancestor."""
     s = _check_unit_interval(s)
     return pgf_eval(params.law, 1.0 - params.theta + params.theta * s)
-
-
-def chi(params: IGWParams, x: int) -> float:
-    """One-step conditional mean of the iterated chain started at x.
-
-    chi(0) = 0 and chi(x) = theta * (m + m^2 + ... + m^x).  Values that
-    overflow float range come back as ``inf``; use :func:`log_chi` when x is
-    large enough for that to matter.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 0.0
-    m = mean(params.law)
-    if abs(m - 1.0) <= MEAN_CRITICAL_TOL:
-        return params.theta * x
-    if m > 1.0 and x * math.log(m) > 700.0:
-        lv = log_chi(params, x)
-        return math.inf if lv > 709.0 else math.exp(lv)
-    return params.theta * m * (m**x - 1.0) / (m - 1.0)
-
-
-def log_chi(params: IGWParams, x: int) -> float:
-    """log of chi(params, x), stable for x up to at least 10^4."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return -math.inf
-    m = mean(params.law)
-    theta = params.theta
-    if m <= 0.0:
-        return -math.inf
-    if abs(m - 1.0) <= MEAN_CRITICAL_TOL:
-        return math.log(theta) + math.log(x)
-    log_m = math.log(m)
-    if m > 1.0:
-        # m (m^x - 1)/(m - 1): pull x log m out, keep the rest in log1p
-        body = x * log_m + math.log1p(-math.exp(-x * log_m)) - math.log(m - 1.0)
-    else:
-        mx = math.exp(x * log_m) if x * log_m > -745.0 else 0.0
-        body = math.log1p(-mx) - math.log(1.0 - m)
-    return math.log(theta) + log_m + body
-
-
-def sample_offspring(law: OffspringLaw, rng) -> int:
-    """Draw one offspring count by inverse CDF over the finite support."""
-    pm = law.point_mass
-    if pm is not None:
-        return pm
-    u = rng.uniform()
-    return int(np.searchsorted(law.cum_probs, u, side="right"))
 
 
 # -- law spec strings --------------------------------------------------------

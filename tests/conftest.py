@@ -1,5 +1,6 @@
 """Shared test helpers: an exact rational enumeration oracle for small
-branching systems, independent of the production pgf composition."""
+branching systems, independent of the production pgf composition, and the
+first step of the batched simulator."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ from collections import defaultdict
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
-from igw import OffspringLaw
+from igw import ExtendedCount, IGWParams, OffspringLaw, RngStream, simulate_chunk
 
 
 def law_fractions(law: OffspringLaw) -> dict[int, Fraction]:
@@ -62,6 +64,14 @@ def enumerate_total_progeny(
     for (_z, s), p in enumerate_joint(probs, x, cap).items():
         out[s] += p
     return dict(out)
+
+
+def first_states(x: int, params: IGWParams, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """(exact, log) of X_1 from x for n replicas, as one chunk of the
+    batched engine; exact is -1 for a log-tier state.  At theta = 1,
+    X_1 = S_x, and from x = 1 it is one offspring draw."""
+    paths = simulate_chunk(x, params, 1, ExtendedCount.from_log(1e20), rng, n, record=True)
+    return paths.exact[1], paths.log[1]
 
 
 @st.composite

@@ -1,20 +1,35 @@
-"""The progeny route to the envelope kernels, kept as a test oracle.
+"""Test oracles the package is compared against.
 
-Row x is the theta-thinning of the tracked law of S_x, read through the
-Pascal binomial table.  Totals beyond ``s_cap`` thin like the stochastically
-smallest count consistent with them, Binomial(s_cap + 1, theta), in the
-upper kernel and go to the phantom in the lower one.  It shares the law of
-S_x and the binomial table with the package, but not the thinned
-composition of the kernel rows.
+* The progeny route to the envelope kernels.  Row x is the theta-thinning
+  of the tracked law of S_x, read through the Pascal binomial table.
+  Totals beyond ``s_cap`` thin like the stochastically smallest count
+  consistent with them, Binomial(s_cap + 1, theta), in the upper kernel and
+  go to the phantom in the lower one.  It shares the law of S_x and the
+  binomial table with the package, but not the thinned composition of the
+  kernel rows.
+* A scalar simulator of the chain, one path at a time on a numpy
+  generator: one multinomial draw per generation while Z is exact, the
+  Gaussian tier with the package's handover level and fold beyond it, and
+  binomial thinning with a rounded normal above ``THIN_EXACT_LIMIT``.  It
+  shares the count ladder's constants with the batched engine, not its
+  array code or its sampling of two-atom laws.
+* The one-step mean map chi(x) = E_x(X_1) in closed form.
+
+``package_kernels`` is no oracle: it is the dense view of the package's own
+envelope kernels that the forward-loop tests multiply.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from igw import Caps, IGWParams, IntervalProb
+from igw import Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, mean
 from igw.analysis import fixed_point_q
-from igw.exact_dist import _floor_into, _progeny_laws, binomial_table
+from igw.exact_dist import _floor_into, _kernels, _progeny_laws, binomial_table
+from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, THIN_EXACT_LIMIT, law_context
+from igw.reproduction_laws import MEAN_CRITICAL_TOL
 
 
 def progeny_rows(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,3 +73,124 @@ def death_intervals(params: IGWParams, caps: Caps, horizon: int) -> list[Interva
         lo_x = float(lo[x])
         out.append(IntervalProb(lo_x, max(lo_x, min(1.0, float(hi[x] + close[x])))))
     return out
+
+
+def package_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
+    """The package's (death-upper, death-lower) envelope kernels as dense
+    matrices, (x_cap + 1)^2 and (x_cap + 2)^2; ``caps.s_cap`` does not enter."""
+    return tuple(K.rows[K.index] for K in _kernels(params, caps.x_cap))
+
+
+# -- the scalar simulator ----------------------------------------------------------
+
+
+def _count(n: int) -> ExtendedCount:
+    return ExtendedCount.exact(n) if n <= DEFAULT_EXACT_CAP else ExtendedCount.from_log(math.log(n))
+
+
+def total_progeny(law: OffspringLaw, x: int, gen: np.random.Generator) -> tuple[ExtendedCount, ExtendedCount]:
+    """(Z_x, S_x) of the branching process run x generations from one
+    ancestor."""
+    ctx = law_context(law)
+    z, s, k = 1, 0, 0
+    while k < x and 0 < z <= DEFAULT_EXACT_CAP:
+        z = int(gen.multinomial(z, law.probs_array) @ law.ks_array)
+        s += z
+        k += 1
+    if k == x or z == 0:
+        return _count(z), _count(s)
+    z_log, s_log = math.log(z), math.log(s)
+    while k < x and z_log <= ctx.handover_log:
+        zf = math.exp(z_log)
+        z_log = math.log(max(ctx.m * zf + math.sqrt(ctx.v * zf) * gen.standard_normal(), 1.0))
+        s_log = float(np.logaddexp(s_log, z_log))
+        k += 1
+    if k < x:
+        # the remaining noise cannot move a float: add sum_j Z m^j at once
+        g = (x - k) * ctx.log_m
+        fold = z_log + ctx.log_m + g + math.log1p(-math.exp(-g)) - math.log(ctx.m - 1.0)
+        s_log = float(np.logaddexp(s_log, fold))
+        z_log += g
+    return (
+        ExtendedCount.from_log(min(z_log, LOG_VALUE_LIMIT)),
+        ExtendedCount.from_log(min(s_log, LOG_VALUE_LIMIT)),
+    )
+
+
+def thin(count: ExtendedCount, theta: float, gen: np.random.Generator) -> ExtendedCount:
+    """Each of ``count`` individuals survives with probability theta."""
+    if theta == 1.0:
+        return count
+    if not count.is_exact:
+        return ExtendedCount.from_log(count.log() + math.log(theta))
+    n = count.exact_value
+    if n <= THIN_EXACT_LIMIT:
+        return ExtendedCount.exact(gen.binomial(n, theta))
+    drawn = round(n * theta + math.sqrt(n * theta * (1.0 - theta)) * gen.standard_normal())
+    return ExtendedCount.exact(min(max(drawn, 0), n))
+
+
+def step(x: ExtendedCount, params: IGWParams, gen: np.random.Generator) -> ExtendedCount:
+    """One transition of the chain from a nonzero state x; from the log tier
+    log X' = X log m + log(m/(m-1)) + log(theta)."""
+    if x.is_exact:
+        return thin(total_progeny(params.law, x.exact_value, gen)[1], params.theta, gen)
+    ctx = law_context(params.law)
+    xf = math.exp(x.log()) if x.log() < 709.0 else math.inf
+    log_next = xf * ctx.log_m + ctx.log_fold + math.log(params.theta)
+    return ExtendedCount.from_log(min(log_next, LOG_VALUE_LIMIT))
+
+
+def trajectory(
+    x0: int, params: IGWParams, horizon: int, threshold: ExtendedCount, gen: np.random.Generator
+) -> tuple[TerminationKind, int]:
+    """The verdict of one path from x0 and the step it was reached at."""
+    state = ExtendedCount.exact(x0)
+    for n in range(1, horizon + 1):
+        state = step(state, params, gen)
+        if state.is_zero():
+            return TerminationKind.DIED, n
+        if not state < threshold:
+            return TerminationKind.EXPLODED, n
+    return TerminationKind.HORIZON, horizon
+
+
+# -- the mean map --------------------------------------------------------------------
+
+
+def chi(params: IGWParams, x: int) -> float:
+    """E_x(X_1) = theta * (m + m^2 + ... + m^x); ``inf`` once that
+    overflows."""
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    if x == 0:
+        return 0.0
+    m = mean(params.law)
+    if abs(m - 1.0) <= MEAN_CRITICAL_TOL:
+        return params.theta * x
+    if m > 1.0 and x * math.log(m) > 700.0:
+        lv = log_chi(params, x)
+        return math.inf if lv > 709.0 else math.exp(lv)
+    return params.theta * m * (m**x - 1.0) / (m - 1.0)
+
+
+def log_chi(params: IGWParams, x: int) -> float:
+    """log of chi(params, x), stable for x up to at least 10^4."""
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    if x == 0:
+        return -math.inf
+    m = mean(params.law)
+    theta = params.theta
+    if m <= 0.0:
+        return -math.inf
+    if abs(m - 1.0) <= MEAN_CRITICAL_TOL:
+        return math.log(theta) + math.log(x)
+    log_m = math.log(m)
+    if m > 1.0:
+        # m (m^x - 1)/(m - 1): pull x log m out, keep the rest in log1p
+        body = x * log_m + math.log1p(-math.exp(-x * log_m)) - math.log(m - 1.0)
+    else:
+        mx = math.exp(x * log_m) if x * log_m > -745.0 else 0.0
+        body = math.log1p(-mx) - math.log(1.0 - m)
+    return math.log(theta) + log_m + body

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,19 +12,39 @@ from igw import (
     OffspringLaw,
     RegimeError,
     RngStream,
-    chi,
     harmonic_moment,
     mean,
     parse_law_spec,
-    simulate_total_progeny,
+    simulate_chunk,
     stream_for,
-    thin,
     variance,
 )
 
-from igw.gw_engine import _iterate_upper, _trapezoid_grid
+from igw.gw_engine import _iterate_upper, _trapezoid_grid, law_context
+from igw.igw_process import _chunk_step, _chunk_totals
 
-from conftest import enumerate_joint, enumerate_total_progeny, law_fractions
+import reference
+from conftest import enumerate_joint, enumerate_total_progeny, first_states, law_fractions
+
+
+def totals(law: OffspringLaw, x: int, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """(exact, log) of S_x for n replicas: X_1 at theta = 1."""
+    return first_states(x, IGWParams(law, 1.0), n, rng)
+
+
+class CountingGenerator:
+    """A numpy generator that counts the standard normals it hands out."""
+
+    def __init__(self, rng: RngStream) -> None:
+        self.gen = rng.generator
+        self.normals = 0
+
+    def standard_normal(self, size=None):
+        self.normals += 1 if size is None else size
+        return self.gen.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
 
 
 class TestExtendedCount:
@@ -65,131 +86,101 @@ class TestRngStreams:
     def test_reproducible(self):
         a = RngStream(123, 456)
         b = RngStream(123, 456)
-        assert np.array_equal(a.uniforms(100), b.uniforms(100))
+        assert np.array_equal(a.generator.random(100), b.generator.random(100))
 
     def test_distinct_streams_differ(self):
         a = RngStream(123, 1)
         b = RngStream(123, 2)
-        assert not np.array_equal(a.uniforms(100), b.uniforms(100))
+        assert not np.array_equal(a.generator.random(100), b.generator.random(100))
 
     def test_stream_for_is_stable(self):
         a = stream_for(9, 17, "mc-death")
         b = stream_for(9, 17, "mc-death")
         c = stream_for(9, 18, "mc-death")
         assert a.stream_id == b.stream_id != c.stream_id
-        assert np.array_equal(a.uniforms(10), b.uniforms(10))
+        assert np.array_equal(a.generator.random(10), b.generator.random(10))
 
 
 class TestTotalProgeny:
+    """S_x as the batched engine draws it: X_1 at theta = 1."""
+
     def test_unit_law(self):
-        gens, total = simulate_total_progeny(
-            OffspringLaw.explicit({1: 1.0}), 5, stream_for(1, 0, "t")
-        )
-        assert [g.exact_value for g in gens] == [1, 1, 1, 1, 1]
-        assert total.exact_value == 5
+        exact, _ = totals(OffspringLaw.explicit({1: 1.0}), 5, 4, stream_for(1, 0, "t"))
+        assert (exact == 5).all()
 
     def test_doubling_law(self):
-        gens, total = simulate_total_progeny(
-            OffspringLaw.explicit({2: 1.0}), 3, stream_for(1, 0, "t")
-        )
-        assert [g.exact_value for g in gens] == [2, 4, 8]
-        assert total.exact_value == 14
-
-    def test_zero_generations(self):
-        gens, total = simulate_total_progeny(OffspringLaw.binary(0.5), 0, stream_for(1, 0, "t"))
-        assert gens == [] and total.exact_value == 0
+        exact, _ = totals(OffspringLaw.explicit({2: 1.0}), 3, 4, stream_for(1, 0, "t"))
+        assert (exact == 14).all()
 
     def test_extinction_sticks(self):
-        gens, total = simulate_total_progeny(
-            OffspringLaw.explicit({0: 1.0}), 4, stream_for(1, 0, "t")
-        )
-        assert [g.exact_value for g in gens] == [0, 0, 0, 0]
-        assert total.exact_value == 0
+        exact, _ = totals(OffspringLaw.explicit({0: 1.0}), 4, 4, stream_for(1, 0, "t"))
+        assert (exact == 0).all()
 
     def test_two_generation_pmf(self, binary_half):
         # hand-enumerated law of S_2 for one-or-two offspring with lam = 1/2
         expected = enumerate_total_progeny(law_fractions(binary_half), 2)
         n = 100_000
-        counts: dict[int, int] = {}
-        for r in range(n):
-            _, total = simulate_total_progeny(binary_half, 2, stream_for(5, r, "s2"))
-            counts[total.exact_value] = counts.get(total.exact_value, 0) + 1
-        assert set(counts) == set(expected)
-        for s, frac in expected.items():
-            p = float(frac)
+        exact, _ = totals(binary_half, 2, n, stream_for(5, 0, "s2"))
+        values, counts = np.unique(exact, return_counts=True)
+        assert set(values.tolist()) == set(expected)
+        for s, c in zip(values.tolist(), counts.tolist()):
+            p = float(expected[s])
             se = math.sqrt(p * (1 - p) / n)
-            assert abs(counts.get(s, 0) / n - p) <= 4 * se
+            assert abs(c / n - p) <= 4 * se
 
     def test_nondecreasing_when_no_deaths(self, binary_half):
-        for r in range(50):
-            gens, total = simulate_total_progeny(binary_half, 12, stream_for(3, r, "mono"))
-            values = [1] + [g.exact_value for g in gens]
-            assert all(b >= a for a, b in zip(values, values[1:]))
-            assert total.exact_value >= gens[-1].exact_value
-            assert total.exact_value >= 12
+        # every generation has at least one individual, so S_x >= x
+        exact, _ = totals(binary_half, 12, 50, stream_for(3, 0, "mono"))
+        assert (exact >= 12).all()
 
     def test_mode_promotion_boundary(self):
+        # S_x = 2^(x+1) - 2: exact up to the cap 2^48, log-domain past it
         law = OffspringLaw.explicit({2: 1.0})
-        gens47, _ = simulate_total_progeny(law, 47, stream_for(1, 0, "p"))
-        assert all(g.is_exact for g in gens47)
-        assert [g.exact_value for g in gens47] == [2**k for k in range(1, 48)]
-        gens49, _ = simulate_total_progeny(law, 49, stream_for(1, 0, "p"))
-        assert all(g.is_exact for g in gens49[:48])  # 2^48 == cap stays exact
-        assert not gens49[48].is_exact
-        assert gens49[48].log() == pytest.approx(49 * math.log(2), rel=1e-12)
+        exact, _ = totals(law, 47, 1, stream_for(1, 0, "p"))
+        assert exact[0] == 2**48 - 2
+        exact, logs = totals(law, 48, 1, stream_for(1, 0, "p"))
+        assert exact[0] == -1
+        assert logs[0] == pytest.approx(49 * math.log(2), rel=1e-12)
 
     def test_total_mean_matches_chi(self, binary_half):
         # E(S_x) = chi(x)/theta
         x, n = 4, 50_000
-        totals = np.array(
-            [
-                simulate_total_progeny(binary_half, x, stream_for(11, r, "mean"), record_generations=False)[1].exact_value
-                for r in range(n)
-            ],
-            dtype=float,
-        )
-        expected = chi(IGWParams(binary_half, 1.0), x)
-        se = totals.std(ddof=1) / math.sqrt(n)
-        assert abs(totals.mean() - expected) <= 4 * se
+        exact, _ = totals(binary_half, x, n, stream_for(11, 0, "mean"))
+        values = exact.astype(float)
+        expected = reference.chi(IGWParams(binary_half, 1.0), x)
+        se = values.std(ddof=1) / math.sqrt(n)
+        assert abs(values.mean() - expected) <= 4 * se
 
     def test_recording_flag_consumes_same_draws(self, binary_half):
-        _, t1 = simulate_total_progeny(binary_half, 10, stream_for(2, 7, "flag"))
-        _, t2 = simulate_total_progeny(
-            binary_half, 10, stream_for(2, 7, "flag"), record_generations=False
-        )
-        assert t1 == t2
+        params = IGWParams(binary_half, 0.7)
+        runs = [
+            simulate_chunk(2, params, 10, ExtendedCount.exact(10**9), stream_for(2, 7, "flag"), record=record)
+            for record in (False, True)
+        ]
+        assert np.array_equal(runs[0].termination, runs[1].termination)
+        assert np.array_equal(runs[0].steps, runs[1].steps)
 
     def test_deterministic_growth_beyond_float(self):
         # 2^k exceeds 1e300 around k = 997; totals stay finite in log space
-        law = OffspringLaw.explicit({2: 1.0})
-        gens, total = simulate_total_progeny(law, 1200, stream_for(0, 0, "big"))
-        assert len(gens) == 1200
-        assert gens[-1].log() == pytest.approx(1200 * math.log(2), rel=1e-9)
-        assert total.log() == pytest.approx(1201 * math.log(2), rel=1e-9)
+        _, logs = totals(OffspringLaw.explicit({2: 1.0}), 1200, 1, stream_for(0, 0, "big"))
+        assert logs[0] == pytest.approx(1201 * math.log(2), rel=1e-9)
 
     def test_gaussian_tier_hands_over_once_noise_is_below_rounding(self, binary_half):
         # m = 1.5, v = 0.25: the relative sd of the remaining noise falls
         # below 2^-60 near Z = e^82, about 120 generations past the exact cap
-        class CountingStream(RngStream):
-            normals_drawn = 0
-
-            def normal(self):
-                self.normals_drawn += 1
-                return super().normal()
-
-        def reference_log_total(x, rng):
+        def reference_log_total(x, gen):
             # the per-generation loop: Gaussian noise every generation up to
             # 1e300, then the deterministic fold
             m, v, log_m = 1.5, 0.25, math.log(1.5)
             z, s, k = 1, 0, 0
             while k < x and z <= DEFAULT_EXACT_CAP:
-                z += rng.binomial(z, 0.5)
+                z += gen.binomial(z, 0.5)
                 s += z
                 k += 1
             z_log, s_log = math.log(z), math.log(s)
             while k < x and z_log <= math.log(1e300):
                 zf = math.exp(z_log)
-                z_log = math.log(m * zf + math.sqrt(v * zf) * rng.normal())
+                z_log = math.log(m * zf + math.sqrt(v * zf) * gen.standard_normal())
                 s_log = float(np.logaddexp(s_log, z_log))
                 k += 1
             g = x - k
@@ -197,52 +188,58 @@ class TestTotalProgeny:
             return float(np.logaddexp(s_log, block))
 
         for r in range(3):
-            rng = CountingStream(13, r)
-            _, total = simulate_total_progeny(binary_half, 5000, rng, record_generations=False)
-            reference = CountingStream(13, r)
-            want = reference_log_total(5000, reference)
-            assert rng.normals_drawn <= 200
-            assert reference.normals_drawn > 1000
-            assert total.log() == pytest.approx(want, rel=1e-10)
+            gen = CountingGenerator(RngStream(13, r))
+            _, logs = totals(binary_half, 5000, 1, SimpleNamespace(generator=gen))
+            ref = CountingGenerator(RngStream(13, r))
+            want = reference_log_total(5000, ref)
+            assert 0 < gen.normals <= 200
+            assert ref.normals > 1000
+            assert logs[0] == pytest.approx(want, rel=1e-10)
 
 
 class TestThin:
-    def test_theta_one_identity(self):
-        c = ExtendedCount.exact(14)
-        assert thin(c, 1.0, stream_for(0, 0, "t")) is c
+    """Thinning as the batched engine's step applies it to S_x."""
+
+    def test_theta_one_identity(self, binary_half):
+        # theta = 1 leaves the totals as drawn and draws nothing more
+        ctx = law_context(binary_half)
+        x = np.arange(1, 200)
+        want, want_log = _chunk_totals(ctx, x, RngStream(0, 0).generator)
+        got, got_log = _chunk_step(ctx, 1.0, x, np.log(x), RngStream(0, 0).generator)
+        assert np.array_equal(got, want) and np.array_equal(got_log, want_log)
 
     def test_zero(self):
-        c = ExtendedCount.exact(0)
-        assert thin(c, 0.5, stream_for(0, 0, "t")).exact_value == 0
+        exact, _ = first_states(1, IGWParams(OffspringLaw.explicit({0: 1.0}), 0.5), 10, stream_for(0, 0, "t"))
+        assert (exact == 0).all()
 
     def test_binomial_moments(self):
-        rng = stream_for(21, 0, "thin")
+        # ten children from state 1, each kept with probability 1/2
+        params = IGWParams(OffspringLaw.explicit({10: 1.0}), 0.5)
         n = 100_000
-        draws = np.array([thin(ExtendedCount.exact(10), 0.5, rng).exact_value for _ in range(n)], dtype=float)
+        draws = first_states(1, params, n, stream_for(21, 0, "thin"))[0].astype(float)
         se_mean = math.sqrt(2.5 / n)
         assert abs(draws.mean() - 5.0) <= 4 * se_mean
         assert draws.var(ddof=1) == pytest.approx(2.5, abs=0.1)
 
     def test_normal_approximation_branch(self):
-        rng = stream_for(22, 0, "thin-big")
-        n_individuals = 10**7
-        draws = np.array(
-            [thin(ExtendedCount.exact(n_individuals), 0.3, rng).exact_value for _ in range(2000)],
-            dtype=float,
-        )
+        # S_20 = 2^21 - 2 individuals, above the exact binomial limit
+        n_individuals = 2**21 - 2
+        params = IGWParams(OffspringLaw.explicit({2: 1.0}), 0.3)
+        n = 2000
+        draws = first_states(20, params, n, stream_for(22, 0, "thin-big"))[0].astype(float)
         mu = n_individuals * 0.3
-        sd = math.sqrt(n_individuals * 0.3 * 0.7)
-        assert abs(draws.mean() - mu) <= 5 * sd / math.sqrt(2000)
+        var = n_individuals * 0.3 * 0.7
+        assert abs(draws.mean() - mu) <= 5 * math.sqrt(var / n)
+        assert abs(draws.var(ddof=1) / var - 1.0) <= 4 * math.sqrt(2.0 / (n - 1))
         assert np.all(draws >= 0) and np.all(draws <= n_individuals)
 
     def test_log_mode_shift(self):
-        c = ExtendedCount.from_log(200.0)
-        out = thin(c, 0.25, stream_for(0, 0, "t"))
-        assert out.log() == pytest.approx(200.0 + math.log(0.25), rel=1e-12)
-
-    def test_bad_theta(self):
-        with pytest.raises(ValueError):
-            thin(ExtendedCount.exact(5), 0.0, stream_for(0, 0, "t"))
+        # S_100 = 2^101 - 2 is past the exact range: thinning shifts its log
+        law = OffspringLaw.explicit({2: 1.0})
+        _, full = first_states(100, IGWParams(law, 1.0), 1, stream_for(0, 0, "t"))
+        exact, thinned = first_states(100, IGWParams(law, 0.25), 1, stream_for(0, 0, "t"))
+        assert exact[0] == -1
+        assert thinned[0] == pytest.approx(full[0] + math.log(0.25), rel=1e-12)
 
 
 class TestHarmonicMoment:
@@ -325,12 +322,12 @@ class TestHarmonicMoment:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_markov_tail_bound(self, binary_half):
-        # P(Z_x <= t) <= t * E(1/Z_x), checked against simulation
+        # P(Z_x <= t) <= t * E(1/Z_x), checked against the scalar simulator
         x, n = 5, 20_000
         h = harmonic_moment(binary_half, x)
         finals = np.array(
             [
-                simulate_total_progeny(binary_half, x, stream_for(31, r, "markov"))[0][-1].exact_value
+                reference.total_progeny(binary_half, x, stream_for(31, r, "markov").generator)[0].exact_value
                 for r in range(n)
             ]
         )

@@ -1,9 +1,13 @@
+import ast
+import importlib
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import igw
 from igw import (
     AlmostSureRegime,
     Caps,
@@ -12,40 +16,47 @@ from igw import (
     MeanRegime,
     OffspringLaw,
     RegimeError,
+    RngStream,
     TerminationKind,
-    asymptotic_ratios,
-    chi,
     classify_regimes,
     finite_horizon_death,
     parse_law_spec,
     simulate_chunk,
-    simulate_trajectory,
-    step,
     stream_for,
 )
-from igw.igw_process import DIED, EXPLODED, TERMINATIONS, UNDECIDED
+import igw.igw_process as igw_process
+from igw.igw_process import DIED, EXPLODED, TERMINATIONS, UNDECIDED, _chunk_step
+from igw.gw_engine import law_context
+
+import reference
+from conftest import first_states
+
+FAR = ExtendedCount.from_log(1e20)
 
 
 class TestStep:
-    def test_zero_is_absorbing(self):
-        params = IGWParams(OffspringLaw.binary(0.5), 0.8)
-        out = step(ExtendedCount.exact(0), params, stream_for(0, 0, "s"))
-        assert out.exact_value == 0
+    def test_zero_is_absorbing(self, monkeypatch):
+        # a replica that dies leaves the live set: no zero state is stepped
+        def checked(ctx, theta, xi, xl, gen):
+            assert (xi != 0).all()
+            return _chunk_step(ctx, theta, xi, xl, gen)
+
+        monkeypatch.setattr(igw_process, "_chunk_step", checked)
+        params = IGWParams(OffspringLaw.explicit({0: 0.5, 2: 0.5}), 0.5)
+        paths = simulate_chunk(2, params, 40, ExtendedCount.exact(10**9), stream_for(8, 0, "abs"))
+        assert (paths.termination == DIED).sum() > 100
 
     def test_deterministic_step(self):
         params = IGWParams(OffspringLaw.explicit({2: 1.0}), 1.0)
-        for r in range(5):
-            out = step(3, params, stream_for(1, r, "s"))
-            assert out.exact_value == 14
+        exact, _ = first_states(3, params, 5, stream_for(1, 0, "s"))
+        assert (exact == 14).all()
 
     def test_one_step_distribution(self):
         # from state 1 the total is two individuals, each kept w.p. 0.8
         params = IGWParams(OffspringLaw.binary(1.0), 0.8)
         n = 100_000
-        counts = np.zeros(3)
-        for r in range(n):
-            out = step(1, params, stream_for(3, r, "dist"))
-            counts[out.exact_value] += 1
+        exact, _ = first_states(1, params, n, stream_for(3, 0, "dist"))
+        counts = np.bincount(exact, minlength=3)
         for k, p in enumerate([0.04, 0.32, 0.64]):
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts[k] / n - p) <= 4 * se
@@ -54,18 +65,15 @@ class TestStep:
         params = IGWParams(OffspringLaw.binary(0.5), 0.7)
         n = 50_000
         for x in (1, 4, 10):
-            vals = np.array(
-                [step(x, params, stream_for(100 + x, r, "mean")).exact_value for r in range(n)],
-                dtype=float,
-            )
+            vals = first_states(x, params, n, stream_for(100 + x, 0, "mean"))[0].astype(float)
             se = vals.std(ddof=1) / math.sqrt(n)
-            assert abs(vals.mean() - chi(params, x)) <= 4 * se
+            assert abs(vals.mean() - reference.chi(params, x)) <= 4 * se
 
     def test_stochastic_monotonicity_in_start(self):
         params = IGWParams(OffspringLaw.binary(0.5), 0.7)
         n = 30_000
-        lo = np.array([step(2, params, stream_for(9, r, "lo")).exact_value for r in range(n)])
-        hi = np.array([step(4, params, stream_for(9, r, "hi")).exact_value for r in range(n)])
+        lo, _ = first_states(2, params, n, stream_for(9, 0, "lo"))
+        hi, _ = first_states(4, params, n, stream_for(9, 0, "hi"))
         for t in range(0, 20):
             cdf_lo = float((lo <= t).mean())
             cdf_hi = float((hi <= t).mean())
@@ -73,90 +81,75 @@ class TestStep:
             assert cdf_hi <= cdf_lo + 4 * se
 
     def test_total_progeny_upper_tail(self):
-        # P(S_x >= mu^x) <= mu^(-x) E(S_x) <= (m/mu)^x m/(m-1) at mu = 2m
-        from igw import simulate_total_progeny
-
-        law = OffspringLaw.binary(0.5)
+        # P(S_x >= mu^x) <= mu^(-x) E(S_x) <= (m/mu)^x m/(m-1) at mu = 2m;
+        # at theta = 1, X_1 = S_x
+        params = IGWParams(OffspringLaw.binary(0.5), 1.0)
         m = 1.5
         mu = 2 * m
         x, n = 10, 20_000
-        level = mu**x
-        hits = 0
-        for r in range(n):
-            _, total = simulate_total_progeny(law, x, stream_for(77, r, "tail"), record_generations=False)
-            if total.to_float() >= level:
-                hits += 1
-        freq = hits / n
+        _, logs = first_states(x, params, n, stream_for(77, 0, "tail"))
+        freq = float((logs >= x * math.log(mu)).mean())
         bound = (m / mu) ** x * m / (m - 1)
         se = math.sqrt(max(freq * (1 - freq), bound * (1 - bound)) / n)
         assert freq <= bound + 4 * se
 
     def test_log_tier_step_is_deterministic_growth(self):
         params = IGWParams(OffspringLaw.binary(0.5), 0.8)
-        big = ExtendedCount.from_log(100.0)
-        out = step(big, params, stream_for(0, 0, "s"))
-        xf = math.exp(100.0)
-        expected = xf * math.log(1.5) + math.log(1.5 / 0.5) + math.log(0.8)
-        assert out.log() == pytest.approx(expected, rel=1e-12)
+        ni, nl = _chunk_step(
+            law_context(params.law), 0.8, np.array([-1]), np.array([100.0]), stream_for(0, 0, "s").generator
+        )
+        expected = math.exp(100.0) * math.log(1.5) + math.log(1.5 / 0.5) + math.log(0.8)
+        assert ni[0] == -1 and nl[0] == pytest.approx(expected, rel=1e-12)
 
     def test_log_tier_needs_supercritical(self):
-        params = IGWParams(OffspringLaw.explicit({0: 0.5, 1: 0.5}), 1.0)
+        ctx = law_context(OffspringLaw.explicit({0: 0.5, 1: 0.5}))
         with pytest.raises(RegimeError):
-            step(ExtendedCount.from_log(100.0), params, stream_for(0, 0, "s"))
+            _chunk_step(ctx, 1.0, np.array([-1]), np.array([100.0]), stream_for(0, 0, "s").generator)
 
 
 class TestTrajectory:
     def test_immediate_death(self):
         params = IGWParams(OffspringLaw.explicit({0: 1.0}), 0.9)
-        traj = simulate_trajectory(1, params, 50, ExtendedCount.exact(10**6), stream_for(0, 0, "t"))
-        assert traj.termination is TerminationKind.DIED
-        assert traj.termination_step == 1
-        assert traj.states[1].exact_value == 0
+        paths = simulate_chunk(1, params, 50, ExtendedCount.exact(10**6), stream_for(0, 0, "t"), 1, record=True)
+        assert TERMINATIONS[paths.termination[0]] is TerminationKind.DIED
+        assert paths.steps[0] == 1
+        assert paths.exact[1, 0] == 0
 
     def test_deterministic_prefix_and_explosion(self):
         params = IGWParams(OffspringLaw.explicit({2: 1.0}), 1.0)
-        traj = simulate_trajectory(1, params, 50, ExtendedCount.exact(10**6), stream_for(0, 0, "t"))
-        assert traj.termination is TerminationKind.EXPLODED
-        prefix = [s.exact_value for s in traj.states[:4]]
-        assert prefix == [1, 2, 6, 126]
+        paths = simulate_chunk(1, params, 50, ExtendedCount.exact(10**6), stream_for(0, 0, "t"), 1, record=True)
+        assert TERMINATIONS[paths.termination[0]] is TerminationKind.EXPLODED
+        assert paths.exact[:4, 0].tolist() == [1, 2, 6, 126]
         # S_126 = 2^127 - 2 crosses any desk-scale threshold
-        assert traj.states[4] > ExtendedCount.exact(10**6)
-        assert traj.termination_step == 4
+        assert paths.exact[4, 0] == -1 and paths.log[4, 0] > math.log(10**6)
+        assert paths.steps[0] == 4
 
     def test_never_dies_without_thinning(self):
         params = IGWParams(OffspringLaw.binary(0.5), 1.0)
+        paths = simulate_chunk(5, params, 30, FAR, stream_for(4, 0, "nd"), 50, record=True)
+        assert not (paths.termination == DIED).any()
         for r in range(50):
-            traj = simulate_trajectory(5, params, 30, ExtendedCount.from_log(1e20), stream_for(4, r, "nd"))
-            assert traj.termination is not TerminationKind.DIED
-            values = traj.states
-            assert all(not (b < a) for a, b in zip(values, values[1:]))
+            assert (np.diff(paths.log[: paths.steps[r] + 1, r]) >= 0).all()
 
     def test_absorption_invariant(self):
+        # a path dies at its first zero state and is reported at that step
         params = IGWParams(OffspringLaw.explicit({0: 0.5, 2: 0.5}), 0.5)
+        paths = simulate_chunk(2, params, 40, ExtendedCount.exact(10**9), stream_for(8, 0, "abs"), 200, record=True)
         for r in range(200):
-            traj = simulate_trajectory(2, params, 40, ExtendedCount.exact(10**9), stream_for(8, r, "abs"))
-            zero_seen = False
-            for s in traj.states:
-                if zero_seen:
-                    assert s.exact_value == 0
-                zero_seen = zero_seen or s.is_zero()
-            if traj.termination is TerminationKind.DIED:
-                assert traj.states[-1].is_zero()
+            n = paths.steps[r]
+            assert (paths.exact[1:n, r] != 0).all()
+            assert (paths.exact[n, r] == 0) == (paths.termination[r] == DIED)
 
     def test_ratios_defined_where_expected(self):
-        params = IGWParams(OffspringLaw.binary(0.5), 1.0)
-        traj = simulate_trajectory(3, params, 20, ExtendedCount.from_log(1e20), stream_for(5, 0, "r"))
-        for n, y in enumerate(traj.ratios):
-            nxt = traj.states[n + 1]
-            if y is not None:
-                assert not traj.states[n].is_zero() and not nxt.is_zero()
-                if traj.states[n].is_exact:
-                    assert y == pytest.approx(nxt.log() / traj.states[n].exact_value, rel=1e-12)
-
-    def test_threshold_validation(self):
-        params = IGWParams(OffspringLaw.binary(0.5), 1.0)
-        with pytest.raises(ValueError):
-            simulate_trajectory(10, params, 10, ExtendedCount.exact(5), stream_for(0, 0, "t"))
+        params = IGWParams(OffspringLaw.binary(0.5), 0.5)
+        paths = simulate_chunk(1, params, 20, FAR, stream_for(5, 0, "r"), 200, record=True)
+        assert (paths.termination == DIED).any() and (paths.termination == EXPLODED).any()
+        for r in range(200):
+            n = paths.steps[r]
+            y, nxt, cur = paths.ratio[:n, r], paths.exact[1 : n + 1, r], paths.exact[:n, r]
+            assert (np.isnan(y) == (nxt == 0)).all()
+            exact = (cur >= 0) & (nxt != 0)
+            np.testing.assert_allclose(y[exact], paths.log[1 : n + 1, r][exact] / cur[exact], rtol=1e-12)
 
 
 class TestClassifyRegimes:
@@ -187,30 +180,6 @@ class TestClassifyRegimes:
         report = classify_regimes(IGWParams(OffspringLaw.explicit({0: 0.3, 5: 0.7}), 0.9))
         assert report.mean_regime is MeanRegime.EXPLODES
         assert report.as_regime is AlmostSureRegime.DEATH
-
-
-class TestAsymptoticRatios:
-    def test_deterministic_doubling_rows(self):
-        params = IGWParams(OffspringLaw.explicit({2: 1.0}), 1.0)
-        traj = simulate_trajectory(1, params, 50, ExtendedCount.exact(10**6), stream_for(0, 0, "t"))
-        rows = asymptotic_ratios(traj, 2.0)
-        by_step = {r.step: r for r in rows}
-        assert by_step[2].y == pytest.approx(math.log(126) / 6, rel=1e-12)
-        assert by_step[2].relative_error == pytest.approx(math.log(126) / 6 / math.log(2) - 1, rel=1e-9)
-        assert by_step[2].relative_error == pytest.approx(0.163, abs=2e-3)
-
-    def test_constant_state_ratio(self):
-        # a step that stays at k has ratio log(k)/k by definition
-        params = IGWParams(OffspringLaw.explicit({1: 1.0}), 1.0)
-        traj = simulate_trajectory(4, params, 5, ExtendedCount.exact(10**6), stream_for(0, 0, "t"))
-        rows = asymptotic_ratios(traj, 1.0 + 1e-9)
-        assert rows[0].y == pytest.approx(math.log(4) / 4, rel=1e-12)
-
-    def test_subcritical_rejected(self):
-        params = IGWParams(OffspringLaw.binary(0.5), 1.0)
-        traj = simulate_trajectory(2, params, 5, ExtendedCount.from_log(1e20), stream_for(0, 0, "t"))
-        with pytest.raises(RegimeError):
-            asymptotic_ratios(traj, 0.9)
 
 
 class TestChunkEngine:
@@ -245,7 +214,7 @@ class TestChunkEngine:
         n_chunk = counts.sum()
         n_ref = 1500
         ref = Counter(
-            simulate_trajectory(3, params, 200, threshold, stream_for(7, r, "tiers")).termination
+            reference.trajectory(3, params, 200, threshold, stream_for(7, r, "tiers").generator)[0]
             for r in range(n_ref)
         )
         assert counts[UNDECIDED] == 0 and ref[TerminationKind.HORIZON] == 0
@@ -260,11 +229,11 @@ class TestChunkEngine:
         # S_100 leaves the exact range near generation 82 and stays Gaussian;
         # S_400 is folded deterministically past generation ~200
         params = IGWParams(OffspringLaw.binary(0.5), 1.0)
-        paths = simulate_chunk(
-            x0, params, 1, ExtendedCount.from_log(1e20), stream_for(3, 0, "g"), record=True
+        _, chunk = first_states(x0, params, 1024, stream_for(3, 0, "g"))
+        start = ExtendedCount.exact(x0)
+        scalar = np.array(
+            [reference.step(start, params, stream_for(4, r, "g").generator).log() for r in range(300)]
         )
-        chunk = paths.log[1]
-        scalar = np.array([step(x0, params, stream_for(4, r, "g")).log() for r in range(300)])
         se = math.sqrt(chunk.var() / chunk.size + scalar.var() / scalar.size)
         assert abs(chunk.mean() - scalar.mean()) <= 4 * se
 
@@ -302,3 +271,37 @@ class TestChunkEngine:
         wide = OffspringLaw.explicit({1: 0.5, 2**15: 0.5}, max_k=2**15)
         with pytest.raises(ValueError, match="int64"):
             simulate_chunk(1, IGWParams(wide, 1.0), 10, ExtendedCount.exact(10**6), stream_for(0, 0, "t"))
+
+
+#: the scalar simulator and the helpers only tests read; their oracles live
+#: in tests/reference.py
+REMOVED = {
+    "igw_process": ("step", "simulate_trajectory", "asymptotic_ratios", "Trajectory", "RatioRow"),
+    "gw_engine": (
+        "simulate_total_progeny", "thin", "_next_generation_exact", "INDIVIDUAL_DRAW_LIMIT",
+        "_logaddexp", "_log_of_int", "ZERO_COUNT",
+    ),
+    "reproduction_laws": ("sample_offspring", "chi", "log_chi"),
+    "exact_dist": ("transition_kernel", "_envelope_kernels"),
+}
+
+
+def test_scalar_path_is_gone():
+    modules = {name: importlib.import_module(f"igw.{name}") for name in REMOVED}
+    for name in sorted({n for names in REMOVED.values() for n in names}):
+        assert not hasattr(igw, name), name
+        for module in modules.values():
+            assert not hasattr(module, name), (module.__name__, name)
+    for attr in ("uniform", "uniforms", "normal", "normals", "binomial", "multinomial"):
+        assert not hasattr(RngStream, attr), attr
+    assert not hasattr(OffspringLaw, "cum_probs")
+    for path in Path(igw.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("tests", "reference", "conftest"), (path.name, name)

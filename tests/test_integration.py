@@ -1,7 +1,7 @@
-"""Cross-checks between the two independent engines: the stochastic
-simulator (per-draw sampling, count ladder) and the exact truncated dynamic
-program (convolutions, envelopes).  Agreement here exercises both stacks
-end to end."""
+"""Cross-checks between the two independent engines: the batched stochastic
+simulator (per-generation draws, count ladder) and the exact truncated
+dynamic program (pgf composition, envelopes).  Agreement here exercises
+both stacks end to end."""
 
 import math
 
@@ -12,13 +12,14 @@ from igw import (
     ExtendedCount,
     IGWParams,
     OffspringLaw,
-    TerminationKind,
     finite_horizon_death,
     one_step_dist,
-    simulate_trajectory,
-    step,
+    simulate_chunk,
     stream_for,
 )
+from igw.igw_process import DIED
+
+from conftest import first_states
 
 CAPS = Caps(512, 512, 64)
 
@@ -29,10 +30,8 @@ def test_one_step_dist_matches_simulator():
     x, n = 3, 60_000
     exact = one_step_dist(x, params, CAPS)
     assert exact.overflow < 1e-9
-    counts = np.zeros(len(exact.atoms))
-    for r in range(n):
-        out = step(x, params, stream_for(303, r, "xcheck"))
-        counts[out.exact_value] += 1
+    states, _ = first_states(x, params, n, stream_for(303, 0, "xcheck"))
+    counts = np.bincount(states, minlength=len(exact.atoms))
     for v in range(25):  # covers all but ~1e-6 of the mass
         p = float(exact.atoms[v])
         se = math.sqrt(max(p * (1 - p), 1e-8) / n)
@@ -43,13 +42,7 @@ def test_finite_horizon_death_matches_simulator():
     params = IGWParams(OffspringLaw.binary(0.5), 0.7)
     x, horizon, n = 2, 4, 40_000
     iv = finite_horizon_death(x, params, horizon, CAPS)
-    died = 0
-    for r in range(n):
-        traj = simulate_trajectory(
-            x, params, horizon, ExtendedCount.from_log(700.0), stream_for(404, r, "fh")
-        )
-        if traj.termination is TerminationKind.DIED and traj.termination_step <= horizon:
-            died += 1
-    freq = died / n
+    paths = simulate_chunk(x, params, horizon, ExtendedCount.from_log(700.0), stream_for(404, 0, "fh"), n)
+    freq = float(np.mean((paths.termination == DIED) & (paths.steps <= horizon)))
     se = math.sqrt(freq * (1 - freq) / n)
     assert iv.lo - 4 * se <= freq <= iv.hi + 4 * se

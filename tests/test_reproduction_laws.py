@@ -8,19 +8,23 @@ from igw import (
     IGWParams,
     LawSpecError,
     OffspringLaw,
-    chi,
     format_law_spec,
-    log_chi,
     mean,
     parse_law_spec,
     pgf_eval,
-    sample_offspring,
     stream_for,
     thinned_pgf,
     variance,
 )
 
-from conftest import small_laws
+from conftest import first_states, small_laws
+from reference import chi, log_chi
+
+
+def offspring_draws(law: OffspringLaw, n: int, rng) -> np.ndarray:
+    """n offspring counts as the batched engine draws them: X_1 from state
+    1 at theta = 1 is Z_1."""
+    return first_states(1, IGWParams(law, 1.0), n, rng)[0]
 
 
 class TestLawConstruction:
@@ -181,32 +185,31 @@ class TestChi:
 class TestSampling:
     def test_point_mass(self):
         law = OffspringLaw.explicit({3: 1.0})
-        rng = stream_for(1, 0, "test")
-        assert all(sample_offspring(law, rng) == 3 for _ in range(20))
+        assert (offspring_draws(law, 20, stream_for(1, 0, "test")) == 3).all()
 
     def test_binary_zero(self):
         law = OffspringLaw.binary(0.0)
-        rng = stream_for(1, 0, "test")
-        assert all(sample_offspring(law, rng) == 1 for _ in range(20))
+        assert (offspring_draws(law, 20, stream_for(1, 0, "test")) == 1).all()
 
     def test_statistical_mean(self):
         law = OffspringLaw.binary(0.5)
-        rng = stream_for(42, 0, "test")
         n = 100_000
-        draws = np.array([sample_offspring(law, rng) for _ in range(n)])
+        draws = offspring_draws(law, n, stream_for(42, 0, "test"))
         se = math.sqrt(variance(law) / n)
         assert abs(draws.mean() - 1.5) <= 4 * se
 
     def test_histogram_chisquare(self):
+        # a multinomial law and a two-atom law, which draws by one binomial
         from scipy.stats import chisquare
 
-        law = OffspringLaw.explicit({0: 0.2, 1: 0.3, 2: 0.5})
-        rng = stream_for(7, 0, "gof")
         n = 100_000
-        draws = np.array([sample_offspring(law, rng) for _ in range(n)])
-        observed = np.bincount(draws, minlength=3)
-        _, pvalue = chisquare(observed, n * law.probs_array)
-        assert pvalue > 1e-3
+        for law in (OffspringLaw.explicit({0: 0.2, 1: 0.3, 2: 0.5}), OffspringLaw.explicit({1: 0.4, 3: 0.6})):
+            draws = offspring_draws(law, n, stream_for(7, 0, "gof"))
+            observed = np.bincount(draws, minlength=law.max_k + 1)
+            seen = law.probs_array > 0.0
+            assert observed[~seen].sum() == 0
+            _, pvalue = chisquare(observed[seen], n * law.probs_array[seen])
+            assert pvalue > 1e-3
 
 
 class TestSpecStrings:
