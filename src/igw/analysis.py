@@ -10,7 +10,9 @@ Certificates
       phi(y) = y + 1 and psi(y) = y^2, the chance that the chain ever fails
       to gain a unit is controlled by gamma(y) >= P_y(X_1 <= y + 1), and
       P_y(always gaining) >= prod_k (1 - gamma(y + k)).  Small y use exact
-      one-step tail probabilities; large y use a Markov bound on 1/Z_y,
+      one-step tail probabilities, read off the thinned composition H_y of
+      :mod:`igw.exact_dist` (exact, so no truncation cap enters); large y
+      use a Markov bound on 1/Z_y,
       with E(1/Z_y) bounded above by one certified trapezoid sum, plus an
       exponential-moment bound on the thinning, and the infinite tail is
       closed in closed form once the terms provably decay geometrically.
@@ -30,17 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from statistics import NormalDist
 
 import numpy as np
 
-from .exact_dist import (
-    Caps,
-    IntervalProb,
-    binomial_table,
-    finite_horizon_death,
-    total_progeny_dist,
-)
+from .exact_dist import Caps, IntervalProb, finite_horizon_death, thinned_rows
 from .gw_engine import ExtendedCount, harmonic_moment
 from .igw_process import EXPLODED, ChunkPaths, map_chunks, states_below
 from .reproduction_laws import IGWParams, RegimeError, mean, thinned_pgf
@@ -49,6 +46,12 @@ from .reproduction_laws import IGWParams, RegimeError, mean, thinned_pgf
 #: strictly inside (0, 1) even when the underlying tails underflow floats;
 #: inflating a gamma only weakens (never invalidates) the lower bound.
 GAMMA_FLOOR = 1e-16
+
+#: the analytic region ends at the first state whose stall bound is at most
+#: STOP_EPS once both tail terms provably decay geometrically; a certificate
+#: that needs more than MAX_TERMS analytic states is reported invalid.
+STOP_EPS = 1e-12
+MAX_TERMS = 100_000
 
 
 # -- fixed points and closed forms ----------------------------------------------
@@ -178,16 +181,17 @@ def explosion_lower_bound(
     params: IGWParams,
     caps: Caps = Caps(),
     switch_point: int = 64,
-    *,
-    stop_eps: float = 1e-12,
-    max_terms: int = 100_000,
 ) -> ExplosionCertificate:
     """Certified lower bound on the explosion probability from state x.
 
     Requires p_0 = 0, p_1 != 1, x >= 1.  Exact one-step tail probabilities
-    are used while x_k = x + k stays at or below ``switch_point`` (with
-    untracked total-progeny mass bounded by its worst-case binomial tail);
-    beyond that, gamma(y) <= y^2 * E(1/Z_y) + Chernoff(thinning).
+    are used while x_k = x + k stays at or below ``switch_point``: the law
+    of X_1 from y by the thinned composition H_y, cut at switch_point + 1,
+    is exact on 0..y + 1, so P_y(X_1 <= y + 1) is the sum of those atoms
+    and no cap enters.  ``caps`` is therefore ignored; it stays in the
+    signature for callers that pass it positionally, as ``Caps.z_cap``
+    does.  Beyond ``switch_point``,
+    gamma(y) <= y^2 * E(1/Z_y) + Chernoff(thinning).
     E(1/Z_y) is bounded once, at the first analytic state, by the certified
     trapezoid bound of :func:`harmonic_moment`, and carried to every later
     state by the provable one-step contraction
@@ -206,28 +210,19 @@ def explosion_lower_bound(
     contraction = 1.0 - (1.0 - law.p1) / 2.0
     raw: list[tuple[int, float, str]] = []
 
-    # exact region
-    exact_top = min(switch_point, x + max_terms)
-    if x <= exact_top:
-        # cdf[s, t] = P(Binomial(s, theta) <= t) for s <= s_cap + 1; every
-        # t >= s_cap + 1 reads the last column, where the cdf is 1
-        t_max = min(exact_top, caps.s_cap) + 1
-        cdf = np.cumsum(binomial_table(theta, caps.s_cap + 1, t_max), axis=1)
-        for y in range(x, exact_top + 1):
-            dist = total_progeny_dist(law, y, s_cap=caps.s_cap)
-            t = min(y + 1, t_max)
-            nz = np.nonzero(dist.atoms)[0]
-            p = float(np.dot(dist.atoms[nz], cdf[nz, t]))
-            if dist.overflow > 0.0:
-                p += dist.overflow * float(cdf[caps.s_cap + 1, t])
-            raw.append((y, min(p, 1.0), "exact"))
+    # exact region, y = x..switch_point (zip stops before composing any row
+    # when x > switch_point): row y holds P_y(X_1 = offset + i) = coef[i]
+    rows = islice(thinned_rows(law, theta, switch_point + 1), x, None)
+    for y, row in zip(range(x, switch_point + 1), rows):
+        p = float(row.coef[: max(0, y + 2 - row.offset)].sum())
+        raw.append((y, min(p, 1.0), "exact"))
 
     # analytic region, extended until the terms are provably in geometric decay
     y = harmonic_y = max(x, switch_point + 1)
     harmonic_bound = h_used = harmonic_moment(law, y)
     terms = 0
     while True:
-        if terms >= max_terms:
+        if terms >= MAX_TERMS:
             return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, harmonic_y, harmonic_bound)
         gamma_a = (y * y) * h_used
         gamma_b = _chernoff_thinning(y, theta)
@@ -240,7 +235,7 @@ def explosion_lower_bound(
         else:
             beta = _bernoulli_decay(theta)
             ratio_b_ok = 1.0 + (2.0 * y + 1.0) * math.log(beta) < 0.0
-        if g <= stop_eps and ratio_a_ok and ratio_b_ok:
+        if g <= STOP_EPS and ratio_a_ok and ratio_b_ok:
             break
         y += 1
         h_used *= contraction

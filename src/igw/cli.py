@@ -225,7 +225,7 @@ def _cmd_bounds(args, out) -> int:
         return 0
     if what == "explosion":
         params = _params(args)
-        cert = explosion_lower_bound(args.x, params, args.caps, args.switch_point)
+        cert = explosion_lower_bound(args.x, params, switch_point=args.switch_point)
         rows = [[s.x_k, _fmt(s.gamma_raw), _fmt(s.gamma), s.method] for s in cert.steps]
         meta = _meta(
             args,
@@ -440,7 +440,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="analytic certificates")
     p.add_argument("what", choices=["q-star", "binary-death", "geometric-death", "explosion"])
-    _add_common(p, law=False, caps=True)
+    _add_common(p, law=False)
     p.add_argument("--law", help="binary:LAMBDA or pmf:k1=p1,...")
     p.add_argument("--theta", type=float)
     p.add_argument("--x", type=int, default=1)

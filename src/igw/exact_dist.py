@@ -16,10 +16,11 @@ Each series is composed from the one before by power series arithmetic.
 The coefficient of u^j on the right depends only on coefficients 0..j of
 the series before, so truncation is exact: atoms below the cap are the true
 probabilities up to float rounding, and the missing mass lies provably
-beyond the cap.  The law of S_x is cut at ``s_cap``; the law of X_1, and
-with it every kernel row, death interval and one-step law, is cut at
-``x_cap`` alone.  ``s_cap`` bounds only :func:`total_progeny_dist` and the
-exact region of the explosion certificate, which reads it.
+beyond the cap.  The law of S_x is cut at ``s_cap``, and only
+:func:`total_progeny_dist` reads it.  The law of X_1, and with it every
+kernel row, death interval and one-step law, is cut at ``x_cap`` alone.
+The explosion certificate reads the same rows of H_x, cut just above the
+largest state of its exact region (:func:`thinned_rows`).
 
 Every death probability is closed into a rigorous two-sided interval:
 
@@ -79,9 +80,8 @@ class Caps:
 
     ``x_cap`` truncates the chain: one-step laws, kernel rows and every
     death interval are exact below it and read nothing else.  ``s_cap``
-    truncates the law of S_x, which only :func:`total_progeny_dist` and the
-    exact region of the explosion certificate read.  ``z_cap`` is accepted
-    for compatibility and affects no result.
+    truncates the law of S_x, which only :func:`total_progeny_dist` reads.
+    ``z_cap`` is accepted for compatibility and affects no result.
     """
 
     z_cap: int = 4096
@@ -224,41 +224,15 @@ def total_progeny_dist(
     return TruncatedDist(_atoms(prog, s_cap), prog.overflow, warning)
 
 
-# -- binomial table (read by the explosion certificate's exact region) ----------
-
-
-def binomial_table(theta: float, s_max: int, j_max: int) -> np.ndarray:
-    """B[s, j] = P(Binomial(s, theta) = j) for s = 0..s_max, j = 0..j_max.
-
-    Built by Pascal's rule, one row from the last:
-    B[s, j] = (1 - theta) * B[s-1, j] + theta * B[s-1, j-1].  Each entry is
-    a convex combination of two entries of the row before, so its relative
-    error grows by at most about one rounding per row.  Entries below the
-    smallest normal float are set to 0 as each row is made: the binomial
-    pmf there underflows anyway, and a subnormal left in would never decay
-    ((1 - theta) * 5e-324 rounds back up to 5e-324) and would slow every
-    product that reads the table.
-    """
-    keep, move = 1.0 - theta, theta
-    tiny = np.finfo(float).tiny
-    B = np.zeros((s_max + 1, j_max + 1))
-    B[0, 0] = 1.0
-    for s in range(1, s_max + 1):
-        w = min(s, j_max) + 1  # B[s - 1, w - 1] = 0 while s <= j_max
-        prev, row = B[s - 1, :w], B[s, :w]
-        np.multiply(prev, keep, out=row)
-        row[1:] += move * prev[:-1]
-        row[row < tiny] = 0.0
-    return B
-
-
 # -- the law of X_1 by thinned pgf composition -----------------------------------
 
 
-def _thinned_rows(law: OffspringLaw, theta: float, x_cap: int) -> Iterator[_Progeny]:
+def thinned_rows(law: OffspringLaw, theta: float, x_cap: int) -> Iterator[_Progeny]:
     """The laws of X_1 from x = 0, 1, 2, ... on 0..x_cap, by the thinned
     total-progeny equation H_x(u) = f((1 - theta + theta*u) * H_{x-1}(u));
-    each row is composed only when it is asked for."""
+    each row is composed only when it is asked for.  Row x holds
+    P_x(X_1 = offset + i) = coef[i] exactly (up to rounding) for every
+    offset + i <= x_cap, and its overflow is P_x(X_1 > x_cap)."""
     row = _Progeny(np.ones(1), 0, 0.0)
     while True:
         yield row
@@ -273,7 +247,7 @@ def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDi
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    row = next(islice(_thinned_rows(params.law, params.theta, caps.x_cap), x, None))
+    row = next(islice(thinned_rows(params.law, params.theta, caps.x_cap), x, None))
     warning = "all-mass-in-overflow" if row.overflow > 1.0 - 1e-9 else None
     return TruncatedDist(_atoms(row, caps.x_cap), row.overflow, warning)
 
@@ -326,7 +300,7 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[_Kernel, _Kernel]:
     phantom in the lower one.
     """
     live, shared = [], 0.0  # the shared row is unused when no row is dead
-    for row in islice(_thinned_rows(params.law, params.theta, x_cap), x_cap + 1):
+    for row in islice(thinned_rows(params.law, params.theta, x_cap), x_cap + 1):
         mass = float(row.coef.sum())
         if mass < KERNEL_FLOOR:
             shared = mass

@@ -1,12 +1,12 @@
 """Test oracles the package is compared against.
 
 * The progeny route to the envelope kernels.  Row x is the theta-thinning
-  of the tracked law of S_x, read through the Pascal binomial table.
+  of the tracked law of S_x, read through a binomial table built by
+  Pascal's rule (``binomial_table``, checked against scipy.stats).
   Totals beyond ``s_cap`` thin like the stochastically smallest count
   consistent with them, Binomial(s_cap + 1, theta), in the upper kernel and
-  go to the phantom in the lower one.  It shares the law of S_x and the
-  binomial table with the package, but not the thinned composition of the
-  kernel rows.
+  go to the phantom in the lower one.  It shares the law of S_x with the
+  package, but not the thinned composition of the kernel rows.
 * A scalar simulator of the chain, one path at a time on a numpy
   generator: one multinomial draw per generation while Z is exact, the
   Gaussian tier with the package's handover level and fold beyond it, and
@@ -27,9 +27,33 @@ import numpy as np
 
 from igw import Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, mean
 from igw.analysis import fixed_point_q
-from igw.exact_dist import _floor_into, _kernels, _progeny_laws, binomial_table
+from igw.exact_dist import _floor_into, _kernels, _progeny_laws
 from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, THIN_EXACT_LIMIT, law_context
 from igw.reproduction_laws import MEAN_CRITICAL_TOL
+
+
+def binomial_table(theta: float, s_max: int, j_max: int) -> np.ndarray:
+    """B[s, j] = P(Binomial(s, theta) = j) for s = 0..s_max, j = 0..j_max.
+
+    Built by Pascal's rule, one row from the last:
+    B[s, j] = (1 - theta) * B[s-1, j] + theta * B[s-1, j-1].  Each entry is
+    a convex combination of two entries of the row before, so its relative
+    error grows by at most about one rounding per row.  Entries below the
+    smallest normal float are set to 0 as each row is made: the pmf there
+    underflows anyway, and a subnormal left in would never decay
+    ((1 - theta) * 5e-324 rounds back up to 5e-324).
+    """
+    keep, move = 1.0 - theta, theta
+    tiny = np.finfo(float).tiny
+    B = np.zeros((s_max + 1, j_max + 1))
+    B[0, 0] = 1.0
+    for s in range(1, s_max + 1):
+        w = min(s, j_max) + 1  # B[s - 1, w - 1] = 0 while s <= j_max
+        prev, row = B[s - 1, :w], B[s, :w]
+        np.multiply(prev, keep, out=row)
+        row[1:] += move * prev[:-1]
+        row[row < tiny] = 0.0
+    return B
 
 
 def progeny_rows(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

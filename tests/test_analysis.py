@@ -20,6 +20,7 @@ from igw import (
     mc_death_prob,
     mc_ratio_convergence,
     mean,
+    parse_law_spec,
     ratio_crossing_errors,
     submultiplicativity_check,
     thinned_pgf,
@@ -152,6 +153,17 @@ class TestExplosionCertificate:
             assert calls == [65]
             assert cert.harmonic_y == 65
             assert cert.harmonic_bound == harmonic_moment(params.law, 65)
+
+    @pytest.mark.parametrize("theta", [0.6, 0.92, 1.0])
+    @pytest.mark.parametrize("spec", ["binary:0.5", "binary:0.6", "pmf:2=0.5,3=0.5"])
+    def test_certificate_reads_no_cap(self, spec, theta):
+        # s_cap = 64 cuts most of the law of S_y for y near the switch point
+        # (64); the exact region reads the thinned rows cut at
+        # switch_point + 1, where truncation is exact, so it must not change
+        params = IGWParams(parse_law_spec(spec), theta)
+        starved = explosion_lower_bound(2, params, Caps(4096, 64, 512))
+        assert starved == explosion_lower_bound(2, params)
+        assert starved.valid
 
     def test_nondecreasing_in_start_state(self):
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)

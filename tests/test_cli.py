@@ -1,6 +1,8 @@
 import io
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +147,18 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert "--quad-tol" in err
 
+    def test_caps_option_removed_from_bounds(self, capsys):
+        # none of the four bounds reads a truncation cap
+        code, _, err = run_cli(
+            [
+                "bounds", "explosion", "--law", "binary:1", "--theta", "0.9", "--x", "10",
+                "--caps", "256,256,64",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "--caps" in err
+
 
 class TestVerify:
     def test_submult_ok(self, capsys):
@@ -254,8 +268,7 @@ class TestMetadata:
         assert meta["igw_version"]
 
     def test_explosion_names_its_harmonic_bound(self, capsys):
-        args = ["bounds", "explosion", "--law", "binary:0.6", "--theta", "0.92", "--x", "8",
-                "--caps", "256,256,64"]
+        args = ["bounds", "explosion", "--law", "binary:0.6", "--theta", "0.92", "--x", "8"]
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         meta = meta_dict(out)
@@ -333,6 +346,25 @@ class TestConfigFile:
         code, out, _ = run_cli(["classify", "--config", str(cfg), "--theta", "0.9"], capsys)
         assert code == 0
         assert data_lines(out)[1] == "MeanExplodes,MixedDeathOrExplosion"
+
+
+def readme_commands() -> list[str]:
+    """The ``igw ...`` lines of README's fenced ``sh`` blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M)
+    return [ln for block in blocks for ln in block.splitlines() if ln.startswith("igw ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 12
+    for line in commands:
+        code, out, err = run_cli(shlex.split(line)[1:], capsys)
+        assert code == 0, (line, err)
+        lines = out.splitlines()
+        n_meta = next(i for i, ln in enumerate(lines) if not ln.startswith("# "))
+        assert n_meta > 0, line
+        assert re.fullmatch(r"[a-z_0-9]+(,[a-z_0-9]+)*", lines[n_meta]), (line, lines[n_meta])
 
 
 def test_import_leaves_scipy_out():

@@ -20,9 +20,9 @@ from igw import (
     pgf_eval,
     total_progeny_dist,
 )
-from igw.analysis import fixed_point_q
+from igw.analysis import explosion_lower_bound, fixed_point_q
 import igw.exact_dist as exact_dist
-from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _progeny_cache, binomial_table
+from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _progeny_cache
 
 import reference
 from conftest import enumerate_total_progeny, law_fractions, small_laws
@@ -124,7 +124,7 @@ class TestBinomialTable:
     def test_pascal_table_matches_scipy(self, theta):
         from scipy.stats import binom
 
-        B = binomial_table(theta, 4097, 512)
+        B = reference.binomial_table(theta, 4097, 512)
         ref = binom.pmf(np.arange(513)[None, :], np.arange(4098)[:, None], theta)
         big = ref >= 1e-290
         rel = np.abs(B[big] - ref[big]) / ref[big]
@@ -417,12 +417,15 @@ class TestThinnedKernels:
         def forbidden(*args, **kwargs):
             raise AssertionError("read while building an envelope")
 
-        monkeypatch.setattr(exact_dist, "binomial_table", forbidden)
         monkeypatch.setattr(exact_dist, "_progeny_laws", forbidden)
         _envelope.cache_clear()
         params = IGWParams(parse_law_spec("binary:0.6"), 0.8)
         assert death_prob_interval(3, params).width == 0.0
         assert finite_horizon_death(3, params, 5).lo > 0.0
+        # the explosion certificate's exact region reads the same thinned
+        # rows, so its pinned value comes out with the law of S_x forbidden
+        cert = explosion_lower_bound(2, IGWParams(parse_law_spec("binary:0.6"), 0.92))
+        assert cert.bound == pytest.approx(0.3954270256435304, rel=1e-12, abs=0.0)
 
 
 class TestIntervalProb:

@@ -19,6 +19,7 @@ from igw import (
     RngStream,
     TerminationKind,
     classify_regimes,
+    death_prob_interval,
     finite_horizon_death,
     parse_law_spec,
     simulate_chunk,
@@ -204,17 +205,20 @@ class TestChunkEngine:
             assert iv.lo - 4 * se <= freq <= iv.hi + 4 * se, (spec, x, n, freq, iv)
 
     def test_three_tier_case_matches_scalar_reference(self):
-        # paths cross the exact, Gaussian and log tiers before exploding
-        params = IGWParams(OffspringLaw.binary(0.5), 0.9)
+        # paths cross the exact, Gaussian and log tiers before exploding.
+        # From x0 = 1 at theta = 0.7 both verdicts are common: P(die) is
+        # 0.5584 here and 0.2481 at theta = sqrt(0.7), so a wrong thinning
+        # rate in either simulator moves its death fraction by many SE
+        params = IGWParams(OffspringLaw.binary(0.5), 0.7)
         threshold = ExtendedCount.from_log(700.0)
         counts = np.zeros(3)
         for c in range(4):
-            paths = simulate_chunk(3, params, 200, threshold, stream_for(6, c, "tiers"))
+            paths = simulate_chunk(1, params, 200, threshold, stream_for(6, c, "tiers"))
             counts += np.bincount(paths.termination, minlength=3)
         n_chunk = counts.sum()
         n_ref = 1500
         ref = Counter(
-            reference.trajectory(3, params, 200, threshold, stream_for(7, r, "tiers").generator)[0]
+            reference.trajectory(1, params, 200, threshold, stream_for(7, r, "tiers").generator)[0]
             for r in range(n_ref)
         )
         assert counts[UNDECIDED] == 0 and ref[TerminationKind.HORIZON] == 0
@@ -223,6 +227,11 @@ class TestChunkEngine:
             p2 = ref[TERMINATIONS[code]] / n_ref
             se = math.sqrt(max(p1 * (1 - p1), 1e-12) / n_chunk + max(p2 * (1 - p2), 1e-12) / n_ref)
             assert abs(p1 - p2) <= 4 * se, (TERMINATIONS[code], p1, p2)
+        # both samples against the certified death probability
+        iv = death_prob_interval(1, params)
+        for died, n in ((counts[DIED], n_chunk), (ref[TerminationKind.DIED], n_ref)):
+            se = math.sqrt(iv.hi * (1.0 - iv.lo) / n)
+            assert iv.lo - 4 * se <= died / n <= iv.hi + 4 * se, (died / n, iv)
 
     @pytest.mark.parametrize("x0", [100, 400])
     def test_first_step_in_gaussian_and_folded_tiers_matches_scalar(self, x0):
