@@ -36,6 +36,7 @@ from .gw_engine import (
     ExtendedCount,
     RngStream,
     harmonic_moment,
+    harmonic_moments,
     stream_for,
 )
 from .igw_process import (

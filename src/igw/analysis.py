@@ -9,13 +9,16 @@ Certificates
     * a product lower bound on the explosion probability: with
       phi(y) = y + 1 and psi(y) = y^2, the chance that the chain ever fails
       to gain a unit is controlled by gamma(y) >= P_y(X_1 <= y + 1), and
-      P_y(always gaining) >= prod_k (1 - gamma(y + k)).  Small y use exact
-      one-step tail probabilities, read off the thinned composition H_y of
-      :mod:`igw.exact_dist` (exact, so no truncation cap enters); large y
-      use a Markov bound on 1/Z_y,
-      with E(1/Z_y) bounded above by one certified trapezoid sum, plus an
-      exponential-moment bound on the thinning, and the infinite tail is
-      closed in closed form once the terms provably decay geometrically.
+      P_y(always gaining) >= prod_k (1 - gamma(y + k)).  States below a
+      switch point y0 use exact one-step tail probabilities, read off the
+      thinned composition H_y of :mod:`igw.exact_dist` (exact, so no
+      truncation cap enters); from y0 on, a Markov bound on 1/Z_y, with
+      E(1/Z_y) bounded above by a certified trapezoid sum taken at y0 and
+      carried by a contraction, plus an exponential-moment bound on the
+      thinning.  y0 is read off the law: it is where that analytic bound
+      stops decreasing.  The infinite tail is closed in closed form once
+      the terms provably decay geometrically, and all arithmetic after the
+      trapezoid sum is rounded outward.
 
 Monte Carlo
     Every experiment runs on the batched engine of :mod:`igw.igw_process`:
@@ -32,15 +35,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 from statistics import NormalDist
+from typing import Iterator
 
 import numpy as np
 
 from .exact_dist import Caps, IntervalProb, finite_horizon_death, thinned_rows
-from .gw_engine import ExtendedCount, harmonic_moment
+from .gw_engine import ExtendedCount, harmonic_moments
 from .igw_process import EXPLODED, ChunkPaths, map_chunks, states_below
-from .reproduction_laws import IGWParams, RegimeError, mean, thinned_pgf
+from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, mean, thinned_pgf
 
 #: every product factor is kept at least this large so certificates stay
 #: strictly inside (0, 1) even when the underlying tails underflow floats;
@@ -52,6 +56,11 @@ GAMMA_FLOOR = 1e-16
 #: that needs more than MAX_TERMS analytic states is reported invalid.
 STOP_EPS = 1e-12
 MAX_TERMS = 100_000
+
+#: the search for the switch point between the exact and the analytic
+#: region stops here at the latest (about a second for laws with a heavy
+#: one-child atom, whose harmonic bounds decay slowest).
+MAX_SWITCH = 1024
 
 
 # -- fixed points and closed forms ----------------------------------------------
@@ -86,6 +95,8 @@ def fixed_point_q(params: IGWParams, tol: float = 1e-12) -> float:
     width_goal = min(tol, 1e-14)
     while hi - lo > width_goal:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: tol is below their spacing
         if thinned_pgf(params, mid) > mid:
             lo = mid
         else:
@@ -146,7 +157,7 @@ class CertificateStep:
 class ExplosionCertificate:
     """The product bound and its audit trail.  ``harmonic_bound`` is the
     certified upper bound on E(1/Z_y) taken at state ``harmonic_y``, the
-    first analytic state; every later state carries it by the contraction."""
+    switch point y0; every analytic state carries it by the contraction."""
 
     start: int
     steps: tuple[CertificateStep, ...]
@@ -158,45 +169,111 @@ class ExplosionCertificate:
     harmonic_bound: float
 
 
-def _bernoulli_decay(theta: float) -> float:
-    """E(e^{-survival indicator}) for one thinning trial."""
-    return 1.0 - theta + theta / math.e
+def _up(v: float) -> float:
+    """The next float above v.  It bounds from above the exact result of
+    one correctly rounded operation, or of one libm call accurate to an ulp,
+    that returned v."""
+    return math.nextafter(v, math.inf)
+
+
+def _down(v: float) -> float:
+    """The next float below v, the lower counterpart of :func:`_up`."""
+    return math.nextafter(v, -math.inf)
+
+
+def _log_beta(theta: float) -> float:
+    """An upper bound on log E(e^{-B}) = log(1 - theta + theta/e) for one
+    thinning trial B: a negative number, rounded towards zero.  math.e lies
+    below e, so theta / math.e lies above theta / e."""
+    return _up(math.log(_up(_up(1.0 - theta) + _up(theta / math.e))))
 
 
 def _chernoff_thinning(y: int, theta: float) -> float:
-    """Upper bound on P(Binomial(y^2, theta) <= y + 1).
+    """Upper bound on P(Binomial(y^2, theta) <= y + 1),
+    e^{y+1} E(e^{-B})^{y^2}, rounded upward.
 
     With no thinning the count is exactly y^2 > y + 1 for y >= 2, so the
     probability is identically zero.
     """
     if theta == 1.0:
         return 0.0 if y * y > y + 1 else 1.0
-    beta = _bernoulli_decay(theta)
-    log_b = (y + 1.0) + (y * y) * math.log(beta)
-    return math.exp(log_b) if log_b < 0.0 else 1.0
+    log_b = _up((y + 1.0) + _up((y * y) * _log_beta(theta)))
+    return min(_up(math.exp(log_b)), 1.0) if log_b < 0.0 else 1.0
+
+
+def _stall_bound(y: int, h: float, theta: float) -> float:
+    """gamma(y) = y^2 h + Chernoff(y) >= P_y(X_1 <= y + 1) when h bounds
+    E(1/Z_y) from above, rounded upward and not clamped at 1."""
+    return _up(_up((y * y) * h) + _chernoff_thinning(y, theta))
+
+
+def _contraction(p1: float) -> float:
+    """c = 1 - (1 - p_1)/2 rounded upward, the provable one-step
+    contraction E(1/Z_{y+1}) <= c * E(1/Z_y); c lies in [1/2, 1]."""
+    return _up(1.0 - _down(1.0 - p1) / 2.0)
+
+
+def _carried(h: float, contraction: float) -> Iterator[float]:
+    """h, h c, h c^2, ...: each product rounded upward, so the k-th value
+    bounds E(1/Z_{y+k}) from above when h bounds E(1/Z_y) and c bounds the
+    one-step contraction."""
+    while True:
+        yield h
+        h = _up(h * contraction)
+
+
+def _switch_point(law: OffspringLaw, theta: float) -> tuple[int, float]:
+    """The switch point y0 and h(y0), the harmonic bound there.
+
+    Walks :func:`harmonic_moments` from y = 1 and stops at the first y0
+    whose stall bound gamma(y0) is below 1 and no larger than
+    gamma(y0 + 1): past y0, h(y) no longer shrinks faster than y^2 grows,
+    so h(y0) carried by the contraction is the better bound.  The walk
+    ends at ``MAX_SWITCH`` at the latest.
+    """
+    prev_gamma = prev_h = math.inf
+    for y, h in zip(range(1, MAX_SWITCH + 1), harmonic_moments(law)):
+        gamma = _stall_bound(y, h, theta)
+        if prev_gamma < 1.0 and gamma >= prev_gamma:
+            return y - 1, prev_h
+        prev_gamma, prev_h = gamma, h
+    return MAX_SWITCH, prev_h
+
+
+def _harmonic_tail(h: float, r: float, y: int) -> float:
+    """Upper bound on sum_{k>=1} (y + k)^2 h r^k, the closed form
+    h (y^2 r/d + 2 y r/d^2 + r (1 + r)/d^3) with d = 1 - r, rounded
+    upward."""
+    d = 1.0 - r  # exact, since r lies in [1/2, 1]
+    d2 = _down(d * d)
+    d3 = _down(d2 * d)
+    s = _up(_up(_up((y * y) * r) / d) + _up(_up((2.0 * y) * r) / d2))
+    s = _up(s + _up(_up(r * _up(1.0 + r)) / d3))
+    return _up(h * s)
 
 
 def explosion_lower_bound(
     x: int,
     params: IGWParams,
     caps: Caps = Caps(),
-    switch_point: int = 64,
 ) -> ExplosionCertificate:
     """Certified lower bound on the explosion probability from state x.
 
-    Requires p_0 = 0, p_1 != 1, x >= 1.  Exact one-step tail probabilities
-    are used while x_k = x + k stays at or below ``switch_point``: the law
-    of X_1 from y by the thinned composition H_y, cut at switch_point + 1,
-    is exact on 0..y + 1, so P_y(X_1 <= y + 1) is the sum of those atoms
-    and no cap enters.  ``caps`` is therefore ignored; it stays in the
-    signature for callers that pass it positionally, as ``Caps.z_cap``
-    does.  Beyond ``switch_point``,
-    gamma(y) <= y^2 * E(1/Z_y) + Chernoff(thinning).
-    E(1/Z_y) is bounded once, at the first analytic state, by the certified
-    trapezoid bound of :func:`harmonic_moment`, and carried to every later
-    state by the provable one-step contraction
-    E(1/Z_{y+1}) <= (1 - (1-p_1)/2) * E(1/Z_y).  Returns bound 0 with
-    ``valid=False`` if any stall probability reaches 1.
+    Requires p_0 = 0, p_1 != 1, x >= 1.  The switch point y0 is found from
+    the law by :func:`_switch_point`.  Exact one-step tail probabilities
+    are used at the states x_k = x + k below y0: the law of X_1 from y by
+    the thinned composition H_y, cut at y0, is exact on 0..y + 1, so
+    P_y(X_1 <= y + 1) is the sum of those atoms and no cap enters.
+    ``caps`` is therefore ignored; it stays in the signature for callers
+    that pass it positionally.  From max(x, y0) on,
+    gamma(y) <= y^2 * E(1/Z_y) + Chernoff(thinning), with E(1/Z_y) bounded
+    once, at y0, by the certified trapezoid bound of
+    :func:`harmonic_moments`, and carried to every later state by the
+    provable one-step contraction
+    E(1/Z_{y+1}) <= (1 - (1-p_1)/2) * E(1/Z_y).  Every step after that
+    bound is rounded outward: the contraction, the carry, the stall bounds
+    and the tail sums upward, the final product downward.  Returns bound 0
+    with ``valid=False`` if any stall probability reaches 1.
     """
     law = params.law
     theta = params.theta
@@ -207,53 +284,42 @@ def explosion_lower_bound(
     if x < 1:
         raise ValueError("x must be >= 1")
 
-    contraction = 1.0 - (1.0 - law.p1) / 2.0
+    r = _contraction(law.p1)
+    harmonic_y, harmonic_bound = _switch_point(law, theta)
     raw: list[tuple[int, float, str]] = []
 
-    # exact region, y = x..switch_point (zip stops before composing any row
-    # when x > switch_point): row y holds P_y(X_1 = offset + i) = coef[i]
-    rows = islice(thinned_rows(law, theta, switch_point + 1), x, None)
-    for y, row in zip(range(x, switch_point + 1), rows):
+    # exact region, y = x..y0 - 1 (zip stops before composing any row when
+    # x >= y0): row y holds P_y(X_1 = offset + i) = coef[i]
+    rows = islice(thinned_rows(law, theta, harmonic_y), x, None)
+    for y, row in zip(range(x, harmonic_y), rows):
         p = float(row.coef[: max(0, y + 2 - row.offset)].sum())
         raw.append((y, min(p, 1.0), "exact"))
 
-    # analytic region, extended until the terms are provably in geometric decay
-    y = harmonic_y = max(x, switch_point + 1)
-    harmonic_bound = h_used = harmonic_moment(law, y)
-    terms = 0
-    while True:
+    # analytic region from max(x, y0), extended until the terms are provably
+    # in geometric decay
+    start = max(x, harmonic_y)
+    carried = islice(_carried(harmonic_bound, r), start - harmonic_y, None)
+    for terms, (y, h_used) in enumerate(zip(count(start), carried)):
         if terms >= MAX_TERMS:
             return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, harmonic_y, harmonic_bound)
-        gamma_a = (y * y) * h_used
-        gamma_b = _chernoff_thinning(y, theta)
-        g = min(gamma_a + gamma_b, 1.0)
+        g = min(_stall_bound(y, h_used, theta), 1.0)
         raw.append((y, g, "tail-bound"))
-        terms += 1
-        ratio_a_ok = contraction * ((y + 1.0) / y) ** 2 < 1.0
-        if theta == 1.0:
-            ratio_b_ok = True
-        else:
-            beta = _bernoulli_decay(theta)
-            ratio_b_ok = 1.0 + (2.0 * y + 1.0) * math.log(beta) < 0.0
+        ratio_a_ok = _up(r * (y + 1) ** 2) < y * y
+        ratio_b_ok = theta == 1.0 or _up(1.0 + _up((2.0 * y + 1.0) * _log_beta(theta))) < 0.0
         if g <= STOP_EPS and ratio_a_ok and ratio_b_ok:
             break
-        y += 1
-        h_used *= contraction
 
-    # closed-form tail beyond the last explicit state Y
-    Y = y
-    r = contraction
-    geom = r / (1.0 - r)
-    tail_a = h_used * (Y * Y * geom + 2.0 * Y * r / (1.0 - r) ** 2 + r * (1.0 + r) / (1.0 - r) ** 3)
-    b_next = _chernoff_thinning(Y + 1, theta)
-    if theta == 1.0 or b_next == 0.0:
+    # closed-form tail beyond the last explicit state Y = y
+    tail_a = _harmonic_tail(h_used, r, y)
+    b_next = _chernoff_thinning(y + 1, theta)
+    if b_next == 0.0:
         tail_b = 0.0
     else:
-        beta = _bernoulli_decay(theta)
-        r_b = math.e * beta ** (2.0 * (Y + 1.0) + 1.0)
-        tail_b = b_next / (1.0 - r_b) if r_b < 1.0 else math.inf
-    tail_sum = tail_a + tail_b
-    tail_sup = min(1.0, (Y + 1.0) ** 2 * h_used * r + b_next)
+        # b(k + 1)/b(k) = e * beta^(2k + 1) <= r_b for every k > y
+        r_b = _up(math.exp(_up(1.0 + _up((2.0 * y + 3.0) * _log_beta(theta)))))
+        tail_b = _up(b_next / _down(1.0 - r_b)) if r_b < 1.0 else math.inf
+    tail_sum = _up(tail_a + tail_b)
+    tail_sup = min(1.0, _up(_up(_up((y + 1) ** 2 * h_used) * r) + b_next))
 
     # monotone majorant: the product argument needs gamma nonincreasing in
     # the state, so each factor is the sup over all larger states
@@ -269,9 +335,11 @@ def explosion_lower_bound(
     if any(g >= 1.0 for g in gammas) or tail_sup >= 1.0 or not math.isfinite(tail_sum):
         return ExplosionCertificate(x, steps, tail_sum, tail_sup, 0.0, False, harmonic_y, harmonic_bound)
 
-    log_prod = sum(math.log1p(-g) for g in gammas)
-    log_tail = -tail_sum / (1.0 - tail_sup)
-    bound = math.exp(log_prod + log_tail)
+    log_prod = 0.0
+    for g in gammas:
+        log_prod = _down(log_prod + _down(math.log1p(-g)))
+    log_tail = _up(tail_sum / _down(1.0 - tail_sup))
+    bound = max(_down(math.exp(_down(log_prod - log_tail))), 0.0)
     return ExplosionCertificate(x, steps, tail_sum, tail_sup, bound, True, harmonic_y, harmonic_bound)
 
 

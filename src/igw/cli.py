@@ -225,7 +225,7 @@ def _cmd_bounds(args, out) -> int:
         return 0
     if what == "explosion":
         params = _params(args)
-        cert = explosion_lower_bound(args.x, params, switch_point=args.switch_point)
+        cert = explosion_lower_bound(args.x, params)
         rows = [[s.x_k, _fmt(s.gamma_raw), _fmt(s.gamma), s.method] for s in cert.steps]
         meta = _meta(
             args,
@@ -446,7 +446,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", type=int, default=1)
     p.add_argument("--q1", type=float, default=None, help="certified bound on the state-1 death probability")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--switch-point", type=int, default=64)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("mc", help="Monte Carlo estimates")

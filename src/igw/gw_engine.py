@@ -22,6 +22,10 @@ are computed once per law by :func:`law_context`.  All randomness flows
 through :class:`RngStream`, a counter-based (Philox) stream keyed by
 (master_seed, stream_id) so that a path depends only on its key, never on
 scheduling.
+
+Harmonic moments come from one pass, :func:`harmonic_moments`: it advances
+outward-rounded iterates of the generating function one generation per
+value and yields certified upper bounds on E(1/Z_y) for y = 1, 2, ....
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -219,7 +224,7 @@ _TINY = np.finfo(float).tiny
 
 @lru_cache(maxsize=1)
 def _trapezoid_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The fixed grid of :func:`harmonic_moment` and its cell widths.
+    """The fixed grid of :func:`harmonic_moments` and its cell widths.
 
     The dyadic points k / 2**16 on [0, 1] together with 1 - 2**(-j/64) for
     j = 64..3392: 64 points per octave of 1 - s, from 1/2 down to 2**-53,
@@ -235,9 +240,10 @@ def _trapezoid_grid() -> tuple[np.ndarray, np.ndarray]:
     return s, np.diff(s)
 
 
-def _iterate_upper(law: OffspringLaw, x: int, s: np.ndarray) -> np.ndarray:
-    """Upper bounds on f_x(s), the x-fold iterate of the generating function
-    of a law on {1..K}, at points s in [0, 1] whose 1 - s is exact.
+def _iterates(law: OffspringLaw, s: np.ndarray) -> Iterator[np.ndarray]:
+    """Upper bounds on f_y(s) for y = 1, 2, ..., the iterates of the
+    generating function of a law on {1..K}, at points s in [0, 1] whose
+    1 - s is exact; each value advances them by one generation.
 
     Each point is bounded twice and the smaller bound kept:
 
@@ -245,20 +251,25 @@ def _iterate_upper(law: OffspringLaw, x: int, s: np.ndarray) -> np.ndarray:
       step (at most 2K + 1 roundings) is inflated by 1 + 4K * 2**-53,
       raised by the smallest normal float to cover underflow and clamped
       at 1,
-    * in u = 1 - s, by a lower bound on u_x = 1 - f_x(s), iterated
+    * in u = 1 - s, by a lower bound on u_y = 1 - f_y(s), iterated
       downward through u -> 1 - f(1 - u) = u * sum_{i<K} T_{i+1} (1 - u)^i
       with the tail sums T_j = sum_{k>=j} p_k; every term is nonnegative,
       and each step (at most 4K - 2 roundings) is deflated by
       1 - 4K^2 * 2**-53.  This is the accurate one near s = 1, where
-      f_x(s) is 1 up to a tiny u_x; 1 - u_x is rounded upward.
+      f_y(s) is 1 up to a tiny u_y.  (1 - u) + 2**-53 bounds 1 - u from
+      above: the subtraction errs by at most 2**-54, and the addition
+      then rounds to a value no smaller than 1 - u.
     """
     probs = law.probs
     k_max = len(probs) - 1
-
+    tails = np.cumsum(probs[::-1])[::-1][1:]  # T_1..T_K
     up = 1.0 + 4 * k_max * _U
+    down = 1.0 - 4 * k_max * k_max * _U
     t = s.copy()
+    u = 1.0 - s
+    v = s.copy()  # 1 - u, exact on the grid
     acc = np.empty_like(s)
-    for _ in range(x):
+    while True:
         acc.fill(probs[-1])
         for p in reversed(probs[:-1]):
             acc *= t
@@ -268,12 +279,6 @@ def _iterate_upper(law: OffspringLaw, x: int, s: np.ndarray) -> np.ndarray:
         acc += _TINY
         np.minimum(acc, 1.0, out=t)
 
-    tails = np.cumsum(probs[::-1])[::-1][1:]  # T_1..T_K
-    down = 1.0 - 4 * k_max * k_max * _U
-    u = 1.0 - s
-    v = np.empty_like(s)
-    for _ in range(x):
-        np.subtract(1.0, u, out=v)
         acc.fill(tails[-1])
         for tail in tails[-2::-1]:
             acc *= v
@@ -281,34 +286,46 @@ def _iterate_upper(law: OffspringLaw, x: int, s: np.ndarray) -> np.ndarray:
         acc *= u
         acc *= down
         np.minimum(acc, 1.0, out=u)
+        np.subtract(1.0, u, out=v)
 
-    return np.minimum(t, np.nextafter(1.0 - u, 2.0))
+        bound = v + _U
+        np.minimum(t, bound, out=bound)
+        yield bound
 
 
-def harmonic_moment(law: OffspringLaw, x: int) -> float:
-    """A certified upper bound on E(1/Z_x) for a law that cannot die out
-    (p_0 = 0, so Z_x >= 1).
+def harmonic_moments(law: OffspringLaw) -> Iterator[float]:
+    """Certified upper bounds h(y) on E(1/Z_y) for y = 1, 2, ..., for a law
+    that cannot die out (p_0 = 0, so Z_y >= 1), in one pass over the
+    iterates of :func:`_iterates`.
 
-    E(1/Z_x) = integral_0^1 g(s) ds with g(s) = f_x(s)/s, f_x the x-fold
+    E(1/Z_y) = integral_0^1 g(s) ds with g(s) = f_y(s)/s, f_y the y-fold
     iterate of the generating function.  With p_0 = 0,
-    g(s) = sum_n P(Z_x = n) s^(n-1) has nonnegative coefficients, so g is
+    g(s) = sum_n P(Z_y = n) s^(n-1) has nonnegative coefficients, so g is
     nondecreasing and convex and every chord lies above it: the trapezoid
     rule on any grid is an upper bound, and no error estimate is needed.
     On the fixed grid of ``_trapezoid_grid`` (cells at most 2**-16 wide)
-    it exceeds the integral by at most 2**-35 * (E(Z_x) - 1).
+    it exceeds the integral by at most 2**-35 * (E(Z_y) - 1).
 
-    Rounding cannot break the bound: f_x(s) is bounded above by
-    ``_iterate_upper``, g(0) = p_1^x is inflated for rounding, and the
-    final sum of nonnegative terms (at most N + 2 roundings on N grid
-    points) by 1 + (N + 4) * 2**-53.
+    Rounding cannot break the bound: f_y(s) is bounded above by
+    ``_iterates``, g(0) = p_1^y is inflated for rounding, and the final
+    sum of nonnegative terms (at most N + 2 roundings on N grid points) by
+    1 + (N + 4) * 2**-53.  The p_0 check runs when the first value is
+    drawn.
     """
     if law.p0 > 0.0:
         raise RegimeError("harmonic moments via the pgf identity need p_0 = 0")
+    s, width = _trapezoid_grid()
+    inflate = 1.0 + (len(s) + 4) * _U
+    g = np.empty_like(s)
+    for y, f in enumerate(_iterates(law, s), start=1):
+        g[0] = law.p1**y * (1.0 + 4 * y * _U) + _TINY
+        np.divide(f[1:], s[1:], out=g[1:])
+        yield 0.5 * float(np.sum(width * (g[:-1] + g[1:]))) * inflate
+
+
+def harmonic_moment(law: OffspringLaw, x: int) -> float:
+    """h(x), the x-th value of :func:`harmonic_moments`: a certified upper
+    bound on E(1/Z_x) for a law with p_0 = 0."""
     if x < 1:
         raise ValueError("generation index must be >= 1")
-    s, width = _trapezoid_grid()
-    g = np.empty_like(s)
-    g[0] = law.p1**x * (1.0 + 4 * x * _U) + _TINY
-    np.divide(_iterate_upper(law, x, s)[1:], s[1:], out=g[1:])
-    total = 0.5 * float(np.sum(width * (g[:-1] + g[1:])))
-    return total * (1.0 + (len(s) + 4) * _U)
+    return next(islice(harmonic_moments(law), x - 1, None))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from igw import (
     geometric_absorption_check,
     geometric_death_bound,
     harmonic_moment,
+    harmonic_moments,
     mc_death_prob,
     mc_ratio_convergence,
     mean,
@@ -26,6 +28,7 @@ from igw import (
     thinned_pgf,
     wilson_interval,
 )
+from igw.analysis import _carried, _contraction, _harmonic_tail
 from igw.exact_dist import _envelope
 
 SMALL_CAPS = Caps(256, 256, 64)
@@ -62,6 +65,12 @@ class TestFixedPoint:
     def test_p0_rejected(self):
         with pytest.raises(RegimeError):
             fixed_point_q(IGWParams(OffspringLaw.explicit({0: 0.2, 2: 0.8}), 0.9))
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        # the bracket cannot shrink below one float spacing at q*
+        params = IGWParams(OffspringLaw.binary(0.5), 0.9)
+        q = fixed_point_q(params, 1e-300)
+        assert abs(thinned_pgf(params, q) - q) <= 1e-15
 
 
 class TestBinaryClosedForm:
@@ -125,49 +134,54 @@ class TestExplosionCertificate:
         assert cert.bound <= exact_product
 
     def test_pinned_bounds_with_one_quadrature(self, monkeypatch):
-        # one certified harmonic bound per certificate, at the first analytic
-        # state y = 65, carried down by the contraction.  Pinned from this
-        # code; the second entries are the bounds an adaptive Simpson
-        # estimate padded by 1e-10 gave, which a certified E(1/Z_65) far
-        # below 1e-10 may only improve on.
+        # one pass of certified harmonic bounds per certificate, walked to
+        # the switch point y0 = 84 and one state past it, then carried by the
+        # contraction.  Pinned from this code; the second entries are the
+        # bounds of the fixed switch point 64, the third those an adaptive
+        # Simpson estimate padded by 1e-10 gave, which may only be improved
         import igw.analysis
 
-        calls = []
+        drawn = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return harmonic_moment(*args, **kwargs)
+        def counting(law):
+            drawn.append(0)
+            for h in harmonic_moments(law):
+                drawn[-1] += 1
+                yield h
 
-        monkeypatch.setattr(igw.analysis, "harmonic_moment", counting)
+        monkeypatch.setattr(igw.analysis, "harmonic_moments", counting)
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)
         pinned = {
-            2: (0.3954270256435304, 0.395418796324328),
-            8: (0.9961406120673841, 0.9961198811650055),
+            2: (0.3954270314624218, 0.3954270256435304, 0.395418796324328),
+            8: (0.9961406267260651, 0.9961406120673841, 0.9961198811650055),
         }
-        for x, (want, simpson) in pinned.items():
-            calls.clear()
+        for x, (want, fixed, simpson) in pinned.items():
+            drawn.clear()
             cert = explosion_lower_bound(x, params)
             assert cert.valid
             assert cert.bound == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert cert.bound >= simpson
-            assert calls == [65]
-            assert cert.harmonic_y == 65
-            assert cert.harmonic_bound == harmonic_moment(params.law, 65)
+            assert cert.bound >= fixed and cert.bound >= simpson
+            assert drawn == [85]
+            assert cert.harmonic_y == 84
+            assert cert.harmonic_bound == harmonic_moment(params.law, 84)
 
     @pytest.mark.parametrize("theta", [0.6, 0.92, 1.0])
     @pytest.mark.parametrize("spec", ["binary:0.5", "binary:0.6", "pmf:2=0.5,3=0.5"])
     def test_certificate_reads_no_cap(self, spec, theta):
-        # s_cap = 64 cuts most of the law of S_y for y near the switch point
-        # (64); the exact region reads the thinned rows cut at
-        # switch_point + 1, where truncation is exact, so it must not change
+        # s_cap = 64 cuts most of the law of S_y for y near the switch point;
+        # the exact region reads the thinned rows cut at the switch point,
+        # where truncation is exact, so it must not change
         params = IGWParams(parse_law_spec(spec), theta)
         starved = explosion_lower_bound(2, params, Caps(4096, 64, 512))
         assert starved == explosion_lower_bound(2, params)
         assert starved.valid
 
     def test_nondecreasing_in_start_state(self):
+        # also across the switch point y0, where the exact region ends
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)
-        bounds = [explosion_lower_bound(x, params, SMALL_CAPS).bound for x in (2, 4, 8, 16)]
+        y0 = explosion_lower_bound(2, params).harmonic_y
+        xs = (2, 4, 8, 16, y0 - 1, y0, y0 + 1)
+        bounds = [explosion_lower_bound(x, params, SMALL_CAPS).bound for x in xs]
         assert all(b >= a - 1e-12 for a, b in zip(bounds, bounds[1:]))
 
     def test_consistency_with_death_interval_on_grid(self):
@@ -190,13 +204,56 @@ class TestExplosionCertificate:
 
     def test_audit_trail_is_complete(self):
         params = IGWParams(OffspringLaw.binary(1.0), 0.9)
-        cert = explosion_lower_bound(10, params, switch_point=20)
+        cert = explosion_lower_bound(10, params)
         methods = [s.method for s in cert.steps]
         assert "exact" in methods and "tail-bound" in methods
         assert all(s.gamma >= s2.gamma for s, s2 in zip(cert.steps, cert.steps[1:])), \
             "certificate factors must be nonincreasing"
         assert all(0 < s.gamma < 1 for s in cert.steps)
         assert cert.tail_sum >= 0 and cert.tail_sup < 1
+
+    @pytest.mark.parametrize("theta", [1.0, 0.95])
+    def test_heavy_one_child_law_is_certified(self, theta):
+        # explosion is certain at theta = 1 (p_1 < 1); certifying it needs a
+        # switch point far beyond 64, since gamma(65) = 65^2 E(1/Z_65) > 1
+        params = IGWParams(parse_law_spec("pmf:1=0.9,3=0.1"), theta)
+        cert = explosion_lower_bound(2, params)
+        assert cert.valid and cert.bound > 0.0
+        if theta == 1.0:
+            # no thinning term: every analytic stall bound lies above its
+            # exact rational value y^2 h(y0) c^(y - y0)
+            y0, c = cert.harmonic_y, 1 - (1 - Fraction(params.law.p1)) / 2
+            h = Fraction(cert.harmonic_bound)
+            for s in cert.steps:
+                if s.method == "tail-bound":
+                    assert Fraction(s.gamma_raw) >= s.x_k**2 * h * c ** (s.x_k - y0)
+
+    def test_carry_and_tail_round_upward(self):
+        # against exact arithmetic, for a bound h on E(1/Z_y0) that is not a
+        # dyadic fraction: the contraction r >= c = 1 - (1 - p_1)/2, the
+        # carried values h r^k >= h c^k, and the closed-form tail
+        # sum_{k>=1} (y + k)^2 h r^k
+        h = Fraction(1e-16 / 3.0)
+        for spec in ("binary:0.6", "binary:0.2", "pmf:1=0.9,3=0.1", "pmf:1=0.3,2=0.3,5=0.4"):
+            p1 = parse_law_spec(spec).p1
+            r = _contraction(p1)
+            c = Fraction(r)
+            assert c >= 1 - (1 - Fraction(p1)) / 2
+            for k, value in zip(range(201), _carried(float(h), r)):
+                assert Fraction(value) >= h * c**k, (spec, k)
+            d = 1 - c
+            for y in (3, 55, 84, 389, 1000):
+                exact = h * (y * y * c / d + 2 * y * c / d**2 + c * (1 + c) / d**3)
+                assert Fraction(_harmonic_tail(float(h), r, y)) >= exact, (spec, y)
+
+    def test_switch_point_follows_the_law(self):
+        # binary:0.2 puts 0.8 on one child: h(y) decays slowly, so the
+        # switch point lies far beyond 64 (about 226)
+        cert = explosion_lower_bound(2, IGWParams(OffspringLaw.binary(0.2), 0.8))
+        assert cert.valid and cert.bound >= 1e-4
+        # far beyond the switch point, h is carried from y0, not taken at x
+        cert = explosion_lower_bound(2000, IGWParams(OffspringLaw.binary(0.6), 0.92))
+        assert cert.valid and cert.harmonic_y < 2000
 
 
 class TestMcDeath:

@@ -159,6 +159,18 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert "--caps" in err
 
+    def test_switch_point_option_removed(self, capsys):
+        # the certificate finds its switch point from the law
+        code, _, err = run_cli(
+            [
+                "bounds", "explosion", "--law", "binary:1", "--theta", "0.9", "--x", "10",
+                "--switch-point", "20",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "--switch-point" in err
+
 
 class TestVerify:
     def test_submult_ok(self, capsys):
@@ -272,7 +284,7 @@ class TestMetadata:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         meta = meta_dict(out)
-        assert meta["harmonic-y"] == "65"
+        assert meta["harmonic-y"] == "84"
         assert 0.0 < float(meta["harmonic-bound"]) < 1e-12
         assert "quad-tol" not in meta
         assert run_cli(args, capsys)[1] == out

@@ -425,7 +425,9 @@ class TestThinnedKernels:
         # the explosion certificate's exact region reads the same thinned
         # rows, so its pinned value comes out with the law of S_x forbidden
         cert = explosion_lower_bound(2, IGWParams(parse_law_spec("binary:0.6"), 0.92))
-        assert cert.bound == pytest.approx(0.3954270256435304, rel=1e-12, abs=0.0)
+        assert cert.bound == pytest.approx(0.3954270314624218, rel=1e-12, abs=0.0)
+        assert cert.bound >= 0.3954270256435304  # the fixed switch point 64 gave this
+        assert cert.bound >= 0.395418796324328  # and adaptive Simpson this
 
 
 class TestIntervalProb:

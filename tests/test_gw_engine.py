@@ -20,7 +20,7 @@ from igw import (
     variance,
 )
 
-from igw.gw_engine import _iterate_upper, _trapezoid_grid, law_context
+from igw.gw_engine import _iterates, _trapezoid_grid, law_context
 from igw.igw_process import _chunk_step, _chunk_totals
 
 import reference
@@ -275,7 +275,8 @@ class TestHarmonicMoment:
     @pytest.mark.parametrize("spec", ["binary:0.5", "pmf:1=0.3,2=0.3,5=0.4", "pmf:2=0.5,3=0.5"])
     def test_iterates_bound_pgf_from_above(self, spec):
         # f_x(s) in exact dyadic arithmetic at every 613th grid point and the
-        # 300 points nearest 1, where the bound in 1 - s takes over
+        # 300 points nearest 1, where the bound in 1 - s takes over, against
+        # the first three values of one pass
         law = parse_law_spec(spec)
         coef = [Fraction(p) for p in law.probs]
         scale = max(c.denominator for c in coef)
@@ -283,8 +284,7 @@ class TestHarmonicMoment:
         k_max = len(ints) - 1
         grid, _ = _trapezoid_grid()
         s = np.concatenate((grid[::613], grid[-300:]))
-        for x in (1, 2, 3):
-            upper = _iterate_upper(law, x, s)
+        for x, upper in zip((1, 2, 3), _iterates(law, s)):
             for point, bound in zip(s.tolist(), upper.tolist()):
                 num, den = point.as_integer_ratio()  # f(num/den) = sum b_k num^k den^(K-k) / (scale den^K)
                 for _ in range(x):
