@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import count, islice
 from statistics import NormalDist
 from typing import Iterator
@@ -222,6 +222,7 @@ def _carried(h: float, contraction: float) -> Iterator[float]:
         h = _up(h * contraction)
 
 
+@lru_cache(maxsize=8)
 def _switch_point(law: OffspringLaw, theta: float) -> tuple[int, float]:
     """The switch point y0 and h(y0), the harmonic bound there.
 
@@ -229,7 +230,9 @@ def _switch_point(law: OffspringLaw, theta: float) -> tuple[int, float]:
     whose stall bound gamma(y0) is below 1 and no larger than
     gamma(y0 + 1): past y0, h(y) no longer shrinks faster than y^2 grows,
     so h(y0) carried by the contraction is the better bound.  The walk
-    ends at ``MAX_SWITCH`` at the latest.
+    ends at ``MAX_SWITCH`` at the latest.  y0 depends on (law, theta)
+    alone, so the eight most recently used are kept and every start state
+    shares one walk.
     """
     prev_gamma = prev_h = math.inf
     for y, h in zip(range(1, MAX_SWITCH + 1), harmonic_moments(law)):

@@ -16,7 +16,10 @@ Each series is composed from the one before by power series arithmetic.
 The coefficient of u^j on the right depends only on coefficients 0..j of
 the series before, so truncation is exact: atoms below the cap are the true
 probabilities up to float rounding, and the missing mass lies provably
-beyond the cap.  The law of S_x is cut at ``s_cap``, and only
+beyond the cap.  Each product computes only the coefficients below the cap
+(a short product, Brent and Kung 1978), and the square w^2 uses symmetry;
+both sum the same nonnegative terms as the full product, with no
+subtraction and no FFT.  The law of S_x is cut at ``s_cap``, and only
 :func:`total_progeny_dist` reads it.  The law of X_1, and with it every
 kernel row, death interval and one-step law, is cut at ``x_cap`` alone.
 The explosion certificate reads the same rows of H_x, cut just above the
@@ -72,6 +75,12 @@ from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, pgf_eval
 #: so an interval at horizon n moves outward by at most
 #: n * (x_cap + 1) * KERNEL_FLOOR at either end.
 KERNEL_FLOOR = 1e-200
+
+#: products keeping at most this many coefficients go to np.convolve whole:
+#: every kernel row at x_cap <= 1024 and every row of the explosion
+#: certificate (cut at its switch point, at most 1024) is rounded exactly as
+#: the direct product rounds it; longer ones split (:func:`_mul_low`).
+_DIRECT_MAX = 1025
 
 
 @dataclass(frozen=True)
@@ -155,14 +164,59 @@ def _atoms(row: _Progeny, cap: int) -> np.ndarray:
     return atoms
 
 
+def _mul_low(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n-1 of a*b, as many as ``np.convolve(a[:n], b[:n])[:n]``
+    returns, at about half its cost once the product is truncated.
+
+    Split at h = ceil(n/2): a*b = a0*b0 + u^h (a1*b0 + a0*b1) mod u^n.  The
+    low halves take one full convolution, the cross terms two recursive
+    short products of length n - h.  Every coefficient sums the same
+    nonnegative products a_i*b_j as the direct route, grouped differently,
+    so it keeps the direct route's bound of gamma_n relative error."""
+    a, b = a[:n], b[:n]
+    if n <= _DIRECT_MAX or len(a) + len(b) - 1 <= n:
+        return np.convolve(a, b)[:n]
+    h = (n + 1) // 2
+    out = np.zeros(n)
+    low = np.convolve(a[:h], b[:h])
+    out[: len(low)] = low
+    for high, other in ((a[h:], b), (b[h:], a)):
+        if len(high):
+            cross = _mul_low(high, other, n - h)
+            out[h : h + len(cross)] += cross
+    return out
+
+
+def _sqr_low(a: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n-1 of a*a, as :func:`_mul_low` returns them, at
+    about half its cost again: with h = ceil(len(a)/2),
+    a*a = a0*a0 + 2 u^h (a0*a1) + u^(2h) a1*a1, so the cross term is taken
+    once and doubled (exactly), and the squares split the same way."""
+    a = a[:n]
+    if len(a) <= _DIRECT_MAX:
+        return np.convolve(a, a)[:n]
+    h = (len(a) + 1) // 2
+    out = np.zeros(min(n, 2 * len(a) - 1))
+    low = _sqr_low(a[:h], n)
+    out[: len(low)] = low
+    cross = _mul_low(a[:h], a[h:], n - h)
+    out[h : h + len(cross)] += 2.0 * cross
+    if n > 2 * h:
+        high = _sqr_low(a[h:], n - 2 * h)
+        out[2 * h : 2 * h + len(high)] += high
+    return out
+
+
 def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) -> _Progeny:
     """Coefficients 0..cap of f(w) with w(u) = (1 - theta + theta*u) * prev(u),
     as the sum of p_k * w^k: G_x from G_{x-1} at theta = 1 (w = u * G_{x-1}),
     and H_x from H_{x-1} below it.  The powers w^k start at k times the
     offset of w, so each one only needs the coefficients of w below
-    cap + 1 - k * offset.  The arrays are rescaled by exact powers of two,
-    so the convolutions run near 1 and products of small probabilities stay
-    out of the slow subnormal range."""
+    cap + 1 - k * offset, and each product computes only the coefficients
+    it keeps (:func:`_mul_low`); w^2 is a square (:func:`_sqr_low`).  The
+    arrays are rescaled by exact powers of two, so the convolutions run
+    near 1 and products of small probabilities stay out of the slow
+    subnormal range."""
     out = np.zeros(cap + 1)
     if len(prev.coef):
         if theta == 1.0:
@@ -180,10 +234,13 @@ def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) ->
                 if p_off > cap:
                     break
                 n = cap + 1 - p_off
-                power = np.convolve(power[:n], w[:n])[:n]
+                if k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
+                    power, e_mul = _sqr_low(power, n), p_exp
+                else:
+                    power, e_mul = _mul_low(power, w, n), w_exp
                 _, e = math.frexp(float(power.max()))
                 power = np.ldexp(power, -e)
-                p_exp += w_exp + e
+                p_exp += e_mul + e
             if p > 0.0:
                 out[p_off : p_off + len(power)] += np.ldexp(p * power, p_exp)
     else:

@@ -7,6 +7,9 @@
   consistent with them, Binomial(s_cap + 1, theta), in the upper kernel and
   go to the phantom in the lower one.  It shares the law of S_x with the
   package, but not the thinned composition of the kernel rows.
+* The direct composition of the law of S_x and of the thinned rows H_x:
+  every power w^k by one full ``np.convolve`` cut at the cap, without the
+  package's short products and symmetric square.
 * A scalar simulator of the chain, one path at a time on a numpy
   generator: one multinomial draw per generation while Z is exact, the
   Gaussian tier with the package's handover level and fold beyond it, and
@@ -22,12 +25,13 @@ envelope kernels that the forward-loop tests multiply.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
 from igw import Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, mean
 from igw.analysis import fixed_point_q
-from igw.exact_dist import _floor_into, _kernels, _progeny_laws
+from igw.exact_dist import _floor_into, _kernels, _Progeny, _progeny_laws
 from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, THIN_EXACT_LIMIT, law_context
 from igw.reproduction_laws import MEAN_CRITICAL_TOL
 
@@ -103,6 +107,56 @@ def package_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarr
     """The package's (death-upper, death-lower) envelope kernels as dense
     matrices, (x_cap + 1)^2 and (x_cap + 2)^2; ``caps.s_cap`` does not enter."""
     return tuple(K.rows[K.index] for K in _kernels(params, caps.x_cap))
+
+
+# -- the direct composition --------------------------------------------------------
+
+
+def direct_compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) -> _Progeny:
+    """The package's composition step (``exact_dist._compose``) with every
+    power w^k taken by ``np.convolve`` in full and cut at the cap: the same
+    offsets and power-of-two rescaling, so kernel rows, whose products the
+    package also takes whole, agree bit for bit."""
+    out = np.zeros(cap + 1)
+    if len(prev.coef):
+        if theta == 1.0:
+            w, w_off = prev.coef, prev.offset + 1
+        else:
+            w, w_off = np.zeros(len(prev.coef) + 1), prev.offset
+            w[:-1] = (1.0 - theta) * prev.coef
+            w[1:] += theta * prev.coef
+        _, w_exp = math.frexp(float(w.max()))
+        w = np.ldexp(w, -w_exp)
+        power, p_off, p_exp = np.ones(1), 0, 0
+        for k, p in enumerate(law.probs):
+            if k > 0:
+                p_off += w_off
+                if p_off > cap:
+                    break
+                n = cap + 1 - p_off
+                power = np.convolve(power[:n], w[:n])[:n]
+                _, e = math.frexp(float(power.max()))
+                power = np.ldexp(power, -e)
+                p_exp += w_exp + e
+            if p > 0.0:
+                out[p_off : p_off + len(power)] += np.ldexp(p * power, p_exp)
+    else:
+        out[0] = law.p0
+    nz = np.flatnonzero(out)
+    if nz.size == 0:
+        return _Progeny(out[:0], cap + 1, 1.0)
+    coef = out[nz[0] : nz[-1] + 1].copy()
+    return _Progeny(coef, int(nz[0]), max(0.0, 1.0 - float(coef.sum())))
+
+
+def direct_rows(law: OffspringLaw, theta: float, cap: int) -> Iterator[_Progeny]:
+    """The laws of S_x (theta = 1) or of X_1 from x (theta < 1), cut at the
+    cap, for x = 0, 1, 2, ... by :func:`direct_compose`; a stand-in for
+    ``exact_dist.thinned_rows``."""
+    row = _Progeny(np.ones(1), 0, 0.0)
+    while True:
+        yield row
+        row = direct_compose(law, row, cap, theta)
 
 
 # -- the scalar simulator ----------------------------------------------------------

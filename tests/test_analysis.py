@@ -28,7 +28,7 @@ from igw import (
     thinned_pgf,
     wilson_interval,
 )
-from igw.analysis import _carried, _contraction, _harmonic_tail
+from igw.analysis import _carried, _contraction, _harmonic_tail, _switch_point
 from igw.exact_dist import _envelope
 
 SMALL_CAPS = Caps(256, 256, 64)
@@ -134,11 +134,12 @@ class TestExplosionCertificate:
         assert cert.bound <= exact_product
 
     def test_pinned_bounds_with_one_quadrature(self, monkeypatch):
-        # one pass of certified harmonic bounds per certificate, walked to
+        # one pass of certified harmonic bounds per (law, theta), walked to
         # the switch point y0 = 84 and one state past it, then carried by the
-        # contraction.  Pinned from this code; the second entries are the
-        # bounds of the fixed switch point 64, the third those an adaptive
-        # Simpson estimate padded by 1e-10 gave, which may only be improved
+        # contraction; every start state shares it.  Pinned from this code;
+        # the second entries are the bounds of the fixed switch point 64, the
+        # third those an adaptive Simpson estimate padded by 1e-10 gave,
+        # which may only be improved
         import igw.analysis
 
         drawn = []
@@ -150,13 +151,13 @@ class TestExplosionCertificate:
                 yield h
 
         monkeypatch.setattr(igw.analysis, "harmonic_moments", counting)
+        _switch_point.cache_clear()
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)
         pinned = {
             2: (0.3954270314624218, 0.3954270256435304, 0.395418796324328),
             8: (0.9961406267260651, 0.9961406120673841, 0.9961198811650055),
         }
         for x, (want, fixed, simpson) in pinned.items():
-            drawn.clear()
             cert = explosion_lower_bound(x, params)
             assert cert.valid
             assert cert.bound == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -117,6 +118,122 @@ class TestTotalProgenyDist:
         assert time.perf_counter() - start < 0.1
         assert dist.overflow == 1.0 and dist.atoms.sum() == 0.0
         assert total_progeny_dist(law, 11, s_cap=4099).atoms[4094] == 1.0
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), the relative error bound of a sum of n
+    nonnegative products in float arithmetic (Higham, section 3.1)."""
+    u = 2.0**-53
+    return n * u / (1.0 - n * u)
+
+
+def _operand(rng: np.random.Generator, size: int, wide: bool) -> np.ndarray:
+    """Random nonnegative coefficients, small integers or floats from 1
+    down to 1e-250, with an all-zero block."""
+    a = 10.0 ** -rng.uniform(0.0, 250.0, size) if wide else rng.integers(0, 10, size).astype(float)
+    if size > 3:
+        start = int(rng.integers(0, size - 2))
+        a[start : start + size // 3] = 0.0
+    return a
+
+
+def _exact_low(a: np.ndarray, b: np.ndarray, n: int) -> list[Fraction]:
+    """Coefficients 0..n-1 of a*b in rational arithmetic, as many as
+    np.convolve(a[:n], b[:n])[:n] returns."""
+    fa, fb = [Fraction(float(v)) for v in a[:n]], [Fraction(float(v)) for v in b[:n]]
+    out = [Fraction(0)] * min(n, len(fa) + len(fb) - 1)
+    for i, ai in enumerate(fa):
+        for j, bj in enumerate(fb[: len(out) - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def _check_low(got: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> None:
+    """``got`` has the length and zero pattern of the direct product, and
+    every coefficient lies within gamma_n of the exact one; each of the n
+    products that may underflow adds at most 2^-1075 more."""
+    direct = np.convolve(a[:n], b[:n])[:n]
+    assert len(got) == len(direct)
+    np.testing.assert_array_equal(got == 0.0, direct == 0.0)
+    gamma, slack = Fraction(_gamma(n)), Fraction(n) * Fraction(2) ** -1075
+    for i, (g, e) in enumerate(zip(got, _exact_low(a, b, n))):
+        assert abs(Fraction(float(g)) - e) <= gamma * e + slack, i
+
+
+class TestShortProducts:
+    # (len(a), len(b), n): odd and even n, unequal lengths, operands shorter
+    # than n, and n at and below the base case of the split
+    CASES = [(9, 9, 9), (10, 10, 10), (13, 7, 12), (5, 6, 12), (8, 6, 12), (1, 20, 20),
+             (3, 3, 3), (4, 4, 4), (40, 33, 37), (64, 64, 64)]
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("la, lb, n", CASES)
+    def test_mul_low_against_exact_products(self, monkeypatch, la, lb, n, wide):
+        monkeypatch.setattr(exact_dist, "_DIRECT_MAX", 4)  # the split runs from n = 5
+        rng = np.random.default_rng([la, lb, n, wide])
+        a, b = _operand(rng, la, wide), _operand(rng, lb, wide)
+        _check_low(exact_dist._mul_low(a, b, n), a, b, n)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("la, n", [(la, n) for la, _, n in CASES] + [(9, 20), (20, 40)])
+    def test_sqr_low_against_exact_products(self, monkeypatch, la, n, wide):
+        monkeypatch.setattr(exact_dist, "_DIRECT_MAX", 4)
+        rng = np.random.default_rng([la, n, wide])
+        a = _operand(rng, la, wide)
+        _check_low(exact_dist._sqr_low(a, n), a, a, n)
+
+    def test_all_zero_low_half(self, monkeypatch):
+        monkeypatch.setattr(exact_dist, "_DIRECT_MAX", 4)
+        a, b = np.arange(1.0, 21.0), np.arange(1.0, 21.0)
+        a[:10] = 0.0
+        _check_low(exact_dist._mul_low(a, b, 20), a, b, 20)
+        _check_low(exact_dist._sqr_low(a, 20), a, a, 20)
+        _check_low(exact_dist._mul_low(b, a, 20), b, a, 20)
+
+    @pytest.mark.parametrize("la, lb, n", [(1025, 1025, 1025), (1026, 1026, 1026), (2100, 2100, 2100),
+                                           (2051, 1900, 2051), (3000, 1500, 2600), (1500, 1400, 4096)])
+    def test_full_size_against_direct_product(self, la, lb, n):
+        # at the module's own base case, against the float direct product:
+        # both lie within gamma_n of the exact sums
+        rng = np.random.default_rng([la, lb, n])
+        a, b = _operand(rng, la, True), _operand(rng, lb, True)
+        bound = 2.0 * _gamma(n)
+        slack = n * 2.0**-1074
+        for got, want in ((exact_dist._mul_low(a, b, n), np.convolve(a[:n], b[:n])[:n]),
+                          (exact_dist._sqr_low(a, n), exact_dist._mul_low(a, a, n)),
+                          (exact_dist._sqr_low(a, n), np.convolve(a[:n], a[:n])[:n])):
+            assert len(got) == len(want)
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+            assert np.all(np.abs(got - want) <= bound * want + slack)
+
+
+class TestDirectComposition:
+    @pytest.mark.parametrize("spec", ["binary:0.6", "pmf:1=0.3,2=0.3,5=0.4"])
+    def test_progeny_law_matches_direct_composition(self, spec):
+        # pmf:1=0.3,2=0.3,5=0.4 reaches w^5, so long short products run too
+        law = parse_law_spec(spec)
+        direct = list(islice(reference.direct_rows(law, 1.0, 4096), 513))
+        for x in (1, 2, 64, 512):
+            dist = total_progeny_dist(law, x, s_cap=4096)
+            want = exact_dist._atoms(direct[x], 4096)
+            np.testing.assert_array_equal(dist.atoms == 0.0, want == 0.0)
+            nz = want > 0.0
+            assert np.all(np.abs(dist.atoms[nz] - want[nz]) <= 1e-13 * want[nz]), x
+            assert abs(dist.overflow - direct[x].overflow) <= 1e-12, x
+
+    @pytest.mark.parametrize(
+        "spec, theta", [("binary:0.6", 0.92), ("pmf:2=0.5,3=0.5", 0.7), ("pmf:1=0.3,2=0.3,5=0.4", 0.6)]
+    )
+    def test_kernel_rows_are_the_direct_ones(self, monkeypatch, spec, theta):
+        # every product of a row at x_cap = 512 is short enough to be taken
+        # whole, so the envelopes, and with them every interval, keep the
+        # direct route's rounding bit for bit
+        params = IGWParams(parse_law_spec(spec), theta)
+        kernels = _kernels(params, 512)
+        monkeypatch.setattr(exact_dist, "thinned_rows", reference.direct_rows)
+        for got, want in zip(kernels, _kernels(params, 512)):
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.index, want.index)
 
 
 class TestBinomialTable:
