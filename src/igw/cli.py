@@ -29,10 +29,12 @@ from .analysis import (
 )
 from .exact_dist import (
     Caps,
+    death_interval_detail,
     death_prob_interval,
     finite_horizon_death,
     one_step_death_prob,
     one_step_dist,
+    swept_states,
     total_progeny_dist,
 )
 from .gw_engine import DEFAULT_EXACT_CAP, ExtendedCount
@@ -193,11 +195,21 @@ def _cmd_exact(args, out) -> int:
         return 0
     if what == "finite-horizon-death":
         iv = finite_horizon_death(args.x, params, args.n, args.caps)
-        _emit(out, _meta(args), ["lo", "hi"], [[_fmt(iv.lo), _fmt(iv.hi)]])
+        meta = _meta(args, **{"swept-states": swept_states(params, args.caps)})
+        _emit(out, meta, ["lo", "hi"], [[_fmt(iv.lo), _fmt(iv.hi)]])
         return 0
     if what == "death-interval":
-        iv = death_prob_interval(args.x, params, args.caps, args.horizon)
-        _emit(out, _meta(args), ["lo", "hi"], [[_fmt(iv.lo), _fmt(iv.hi)]])
+        detail = death_interval_detail(args.x, params, args.caps, args.horizon)
+        iv = detail.interval
+        meta = _meta(
+            args,
+            **{
+                "swept-states": detail.swept_states,
+                "width-truncation": detail.truncation,
+                "width-closure": detail.closure,
+            },
+        )
+        _emit(out, meta, ["lo", "hi"], [[_fmt(iv.lo), _fmt(iv.hi)]])
         return 0
     raise _UsageError(f"unknown exact quantity {what!r}")
 

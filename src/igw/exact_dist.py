@@ -34,10 +34,20 @@ Every death probability is closed into a rigorous two-sided interval:
   death probabilities are nonincreasing in it.
 
 S_x is pathwise nondecreasing in x, so the tracked mass P_x(X_1 <= x_cap)
-of a row is nonincreasing in x.  Rows are composed up to the first one whose
-tracked mass is below ``KERNEL_FLOOR``; every later state shares one
-conservative row, and a sweep steps only the live rows, that shared row and
-the phantom.
+of a row is nonincreasing in x.  Rows are composed up to the first one, r,
+whose tracked mass is below ``KERNEL_FLOOR``; every later state shares one
+conservative row.  After one step a swept column is therefore constant on
+r..x_cap, and a sweep steps only the r + 1 distinct states (all x_cap + 1
+when no row dies) and the phantom: the kernels with the columns of states
+r..x_cap summed into column r, at a cost of (r + 1)^2 per step instead of
+(r + 1)(x_cap + 1).  This pays off for laws with a small one-child atom,
+whose rows die early.  At the default caps pmf:2=0.5,3=0.5 steps 10 to 11
+states at every theta: the 3 x 256 steps of the 16 thetas of the
+theta-grid benchmark cost 59-96 ms on full-width rows against 22-36 ms on
+the distinct states (in-process, best of 5, 2 shared vCPUs).  binary:0.9
+at theta = 0.9 steps 209 states (37-54 against 24-30 ms).  Nothing is
+saved when r is near x_cap: binary:0.6 has r = 509 of 512 at
+theta = 0.92.
 
 Both envelope chains absorb at 0, so P_x(X_n = 0) = (K^n e_0)[x] for either
 kernel K.  One backward sweep u <- K u from u = e_0 therefore answers every
@@ -332,9 +342,6 @@ class _Kernel(NamedTuple):
     rows: np.ndarray
     index: np.ndarray
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        return (self.rows @ u)[self.index]
-
 
 def _kernels(params: IGWParams, x_cap: int) -> tuple[_Kernel, _Kernel]:
     """(death-upper, death-lower) kernels on states 0..x_cap, the lower one
@@ -389,57 +396,99 @@ def _floor_into(K: np.ndarray, col: int) -> None:
     K[small] = 0.0
 
 
+def _distinct(K: _Kernel, s: int, x_cap: int) -> np.ndarray:
+    """K on its distinct states: each distinct row taken once, and the
+    columns of states s..x_cap, which share a row, summed into column s,
+    smallest term first."""
+    ids, first = np.unique(K.index, return_index=True)
+    R = K.rows[np.ix_(ids, first)]
+    R[:, s] = np.cumsum(np.sort(K.rows[ids, s : x_cap + 1], axis=1), axis=1)[:, -1]
+    return R
+
+
 class _Envelope:
     """The envelope kernels of one (law, theta, x_cap) and the columns
     swept backward from them, for every start state at once.
 
-    ``death[n]`` is (K_lo^n e_0, K_hi^n e_0): entry x is the lower and the
-    upper end of P_x(X_n = 0).  ``closure[n]`` is (K_hi^n c,) with
-    c_y = q*^y for y >= 1 and c_0 = 0: entry x closes the mass still alive
-    at horizon n by the fixed-point certificate.  Only the horizons asked
-    for are kept; a new one is swept on from the longest kept horizon below
-    it, so asking for n = 1, 2, ..., N costs N matvecs per column in all.
+    With s = min(r, x_cap), r the first dead row, the states s..x_cap step
+    by one shared row, so after one step every swept column is constant on
+    them.  The sweep steps only the s + 1 distinct states: ``R_hi`` is the
+    upper kernel with the columns of states s..x_cap summed into column s,
+    (s + 1)^2, and ``R_lo`` the lower one with the phantom, (s + 2)^2; state
+    x reads entry min(x, s).  In real arithmetic this is the full-width
+    sweep (rows @ u)[index]; only the rounding of the summed column differs.
+    No dense kernel is kept.
+
+    ``death[n]`` is (K_lo^n e_0, K_hi^n e_0) on the distinct states: the
+    lower and the upper end of P_x(X_n = 0).  ``closure[n]`` is (K_hi^n c,)
+    with c_y = q*^y for y >= 1 and c_0 = 0: it closes the mass still alive
+    at horizon n by the fixed-point certificate.  c is not constant past s,
+    so its first step takes the full-width rows: the first s columns of
+    ``R_hi`` plus ``tail``, the columns s..x_cap of the upper kernel.  Only
+    the horizons asked for are kept; a new one is swept on from the longest
+    kept horizon below it, so asking for n = 1, 2, ..., N costs N matvecs
+    per column in all.
     """
 
     def __init__(self, params: IGWParams, x_cap: int) -> None:
-        self.params = params
-        self.K_hi, self.K_lo = _kernels(params, x_cap)
-        lo, hi = np.zeros(x_cap + 2), np.zeros(x_cap + 1)
+        self.params, self.x_cap = params, x_cap
+        K_hi, K_lo = _kernels(params, x_cap)
+        self.last = s = int(K_hi.index[-1])
+        self.tail = K_hi.rows[: s + 1, s:].copy()
+        self.R_hi = _distinct(K_hi, s, x_cap)
+        del K_hi  # freed before the lower kernel is compressed
+        self.R_lo = _distinct(K_lo, s, x_cap)
+        lo, hi = np.zeros(s + 2), np.zeros(s + 1)
         lo[0] = hi[0] = 1.0
         self.death = {0: (lo, hi)}
         self.closure: dict[int, tuple[np.ndarray]] = {}
 
-    def death_columns(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return _sweep(self.death, (self.K_lo, self.K_hi), n)
+    def death_at(self, n: int, x: int) -> tuple[float, float]:
+        """The lower and the upper end of P_x(X_n = 0)."""
+        lo, hi = self.death.get(n) or _sweep(self.death, (self.R_lo, self.R_hi), n)
+        j = min(x, self.last)
+        return float(lo[j]), float(hi[j])
 
-    def closure_column(self, n: int) -> np.ndarray:
+    def closure_at(self, n: int, x: int) -> float:
+        """(K_hi^n c)[x]."""
+        if n == 0:
+            return float(self._powers()[x])
         if not self.closure:
-            from .analysis import fixed_point_q  # deferred: analysis builds on this module
+            c, s = self._powers(), self.last
+            self.closure[1] = (self.R_hi[:, :s] @ c[:s] + self.tail @ c[s:],)
+        (col,) = self.closure.get(n) or _sweep(self.closure, (self.R_hi,), n)
+        return float(col[min(x, self.last)])
 
-            c = fixed_point_q(self.params, 1e-13) ** np.arange(len(self.K_hi.index), dtype=float)
-            c[0] = 0.0
-            self.closure[0] = (c,)
-        return _sweep(self.closure, (self.K_hi,), n)[0]
+    def _powers(self) -> np.ndarray:
+        from .analysis import fixed_point_q  # deferred: analysis builds on this module
+
+        c = fixed_point_q(self.params, 1e-13) ** np.arange(self.x_cap + 1, dtype=float)
+        c[0] = 0.0
+        return c
 
 
-def _sweep(kept: dict[int, tuple], kernels: tuple[_Kernel, ...], n: int) -> tuple:
-    """The columns at step n of u <- K u, one per kernel, swept on from the
-    longest horizon below n in ``kept`` (which holds step 0) and kept."""
-    cols = kept.get(n)
-    if cols is None:
-        m = max(k for k in kept if k < n)
-        cols = kept[m]
-        for _ in range(n - m):
-            cols = tuple(K.step(u) for K, u in zip(kernels, cols))
-        kept[n] = cols
+def _sweep(kept: dict[int, tuple], kernels: tuple[np.ndarray, ...], n: int) -> tuple:
+    """The columns at step n, not yet in ``kept``, of v <- R v, one per
+    kernel, swept on from the longest horizon below n in ``kept`` and kept."""
+    m = max(k for k in kept if k < n)
+    cols = kept[m]
+    for _ in range(n - m):
+        cols = tuple(R @ v for R, v in zip(kernels, cols))
+    kept[n] = cols
     return cols
 
 
 @lru_cache(maxsize=8)
 def _envelope(params: IGWParams, x_cap: int) -> _Envelope:
     """The envelopes of the eight most recently used (params, x_cap); one
-    holds at most 2 x 8 (x_cap + 2)^2 bytes of kernel rows plus its columns."""
+    holds at most 2 x 8 (x_cap + 2)^2 bytes of kernels plus its columns."""
     return _Envelope(params, x_cap)
+
+
+def swept_states(params: IGWParams, caps: Caps = Caps()) -> int:
+    """The number of distinct states the envelope sweeps of (params,
+    caps.x_cap) step: s + 1 with s = min(r, x_cap), r the first dead row."""
+    return _envelope(params, caps.x_cap).last + 1
 
 
 def finite_horizon_death(
@@ -450,9 +499,8 @@ def finite_horizon_death(
         raise ValueError("horizon must be >= 1")
     if not 0 <= x <= caps.x_cap:
         raise ValueError(f"start state {x} outside the tracked range 0..{caps.x_cap}")
-    lo, hi = _envelope(params, caps.x_cap).death_columns(n)
-    lo_x, hi_x = float(lo[x]), float(hi[x])
-    return IntervalProb(min(lo_x, hi_x), max(lo_x, hi_x))
+    lo, hi = _envelope(params, caps.x_cap).death_at(n, x)
+    return IntervalProb(min(lo, hi), max(lo, hi))
 
 
 def death_prob_interval(
@@ -479,7 +527,35 @@ def death_prob_interval(
     if params.theta == 1.0:
         return IntervalProb(0.0, 0.0)
     env = _envelope(params, caps.x_cap)
-    lo, hi = env.death_columns(horizon)
-    lo_x = float(lo[x])
-    hi_x = min(1.0, float(hi[x] + env.closure_column(horizon)[x]))
-    return IntervalProb(lo_x, max(lo_x, hi_x))
+    lo, hi = env.death_at(horizon, x)
+    hi = min(1.0, hi + env.closure_at(horizon, x))
+    return IntervalProb(lo, max(lo, hi))
+
+
+class DeathIntervalDetail(NamedTuple):
+    """A death interval and where its width comes from.
+
+    ``truncation`` is the upper minus the lower death column at x, the mass
+    whose fate the truncation at x_cap leaves open at the horizon (a few
+    ulps below 0 where that is invisible at float precision); ``closure``
+    is the closure column at x, the mass still alive at the horizon, closed
+    by q*^y; ``swept_states`` is :func:`swept_states`, 0 when nothing is
+    swept (theta = 1)."""
+
+    interval: IntervalProb
+    truncation: float
+    closure: float
+    swept_states: int
+
+
+def death_interval_detail(
+    x: int, params: IGWParams, caps: Caps = Caps(), horizon: int = 256
+) -> DeathIntervalDetail:
+    """:func:`death_prob_interval` with the parts of its width, read off
+    the columns it swept."""
+    iv = death_prob_interval(x, params, caps, horizon)
+    if params.theta == 1.0:
+        return DeathIntervalDetail(iv, 0.0, 0.0, 0)
+    env = _envelope(params, caps.x_cap)
+    lo, hi = env.death_at(horizon, x)
+    return DeathIntervalDetail(iv, hi - lo, env.closure_at(horizon, x), env.last + 1)

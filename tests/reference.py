@@ -103,6 +103,30 @@ def death_intervals(params: IGWParams, caps: Caps, horizon: int) -> list[Interva
     return out
 
 
+def dense_sweep(
+    params: IGWParams, x_cap: int, horizons: tuple[int, ...], closure: bool = True
+) -> dict[int, list[np.ndarray]]:
+    """The envelope sweeps on the full-width kernels of ``_kernels``: every
+    step is u <- (rows @ u)[index] over all x_cap + 1 states (and the
+    phantom), with no states merged.  For each horizon asked for, the lower
+    and the upper death column and, with ``closure``, the closure column
+    (c_y = q*^y for y >= 1, c_0 = 0, swept on the upper kernel)."""
+    K_hi, K_lo = _kernels(params, x_cap)
+    kernels, cols = [K_lo, K_hi], [np.zeros(x_cap + 2), np.zeros(x_cap + 1)]
+    cols[0][0] = cols[1][0] = 1.0
+    if closure:
+        c = fixed_point_q(params, 1e-13) ** np.arange(x_cap + 1, dtype=float)
+        c[0] = 0.0
+        kernels.append(K_hi)
+        cols.append(c)
+    out = {}
+    for n in range(1, max(horizons) + 1):
+        cols = [(K.rows @ u)[K.index] for K, u in zip(kernels, cols)]
+        if n in horizons:
+            out[n] = cols
+    return out
+
+
 def package_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
     """The package's (death-upper, death-lower) envelope kernels as dense
     matrices, (x_cap + 1)^2 and (x_cap + 2)^2; ``caps.s_cap`` does not enter."""

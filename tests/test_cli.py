@@ -86,6 +86,33 @@ class TestExact:
         lo, hi = (float(v) for v in lines[1].split(","))
         assert 0 < lo <= hi < 1
 
+    def test_interval_width_attribution(self, capsys):
+        # the sweep steps r + 1 = 11 distinct states here; the closure
+        # carries the width, the truncation is invisible at float precision
+        args = [
+            "exact", "death-interval", "--law", "pmf:2=0.5,3=0.5",
+            "--theta", "0.45", "--x", "8",
+        ]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        meta = meta_dict(out)
+        assert meta["swept-states"] == "11"
+        truncation, closure = float(meta["width-truncation"]), float(meta["width-closure"])
+        lo, hi = (float(v) for v in data_lines(out)[1].split(","))
+        assert abs(truncation) <= 1e-15 * lo
+        assert closure == pytest.approx(hi - lo, rel=1e-15)
+        assert run_cli(args, capsys)[1] == out  # deterministic, byte for byte
+
+        code, out, _ = run_cli(
+            [
+                "exact", "finite-horizon-death", "--law", "pmf:2=0.5,3=0.5",
+                "--theta", "0.45", "--x", "8", "--n", "17",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert meta_dict(out)["swept-states"] == "11"
+
 
 class TestErrorsAndExitCodes:
     def test_malformed_law_names_token(self, capsys):

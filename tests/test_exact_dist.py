@@ -459,6 +459,117 @@ class TestBackwardSweep:
                 assert iv.hi == pytest.approx(max(lo, hi), rel=1e-13, abs=0.0)
 
 
+SWEEP_HORIZONS = (1, 2, 17, 256)
+
+
+def _dead_row(params: IGWParams, x_cap: int) -> int:
+    """r, the first dead row of the kernels (x_cap + 1 when none is dead)."""
+    return len(_kernels(params, x_cap)[0].rows) - 1
+
+
+def _assert_rel(got: np.ndarray, want: np.ndarray, what) -> None:
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), what
+
+
+class TestDistinctStateSweep:
+    """The envelope steps only the distinct states; the full-width sweep
+    (rows @ u)[index] of ``reference.dense_sweep`` is the oracle."""
+
+    @pytest.mark.parametrize(
+        "spec,theta,x_cap,r_range",
+        [
+            ("binary:0.6", 0.92, 512, (500, 512)),
+            ("pmf:2=0.5,3=0.5", 0.45, 512, (8, 14)),
+            ("pmf:2=0.5,3=0.5", 0.95, 512, (8, 14)),
+            ("binary:0.9", 0.9, 512, (208, 208)),
+            ("binary:0.5", 0.7, 24, (25, 25)),  # no dead row
+        ],
+    )
+    def test_matches_dense_sweep(self, spec, theta, x_cap, r_range):
+        params = IGWParams(parse_law_spec(spec), theta)
+        assert r_range[0] <= _dead_row(params, x_cap) <= r_range[1]
+        caps = Caps(x_cap=x_cap)
+        _envelope.cache_clear()  # horizon 1 takes the closure's full-width first step
+        env = _envelope(params, x_cap)
+        want = reference.dense_sweep(params, x_cap, SWEEP_HORIZONS)
+        for n in SWEEP_HORIZONS:
+            lo_d, hi_d, close_d = want[n]
+            cols = np.array([[*env.death_at(n, x), env.closure_at(n, x)] for x in range(x_cap + 1)])
+            lo, hi, close = cols.T
+            _assert_rel(lo, lo_d[:-1], (n, "lo"))
+            _assert_rel(hi, hi_d, (n, "hi"))
+            _assert_rel(close, close_d, (n, "closure"))
+            assert np.all((lo == hi)[lo_d[:-1] == hi_d]), n
+            assert np.all((lo <= hi)[lo_d[:-1] <= hi_d]), n
+            for x in range(1, x_cap + 1):
+                iv = death_prob_interval(x, params, caps, n)
+                want_hi = max(lo_d[x], min(1.0, hi_d[x] + close_d[x]))
+                assert iv.lo == pytest.approx(lo_d[x], rel=1e-13, abs=0.0), (n, x)
+                assert iv.hi == pytest.approx(want_hi, rel=1e-13, abs=0.0), (n, x)
+                assert iv.lo <= iv.hi
+
+    def test_live_phantom_through_finite_horizon(self):
+        # p_0 > 0: the phantom dies at the floor p_0, and there is no closure
+        params = IGWParams(parse_law_spec("pmf:0=0.2,2=0.8"), 0.9)
+        want = reference.dense_sweep(params, 512, SWEEP_HORIZONS, closure=False)
+        for n in SWEEP_HORIZONS:
+            lo_d, hi_d = want[n][0][:-1], want[n][1]
+            ivs = [finite_horizon_death(x, params, n) for x in range(513)]
+            lo = np.array([iv.lo for iv in ivs])
+            hi = np.array([iv.hi for iv in ivs])
+            _assert_rel(lo, np.minimum(lo_d, hi_d), (n, "lo"))
+            _assert_rel(hi, np.maximum(lo_d, hi_d), (n, "hi"))
+            assert np.all((lo == hi)[lo_d == hi_d]), n
+
+    def test_sweeps_distinct_states_only(self, monkeypatch):
+        params = IGWParams(parse_law_spec("pmf:2=0.5,3=0.5"), 0.45)
+        r = _dead_row(params, 512)
+        assert r < 512
+        shapes = set()
+        sweep = exact_dist._sweep
+
+        def recorded(kept, kernels, n):
+            shapes.update(R.shape for R in kernels)
+            return sweep(kept, kernels, n)
+
+        monkeypatch.setattr(exact_dist, "_sweep", recorded)
+        _envelope.cache_clear()
+        for horizon in (1, 256):
+            death_prob_interval(3, params, horizon=horizon)
+        finite_horizon_death(5, params, 40)
+        assert shapes == {(r + 1, r + 1), (r + 2, r + 2)}
+        assert exact_dist.swept_states(params) == r + 1
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                for value in obj.values():
+                    yield from arrays(value)
+            elif isinstance(obj, (tuple, list)):
+                for value in obj:
+                    yield from arrays(value)
+
+        held = list(arrays(vars(_envelope(params, 512))))
+        assert len(held) >= 6
+        for a in held:  # no dense kernel, column or view of one
+            for arr in (a, a.base):
+                assert arr is None or arr.shape[-1] < 513, arr.shape
+
+    def test_detail_parts_add_up(self):
+        params = IGWParams(parse_law_spec("binary:0.9"), 0.9)
+        for x in (1, 5, 40):
+            detail = exact_dist.death_interval_detail(x, params)
+            iv = detail.interval
+            assert iv == death_prob_interval(x, params)
+            assert detail.swept_states == 209
+            assert detail.closure >= 0.0
+            parts = max(iv.lo, min(1.0, iv.lo + detail.truncation + detail.closure))
+            assert iv.hi == pytest.approx(parts, rel=1e-15, abs=0.0)
+        theta_one = exact_dist.death_interval_detail(1, IGWParams(parse_law_spec("binary:0.9"), 1.0))
+        assert theta_one == (IntervalProb(0.0, 0.0), 0.0, 0.0, 0)
+
+
 #: the benchmark's certify and theta-grid points: (law, thetas, start states)
 CERTIFY_POINTS = ("binary:0.6", (0.8, 0.92), range(1, 21))
 GRID_POINTS = ("pmf:2=0.5,3=0.5", tuple(round(0.45 + i / 30.0, 6) for i in range(16)), range(1, 9))
