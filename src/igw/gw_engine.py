@@ -1,24 +1,23 @@
 """Branching-layer building blocks: the count ladder, per-law constants,
 counter-based random streams, and harmonic moments.
 
-Population counts travel on a three-tier ladder, which the batched
-simulator in :mod:`igw.igw_process` advances:
+Population counts travel on a count ladder, which the batched simulator
+in :mod:`igw.igw_process` advances:
 
 * exact integers while the count stays at or below ``DEFAULT_EXACT_CAP``
   (2**48); one generation advances by one binomial or multinomial draw
   of the offspring counts of all its individuals,
-* floating point with Gaussian branching noise,
-  ``Z' = m*Z + sqrt(v*Z) * N(0,1)``, once the count leaves the exact range,
-  preserving the fluctuation scale of the almost-sure growth limit,
-* deterministic growth ``log Z' = log Z + log m``, folded over all remaining
-  generations at once, as soon as the standard deviation of all remaining
-  branching noise relative to Z, sqrt(v / (m (m-1) Z)), is below 2**-60
-  (and at the latest above 1e300).  Beyond that level no draw could move
-  log Z by as much as one ulp.
+* one Gaussian draw for the rest of the sum once a generation Z = z
+  leaves the exact range with L generations to go: z i.i.d. L-generation
+  totals, with the mean and variance that Gaussian branching noise
+  ``Z' = m*Z + sqrt(v*Z) * N(0,1)`` gives them, which preserves the
+  fluctuation scale of the almost-sure growth limit,
+* logs beyond the exact range, where a state steps deterministically:
+  ``log S_x = x*log m + log(m/(m-1))``.
 
 Promotion between tiers never overflows; it is how growth is handled.
-The per-law constants these tiers read (m, v, log m, the handover level)
-are computed once per law by :func:`law_context`.  All randomness flows
+The per-law constants these tiers read (m, v, log m, log(m/(m-1))) are
+computed once per law by :func:`law_context`.  All randomness flows
 through :class:`RngStream`, a counter-based (Philox) stream keyed by
 (master_seed, stream_id) so that a path depends only on its key, never on
 scheduling.
@@ -45,16 +44,6 @@ from .reproduction_laws import OffspringLaw, RegimeError, mean, variance
 DEFAULT_EXACT_CAP = 2**48
 
 LOG_EXACT_CAP = math.log(DEFAULT_EXACT_CAP)
-
-#: upper clamp on the level at which the Gaussian tier hands over to
-#: deterministic log-domain growth (counts above 1e300).
-LOG_FLOAT_CAP = math.log(1e300)
-
-#: the Gaussian tier hands over once the relative standard deviation of all
-#: remaining branching noise is below this.  Counts there exceed the exact
-#: cap, so log Z > 33 and its ulp is >= 2**-47: a 10-sd draw moves log Z by
-#: under 1/800 of an ulp.
-HANDOVER_REL_SD = 2.0**-60
 
 #: log values are saturated here so they stay finite floats; any state this
 #: large exceeds every usable explosion threshold.
@@ -142,10 +131,7 @@ class LawContext:
     """The constants of one offspring law that every simulated step reads.
 
     ``log_fold`` is log(m/(m-1)), the offset in the deterministic step
-    log S_x = x*log(m) + log(m/(m-1)) (nan unless m > 1).  ``handover_log``
-    is the log count above which the Gaussian tier folds the remaining
-    generations deterministically: -inf for a zero-variance supercritical
-    law, +inf unless m > 1.
+    log S_x = x*log(m) + log(m/(m-1)) (nan unless m > 1).
     """
 
     law: OffspringLaw
@@ -153,7 +139,6 @@ class LawContext:
     v: float
     log_m: float
     log_fold: float
-    handover_log: float
 
 
 @lru_cache(maxsize=64)
@@ -162,19 +147,8 @@ def law_context(law: OffspringLaw) -> LawContext:
     m = mean(law)
     v = variance(law)
     log_m = math.log(m) if m > 0.0 else -math.inf
-    if m > 1.0:
-        log_fold = math.log(m / (m - 1.0))
-        # relative sd of the remaining noise: sqrt(v / (m (m-1) Z))
-        level = (
-            math.log(v / (m * (m - 1.0))) - 2.0 * math.log(HANDOVER_REL_SD)
-            if v > 0.0
-            else -math.inf
-        )
-        handover_log = min(level, LOG_FLOAT_CAP)
-    else:
-        log_fold = math.nan
-        handover_log = math.inf
-    return LawContext(law, m, v, log_m, log_fold, handover_log)
+    log_fold = math.log(m / (m - 1.0)) if m > 1.0 else math.nan
+    return LawContext(law, m, v, log_m, log_fold)
 
 
 # -- random streams -----------------------------------------------------------

@@ -3,10 +3,11 @@ classification.
 
 One step from state x >= 1 runs the auxiliary branching process for x
 generations, sums the total progeny S_x, and thins it binomially with
-survival probability theta.  State 0 is absorbing.  A state already in the
-log tier makes the next total astronomically concentrated, so that step is
-computed deterministically: log S = x*log(m) + log(m/(m-1)) and
-log X' = log S + log(theta).
+survival probability theta.  State 0 is absorbing.  Generations run as
+exact integers while Z stays within the cap; once Z leaves it, the rest of
+the sum is one Gaussian draw with its exact mean and variance.  A state in
+the log tier makes the next total astronomically concentrated, so that
+step is deterministic: log X' = x*log(m) + log(m/(m-1)) + log(theta).
 
 :func:`simulate_chunk` advances a block of replicas as numpy arrays drawing
 from one stream, and :func:`map_chunks` drives every Monte Carlo experiment
@@ -17,10 +18,9 @@ from the stream keyed by (master seed, purpose, c).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -68,18 +68,6 @@ class AlmostSureRegime(str, Enum):
 class RegimeReport:
     mean_regime: MeanRegime
     as_regime: AlmostSureRegime
-
-
-def _as_count(x: Union[int, ExtendedCount]) -> ExtendedCount:
-    if isinstance(x, ExtendedCount):
-        return x
-    return ExtendedCount.exact(int(x))
-
-
-def _ratio_shift(ctx: LawContext, theta: float) -> float:
-    """log(m/(m-1)) + log(theta): the offset of a deterministic step (nan
-    unless m > 1)."""
-    return ctx.log_fold + math.log(theta)
 
 
 def classify_regimes(params: IGWParams) -> RegimeReport:
@@ -169,11 +157,6 @@ def states_below(exact: np.ndarray, logs: np.ndarray, count: ExtendedCount) -> n
     return logs < count.log()
 
 
-def _below_pairwise(ai: np.ndarray, al: np.ndarray, bi: np.ndarray, bl: np.ndarray) -> np.ndarray:
-    """Vector ``a < b`` for two arrays of states."""
-    return np.where((ai >= 0) & (bi >= 0), ai < bi, al < bl)
-
-
 def _next_generations(law: OffspringLaw, z: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """One generation from each entry of z (>= 1 individuals), exact in
     distribution."""
@@ -189,19 +172,28 @@ def _next_generations(law: OffspringLaw, z: np.ndarray, gen: np.random.Generator
     ])
 
 
+@lru_cache(maxsize=16)
+def _point_mass_table(pm: int) -> np.ndarray:
+    """S_x = pm (pm^x - 1) / (pm - 1) for x = 0, 1, ... while it is within
+    the cap; read-only, as every caller shares it."""
+    table = [0]
+    while table[-1] * pm + pm <= DEFAULT_EXACT_CAP:
+        table.append(table[-1] * pm + pm)
+    out = np.asarray(table, np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def _point_mass_totals(ctx: LawContext, pm: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S_x in closed form when every individual has exactly pm children."""
     if pm == 0:
         return np.zeros_like(x), np.full(x.shape, -np.inf)
     if pm == 1:
         return np.where(x > DEFAULT_EXACT_CAP, -1, x), _log_of(x)
-    # S_x = pm (pm^x - 1) / (pm - 1); exact for the x whose S_x is within the cap
-    table = [0]
-    while table[-1] <= DEFAULT_EXACT_CAP:
-        table.append(table[-1] * pm + pm)
-    exact_x = x < len(table) - 1
+    table = _point_mass_table(pm)
+    exact_x = x < table.size
     s = np.full(x.shape, -1, np.int64)
-    s[exact_x] = np.asarray(table, np.int64)[x[exact_x]]
+    s[exact_x] = table[x[exact_x]]
     logs = np.empty(x.shape)
     logs[exact_x] = _log_of(s[exact_x])
     g = x[~exact_x].astype(np.float64) * ctx.log_m
@@ -209,66 +201,97 @@ def _point_mass_totals(ctx: LawContext, pm: int, x: np.ndarray) -> tuple[np.ndar
     return s, logs
 
 
+#: 1/n! for n = 19 down to 2, the Taylor coefficients (highest first) of
+#: (e^x - 1 - x)/x^2 in x; every other one gives (sinh x - x)/x^3 in x^2
+_TAYLOR = [1.0 / math.factorial(n) for n in range(19, 1, -1)]
+
+
+def _remainder_moments(ctx: LawContext, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log mu_L, rho_L): mu_L = E S_L = m (m^L - 1)/(m - 1) and rho_L =
+    Var S_L / mu_L^2 for S_L, the total of L generations from one ancestor.
+    With x = L log m, P = (x/2)^2 / sinh(x/2)^2, r = log(m)/(m-1) and
+    k = ((m+1) r - 2)/(m-1)^2 (1 and 1/6 at m = 1), log mu_L is
+    log m + log(L r) + log((e^x - 1)/x) and rho_L m^2/v is
+    2 L r P (sinh x - x)/x^3 + P k/(r^2 L) + P (e^x - 1 - x)/x^2: no term
+    is negative, so nothing cancels near m = 1.  Series give k near m = 1
+    and the factors in x below |x| = 1; above it, closed forms in
+    sinh(|x|/2) and e^-|x| overflow for no m > 0 and no L."""
+    m, log_m = ctx.m, ctx.log_m
+    d = m - 1.0
+    r = log_m / d if d else 1.0
+    k = (sum((-d) ** n * (n + 1) / ((n + 2) * (n + 3)) for n in range(40)) if abs(d) < 0.25
+         else ((2.0 + d) * r - 2.0) / (d * d))
+    x = left * log_m
+    ax = np.abs(x)
+    small = ax < 1.0
+    xs = np.where(small, x, 0.0)
+    f, a = np.polyval(_TAYLOR, xs), np.polyval(_TAYLOR[::2], xs * xs)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sh2 = np.sinh(0.5 * ax) ** 2
+        p = np.where(ax > 0.0, 0.25 * ax * ax / sh2, 1.0)
+        pa = np.where(small, p * a, 0.5 / (ax * np.tanh(0.5 * ax)) - 0.25 / sh2)
+        tail = (np.expm1(-ax) + ax) / (4.0 * sh2)  # P f(-|x|), and P f(x) + P f(-x) = 1
+        pf = np.where(small, p * f, np.where(x > 0.0, 1.0 - tail, tail))
+        log_e = np.where(small, np.log1p(xs * f), np.log(-np.expm1(-ax) / ax) + np.maximum(x, 0.0))
+    rho = ctx.v / (m * m) * (2.0 * left * r * pa + p * k / (r * r * left) + pf)
+    return log_m + np.log(left * r) + log_e, rho
+
+
+def _remainder_log(
+    ctx: LawContext, z_log: np.ndarray, left: np.ndarray, gen: np.random.Generator
+) -> np.ndarray:
+    """log R, R = Z_{K+1} + ... + Z_{K+L} once Z_K = z has left the exact
+    range with L generations to go: z i.i.d. copies of S_L, drawn as one
+    Gaussian with their exact mean and variance, clamped at R >= 0."""
+    log_mu, rho = _remainder_moments(ctx, left)
+    noise = np.sqrt(rho * np.exp(-z_log)) * gen.standard_normal(left.size)
+    with np.errstate(divide="ignore"):
+        return z_log + log_mu + np.log1p(np.maximum(noise, -1.0))
+
+
 def _chunk_totals(ctx: LawContext, x: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """S_x for each entry of x (all >= 1): exact values (-1 where S left the
     exact range) and logs, each replica run for its own x generations from
-    one ancestor on the count ladder of :mod:`igw.gw_engine`: exact
-    generations while Z stays within the cap, Gaussian branching noise
-    beyond it, and one deterministic fold of the remaining generations once
-    that noise cannot move a float."""
+    one ancestor: exact generations while Z stays within the cap, then one
+    Gaussian draw for the rest of the sum (:func:`_remainder_log`)."""
     law = ctx.law
     if law.point_mass is not None:
         return _point_mass_totals(ctx, law.point_mass, x)
-    cap = DEFAULT_EXACT_CAP
-    n = x.size
-    s = np.zeros(n, np.int64)  # -1 once S has left the exact range
-    s_log = np.full(n, -np.inf)
-    z = np.ones(n, np.int64)
-    z_log = np.zeros(n)
-    left = x.copy()
-    run = np.arange(n)  # exact Z, alive, generations left
+    s = np.zeros(x.size, np.int64)  # -1 once S has left the exact range
+    s_log = np.full(x.size, -np.inf)  # read only where s is -1
+    # the running replicas (exact Z, alive, generations left), in index order
+    run, z = np.arange(x.size), np.ones(x.size, np.int64)
+    rs, rl, left = s.copy(), s_log.copy(), x.copy()
     gauss = []
     while run.size:
-        zr = _next_generations(law, z[run], gen)
-        left[run] -= 1
-        sr = s[run]
-        small = zr <= cap
-        add = small & (sr >= 0)
-        sr[add] += zr[add]
+        z = _next_generations(law, z, gen)
+        left -= 1
+        small = z <= DEFAULT_EXACT_CAP
+        add = small & (rs >= 0)
+        np.add(rs, z, out=rs, where=add)
         # S joins the log range with its first huge generation or sum
-        into_log = ~add | (sr > cap)
-        zr_log = _log_of(zr)
-        cur = np.where(sr >= 0, _log_of(np.maximum(sr, 0)), s_log[run])
-        s_log[run] = np.where(add, cur, np.logaddexp(cur, zr_log))
-        sr[into_log] = -1
-        s[run] = sr
-        z[run] = zr
-        z_log[run] = zr_log
-        gauss.append(run[~small & (left[run] > 0)])
-        run = run[small & (zr > 0) & (left[run] > 0)]
-    g = np.concatenate(gauss)
-    m, v, log_m = ctx.m, ctx.v, ctx.log_m
-    while g.size:
-        fold = z_log[g] > ctx.handover_log
-        if fold.any():
-            # the remaining noise cannot move a float: add sum_j Z m^j at once
-            f = g[fold]
-            k = left[f] * log_m
-            s_log[f] = np.logaddexp(
-                s_log[f], z_log[f] + log_m + k + np.log1p(-np.exp(-k)) - math.log(m - 1.0)
-            )
-            g = g[~fold]
-        if not g.size:
-            break
-        # v > 0: only a point mass has no variance, and it has a closed form
-        zf = np.exp(z_log[g])
-        zf = np.maximum(m * zf + np.sqrt(v * zf) * gen.standard_normal(g.size), 1.0)
-        z_log[g] = np.log(zf)
-        s_log[g] = np.logaddexp(s_log[g], z_log[g])
-        left[g] -= 1
-        g = g[left[g] > 0]
-    big = s < 0
-    s[big], s_log[big] = _from_log(s_log[big])
+        grow = ~add
+        if grow.any():
+            prev = rs[grow]
+            cur = np.where(prev >= 0, _log_of(np.maximum(prev, 0)), rl[grow])
+            rl[grow], rs[grow] = np.logaddexp(cur, _log_of(z[grow])), -1
+        over = rs > DEFAULT_EXACT_CAP
+        if over.any():
+            rl[over], rs[over] = _log_of(rs[over]), -1
+        stop = ~small | (z == 0) | (left == 0)
+        if stop.any():
+            on = ~small & (left > 0)
+            if on.any():
+                gauss.append((run[on], _log_of(z[on]), left[on]))
+            s[run[stop]], s_log[run[stop]] = rs[stop], rl[stop]
+            keep = ~stop
+            run, z, rs, rl, left = run[keep], z[keep], rs[keep], rl[keep], left[keep]
+    if gauss:
+        g, z_log, left = (np.concatenate(parts) for parts in zip(*gauss))
+        s_log[g] = np.logaddexp(s_log[g], _remainder_log(ctx, z_log, left, gen))
+    exact = s >= 0
+    s_log[exact] = _log_of(s[exact])
+    s[~exact], s_log[~exact] = _from_log(s_log[~exact])
     return s, s_log
 
 
@@ -288,7 +311,7 @@ def _chunk_step(
         if ctx.m <= 1.0:
             raise RegimeError("log-tier states only arise from supercritical growth (m > 1)")
         with np.errstate(over="ignore"):
-            log_next = np.exp(xl[big]) * ctx.log_m + _ratio_shift(ctx, theta)
+            log_next = np.exp(xl[big]) * ctx.log_m + (ctx.log_fold + math.log(theta))
         ni[big], nl[big] = _from_log(log_next)
     small = ~big
     if not small.any():
@@ -346,14 +369,16 @@ def simulate_chunk(
             f"offspring counts up to {law.max_k} can overflow int64 generation sizes "
             f"above the exact cap {DEFAULT_EXACT_CAP}"
         )
-    threshold = _as_count(explosion_threshold)
+    threshold = explosion_threshold
+    if not isinstance(threshold, ExtendedCount):
+        threshold = ExtendedCount.exact(int(threshold))
     start = ExtendedCount.exact(x0)
     if threshold < start:
         raise ValueError("explosion threshold must be at least the start state")
 
     ctx = law_context(law)
     theta = params.theta
-    shift = _ratio_shift(ctx, theta)
+    shift = ctx.log_fold + math.log(theta)  # nan unless m > 1
     monotone = theta == 1.0 and law.p0 == 0.0
     gen = rng.generator
     termination = np.full(size, UNDECIDED, np.int8)
@@ -372,9 +397,8 @@ def simulate_chunk(
             break
         ni, nl = _chunk_step(ctx, theta, xi, xl, gen)
         if monotone:
-            assert not _below_pairwise(ni, nl, xi, xl).any(), (
-                "paths must be nondecreasing without thinning or deaths"
-            )
+            fell = np.where((ni >= 0) & (xi >= 0), ni < xi, nl < xl)
+            assert not fell.any(), "paths must be nondecreasing without thinning or deaths"
         died = ni == 0
         if record:
             with np.errstate(over="ignore"):
@@ -434,6 +458,8 @@ def map_chunks(
     sizes = [min(RNG_CHUNK, replicas - start) for start in range(0, replicas, RNG_CHUNK)]
     job = partial(_run_chunk, summarise, x0, params, horizon, threshold, master_seed, purpose, record)
     if workers > 1 and len(sizes) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costly to import
+
         # the platform's default start method: a chunk takes milliseconds,
         # and spawned workers would each start an interpreter and re-import
         # numpy and igw

@@ -11,11 +11,13 @@
   every power w^k by one full ``np.convolve`` cut at the cap, without the
   package's short products and symmetric square.
 * A scalar simulator of the chain, one path at a time on a numpy
-  generator: one multinomial draw per generation while Z is exact, the
-  Gaussian tier with the package's handover level and fold beyond it, and
-  binomial thinning with a rounded normal above ``THIN_EXACT_LIMIT``.  It
-  shares the count ladder's constants with the batched engine, not its
-  array code or its sampling of two-atom laws.
+  generator: one multinomial draw per generation while Z is exact,
+  Gaussian branching noise one generation at a time beyond it, folded
+  deterministically once the relative sd of the noise still to come is
+  below 2^-60 (or Z above 1e300), and binomial thinning with a rounded
+  normal above ``THIN_EXACT_LIMIT``.  It shares the exact cap and the
+  thinning limit with the batched engine, not its array code, its
+  sampling of two-atom laws or its one-draw remainder of the sum.
 * The one-step mean map chi(x) = E_x(X_1) in closed form.
 
 ``package_kernels`` is no oracle: it is the dense view of the package's own
@@ -190,10 +192,33 @@ def _count(n: int) -> ExtendedCount:
     return ExtendedCount.exact(n) if n <= DEFAULT_EXACT_CAP else ExtendedCount.from_log(math.log(n))
 
 
+#: the per-generation Gaussian chain folds once the relative sd of all the
+#: noise still to come is below this, and at the latest above 1e300
+HANDOVER_REL_SD = 2.0**-60
+LOG_FLOAT_CAP = math.log(1e300)
+
+
+def handover_log(law: OffspringLaw) -> float:
+    """The log count above which :func:`total_progeny` folds: where
+    sqrt(v / (m (m-1) Z)) = HANDOVER_REL_SD, clamped at LOG_FLOAT_CAP; -inf
+    for a zero-variance supercritical law, +inf unless m > 1."""
+    ctx = law_context(law)
+    if ctx.m <= 1.0:
+        return math.inf
+    if ctx.v == 0.0:
+        return -math.inf
+    level = math.log(ctx.v / (ctx.m * (ctx.m - 1.0))) - 2.0 * math.log(HANDOVER_REL_SD)
+    return min(level, LOG_FLOAT_CAP)
+
+
 def total_progeny(law: OffspringLaw, x: int, gen: np.random.Generator) -> tuple[ExtendedCount, ExtendedCount]:
     """(Z_x, S_x) of the branching process run x generations from one
-    ancestor."""
+    ancestor: exact generations up to the cap, then Gaussian noise
+    Z' = max(m Z + sqrt(v Z) N, 1) one generation at a time up to
+    :func:`handover_log`, then the remaining generations folded as
+    sum_j Z m^j."""
     ctx = law_context(law)
+    handover = handover_log(law)
     z, s, k = 1, 0, 0
     while k < x and 0 < z <= DEFAULT_EXACT_CAP:
         z = int(gen.multinomial(z, law.probs_array) @ law.ks_array)
@@ -202,7 +227,7 @@ def total_progeny(law: OffspringLaw, x: int, gen: np.random.Generator) -> tuple[
     if k == x or z == 0:
         return _count(z), _count(s)
     z_log, s_log = math.log(z), math.log(s)
-    while k < x and z_log <= ctx.handover_log:
+    while k < x and z_log <= handover:
         zf = math.exp(z_log)
         z_log = math.log(max(ctx.m * zf + math.sqrt(ctx.v * zf) * gen.standard_normal(), 1.0))
         s_log = float(np.logaddexp(s_log, z_log))

@@ -21,7 +21,7 @@ from igw import (
 )
 
 from igw.gw_engine import _iterates, _trapezoid_grid, law_context
-from igw.igw_process import _chunk_step, _chunk_totals
+from igw.igw_process import _chunk_step, _chunk_totals, _remainder_log, _remainder_moments
 
 import reference
 from conftest import enumerate_joint, enumerate_total_progeny, first_states, law_fractions
@@ -166,8 +166,10 @@ class TestTotalProgeny:
         assert logs[0] == pytest.approx(1201 * math.log(2), rel=1e-9)
 
     def test_gaussian_tier_hands_over_once_noise_is_below_rounding(self, binary_half):
-        # m = 1.5, v = 0.25: the relative sd of the remaining noise falls
-        # below 2^-60 near Z = e^82, about 120 generations past the exact cap
+        # m = 1.5, v = 0.25: the per-generation chain steps about 120
+        # generations past the exact cap before the relative sd of the
+        # remaining noise falls below 2^-60; the engine draws that rest of
+        # the sum at once, from one standard normal
         def reference_log_total(x, gen):
             # the per-generation loop: Gaussian noise every generation up to
             # 1e300, then the deterministic fold
@@ -192,9 +194,68 @@ class TestTotalProgeny:
             _, logs = totals(binary_half, 5000, 1, SimpleNamespace(generator=gen))
             ref = CountingGenerator(RngStream(13, r))
             want = reference_log_total(5000, ref)
-            assert 0 < gen.normals <= 200
+            assert gen.normals == 1
             assert ref.normals > 1000
             assert logs[0] == pytest.approx(want, rel=1e-10)
+
+
+#: laws for the one-draw remainder: two supercritical, one near-critical
+#: (m = 1.001), one critical and one subcritical (m = 0.75)
+REMAINDER_LAWS = (
+    "binary:0.5",
+    "pmf:1=0.3,2=0.3,5=0.4",
+    "pmf:0=0.2495,1=0.5,2=0.2505",
+    "pmf:0=0.25,1=0.5,2=0.25",
+    "pmf:0=0.5,1=0.25,2=0.25",
+)
+
+
+class TestRemainder:
+    """The rest of the sum once Z leaves the exact range, in one draw."""
+
+    @pytest.mark.parametrize("spec", REMAINDER_LAWS)
+    def test_moments_match_the_recursions(self, spec):
+        # S_L = sum over the Z_1 children of 1 + S_{L-1}:
+        # mu_L = m (1 + mu_{L-1}) and Var_L = m Var_{L-1} + v (1 + mu_{L-1})^2
+        ctx = law_context(parse_law_spec(spec))
+        log_mu, rho = _remainder_moments(ctx, np.arange(1, 61))
+        mu, var = 0.0, 0.0
+        for n in range(60):
+            mu, var = ctx.m * (1.0 + mu), ctx.m * var + ctx.v * (1.0 + mu) ** 2
+            assert math.exp(log_mu[n]) == pytest.approx(mu, rel=1e-12), (spec, n + 1)
+            assert rho[n] == pytest.approx(var / mu**2, rel=1e-12), (spec, n + 1)
+
+    @pytest.mark.parametrize(
+        "spec, left",
+        [("binary:0.5", n) for n in (1, 7, 300)]
+        + [(spec, n) for spec in REMAINDER_LAWS[3:] for n in (1, 7, 300, 2**40)],
+    )
+    def test_draws_have_the_exact_mean_and_variance(self, spec, left):
+        # standardized through the draw's own log mu_L: at m = 1.5 and
+        # L = 2^40, log R is near 4.5e11, whose ulp (6e-5) is far above the
+        # relative sd 1.7e-8 of R, so only laws with m <= 1 resolve that L
+        ctx = law_context(parse_law_spec(spec))
+        n = 20_000
+        z_log = np.full(n, 50 * math.log(2.0))
+        left = np.full(n, left, np.int64)
+        log_r = _remainder_log(ctx, z_log, left, stream_for(5, left[0], spec).generator)
+        log_mu, rho = _remainder_moments(ctx, left)
+        w = np.expm1(log_r - (z_log + log_mu)) / np.sqrt(rho * np.exp(-z_log))
+        assert abs(w.mean()) <= 4 / math.sqrt(n)
+        assert abs(w.var(ddof=1) - 1.0) <= 4 * math.sqrt(2.0 / (n - 1))
+
+    @pytest.mark.parametrize("spec", REMAINDER_LAWS[2:])
+    def test_draws_stay_finite_without_growth(self, spec):
+        # m <= 1 (and m near 1): up to 2^62 generations left, no overflow
+        # and no nan; a clamped draw is R = 0, so S = Z + R stays finite
+        ctx = law_context(parse_law_spec(spec))
+        left = np.array([1, 2, 10**6, 2**40, 2**48, 2**62] * 500, np.int64)
+        z_log = np.full(left.size, math.log(DEFAULT_EXACT_CAP + 1.0))
+        log_mu, rho = _remainder_moments(ctx, left)
+        assert np.isfinite(log_mu).all() and np.isfinite(rho).all() and (rho > 0).all()
+        log_r = _remainder_log(ctx, z_log, left, stream_for(6, 0, spec).generator)
+        assert not np.isnan(log_r).any() and (log_r < np.inf).all()
+        assert np.isfinite(np.logaddexp(z_log, log_r)).all()
 
 
 class TestThin:
