@@ -72,6 +72,8 @@ def fixed_point_q(params: IGWParams, tol: float = 1e-12) -> float:
     g is convex with g(1) = 1, so a nontrivial root below 1 exists exactly
     when g'(1) = m * theta > 1; otherwise 1.0 is reported.  Requires
     p_0 = 0 (with p_0 > 0 the plain extinction analysis applies instead).
+    Bisection stops at width min(tol, 1e-14), so every tol >= 1e-14 gives
+    the same q*.
     """
     if params.law.p0 > 0.0:
         raise RegimeError("the fixed-point certificate needs p_0 = 0")

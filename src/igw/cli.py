@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: classify, simulate, exact, bounds, mc, verify, sweep.  Output
-is CSV (RFC-4180 style, LF endings) preceded by a ``# key=value`` metadata
-block that echoes the fully resolved configuration, so every file is
-self-describing and byte-reproducible from its own header.
+Commands: classify, simulate, and one subcommand per quantity under exact,
+bounds, mc, verify and sweep (``igw exact death-interval``, ``igw sweep
+mc-death``, ...).  Every command path declares exactly the flags its
+handler reads.  Output is CSV (RFC-4180 style, LF endings) preceded by a
+``# key=value`` metadata block that echoes the path's fully resolved flags,
+so every file is self-describing and byte-reproducible from its own header.
 
 Exit codes: 0 success, 1 invalid input, 2 regime-precondition rejection,
 3 indeterminate verification.
@@ -12,6 +14,7 @@ Exit codes: 0 success, 1 invalid input, 2 regime-precondition rejection,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from typing import Iterable, Optional, Sequence
@@ -29,6 +32,7 @@ from .analysis import (
 )
 from .exact_dist import (
     Caps,
+    TruncatedDist,
     death_interval_detail,
     death_prob_interval,
     finite_horizon_death,
@@ -41,7 +45,7 @@ from .gw_engine import DEFAULT_EXACT_CAP, ExtendedCount
 from .igw_process import RNG_CHUNK, TERMINATIONS, ChunkPaths, classify_regimes, map_chunks
 from .reproduction_laws import (
     IGWParams,
-    LawSpecError,
+    OffspringLaw,
     RegimeError,
     format_law_spec,
     parse_law_spec,
@@ -53,6 +57,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        # no prefix matching: `mc ratio --x 5` must not be read as --x0
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
@@ -66,15 +74,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_caps(text: str) -> Caps:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise _UsageError(f"--caps expects 'z,s,x', got {text!r}")
-    try:
-        z, s, x = (int(p) for p in parts)
-    except ValueError:
-        raise _UsageError(f"--caps entries must be integers, got {text!r}") from None
-    return Caps(z, s, x)
+def _cap(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"caps must be >= 1, got {value}")
+    return value
 
 
 def _parse_threshold(text: str) -> ExtendedCount:
@@ -103,15 +107,12 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     # it out keeps output bytes identical at any parallelism level
     skip = {"command", "out", "config", "func", "workers"}
     for key in sorted(vars(args)):
-        if key in skip:
-            continue
         value = getattr(args, key)
-        if value is None:
+        if key in skip or value is None:
             continue
-        if isinstance(value, Caps):
-            value = f"{value.z_cap},{value.s_cap},{value.x_cap}"
-        if isinstance(value, ExtendedCount):
-            value = _fmt(value.to_float())
+        if isinstance(value, OffspringLaw):
+            # the canonical spec string round-trips to the same law
+            value = format_law_spec(value)
         meta[key.replace("_", "-")] = value
     meta.update(extra)
     return meta
@@ -123,22 +124,84 @@ _RNG_META = {"rng-chunk": RNG_CHUNK}
 
 
 def _params(args: argparse.Namespace) -> IGWParams:
-    if getattr(args, "law", None) is None:
-        raise _UsageError("--law is required")
-    if getattr(args, "theta", None) is None:
-        raise _UsageError("--theta is required")
-    law = parse_law_spec(args.law)
-    # echo the canonical spec string so metadata round-trips to the same law
-    args.law = format_law_spec(law)
-    return IGWParams(law, args.theta)
+    return IGWParams(args.law, args.theta)
 
 
-# -- subcommand handlers ---------------------------------------------------------
+# -- command paths: each declares the flags its handler reads ----------------------
+
+#: every flag a command path can declare
+_FLAGS = {
+    "law": dict(required=True, help="binary:LAMBDA or pmf:k1=p1,k2=p2,..."),
+    "theta": dict(type=float, required=True, help="thinning parameter in (0,1]"),
+    "theta-grid": dict(help="comma list of thinning values"),
+    "x": dict(type=int, default=1, help="start state"),
+    "x-grid": dict(help="start states: 'a:b[:step]' or a comma list of integers"),
+    "x0": dict(type=int, default=1, help="start state"),
+    "y": dict(type=int, default=1, help="second start state"),
+    "n": dict(type=int, default=1, help="horizon of the finite-horizon death probability"),
+    "n-max": dict(type=int, default=12, help="last horizon checked"),
+    "horizon": dict(type=int, default=256, help="steps simulated or swept"),
+    "x-cap": dict(type=_cap, default=512, help="chain-state cap; results below it are exact"),
+    "s-cap": dict(type=_cap, default=4096, help="total-progeny cap"),
+    "q1": dict(type=float, required=True, help="certified bound on the state-1 death probability"),
+    "tol": dict(
+        type=float, default=1e-12,
+        help="bisection stops at width min(tol, 1e-14), so any tol >= 1e-14 gives the same q*",
+    ),
+    "seed": dict(type=int, default=0, help="master seed"),
+    "workers": dict(type=int, default=1, help="processes; the output does not depend on it"),
+    "replicas": dict(type=int, default=10000),
+    "threshold": dict(default="1e9", help="state at which a path counts as exploded"),
+    "confidence": dict(type=float, default=0.99, help="level of the Wilson interval"),
+}
+
+_GROUP_HELP = {
+    "exact": "exact distributions and certified intervals",
+    "bounds": "analytic certificates",
+    "mc": "Monte Carlo estimates",
+    "verify": "inequality verification reports",
+    "sweep": "grid sweeps, one CSV row per point",
+}
+
+#: (command, quantity or None, summary, flags, handler), in help order
+_PATHS: list = []
 
 
-def _cmd_classify(args, out) -> int:
-    params = _params(args)
-    report = classify_regimes(params)
+def _command(command: str, quantity: Optional[str], summary: str, *flags: str):
+    """Register the decorated handler as the path ``igw command [quantity]``
+    with ``flags``, names from ``_FLAGS``: ``name!`` makes a flag required,
+    ``name=value`` changes its default, and ``a|b`` makes two flags mutually
+    exclusive (one of them required when ``a`` is)."""
+    def register(func):
+        _PATHS.append((command, quantity, summary, flags, func))
+        return func
+    return register
+
+
+def _declare(p: _Parser, flags: Sequence[str]) -> None:
+    for entry in flags:
+        names = entry.split("|")
+        target = p
+        if len(names) > 1:
+            target = p.add_mutually_exclusive_group(required=_FLAGS[names[0]].get("required", False))
+        for name in names:
+            name, _, default = name.partition("=")
+            flag = name.rstrip("!")
+            spec = dict(_FLAGS[flag])
+            if default:
+                spec["default"] = default  # argparse converts it with spec["type"]
+            if name.endswith("!"):
+                spec["required"] = True
+            if target is not p:  # the group carries the requirement
+                spec.pop("required", None)
+            target.add_argument(f"--{flag}", **spec)
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.add_argument("--config", default=None, help="key=value defaults file")
+
+
+@_command("classify", None, "mean and almost-sure regime of (law, theta)", "law", "theta")
+def _classify(args, out) -> int:
+    report = classify_regimes(_params(args))
     _emit(out, _meta(args), ["mean_regime", "as_regime"],
           [[report.mean_regime.value, report.as_regime.value]])
     return 0
@@ -160,12 +223,14 @@ def _trajectory_rows(index: int, paths: ChunkPaths) -> list[list]:
     return rows
 
 
-def _cmd_simulate(args, out) -> int:
-    params = _params(args)
-    threshold = _parse_threshold(args.threshold)
+@_command(
+    "simulate", None, "simulate trajectories to CSV",
+    "law", "theta", "x0!", "horizon", "threshold", "replicas=1", "seed", "workers",
+)
+def _simulate(args, out) -> int:
     chunks = map_chunks(
-        _trajectory_rows, args.x0, params, args.horizon, threshold, args.seed, "simulate",
-        args.replicas, workers=args.workers, record=True,
+        _trajectory_rows, args.x0, _params(args), args.horizon, _parse_threshold(args.threshold),
+        args.seed, "simulate", args.replicas, workers=args.workers, record=True,
     )
     rows = [row for chunk in chunks for row in chunk]
     _emit(out, _meta(args, **_RNG_META),
@@ -174,160 +239,147 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-def _cmd_exact(args, out) -> int:
+def _emit_dist(out, args, dist: TruncatedDist) -> int:
+    rows = [[k, _fmt(float(p))] for k, p in enumerate(dist.atoms) if p > 0.0]
+    rows.append(["overflow", dist.overflow])
+    _emit(out, _meta(args, warning=dist.warning or ""), ["value", "prob"], rows)
+    return 0
+
+
+@_command("exact", "total-progeny", "law of S_x, cut at --s-cap", "law", "x!", "s-cap")
+def _exact_total_progeny(args, out) -> int:
+    return _emit_dist(out, args, total_progeny_dist(args.law, args.x, s_cap=args.s_cap))
+
+
+@_command("exact", "one-step", "law of X_1 from x, cut at --x-cap", "law", "theta", "x!", "x-cap")
+def _exact_one_step(args, out) -> int:
+    return _emit_dist(out, args, one_step_dist(args.x, _params(args), Caps(x_cap=args.x_cap)))
+
+
+@_command("exact", "one-step-death", "P_x(X_1 = 0), untruncated", "law", "theta", "x!")
+def _exact_one_step_death(args, out) -> int:
+    _emit(out, _meta(args), ["value"], [[one_step_death_prob(args.x, _params(args))]])
+    return 0
+
+
+@_command(
+    "exact", "finite-horizon-death", "certified enclosure of P_x(X_n = 0)",
+    "law", "theta", "x!", "n", "x-cap",
+)
+def _exact_finite_horizon_death(args, out) -> int:
+    params, caps = _params(args), Caps(x_cap=args.x_cap)
+    iv = finite_horizon_death(args.x, params, args.n, caps)
+    meta = _meta(args, **{"swept-states": swept_states(params, caps)})
+    _emit(out, meta, ["lo", "hi"], [[iv.lo, iv.hi]])
+    return 0
+
+
+@_command(
+    "exact", "death-interval", "certified enclosure of the death probability P_x(D)",
+    "law", "theta", "x!", "x-cap", "horizon",
+)
+def _exact_death_interval(args, out) -> int:
+    detail = death_interval_detail(args.x, _params(args), Caps(x_cap=args.x_cap), args.horizon)
+    meta = _meta(args, **{
+        "swept-states": detail.swept_states,
+        "width-truncation": detail.truncation,
+        "width-closure": detail.closure,
+    })
+    _emit(out, meta, ["lo", "hi"], [[detail.interval.lo, detail.interval.hi]])
+    return 0
+
+
+@_command("bounds", "q-star", "smallest fixed point of the thinned pgf", "law", "theta", "tol")
+def _bounds_q_star(args, out) -> int:
+    _emit(out, _meta(args), ["q_star"], [[fixed_point_q(_params(args), args.tol)]])
+    return 0
+
+
+@_command("bounds", "binary-death", "closed-form death bound of a binary law", "law", "theta")
+def _bounds_binary_death(args, out) -> int:
     params = _params(args)
-    what = args.what
-    if what == "total-progeny":
-        dist = total_progeny_dist(params.law, args.x, s_cap=args.caps.s_cap)
-        rows = [[k, _fmt(float(p))] for k, p in enumerate(dist.atoms) if p > 0.0]
-        rows.append(["overflow", _fmt(dist.overflow)])
-        _emit(out, _meta(args, warning=dist.warning or ""), ["value", "prob"], rows)
-        return 0
-    if what == "one-step":
-        dist = one_step_dist(args.x, params, args.caps)
-        rows = [[k, _fmt(float(p))] for k, p in enumerate(dist.atoms) if p > 0.0]
-        rows.append(["overflow", _fmt(dist.overflow)])
-        _emit(out, _meta(args, warning=dist.warning or ""), ["value", "prob"], rows)
-        return 0
-    if what == "one-step-death":
-        value = one_step_death_prob(args.x, params)
-        _emit(out, _meta(args), ["value"], [[_fmt(value)]])
-        return 0
-    if what == "finite-horizon-death":
-        iv = finite_horizon_death(args.x, params, args.n, args.caps)
-        meta = _meta(args, **{"swept-states": swept_states(params, args.caps)})
-        _emit(out, meta, ["lo", "hi"], [[_fmt(iv.lo), _fmt(iv.hi)]])
-        return 0
-    if what == "death-interval":
-        detail = death_interval_detail(args.x, params, args.caps, args.horizon)
-        iv = detail.interval
-        meta = _meta(
-            args,
-            **{
-                "swept-states": detail.swept_states,
-                "width-truncation": detail.truncation,
-                "width-closure": detail.closure,
-            },
-        )
-        _emit(out, meta, ["lo", "hi"], [[_fmt(iv.lo), _fmt(iv.hi)]])
-        return 0
-    raise _UsageError(f"unknown exact quantity {what!r}")
+    lam = params.law.binary_lambda
+    if lam is None:
+        raise RegimeError("the closed form applies to binary laws only")
+    _emit(out, _meta(args), ["death_bound"], [[binary_death_bound(lam, params.theta)]])
+    return 0
 
 
-def _cmd_bounds(args, out) -> int:
-    what = args.what
-    if what == "q-star":
-        params = _params(args)
-        value = fixed_point_q(params, args.tol)
-        _emit(out, _meta(args), ["q_star"], [[_fmt(value)]])
-        return 0
-    if what == "binary-death":
-        params = _params(args)
-        lam = params.law.binary_lambda
-        if lam is None:
-            raise RegimeError("the closed form applies to binary laws only")
-        value = binary_death_bound(lam, params.theta)
-        _emit(out, _meta(args), ["death_bound"], [[_fmt(value)]])
-        return 0
-    if what == "geometric-death":
-        if args.q1 is None:
-            raise _UsageError("--q1 is required for the geometric death bound")
-        value = geometric_death_bound(args.q1, args.x)
-        _emit(out, _meta(args), ["death_bound"], [[_fmt(value)]])
-        return 0
-    if what == "explosion":
-        params = _params(args)
-        cert = explosion_lower_bound(args.x, params)
-        rows = [[s.x_k, _fmt(s.gamma_raw), _fmt(s.gamma), s.method] for s in cert.steps]
-        meta = _meta(
-            args,
-            bound=_fmt(cert.bound),
-            valid=cert.valid,
-            tail_sum=_fmt(cert.tail_sum),
-            tail_sup=_fmt(cert.tail_sup),
-            **{"harmonic-y": cert.harmonic_y, "harmonic-bound": _fmt(cert.harmonic_bound)},
-        )
-        _emit(out, meta, ["x_k", "gamma_raw", "gamma", "method"], rows)
-        return 0
-    raise _UsageError(f"unknown bound {what!r}")
+@_command("bounds", "geometric-death", "the geometric chain bound q1^x", "q1", "x")
+def _bounds_geometric_death(args, out) -> int:
+    _emit(out, _meta(args), ["death_bound"], [[geometric_death_bound(args.q1, args.x)]])
+    return 0
 
 
-def _cmd_mc(args, out) -> int:
-    params = _params(args)
-    if args.what == "death":
-        threshold = _parse_threshold(args.threshold)
-        result = mc_death_prob(
-            args.x,
-            params,
-            args.replicas,
-            args.horizon,
-            threshold,
-            args.seed,
-            confidence=args.confidence,
-            workers=args.workers,
-        )
-        est = result.estimate
-        _emit(
-            out,
-            _meta(args, **_RNG_META),
-            ["replicas", "died", "point", "ci_lo", "ci_hi", "exploded", "undecided"],
-            [[
-                est.replicas,
-                est.successes,
-                _fmt(est.point),
-                _fmt(est.ci_lo),
-                _fmt(est.ci_hi),
-                _fmt(result.exploded_fraction),
-                _fmt(result.undecided_fraction),
-            ]],
-        )
-        return 0
-    if args.what == "ratio":
-        rows = mc_ratio_convergence(
-            params, args.x0, args.replicas, args.seed,
-            horizon=args.horizon, workers=args.workers,
-        )
-        _emit(
-            out,
-            _meta(args, **_RNG_META),
-            ["step", "count", "median_y", "err_q10", "err_q50", "err_q90"],
-            [
-                [r.step, r.count, _fmt(r.median_y), _fmt(r.err_q10), _fmt(r.err_q50), _fmt(r.err_q90)]
-                for r in rows
-            ],
-        )
-        return 0
-    raise _UsageError(f"unknown mc experiment {args.what!r}")
+@_command("bounds", "explosion", "certified lower bound on P_x(explode)", "law", "theta", "x")
+def _bounds_explosion(args, out) -> int:
+    cert = explosion_lower_bound(args.x, _params(args))
+    rows = [[s.x_k, s.gamma_raw, s.gamma, s.method] for s in cert.steps]
+    meta = _meta(
+        args, bound=cert.bound, valid=cert.valid, tail_sum=cert.tail_sum, tail_sup=cert.tail_sup,
+        **{"harmonic-y": cert.harmonic_y, "harmonic-bound": cert.harmonic_bound},
+    )
+    _emit(out, meta, ["x_k", "gamma_raw", "gamma", "method"], rows)
+    return 0
 
 
-def _cmd_verify(args, out) -> int:
-    params = _params(args)
-    if args.what == "submult":
-        report = submultiplicativity_check(params, args.x, args.y, args.n, args.caps)
-        _emit(
-            out,
-            _meta(args),
-            ["x", "y", "n", "hi_xy", "hi_x", "hi_y", "lo_x", "lo_y", "status"],
-            [[
-                report.x, report.y, report.n,
-                _fmt(report.interval_xy.hi), _fmt(report.interval_x.hi), _fmt(report.interval_y.hi),
-                _fmt(report.interval_x.lo), _fmt(report.interval_y.lo), report.status,
-            ]],
-        )
-        return 3 if report.status == "indeterminate" else 0
-    if args.what == "absorption":
-        report = geometric_absorption_check(params, args.x, args.n_max, args.caps)
-        rows = [
-            [r.n, _fmt(r.survival_lo), _fmt(r.survival_hi), _fmt(r.geometric_bound), r.status]
-            for r in report.rows
-        ]
-        _emit(out, _meta(args), ["n", "survival_lo", "survival_hi", "bound", "status"], rows)
-        return 3 if report.any_indeterminate else 0
-    raise _UsageError(f"unknown verification {args.what!r}")
+@_command(
+    "mc", "death", "fraction of paths absorbed at 0, with a Wilson interval",
+    "law", "theta", "x", "replicas", "horizon", "threshold", "confidence", "seed", "workers",
+)
+def _mc_death(args, out) -> int:
+    result = mc_death_prob(
+        args.x, _params(args), args.replicas, args.horizon, _parse_threshold(args.threshold),
+        args.seed, confidence=args.confidence, workers=args.workers,
+    )
+    est = result.estimate
+    row = [est.replicas, est.successes, est.point, est.ci_lo, est.ci_hi,
+           result.exploded_fraction, result.undecided_fraction]
+    _emit(out, _meta(args, **_RNG_META),
+          ["replicas", "died", "point", "ci_lo", "ci_hi", "exploded", "undecided"], [row])
+    return 0
 
 
-def _parse_grid(text: str) -> list:
-    """Grid syntax: 'a:b' or 'a:b:step' for integer ranges, or a comma list."""
+@_command(
+    "mc", "ratio", "growth ratio log(X_{n+1})/X_n on exploding paths",
+    "law", "theta", "x0", "replicas", "horizon", "seed", "workers",
+)
+def _mc_ratio(args, out) -> int:
+    rows = mc_ratio_convergence(
+        _params(args), args.x0, args.replicas, args.seed, horizon=args.horizon, workers=args.workers,
+    )
+    _emit(out, _meta(args, **_RNG_META),
+          ["step", "count", "median_y", "err_q10", "err_q50", "err_q90"],
+          [[r.step, r.count, r.median_y, r.err_q10, r.err_q50, r.err_q90] for r in rows])
+    return 0
+
+
+@_command(
+    "verify", "submult", "P_{x+y}(X_n = 0) <= P_x(X_n = 0) P_y(X_n = 0) on certified intervals",
+    "law", "theta", "x", "y", "n", "x-cap",
+)
+def _verify_submult(args, out) -> int:
+    report = submultiplicativity_check(_params(args), args.x, args.y, args.n, Caps(x_cap=args.x_cap))
+    row = [report.x, report.y, report.n, report.interval_xy.hi, report.interval_x.hi,
+           report.interval_y.hi, report.interval_x.lo, report.interval_y.lo, report.status]
+    _emit(out, _meta(args), ["x", "y", "n", "hi_xy", "hi_x", "hi_y", "lo_x", "lo_y", "status"], [row])
+    return 3 if report.status == "indeterminate" else 0
+
+
+@_command(
+    "verify", "absorption", "P_x(X_n != 0) <= (1 - p_0)^n for n = 1..n-max",
+    "law", "theta", "x", "n-max", "x-cap",
+)
+def _verify_absorption(args, out) -> int:
+    report = geometric_absorption_check(_params(args), args.x, args.n_max, Caps(x_cap=args.x_cap))
+    rows = [[r.n, r.survival_lo, r.survival_hi, r.geometric_bound, r.status] for r in report.rows]
+    _emit(out, _meta(args), ["n", "survival_lo", "survival_hi", "bound", "status"], rows)
+    return 3 if report.any_indeterminate else 0
+
+
+def _parse_grid(text: str, kind: type) -> list:
+    """Grid syntax: 'a:b' or 'a:b:step' for integer ranges, or a comma list
+    of ``kind`` values."""
     text = text.strip()
     if not text:
         return []
@@ -342,167 +394,93 @@ def _parse_grid(text: str) -> list:
             raise _UsageError(f"grid range {text!r} has non-integer parts") from None
         if step < 1:
             raise _UsageError("grid step must be >= 1")
-        return list(range(start, stop + 1, step))
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            out.append(int(token) if token.isdigit() else float(token))
-        except ValueError:
-            raise _UsageError(f"grid entry {token!r} is not a number") from None
-    return out
+        return [kind(v) for v in range(start, stop + 1, step)]
+    try:
+        return [kind(token) for token in text.split(",")]
+    except ValueError as exc:
+        raise _UsageError(f"grid entry is not of type {kind.__name__}: {exc}") from None
 
 
-def _cmd_sweep(args, out) -> int:
-    law = parse_law_spec(args.law)
-    args.law = format_law_spec(law)
-    xs = _parse_grid(args.x_grid) if args.x_grid is not None else [args.x]
-    if args.theta_grid is not None:
-        thetas = _parse_grid(args.theta_grid)
-    elif args.theta is not None:
-        thetas = [args.theta]
+def _grid(args) -> list[tuple[int, float, int]]:
+    """(index, theta, x) for every grid point, x varying fastest."""
+    thetas = [args.theta] if args.theta_grid is None else _parse_grid(args.theta_grid, float)
+    if args.x_grid is None:
+        xs = [args.x]
     else:
-        raise _UsageError("provide --theta or --theta-grid")
+        xs, args.x = _parse_grid(args.x_grid, int), None  # the metadata echoes the grid alone
     if len(xs) * len(thetas) > 10**6:
         raise _UsageError("grid larger than 1e6 points; refuse to run")
+    return [(i, theta, x) for i, (theta, x) in enumerate(itertools.product(thetas, xs))]
+
+
+@_command(
+    "sweep", "death-interval", "certified death intervals over a grid",
+    "law", "theta|theta-grid", "x|x-grid", "x-cap", "horizon",
+)
+def _sweep_death_interval(args, out) -> int:
+    caps = Caps(x_cap=args.x_cap)
     rows = []
-    index = 0
-    for theta in thetas:
-        for x in xs:
-            params = IGWParams(law, float(theta))
-            if args.quantity == "death-interval":
-                iv = death_prob_interval(int(x), params, args.caps, args.horizon)
-                rows.append([index, _fmt(float(theta)), int(x), _fmt(iv.lo), _fmt(iv.hi)])
-            elif args.quantity == "mc-death":
-                threshold = _parse_threshold(args.threshold)
-                result = mc_death_prob(
-                    int(x), params, args.replicas, args.horizon, threshold,
-                    args.seed + index,  # per-point seed, deterministic in grid order
-                    confidence=args.confidence, workers=args.workers,
-                )
-                est = result.estimate
-                rows.append([
-                    index, _fmt(float(theta)), int(x),
-                    _fmt(est.point), _fmt(est.ci_lo), _fmt(est.ci_hi),
-                    _fmt(result.undecided_fraction),
-                ])
-            else:
-                raise _UsageError(f"unknown sweep quantity {args.quantity!r}")
-            index += 1
-    if args.quantity == "death-interval":
-        header = ["index", "theta", "x", "lo", "hi"]
-        meta = _meta(args)
-    else:
-        header = ["index", "theta", "x", "point", "ci_lo", "ci_hi", "undecided"]
-        meta = _meta(args, **_RNG_META)
-    _emit(out, meta, header, rows)
+    for index, theta, x in _grid(args):
+        iv = death_prob_interval(x, IGWParams(args.law, theta), caps, args.horizon)
+        rows.append([index, theta, x, iv.lo, iv.hi])
+    _emit(out, _meta(args), ["index", "theta", "x", "lo", "hi"], rows)
+    return 0
+
+
+@_command(
+    "sweep", "mc-death", "Monte Carlo death estimates over a grid",
+    "law", "theta|theta-grid", "x|x-grid", "replicas", "horizon", "threshold", "confidence",
+    "seed", "workers",
+)
+def _sweep_mc_death(args, out) -> int:
+    threshold = _parse_threshold(args.threshold)
+    rows = []
+    for index, theta, x in _grid(args):
+        result = mc_death_prob(
+            x, IGWParams(args.law, theta), args.replicas, args.horizon, threshold,
+            args.seed + index,  # per-point seed, deterministic in grid order
+            confidence=args.confidence, workers=args.workers,
+        )
+        est = result.estimate
+        rows.append([index, theta, x, est.point, est.ci_lo, est.ci_hi, result.undecided_fraction])
+    _emit(out, _meta(args, **_RNG_META),
+          ["index", "theta", "x", "point", "ci_lo", "ci_hi", "undecided"], rows)
     return 0
 
 
 # -- wiring ------------------------------------------------------------------------
 
 
-def _add_common(
-    p: _Parser, *, law: bool = True, seed: bool = False, caps: bool = False,
-    theta_required: bool = True,
-):
-    if law:
-        p.add_argument("--law", required=True, help="binary:LAMBDA or pmf:k1=p1,k2=p2,...")
-        p.add_argument(
-            "--theta", type=float, required=theta_required,
-            help="thinning parameter in (0,1]",
-        )
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--workers", type=int, default=1)
-    if caps:
-        p.add_argument(
-            "--caps", type=_parse_caps, default=Caps(),
-            help="z,s,x truncation caps: total progeny s, chain state x; z is accepted and ignored",
-        )
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--config", default=None, help="key=value defaults file")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="igw", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="mean and almost-sure regime of (law, theta)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("simulate", help="simulate trajectories to CSV")
-    _add_common(p, seed=True)
-    p.add_argument("--x0", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=256)
-    p.add_argument("--threshold", default="1e9")
-    p.add_argument("--replicas", type=int, default=1)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("exact", help="exact distributions and certified intervals")
-    p.add_argument("what", choices=[
-        "total-progeny", "one-step", "one-step-death", "finite-horizon-death", "death-interval",
-    ])
-    _add_common(p, caps=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=256)
-    p.set_defaults(func=_cmd_exact)
-
-    p = sub.add_parser("bounds", help="analytic certificates")
-    p.add_argument("what", choices=["q-star", "binary-death", "geometric-death", "explosion"])
-    _add_common(p, law=False)
-    p.add_argument("--law", help="binary:LAMBDA or pmf:k1=p1,...")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--x", type=int, default=1)
-    p.add_argument("--q1", type=float, default=None, help="certified bound on the state-1 death probability")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("mc", help="Monte Carlo estimates")
-    p.add_argument("what", choices=["death", "ratio"])
-    _add_common(p, seed=True)
-    p.add_argument("--x", type=int, default=1)
-    p.add_argument("--x0", type=int, default=1)
-    p.add_argument("--replicas", type=int, default=10000)
-    p.add_argument("--horizon", type=int, default=256)
-    p.add_argument("--threshold", default="1e9")
-    p.add_argument("--confidence", type=float, default=0.99)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("verify", help="inequality verification reports")
-    p.add_argument("what", choices=["submult", "absorption"])
-    _add_common(p, caps=True)
-    p.add_argument("--x", type=int, default=1)
-    p.add_argument("--y", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=12)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("sweep", help="grid sweeps, one CSV row per point")
-    _add_common(p, seed=True, caps=True, theta_required=False)
-    p.add_argument("--quantity", choices=["death-interval", "mc-death"], required=True)
-    p.add_argument("--x", type=int, default=1)
-    p.add_argument("--x-grid", default=None, help="'a:b[:step]' or comma list")
-    p.add_argument("--theta-grid", default=None, help="comma list of thinning values")
-    p.add_argument("--horizon", type=int, default=256)
-    p.add_argument("--threshold", default="1e9")
-    p.add_argument("--replicas", type=int, default=10000)
-    p.add_argument("--confidence", type=float, default=0.99)
-    p.set_defaults(func=_cmd_sweep)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    quantities = {}
+    for command, quantity, summary, flags, func in _PATHS:
+        if quantity is None:
+            p = commands.add_parser(command, help=summary)
+        else:
+            if command not in quantities:
+                group = commands.add_parser(command, help=_GROUP_HELP[command])
+                dest = "quantity" if command == "sweep" else "what"
+                quantities[command] = group.add_subparsers(dest=dest, required=True)
+            p = quantities[command].add_parser(quantity, help=summary)
+        _declare(p, flags)
+        p.set_defaults(func=func)
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
-    """Splice --config file entries as flags ahead of explicit ones."""
-    if "--config" not in argv:
+def _apply_config(argv: list[str]) -> list[str]:
+    """Splice --config file entries as flags right after the command path,
+    the leading tokens that are not flags."""
+    # the last --config wins, as argparse reads it; `--config=path` counts too
+    idx = max((i for i, token in enumerate(argv) if token.partition("=")[0] == "--config"), default=None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise _UsageError("--config needs a file path")
-    path = argv[idx + 1]
+    _, eq, path = argv[idx].partition("=")
+    if not eq:
+        if idx + 1 >= len(argv):
+            raise _UsageError("--config needs a file path")
+        path = argv[idx + 1]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -518,31 +496,24 @@ def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
         key, _, value = line.partition("=")
         injected.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
     # flags later on the command line override config-injected defaults
-    head = argv[:1]
-    tail = argv[1:]
-    return head + injected + tail
+    path_end = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+    return argv[:path_end] + injected + argv[path_end:]
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_apply_config(argv))
+        if hasattr(args, "law"):
+            args.law = parse_law_spec(args.law)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 return args.func(args, fh)
         return args.func(args, sys.stdout)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LawSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:  # LawSpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,10 +49,6 @@ LOG_EXACT_CAP = math.log(DEFAULT_EXACT_CAP)
 #: large exceeds every usable explosion threshold.
 LOG_VALUE_LIMIT = 1e308
 
-#: binomial thinning is sampled exactly up to this count, by a rounded
-#: normal approximation above it.
-THIN_EXACT_LIMIT = 10**6
-
 _MASK64 = (1 << 64) - 1
 
 

@@ -29,7 +29,6 @@ from .gw_engine import (
     DEFAULT_EXACT_CAP,
     LOG_EXACT_CAP,
     LOG_VALUE_LIMIT,
-    THIN_EXACT_LIMIT,
     ExtendedCount,
     LawContext,
     RngStream,
@@ -300,9 +299,8 @@ def _chunk_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One transition for every replica (all states nonzero).  States are
     (exact values, -1 in the log tier; logs).  An exact state x moves to the
-    theta-thinning of S_x: binomial up to THIN_EXACT_LIMIT individuals, a
-    rounded normal clamped to [0, S] above it, and a shift by log(theta)
-    once S has left the exact range.  A log-tier state moves
+    theta-thinning of S_x: one exact binomial draw while S is exact, a shift
+    by log(theta) once S has left the exact range.  A log-tier state moves
     deterministically to log X' = X log m + log(m/(m-1)) + log(theta)."""
     ni = np.empty_like(xi)
     nl = np.empty_like(xl)
@@ -319,15 +317,7 @@ def _chunk_step(
     si, sl = _chunk_totals(ctx, xi[small], gen)
     if theta < 1.0:
         exact = si >= 0
-        s = si[exact]
-        out = s.copy()
-        few = s <= THIN_EXACT_LIMIT
-        out[few] = gen.binomial(s[few], theta)
-        many = ~few
-        if many.any():
-            sm = s[many].astype(np.float64)
-            drawn = np.rint(sm * theta + np.sqrt(sm * theta * (1.0 - theta)) * gen.standard_normal(sm.size))
-            out[many] = np.clip(drawn, 0.0, sm)
+        out = gen.binomial(si[exact], theta)
         si[exact] = out
         sl[exact] = _log_of(out)
         si[~exact], sl[~exact] = _from_log(sl[~exact] + math.log(theta))

@@ -14,9 +14,8 @@
   generator: one multinomial draw per generation while Z is exact,
   Gaussian branching noise one generation at a time beyond it, folded
   deterministically once the relative sd of the noise still to come is
-  below 2^-60 (or Z above 1e300), and binomial thinning with a rounded
-  normal above ``THIN_EXACT_LIMIT``.  It shares the exact cap and the
-  thinning limit with the batched engine, not its array code, its
+  below 2^-60 (or Z above 1e300), and exact binomial thinning.  It shares
+  the exact cap with the batched engine, not its array code, its
   sampling of two-atom laws or its one-draw remainder of the sum.
 * The one-step mean map chi(x) = E_x(X_1) in closed form.
 
@@ -34,7 +33,7 @@ import numpy as np
 from igw import Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, mean
 from igw.analysis import fixed_point_q
 from igw.exact_dist import _floor_into, _kernels, _Progeny, _progeny_laws
-from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, THIN_EXACT_LIMIT, law_context
+from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, law_context
 from igw.reproduction_laws import MEAN_CRITICAL_TOL
 
 
@@ -250,11 +249,7 @@ def thin(count: ExtendedCount, theta: float, gen: np.random.Generator) -> Extend
         return count
     if not count.is_exact:
         return ExtendedCount.from_log(count.log() + math.log(theta))
-    n = count.exact_value
-    if n <= THIN_EXACT_LIMIT:
-        return ExtendedCount.exact(gen.binomial(n, theta))
-    drawn = round(n * theta + math.sqrt(n * theta * (1.0 - theta)) * gen.standard_normal())
-    return ExtendedCount.exact(min(max(drawn, 0), n))
+    return ExtendedCount.exact(gen.binomial(count.exact_value, theta))
 
 
 def step(x: ExtendedCount, params: IGWParams, gen: np.random.Generator) -> ExtendedCount:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import igw
-from igw import parse_law_spec
+from igw import format_law_spec, parse_law_spec
 from igw.cli import main
 
 
@@ -60,8 +60,7 @@ class TestExact:
     def test_total_progeny_has_overflow_row(self, capsys):
         code, out, _ = run_cli(
             [
-                "exact", "total-progeny", "--law", "binary:0.5", "--theta", "1.0",
-                "--x", "2", "--caps", "64,64,16",
+                "exact", "total-progeny", "--law", "binary:0.5", "--x", "2", "--s-cap", "64",
             ],
             capsys,
         )
@@ -76,7 +75,7 @@ class TestExact:
         code, out, _ = run_cli(
             [
                 "exact", "finite-horizon-death", "--law", "pmf:0=0.2,2=0.8",
-                "--theta", "0.9", "--x", "1", "--n", "3", "--caps", "256,256,64",
+                "--theta", "0.9", "--x", "1", "--n", "3", "--x-cap", "64",
             ],
             capsys,
         )
@@ -114,6 +113,16 @@ class TestExact:
         assert meta_dict(out)["swept-states"] == "11"
 
 
+class TestBounds:
+    def test_q_star_tol_above_floor_changes_nothing(self, capsys):
+        # bisection stops at width min(tol, 1e-14)
+        args = ["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9"]
+        for extra in ([], ["--tol", "1e-3"]):
+            code, out, _ = run_cli(args + extra, capsys)
+            assert code == 0
+            assert data_lines(out)[1] == "0.1358024691358004"
+
+
 class TestErrorsAndExitCodes:
     def test_malformed_law_names_token(self, capsys):
         code, _, err = run_cli(["classify", "--law", "binary:zzz", "--theta", "0.5"], capsys)
@@ -134,7 +143,7 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(
             [
                 "exact", "death-interval", "--law", "pmf:0=0.2,2=0.8",
-                "--theta", "0.9", "--x", "1", "--caps", "64,64,16",
+                "--theta", "0.9", "--x", "1", "--x-cap", "16",
             ],
             capsys,
         )
@@ -145,7 +154,7 @@ class TestErrorsAndExitCodes:
         code, out, _ = run_cli(
             [
                 "verify", "submult", "--law", "binary:0.9", "--theta", "0.9",
-                "--x", "1", "--y", "3", "--n", "4", "--caps", "8,8,4",
+                "--x", "1", "--y", "3", "--n", "4", "--x-cap", "4",
             ],
             capsys,
         )
@@ -176,15 +185,16 @@ class TestErrorsAndExitCodes:
 
     def test_caps_option_removed_from_bounds(self, capsys):
         # none of the four bounds reads a truncation cap
-        code, _, err = run_cli(
-            [
-                "bounds", "explosion", "--law", "binary:1", "--theta", "0.9", "--x", "10",
-                "--caps", "256,256,64",
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "--caps" in err
+        for flag, value in [("--caps", "256,256,64"), ("--x-cap", "64"), ("--s-cap", "256")]:
+            code, _, err = run_cli(
+                [
+                    "bounds", "explosion", "--law", "binary:1", "--theta", "0.9", "--x", "10",
+                    flag, value,
+                ],
+                capsys,
+            )
+            assert code == 1
+            assert flag in err
 
     def test_switch_point_option_removed(self, capsys):
         # the certificate finds its switch point from the law
@@ -204,7 +214,7 @@ class TestVerify:
         code, out, _ = run_cli(
             [
                 "verify", "submult", "--law", "binary:0.5", "--theta", "0.7",
-                "--x", "1", "--y", "1", "--n", "2", "--caps", "256,256,64",
+                "--x", "1", "--y", "1", "--n", "2", "--x-cap", "64",
             ],
             capsys,
         )
@@ -215,7 +225,7 @@ class TestVerify:
         code, out, _ = run_cli(
             [
                 "verify", "absorption", "--law", "pmf:0=0.2,2=0.8", "--theta", "0.9",
-                "--x", "1", "--n-max", "6", "--caps", "512,512,64",
+                "--x", "1", "--n-max", "6", "--x-cap", "64",
             ],
             capsys,
         )
@@ -299,12 +309,19 @@ class TestMetadata:
 
     def test_defaults_echoed(self, capsys):
         _, out, _ = run_cli(
-            ["exact", "one-step-death", "--law", "binary:1", "--theta", "0.8", "--x", "1"],
+            ["exact", "death-interval", "--law", "binary:1", "--theta", "0.8", "--x", "1"],
             capsys,
         )
         meta = meta_dict(out)
-        assert meta["caps"] == "4096,4096,512"
+        assert meta["x-cap"] == "512"
+        assert meta["horizon"] == "256"
         assert meta["igw_version"]
+        # the scalar recursion reads no cap, so none is echoed
+        _, out, _ = run_cli(
+            ["exact", "one-step-death", "--law", "binary:1", "--theta", "0.8", "--x", "1"],
+            capsys,
+        )
+        assert not {"caps", "x-cap", "s-cap"} & set(meta_dict(out))
 
     def test_explosion_names_its_harmonic_bound(self, capsys):
         args = ["bounds", "explosion", "--law", "binary:0.6", "--theta", "0.92", "--x", "8"]
@@ -321,8 +338,8 @@ class TestSweep:
     def test_death_interval_sweep_nonincreasing(self, capsys):
         code, out, _ = run_cli(
             [
-                "sweep", "--quantity", "death-interval", "--law", "binary:1",
-                "--theta", "0.8", "--x-grid", "1:12", "--caps", "256,256,64",
+                "sweep", "death-interval", "--law", "binary:1",
+                "--theta", "0.8", "--x-grid", "1:12", "--x-cap", "64",
                 "--horizon", "64",
             ],
             capsys,
@@ -339,7 +356,7 @@ class TestSweep:
     def test_mc_death_sweep_theta_one_is_zero(self, capsys):
         code, out, _ = run_cli(
             [
-                "sweep", "--quantity", "mc-death", "--law", "binary:0.5",
+                "sweep", "mc-death", "--law", "binary:0.5",
                 "--theta-grid", "1.0", "--x-grid", "1:3", "--replicas", "300",
                 "--seed", "5", "--horizon", "30", "--threshold", "1e6",
             ],
@@ -354,7 +371,7 @@ class TestSweep:
     def test_empty_grid_header_only(self, capsys):
         code, out, _ = run_cli(
             [
-                "sweep", "--quantity", "death-interval", "--law", "binary:1",
+                "sweep", "death-interval", "--law", "binary:1",
                 "--theta", "0.8", "--x-grid", "",
             ],
             capsys,
@@ -365,13 +382,44 @@ class TestSweep:
     def test_oversize_grid_refused(self, capsys):
         code, _, err = run_cli(
             [
-                "sweep", "--quantity", "death-interval", "--law", "binary:1",
+                "sweep", "death-interval", "--law", "binary:1",
                 "--theta", "0.8", "--x-grid", "1:2000000",
             ],
             capsys,
         )
         assert code == 1
         assert "grid" in err
+
+
+    def test_non_integer_x_grid_refused(self, capsys):
+        code, _, err = run_cli(
+            [
+                "sweep", "death-interval", "--law", "binary:1",
+                "--theta", "0.8", "--x-grid", "1.5,2.9",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "1.5" in err
+
+    def test_grid_and_point_flags_exclude_each_other(self, capsys):
+        base = ["sweep", "death-interval", "--law", "binary:1"]
+        for extra in (
+            ["--theta", "0.8", "--theta-grid", "0.7,0.8"],
+            ["--theta", "0.8", "--x", "2", "--x-grid", "1:3"],
+        ):
+            code, _, err = run_cli(base + extra, capsys)
+            assert code == 1
+            assert "not allowed with" in err
+        code, _, err = run_cli(base + ["--x-grid", "1:3"], capsys)
+        assert code == 1
+        assert "--theta" in err
+        # a grid replaces the point flag in the metadata, too
+        code, out, _ = run_cli(base + ["--theta-grid", "0.8", "--x-grid", "1:2"], capsys)
+        assert code == 0
+        meta = meta_dict(out)
+        assert meta["x-grid"] == "1:2" and meta["theta-grid"] == "0.8"
+        assert "x" not in meta and "theta" not in meta
 
 
 class TestConfigFile:
@@ -385,6 +433,124 @@ class TestConfigFile:
         code, out, _ = run_cli(["classify", "--config", str(cfg), "--theta", "0.9"], capsys)
         assert code == 0
         assert data_lines(out)[1] == "MeanExplodes,MixedDeathOrExplosion"
+
+    def test_config_after_nested_command(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("law=binary:1\ntheta=0.8\nx=2\n")
+        args = ["exact", "death-interval", "--config", str(cfg)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        meta = meta_dict(out)
+        assert (meta["law"], meta["theta"], meta["x"]) == ("binary:1.0", "0.8", "2")
+        code, out, _ = run_cli(args + ["--x", "3"], capsys)
+        assert code == 0
+        assert meta_dict(out)["x"] == "3"
+        # the --config=path spelling is read, not silently ignored
+        code, out, _ = run_cli(["exact", "death-interval", f"--config={cfg}", "--x", "3"], capsys)
+        assert code == 0
+        assert meta_dict(out)["x"] == "3" and meta_dict(out)["law"] == "binary:1.0"
+
+    def test_config_key_the_command_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("law=binary:1\ntheta=0.8\nseed=3\n")
+        code, _, err = run_cli(["exact", "death-interval", "--x", "1", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "--seed" in err
+
+
+#: every command path: the flags it is run with here (all it declares,
+#: one of each mutually exclusive pair), the alternatives it also declares,
+#: and the metadata keys it computes
+PATHS = {
+    ("classify",): (["--law", "binary:1", "--theta", "0.8"], [], []),
+    ("simulate",): (
+        ["--law", "binary:1", "--theta", "0.8", "--x0", "2", "--horizon", "5",
+         "--threshold", "1e6", "--replicas", "3", "--seed", "1", "--workers", "1"],
+        [], ["rng-chunk"],
+    ),
+    ("exact", "total-progeny"): (["--law", "binary:1", "--x", "2", "--s-cap", "64"], [], ["warning"]),
+    ("exact", "one-step"): (
+        ["--law", "binary:1", "--theta", "0.8", "--x", "2", "--x-cap", "64"], [], ["warning"],
+    ),
+    ("exact", "one-step-death"): (["--law", "binary:1", "--theta", "0.8", "--x", "2"], [], []),
+    ("exact", "finite-horizon-death"): (
+        ["--law", "binary:1", "--theta", "0.8", "--x", "2", "--n", "3", "--x-cap", "64"],
+        [], ["swept-states"],
+    ),
+    ("exact", "death-interval"): (
+        ["--law", "binary:1", "--theta", "0.8", "--x", "2", "--x-cap", "64", "--horizon", "20"],
+        [], ["swept-states", "width-truncation", "width-closure"],
+    ),
+    ("bounds", "q-star"): (["--law", "binary:1", "--theta", "0.8", "--tol", "1e-9"], [], []),
+    ("bounds", "binary-death"): (["--law", "binary:1", "--theta", "0.8"], [], []),
+    ("bounds", "geometric-death"): (["--q1", "0.5", "--x", "3"], [], []),
+    ("bounds", "explosion"): (
+        ["--law", "binary:1", "--theta", "0.9", "--x", "10"], [],
+        ["bound", "valid", "tail_sum", "tail_sup", "harmonic-y", "harmonic-bound"],
+    ),
+    ("mc", "death"): (
+        ["--law", "binary:1", "--theta", "0.8", "--x", "2", "--replicas", "20", "--horizon", "10",
+         "--threshold", "1e6", "--confidence", "0.9", "--seed", "1", "--workers", "1"],
+        [], ["rng-chunk"],
+    ),
+    ("mc", "ratio"): (
+        ["--law", "binary:1", "--theta", "1.0", "--x0", "2", "--replicas", "5", "--horizon", "8",
+         "--seed", "1", "--workers", "1"],
+        [], ["rng-chunk"],
+    ),
+    ("verify", "submult"): (
+        ["--law", "binary:1", "--theta", "0.8", "--x", "1", "--y", "2", "--n", "2", "--x-cap", "64"],
+        [], [],
+    ),
+    ("verify", "absorption"): (
+        ["--law", "pmf:2=0.8,0=0.2", "--theta", "0.9", "--x", "1", "--n-max", "3", "--x-cap", "64"],
+        [], [],
+    ),
+    ("sweep", "death-interval"): (
+        ["--law", "binary:1", "--theta-grid", "0.8,0.9", "--x-grid", "1:2", "--x-cap", "64",
+         "--horizon", "20"],
+        ["--theta", "--x"], [],
+    ),
+    ("sweep", "mc-death"): (
+        ["--law", "binary:1", "--theta", "0.8", "--x", "2", "--replicas", "20", "--horizon", "10",
+         "--threshold", "1e6", "--confidence", "0.9", "--seed", "1", "--workers", "1"],
+        ["--theta-grid", "--x-grid"], ["rng-chunk"],
+    ),
+}
+
+
+def declared(path: tuple) -> set:
+    args, alternatives, _ = PATHS[path]
+    return {a for a in args if a.startswith("--")} | set(alternatives)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS), ids="-".join)
+def test_command_path_declares_what_it_reads(path, capsys):
+    args, _, computed = PATHS[path]
+    with pytest.raises(SystemExit):
+        main([*path, "--help"])
+    usage = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", usage)) == declared(path) | {"--help", "--out", "--config"}
+
+    code, out, err = run_cli([*path, *args], capsys)
+    assert code == 0, err
+    meta = meta_dict(out)
+    keys = {a[2:] for a in args if a.startswith("--")} - {"workers"}  # workers is never echoed
+    keys |= {"igw_version", "command", *computed}
+    if len(path) == 2:
+        keys.add("quantity" if path[0] == "sweep" else "what")
+    assert set(meta) == keys
+    if "law" in meta:  # canonical, whatever the spelling on the command line
+        given = args[args.index("--law") + 1]
+        assert meta["law"] == format_law_spec(parse_law_spec(given))
+        assert meta["law"] != given
+
+    # a flag that only a sibling path declares is refused, not ignored
+    siblings = [p for p in PATHS if p != path and (len(path) == 1 or p[0] == path[0])]
+    for flag in set().union(*map(declared, siblings)) - declared(path):
+        code, _, err = run_cli([*path, *args, flag, "1"], capsys)
+        assert code == 1, (path, flag)
+        assert flag in err
 
 
 def readme_commands() -> list[str]:
