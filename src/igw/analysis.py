@@ -595,10 +595,6 @@ class AbsorptionReport:
     def all_certified(self) -> bool:
         return all(r.status == "certified" for r in self.rows)
 
-    @property
-    def any_indeterminate(self) -> bool:
-        return any(r.status == "indeterminate" for r in self.rows)
-
 
 def geometric_absorption_check(
     params: IGWParams, x: int, n_max: int, caps: Caps = Caps()

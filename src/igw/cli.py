@@ -8,7 +8,7 @@ handler reads.  Output is CSV (RFC-4180 style, LF endings) preceded by a
 so every file is self-describing and byte-reproducible from its own header.
 
 Exit codes: 0 success, 1 invalid input, 2 regime-precondition rejection,
-3 indeterminate verification.
+3 verification not certified (indeterminate or violated).
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ def _verify_absorption(args, out) -> int:
     report = geometric_absorption_check(_params(args), args.x, args.n_max, Caps(x_cap=args.x_cap))
     rows = [[r.n, r.survival_lo, r.survival_hi, r.geometric_bound, r.status] for r in report.rows]
     _emit(out, _meta(args), ["n", "survival_lo", "survival_hi", "bound", "status"], rows)
-    return 3 if report.any_indeterminate else 0
+    return 0 if report.all_certified else 3
 
 
 def _parse_grid(text: str, kind: type) -> list:

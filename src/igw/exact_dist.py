@@ -37,16 +37,13 @@ S_x is pathwise nondecreasing in x, so the tracked mass P_x(X_1 <= x_cap)
 of a row is nonincreasing in x.  Rows are composed up to the first one, r,
 whose tracked mass is below ``KERNEL_FLOOR``; every later state shares one
 conservative row.  After one step a swept column is therefore constant on
-r..x_cap, and a sweep steps only the r + 1 distinct states (all x_cap + 1
-when no row dies) and the phantom: the kernels with the columns of states
-r..x_cap summed into column r, at a cost of (r + 1)^2 per step instead of
-(r + 1)(x_cap + 1).  This pays off for laws with a small one-child atom,
-whose rows die early.  At the default caps pmf:2=0.5,3=0.5 steps 10 to 11
-states at every theta: the 3 x 256 steps of the 16 thetas of the
-theta-grid benchmark cost 59-96 ms on full-width rows against 22-36 ms on
-the distinct states (in-process, best of 5, 2 shared vCPUs).  binary:0.9
-at theta = 0.9 steps 209 states (37-54 against 24-30 ms).  Nothing is
-saved when r is near x_cap: binary:0.6 has r = 509 of 512 at
+s..x_cap, s = min(r, x_cap), so each kernel is stored on its s + 1 distinct
+states (and the phantom) only, with the columns of states s..x_cap summed
+into column s, and a sweep costs (s + 1)^2 per step instead of
+(s + 1)(x_cap + 1).  This pays off for laws with a small one-child atom,
+whose rows die early: at the default caps pmf:2=0.5,3=0.5 steps 10 to 11
+states at every theta, and binary:0.9 at theta = 0.9 steps 209.  Nothing
+is saved when r is near x_cap: binary:0.6 has r = 509 of 512 at
 theta = 0.92.
 
 Both envelope chains absorb at 0, so P_x(X_n = 0) = (K^n e_0)[x] for either
@@ -143,9 +140,7 @@ class IntervalProb:
         lo = min(max(float(self.lo), 0.0), 1.0)
         hi = min(max(float(self.hi), 0.0), 1.0)
         if lo > hi:
-            if lo - hi > 1e-9:
-                raise ValueError(f"interval [{self.lo!r}, {self.hi!r}] is inverted")
-            lo = hi = 0.5 * (lo + hi)
+            raise ValueError(f"interval [{self.lo!r}, {self.hi!r}] is inverted")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -335,23 +330,15 @@ def one_step_death_prob(x: int, params: IGWParams) -> float:
 # -- envelope kernels and certified intervals -----------------------------------
 
 
-class _Kernel(NamedTuple):
-    """A kernel stored by its distinct rows: state x steps by
-    ``rows[index[x]]``, so K u = (rows @ u)[index]."""
-
-    rows: np.ndarray
-    index: np.ndarray
-
-
-def _kernels(params: IGWParams, x_cap: int) -> tuple[_Kernel, _Kernel]:
-    """(death-upper, death-lower) kernels on states 0..x_cap, the lower one
-    with a phantom state x_cap + 1.
+def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R_hi, R_lo, tail): the death-upper and the death-lower kernel on
+    their distinct states, and the upper kernel's columns s..x_cap.
 
     Row x holds the atoms of X_1 from x on 0..x_cap.  The only untracked
     mass is X_1 > x_cap: the upper kernel clamps it to ``x_cap`` (valid by
     stochastic monotonicity: death probabilities are nonincreasing in the
-    state), and the lower kernel routes it to the phantom, which dies at the
-    uniform per-step floor p_0: from any state the first auxiliary
+    state), and the lower kernel routes it to a phantom state, which dies at
+    the uniform per-step floor p_0: from any state the first auxiliary
     generation is empty with probability p_0, so every state dies next step
     at least that often.  With p_0 = 0 the phantom never dies.
 
@@ -362,6 +349,13 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[_Kernel, _Kernel]:
     kernel, everything to the phantom in the lower one.  Entries of the live
     rows below ``KERNEL_FLOOR`` go to state 0 in the upper kernel and to the
     phantom in the lower one.
+
+    With s = min(r, x_cap) the states s..x_cap step alike, so each kernel is
+    kept on the rows of states 0..s (and the phantom) with the columns of
+    states s..x_cap summed into column s (:func:`_merge`): R_hi is
+    (s + 1)^2 and R_lo, with the phantom last, (s + 2)^2.  ``tail`` holds
+    the upper kernel's full-width columns s..x_cap of rows 0..s.  The
+    full-width rows are built, floored and merged one kernel at a time.
     """
     live, shared = [], 0.0  # the shared row is unused when no row is dead
     for row in islice(thinned_rows(params.law, params.theta, x_cap), x_cap + 1):
@@ -369,23 +363,32 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[_Kernel, _Kernel]:
         if mass < KERNEL_FLOOR:
             shared = mass
             break
-        live.append(_atoms(row, x_cap))
+        live.append(row)
     r = len(live)
-    base = np.array(live)
-    lost = np.maximum(0.0, 1.0 - base.sum(axis=1))
-    hi = np.zeros((r + 1, x_cap + 1))
-    hi[:r] = base
+    s = min(r, x_cap)  # row s is the shared row when r = s
+    hi = _dense(live, (s + 1, x_cap + 1))
+    lost = np.maximum(0.0, 1.0 - hi[:r].sum(axis=1))
     hi[:r, x_cap] += lost
-    hi[r, 0], hi[r, x_cap] = shared, 1.0 - shared
-    lo = np.zeros((r + 2, x_cap + 2))
-    lo[:r, : x_cap + 1] = base
-    lo[:r, x_cap + 1] = lost
-    lo[r, x_cap + 1] = 1.0
-    lo[r + 1, 0], lo[r + 1, x_cap + 1] = params.law.p0, 1.0 - params.law.p0
+    if r == s:
+        hi[s, 0], hi[s, x_cap] = shared, 1.0 - shared
     _floor_into(hi, 0)
+    R_hi, tail = _merge(hi, s, x_cap), hi[:, s:].copy()
+    del hi  # freed before the lower kernel is built
+    lo = _dense(live, (s + 2, x_cap + 2))
+    lo[:r, x_cap + 1] = lost
+    if r == s:
+        lo[s, x_cap + 1] = 1.0
+    lo[s + 1, 0], lo[s + 1, x_cap + 1] = params.law.p0, 1.0 - params.law.p0
     _floor_into(lo, x_cap + 1)
-    index = np.minimum(np.arange(x_cap + 1), r)
-    return _Kernel(hi, index), _Kernel(lo, np.append(index, r + 1))
+    return R_hi, _merge(lo, s, x_cap), tail
+
+
+def _dense(rows: list[_Progeny], shape: tuple[int, int]) -> np.ndarray:
+    """A zero matrix of ``shape`` with the atoms of ``rows`` as its first rows."""
+    K = np.zeros(shape)
+    for x, row in enumerate(rows):
+        K[x, row.offset : row.offset + len(row.coef)] = row.coef
+    return K
 
 
 def _floor_into(K: np.ndarray, col: int) -> None:
@@ -396,48 +399,36 @@ def _floor_into(K: np.ndarray, col: int) -> None:
     K[small] = 0.0
 
 
-def _distinct(K: _Kernel, s: int, x_cap: int) -> np.ndarray:
-    """K on its distinct states: each distinct row taken once, and the
-    columns of states s..x_cap, which share a row, summed into column s,
-    smallest term first."""
-    ids, first = np.unique(K.index, return_index=True)
-    R = K.rows[np.ix_(ids, first)]
-    R[:, s] = np.cumsum(np.sort(K.rows[ids, s : x_cap + 1], axis=1), axis=1)[:, -1]
-    return R
+def _merge(K: np.ndarray, s: int, x_cap: int) -> np.ndarray:
+    """K with the columns of states s..x_cap summed into column s, smallest
+    term first; the phantom column past x_cap, if any, stays last."""
+    merged = np.cumsum(np.sort(K[:, s : x_cap + 1], axis=1), axis=1)[:, -1]
+    return np.column_stack((K[:, :s], merged, K[:, x_cap + 1 :]))
 
 
 class _Envelope:
     """The envelope kernels of one (law, theta, x_cap) and the columns
     swept backward from them, for every start state at once.
 
-    With s = min(r, x_cap), r the first dead row, the states s..x_cap step
-    by one shared row, so after one step every swept column is constant on
-    them.  The sweep steps only the s + 1 distinct states: ``R_hi`` is the
-    upper kernel with the columns of states s..x_cap summed into column s,
-    (s + 1)^2, and ``R_lo`` the lower one with the phantom, (s + 2)^2; state
-    x reads entry min(x, s).  In real arithmetic this is the full-width
-    sweep (rows @ u)[index]; only the rounding of the summed column differs.
-    No dense kernel is kept.
+    The sweep steps only the s + 1 distinct states of :func:`_kernels`, on
+    ``R_hi`` and ``R_lo``; state x reads entry min(x, s).  In real
+    arithmetic this is the full-width sweep; only the rounding of the
+    merged column differs.  No full-width kernel is kept.
 
     ``death[n]`` is (K_lo^n e_0, K_hi^n e_0) on the distinct states: the
     lower and the upper end of P_x(X_n = 0).  ``closure[n]`` is (K_hi^n c,)
     with c_y = q*^y for y >= 1 and c_0 = 0: it closes the mass still alive
     at horizon n by the fixed-point certificate.  c is not constant past s,
     so its first step takes the full-width rows: the first s columns of
-    ``R_hi`` plus ``tail``, the columns s..x_cap of the upper kernel.  Only
-    the horizons asked for are kept; a new one is swept on from the longest
-    kept horizon below it, so asking for n = 1, 2, ..., N costs N matvecs
-    per column in all.
+    ``R_hi`` plus ``tail``.  Only the horizons asked for are kept; a new one
+    is swept on from the longest kept horizon below it, so asking for
+    n = 1, 2, ..., N costs N matvecs per column in all.
     """
 
     def __init__(self, params: IGWParams, x_cap: int) -> None:
         self.params, self.x_cap = params, x_cap
-        K_hi, K_lo = _kernels(params, x_cap)
-        self.last = s = int(K_hi.index[-1])
-        self.tail = K_hi.rows[: s + 1, s:].copy()
-        self.R_hi = _distinct(K_hi, s, x_cap)
-        del K_hi  # freed before the lower kernel is compressed
-        self.R_lo = _distinct(K_lo, s, x_cap)
+        self.R_hi, self.R_lo, self.tail = _kernels(params, x_cap)
+        self.last = s = len(self.R_hi) - 1
         lo, hi = np.zeros(s + 2), np.zeros(s + 1)
         lo[0] = hi[0] = 1.0
         self.death = {0: (lo, hi)}
@@ -503,35 +494,6 @@ def finite_horizon_death(
     return IntervalProb(min(lo, hi), max(lo, hi))
 
 
-def death_prob_interval(
-    x: int, params: IGWParams, caps: Caps = Caps(), horizon: int = 256
-) -> IntervalProb:
-    """Certified enclosure of the total death probability P_x(D).
-
-    Defined in the mixed regime (p_0 = 0, p_1 != 1).  Without thinning the
-    chain cannot die, so theta = 1 returns [0, 0].  The lower end is the
-    never-dying-overflow envelope at the horizon (finite-horizon death
-    increases to P_x(D)); the upper end closes the still-alive mass with
-    the fixed-point certificate q*^y, using q*^{x_cap} for clamped mass,
-    which degenerates to 1 when m*theta <= 1.
-    """
-    law = params.law
-    if law.p0 > 0.0:
-        raise RegimeError("death intervals target the p_0 = 0 regime (use the absorption check)")
-    if law.p1 == 1.0:
-        raise RegimeError("single-child laws form a pure thinning chain; no mixed regime")
-    if not 1 <= x <= caps.x_cap:
-        raise ValueError(f"start state {x} outside the tracked range 1..{caps.x_cap}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if params.theta == 1.0:
-        return IntervalProb(0.0, 0.0)
-    env = _envelope(params, caps.x_cap)
-    lo, hi = env.death_at(horizon, x)
-    hi = min(1.0, hi + env.closure_at(horizon, x))
-    return IntervalProb(lo, max(lo, hi))
-
-
 class DeathIntervalDetail(NamedTuple):
     """A death interval and where its width comes from.
 
@@ -551,11 +513,37 @@ class DeathIntervalDetail(NamedTuple):
 def death_interval_detail(
     x: int, params: IGWParams, caps: Caps = Caps(), horizon: int = 256
 ) -> DeathIntervalDetail:
-    """:func:`death_prob_interval` with the parts of its width, read off
-    the columns it swept."""
-    iv = death_prob_interval(x, params, caps, horizon)
+    """Certified enclosure of the total death probability P_x(D), with the
+    parts of its width.
+
+    Defined in the mixed regime (p_0 = 0, p_1 != 1).  Without thinning the
+    chain cannot die, so theta = 1 gives [0, 0].  The lower end is the
+    never-dying-overflow envelope at the horizon (finite-horizon death
+    increases to P_x(D)); the upper end closes the still-alive mass with
+    the fixed-point certificate q*^y, using q*^{x_cap} for clamped mass,
+    which degenerates to 1 when m*theta <= 1.
+    """
+    law = params.law
+    if law.p0 > 0.0:
+        raise RegimeError("death intervals target the p_0 = 0 regime (use the absorption check)")
+    if law.p1 == 1.0:
+        raise RegimeError("single-child laws form a pure thinning chain; no mixed regime")
+    if not 1 <= x <= caps.x_cap:
+        raise ValueError(f"start state {x} outside the tracked range 1..{caps.x_cap}")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     if params.theta == 1.0:
-        return DeathIntervalDetail(iv, 0.0, 0.0, 0)
+        return DeathIntervalDetail(IntervalProb(0.0, 0.0), 0.0, 0.0, 0)
     env = _envelope(params, caps.x_cap)
     lo, hi = env.death_at(horizon, x)
-    return DeathIntervalDetail(iv, hi - lo, env.closure_at(horizon, x), env.last + 1)
+    closure = env.closure_at(horizon, x)
+    iv = IntervalProb(lo, max(lo, min(1.0, hi + closure)))
+    return DeathIntervalDetail(iv, hi - lo, closure, env.last + 1)
+
+
+def death_prob_interval(
+    x: int, params: IGWParams, caps: Caps = Caps(), horizon: int = 256
+) -> IntervalProb:
+    """Certified enclosure of the total death probability P_x(D): the
+    interval of :func:`death_interval_detail`."""
+    return death_interval_detail(x, params, caps, horizon).interval

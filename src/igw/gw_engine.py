@@ -18,8 +18,8 @@ in :mod:`igw.igw_process` advances:
 Promotion between tiers never overflows; it is how growth is handled.
 The per-law constants these tiers read (m, v, log m, log(m/(m-1))) are
 computed once per law by :func:`law_context`.  All randomness flows
-through :class:`RngStream`, a counter-based (Philox) stream keyed by
-(master_seed, stream_id) so that a path depends only on its key, never on
+through :func:`stream_for`, a counter-based (Philox) stream keyed by
+(master_seed, stream id) so that a path depends only on its key, never on
 scheduling.
 
 Harmonic moments come from one pass, :func:`harmonic_moments`: it advances
@@ -150,38 +150,19 @@ def law_context(law: OffspringLaw) -> LawContext:
 # -- random streams -----------------------------------------------------------
 
 
-@dataclass
-class RngStream:
-    """Counter-based random stream keyed by (master_seed, stream_id).
+def stream_for(master_seed: int, index: int, purpose: str) -> np.random.Generator:
+    """The random stream of chunk ``index`` of one experiment.
 
-    Distinct stream_ids under one master seed give statistically
-    independent, reproducible sequences; nothing about the sequence depends
-    on scheduling or worker layout.
-    """
-
-    master_seed: int
-    stream_id: int
-
-    def __post_init__(self) -> None:
-        key = (self.master_seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying generator, for drawing whole arrays at once."""
-        return self._gen
-
-
-def stream_for(master_seed: int, index: int, purpose: str) -> RngStream:
-    """Derive the stream for chunk ``index`` of one experiment.
-
-    The stream id is a stable hash of (purpose, index), so a chunk's draws
-    are identical however chunks are spread over workers.
+    A counter-based (Philox) generator keyed by (master_seed, stream id),
+    with the stream id a stable hash of (purpose, index): distinct chunks
+    draw statistically independent, reproducible sequences, identical
+    however chunks are spread over workers.
     """
     digest = hashlib.blake2s(
         f"{purpose}|{index}".encode("utf-8"), digest_size=8
     ).digest()
-    return RngStream(master_seed, int.from_bytes(digest, "big"))
+    key = (master_seed & _MASK64) | (int.from_bytes(digest, "big") << 64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # -- harmonic moments ----------------------------------------------------------

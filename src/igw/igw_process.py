@@ -31,7 +31,6 @@ from .gw_engine import (
     LOG_VALUE_LIMIT,
     ExtendedCount,
     LawContext,
-    RngStream,
     law_context,
     stream_for,
 )
@@ -330,13 +329,13 @@ def simulate_chunk(
     params: IGWParams,
     horizon: int,
     explosion_threshold: Union[int, ExtendedCount],
-    rng: RngStream,
+    gen: np.random.Generator,
     size: int = RNG_CHUNK,
     *,
     record: bool = False,
 ) -> ChunkPaths:
     """Iterate ``size`` independent copies of the chain from x0, all drawing
-    from ``rng``, until each dies, crosses ``explosion_threshold`` or reaches
+    from ``gen``, until each dies, crosses ``explosion_threshold`` or reaches
     the horizon.  Death is the first zero state, explosion the first state
     at or above the threshold; paths still undecided at the horizon keep
     their own verdict and are never folded into either class.
@@ -370,7 +369,6 @@ def simulate_chunk(
     theta = params.theta
     shift = ctx.log_fold + math.log(theta)  # nan unless m > 1
     monotone = theta == 1.0 and law.p0 == 0.0
-    gen = rng.generator
     termination = np.full(size, UNDECIDED, np.int8)
     steps = np.full(size, horizon, np.int64)
     xi = np.full(size, x0, np.int64)
@@ -417,8 +415,8 @@ def simulate_chunk(
 
 
 def _run_chunk(summarise, x0, params, horizon, threshold, master_seed, purpose, record, index, size):
-    rng = stream_for(master_seed, index, purpose)
-    paths = simulate_chunk(x0, params, horizon, threshold, rng, size, record=record)
+    gen = stream_for(master_seed, index, purpose)
+    paths = simulate_chunk(x0, params, horizon, threshold, gen, size, record=record)
     return summarise(index, paths)
 
 

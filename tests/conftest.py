@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from igw import ExtendedCount, IGWParams, OffspringLaw, RngStream, simulate_chunk
+from igw import ExtendedCount, IGWParams, OffspringLaw, simulate_chunk
 
 
 def law_fractions(law: OffspringLaw) -> dict[int, Fraction]:
@@ -66,11 +66,13 @@ def enumerate_total_progeny(
     return dict(out)
 
 
-def first_states(x: int, params: IGWParams, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+def first_states(
+    x: int, params: IGWParams, n: int, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """(exact, log) of X_1 from x for n replicas, as one chunk of the
     batched engine; exact is -1 for a log-tier state.  At theta = 1,
     X_1 = S_x, and from x = 1 it is one offspring draw."""
-    paths = simulate_chunk(x, params, 1, ExtendedCount.from_log(1e20), rng, n, record=True)
+    paths = simulate_chunk(x, params, 1, ExtendedCount.from_log(1e20), gen, n, record=True)
     return paths.exact[1], paths.log[1]
 
 

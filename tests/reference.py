@@ -7,6 +7,11 @@
   consistent with them, Binomial(s_cap + 1, theta), in the upper kernel and
   go to the phantom in the lower one.  It shares the law of S_x with the
   package, but not the thinned composition of the kernel rows.
+* The full-width envelope kernels, assembled row by row from
+  ``thinned_rows``: every state keeps its own row, lost mass goes to x_cap
+  or to the phantom, every state from the first dead row on takes the
+  shared row, and ``_floor_into`` runs last.  It shares the rows and the
+  floor with the package, not its kernels on the distinct states.
 * The direct composition of the law of S_x and of the thinned rows H_x:
   every power w^k by one full ``np.convolve`` cut at the cap, without the
   package's short products and symmetric square.
@@ -18,21 +23,19 @@
   the exact cap with the batched engine, not its array code, its
   sampling of two-atom laws or its one-draw remainder of the sum.
 * The one-step mean map chi(x) = E_x(X_1) in closed form.
-
-``package_kernels`` is no oracle: it is the dense view of the package's own
-envelope kernels that the forward-loop tests multiply.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from igw import Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, mean
 from igw.analysis import fixed_point_q
-from igw.exact_dist import _floor_into, _kernels, _Progeny, _progeny_laws
+from igw.exact_dist import KERNEL_FLOOR, _atoms, _floor_into, _Progeny, _progeny_laws, thinned_rows
 from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, law_context
 from igw.reproduction_laws import MEAN_CRITICAL_TOL
 
@@ -104,34 +107,70 @@ def death_intervals(params: IGWParams, caps: Caps, horizon: int) -> list[Interva
     return out
 
 
+def dead_row(params: IGWParams, x_cap: int) -> int:
+    """r, the first state whose tracked mass P_r(X_1 <= x_cap) is below
+    ``KERNEL_FLOOR`` (x_cap + 1 when there is none)."""
+    rows = islice(thinned_rows(params.law, params.theta, x_cap), x_cap + 1)
+    return next((x for x, row in enumerate(rows) if row.coef.sum() < KERNEL_FLOOR), x_cap + 1)
+
+
+def thinned_kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width (death-upper, death-lower) envelope kernels, (x_cap + 1)^2
+    and (x_cap + 2)^2 with the phantom last, one row per state: row x holds
+    the atoms of X_1 from x, with the mass beyond x_cap added at x_cap (upper)
+    or sent to the phantom (lower); from the first dead row r on, every row
+    is the shared one, d_r at 0 and 1 - d_r at x_cap (upper) or all to the
+    phantom (lower); the phantom dies at p_0; then ``_floor_into``."""
+    n = x_cap + 1
+    K_hi, K_lo = np.zeros((n, n)), np.zeros((n + 1, n + 1))
+    for x, row in enumerate(islice(thinned_rows(params.law, params.theta, x_cap), n)):
+        mass = float(row.coef.sum())
+        if mass < KERNEL_FLOOR:
+            K_hi[x:, 0], K_hi[x:, x_cap] = mass, 1.0 - mass
+            K_lo[x:n, n] = 1.0
+            break
+        atoms = _atoms(row, x_cap)
+        lost = max(0.0, 1.0 - float(atoms.sum()))
+        K_hi[x], K_lo[x, :n] = atoms, atoms
+        K_hi[x, x_cap] += lost
+        K_lo[x, n] = lost
+    K_lo[n, 0], K_lo[n, n] = params.law.p0, 1.0 - params.law.p0
+    _floor_into(K_hi, 0)
+    _floor_into(K_lo, n)
+    return K_hi, K_lo
+
+
 def dense_sweep(
     params: IGWParams, x_cap: int, horizons: tuple[int, ...], closure: bool = True
 ) -> dict[int, list[np.ndarray]]:
-    """The envelope sweeps on the full-width kernels of ``_kernels``: every
-    step is u <- (rows @ u)[index] over all x_cap + 1 states (and the
-    phantom), with no states merged.  For each horizon asked for, the lower
-    and the upper death column and, with ``closure``, the closure column
-    (c_y = q*^y for y >= 1, c_0 = 0, swept on the upper kernel)."""
-    K_hi, K_lo = _kernels(params, x_cap)
-    kernels, cols = [K_lo, K_hi], [np.zeros(x_cap + 2), np.zeros(x_cap + 1)]
+    """The envelope sweeps on the full-width kernels of
+    :func:`thinned_kernels`, with no columns merged: every step is
+    u <- (rows @ u)[index], where ``rows`` are the full-width rows of states
+    0..s, s = min(r, x_cap), and the phantom, and state x reads entry
+    index[x] = min(x, s).  A BLAS matrix-vector product rounds a row's dot
+    product differently with the number of rows in the product, so stepping
+    all x_cap + 1 rows would not round as the package's (s + 1)-row sweep
+    does.  For each horizon asked for, the lower and the upper death column
+    and, with ``closure``, the closure column (c_y = q*^y for y >= 1,
+    c_0 = 0, swept on the upper kernel)."""
+    K_hi, K_lo = thinned_kernels(params, x_cap)
+    s = min(dead_row(params, x_cap), x_cap)
+    index = np.minimum(np.arange(x_cap + 1), s)
+    upper = (K_hi[: s + 1], index)
+    kernels = [(K_lo[[*range(s + 1), x_cap + 1]], np.append(index, s + 1)), upper]
+    cols = [np.zeros(x_cap + 2), np.zeros(x_cap + 1)]
     cols[0][0] = cols[1][0] = 1.0
     if closure:
         c = fixed_point_q(params, 1e-13) ** np.arange(x_cap + 1, dtype=float)
         c[0] = 0.0
-        kernels.append(K_hi)
+        kernels.append(upper)
         cols.append(c)
     out = {}
     for n in range(1, max(horizons) + 1):
-        cols = [(K.rows @ u)[K.index] for K, u in zip(kernels, cols)]
+        cols = [(rows @ u)[idx] for (rows, idx), u in zip(kernels, cols)]
         if n in horizons:
             out[n] = cols
     return out
-
-
-def package_kernels(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
-    """The package's (death-upper, death-lower) envelope kernels as dense
-    matrices, (x_cap + 1)^2 and (x_cap + 2)^2; ``caps.s_cap`` does not enter."""
-    return tuple(K.rows[K.index] for K in _kernels(params, caps.x_cap))
 
 
 # -- the direct composition --------------------------------------------------------

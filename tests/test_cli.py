@@ -234,6 +234,21 @@ class TestVerify:
         assert len(rows) == 6
         assert all(r.endswith("certified") for r in rows)
 
+    def test_absorption_violated_exit_three(self, capsys, monkeypatch):
+        # death in [0, 0] puts survival at 1, above the bound at every n
+        monkeypatch.setattr(igw.analysis, "finite_horizon_death", lambda *args: igw.IntervalProb(0.0, 0.0))
+        code, out, _ = run_cli(
+            [
+                "verify", "absorption", "--law", "pmf:0=0.2,2=0.8", "--theta", "0.9",
+                "--x", "1", "--n-max", "3",
+            ],
+            capsys,
+        )
+        assert code == 3
+        rows = data_lines(out)[1:]
+        assert len(rows) == 3
+        assert all(r.endswith("violated") for r in rows)
+
 
 class TestDeterminism:
     def test_mc_byte_identical_across_workers(self, capsys):

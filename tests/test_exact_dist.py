@@ -232,8 +232,7 @@ class TestDirectComposition:
         kernels = _kernels(params, 512)
         monkeypatch.setattr(exact_dist, "thinned_rows", reference.direct_rows)
         for got, want in zip(kernels, _kernels(params, 512)):
-            assert np.array_equal(got.rows, want.rows)
-            assert np.array_equal(got.index, want.index)
+            assert np.array_equal(got, want)
 
 
 class TestBinomialTable:
@@ -435,7 +434,7 @@ class TestBackwardSweep:
     )
     def test_death_interval_matches_forward(self, spec, theta):
         params = IGWParams(parse_law_spec(spec), theta)
-        K_hi, K_lo = reference.package_kernels(params, SMALL_CAPS)
+        K_hi, K_lo = reference.thinned_kernels(params, SMALL_CAPS.x_cap)
         powers = fixed_point_q(params, 1e-13) ** np.arange(len(K_hi))
         for x in range(1, 9):
             lo = _forward(K_lo, x, 128)[0]
@@ -450,7 +449,7 @@ class TestBackwardSweep:
     )
     def test_finite_horizon_matches_forward(self, spec, theta):
         params = IGWParams(parse_law_spec(spec), theta)
-        K_hi, K_lo = reference.package_kernels(params, SMALL_CAPS)
+        K_hi, K_lo = reference.thinned_kernels(params, SMALL_CAPS.x_cap)
         for n in (1, 3, 12, 40):
             for x in range(0, 9):
                 lo, hi = _forward(K_lo, x, n)[0], _forward(K_hi, x, n)[0]
@@ -462,18 +461,14 @@ class TestBackwardSweep:
 SWEEP_HORIZONS = (1, 2, 17, 256)
 
 
-def _dead_row(params: IGWParams, x_cap: int) -> int:
-    """r, the first dead row of the kernels (x_cap + 1 when none is dead)."""
-    return len(_kernels(params, x_cap)[0].rows) - 1
-
-
 def _assert_rel(got: np.ndarray, want: np.ndarray, what) -> None:
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), what
 
 
 class TestDistinctStateSweep:
     """The envelope steps only the distinct states; the full-width sweep
-    (rows @ u)[index] of ``reference.dense_sweep`` is the oracle."""
+    of ``reference.dense_sweep``, on kernels it assembles itself, is the
+    oracle."""
 
     @pytest.mark.parametrize(
         "spec,theta,x_cap,r_range",
@@ -487,7 +482,7 @@ class TestDistinctStateSweep:
     )
     def test_matches_dense_sweep(self, spec, theta, x_cap, r_range):
         params = IGWParams(parse_law_spec(spec), theta)
-        assert r_range[0] <= _dead_row(params, x_cap) <= r_range[1]
+        assert r_range[0] <= reference.dead_row(params, x_cap) <= r_range[1]
         caps = Caps(x_cap=x_cap)
         _envelope.cache_clear()  # horizon 1 takes the closure's full-width first step
         env = _envelope(params, x_cap)
@@ -523,7 +518,7 @@ class TestDistinctStateSweep:
 
     def test_sweeps_distinct_states_only(self, monkeypatch):
         params = IGWParams(parse_law_spec("pmf:2=0.5,3=0.5"), 0.45)
-        r = _dead_row(params, 512)
+        r = reference.dead_row(params, 512)
         assert r < 512
         shapes = set()
         sweep = exact_dist._sweep
@@ -617,16 +612,18 @@ class TestThinnedKernels:
         # one row that puts at least that mass on state 0
         params = IGWParams(parse_law_spec("binary:0.6"), 0.92)
         caps = Caps(1024, 1024, 512)
-        K_hi, K_lo = reference.package_kernels(params, caps)
+        R_hi, R_lo, _ = _kernels(params, caps.x_cap)
         ref, _, _ = reference.progeny_rows(params, caps)
-        r = len(_kernels(params, caps.x_cap)[0].rows) - 1
-        assert r < caps.x_cap
+        r = reference.dead_row(params, caps.x_cap)
+        assert r < caps.x_cap and len(R_hi) == r + 1
+        shared_hi, shared_lo = R_hi[r], R_lo[r]  # the row of every state from r on
         for x in range(r, caps.x_cap + 1):
             # at x = r both sides are the same mass, rounded by two routes
-            assert K_hi[x, 0] >= ref[x].sum() * (1.0 - 1e-13), x
-            assert K_hi[x, 0] >= one_step_dist(x, params, caps).atoms.sum(), x
-            assert K_hi[x, 0] < KERNEL_FLOOR and K_hi[x, 0] + K_hi[x, caps.x_cap] == 1.0
-            assert K_lo[x, caps.x_cap + 1] == 1.0
+            assert shared_hi[0] >= ref[x].sum() * (1.0 - 1e-13), x
+            assert shared_hi[0] >= one_step_dist(x, params, caps).atoms.sum(), x
+        assert shared_hi[0] < KERNEL_FLOOR and shared_hi[0] + shared_hi[r] == 1.0
+        assert np.count_nonzero(shared_hi) == 2
+        assert shared_lo[r + 1] == 1.0 and np.count_nonzero(shared_lo) == 1
 
     def test_composition_count(self, monkeypatch):
         # the rows stop at the first dead one: S_x >= 2^(x+1) - 2 here
@@ -664,3 +661,7 @@ class TestIntervalProb:
             IntervalProb(0.9, 0.1)
         iv = IntervalProb(-1e-15, 1.0 + 1e-15)
         assert iv.lo == 0.0 and iv.hi == 1.0
+
+    def test_inverted_by_one_ulp_raises(self):
+        with pytest.raises(ValueError, match="inverted"):
+            IntervalProb(math.nextafter(0.5, 1.0), 0.5)

@@ -1,6 +1,6 @@
+import hashlib
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from igw import (
     IGWParams,
     OffspringLaw,
     RegimeError,
-    RngStream,
     harmonic_moment,
     mean,
     parse_law_spec,
@@ -27,16 +26,16 @@ import reference
 from conftest import enumerate_joint, enumerate_total_progeny, first_states, law_fractions
 
 
-def totals(law: OffspringLaw, x: int, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+def totals(law: OffspringLaw, x: int, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(exact, log) of S_x for n replicas: X_1 at theta = 1."""
-    return first_states(x, IGWParams(law, 1.0), n, rng)
+    return first_states(x, IGWParams(law, 1.0), n, gen)
 
 
 class CountingGenerator:
     """A numpy generator that counts the standard normals it hands out."""
 
-    def __init__(self, rng: RngStream) -> None:
-        self.gen = rng.generator
+    def __init__(self, gen: np.random.Generator) -> None:
+        self.gen = gen
         self.normals = 0
 
     def standard_normal(self, size=None):
@@ -84,21 +83,28 @@ class TestExtendedCount:
 
 class TestRngStreams:
     def test_reproducible(self):
-        a = RngStream(123, 456)
-        b = RngStream(123, 456)
-        assert np.array_equal(a.generator.random(100), b.generator.random(100))
+        a = stream_for(123, 456, "t")
+        b = stream_for(123, 456, "t")
+        assert np.array_equal(a.random(100), b.random(100))
 
     def test_distinct_streams_differ(self):
-        a = RngStream(123, 1)
-        b = RngStream(123, 2)
-        assert not np.array_equal(a.generator.random(100), b.generator.random(100))
+        keys = ((123, 1, "t"), (123, 2, "t"), (124, 1, "t"), (123, 1, "u"))
+        draws = [stream_for(*key).random(100) for key in keys]
+        for i, first in enumerate(draws):
+            for second in draws[i + 1 :]:
+                assert not np.array_equal(first, second)
 
     def test_stream_for_is_stable(self):
         a = stream_for(9, 17, "mc-death")
         b = stream_for(9, 17, "mc-death")
         c = stream_for(9, 18, "mc-death")
-        assert a.stream_id == b.stream_id != c.stream_id
-        assert np.array_equal(a.generator.random(10), b.generator.random(10))
+        first = a.random(10)
+        assert np.array_equal(first, b.random(10))
+        assert not np.array_equal(first, c.random(10))
+        # the Philox key: the master seed, and a hash of (purpose, index) above it
+        stream_id = int.from_bytes(hashlib.blake2s(b"mc-death|17", digest_size=8).digest(), "big")
+        philox = np.random.Generator(np.random.Philox(key=9 | stream_id << 64))
+        assert np.array_equal(first, philox.random(10))
 
 
 class TestTotalProgeny:
@@ -190,9 +196,9 @@ class TestTotalProgeny:
             return float(np.logaddexp(s_log, block))
 
         for r in range(3):
-            gen = CountingGenerator(RngStream(13, r))
-            _, logs = totals(binary_half, 5000, 1, SimpleNamespace(generator=gen))
-            ref = CountingGenerator(RngStream(13, r))
+            gen = CountingGenerator(stream_for(13, r, "normals"))
+            _, logs = totals(binary_half, 5000, 1, gen)
+            ref = CountingGenerator(stream_for(13, r, "normals"))
             want = reference_log_total(5000, ref)
             assert gen.normals == 1
             assert ref.normals > 1000
@@ -238,7 +244,7 @@ class TestRemainder:
         n = 20_000
         z_log = np.full(n, 50 * math.log(2.0))
         left = np.full(n, left, np.int64)
-        log_r = _remainder_log(ctx, z_log, left, stream_for(5, left[0], spec).generator)
+        log_r = _remainder_log(ctx, z_log, left, stream_for(5, left[0], spec))
         log_mu, rho = _remainder_moments(ctx, left)
         w = np.expm1(log_r - (z_log + log_mu)) / np.sqrt(rho * np.exp(-z_log))
         assert abs(w.mean()) <= 4 / math.sqrt(n)
@@ -253,7 +259,7 @@ class TestRemainder:
         z_log = np.full(left.size, math.log(DEFAULT_EXACT_CAP + 1.0))
         log_mu, rho = _remainder_moments(ctx, left)
         assert np.isfinite(log_mu).all() and np.isfinite(rho).all() and (rho > 0).all()
-        log_r = _remainder_log(ctx, z_log, left, stream_for(6, 0, spec).generator)
+        log_r = _remainder_log(ctx, z_log, left, stream_for(6, 0, spec))
         assert not np.isnan(log_r).any() and (log_r < np.inf).all()
         assert np.isfinite(np.logaddexp(z_log, log_r)).all()
 
@@ -265,8 +271,8 @@ class TestThin:
         # theta = 1 leaves the totals as drawn and draws nothing more
         ctx = law_context(binary_half)
         x = np.arange(1, 200)
-        want, want_log = _chunk_totals(ctx, x, RngStream(0, 0).generator)
-        got, got_log = _chunk_step(ctx, 1.0, x, np.log(x), RngStream(0, 0).generator)
+        want, want_log = _chunk_totals(ctx, x, stream_for(0, 0, "t"))
+        got, got_log = _chunk_step(ctx, 1.0, x, np.log(x), stream_for(0, 0, "t"))
         assert np.array_equal(got, want) and np.array_equal(got_log, want_log)
 
     def test_zero(self):
@@ -388,7 +394,7 @@ class TestHarmonicMoment:
         h = harmonic_moment(binary_half, x)
         finals = np.array(
             [
-                reference.total_progeny(binary_half, x, stream_for(31, r, "markov").generator)[0].exact_value
+                reference.total_progeny(binary_half, x, stream_for(31, r, "markov"))[0].exact_value
                 for r in range(n)
             ]
         )

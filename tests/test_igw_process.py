@@ -16,7 +16,6 @@ from igw import (
     MeanRegime,
     OffspringLaw,
     RegimeError,
-    RngStream,
     TerminationKind,
     classify_regimes,
     death_prob_interval,
@@ -97,7 +96,7 @@ class TestStep:
     def test_log_tier_step_is_deterministic_growth(self):
         params = IGWParams(OffspringLaw.binary(0.5), 0.8)
         ni, nl = _chunk_step(
-            law_context(params.law), 0.8, np.array([-1]), np.array([100.0]), stream_for(0, 0, "s").generator
+            law_context(params.law), 0.8, np.array([-1]), np.array([100.0]), stream_for(0, 0, "s")
         )
         expected = math.exp(100.0) * math.log(1.5) + math.log(1.5 / 0.5) + math.log(0.8)
         assert ni[0] == -1 and nl[0] == pytest.approx(expected, rel=1e-12)
@@ -105,7 +104,7 @@ class TestStep:
     def test_log_tier_needs_supercritical(self):
         ctx = law_context(OffspringLaw.explicit({0: 0.5, 1: 0.5}))
         with pytest.raises(RegimeError):
-            _chunk_step(ctx, 1.0, np.array([-1]), np.array([100.0]), stream_for(0, 0, "s").generator)
+            _chunk_step(ctx, 1.0, np.array([-1]), np.array([100.0]), stream_for(0, 0, "s"))
 
 
 class TestTrajectory:
@@ -218,7 +217,7 @@ class TestChunkEngine:
         n_chunk = counts.sum()
         n_ref = 1500
         ref = Counter(
-            reference.trajectory(1, params, 200, threshold, stream_for(7, r, "tiers").generator)[0]
+            reference.trajectory(1, params, 200, threshold, stream_for(7, r, "tiers"))[0]
             for r in range(n_ref)
         )
         assert counts[UNDECIDED] == 0 and ref[TerminationKind.HORIZON] == 0
@@ -242,7 +241,7 @@ class TestChunkEngine:
         _, chunk = first_states(x0, params, 1024, stream_for(3, 0, "g"))
         start = ExtendedCount.exact(x0)
         scalar = np.array(
-            [reference.step(start, params, stream_for(4, r, "g").generator).log() for r in range(300)]
+            [reference.step(start, params, stream_for(4, r, "g")).log() for r in range(300)]
         )
         se = math.sqrt(chunk.var() / chunk.size + scalar.var() / scalar.size)
         assert abs(chunk.mean() - scalar.mean()) <= 4 * se
@@ -272,14 +271,14 @@ class TestChunkEngine:
 
     def test_validation(self):
         params = IGWParams(OffspringLaw.binary(0.5), 1.0)
-        rng = stream_for(0, 0, "t")
+        gen = stream_for(0, 0, "t")
         threshold = ExtendedCount.exact(10**6)
         with pytest.raises(ValueError):
-            simulate_chunk(0, params, 10, threshold, rng)
+            simulate_chunk(0, params, 10, threshold, gen)
         with pytest.raises(ValueError):
-            simulate_chunk(1, params, 0, threshold, rng)
+            simulate_chunk(1, params, 0, threshold, gen)
         with pytest.raises(ValueError):
-            simulate_chunk(10, params, 10, ExtendedCount.exact(5), rng)
+            simulate_chunk(10, params, 10, ExtendedCount.exact(5), gen)
 
     def test_rejects_laws_that_overflow_int64(self):
         # 2^48 individuals with up to 2^15 children each reach 2^63
@@ -294,10 +293,10 @@ REMOVED = {
     "igw_process": ("step", "simulate_trajectory", "asymptotic_ratios", "Trajectory", "RatioRow"),
     "gw_engine": (
         "simulate_total_progeny", "thin", "_next_generation_exact", "INDIVIDUAL_DRAW_LIMIT",
-        "_logaddexp", "_log_of_int", "ZERO_COUNT",
+        "_logaddexp", "_log_of_int", "ZERO_COUNT", "RngStream",
     ),
     "reproduction_laws": ("sample_offspring", "chi", "log_chi"),
-    "exact_dist": ("transition_kernel", "_envelope_kernels"),
+    "exact_dist": ("transition_kernel", "_envelope_kernels", "_Kernel", "_distinct"),
 }
 
 
@@ -307,8 +306,6 @@ def test_scalar_path_is_gone():
         assert not hasattr(igw, name), name
         for module in modules.values():
             assert not hasattr(module, name), (module.__name__, name)
-    for attr in ("uniform", "uniforms", "normal", "normals", "binomial", "multinomial"):
-        assert not hasattr(RngStream, attr), attr
     assert not hasattr(OffspringLaw, "cum_probs")
     for path in Path(igw.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
