@@ -36,6 +36,7 @@ from .exact_dist import (
     death_interval_detail,
     death_prob_interval,
     finite_horizon_death,
+    frozen_steps,
     one_step_death_prob,
     one_step_dist,
     swept_states,
@@ -262,6 +263,12 @@ def _exact_one_step_death(args, out) -> int:
     return 0
 
 
+def _frozen_meta(steps: Sequence[Optional[int]], columns: Sequence[str]) -> dict:
+    """``frozen-<column>``: the step at which a swept column stopped
+    changing, ``none`` if it did not by the horizon."""
+    return {f"frozen-{c}": "none" if n is None else n for c, n in zip(columns, steps)}
+
+
 @_command(
     "exact", "finite-horizon-death", "certified enclosure of P_x(X_n = 0)",
     "law", "theta", "x!", "n", "x-cap",
@@ -269,7 +276,8 @@ def _exact_one_step_death(args, out) -> int:
 def _exact_finite_horizon_death(args, out) -> int:
     params, caps = _params(args), Caps(x_cap=args.x_cap)
     iv = finite_horizon_death(args.x, params, args.n, caps)
-    meta = _meta(args, **{"swept-states": swept_states(params, caps)})
+    frozen = _frozen_meta(frozen_steps(params, args.n, caps), ("lo", "hi"))
+    meta = _meta(args, **{"swept-states": swept_states(params, caps)}, **frozen)
     _emit(out, meta, ["lo", "hi"], [[iv.lo, iv.hi]])
     return 0
 
@@ -284,7 +292,7 @@ def _exact_death_interval(args, out) -> int:
         "swept-states": detail.swept_states,
         "width-truncation": detail.truncation,
         "width-closure": detail.closure,
-    })
+    }, **_frozen_meta(detail.frozen, ("lo", "hi", "closure")))
     _emit(out, meta, ["lo", "hi"], [[detail.interval.lo, detail.interval.hi]])
     return 0
 

@@ -48,14 +48,24 @@ theta = 0.92.
 
 Both envelope chains absorb at 0, so P_x(X_n = 0) = (K^n e_0)[x] for either
 kernel K.  One backward sweep u <- K u from u = e_0 therefore answers every
-start state x at once.  The columns are kept per horizon asked for, and a
-new horizon is swept on from the longest kept one below it.  The upper end
-of the total death probability adds a second column swept on the upper
-kernel, the closure K^n c with c_y = q*^y for y >= 1 and c_0 = 0.  It is
-kept apart from the death column, not folded into one sweep of the vector
-(1, q*, q*^2, ...): the death columns of the two kernels then round alike,
-so an interval whose truncation is invisible at float precision still has
-lo == hi.
+start state x at once.  Each column is swept alone and kept per horizon
+asked for; a new horizon is swept on from the longest kept one below it.  A
+column stops at its float fixed point, the first step that leaves it
+bitwise unchanged: every later step returns the same vector, so every
+longer horizon reads it, bit for bit as a sweep that never stops.  On
+binary:0.6 at theta = 0.92 the lower death column freezes about 60 steps
+into 256.  The upper end of the total death probability adds a third
+column swept on the upper kernel, the closure K^n c with c_y = q*^y for
+y >= 1 and c_0 = 0.  It is kept apart from the upper death column, not
+folded into one sweep of the vector (1, q*, q*^2, ...), so that the width
+splits into the truncation (upper minus lower death column) and the
+closure.  The two death columns need not round alike where the truncation
+is invisible at float precision: ``R_lo`` has one row more than ``R_hi``,
+and the matrix-vector product may round a row's dot product differently
+with the shape, so the ends can differ by an ulp either way (at
+pmf:2=0.5,3=0.5, theta = 0.45, x = 8 they do).  Neither end is rounded
+outward yet; :func:`finite_horizon_death` orders the two ends, and the
+total death interval takes its upper end at least at its lower one.
 
 One quantity needs no truncation at all: P_x(X_1 = 0) = E((1-theta)^{S_x})
 follows from the scalar recursion a_{j+1} = f(t * a_j) with t = 1 - theta,
@@ -221,7 +231,12 @@ def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) ->
     it keeps (:func:`_mul_low`); w^2 is a square (:func:`_sqr_low`).  The
     arrays are rescaled by exact powers of two, so the convolutions run
     near 1 and products of small probabilities stay out of the slow
-    subnormal range."""
+    subnormal range.
+
+    A law with all its mass beyond the cap leaves only Z_1 = 0 below it, so
+    at p_0 = 0 its successor is itself and ``prev`` is returned."""
+    if not len(prev.coef) and law.p0 == 0.0:
+        return prev
     out = np.zeros(cap + 1)
     if len(prev.coef):
         if theta == 1.0:
@@ -252,7 +267,7 @@ def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) ->
         out[0] = law.p0  # all of prev lies beyond the cap, so only Z_1 = 0 stays below it
     nz = np.flatnonzero(out)
     if nz.size == 0:
-        return _Progeny(out[:0], cap + 1, 1.0)
+        return _Progeny(np.zeros(0), cap + 1, 1.0)
     coef = out[nz[0] : nz[-1] + 1].copy()
     return _Progeny(coef, int(nz[0]), max(0.0, 1.0 - float(coef.sum())))
 
@@ -406,6 +421,47 @@ def _merge(K: np.ndarray, s: int, x_cap: int) -> np.ndarray:
     return np.column_stack((K[:, :s], merged, K[:, x_cap + 1 :]))
 
 
+class _Column:
+    """R^n v for the horizons n asked for, swept backward by v <- R v.
+
+    Only the horizons asked for are kept; a new one is swept on from the
+    longest kept horizon below it, so asking for n = 1, 2, ..., N costs at
+    most N matvecs in all.  The sweep stops at ``frozen``, the first step
+    that leaves the column bitwise unchanged (compared as bytes, so that
+    -0.0 and NaN cannot pass for a fixed point): every later step returns
+    the same vector, so every horizon from ``frozen`` on reads it.
+    """
+
+    def __init__(self, R: np.ndarray, v: np.ndarray, n: int = 0) -> None:
+        self.R, self.kept = R, {n: v}
+        self.frozen: Optional[int] = None
+
+    def at(self, n: int) -> np.ndarray:
+        if self.frozen is not None and n >= self.frozen:
+            return self.kept[self.frozen]
+        if n in self.kept:
+            return self.kept[n]
+        m = max(k for k in self.kept if k < n)
+        R, v = self.R, self.kept[m]
+        bits = v.tobytes()
+        while m < n:
+            m += 1
+            w = R @ v
+            w_bits = w.tobytes()
+            if w_bits == bits:
+                self.frozen = m
+                break
+            v, bits = w, w_bits
+        self.kept[m] = v
+        return v
+
+    def frozen_by(self, n: int) -> Optional[int]:
+        """The step <= n at which the column froze, or None; it is read
+        after sweeping to n, so it does not depend on what is kept."""
+        self.at(n)
+        return self.frozen if self.frozen is not None and self.frozen <= n else None
+
+
 class _Envelope:
     """The envelope kernels of one (law, theta, x_cap) and the columns
     swept backward from them, for every start state at once.
@@ -415,14 +471,14 @@ class _Envelope:
     arithmetic this is the full-width sweep; only the rounding of the
     merged column differs.  No full-width kernel is kept.
 
-    ``death[n]`` is (K_lo^n e_0, K_hi^n e_0) on the distinct states: the
-    lower and the upper end of P_x(X_n = 0).  ``closure[n]`` is (K_hi^n c,)
-    with c_y = q*^y for y >= 1 and c_0 = 0: it closes the mass still alive
-    at horizon n by the fixed-point certificate.  c is not constant past s,
-    so its first step takes the full-width rows: the first s columns of
-    ``R_hi`` plus ``tail``.  Only the horizons asked for are kept; a new one
-    is swept on from the longest kept horizon below it, so asking for
-    n = 1, 2, ..., N costs N matvecs per column in all.
+    Each column is a :class:`_Column`, swept alone and stopped at its float
+    fixed point.  ``lo`` and ``hi`` sweep K_lo^n e_0 and K_hi^n e_0 on the
+    distinct states: the lower and the upper end of P_x(X_n = 0).  Once the
+    lower one freezes, no longer horizon can raise a lower end.  ``closure``
+    sweeps K_hi^n c with c_y = q*^y for y >= 1 and c_0 = 0: it closes the
+    mass still alive at horizon n by the fixed-point certificate.  c is not
+    constant past s, so its first step takes the full-width rows: the first
+    s columns of ``R_hi`` plus ``tail``; the closure is built on first use.
     """
 
     def __init__(self, params: IGWParams, x_cap: int) -> None:
@@ -431,24 +487,26 @@ class _Envelope:
         self.last = s = len(self.R_hi) - 1
         lo, hi = np.zeros(s + 2), np.zeros(s + 1)
         lo[0] = hi[0] = 1.0
-        self.death = {0: (lo, hi)}
-        self.closure: dict[int, tuple[np.ndarray]] = {}
+        self.lo, self.hi = _Column(self.R_lo, lo), _Column(self.R_hi, hi)
+        self._closure: Optional[_Column] = None
 
     def death_at(self, n: int, x: int) -> tuple[float, float]:
         """The lower and the upper end of P_x(X_n = 0)."""
-        lo, hi = self.death.get(n) or _sweep(self.death, (self.R_lo, self.R_hi), n)
         j = min(x, self.last)
-        return float(lo[j]), float(hi[j])
+        return float(self.lo.at(n)[j]), float(self.hi.at(n)[j])
 
     def closure_at(self, n: int, x: int) -> float:
         """(K_hi^n c)[x]."""
         if n == 0:
             return float(self._powers()[x])
-        if not self.closure:
+        return float(self.closure.at(n)[min(x, self.last)])
+
+    @property
+    def closure(self) -> _Column:
+        if self._closure is None:
             c, s = self._powers(), self.last
-            self.closure[1] = (self.R_hi[:, :s] @ c[:s] + self.tail @ c[s:],)
-        (col,) = self.closure.get(n) or _sweep(self.closure, (self.R_hi,), n)
-        return float(col[min(x, self.last)])
+            self._closure = _Column(self.R_hi, self.R_hi[:, :s] @ c[:s] + self.tail @ c[s:], 1)
+        return self._closure
 
     def _powers(self) -> np.ndarray:
         from .analysis import fixed_point_q  # deferred: analysis builds on this module
@@ -456,17 +514,6 @@ class _Envelope:
         c = fixed_point_q(self.params, 1e-13) ** np.arange(self.x_cap + 1, dtype=float)
         c[0] = 0.0
         return c
-
-
-def _sweep(kept: dict[int, tuple], kernels: tuple[np.ndarray, ...], n: int) -> tuple:
-    """The columns at step n, not yet in ``kept``, of v <- R v, one per
-    kernel, swept on from the longest horizon below n in ``kept`` and kept."""
-    m = max(k for k in kept if k < n)
-    cols = kept[m]
-    for _ in range(n - m):
-        cols = tuple(R @ v for R, v in zip(kernels, cols))
-    kept[n] = cols
-    return cols
 
 
 @lru_cache(maxsize=8)
@@ -480,6 +527,16 @@ def swept_states(params: IGWParams, caps: Caps = Caps()) -> int:
     """The number of distinct states the envelope sweeps of (params,
     caps.x_cap) step: s + 1 with s = min(r, x_cap), r the first dead row."""
     return _envelope(params, caps.x_cap).last + 1
+
+
+def frozen_steps(
+    params: IGWParams, n: int, caps: Caps = Caps()
+) -> tuple[Optional[int], Optional[int]]:
+    """The steps <= n at which the lower and the upper death column of
+    (params, caps.x_cap) stopped changing, None for a column that did not;
+    past a frozen lower column no horizon can raise a lower end."""
+    env = _envelope(params, caps.x_cap)
+    return env.lo.frozen_by(n), env.hi.frozen_by(n)
 
 
 def finite_horizon_death(
@@ -502,12 +559,15 @@ class DeathIntervalDetail(NamedTuple):
     ulps below 0 where that is invisible at float precision); ``closure``
     is the closure column at x, the mass still alive at the horizon, closed
     by q*^y; ``swept_states`` is :func:`swept_states`, 0 when nothing is
-    swept (theta = 1)."""
+    swept (theta = 1); ``frozen`` holds the steps <= horizon at which the
+    lower death, the upper death and the closure column stopped changing,
+    None for a column that did not (or is not swept)."""
 
     interval: IntervalProb
     truncation: float
     closure: float
     swept_states: int
+    frozen: tuple[Optional[int], Optional[int], Optional[int]]
 
 
 def death_interval_detail(
@@ -533,12 +593,14 @@ def death_interval_detail(
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if params.theta == 1.0:
-        return DeathIntervalDetail(IntervalProb(0.0, 0.0), 0.0, 0.0, 0)
+        return DeathIntervalDetail(IntervalProb(0.0, 0.0), 0.0, 0.0, 0, (None, None, None))
     env = _envelope(params, caps.x_cap)
     lo, hi = env.death_at(horizon, x)
     closure = env.closure_at(horizon, x)
     iv = IntervalProb(lo, max(lo, min(1.0, hi + closure)))
-    return DeathIntervalDetail(iv, hi - lo, closure, env.last + 1)
+    closure_frozen = env.closure.frozen_by(horizon) if horizon else None  # it starts at step 1
+    frozen = (env.lo.frozen_by(horizon), env.hi.frozen_by(horizon), closure_frozen)
+    return DeathIntervalDetail(iv, hi - lo, closure, env.last + 1, frozen)
 
 
 def death_prob_interval(

@@ -112,6 +112,29 @@ class TestExact:
         assert code == 0
         assert meta_dict(out)["swept-states"] == "11"
 
+    def test_frozen_steps_do_not_depend_on_the_cache(self, capsys):
+        # the lower death column freezes well before 256 here; a shorter
+        # horizon asked later reads none below the freeze step, as it does
+        # on a fresh process
+        base = ["exact", "death-interval", "--law", "binary:0.6", "--theta", "0.92", "--x", "2"]
+        keys = ("frozen-lo", "frozen-hi", "frozen-closure")
+
+        def frozen(horizon):
+            code, out, _ = run_cli([*base, "--horizon", str(horizon)], capsys)
+            assert code == 0
+            return [meta_dict(out)[k] for k in keys]
+
+        lo, hi, closure = frozen(300)
+        step = int(lo)
+        assert 1 <= step < 256
+        assert frozen(step - 1)[0] == "none"
+        assert frozen(step)[0] == str(step)
+        assert frozen(300) == [lo, hi, closure]
+        fhd = ["exact", "finite-horizon-death", "--law", "binary:0.6", "--theta", "0.92", "--x", "2"]
+        for n, want in ((step - 1, "none"), (step, str(step)), (400, str(step))):
+            code, out, _ = run_cli([*fhd, "--n", str(n)], capsys)
+            assert code == 0 and meta_dict(out)["frozen-lo"] == want
+
 
 class TestBounds:
     def test_q_star_tol_above_floor_changes_nothing(self, capsys):
@@ -490,11 +513,11 @@ PATHS = {
     ("exact", "one-step-death"): (["--law", "binary:1", "--theta", "0.8", "--x", "2"], [], []),
     ("exact", "finite-horizon-death"): (
         ["--law", "binary:1", "--theta", "0.8", "--x", "2", "--n", "3", "--x-cap", "64"],
-        [], ["swept-states"],
+        [], ["swept-states", "frozen-lo", "frozen-hi"],
     ),
     ("exact", "death-interval"): (
         ["--law", "binary:1", "--theta", "0.8", "--x", "2", "--x-cap", "64", "--horizon", "20"],
-        [], ["swept-states", "width-truncation", "width-closure"],
+        [], ["swept-states", "width-truncation", "width-closure", "frozen-lo", "frozen-hi", "frozen-closure"],
     ),
     ("bounds", "q-star"): (["--law", "binary:1", "--theta", "0.8", "--tol", "1e-9"], [], []),
     ("bounds", "binary-death"): (["--law", "binary:1", "--theta", "0.8"], [], []),

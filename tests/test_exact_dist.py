@@ -119,6 +119,17 @@ class TestTotalProgenyDist:
         assert dist.overflow == 1.0 and dist.atoms.sum() == 0.0
         assert total_progeny_dist(law, 11, s_cap=4099).atoms[4094] == 1.0
 
+    def test_empty_law_is_its_own_successor(self):
+        # S_x >= 2^(x+1) - 2 here: once all mass is beyond s_cap (p_0 = 0)
+        # every later law is that one object, and it pins no buffer
+        laws = exact_dist._progeny_laws(parse_law_spec("pmf:2=0.5,3=0.5"), 512, 4093)
+        first = next(x for x, law in enumerate(laws) if not len(law.coef))
+        assert first <= 12
+        assert laws[first - 1].coef.size
+        empty = laws[first]
+        assert empty.coef.base is None and empty.overflow == 1.0
+        assert all(law is empty for law in laws[first:])
+
 
 def _gamma(n: int) -> float:
     """gamma_n = n u / (1 - n u), the relative error bound of a sum of n
@@ -521,13 +532,13 @@ class TestDistinctStateSweep:
         r = reference.dead_row(params, 512)
         assert r < 512
         shapes = set()
-        sweep = exact_dist._sweep
+        at = exact_dist._Column.at
 
-        def recorded(kept, kernels, n):
-            shapes.update(R.shape for R in kernels)
-            return sweep(kept, kernels, n)
+        def recorded(column, n):
+            shapes.add(column.R.shape)
+            return at(column, n)
 
-        monkeypatch.setattr(exact_dist, "_sweep", recorded)
+        monkeypatch.setattr(exact_dist._Column, "at", recorded)
         _envelope.cache_clear()
         for horizon in (1, 256):
             death_prob_interval(3, params, horizon=horizon)
@@ -538,6 +549,8 @@ class TestDistinctStateSweep:
         def arrays(obj):
             if isinstance(obj, np.ndarray):
                 yield obj
+            elif isinstance(obj, exact_dist._Column):
+                yield from arrays(vars(obj))
             elif isinstance(obj, dict):
                 for value in obj.values():
                     yield from arrays(value)
@@ -562,7 +575,57 @@ class TestDistinctStateSweep:
             parts = max(iv.lo, min(1.0, iv.lo + detail.truncation + detail.closure))
             assert iv.hi == pytest.approx(parts, rel=1e-15, abs=0.0)
         theta_one = exact_dist.death_interval_detail(1, IGWParams(parse_law_spec("binary:0.9"), 1.0))
-        assert theta_one == (IntervalProb(0.0, 0.0), 0.0, 0.0, 0)
+        assert theta_one == (IntervalProb(0.0, 0.0), 0.0, 0.0, 0, (None, None, None))
+
+
+class TestFixedPointStop:
+    """Each envelope column stops at the first step that leaves it bitwise
+    unchanged; a plain sweep with no exit, on the same arrays, is the oracle."""
+
+    HORIZONS = (300, 1, 3, 17, 256, 64)
+
+    @staticmethod
+    def _plain(R: np.ndarray, v: np.ndarray, first: int, n_max: int) -> dict[int, bytes]:
+        out = {first: v.tobytes()}
+        for n in range(first + 1, n_max + 1):
+            v = R @ v
+            out[n] = v.tobytes()
+        return out
+
+    @pytest.mark.parametrize(
+        "spec,theta,x_cap",
+        [
+            ("binary:0.6", 0.92, 512),  # the lower column freezes, the upper one not
+            ("pmf:2=0.5,3=0.5", 0.6, 512),  # both freeze
+            ("binary:0.5", 0.7, 24),  # no dead row
+        ],
+    )
+    def test_columns_match_plain_sweep(self, spec, theta, x_cap):
+        params = IGWParams(parse_law_spec(spec), theta)
+        _envelope.cache_clear()
+        env = _envelope(params, x_cap)
+        s = env.last
+        e_lo, e_hi = np.zeros(s + 2), np.zeros(s + 1)
+        e_lo[0] = e_hi[0] = 1.0
+        c = env._powers()
+        first_closure = env.R_hi[:, :s] @ c[:s] + env.tail @ c[s:]
+        n_max = max(self.HORIZONS)
+        columns = (
+            (env.lo, self._plain(env.R_lo, e_lo, 0, n_max)),
+            (env.hi, self._plain(env.R_hi, e_hi, 0, n_max)),
+            (env.closure, self._plain(env.R_hi, first_closure, 1, n_max)),
+        )
+        for n in self.HORIZONS:
+            for column, plain in columns:
+                assert column.at(n).tobytes() == plain[n], n
+        for column, plain in columns:
+            frozen = column.frozen_by(n_max)
+            steps = range(min(plain) + 1, n_max + 1)
+            still = [n for n in steps if plain[n] == plain[n - 1]]
+            assert frozen == (still[0] if still else None)
+            assert frozen is None or all(plain[n] == plain[frozen] for n in steps if n >= frozen)
+        if spec == "binary:0.6":
+            assert env.lo.frozen is not None and env.lo.frozen < 128
 
 
 #: the benchmark's certify and theta-grid points: (law, thetas, start states)
