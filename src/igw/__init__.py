@@ -34,7 +34,6 @@ from .exact_dist import (
 from .gw_engine import (
     DEFAULT_EXACT_CAP,
     ExtendedCount,
-    harmonic_moment,
     harmonic_moments,
     stream_for,
 )

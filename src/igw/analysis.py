@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count, islice
 from statistics import NormalDist
@@ -530,8 +531,6 @@ def ratio_crossing_errors(
 
 # -- inequality verification --------------------------------------------------------
 
-_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class SubmultReport:
@@ -541,7 +540,7 @@ class SubmultReport:
     interval_xy: IntervalProb
     interval_x: IntervalProb
     interval_y: IntervalProb
-    status: str  # "certified" | "pass" | "indeterminate"
+    status: str  # "certified" | "indeterminate"
 
 
 def submultiplicativity_check(
@@ -550,12 +549,11 @@ def submultiplicativity_check(
     """Check P_{x+y}(X_n = 0) <= P_x(X_n = 0) * P_y(X_n = 0) on certified
     intervals.
 
-    "certified" means hi(x+y) <= lo(x)*lo(y), proving the inequality for
-    the true values; "pass" means hi(x+y) <= hi(x)*hi(y) up to float
-    rounding; anything else is
-    reported indeterminate, not failed, since the inequality holds for the
-    true probabilities and certified intervals can only be too wide, never
-    wrong.
+    "certified" means hi(x+y) <= lo(x)*lo(y), compared exactly on the
+    float endpoints, which proves the inequality for the true values;
+    anything else is reported indeterminate, not failed, since the
+    inequality holds for the true probabilities and certified intervals
+    can only be too wide, never wrong.
     """
     if params.law.p0 > 0.0:
         raise RegimeError("the submultiplicativity bound is stated for p_0 = 0")
@@ -567,13 +565,8 @@ def submultiplicativity_check(
     ixy = finite_horizon_death(x + y, params, n, caps)
     ix = finite_horizon_death(x, params, n, caps)
     iy = finite_horizon_death(y, params, n, caps)
-    if ixy.hi <= ix.lo * iy.lo + _SLACK:
-        status = "certified"
-    elif ixy.hi <= ix.hi * iy.hi + _SLACK:
-        status = "pass"
-    else:
-        status = "indeterminate"
-    return SubmultReport(x, y, n, ixy, ix, iy, status)
+    proved = Fraction(ixy.hi) <= Fraction(ix.lo) * Fraction(iy.lo)
+    return SubmultReport(x, y, n, ixy, ix, iy, "certified" if proved else "indeterminate")
 
 
 @dataclass(frozen=True)
@@ -602,8 +595,10 @@ def geometric_absorption_check(
     """Check the uniform geometric absorption bound
     P_x(X_n != 0) <= (1 - p_0)^n for laws that can produce zero offspring.
 
-    Survival comes from the certified death intervals; rows whose interval
-    straddles the bound are flagged indeterminate rather than failed.
+    Survival comes from the certified death intervals, and each row is
+    decided by exact comparisons of 1 - hi and 1 - lo with (1 - p_0)^n;
+    rows whose interval straddles the bound are flagged indeterminate
+    rather than failed.
     """
     p0 = params.law.p0
     if p0 <= 0.0:
@@ -613,14 +608,12 @@ def geometric_absorption_check(
     rows = []
     for n in range(1, n_max + 1):
         death = finite_horizon_death(x, params, n, caps)
-        surv_hi = 1.0 - death.lo
-        surv_lo = 1.0 - death.hi
-        bound = (1.0 - p0) ** n
-        if surv_hi <= bound + _SLACK:
+        bound = (1 - Fraction(p0)) ** n
+        if 1 - Fraction(death.lo) <= bound:
             status = "certified"
-        elif surv_lo <= bound + _SLACK:
+        elif 1 - Fraction(death.hi) <= bound:
             status = "indeterminate"
         else:
             status = "violated"
-        rows.append(AbsorptionRow(n, surv_lo, surv_hi, bound, status))
+        rows.append(AbsorptionRow(n, 1.0 - death.hi, 1.0 - death.lo, (1.0 - p0) ** n, status))
     return AbsorptionReport(x, p0, tuple(rows))

@@ -362,6 +362,11 @@ def _mc_ratio(args, out) -> int:
     return 0
 
 
+def _verdict_exit(statuses: Iterable[str]) -> int:
+    """The exit code of both ``verify`` checks: 0 iff every row is certified."""
+    return 0 if all(s == "certified" for s in statuses) else 3
+
+
 @_command(
     "verify", "submult", "P_{x+y}(X_n = 0) <= P_x(X_n = 0) P_y(X_n = 0) on certified intervals",
     "law", "theta", "x", "y", "n", "x-cap",
@@ -371,7 +376,7 @@ def _verify_submult(args, out) -> int:
     row = [report.x, report.y, report.n, report.interval_xy.hi, report.interval_x.hi,
            report.interval_y.hi, report.interval_x.lo, report.interval_y.lo, report.status]
     _emit(out, _meta(args), ["x", "y", "n", "hi_xy", "hi_x", "hi_y", "lo_x", "lo_y", "status"], [row])
-    return 3 if report.status == "indeterminate" else 0
+    return _verdict_exit([report.status])
 
 
 @_command(
@@ -382,7 +387,7 @@ def _verify_absorption(args, out) -> int:
     report = geometric_absorption_check(_params(args), args.x, args.n_max, Caps(x_cap=args.x_cap))
     rows = [[r.n, r.survival_lo, r.survival_hi, r.geometric_bound, r.status] for r in report.rows]
     _emit(out, _meta(args), ["n", "survival_lo", "survival_hi", "bound", "status"], rows)
-    return 0 if report.all_certified else 3
+    return _verdict_exit(r.status for r in report.rows)
 
 
 def _parse_grid(text: str, kind: type) -> list:

@@ -129,7 +129,11 @@ class TruncatedDist:
 
     atoms: np.ndarray
     overflow: float
-    warning: Optional[str] = None
+
+    @property
+    def warning(self) -> Optional[str]:
+        """Set to ``all-mass-in-overflow`` when no mass is left below the cap."""
+        return "all-mass-in-overflow" if self.overflow > 1.0 - 1e-9 else None
 
     @property
     def cap(self) -> int:
@@ -297,8 +301,7 @@ def total_progeny_dist(
     if x < 0:
         raise ValueError("x must be nonnegative")
     prog = _progeny_laws(law, x, s_cap)[x]
-    warning = "all-mass-in-overflow" if prog.overflow > 1.0 - 1e-9 else None
-    return TruncatedDist(_atoms(prog, s_cap), prog.overflow, warning)
+    return TruncatedDist(_atoms(prog, s_cap), prog.overflow)
 
 
 # -- the law of X_1 by thinned pgf composition -----------------------------------
@@ -325,8 +328,7 @@ def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDi
     if x < 0:
         raise ValueError("x must be nonnegative")
     row = next(islice(thinned_rows(params.law, params.theta, caps.x_cap), x, None))
-    warning = "all-mass-in-overflow" if row.overflow > 1.0 - 1e-9 else None
-    return TruncatedDist(_atoms(row, caps.x_cap), row.overflow, warning)
+    return TruncatedDist(_atoms(row, caps.x_cap), row.overflow)
 
 
 def one_step_death_prob(x: int, params: IGWParams) -> float:

@@ -33,7 +33,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -95,18 +94,6 @@ class ExtendedCount:
         if self.exact_value is not None:
             return math.log(self.exact_value) if self.exact_value > 0 else -math.inf
         return self.log_value  # type: ignore[return-value]
-
-    def to_float(self) -> float:
-        """Float value; may be ``inf`` when the log exceeds float range."""
-        if self.exact_value is not None:
-            return float(self.exact_value)
-        try:
-            return math.exp(self.log_value)  # type: ignore[arg-type]
-        except OverflowError:
-            return math.inf
-
-    def is_zero(self) -> bool:
-        return self.exact_value == 0
 
     def __lt__(self, other: "ExtendedCount") -> bool:
         if self.exact_value is not None and other.exact_value is not None:
@@ -273,10 +260,3 @@ def harmonic_moments(law: OffspringLaw) -> Iterator[float]:
         np.divide(f[1:], s[1:], out=g[1:])
         yield 0.5 * float(np.sum(width * (g[:-1] + g[1:]))) * inflate
 
-
-def harmonic_moment(law: OffspringLaw, x: int) -> float:
-    """h(x), the x-th value of :func:`harmonic_moments`: a certified upper
-    bound on E(1/Z_x) for a law with p_0 = 0."""
-    if x < 1:
-        raise ValueError("generation index must be >= 1")
-    return next(islice(harmonic_moments(law), x - 1, None))

@@ -33,7 +33,9 @@ from typing import Iterator
 
 import numpy as np
 
-from igw import Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, mean
+from igw import (
+    Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, harmonic_moments, mean,
+)
 from igw.analysis import fixed_point_q
 from igw.exact_dist import KERNEL_FLOOR, _atoms, _floor_into, _Progeny, _progeny_laws, thinned_rows
 from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, law_context
@@ -226,6 +228,11 @@ def direct_rows(law: OffspringLaw, theta: float, cap: int) -> Iterator[_Progeny]
 # -- the scalar simulator ----------------------------------------------------------
 
 
+def harmonic_moment(law: OffspringLaw, y: int) -> float:
+    """h(y), the y-th value of ``harmonic_moments``."""
+    return next(islice(harmonic_moments(law), y - 1, None))
+
+
 def _count(n: int) -> ExtendedCount:
     return ExtendedCount.exact(n) if n <= DEFAULT_EXACT_CAP else ExtendedCount.from_log(math.log(n))
 
@@ -309,7 +316,7 @@ def trajectory(
     state = ExtendedCount.exact(x0)
     for n in range(1, horizon + 1):
         state = step(state, params, gen)
-        if state.is_zero():
+        if state.exact_value == 0:
             return TerminationKind.DIED, n
         if not state < threshold:
             return TerminationKind.EXPLODED, n

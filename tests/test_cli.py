@@ -242,7 +242,19 @@ class TestVerify:
             capsys,
         )
         assert code == 0
-        assert data_lines(out)[1].endswith(("certified", "pass"))
+        assert data_lines(out)[1].endswith("certified")
+
+    def test_submult_indeterminate_exit_three(self, capsys):
+        # probabilities far below 1e-12 are judged exactly, not up to a slack
+        code, out, _ = run_cli(
+            [
+                "verify", "submult", "--law", "binary:0.9", "--theta", "0.9",
+                "--x", "4", "--y", "4", "--n", "40", "--x-cap", "8",
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert data_lines(out)[1].endswith("indeterminate")
 
     def test_absorption_ok(self, capsys):
         code, out, _ = run_cli(
