@@ -124,7 +124,9 @@ class TruncatedDist:
     """Probability vector on {0..cap} plus explicitly tracked leftover mass.
 
     ``overflow`` is the mass on values beyond the cap.
-    atoms.sum() + overflow = 1 up to float accumulation.
+    atoms.sum() + overflow = 1 up to float accumulation.  The laws of this
+    module return ``atoms`` read-only and may share them with their caches,
+    so a caller copies them before mutating.
     """
 
     atoms: np.ndarray
@@ -169,7 +171,11 @@ class IntervalProb:
 class _Progeny(NamedTuple):
     """A truncated law: P(V = offset + i) = coef[i] for offset + i <= cap,
     where V is S_x (cap s_cap) or its thinning X_1 (cap x_cap); coef[0] and
-    coef[-1] are nonzero.  ``overflow`` is the mass beyond the cap."""
+    coef[-1] are nonzero.  ``overflow`` is the mass beyond the cap.
+
+    A composed law's ``coef`` is a read-only view of the cap + 1 buffer it
+    was summed in (:func:`_compose`), and that buffer is its one stored
+    form.  The law of x = 0 and an empty law hold no buffer."""
 
     coef: np.ndarray
     offset: int
@@ -177,10 +183,32 @@ class _Progeny(NamedTuple):
 
 
 def _atoms(row: _Progeny, cap: int) -> np.ndarray:
-    """The truncated law as a dense vector on 0..cap."""
+    """The truncated law as a fresh dense vector on 0..cap."""
     atoms = np.zeros(cap + 1)
     atoms[row.offset : row.offset + len(row.coef)] = row.coef
     return atoms
+
+
+@lru_cache(maxsize=8)
+def _no_atoms(cap: int) -> np.ndarray:
+    """The atoms of a law with no mass on 0..cap: one read-only zero vector
+    per cap, shared by every empty law."""
+    atoms = np.zeros(cap + 1)
+    atoms.flags.writeable = False
+    return atoms
+
+
+def _dist(row: _Progeny, cap: int) -> TruncatedDist:
+    """The truncated law on 0..cap with read-only atoms: the buffer ``row``
+    was composed in, the shared zero vector of an empty law, and a fresh
+    vector only for the law of x = 0, which no composition made."""
+    if not len(row.coef):
+        return TruncatedDist(_no_atoms(cap), row.overflow)
+    atoms = row.coef.base
+    if atoms is None:
+        atoms = _atoms(row, cap)
+        atoms.flags.writeable = False
+    return TruncatedDist(atoms, row.overflow)
 
 
 def _mul_low(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -237,7 +265,10 @@ def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) ->
     near 1 and products of small probabilities stay out of the slow
     subnormal range.
 
-    A law with all its mass beyond the cap leaves only Z_1 = 0 below it, so
+    The sum is taken in a zeroed cap + 1 buffer, which is marked read-only
+    and kept: the returned ``coef`` is a view of it, with no copy.  A law
+    with no mass below the cap gets ``np.zeros(0)`` and pins no buffer.  A
+    law with all its mass beyond the cap leaves only Z_1 = 0 below it, so
     at p_0 = 0 its successor is itself and ``prev`` is returned."""
     if not len(prev.coef) and law.p0 == 0.0:
         return prev
@@ -272,15 +303,18 @@ def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) ->
     nz = np.flatnonzero(out)
     if nz.size == 0:
         return _Progeny(np.zeros(0), cap + 1, 1.0)
-    coef = out[nz[0] : nz[-1] + 1].copy()
+    out.flags.writeable = False
+    coef = out[nz[0] : nz[-1] + 1]
     return _Progeny(coef, int(nz[0]), max(0.0, 1.0 - float(coef.sum())))
 
 
 @lru_cache(maxsize=8)
 def _progeny_cache(law: OffspringLaw, s_cap: int) -> list[_Progeny]:
     """The laws of S_0, S_1, ... computed so far for one (law, s_cap), for
-    the eight most recently used; one holds at most x_cap + 1 arrays of at
-    most s_cap + 1 floats."""
+    the eight most recently used.  One holds at most x + 1 arrays of
+    s_cap + 1 floats for the largest x asked for (x_cap + 1 on a sweep to
+    x_cap), the buffers the laws were composed in; empty laws hold none,
+    and the laws :func:`total_progeny_dist` returns are those buffers."""
     return [_Progeny(np.ones(1), 0, 0.0)]
 
 
@@ -297,11 +331,16 @@ def total_progeny_dist(
     law: OffspringLaw, x: int, z_cap: int = 4096, s_cap: int = 4096
 ) -> TruncatedDist:
     """Exact (truncated) law of S_x = Z_1 + ... + Z_x; ``z_cap`` is accepted
-    and ignored."""
+    and ignored.
+
+    The atoms are the read-only buffer cached for (law, s_cap), returned
+    again on every call: the cache holds at most x_cap + 1 arrays of
+    s_cap + 1 floats per (law, s_cap) on a sweep to x_cap, and the returned
+    laws add nothing.  Every empty law at one s_cap shares one zero
+    vector."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    prog = _progeny_laws(law, x, s_cap)[x]
-    return TruncatedDist(_atoms(prog, s_cap), prog.overflow)
+    return _dist(_progeny_laws(law, x, s_cap)[x], s_cap)
 
 
 # -- the law of X_1 by thinned pgf composition -----------------------------------
@@ -324,11 +363,12 @@ def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDi
 
     The atoms are exact up to float rounding whatever the law of S_x does
     beyond ``s_cap``; the overflow is the mass of X_1 beyond ``x_cap``.
+    They are the read-only buffer the row was composed in, with no copy.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
     row = next(islice(thinned_rows(params.law, params.theta, caps.x_cap), x, None))
-    return TruncatedDist(_atoms(row, caps.x_cap), row.overflow)
+    return _dist(row, caps.x_cap)
 
 
 def one_step_death_prob(x: int, params: IGWParams) -> float:

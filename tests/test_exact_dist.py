@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -129,6 +130,45 @@ class TestTotalProgenyDist:
         empty = laws[first]
         assert empty.coef.base is None and empty.overflow == 1.0
         assert all(law is empty for law in laws[first:])
+
+    def test_atoms_are_the_stored_law(self):
+        # a second call returns the cached buffer itself, and neither the
+        # law of S_x nor a one-step law can be written through its atoms
+        law = parse_law_spec("binary:0.6")
+        dist = total_progeny_dist(law, 5)
+        assert total_progeny_dist(law, 5).atoms is dist.atoms
+        for x in (0, 5):
+            for atoms in (
+                total_progeny_dist(law, x).atoms,
+                one_step_dist(x, IGWParams(law, 0.8), SMALL_CAPS).atoms,
+            ):
+                with pytest.raises(ValueError):
+                    atoms[0] = 0.5
+
+    def test_empty_laws_share_one_zero_vector(self):
+        # every law with no mass below one s_cap, of any offspring law, reads
+        # the same read-only zero vector
+        empties = [total_progeny_dist(parse_law_spec("pmf:2=0.5,3=0.5"), x, s_cap=4093) for x in (20, 100, 512)]
+        empties.append(total_progeny_dist(parse_law_spec("binary:1"), 20, s_cap=4093))
+        zeros = empties[0].atoms
+        assert len(zeros) == 4094 and not zeros.any() and not zeros.flags.writeable
+        assert all(d.atoms is zeros and d.overflow == 1.0 for d in empties)
+        assert total_progeny_dist(parse_law_spec("binary:1"), 20, s_cap=4092).atoms is not zeros
+
+    def test_held_laws_allocate_nothing_beside_the_cache(self):
+        # holding S_1..S_512 of binary:0.6 costs the cache's 512 buffers of
+        # 4097 floats (16.8 MB) and nothing more: the laws returned are those
+        # buffers, not dense copies
+        law = parse_law_spec("binary:0.6")
+        tracemalloc.start()
+        try:
+            exact_dist._progeny_laws(law, 512, 4096)
+            cache, _ = tracemalloc.get_traced_memory()
+            held = [total_progeny_dist(law, x) for x in range(1, 513)]
+            grown = tracemalloc.get_traced_memory()[0] - cache
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 512 and grown < 512 * 1024
 
 
 def _gamma(n: int) -> float:
