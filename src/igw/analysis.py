@@ -226,38 +226,19 @@ def _carried(h: float, contraction: float) -> Iterator[float]:
 
 
 @lru_cache(maxsize=8)
-def _harmonic_prefix(law: OffspringLaw) -> list[float]:
-    """h(1), h(2), ... of :func:`harmonic_moments`, as far as any theta has
-    read them, for the eight most recently used laws: floats only, at most
-    ``MAX_SWITCH`` of them, and no walk is kept open between reads."""
-    return []
-
-
-def _harmonic_values(law: OffspringLaw) -> Iterator[float]:
-    """h(y) for y = 1, 2, ...: the cached prefix first, then one new walk of
-    :func:`harmonic_moments`, which skips the prefix and extends it."""
-    known = _harmonic_prefix(law)
-    yield from known
-    for h in islice(harmonic_moments(law), len(known), None):
-        known.append(h)
-        yield h
-
-
-@lru_cache(maxsize=8)
 def _switch_point(law: OffspringLaw, theta: float) -> tuple[int, float]:
     """The switch point y0 and h(y0), the harmonic bound there.
 
-    Scans h(y) from y = 1 and stops at the first y0 whose stall bound
-    gamma(y0) is below 1 and no larger than gamma(y0 + 1): past y0, h(y)
-    no longer shrinks faster than y^2 grows, so h(y0) carried by the
-    contraction is the better bound.  The scan ends at ``MAX_SWITCH`` at
-    the latest.  h(y) does not depend on theta, so every theta reads one
-    cached walk per law (:func:`_harmonic_values`), and walks again only to
-    read past it.  y0 depends on (law, theta) alone, so the eight most
-    recently used are kept and every start state shares one scan.
+    Walks :func:`harmonic_moments` from y = 1 and stops at the first y0
+    whose stall bound gamma(y0) is below 1 and no larger than
+    gamma(y0 + 1): past y0, h(y) no longer shrinks faster than y^2 grows,
+    so h(y0) carried by the contraction is the better bound.  The walk
+    ends at ``MAX_SWITCH`` at the latest.  y0 depends on (law, theta)
+    alone, so the eight most recently used are kept and every start state
+    shares one walk.
     """
     prev_gamma = prev_h = math.inf
-    for y, h in zip(range(1, MAX_SWITCH + 1), _harmonic_values(law)):
+    for y, h in zip(range(1, MAX_SWITCH + 1), harmonic_moments(law)):
         gamma = _stall_bound(y, h, theta)
         if prev_gamma < 1.0 and gamma >= prev_gamma:
             return y - 1, prev_h

@@ -173,9 +173,9 @@ class _Progeny(NamedTuple):
     where V is S_x (cap s_cap) or its thinning X_1 (cap x_cap); coef[0] and
     coef[-1] are nonzero.  ``overflow`` is the mass beyond the cap.
 
-    A composed law's ``coef`` is a read-only view of the cap + 1 buffer it
-    was summed in (:func:`_compose`), and that buffer is its one stored
-    form.  The law of x = 0 and an empty law hold no buffer."""
+    ``coef`` is a read-only view of a cap + 1 buffer, the law's one stored
+    form: the buffer it was summed in (:func:`_compose`), or for x = 0 the
+    one of :func:`_first_row`.  An empty law holds no buffer."""
 
     coef: np.ndarray
     offset: int
@@ -198,17 +198,20 @@ def _no_atoms(cap: int) -> np.ndarray:
     return atoms
 
 
+@lru_cache(maxsize=8)
+def _first_row(cap: int) -> _Progeny:
+    """The law of S_0 = X_1 = 0 from x = 0: a view of a read-only cap + 1
+    buffer holding a 1 at 0, as :func:`_compose` stores every later row."""
+    atoms = np.zeros(cap + 1)
+    atoms[0] = 1.0
+    atoms.flags.writeable = False
+    return _Progeny(atoms[:1], 0, 0.0)
+
+
 def _dist(row: _Progeny, cap: int) -> TruncatedDist:
     """The truncated law on 0..cap with read-only atoms: the buffer ``row``
-    was composed in, the shared zero vector of an empty law, and a fresh
-    vector only for the law of x = 0, which no composition made."""
-    if not len(row.coef):
-        return TruncatedDist(_no_atoms(cap), row.overflow)
-    atoms = row.coef.base
-    if atoms is None:
-        atoms = _atoms(row, cap)
-        atoms.flags.writeable = False
-    return TruncatedDist(atoms, row.overflow)
+    is a view of, or the shared zero vector of an empty law."""
+    return TruncatedDist(row.coef.base if len(row.coef) else _no_atoms(cap), row.overflow)
 
 
 def _mul_low(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -315,7 +318,7 @@ def _progeny_cache(law: OffspringLaw, s_cap: int) -> list[_Progeny]:
     s_cap + 1 floats for the largest x asked for (x_cap + 1 on a sweep to
     x_cap), the buffers the laws were composed in; empty laws hold none,
     and the laws :func:`total_progeny_dist` returns are those buffers."""
-    return [_Progeny(np.ones(1), 0, 0.0)]
+    return [_first_row(s_cap)]
 
 
 def _progeny_laws(law: OffspringLaw, x_max: int, s_cap: int) -> list[_Progeny]:
@@ -352,7 +355,7 @@ def thinned_rows(law: OffspringLaw, theta: float, x_cap: int) -> Iterator[_Proge
     each row is composed only when it is asked for.  Row x holds
     P_x(X_1 = offset + i) = coef[i] exactly (up to rounding) for every
     offset + i <= x_cap, and its overflow is P_x(X_1 > x_cap)."""
-    row = _Progeny(np.ones(1), 0, 0.0)
+    row = _first_row(x_cap)
     while True:
         yield row
         row = _compose(law, row, x_cap, theta)

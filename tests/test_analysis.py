@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from igw import (
     thinned_pgf,
     wilson_interval,
 )
-from igw.analysis import _carried, _contraction, _harmonic_prefix, _harmonic_tail, _harmonic_values, _switch_point
+from igw.analysis import _carried, _contraction, _harmonic_tail, _switch_point
 from igw.exact_dist import _envelope
 
 import reference
@@ -154,7 +153,6 @@ class TestExplosionCertificate:
 
         monkeypatch.setattr(igw.analysis, "harmonic_moments", counting)
         _switch_point.cache_clear()
-        _harmonic_prefix.cache_clear()
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)
         pinned = {
             2: (0.3954270314624218, 0.3954270256435304, 0.395418796324328),
@@ -168,34 +166,6 @@ class TestExplosionCertificate:
             assert drawn == [85]
             assert cert.harmonic_y == 84
             assert cert.harmonic_bound == reference.harmonic_moment(params.law, 84)
-
-    def test_one_walk_serves_every_theta(self, monkeypatch):
-        # h(y) does not depend on theta: a walk stopped early is extended by
-        # one more, then every theta scans the cached values, and each
-        # (y0, h(y0)) is bit for bit the one an uncached walk gives
-        import igw.analysis
-
-        drawn = []
-
-        def counting(law):
-            drawn.append(0)
-            for h in harmonic_moments(law):
-                drawn[-1] += 1
-                yield h
-
-        monkeypatch.setattr(igw.analysis, "harmonic_moments", counting)
-        _switch_point.cache_clear()
-        _harmonic_prefix.cache_clear()
-        law = OffspringLaw.binary(0.6)
-        thetas = (0.3, 0.6, 0.92, 1.0)
-        assert len(list(islice(_harmonic_values(law), 10))) == 10
-        got = {theta: _switch_point(law, theta) for theta in thetas}
-        assert drawn == [10, 85]
-        assert _harmonic_prefix(law) == list(islice(harmonic_moments(law), 85))
-        monkeypatch.setattr(igw.analysis, "_harmonic_values", harmonic_moments)
-        for theta in thetas:
-            assert got[theta][0] == 84
-            assert _switch_point.__wrapped__(law, theta) == got[theta]
 
     @pytest.mark.parametrize("theta", [0.6, 0.92, 1.0])
     @pytest.mark.parametrize("spec", ["binary:0.5", "binary:0.6", "pmf:2=0.5,3=0.5"])
