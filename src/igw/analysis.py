@@ -78,8 +78,8 @@ def fixed_point_q(params: IGWParams, tol: float = 1e-12) -> float:
     """
     if params.law.p0 > 0.0:
         raise RegimeError("the fixed-point certificate needs p_0 = 0")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0.0:  # NaN too
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
     m = mean(params.law)
     if m * params.theta <= 1.0:
         return 1.0
@@ -369,6 +369,8 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[f
     """Wilson score interval; well behaved for proportions near 0 and 1."""
     if n < 1:
         raise ValueError("need at least one trial")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / n
     denom = 1.0 + z * z / n
@@ -405,8 +407,11 @@ def mc_death_prob(
     Horizon-undecided trajectories are reported separately.  Replica r runs
     in chunk r // RNG_CHUNK, which draws from the stream derived from
     (master_seed, "mc-death:x", chunk), so the result is identical at any
-    worker count.
+    worker count.  A confidence outside (0, 1) is rejected before any
+    replica runs.
     """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     parts = map_chunks(
         _verdict_counts, x, params, horizon, threshold, master_seed, f"mc-death:{x}",
         replicas, workers=workers,

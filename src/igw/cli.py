@@ -150,7 +150,9 @@ _FLAGS = {
         help="bisection stops at width min(tol, 1e-14), so any tol >= 1e-14 gives the same q*",
     ),
     "seed": dict(type=int, default=0, help="master seed"),
-    "workers": dict(type=int, default=1, help="processes; the output does not depend on it"),
+    "workers": dict(
+        type=int, default=1, help="processes, at most one per CPU; the output does not depend on it"
+    ),
     "replicas": dict(type=int, default=10000),
     "threshold": dict(default="1e9", help="state at which a path counts as exploded"),
     "confidence": dict(type=float, default=0.99, help="level of the Wilson interval"),

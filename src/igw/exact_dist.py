@@ -23,7 +23,9 @@ subtraction and no FFT.  The law of S_x is cut at ``s_cap``, and only
 :func:`total_progeny_dist` reads it.  The law of X_1, and with it every
 kernel row, death interval and one-step law, is cut at ``x_cap`` alone.
 The explosion certificate reads the same rows of H_x, cut just above the
-largest state of its exact region (:func:`thinned_rows`).
+largest state of its exact region (:func:`thinned_rows`).  Every law, of
+S_x or of X_1, is one :class:`TruncatedDist`, stored once when it is
+composed; composition, kernels, certificate and callers all read it.
 
 Every death probability is closed into a rigorous two-sided interval:
 
@@ -121,16 +123,19 @@ class Caps:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedDist:
-    """Probability vector on {0..cap} plus explicitly tracked leftover mass.
-
-    ``overflow`` is the mass on values beyond the cap.
-    atoms.sum() + overflow = 1 up to float accumulation.  The laws of this
-    module return ``atoms`` read-only and may share them with their caches,
-    so a caller copies them before mutating.
-    """
+    """The law of S_x (cap s_cap) or of X_1 (cap x_cap) on {0..cap}, plus
+    ``overflow``, the mass beyond the cap; atoms.sum() + overflow = 1 up to
+    float accumulation.  ``atoms`` is the read-only cap + 1 buffer the law
+    was summed in (:func:`_compose`), shared with this module's caches, so
+    a caller copies it before mutating.  The support, stored when the law
+    is composed, is ``coef`` = atoms[offset : offset + len(coef)] from the
+    first to the last nonzero atom (empty, offset cap + 1, for an empty law).
+    Only this module constructs the type."""
 
     atoms: np.ndarray
     overflow: float
+    offset: int
+    coef: np.ndarray
 
     @property
     def warning(self) -> Optional[str]:
@@ -168,50 +173,23 @@ class IntervalProb:
 # -- the law of S_x by truncated pgf composition ---------------------------------
 
 
-class _Progeny(NamedTuple):
-    """A truncated law: P(V = offset + i) = coef[i] for offset + i <= cap,
-    where V is S_x (cap s_cap) or its thinning X_1 (cap x_cap); coef[0] and
-    coef[-1] are nonzero.  ``overflow`` is the mass beyond the cap.
-
-    ``coef`` is a read-only view of a cap + 1 buffer, the law's one stored
-    form: the buffer it was summed in (:func:`_compose`), or for x = 0 the
-    one of :func:`_first_row`.  An empty law holds no buffer."""
-
-    coef: np.ndarray
-    offset: int
-    overflow: float
-
-
-def _atoms(row: _Progeny, cap: int) -> np.ndarray:
-    """The truncated law as a fresh dense vector on 0..cap."""
-    atoms = np.zeros(cap + 1)
-    atoms[row.offset : row.offset + len(row.coef)] = row.coef
-    return atoms
-
-
 @lru_cache(maxsize=8)
-def _no_atoms(cap: int) -> np.ndarray:
-    """The atoms of a law with no mass on 0..cap: one read-only zero vector
-    per cap, shared by every empty law."""
+def _empty(cap: int) -> TruncatedDist:
+    """The law with no mass on 0..cap: one per cap, shared by every empty
+    law of every offspring law, with one read-only zero vector as atoms."""
     atoms = np.zeros(cap + 1)
     atoms.flags.writeable = False
-    return atoms
+    return TruncatedDist(atoms, 1.0, cap + 1, atoms[cap + 1 :])
 
 
 @lru_cache(maxsize=8)
-def _first_row(cap: int) -> _Progeny:
-    """The law of S_0 = X_1 = 0 from x = 0: a view of a read-only cap + 1
-    buffer holding a 1 at 0, as :func:`_compose` stores every later row."""
+def _first_row(cap: int) -> TruncatedDist:
+    """The law of S_0 = X_1 = 0 from x = 0: a read-only cap + 1 buffer
+    holding a 1 at 0, as :func:`_compose` stores every later law."""
     atoms = np.zeros(cap + 1)
     atoms[0] = 1.0
     atoms.flags.writeable = False
-    return _Progeny(atoms[:1], 0, 0.0)
-
-
-def _dist(row: _Progeny, cap: int) -> TruncatedDist:
-    """The truncated law on 0..cap with read-only atoms: the buffer ``row``
-    is a view of, or the shared zero vector of an empty law."""
-    return TruncatedDist(row.coef.base if len(row.coef) else _no_atoms(cap), row.overflow)
+    return TruncatedDist(atoms, 0.0, 0, atoms[:1])
 
 
 def _mul_low(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -257,9 +235,9 @@ def _sqr_low(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) -> _Progeny:
-    """Coefficients 0..cap of f(w) with w(u) = (1 - theta + theta*u) * prev(u),
-    as the sum of p_k * w^k: G_x from G_{x-1} at theta = 1 (w = u * G_{x-1}),
+def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> TruncatedDist:
+    """Coefficients 0..cap of f(w) with w(u) = (1 - theta + theta*u) * prev(u)
+    and cap = ``prev.cap``, as the sum of p_k * w^k: G_x from G_{x-1} at theta = 1 (w = u * G_{x-1}),
     and H_x from H_{x-1} below it.  The powers w^k start at k times the
     offset of w, so each one only needs the coefficients of w below
     cap + 1 - k * offset, and each product computes only the coefficients
@@ -269,12 +247,14 @@ def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) ->
     subnormal range.
 
     The sum is taken in a zeroed cap + 1 buffer, which is marked read-only
-    and kept: the returned ``coef`` is a view of it, with no copy.  A law
-    with no mass below the cap gets ``np.zeros(0)`` and pins no buffer.  A
-    law with all its mass beyond the cap leaves only Z_1 = 0 below it, so
-    at p_0 = 0 its successor is itself and ``prev`` is returned."""
+    and kept as the law's ``atoms``, with its support found once here.  A
+    law with no mass below the cap is the shared :func:`_empty` one and
+    pins no buffer.  A law with all its mass beyond the cap leaves only
+    Z_1 = 0 below it, so at p_0 = 0 its successor is itself and ``prev`` is
+    returned."""
     if not len(prev.coef) and law.p0 == 0.0:
         return prev
+    cap = prev.cap
     out = np.zeros(cap + 1)
     if len(prev.coef):
         if theta == 1.0:
@@ -305,28 +285,29 @@ def _compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) ->
         out[0] = law.p0  # all of prev lies beyond the cap, so only Z_1 = 0 stays below it
     nz = np.flatnonzero(out)
     if nz.size == 0:
-        return _Progeny(np.zeros(0), cap + 1, 1.0)
+        return _empty(cap)
     out.flags.writeable = False
-    coef = out[nz[0] : nz[-1] + 1]
-    return _Progeny(coef, int(nz[0]), max(0.0, 1.0 - float(coef.sum())))
+    offset = int(nz[0])
+    coef = out[offset : nz[-1] + 1]
+    return TruncatedDist(out, max(0.0, 1.0 - float(coef.sum())), offset, coef)
 
 
 @lru_cache(maxsize=8)
-def _progeny_cache(law: OffspringLaw, s_cap: int) -> list[_Progeny]:
+def _progeny_cache(law: OffspringLaw, s_cap: int) -> list[TruncatedDist]:
     """The laws of S_0, S_1, ... computed so far for one (law, s_cap), for
     the eight most recently used.  One holds at most x + 1 arrays of
     s_cap + 1 floats for the largest x asked for (x_cap + 1 on a sweep to
     x_cap), the buffers the laws were composed in; empty laws hold none,
-    and the laws :func:`total_progeny_dist` returns are those buffers."""
+    and :func:`total_progeny_dist` returns these laws themselves."""
     return [_first_row(s_cap)]
 
 
-def _progeny_laws(law: OffspringLaw, x_max: int, s_cap: int) -> list[_Progeny]:
+def _progeny_laws(law: OffspringLaw, x_max: int, s_cap: int) -> list[TruncatedDist]:
     """The law of S_x for every x = 0..x_max, from one cached list per
     (law, s_cap) that grows by composition on demand."""
     laws = _progeny_cache(law, s_cap)
     while len(laws) <= x_max:
-        laws.append(_compose(law, laws[-1], s_cap))
+        laws.append(_compose(law, laws[-1]))
     return laws[: x_max + 1]
 
 
@@ -336,29 +317,28 @@ def total_progeny_dist(
     """Exact (truncated) law of S_x = Z_1 + ... + Z_x; ``z_cap`` is accepted
     and ignored.
 
-    The atoms are the read-only buffer cached for (law, s_cap), returned
-    again on every call: the cache holds at most x_cap + 1 arrays of
-    s_cap + 1 floats per (law, s_cap) on a sweep to x_cap, and the returned
-    laws add nothing.  Every empty law at one s_cap shares one zero
-    vector."""
+    The law is the one cached for (law, s_cap), returned itself on every
+    call: the cache holds at most x_cap + 1 arrays of s_cap + 1 floats per
+    (law, s_cap) on a sweep to x_cap, and the returned laws add nothing.
+    Every empty law at one s_cap is one object with one zero vector."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return _dist(_progeny_laws(law, x, s_cap)[x], s_cap)
+    return _progeny_laws(law, x, s_cap)[x]
 
 
 # -- the law of X_1 by thinned pgf composition -----------------------------------
 
 
-def thinned_rows(law: OffspringLaw, theta: float, x_cap: int) -> Iterator[_Progeny]:
+def thinned_rows(law: OffspringLaw, theta: float, x_cap: int) -> Iterator[TruncatedDist]:
     """The laws of X_1 from x = 0, 1, 2, ... on 0..x_cap, by the thinned
     total-progeny equation H_x(u) = f((1 - theta + theta*u) * H_{x-1}(u));
     each row is composed only when it is asked for.  Row x holds
-    P_x(X_1 = offset + i) = coef[i] exactly (up to rounding) for every
-    offset + i <= x_cap, and its overflow is P_x(X_1 > x_cap)."""
+    P_x(X_1 = j) = atoms[j] exactly (up to rounding) for every j <= x_cap,
+    and its overflow is P_x(X_1 > x_cap)."""
     row = _first_row(x_cap)
     while True:
         yield row
-        row = _compose(law, row, x_cap, theta)
+        row = _compose(law, row, theta)
 
 
 def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDist:
@@ -366,12 +346,11 @@ def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDi
 
     The atoms are exact up to float rounding whatever the law of S_x does
     beyond ``s_cap``; the overflow is the mass of X_1 beyond ``x_cap``.
-    They are the read-only buffer the row was composed in, with no copy.
+    The law is the row as composed, read-only atoms and all, with no copy.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    row = next(islice(thinned_rows(params.law, params.theta, caps.x_cap), x, None))
-    return _dist(row, caps.x_cap)
+    return next(islice(thinned_rows(params.law, params.theta, caps.x_cap), x, None))
 
 
 def one_step_death_prob(x: int, params: IGWParams) -> float:
@@ -443,7 +422,7 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.
     return R_hi, _merge(lo, s, x_cap), tail
 
 
-def _dense(rows: list[_Progeny], shape: tuple[int, int]) -> np.ndarray:
+def _dense(rows: list[TruncatedDist], shape: tuple[int, int]) -> np.ndarray:
     """A zero matrix of ``shape`` with the atoms of ``rows`` as its first rows."""
     K = np.zeros(shape)
     for x, row in enumerate(rows):

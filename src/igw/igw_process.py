@@ -18,6 +18,7 @@ from the stream keyed by (master seed, purpose, c).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -438,19 +439,23 @@ def map_chunks(
 
     Chunk c draws from ``stream_for(master_seed, c, purpose)``, so the
     result is identical at any worker count; ``workers`` > 1 spreads chunks
-    over that many processes.  ``summarise`` runs in the worker and must be
+    over that many processes, never more than there are chunks or CPUs
+    (``os.cpu_count()``).  ``summarise`` runs in the worker and must be
     a module-level function, or a partial of one, so that it pickles.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     sizes = [min(RNG_CHUNK, replicas - start) for start in range(0, replicas, RNG_CHUNK)]
     job = partial(_run_chunk, summarise, x0, params, horizon, threshold, master_seed, purpose, record)
-    if workers > 1 and len(sizes) > 1:
+    processes = min(workers, len(sizes), os.cpu_count() or 1)
+    if processes > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly to import
 
         # the platform's default start method: a chunk takes milliseconds,
         # and spawned workers would each start an interpreter and re-import
         # numpy and igw
-        with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             return list(pool.map(job, range(len(sizes)), sizes))
     return [job(index, size) for index, size in enumerate(sizes)]

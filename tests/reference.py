@@ -37,7 +37,7 @@ from igw import (
     Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, harmonic_moments, mean,
 )
 from igw.analysis import fixed_point_q
-from igw.exact_dist import KERNEL_FLOOR, _atoms, _floor_into, _Progeny, _progeny_laws, thinned_rows
+from igw.exact_dist import KERNEL_FLOOR, TruncatedDist, _floor_into, _progeny_laws, thinned_rows
 from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, law_context
 from igw.reproduction_laws import MEAN_CRITICAL_TOL
 
@@ -131,7 +131,7 @@ def thinned_kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarr
             K_hi[x:, 0], K_hi[x:, x_cap] = mass, 1.0 - mass
             K_lo[x:n, n] = 1.0
             break
-        atoms = _atoms(row, x_cap)
+        atoms = row.atoms
         lost = max(0.0, 1.0 - float(atoms.sum()))
         K_hi[x], K_lo[x, :n] = atoms, atoms
         K_hi[x, x_cap] += lost
@@ -178,11 +178,12 @@ def dense_sweep(
 # -- the direct composition --------------------------------------------------------
 
 
-def direct_compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1.0) -> _Progeny:
+def direct_compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> TruncatedDist:
     """The package's composition step (``exact_dist._compose``) with every
     power w^k taken by ``np.convolve`` in full and cut at the cap: the same
     offsets and power-of-two rescaling, so kernel rows, whose products the
     package also takes whole, agree bit for bit."""
+    cap = prev.cap
     out = np.zeros(cap + 1)
     if len(prev.coef):
         if theta == 1.0:
@@ -210,19 +211,22 @@ def direct_compose(law: OffspringLaw, prev: _Progeny, cap: int, theta: float = 1
         out[0] = law.p0
     nz = np.flatnonzero(out)
     if nz.size == 0:
-        return _Progeny(out[:0], cap + 1, 1.0)
-    coef = out[nz[0] : nz[-1] + 1].copy()
-    return _Progeny(coef, int(nz[0]), max(0.0, 1.0 - float(coef.sum())))
+        return TruncatedDist(out, 1.0, cap + 1, out[cap + 1 :])
+    offset = int(nz[0])
+    coef = out[offset : nz[-1] + 1]
+    return TruncatedDist(out, max(0.0, 1.0 - float(coef.sum())), offset, coef)
 
 
-def direct_rows(law: OffspringLaw, theta: float, cap: int) -> Iterator[_Progeny]:
+def direct_rows(law: OffspringLaw, theta: float, cap: int) -> Iterator[TruncatedDist]:
     """The laws of S_x (theta = 1) or of X_1 from x (theta < 1), cut at the
     cap, for x = 0, 1, 2, ... by :func:`direct_compose`; a stand-in for
     ``exact_dist.thinned_rows``."""
-    row = _Progeny(np.ones(1), 0, 0.0)
+    atoms = np.zeros(cap + 1)
+    atoms[0] = 1.0
+    row = TruncatedDist(atoms, 0.0, 0, atoms[:1])
     while True:
         yield row
-        row = direct_compose(law, row, cap, theta)
+        row = direct_compose(law, row, theta)
 
 
 # -- the scalar simulator ----------------------------------------------------------

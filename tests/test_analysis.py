@@ -27,6 +27,7 @@ from igw import (
     thinned_pgf,
     wilson_interval,
 )
+import igw.analysis as analysis
 from igw.analysis import _carried, _contraction, _harmonic_tail, _switch_point
 from igw.exact_dist import _envelope
 
@@ -66,6 +67,12 @@ class TestFixedPoint:
     def test_p0_rejected(self):
         with pytest.raises(RegimeError):
             fixed_point_q(IGWParams(OffspringLaw.explicit({0: 0.2, 2: 0.8}), 0.9))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # a NaN tol once stopped the bisection at once, returning 0.25
+        with pytest.raises(ValueError, match="tolerance"):
+            fixed_point_q(IGWParams(OffspringLaw.binary(0.5), 0.9), tol)
 
     def test_tolerance_below_float_spacing_terminates(self):
         # the bracket cannot shrink below one float spacing at q*
@@ -294,6 +301,16 @@ class TestMcDeath:
         b = mc_death_prob(2, params, 4000, 40, ExtendedCount.exact(10**5), master_seed=9, workers=3)
         assert a == b
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, math.nan, -0.5, 1.5])
+    def test_bad_confidence_rejected_before_any_replica(self, monkeypatch, confidence):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("replicas ran")
+
+        monkeypatch.setattr(analysis, "map_chunks", forbidden)
+        params = IGWParams(OffspringLaw.binary(0.5), 0.8)
+        with pytest.raises(ValueError, match="confidence"):
+            mc_death_prob(2, params, 100, 40, ExtendedCount.exact(10**5), 1, confidence=confidence)
+
 
 class TestWilson:
     def test_contains_point(self):
@@ -305,6 +322,11 @@ class TestWilson:
         assert lo == 0.0 and hi > 0.0
         lo, hi = wilson_interval(50, 50, 0.99)
         assert hi == 1.0 and lo < 1.0
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, math.nan, -0.5, 1.5])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            wilson_interval(3, 100, confidence)
 
 
 class TestRatioExperiments:

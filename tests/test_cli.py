@@ -145,6 +145,13 @@ class TestBounds:
             assert code == 0
             assert data_lines(out)[1] == "0.1358024691358004"
 
+    def test_q_star_nan_tol_rejected(self, capsys):
+        # a NaN tol once ended the bisection at once and printed q* = 0.25
+        code, out, err = run_cli(
+            ["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9", "--tol", "nan"], capsys
+        )
+        assert code == 1 and out == "" and "tolerance" in err
+
 
 class TestErrorsAndExitCodes:
     def test_malformed_law_names_token(self, capsys):
@@ -161,6 +168,26 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(["classify", "--law", "binary:0.5"], capsys)
         assert code == 1
         assert "--theta" in err
+
+    @pytest.mark.parametrize("confidence", ["0", "nan", "1.0"])
+    @pytest.mark.parametrize("path", [("mc", "death"), ("sweep", "mc-death")])
+    def test_bad_confidence_rejected_before_any_replica(self, capsys, monkeypatch, path, confidence):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("replicas ran")
+
+        monkeypatch.setattr(igw.analysis, "map_chunks", forbidden)
+        args = [*path, "--law", "binary:1", "--theta", "0.8", "--replicas", "100", "--confidence", confidence]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == "" and "confidence" in err
+
+    def test_workers_below_one_rejected(self, capsys):
+        for workers in ("0", "-1"):
+            code, out, err = run_cli(
+                ["mc", "death", "--law", "binary:1", "--theta", "0.8", "--replicas", "100",
+                 "--workers", workers],
+                capsys,
+            )
+            assert code == 1 and out == "" and "workers" in err
 
     def test_regime_rejection_exit_two(self, capsys):
         code, _, err = run_cli(
@@ -620,6 +647,18 @@ def test_readme_commands_run(capsys):
         n_meta = next(i for i, ln in enumerate(lines) if not ln.startswith("# "))
         assert n_meta > 0, line
         assert re.fullmatch(r"[a-z_0-9]+(,[a-z_0-9]+)*", lines[n_meta]), (line, lines[n_meta])
+
+
+def test_module_runs_from_the_checkout():
+    # python -m igw, with the source tree on the path and nothing installed
+    src = Path(igw.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "igw", "--help"],
+        cwd=src.parent, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: igw ")
 
 
 def test_import_leaves_scipy_out():

@@ -122,13 +122,14 @@ class TestTotalProgenyDist:
 
     def test_empty_law_is_its_own_successor(self):
         # S_x >= 2^(x+1) - 2 here: once all mass is beyond s_cap (p_0 = 0)
-        # every later law is that one object, and it pins no buffer
+        # every later law is the one empty object, and its atoms are the
+        # shared zero vector, so it pins no buffer of its own
         laws = exact_dist._progeny_laws(parse_law_spec("pmf:2=0.5,3=0.5"), 512, 4093)
         first = next(x for x, law in enumerate(laws) if not len(law.coef))
         assert first <= 12
         assert laws[first - 1].coef.size
         empty = laws[first]
-        assert empty.coef.base is None and empty.overflow == 1.0
+        assert empty.atoms is exact_dist._empty(4093).atoms and empty.overflow == 1.0
         assert all(law is empty for law in laws[first:])
 
     def test_atoms_are_the_stored_law(self):
@@ -266,7 +267,7 @@ class TestDirectComposition:
         direct = list(islice(reference.direct_rows(law, 1.0, 4096), 513))
         for x in (1, 2, 64, 512):
             dist = total_progeny_dist(law, x, s_cap=4096)
-            want = exact_dist._atoms(direct[x], 4096)
+            want = direct[x].atoms
             np.testing.assert_array_equal(dist.atoms == 0.0, want == 0.0)
             nz = want > 0.0
             assert np.all(np.abs(dist.atoms[nz] - want[nz]) <= 1e-13 * want[nz]), x

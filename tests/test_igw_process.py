@@ -1,6 +1,8 @@
 import ast
+import concurrent.futures
 import importlib
 import math
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from igw import (
     stream_for,
 )
 import igw.igw_process as igw_process
-from igw.igw_process import DIED, EXPLODED, TERMINATIONS, UNDECIDED, _chunk_step
+from igw.igw_process import DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, map_chunks
 from igw.gw_engine import law_context
 
 import reference
@@ -285,6 +287,50 @@ class TestChunkEngine:
         wide = OffspringLaw.explicit({1: 0.5, 2**15: 0.5}, max_k=2**15)
         with pytest.raises(ValueError, match="int64"):
             simulate_chunk(1, IGWParams(wide, 1.0), 10, ExtendedCount.exact(10**6), stream_for(0, 0, "t"))
+
+
+def _chunk_size(index, paths):
+    return index, len(paths.termination)
+
+
+class TestMapChunks:
+    ARGS = (_chunk_size, 2, IGWParams(OffspringLaw.binary(0.5), 0.9), 3, ExtendedCount.exact(100), 7, "t")
+
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers"):
+                map_chunks(*self.ARGS, 10, workers=workers)
+
+    def test_processes_capped_by_chunks_and_cpus(self, monkeypatch):
+        # a stand-in pool that records its size and runs every chunk in
+        # this process, so no process is started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        five = [(c, RNG_CHUNK) for c in range(5)]
+        assert map_chunks(*self.ARGS, 5 * RNG_CHUNK, workers=1) == five and sizes == []
+        # (CPUs, replicas, pool sizes started): never more processes than
+        # CPUs or chunks, and none when the CPU count is unknown
+        cases = ((3, 5 * RNG_CHUNK, [3]), (64, 2 * RNG_CHUNK + 1, [3]), (None, 5 * RNG_CHUNK, []))
+        for cpus, replicas, started in cases:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            out = map_chunks(*self.ARGS, replicas, workers=1000)
+            assert out == (five if replicas == 5 * RNG_CHUNK else [*five[:2], (2, 1)]), cpus
+            assert sizes == started, cpus
 
 
 #: the scalar simulator and the helpers only tests read; their oracles live
