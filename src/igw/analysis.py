@@ -246,6 +246,21 @@ def _switch_point(law: OffspringLaw, theta: float) -> tuple[int, float]:
     return MAX_SWITCH, prev_h
 
 
+def _always_stalls(law: OffspringLaw, theta: float) -> bool:
+    """True when gamma(y) >= 1 is certain for every y <= ``MAX_SWITCH``, so
+    that the walk of :func:`_switch_point` cannot stop before it and
+    gamma(MAX_SWITCH) >= 1 leaves no certificate.  h(y) >= E(1/Z_y) >= p_1^y
+    (Z_y = 1 with probability p_1^y), and the stall bound rounds upward, so
+    gamma(y) >= y^2 p_1^y + Chernoff(y); the check sums that lower bound
+    rounded downward and stops at the first y where it falls below 1."""
+    power = 1.0
+    for y in range(1, MAX_SWITCH + 1):
+        power = max(0.0, _down(power * law.p1))
+        if _down(_down((y * y) * power) + _chernoff_thinning(y, theta)) < 1.0:
+            return False
+    return True
+
+
 def _harmonic_tail(h: float, r: float, y: int) -> float:
     """Upper bound on sum_{k>=1} (y + k)^2 h r^k, the closed form
     h (y^2 r/d + 2 y r/d^2 + r (1 + r)/d^3) with d = 1 - r, rounded
@@ -279,7 +294,11 @@ def explosion_lower_bound(
     E(1/Z_{y+1}) <= (1 - (1-p_1)/2) * E(1/Z_y).  Every step after that
     bound is rounded outward: the contraction, the carry, the stall bounds
     and the tail sums upward, the final product downward.  Returns bound 0
-    with ``valid=False`` if any stall probability reaches 1.
+    with ``valid=False`` if any stall probability reaches 1.  For
+    x <= ``MAX_SWITCH`` that is decided before any harmonic bound is walked
+    when :func:`_always_stalls` holds: the certificate then has no steps,
+    ``tail_sum`` inf, ``tail_sup`` 1, ``harmonic_y`` = ``MAX_SWITCH`` and
+    ``harmonic_bound`` 1, the trivial bound on E(1/Z_y).
     """
     law = params.law
     theta = params.theta
@@ -290,6 +309,8 @@ def explosion_lower_bound(
     if x < 1:
         raise ValueError("x must be >= 1")
 
+    if x <= MAX_SWITCH and _always_stalls(law, theta):
+        return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, MAX_SWITCH, 1.0)
     r = _contraction(law.p1)
     harmonic_y, harmonic_bound = _switch_point(law, theta)
     raw: list[tuple[int, float, str]] = []

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 invalid input, 2 regime-precondition rejection,
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import math
 import sys
@@ -521,10 +522,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _build_parser().parse_args(_apply_config(argv))
         if hasattr(args, "law"):
             args.law = parse_law_spec(args.law)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+        if not args.out:
+            return args.func(args, sys.stdout)
+        # buffered, so that a rejected command leaves an existing file as it was
+        buffer = io.StringIO()
+        code = args.func(args, buffer)
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(buffer.getvalue())
+        return code
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,6 +69,22 @@ pmf:2=0.5,3=0.5, theta = 0.45, x = 8 they do).  Neither end is rounded
 outward yet; :func:`finite_horizon_death` orders the two ends, and the
 total death interval takes its upper end at least at its lower one.
 
+Kernel entries go down to ``KERNEL_FLOOR`` and column entries of deep states
+to about 1e-198 or into the subnormal range, so many products R[i, j] v[j]
+of a plain step would be subnormal, which the processor computes on a slow
+path.  A sweep of at least ``_SHIFT_STATES`` states therefore takes each
+step as w = 2^-k (R (2^k v)), k = ``_SHIFT`` = 1000.  Scaling by a power of
+two is exact, so this is the plain step up to the rounding of w itself
+where w is subnormal, and the column stays in the true frame.  Nothing
+overflows: kernel and column entries are at most 1 and row sums at most
+1 + 2.2e-14, so every scaled sum stays below 2^1001.  No product is
+subnormal: an entry at least ``KERNEL_FLOOR`` (about 2^-664) times a
+nonzero lifted column entry (at least 2^-74) is at least 2^-738, and the
+smaller entries, all in the conservative column, meet the entry of state 0
+(1, or 0 in the closure) or of the phantom (0 when p_0 = 0).  Smaller
+sweeps step plainly: there a step is about 1 us of call overhead, which
+the two scalings would more than double.
+
 One quantity needs no truncation at all: P_x(X_1 = 0) = E((1-theta)^{S_x})
 follows from the scalar recursion a_{j+1} = f(t * a_j) with t = 1 - theta,
 exact to floating precision.
@@ -88,11 +104,11 @@ from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, pgf_eval
 
 #: envelope-kernel entries below this are moved to the conservative column
 #: (state 0 in the death-upper kernel, the phantom in the death-lower one),
-#: which keeps the kernel powers out of the slow subnormal range, and a row
-#: whose whole tracked mass is below it ends the live rows.  Sound by
-#: monotonicity; each step moves at most (x_cap + 1) * KERNEL_FLOOR of mass,
-#: so an interval at horizon n moves outward by at most
-#: n * (x_cap + 1) * KERNEL_FLOOR at either end.
+#: which bounds the shift that keeps every product of a sweep step out of
+#: the slow subnormal range (``_SHIFT``), and a row whose whole tracked mass
+#: is below it ends the live rows.  Sound by monotonicity; each step moves
+#: at most (x_cap + 1) * KERNEL_FLOOR of mass, so an interval at horizon n
+#: moves outward by at most n * (x_cap + 1) * KERNEL_FLOOR at either end.
 KERNEL_FLOOR = 1e-200
 
 #: products keeping at most this many coefficients go to np.convolve whole:
@@ -100,6 +116,13 @@ KERNEL_FLOOR = 1e-200
 #: certificate (cut at its switch point, at most 1024) is rounded exactly as
 #: the direct product rounds it; longer ones split (:func:`_mul_low`).
 _DIRECT_MAX = 1025
+
+#: envelope sweeps of at least _SHIFT_STATES states step on the column
+#: scaled by 2^_SHIFT and scale the product back (:class:`_Column`).  Below
+#: that a step is mostly call overhead: with no subnormal product, the two
+#: scalings double a step of 65 states (1.5 to 3 us), and where products
+#: are subnormal they already win at 60 states (binary:0.9999, theta = 0.9).
+_SHIFT, _SHIFT_STATES = 1000, 64
 
 
 @dataclass(frozen=True)
@@ -454,10 +477,16 @@ class _Column:
     that leaves the column bitwise unchanged (compared as bytes, so that
     -0.0 and NaN cannot pass for a fixed point): every later step returns
     the same vector, so every horizon from ``frozen`` on reads it.
+
+    With ``shift`` = k > 0 a step is w = 2^-k (R (2^k v)): exact scalings
+    that keep every product out of the subnormal range (see the module
+    docstring) and round only a subnormal w.  The kept columns stay in the
+    true frame, so the bytewise stop and every kept horizon mean the same
+    as for the plain step.
     """
 
-    def __init__(self, R: np.ndarray, v: np.ndarray, n: int = 0) -> None:
-        self.R, self.kept = R, {n: v}
+    def __init__(self, R: np.ndarray, v: np.ndarray, n: int = 0, shift: int = 0) -> None:
+        self.R, self.kept, self.shift = R, {n: v}, shift
         self.frozen: Optional[int] = None
 
     def at(self, n: int) -> np.ndarray:
@@ -466,11 +495,15 @@ class _Column:
         if n in self.kept:
             return self.kept[n]
         m = max(k for k in self.kept if k < n)
-        R, v = self.R, self.kept[m]
+        R, v, k = self.R, self.kept[m], self.shift
         bits = v.tobytes()
         while m < n:
             m += 1
-            w = R @ v
+            if k:
+                w = R @ np.ldexp(v, k)
+                np.ldexp(w, -k, out=w)
+            else:
+                w = R @ v
             w_bits = w.tobytes()
             if w_bits == bits:
                 self.frozen = m
@@ -503,15 +536,20 @@ class _Envelope:
     mass still alive at horizon n by the fixed-point certificate.  c is not
     constant past s, so its first step takes the full-width rows: the first
     s columns of ``R_hi`` plus ``tail``; the closure is built on first use.
+
+    ``shift`` is ``_SHIFT`` when s + 1 >= ``_SHIFT_STATES`` and 0 below:
+    every column, the closure's first step too, steps on its column scaled
+    by 2^shift and scales the product back.  The kernels are not scaled.
     """
 
     def __init__(self, params: IGWParams, x_cap: int) -> None:
         self.params, self.x_cap = params, x_cap
         self.R_hi, self.R_lo, self.tail = _kernels(params, x_cap)
         self.last = s = len(self.R_hi) - 1
+        k = self.shift = _SHIFT if s + 1 >= _SHIFT_STATES else 0
         lo, hi = np.zeros(s + 2), np.zeros(s + 1)
         lo[0] = hi[0] = 1.0
-        self.lo, self.hi = _Column(self.R_lo, lo), _Column(self.R_hi, hi)
+        self.lo, self.hi = _Column(self.R_lo, lo, 0, k), _Column(self.R_hi, hi, 0, k)
         self._closure: Optional[_Column] = None
 
     def death_at(self, n: int, x: int) -> tuple[float, float]:
@@ -528,8 +566,10 @@ class _Envelope:
     @property
     def closure(self) -> _Column:
         if self._closure is None:
-            c, s = self._powers(), self.last
-            self._closure = _Column(self.R_hi, self.R_hi[:, :s] @ c[:s] + self.tail @ c[s:], 1)
+            s, k = self.last, self.shift
+            c = np.ldexp(self._powers(), k)
+            first = np.ldexp(self.R_hi[:, :s] @ c[:s] + self.tail @ c[s:], -k)
+            self._closure = _Column(self.R_hi, first, 1, k)
         return self._closure
 
     def _powers(self) -> np.ndarray:

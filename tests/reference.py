@@ -37,7 +37,15 @@ from igw import (
     Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, harmonic_moments, mean,
 )
 from igw.analysis import fixed_point_q
-from igw.exact_dist import KERNEL_FLOOR, TruncatedDist, _floor_into, _progeny_laws, thinned_rows
+from igw.exact_dist import (
+    KERNEL_FLOOR,
+    _SHIFT,
+    _SHIFT_STATES,
+    TruncatedDist,
+    _floor_into,
+    _progeny_laws,
+    thinned_rows,
+)
 from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, law_context
 from igw.reproduction_laws import MEAN_CRITICAL_TOL
 
@@ -152,11 +160,16 @@ def dense_sweep(
     index[x] = min(x, s).  A BLAS matrix-vector product rounds a row's dot
     product differently with the number of rows in the product, so stepping
     all x_cap + 1 rows would not round as the package's (s + 1)-row sweep
-    does.  For each horizon asked for, the lower and the upper death column
-    and, with ``closure``, the closure column (c_y = q*^y for y >= 1,
-    c_0 = 0, swept on the upper kernel)."""
+    does.  Where the package shifts (s + 1 >= ``_SHIFT_STATES``), the rows
+    are scaled by 2^k, k = ``_SHIFT``, and each product scaled back by 2^-k:
+    the package lifts the column instead, which takes the same exact
+    products.  For each horizon asked for, the lower and the upper death
+    column and, with ``closure``, the closure column (c_y = q*^y for
+    y >= 1, c_0 = 0, swept on the upper kernel)."""
     K_hi, K_lo = thinned_kernels(params, x_cap)
     s = min(dead_row(params, x_cap), x_cap)
+    k = _SHIFT if s + 1 >= _SHIFT_STATES else 0
+    K_hi, K_lo = np.ldexp(K_hi, k), np.ldexp(K_lo, k)
     index = np.minimum(np.arange(x_cap + 1), s)
     upper = (K_hi[: s + 1], index)
     kernels = [(K_lo[[*range(s + 1), x_cap + 1]], np.append(index, s + 1)), upper]
@@ -169,7 +182,7 @@ def dense_sweep(
         cols.append(c)
     out = {}
     for n in range(1, max(horizons) + 1):
-        cols = [(rows @ u)[idx] for (rows, idx), u in zip(kernels, cols)]
+        cols = [np.ldexp(rows @ u, -k)[idx] for (rows, idx), u in zip(kernels, cols)]
         if n in horizons:
             out[n] = cols
     return out

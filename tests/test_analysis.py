@@ -28,7 +28,15 @@ from igw import (
     wilson_interval,
 )
 import igw.analysis as analysis
-from igw.analysis import _carried, _contraction, _harmonic_tail, _switch_point
+from igw.analysis import (
+    MAX_SWITCH,
+    _carried,
+    _chernoff_thinning,
+    _contraction,
+    _harmonic_tail,
+    _stall_bound,
+    _switch_point,
+)
 from igw.exact_dist import _envelope
 
 import reference
@@ -254,6 +262,39 @@ class TestExplosionCertificate:
             for y in (3, 55, 84, 389, 1000):
                 exact = h * (y * y * c / d + 2 * y * c / d**2 + c * (1 + c) / d**3)
                 assert Fraction(_harmonic_tail(float(h), r, y)) >= exact, (spec, y)
+
+    def test_always_stalling_law_walks_no_harmonic_bound(self, monkeypatch):
+        # binary:0.01 at theta = 1: y^2 p_1^y >= 1 for every y <= MAX_SWITCH,
+        # so no switch point exists and the certificate is invalid at once
+        def forbidden(law):
+            raise AssertionError("harmonic bounds walked")
+
+        params = IGWParams(OffspringLaw.binary(0.01), 1.0)
+        monkeypatch.setattr(analysis, "harmonic_moments", forbidden)
+        _switch_point.cache_clear()
+        for x in (1, 2, MAX_SWITCH):
+            cert = explosion_lower_bound(x, params)
+            assert (cert.valid, cert.bound, cert.steps) == (False, 0.0, ()), x
+            assert (cert.harmonic_y, cert.harmonic_bound) == (MAX_SWITCH, 1.0)
+        monkeypatch.undo()
+        _switch_point.cache_clear()
+        certify = IGWParams(OffspringLaw.binary(0.6), 0.92)
+        assert explosion_lower_bound(2, certify).bound == 0.3954270314624218
+        assert explosion_lower_bound(8, certify).bound == 0.9961406267260651
+
+    def test_always_stalling_agrees_with_the_walk(self, monkeypatch):
+        # the shortcut's lower bound y^2 p_1^y + Chernoff(y) lies below every
+        # stall bound the walk computes, and the full walk, with the
+        # shortcut off, gives the same invalid certificate
+        params = IGWParams(OffspringLaw.binary(0.01), 1.0)
+        for y, h in zip(range(1, 65), harmonic_moments(params.law)):
+            lower = y * y * Fraction(params.law.p1) ** y + Fraction(_chernoff_thinning(y, 1.0))
+            assert lower <= Fraction(_stall_bound(y, h, 1.0)), y
+        monkeypatch.setattr(analysis, "_always_stalls", lambda law, theta: False)
+        _switch_point.cache_clear()
+        walked = explosion_lower_bound(1, params)
+        assert (walked.valid, walked.bound, walked.harmonic_y) == (False, 0.0, MAX_SWITCH)
+        _switch_point.cache_clear()
 
     def test_switch_point_follows_the_law(self):
         # binary:0.2 puts 0.8 on one child: h(y) decays slowly, so the

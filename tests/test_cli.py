@@ -199,6 +199,28 @@ class TestErrorsAndExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9", "--tol", "nan"], 1),
+            (["exact", "death-interval", "--law", "binary:0.6", "--theta", "0.9", "--x", "0"], 1),
+            (["exact", "death-interval", "--law", "pmf:0=0.2,2=0.8", "--theta", "0.9", "--x", "1"], 2),
+        ],
+    )
+    def test_rejected_command_keeps_out_file(self, capsys, tmp_path, args, want):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old results\n")
+        assert run_cli([*args, "--out", str(path)], capsys)[0] == want
+        assert path.read_bytes() == b"old results\n"
+
+    def test_out_file_written_on_success(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old results\n")
+        args = ["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and run_cli([*args, "--out", str(path)], capsys)[:2] == (0, "")
+        assert path.read_bytes() == out.encode()
+
     def test_indeterminate_exit_three(self, capsys):
         # x_cap starved enough that the interval slack swallows the margin
         code, out, _ = run_cli(

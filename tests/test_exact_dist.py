@@ -621,15 +621,18 @@ class TestDistinctStateSweep:
 
 class TestFixedPointStop:
     """Each envelope column stops at the first step that leaves it bitwise
-    unchanged; a plain sweep with no exit, on the same arrays, is the oracle."""
+    unchanged; a plain sweep with no exit, on the same arrays, is the oracle.
+    Where the package shifts, the plain sweep scales the kernel by 2^k and
+    each product back by 2^-k, the same exact products as the package's
+    lifted column."""
 
     HORIZONS = (300, 1, 3, 17, 256, 64)
 
     @staticmethod
-    def _plain(R: np.ndarray, v: np.ndarray, first: int, n_max: int) -> dict[int, bytes]:
-        out = {first: v.tobytes()}
+    def _plain(R: np.ndarray, v: np.ndarray, first: int, n_max: int, k: int) -> dict[int, bytes]:
+        out, R = {first: v.tobytes()}, np.ldexp(R, k)
         for n in range(first + 1, n_max + 1):
-            v = R @ v
+            v = np.ldexp(R @ v, -k)
             out[n] = v.tobytes()
         return out
 
@@ -646,15 +649,18 @@ class TestFixedPointStop:
         _envelope.cache_clear()
         env = _envelope(params, x_cap)
         s = env.last
+        k = exact_dist._SHIFT if s + 1 >= exact_dist._SHIFT_STATES else 0
+        assert (k > 0) == (spec == "binary:0.6")
         e_lo, e_hi = np.zeros(s + 2), np.zeros(s + 1)
         e_lo[0] = e_hi[0] = 1.0
         c = env._powers()
-        first_closure = env.R_hi[:, :s] @ c[:s] + env.tail @ c[s:]
+        R_k, tail_k = np.ldexp(env.R_hi, k), np.ldexp(env.tail, k)
+        first_closure = np.ldexp(R_k[:, :s] @ c[:s] + tail_k @ c[s:], -k)
         n_max = max(self.HORIZONS)
         columns = (
-            (env.lo, self._plain(env.R_lo, e_lo, 0, n_max)),
-            (env.hi, self._plain(env.R_hi, e_hi, 0, n_max)),
-            (env.closure, self._plain(env.R_hi, first_closure, 1, n_max)),
+            (env.lo, self._plain(env.R_lo, e_lo, 0, n_max, k)),
+            (env.hi, self._plain(env.R_hi, e_hi, 0, n_max, k)),
+            (env.closure, self._plain(env.R_hi, first_closure, 1, n_max, k)),
         )
         for n in self.HORIZONS:
             for column, plain in columns:
@@ -672,6 +678,57 @@ class TestFixedPointStop:
 #: the benchmark's certify and theta-grid points: (law, thetas, start states)
 CERTIFY_POINTS = ("binary:0.6", (0.8, 0.92), range(1, 21))
 GRID_POINTS = ("pmf:2=0.5,3=0.5", tuple(round(0.45 + i / 30.0, 6) for i in range(16)), range(1, 9))
+
+
+class TestShiftedSweep:
+    """Sweeps of at least ``_SHIFT_STATES`` states step on the column scaled
+    by 2^``_SHIFT`` and scale each product back, so that no product of a
+    kernel entry and a column entry is subnormal; smaller ones step plain."""
+
+    def test_shifted_step_within_the_rounding_bound(self, monkeypatch):
+        # 59 states, below the gate: forced, the shift must keep every entry
+        # of a step within gamma_m * w + 2^-1075 of the exact step, m the
+        # row length; the plain step, whose products underflow, does not
+        params = IGWParams(parse_law_spec("binary:0.9999"), 0.9)
+        gate = exact_dist._SHIFT_STATES
+        monkeypatch.setattr(exact_dist, "_SHIFT_STATES", 1)
+        _envelope.cache_clear()
+        env = _envelope(params, 512)
+        assert env.last + 1 < gate and env.shift == exact_dist._SHIFT
+        tiny, plain_within = Fraction(1, 2**1075), []
+        for column, R in ((env.lo, env.R_lo), (env.hi, env.R_hi), (env.closure, env.R_hi)):
+            m = len(R)
+            gamma = Fraction(m, 2**53 - m)  # m u / (1 - m u), u = 2^-53
+            R_exact = [[Fraction(a) for a in row] for row in R.tolist()]
+
+            def within(step, want):
+                return [abs(Fraction(a) - b) <= gamma * b + tiny for a, b in zip(step.tolist(), want)]
+
+            for n in (1, 5):
+                v, w = column.at(n), column.at(n + 1)
+                assert np.any((R * v < 2.0**-1022) & (R > 0) & (v > 0)), n  # underflow unshifted
+                v_exact = [Fraction(a) for a in v.tolist()]
+                want = [sum(a * b for a, b in zip(row, v_exact)) for row in R_exact]
+                assert all(within(w, want)), n
+                plain_within += within(R @ v, want)
+        assert not all(plain_within)
+        _envelope.cache_clear()
+
+    @pytest.mark.parametrize("theta", GRID_POINTS[1])
+    def test_theta_grid_sweeps_unshifted(self, theta):
+        params = IGWParams(parse_law_spec(GRID_POINTS[0]), theta)
+        _envelope.cache_clear()
+        env = _envelope(params, 512)
+        assert env.last + 1 < exact_dist._SHIFT_STATES and env.shift == 0
+        c = env._powers()
+        v = {"lo": np.eye(env.last + 2)[0], "hi": np.eye(env.last + 1)[0]}
+        v["closure"] = env.R_hi[:, : env.last] @ c[: env.last] + env.tail @ c[env.last :]
+        kernels = {"lo": env.R_lo, "hi": env.R_hi, "closure": env.R_hi}
+        for n in range(1, 257):
+            for name, R in kernels.items():
+                if name != "closure" or n > 1:
+                    v[name] = R @ v[name]
+                assert getattr(env, name).at(n).tobytes() == v[name].tobytes(), (name, n)
 
 
 class TestThinnedKernels:
