@@ -83,6 +83,13 @@ def _cap(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seeds must be in [0, 2**64), got {value}")
+    return value
+
+
 def _parse_threshold(text: str) -> ExtendedCount:
     try:
         value = float(text)
@@ -150,7 +157,7 @@ _FLAGS = {
         type=float, default=1e-12,
         help="bisection stops at width min(tol, 1e-14), so any tol >= 1e-14 gives the same q*",
     ),
-    "seed": dict(type=int, default=0, help="master seed"),
+    "seed": dict(type=_seed, default=0, help="master seed, in [0, 2**64)"),
     "workers": dict(
         type=int, default=1, help="processes, at most one per CPU; the output does not depend on it"
     ),
@@ -450,8 +457,11 @@ def _sweep_death_interval(args, out) -> int:
 )
 def _sweep_mc_death(args, out) -> int:
     threshold = _parse_threshold(args.threshold)
+    points = _grid(args)
+    if args.seed + len(points) > 2**64:
+        raise _UsageError(f"seeds --seed + index pass 2**64 - 1 on this {len(points)}-point grid")
     rows = []
-    for index, theta, x in _grid(args):
+    for index, theta, x in points:
         result = mc_death_prob(
             x, IGWParams(args.law, theta), args.replicas, args.horizon, threshold,
             args.seed + index,  # per-point seed, deterministic in grid order

@@ -143,12 +143,15 @@ def stream_for(master_seed: int, index: int, purpose: str) -> np.random.Generato
     A counter-based (Philox) generator keyed by (master_seed, stream id),
     with the stream id a stable hash of (purpose, index): distinct chunks
     draw statistically independent, reproducible sequences, identical
-    however chunks are spread over workers.
+    however chunks are spread over workers.  The master seed is the key's
+    low 64 bits, so a seed outside [0, 2**64) is rejected, not aliased.
     """
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seeds lie in [0, 2**64), got {master_seed}")
     digest = hashlib.blake2s(
         f"{purpose}|{index}".encode("utf-8"), digest_size=8
     ).digest()
-    key = (master_seed & _MASK64) | (int.from_bytes(digest, "big") << 64)
+    key = master_seed | (int.from_bytes(digest, "big") << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

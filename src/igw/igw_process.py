@@ -9,10 +9,16 @@ the sum is one Gaussian draw with its exact mean and variance.  A state in
 the log tier makes the next total astronomically concentrated, so that
 step is deterministic: log X' = x*log(m) + log(m/(m-1)) + log(theta).
 
-:func:`simulate_chunk` advances a block of replicas as numpy arrays drawing
-from one stream, and :func:`map_chunks` drives every Monte Carlo experiment
-through it: replica r belongs to chunk r // RNG_CHUNK, and chunk c draws
-from the stream keyed by (master seed, purpose, c).
+:func:`map_chunks` drives every Monte Carlo experiment: replica r belongs
+to chunk r // RNG_CHUNK, and chunk c draws from the stream keyed by (master
+seed, purpose, c).  Consecutive chunks advance in lockstep batches as numpy
+arrays: each step does its bookkeeping once for the whole batch, while each
+chunk draws from its own stream, in its own order: its exact generations,
+then its Gaussian remainders, then its thinning.  A chunk's paths are
+therefore those of :func:`simulate_chunk` on that chunk alone, the batch of
+one.  Within a step, a replica whose total has finished, died or left the
+exact range stays in the running arrays as an inert entry with Z = 0,
+which draws nothing, until half of the entries are inert.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -113,6 +119,11 @@ TERMINATIONS = (TerminationKind.DIED, TerminationKind.EXPLODED, TerminationKind.
 
 _INT64_MAX = 2**63 - 1
 
+#: replicas times the rows each records (one without records) that one
+#: lockstep batch may hold: 16 chunks without records, one chunk once a
+#: recorded horizon reaches 15 steps
+_LOCKSTEP_CELLS = 16 * RNG_CHUNK
+
 
 @dataclass(frozen=True)
 class ChunkPaths:
@@ -134,8 +145,9 @@ class ChunkPaths:
 
 
 def _log_of(exact: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(exact.astype(np.float64))
+    """log of counts as floats; log 0 = -inf warns unless the caller has
+    silenced it (:func:`_chunk_step` does, once per step)."""
+    return np.log(exact.astype(np.float64))
 
 
 def _from_log(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,23 +164,54 @@ def _from_log(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def states_below(exact: np.ndarray, logs: np.ndarray, count: ExtendedCount) -> np.ndarray:
     """Vector ``state < count``: integers when both are exact, logs otherwise."""
     if count.is_exact and count.exact_value <= _INT64_MAX:  # type: ignore[operator]
-        return np.where(exact >= 0, exact < count.exact_value, logs < count.log())
+        below = exact < count.exact_value
+        if np.count_nonzero(exact < 0):
+            below = np.where(exact >= 0, below, logs < count.log())
+        return below
     return logs < count.log()
 
 
-def _next_generations(law: OffspringLaw, z: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One generation from each entry of z (>= 1 individuals), exact in
-    distribution."""
+class _Streams:
+    """The random streams of a lockstep batch of chunks.  Entry i of every
+    array the batch advances belongs to chunk ``owner[i]`` (nondecreasing)
+    and draws from ``gens[owner[i]]``, in the entries' order."""
+
+    def __init__(self, gens: Sequence[np.random.Generator], owner: np.ndarray) -> None:
+        self.gens, self.owner = gens, owner
+        bounds = np.searchsorted(owner, np.arange(len(gens) + 1)).tolist()
+        self.segments = [(gen, lo, hi) for gen, lo, hi in zip(gens, bounds, bounds[1:]) if lo < hi]
+
+    def __getitem__(self, keep: np.ndarray) -> "_Streams":
+        return _Streams(self.gens, self.owner[keep])
+
+    def draw(
+        self, fn: Callable[[np.random.Generator, np.ndarray], np.ndarray], values: np.ndarray
+    ) -> np.ndarray:
+        """``fn(gen, part)`` on each chunk's part of ``values``, joined in
+        chunk order; empty ``values`` make one empty call, which draws
+        nothing."""
+        parts = [fn(gen, values[lo:hi]) for gen, lo, hi in self.segments] or [fn(self.gens[0], values)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _streams(gen, size: int) -> _Streams:
+    """A lockstep batch as it is, one generator as the batch of one chunk."""
+    return gen if isinstance(gen, _Streams) else _Streams((gen,), np.zeros(size, np.intp))
+
+
+def _next_generations(law: OffspringLaw, z: np.ndarray, streams: _Streams) -> np.ndarray:
+    """One generation from each entry of z, exact in distribution; an entry
+    with z = 0 draws nothing and stays 0."""
     two = law.two_atoms
     if two is not None:
         a, b, pb = two
-        return a * z + (b - a) * gen.binomial(z, pb)
+        return a * z + (b - a) * streams.draw(lambda gen, n: gen.binomial(n, pb), z)
     # row blocks bound the count matrix for laws with a wide support
     rows = max(1, 2**20 // law.probs_array.size)
-    return np.concatenate([
-        gen.multinomial(z[i:i + rows], law.probs_array) @ law.ks_array
-        for i in range(0, z.size, rows)
-    ])
+    return streams.draw(lambda gen, n: np.concatenate([
+        gen.multinomial(n[i:i + rows], law.probs_array) @ law.ks_array
+        for i in range(0, n.size, rows)
+    ]), z)
 
 
 @lru_cache(maxsize=16)
@@ -184,17 +227,19 @@ def _point_mass_table(pm: int) -> np.ndarray:
 
 
 def _point_mass_totals(ctx: LawContext, pm: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S_x in closed form when every individual has exactly pm children."""
+    """S_x in closed form when every individual has exactly pm children, as
+    :func:`_chunk_totals` returns it."""
     if pm == 0:
         return np.zeros_like(x), np.full(x.shape, -np.inf)
     if pm == 1:
         return np.where(x > DEFAULT_EXACT_CAP, -1, x), _log_of(x)
     table = _point_mass_table(pm)
+    logs = np.full(x.shape, -np.inf)
     exact_x = x < table.size
+    if np.count_nonzero(exact_x) == x.size:
+        return table[x], logs
     s = np.full(x.shape, -1, np.int64)
     s[exact_x] = table[x[exact_x]]
-    logs = np.empty(x.shape)
-    logs[exact_x] = _log_of(s[exact_x])
     g = x[~exact_x].astype(np.float64) * ctx.log_m
     logs[~exact_x] = np.minimum(g + ctx.log_fold + np.log1p(-np.exp(-g)), LOG_VALUE_LIMIT)
     return s, logs
@@ -236,93 +281,167 @@ def _remainder_moments(ctx: LawContext, left: np.ndarray) -> tuple[np.ndarray, n
     return log_m + np.log(left * r) + log_e, rho
 
 
-def _remainder_log(
-    ctx: LawContext, z_log: np.ndarray, left: np.ndarray, gen: np.random.Generator
-) -> np.ndarray:
+def _remainder_log(ctx: LawContext, z_log: np.ndarray, left: np.ndarray, gen) -> np.ndarray:
     """log R, R = Z_{K+1} + ... + Z_{K+L} once Z_K = z has left the exact
     range with L generations to go: z i.i.d. copies of S_L, drawn as one
-    Gaussian with their exact mean and variance, clamped at R >= 0."""
+    Gaussian with their exact mean and variance, clamped at R >= 0.  One
+    standard normal per entry, from its chunk's stream."""
     log_mu, rho = _remainder_moments(ctx, left)
-    noise = np.sqrt(rho * np.exp(-z_log)) * gen.standard_normal(left.size)
+    normals = _streams(gen, left.size).draw(lambda g, part: g.standard_normal(part.size), left)
+    noise = np.sqrt(rho * np.exp(-z_log)) * normals
     with np.errstate(divide="ignore"):
         return z_log + log_mu + np.log1p(np.maximum(noise, -1.0))
 
 
-def _chunk_totals(ctx: LawContext, x: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """S_x for each entry of x (all >= 1): exact values (-1 where S left the
-    exact range) and logs, each replica run for its own x generations from
-    one ancestor: exact generations while Z stays within the cap, then one
-    Gaussian draw for the rest of the sum (:func:`_remainder_log`)."""
+def _finishes(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(generation, positions of the entries of x that end there), in
+    increasing generation, then (0, -) for ever."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    bounds = [0, *(np.flatnonzero(xs[1:] != xs[:-1]) + 1).tolist(), x.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield int(xs[lo]), order[lo:hi]
+    while True:
+        yield 0, order[:0]
+
+
+def _chunk_totals(ctx: LawContext, x: np.ndarray, gen) -> tuple[np.ndarray, np.ndarray]:
+    """S_x for each entry of x (all >= 1): exact values, -1 where S left the
+    exact range, and logs, read only there.  Each replica runs its own x
+    generations from one ancestor: exact generations while Z stays within
+    the cap, then one Gaussian draw for the rest of the sum
+    (:func:`_remainder_log`).  ``gen`` is a generator or a lockstep batch.
+
+    No entry leaves the running arrays until half of them are inert: one
+    that finishes, dies or leaves the exact range keeps Z = 0, which draws
+    nothing and adds nothing.  A generation is then one draw per chunk, one
+    sum and one cap test.  Entries finish in the order of their sorted x;
+    sums already in the log range advance on their own index set.  Each
+    chunk draws its generations, then the Gaussian remainders of its entries
+    in the order they left the range.
+    """
     law = ctx.law
     if law.point_mass is not None:
         return _point_mass_totals(ctx, law.point_mass, x)
-    s = np.zeros(x.size, np.int64)  # -1 once S has left the exact range
-    s_log = np.full(x.size, -np.inf)  # read only where s is -1
-    # the running replicas (exact Z, alive, generations left), in index order
-    run, z = np.arange(x.size), np.ones(x.size, np.int64)
-    rs, rl, left = s.copy(), s_log.copy(), x.copy()
-    gauss = []
-    while run.size:
-        z = _next_generations(law, z, gen)
-        left -= 1
-        small = z <= DEFAULT_EXACT_CAP
-        add = small & (rs >= 0)
-        np.add(rs, z, out=rs, where=add)
-        # S joins the log range with its first huge generation or sum
-        grow = ~add
-        if grow.any():
-            prev = rs[grow]
-            cur = np.where(prev >= 0, _log_of(np.maximum(prev, 0)), rl[grow])
-            rl[grow], rs[grow] = np.logaddexp(cur, _log_of(z[grow])), -1
+    streams = _streams(gen, x.size)
+    owner = streams.owner
+    s = np.zeros(x.size, np.int64)
+    s_log = np.full(x.size, -np.inf)
+    # the running entries: output index, x, Z, the exact sum (0 once it is
+    # in the log range) and the log sum (-inf until then)
+    idx, xr, z, rs, rl = np.arange(x.size), x, np.ones(x.size, np.int64), s.copy(), s_log.copy()
+    lg = idx[:0]  # running entries whose sum is in the log range
+    gauss = []  # (generation, output index, log Z, generations left) of entries that left
+    finishes = _finishes(xr)
+    k_end, ends = next(finishes)
+    k = 0
+
+    def leave(at: np.ndarray, z_at: np.ndarray) -> None:
+        left = xr[at] - k
+        on = left > 0
+        if np.count_nonzero(on):
+            gauss.append((np.full(np.count_nonzero(on), k), idx[at[on]], _log_of(z_at[on]), left[on]))
+        z[at] = 0
+
+    while True:
+        k += 1
+        z = _next_generations(law, z, streams)
+        rs += z  # Z <= cap * max_k and the sum <= cap before it: no overflow
+        if lg.size:
+            z_lg = z[lg]
+            if np.count_nonzero(z_lg) < lg.size:  # a log sum whose process ended is final
+                lg, z_lg = lg[z_lg > 0], z_lg[z_lg > 0]
+            rl[lg] = np.logaddexp(rl[lg], _log_of(z_lg))
+            rs[lg] = 0
+            out = z_lg > DEFAULT_EXACT_CAP
+            if np.count_nonzero(out):
+                leave(lg[out], z_lg[out])
+                lg = lg[~out]
         over = rs > DEFAULT_EXACT_CAP
-        if over.any():
-            rl[over], rs[over] = _log_of(rs[over]), -1
-        stop = ~small | (z == 0) | (left == 0)
-        if stop.any():
-            on = ~small & (left > 0)
-            if on.any():
-                gauss.append((run[on], _log_of(z[on]), left[on]))
-            s[run[stop]], s_log[run[stop]] = rs[stop], rl[stop]
-            keep = ~stop
-            run, z, rs, rl, left = run[keep], z[keep], rs[keep], rl[keep], left[keep]
+        if np.count_nonzero(over):
+            at = np.flatnonzero(over)
+            z_at = z[at]
+            out = z_at > DEFAULT_EXACT_CAP
+            # a sum that crossed the cap joins the log range ...
+            summed = at[~out]
+            rl[summed] = _log_of(rs[summed])
+            lg = np.concatenate((lg, summed))
+            # ... and so does one whose generation left the exact range
+            if np.count_nonzero(out):
+                at, z_at = at[out], z_at[out]
+                rl[at] = np.logaddexp(_log_of(rs[at] - z_at), _log_of(z_at))
+                leave(at, z_at)
+            rs[over] = 0
+        if k == k_end:
+            z[ends] = 0
+            k_end, ends = next(finishes)
+        alive = np.count_nonzero(z)
+        if not alive:
+            break
+        if 2 * alive <= z.size:
+            keep = z > 0
+            gone = ~keep
+            s[idx[gone]], s_log[idx[gone]] = rs[gone], rl[gone]
+            lg = (np.cumsum(keep) - 1)[lg[keep[lg]]]
+            idx, xr, z, rs, rl = idx[keep], xr[keep], z[keep], rs[keep], rl[keep]
+            streams = streams[keep]
+            finishes = _finishes(xr)
+            k_end, ends = next(finishes)
+    s[idx], s_log[idx] = rs, rl
     if gauss:
-        g, z_log, left = (np.concatenate(parts) for parts in zip(*gauss))
-        s_log[g] = np.logaddexp(s_log[g], _remainder_log(ctx, z_log, left, gen))
+        kk, g, z_log, left = (np.concatenate(parts) for parts in zip(*gauss))
+        order = np.lexsort((g, kk, owner[g]))
+        g = g[order]
+        remainder = _remainder_log(ctx, z_log[order], left[order], _Streams(streams.gens, owner[g]))
+        s_log[g] = np.logaddexp(s_log[g], remainder)
+    logged = s_log > -np.inf
+    if np.count_nonzero(logged):
+        s[logged], s_log[logged] = _from_log(s_log[logged])
+    return s, s_log
+
+
+def _thinned(theta: float, s: np.ndarray, s_log, streams: _Streams) -> tuple[np.ndarray, np.ndarray]:
+    """The theta-thinning of totals as :func:`_chunk_totals` returns them,
+    with logs everywhere: one exact binomial draw per exact total, from its
+    chunk's stream, and a shift by log(theta) in the log range."""
     exact = s >= 0
-    s_log[exact] = _log_of(s[exact])
-    s[~exact], s_log[~exact] = _from_log(s_log[~exact])
+    if np.count_nonzero(exact) == s.size:
+        if theta < 1.0:
+            s = streams.draw(lambda gen, n: gen.binomial(n, theta), s)
+        return s, _log_of(s)
+    s[exact], s_log[exact] = _thinned(theta, s[exact], None, streams[exact])
+    if theta < 1.0:
+        s[~exact], s_log[~exact] = _from_log(s_log[~exact] + math.log(theta))
     return s, s_log
 
 
 def _chunk_step(
-    ctx: LawContext, theta: float, xi: np.ndarray, xl: np.ndarray, gen: np.random.Generator
+    ctx: LawContext, theta: float, xi: np.ndarray, xl: np.ndarray, gen
 ) -> tuple[np.ndarray, np.ndarray]:
     """One transition for every replica (all states nonzero).  States are
     (exact values, -1 in the log tier; logs).  An exact state x moves to the
     theta-thinning of S_x: one exact binomial draw while S is exact, a shift
     by log(theta) once S has left the exact range.  A log-tier state moves
-    deterministically to log X' = X log m + log(m/(m-1)) + log(theta)."""
-    ni = np.empty_like(xi)
-    nl = np.empty_like(xl)
-    big = xi < 0
-    if big.any():
+    deterministically to log X' = X log m + log(m/(m-1)) + log(theta).
+    ``gen`` is a generator or a lockstep batch; each chunk draws its totals,
+    then its thinning."""
+    streams = _streams(gen, xi.size)
+    with np.errstate(divide="ignore"):
+        big = xi < 0
+        if not np.count_nonzero(big):
+            return _thinned(theta, *_chunk_totals(ctx, xi, streams), streams)
         if ctx.m <= 1.0:
             raise RegimeError("log-tier states only arise from supercritical growth (m > 1)")
+        ni = np.empty_like(xi)
+        nl = np.empty_like(xl)
         with np.errstate(over="ignore"):
             log_next = np.exp(xl[big]) * ctx.log_m + (ctx.log_fold + math.log(theta))
         ni[big], nl[big] = _from_log(log_next)
-    small = ~big
-    if not small.any():
+        small = ~big
+        if np.count_nonzero(small):
+            part = streams[small]
+            ni[small], nl[small] = _thinned(theta, *_chunk_totals(ctx, xi[small], part), part)
         return ni, nl
-    si, sl = _chunk_totals(ctx, xi[small], gen)
-    if theta < 1.0:
-        exact = si >= 0
-        out = gen.binomial(si[exact], theta)
-        si[exact] = out
-        sl[exact] = _log_of(out)
-        si[~exact], sl[~exact] = _from_log(sl[~exact] + math.log(theta))
-    ni[small], nl[small] = si, sl
-    return ni, nl
 
 
 def simulate_chunk(
@@ -341,17 +460,36 @@ def simulate_chunk(
     at or above the threshold; paths still undecided at the horizon keep
     their own verdict and are never folded into either class.
 
-    Exact states are int64, so the law's largest offspring count must keep
-    DEFAULT_EXACT_CAP * max_k below 2**63.  Per-step states and ratios are
-    kept only with ``record``.
+    This is the lockstep batch of one chunk (:func:`_simulate_lockstep`):
+    at every step the chunk draws its exact generations, then its Gaussian
+    remainders, then its thinning.  Exact states are int64, so the law's
+    largest offspring count must keep DEFAULT_EXACT_CAP * max_k below
+    2**63.  Per-step states and ratios are kept only with ``record``.
     """
+    return _simulate_lockstep(x0, params, horizon, explosion_threshold, [gen], [size], record)[0]
+
+
+def _simulate_lockstep(
+    x0: int,
+    params: IGWParams,
+    horizon: int,
+    explosion_threshold: Union[int, ExtendedCount],
+    gens: Sequence[np.random.Generator],
+    sizes: Sequence[int],
+    record: bool,
+) -> list[ChunkPaths]:
+    """The paths of a batch of chunks, chunk c holding ``sizes[c]`` replicas
+    that draw from ``gens[c]``, advanced in lockstep: each step does its
+    bookkeeping once for the whole batch, and each chunk draws in its own
+    order (:func:`_chunk_step`) from its own stream, so every chunk's paths
+    are those of :func:`simulate_chunk` on that chunk alone."""
     if x0 < 1:
         raise ValueError("start the chain from a positive state")
     if x0 > _INT64_MAX:
         raise ValueError("the batched engine starts from int64 states")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if size < 1:
+    if min(sizes) < 1:
         raise ValueError("a chunk holds at least one replica")
     law = params.law
     if DEFAULT_EXACT_CAP * law.max_k > _INT64_MAX:
@@ -370,6 +508,8 @@ def simulate_chunk(
     theta = params.theta
     shift = ctx.log_fold + math.log(theta)  # nan unless m > 1
     monotone = theta == 1.0 and law.p0 == 0.0
+    size = sum(sizes)
+    streams = _Streams(gens, np.repeat(np.arange(len(sizes)), sizes))
     termination = np.full(size, UNDECIDED, np.int8)
     steps = np.full(size, horizon, np.int64)
     xi = np.full(size, x0, np.int64)
@@ -384,7 +524,7 @@ def simulate_chunk(
     for n in range(horizon):
         if not live.size:
             break
-        ni, nl = _chunk_step(ctx, theta, xi, xl, gen)
+        ni, nl = _chunk_step(ctx, theta, xi, xl, streams)
         if monotone:
             fell = np.where((ni >= 0) & (xi >= 0), ni < xi, nl < xl)
             assert not fell.any(), "paths must be nondecreasing without thinning or deaths"
@@ -402,23 +542,37 @@ def simulate_chunk(
                 row[live] = values
                 rows.append(row)
         exploded = ~died & ~states_below(ni, nl, threshold)
-        termination[live[died]] = DIED
-        termination[live[exploded]] = EXPLODED
         done = died | exploded
-        steps[live[done]] = n + 1
-        keep = ~done
-        live, xi, xl = live[keep], ni[keep], nl[keep]
+        if np.count_nonzero(done):
+            termination[live[died]] = DIED
+            termination[live[exploded]] = EXPLODED
+            steps[live[done]] = n + 1
+            keep = ~done
+            live, ni, nl = live[keep], ni[keep], nl[keep]
+            streams = streams[keep]
+        xi, xl = ni, nl
 
+    bounds = np.cumsum([0, *sizes]).tolist()
     if not record:
-        return ChunkPaths(termination, steps)
+        return [ChunkPaths(termination[lo:hi], steps[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    exact, logs = np.array(rows_exact), np.array(rows_log)
     ratio = np.array(rows_ratio) if rows_ratio else np.empty((0, size))
-    return ChunkPaths(termination, steps, np.array(rows_exact), np.array(rows_log), ratio)
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        # a chunk's rows end with the step of its last verdict
+        last = int(steps[lo:hi].max())
+        rows = exact[: last + 1, lo:hi], logs[: last + 1, lo:hi], ratio[:last, lo:hi]
+        out.append(ChunkPaths(termination[lo:hi], steps[lo:hi], *rows))
+    return out
 
 
-def _run_chunk(summarise, x0, params, horizon, threshold, master_seed, purpose, record, index, size):
-    gen = stream_for(master_seed, index, purpose)
-    paths = simulate_chunk(x0, params, horizon, threshold, gen, size, record=record)
-    return summarise(index, paths)
+def _run_batch(summarise, x0, params, horizon, threshold, master_seed, purpose, record, batch):
+    """``summarise(index, paths)`` for each (index, size) chunk of one
+    lockstep batch."""
+    gens = [stream_for(master_seed, index, purpose) for index, _ in batch]
+    sizes = [size for _, size in batch]
+    paths = _simulate_lockstep(x0, params, horizon, threshold, gens, sizes, record)
+    return [summarise(index, chunk) for (index, _), chunk in zip(batch, paths)]
 
 
 def map_chunks(
@@ -438,24 +592,32 @@ def map_chunks(
     ``summarise(chunk_index, paths)`` for every chunk, in chunk order.
 
     Chunk c draws from ``stream_for(master_seed, c, purpose)``, so the
-    result is identical at any worker count; ``workers`` > 1 spreads chunks
-    over that many processes, never more than there are chunks or CPUs
-    (``os.cpu_count()``).  ``summarise`` runs in the worker and must be
-    a module-level function, or a partial of one, so that it pickles.
+    result is identical at any worker count.  Consecutive chunks run as
+    lockstep batches (:func:`_simulate_lockstep`), each chunk still drawing
+    its own generations, Gaussian remainders and thinning in its own order;
+    a batch holds at most ``_LOCKSTEP_CELLS`` replicas times recorded rows.
+    ``workers`` > 1 spreads the batches over that many processes, never more
+    than there are chunks or CPUs (``os.cpu_count()``).  ``summarise`` runs
+    in the worker and must be a module-level function, or a partial of one,
+    so that it pickles.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    sizes = [min(RNG_CHUNK, replicas - start) for start in range(0, replicas, RNG_CHUNK)]
-    job = partial(_run_chunk, summarise, x0, params, horizon, threshold, master_seed, purpose, record)
-    processes = min(workers, len(sizes), os.cpu_count() or 1)
+    starts = range(0, replicas, RNG_CHUNK)
+    chunks = [(index, min(RNG_CHUNK, replicas - start)) for index, start in enumerate(starts)]
+    processes = min(workers, len(chunks), os.cpu_count() or 1)
+    rows = horizon + 1 if record else 1
+    per_batch = max(1, min(_LOCKSTEP_CELLS // (RNG_CHUNK * rows), -(-len(chunks) // processes)))
+    batches = [chunks[i:i + per_batch] for i in range(0, len(chunks), per_batch)]
+    job = partial(_run_batch, summarise, x0, params, horizon, threshold, master_seed, purpose, record)
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly to import
 
-        # the platform's default start method: a chunk takes milliseconds,
+        # the platform's default start method: a batch takes milliseconds,
         # and spawned workers would each start an interpreter and re-import
         # numpy and igw
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            return list(pool.map(job, range(len(sizes)), sizes))
-    return [job(index, size) for index, size in enumerate(sizes)]
+            return [out for part in pool.map(job, batches) for out in part]
+    return [out for batch in batches for out in job(batch)]

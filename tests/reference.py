@@ -22,6 +22,11 @@
   below 2^-60 (or Z above 1e300), and exact binomial thinning.  It shares
   the exact cap with the batched engine, not its array code, its
   sampling of two-atom laws or its one-draw remainder of the sum.
+* The batched engine as it stood before its generation loop went lean:
+  one chunk, one generator, every running array compacted every
+  generation (``chunk_totals``, ``chunk_step``, ``simulate_chunk``).  The
+  package must reproduce its paths byte for byte; it shares only the
+  law's constants, the point-mass table and the remainder moments.
 * The one-step mean map chi(x) = E_x(X_1) in closed form.
 """
 
@@ -34,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from igw import (
-    Caps, ExtendedCount, IGWParams, IntervalProb, OffspringLaw, TerminationKind, harmonic_moments, mean,
+    Caps, ExtendedCount, RegimeError, IGWParams, IntervalProb, OffspringLaw, TerminationKind, harmonic_moments, mean,
 )
 from igw.analysis import fixed_point_q
 from igw.exact_dist import (
@@ -46,7 +51,10 @@ from igw.exact_dist import (
     _progeny_laws,
     thinned_rows,
 )
-from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_VALUE_LIMIT, law_context
+from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_EXACT_CAP, LOG_VALUE_LIMIT, law_context
+from igw.igw_process import (
+    DIED, EXPLODED, UNDECIDED, ChunkPaths, _point_mass_table, _remainder_moments,
+)
 from igw.reproduction_laws import MEAN_CRITICAL_TOL
 
 
@@ -338,6 +346,185 @@ def trajectory(
         if not state < threshold:
             return TerminationKind.EXPLODED, n
     return TerminationKind.HORIZON, horizon
+
+
+# -- the batched engine, one chunk at a time -----------------------------------------
+
+_INT64_MAX = 2**63 - 1
+
+
+def _log_of(exact: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(exact.astype(np.float64))
+
+
+def _from_log(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    logs = np.minimum(logs, LOG_VALUE_LIMIT)
+    demote = logs <= LOG_EXACT_CAP
+    exact = np.full(logs.shape, -1, np.int64)
+    exact[demote] = np.rint(np.exp(logs[demote]))
+    logs[demote] = _log_of(exact[demote])
+    return exact, logs
+
+
+def _states_below(exact: np.ndarray, logs: np.ndarray, count: ExtendedCount) -> np.ndarray:
+    if count.is_exact and count.exact_value <= _INT64_MAX:
+        return np.where(exact >= 0, exact < count.exact_value, logs < count.log())
+    return logs < count.log()
+
+
+def _next_generations(law: OffspringLaw, z: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    two = law.two_atoms
+    if two is not None:
+        a, b, pb = two
+        return a * z + (b - a) * gen.binomial(z, pb)
+    rows = max(1, 2**20 // law.probs_array.size)
+    return np.concatenate([
+        gen.multinomial(z[i:i + rows], law.probs_array) @ law.ks_array
+        for i in range(0, z.size, rows)
+    ])
+
+
+def _point_mass_totals(ctx, pm: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if pm == 0:
+        return np.zeros_like(x), np.full(x.shape, -np.inf)
+    if pm == 1:
+        return np.where(x > DEFAULT_EXACT_CAP, -1, x), _log_of(x)
+    table = _point_mass_table(pm)
+    exact_x = x < table.size
+    s = np.full(x.shape, -1, np.int64)
+    s[exact_x] = table[x[exact_x]]
+    logs = np.empty(x.shape)
+    logs[exact_x] = _log_of(s[exact_x])
+    g = x[~exact_x].astype(np.float64) * ctx.log_m
+    logs[~exact_x] = np.minimum(g + ctx.log_fold + np.log1p(-np.exp(-g)), LOG_VALUE_LIMIT)
+    return s, logs
+
+
+def _remainder_log(ctx, z_log: np.ndarray, left: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    log_mu, rho = _remainder_moments(ctx, left)
+    noise = np.sqrt(rho * np.exp(-z_log)) * gen.standard_normal(left.size)
+    with np.errstate(divide="ignore"):
+        return z_log + log_mu + np.log1p(np.maximum(noise, -1.0))
+
+
+def chunk_totals(ctx, x: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """S_x for each entry of x: (exact values, -1 past the cap; logs).  The
+    running arrays are compacted every generation; one Gaussian draw per
+    replica for the rest of a sum that left the exact range."""
+    law = ctx.law
+    if law.point_mass is not None:
+        return _point_mass_totals(ctx, law.point_mass, x)
+    s = np.zeros(x.size, np.int64)
+    s_log = np.full(x.size, -np.inf)
+    run, z = np.arange(x.size), np.ones(x.size, np.int64)
+    rs, rl, left = s.copy(), s_log.copy(), x.copy()
+    gauss = []
+    while run.size:
+        z = _next_generations(law, z, gen)
+        left -= 1
+        small = z <= DEFAULT_EXACT_CAP
+        add = small & (rs >= 0)
+        np.add(rs, z, out=rs, where=add)
+        grow = ~add
+        if grow.any():
+            prev = rs[grow]
+            cur = np.where(prev >= 0, _log_of(np.maximum(prev, 0)), rl[grow])
+            rl[grow], rs[grow] = np.logaddexp(cur, _log_of(z[grow])), -1
+        over = rs > DEFAULT_EXACT_CAP
+        if over.any():
+            rl[over], rs[over] = _log_of(rs[over]), -1
+        stop = ~small | (z == 0) | (left == 0)
+        if stop.any():
+            on = ~small & (left > 0)
+            if on.any():
+                gauss.append((run[on], _log_of(z[on]), left[on]))
+            s[run[stop]], s_log[run[stop]] = rs[stop], rl[stop]
+            keep = ~stop
+            run, z, rs, rl, left = run[keep], z[keep], rs[keep], rl[keep], left[keep]
+    if gauss:
+        g, z_log, left = (np.concatenate(parts) for parts in zip(*gauss))
+        s_log[g] = np.logaddexp(s_log[g], _remainder_log(ctx, z_log, left, gen))
+    exact = s >= 0
+    s_log[exact] = _log_of(s[exact])
+    s[~exact], s_log[~exact] = _from_log(s_log[~exact])
+    return s, s_log
+
+
+def chunk_step(ctx, theta: float, xi: np.ndarray, xl: np.ndarray, gen: np.random.Generator):
+    """One transition for every replica of one chunk (all states nonzero)."""
+    ni = np.empty_like(xi)
+    nl = np.empty_like(xl)
+    big = xi < 0
+    if big.any():
+        if ctx.m <= 1.0:
+            raise RegimeError("log-tier states only arise from supercritical growth (m > 1)")
+        with np.errstate(over="ignore"):
+            log_next = np.exp(xl[big]) * ctx.log_m + (ctx.log_fold + math.log(theta))
+        ni[big], nl[big] = _from_log(log_next)
+    small = ~big
+    if not small.any():
+        return ni, nl
+    si, sl = chunk_totals(ctx, xi[small], gen)
+    if theta < 1.0:
+        exact = si >= 0
+        out = gen.binomial(si[exact], theta)
+        si[exact] = out
+        sl[exact] = _log_of(out)
+        si[~exact], sl[~exact] = _from_log(sl[~exact] + math.log(theta))
+    ni[small], nl[small] = si, sl
+    return ni, nl
+
+
+def simulate_chunk(
+    x0: int, params: IGWParams, horizon: int, threshold: ExtendedCount, gen: np.random.Generator,
+    size: int, *, record: bool = False,
+) -> ChunkPaths:
+    """``size`` paths of the chain from x0, all drawing from ``gen``, each
+    until it dies, crosses ``threshold`` or reaches the horizon."""
+    law = params.law
+    ctx = law_context(law)
+    theta = params.theta
+    shift = ctx.log_fold + math.log(theta)
+    start = ExtendedCount.exact(x0)
+    termination = np.full(size, UNDECIDED, np.int8)
+    steps = np.full(size, horizon, np.int64)
+    xi = np.full(size, x0, np.int64)
+    xl = np.full(size, math.log(x0))
+    rows_exact, rows_log, rows_ratio = [xi.copy()], [xl.copy()], []
+    live = np.arange(size)
+    if not start < threshold:
+        termination[:] = EXPLODED
+        steps[:] = 0
+        live = live[:0]
+    for n in range(horizon):
+        if not live.size:
+            break
+        ni, nl = chunk_step(ctx, theta, xi, xl, gen)
+        died = ni == 0
+        if record:
+            with np.errstate(over="ignore"):
+                y = np.where(xi >= 0, nl / xi, ctx.log_m + shift / np.exp(xl))
+            y[died] = np.nan
+            for rows, values, fill in (
+                (rows_exact, ni, -1),
+                (rows_log, nl, np.nan),
+                (rows_ratio, y, np.nan),
+            ):
+                row = np.full(size, fill, values.dtype)
+                row[live] = values
+                rows.append(row)
+        exploded = ~died & ~_states_below(ni, nl, threshold)
+        termination[live[died]] = DIED
+        termination[live[exploded]] = EXPLODED
+        done = died | exploded
+        steps[live[done]] = n + 1
+        keep = ~done
+        live, xi, xl = live[keep], ni[keep], nl[keep]
+    if not record:
+        return ChunkPaths(termination, steps)
+    ratio = np.array(rows_ratio) if rows_ratio else np.empty((0, size))
+    return ChunkPaths(termination, steps, np.array(rows_exact), np.array(rows_log), ratio)
 
 
 # -- the mean map --------------------------------------------------------------------

@@ -180,6 +180,33 @@ class TestErrorsAndExitCodes:
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == "" and "confidence" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    @pytest.mark.parametrize("path", [
+        ("mc", "death", "--x", "2"), ("mc", "ratio"), ("simulate", "--x0", "2"), ("sweep", "mc-death"),
+    ])
+    def test_seed_outside_64_bits_rejected_before_any_replica(self, capsys, monkeypatch, path, seed):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("replicas ran")
+
+        monkeypatch.setattr(igw.analysis, "map_chunks", forbidden)
+        monkeypatch.setattr(igw.cli, "map_chunks", forbidden)
+        args = [*path, "--law", "binary:0.5", "--theta", "0.9", "--replicas", "200", "--seed", seed]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == "" and "seed" in err
+
+    def test_sweep_point_seeds_past_64_bits_rejected_before_any_replica(self, capsys, monkeypatch):
+        # point i runs at --seed + i: the second point would alias seed 0
+        def forbidden(*args, **kwargs):
+            raise AssertionError("replicas ran")
+
+        monkeypatch.setattr(igw.analysis, "map_chunks", forbidden)
+        args = ["sweep", "mc-death", "--law", "binary:0.5", "--theta-grid", "0.9,0.95", "--replicas", "200"]
+        code, out, err = run_cli([*args, "--seed", str(2**64 - 1)], capsys)
+        assert code == 1 and out == "" and "seed" in err
+        monkeypatch.undo()
+        code, out, _ = run_cli([*args, "--seed", str(2**64 - 2)], capsys)
+        assert code == 0 and len(data_lines(out)) == 3
+
     def test_workers_below_one_rejected(self, capsys):
         for workers in ("0", "-1"):
             code, out, err = run_cli(

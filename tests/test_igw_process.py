@@ -3,6 +3,7 @@ import concurrent.futures
 import importlib
 import math
 import os
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -22,12 +23,17 @@ from igw import (
     classify_regimes,
     death_prob_interval,
     finite_horizon_death,
+    mc_death_prob,
     parse_law_spec,
+    ratio_crossing_errors,
     simulate_chunk,
     stream_for,
 )
 import igw.igw_process as igw_process
-from igw.igw_process import DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, map_chunks
+from igw.analysis import _crossing_errors
+from igw.igw_process import (
+    DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, _simulate_lockstep, map_chunks,
+)
 from igw.gw_engine import law_context
 
 import reference
@@ -331,6 +337,103 @@ class TestMapChunks:
             out = map_chunks(*self.ARGS, replicas, workers=1000)
             assert out == (five if replicas == 5 * RNG_CHUNK else [*five[:2], (2, 1)]), cpus
             assert sizes == started, cpus
+
+
+#: (law, theta, x0, threshold, horizon): the three count tiers under
+#: thinning, a point mass of two and of three, p_0 > 0 (two atoms with
+#: a = 0), the multinomial path, and a near-critical law whose steps run
+#: thousands of generations
+ORACLE_CASES = [
+    ("binary:0.5", 0.9, 3, ExtendedCount.from_log(700.0), 200),
+    ("binary:1", 0.8, 2, ExtendedCount.exact(10**6), 200),
+    ("pmf:3=1", 0.7, 2, ExtendedCount.from_log(800.0), 60),
+    ("pmf:0=0.2,2=0.8", 0.9, 4, ExtendedCount.from_log(700.0), 100),
+    ("pmf:1=0.3,2=0.3,5=0.4", 0.6, 3, ExtendedCount.from_log(700.0), 60),
+    ("pmf:1=0.999,2=0.001", 0.95, 2000, ExtendedCount.exact(10**5), 1),
+]
+
+
+def assert_same_paths(got, want):
+    for field in ("termination", "steps", "exact", "log", "ratio"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None), field
+        if a is not None:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+            assert a.tobytes() == b.tobytes(), field
+
+
+class TestOracle:
+    """The engine against the one-chunk engine of tests/reference.py, which
+    compacts every generation: the same paths, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("spec, theta, x0, threshold, horizon", ORACLE_CASES)
+    def test_lockstep_batch_matches_each_chunk_alone(self, spec, theta, x0, threshold, horizon, seed):
+        params = IGWParams(parse_law_spec(spec), theta)
+        sizes = (1, 7, 1024, 2500)
+        want = [
+            reference.simulate_chunk(
+                x0, params, horizon, threshold, stream_for(seed, c, spec), size, record=True
+            )
+            for c, size in enumerate(sizes)
+        ]
+        for record in (False, True):
+            gens = [stream_for(seed, c, spec) for c in range(len(sizes))]
+            got = _simulate_lockstep(x0, params, horizon, threshold, gens, sizes, record)
+            for paths, ref in zip(got, want):
+                if not record:
+                    ref = igw_process.ChunkPaths(ref.termination, ref.steps)
+                assert_same_paths(paths, ref)
+        # the one-chunk signature is the batch of one
+        alone = simulate_chunk(x0, params, horizon, threshold, stream_for(seed, 1, spec), 7, record=True)
+        assert_same_paths(alone, want[1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_drivers_match_the_oracle(self, workers):
+        tiers = IGWParams(OffspringLaw.binary(0.5), 0.9)
+        threshold = ExtendedCount.from_log(700.0)
+        counts = sum(
+            np.bincount(reference.simulate_chunk(
+                3, tiers, 200, threshold, stream_for(11, c, "mc-death:3"), size
+            ).termination, minlength=3)
+            for c, size in enumerate((RNG_CHUNK, RNG_CHUNK, 452))
+        )
+        result = mc_death_prob(3, tiers, 2500, 200, threshold, 11, workers=workers)
+        assert result.estimate.successes == counts[DIED]
+        assert result.exploded_fraction == counts[EXPLODED] / 2500
+        assert result.undecided_fraction == counts[UNDECIDED] / 2500
+
+        growth = IGWParams(OffspringLaw.binary(0.5), 1.0)
+        level, log_m = ExtendedCount.exact(100), math.log(1.5)
+        far = ExtendedCount(log_value=1e30)
+        want = np.concatenate([
+            _crossing_errors(level, log_m, c, reference.simulate_chunk(
+                6, growth, 256, far, stream_for(12, c, "mc-ratio:6"), size, record=True
+            ))
+            for c, size in enumerate((RNG_CHUNK, RNG_CHUNK, 52))
+        ])
+        got = ratio_crossing_errors(growth, 6, 2100, 100, 12, workers=workers)
+        assert got == [tuple(e) for e in want.tolist()]
+
+    def test_recorded_batches_hold_no_more_than_one_chunk(self):
+        # a recorded run of 8 chunks at horizon 256 peaks near one chunk of
+        # the oracle (1024 x 257 states, logs and ratios, held twice while
+        # the rows become arrays: 13.5 MB), not near 8 of them
+        params = IGWParams(OffspringLaw.explicit({1: 1.0}), 1.0)  # every path reaches the horizon
+        threshold = ExtendedCount.exact(10**6)
+        tracemalloc.start()
+        try:
+            reference.simulate_chunk(
+                5, params, 256, threshold, stream_for(0, 0, "m"), RNG_CHUNK, record=True
+            )
+            one_chunk = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            out = map_chunks(_chunk_size, 5, params, 256, threshold, 0, "m", 8 * RNG_CHUNK, record=True)
+            batched = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == [(c, RNG_CHUNK) for c in range(8)]
+        assert batched <= 1.25 * one_chunk, (batched, one_chunk)
 
 
 #: the scalar simulator and the helpers only tests read; their oracles live
