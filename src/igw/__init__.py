@@ -45,7 +45,7 @@ from .igw_process import (
     RegimeReport,
     TerminationKind,
     classify_regimes,
-    simulate_chunk,
+    simulate_chunks,
 )
 from .reproduction_laws import (
     IGWParams,

@@ -11,12 +11,12 @@ step is deterministic: log X' = x*log(m) + log(m/(m-1)) + log(theta).
 
 :func:`map_chunks` drives every Monte Carlo experiment: replica r belongs
 to chunk r // RNG_CHUNK, and chunk c draws from the stream keyed by (master
-seed, purpose, c).  Consecutive chunks advance in lockstep batches as numpy
-arrays: each step does its bookkeeping once for the whole batch, while each
-chunk draws from its own stream, in its own order: its exact generations,
-then its Gaussian remainders, then its thinning.  A chunk's paths are
-therefore those of :func:`simulate_chunk` on that chunk alone, the batch of
-one.  Within a step, a replica whose total has finished, died or left the
+seed, purpose, c).  :func:`simulate_chunks` advances consecutive chunks in
+lockstep batches as numpy arrays: each step does its bookkeeping once for
+the whole batch, while each chunk draws from its own stream, in its own
+order: its exact generations, then its Gaussian remainders, then its
+thinning.  A chunk's paths are therefore those of the batch of that chunk
+alone.  Within a step, a replica whose total has finished, died or left the
 exact range stays in the running arrays as an inert entry with Z = 0,
 which draws nothing, until half of the entries are inert.
 """
@@ -127,7 +127,7 @@ _LOCKSTEP_CELLS = 16 * RNG_CHUNK
 
 @dataclass(frozen=True)
 class ChunkPaths:
-    """Paths of one chunk of replicas, as advanced by :func:`simulate_chunk`.
+    """Paths of one chunk of replicas, as advanced by :func:`simulate_chunks`.
 
     ``termination[r]`` indexes ``TERMINATIONS`` and ``steps[r]`` is the step
     at which replica r died or exploded (the horizon if undecided).  With
@@ -164,10 +164,7 @@ def _from_log(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def states_below(exact: np.ndarray, logs: np.ndarray, count: ExtendedCount) -> np.ndarray:
     """Vector ``state < count``: integers when both are exact, logs otherwise."""
     if count.is_exact and count.exact_value <= _INT64_MAX:  # type: ignore[operator]
-        below = exact < count.exact_value
-        if np.count_nonzero(exact < 0):
-            below = np.where(exact >= 0, below, logs < count.log())
-        return below
+        return np.where(exact >= 0, exact < count.exact_value, logs < count.log())
     return logs < count.log()
 
 
@@ -192,11 +189,6 @@ class _Streams:
         nothing."""
         parts = [fn(gen, values[lo:hi]) for gen, lo, hi in self.segments] or [fn(self.gens[0], values)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _streams(gen, size: int) -> _Streams:
-    """A lockstep batch as it is, one generator as the batch of one chunk."""
-    return gen if isinstance(gen, _Streams) else _Streams((gen,), np.zeros(size, np.intp))
 
 
 def _next_generations(law: OffspringLaw, z: np.ndarray, streams: _Streams) -> np.ndarray:
@@ -236,8 +228,6 @@ def _point_mass_totals(ctx: LawContext, pm: int, x: np.ndarray) -> tuple[np.ndar
     table = _point_mass_table(pm)
     logs = np.full(x.shape, -np.inf)
     exact_x = x < table.size
-    if np.count_nonzero(exact_x) == x.size:
-        return table[x], logs
     s = np.full(x.shape, -1, np.int64)
     s[exact_x] = table[x[exact_x]]
     g = x[~exact_x].astype(np.float64) * ctx.log_m
@@ -281,13 +271,13 @@ def _remainder_moments(ctx: LawContext, left: np.ndarray) -> tuple[np.ndarray, n
     return log_m + np.log(left * r) + log_e, rho
 
 
-def _remainder_log(ctx: LawContext, z_log: np.ndarray, left: np.ndarray, gen) -> np.ndarray:
+def _remainder_log(ctx: LawContext, z_log: np.ndarray, left: np.ndarray, streams: _Streams) -> np.ndarray:
     """log R, R = Z_{K+1} + ... + Z_{K+L} once Z_K = z has left the exact
     range with L generations to go: z i.i.d. copies of S_L, drawn as one
     Gaussian with their exact mean and variance, clamped at R >= 0.  One
     standard normal per entry, from its chunk's stream."""
     log_mu, rho = _remainder_moments(ctx, left)
-    normals = _streams(gen, left.size).draw(lambda g, part: g.standard_normal(part.size), left)
+    normals = streams.draw(lambda gen, part: gen.standard_normal(part.size), left)
     noise = np.sqrt(rho * np.exp(-z_log)) * normals
     with np.errstate(divide="ignore"):
         return z_log + log_mu + np.log1p(np.maximum(noise, -1.0))
@@ -305,12 +295,12 @@ def _finishes(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield 0, order[:0]
 
 
-def _chunk_totals(ctx: LawContext, x: np.ndarray, gen) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_totals(ctx: LawContext, x: np.ndarray, streams: _Streams) -> tuple[np.ndarray, np.ndarray]:
     """S_x for each entry of x (all >= 1): exact values, -1 where S left the
     exact range, and logs, read only there.  Each replica runs its own x
     generations from one ancestor: exact generations while Z stays within
     the cap, then one Gaussian draw for the rest of the sum
-    (:func:`_remainder_log`).  ``gen`` is a generator or a lockstep batch.
+    (:func:`_remainder_log`).
 
     No entry leaves the running arrays until half of them are inert: one
     that finishes, dies or leaves the exact range keeps Z = 0, which draws
@@ -323,7 +313,6 @@ def _chunk_totals(ctx: LawContext, x: np.ndarray, gen) -> tuple[np.ndarray, np.n
     law = ctx.law
     if law.point_mass is not None:
         return _point_mass_totals(ctx, law.point_mass, x)
-    streams = _streams(gen, x.size)
     owner = streams.owner
     s = np.zeros(x.size, np.int64)
     s_log = np.full(x.size, -np.inf)
@@ -405,27 +394,22 @@ def _thinned(theta: float, s: np.ndarray, s_log, streams: _Streams) -> tuple[np.
     with logs everywhere: one exact binomial draw per exact total, from its
     chunk's stream, and a shift by log(theta) in the log range."""
     exact = s >= 0
-    if np.count_nonzero(exact) == s.size:
-        if theta < 1.0:
-            s = streams.draw(lambda gen, n: gen.binomial(n, theta), s)
-        return s, _log_of(s)
-    s[exact], s_log[exact] = _thinned(theta, s[exact], None, streams[exact])
     if theta < 1.0:
+        s[exact] = streams[exact].draw(lambda gen, n: gen.binomial(n, theta), s[exact])
         s[~exact], s_log[~exact] = _from_log(s_log[~exact] + math.log(theta))
+    s_log[exact] = _log_of(s[exact])
     return s, s_log
 
 
 def _chunk_step(
-    ctx: LawContext, theta: float, xi: np.ndarray, xl: np.ndarray, gen
+    ctx: LawContext, theta: float, xi: np.ndarray, xl: np.ndarray, streams: _Streams
 ) -> tuple[np.ndarray, np.ndarray]:
     """One transition for every replica (all states nonzero).  States are
     (exact values, -1 in the log tier; logs).  An exact state x moves to the
     theta-thinning of S_x: one exact binomial draw while S is exact, a shift
     by log(theta) once S has left the exact range.  A log-tier state moves
     deterministically to log X' = X log m + log(m/(m-1)) + log(theta).
-    ``gen`` is a generator or a lockstep batch; each chunk draws its totals,
-    then its thinning."""
-    streams = _streams(gen, xi.size)
+    Each chunk draws its totals, then its thinning."""
     with np.errstate(divide="ignore"):
         big = xi < 0
         if not np.count_nonzero(big):
@@ -444,45 +428,27 @@ def _chunk_step(
         return ni, nl
 
 
-def simulate_chunk(
+def simulate_chunks(
     x0: int,
     params: IGWParams,
     horizon: int,
-    explosion_threshold: Union[int, ExtendedCount],
-    gen: np.random.Generator,
-    size: int = RNG_CHUNK,
-    *,
-    record: bool = False,
-) -> ChunkPaths:
-    """Iterate ``size`` independent copies of the chain from x0, all drawing
-    from ``gen``, until each dies, crosses ``explosion_threshold`` or reaches
-    the horizon.  Death is the first zero state, explosion the first state
-    at or above the threshold; paths still undecided at the horizon keep
-    their own verdict and are never folded into either class.
-
-    This is the lockstep batch of one chunk (:func:`_simulate_lockstep`):
-    at every step the chunk draws its exact generations, then its Gaussian
-    remainders, then its thinning.  Exact states are int64, so the law's
-    largest offspring count must keep DEFAULT_EXACT_CAP * max_k below
-    2**63.  Per-step states and ratios are kept only with ``record``.
-    """
-    return _simulate_lockstep(x0, params, horizon, explosion_threshold, [gen], [size], record)[0]
-
-
-def _simulate_lockstep(
-    x0: int,
-    params: IGWParams,
-    horizon: int,
-    explosion_threshold: Union[int, ExtendedCount],
+    threshold: Union[int, ExtendedCount],
     gens: Sequence[np.random.Generator],
     sizes: Sequence[int],
-    record: bool,
+    *,
+    record: bool = False,
 ) -> list[ChunkPaths]:
-    """The paths of a batch of chunks, chunk c holding ``sizes[c]`` replicas
-    that draw from ``gens[c]``, advanced in lockstep: each step does its
-    bookkeeping once for the whole batch, and each chunk draws in its own
-    order (:func:`_chunk_step`) from its own stream, so every chunk's paths
-    are those of :func:`simulate_chunk` on that chunk alone."""
+    """Advance chunk c's ``sizes[c]`` replicas of the chain from x0, drawing
+    from ``gens[c]``, until each dies (a zero state), explodes (a state at
+    or above ``threshold``) or reaches the horizon undecided, a verdict of
+    its own.  The chunks step in lockstep, each drawing in its own order
+    (:func:`_chunk_step`) from its own stream, so a chunk's paths are those
+    of the batch of that chunk alone.  Exact states are int64, so the law's
+    largest offspring count must keep DEFAULT_EXACT_CAP * max_k below 2**63.
+    Per-step states and ratios are kept only with ``record``.
+    """
+    if not len(gens) == len(sizes) >= 1:
+        raise ValueError("need one generator per chunk and at least one chunk")
     if x0 < 1:
         raise ValueError("start the chain from a positive state")
     if x0 > _INT64_MAX:
@@ -497,7 +463,6 @@ def _simulate_lockstep(
             f"offspring counts up to {law.max_k} can overflow int64 generation sizes "
             f"above the exact cap {DEFAULT_EXACT_CAP}"
         )
-    threshold = explosion_threshold
     if not isinstance(threshold, ExtendedCount):
         threshold = ExtendedCount.exact(int(threshold))
     start = ExtendedCount.exact(x0)
@@ -514,7 +479,13 @@ def _simulate_lockstep(
     steps = np.full(size, horizon, np.int64)
     xi = np.full(size, x0, np.int64)
     xl = np.full(size, math.log(x0))
-    rows_exact, rows_log, rows_ratio = [xi.copy()], [xl.copy()], []
+    if record:
+        # step n writes row n + 1 of the states and row n of the ratios, -1
+        # and nan for replicas already decided; later rows are never read
+        exact = np.empty((horizon + 1, size), np.int64)
+        logs = np.empty((horizon + 1, size))
+        ratio = np.empty((horizon, size))
+        exact[0], logs[0] = xi, xl
 
     live = np.arange(size)
     if not start < threshold:
@@ -533,14 +504,13 @@ def _simulate_lockstep(
             with np.errstate(over="ignore"):
                 y = np.where(xi >= 0, nl / xi, ctx.log_m + shift / np.exp(xl))
             y[died] = np.nan
-            for rows, values, fill in (
-                (rows_exact, ni, -1),
-                (rows_log, nl, np.nan),
-                (rows_ratio, y, np.nan),
+            for row, values, fill in (
+                (exact[n + 1], ni, -1),
+                (logs[n + 1], nl, np.nan),
+                (ratio[n], y, np.nan),
             ):
-                row = np.full(size, fill, values.dtype)
+                row.fill(fill)
                 row[live] = values
-                rows.append(row)
         exploded = ~died & ~states_below(ni, nl, threshold)
         done = died | exploded
         if np.count_nonzero(done):
@@ -553,15 +523,13 @@ def _simulate_lockstep(
         xi, xl = ni, nl
 
     bounds = np.cumsum([0, *sizes]).tolist()
-    if not record:
-        return [ChunkPaths(termination[lo:hi], steps[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    exact, logs = np.array(rows_exact), np.array(rows_log)
-    ratio = np.array(rows_ratio) if rows_ratio else np.empty((0, size))
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
-        # a chunk's rows end with the step of its last verdict
-        last = int(steps[lo:hi].max())
-        rows = exact[: last + 1, lo:hi], logs[: last + 1, lo:hi], ratio[:last, lo:hi]
+        rows = ()
+        if record:
+            # a chunk's rows end with the step of its last verdict
+            last = int(steps[lo:hi].max())
+            rows = exact[: last + 1, lo:hi], logs[: last + 1, lo:hi], ratio[:last, lo:hi]
         out.append(ChunkPaths(termination[lo:hi], steps[lo:hi], *rows))
     return out
 
@@ -571,7 +539,7 @@ def _run_batch(summarise, x0, params, horizon, threshold, master_seed, purpose, 
     lockstep batch."""
     gens = [stream_for(master_seed, index, purpose) for index, _ in batch]
     sizes = [size for _, size in batch]
-    paths = _simulate_lockstep(x0, params, horizon, threshold, gens, sizes, record)
+    paths = simulate_chunks(x0, params, horizon, threshold, gens, sizes, record=record)
     return [summarise(index, chunk) for (index, _), chunk in zip(batch, paths)]
 
 
@@ -593,7 +561,7 @@ def map_chunks(
 
     Chunk c draws from ``stream_for(master_seed, c, purpose)``, so the
     result is identical at any worker count.  Consecutive chunks run as
-    lockstep batches (:func:`_simulate_lockstep`), each chunk still drawing
+    lockstep batches (:func:`simulate_chunks`), each chunk still drawing
     its own generations, Gaussian remainders and thinning in its own order;
     a batch holds at most ``_LOCKSTEP_CELLS`` replicas times recorded rows.
     ``workers`` > 1 spreads the batches over that many processes, never more

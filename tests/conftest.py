@@ -1,6 +1,7 @@
 """Shared test helpers: an exact rational enumeration oracle for small
-branching systems, independent of the production pgf composition, and the
-first step of the batched simulator."""
+branching systems, independent of the production pgf composition; the
+first step of the batched simulator; and one generator as the streams of
+a batch of one chunk."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from igw import ExtendedCount, IGWParams, OffspringLaw, simulate_chunk
+from igw import ExtendedCount, IGWParams, OffspringLaw, simulate_chunks
+from igw.igw_process import _Streams
 
 
 def law_fractions(law: OffspringLaw) -> dict[int, Fraction]:
@@ -72,8 +74,14 @@ def first_states(
     """(exact, log) of X_1 from x for n replicas, as one chunk of the
     batched engine; exact is -1 for a log-tier state.  At theta = 1,
     X_1 = S_x, and from x = 1 it is one offspring draw."""
-    paths = simulate_chunk(x, params, 1, ExtendedCount.from_log(1e20), gen, n, record=True)
+    paths = simulate_chunks(x, params, 1, ExtendedCount.from_log(1e20), [gen], [n], record=True)[0]
     return paths.exact[1], paths.log[1]
+
+
+def streams_of(gen: np.random.Generator, n: int) -> _Streams:
+    """The streams of n entries that all belong to one chunk drawing from
+    ``gen``, as the engine's inner steps take them."""
+    return _Streams((gen,), np.zeros(n, np.intp))
 
 
 @st.composite

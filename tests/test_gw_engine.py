@@ -10,10 +10,11 @@ from igw import (
     ExtendedCount,
     IGWParams,
     OffspringLaw,
+    RNG_CHUNK,
     RegimeError,
     mean,
     parse_law_spec,
-    simulate_chunk,
+    simulate_chunks,
     stream_for,
     variance,
 )
@@ -22,7 +23,7 @@ from igw.gw_engine import _iterates, _trapezoid_grid, law_context
 from igw.igw_process import _chunk_step, _chunk_totals, _remainder_log, _remainder_moments
 
 import reference
-from conftest import enumerate_joint, enumerate_total_progeny, first_states, law_fractions
+from conftest import enumerate_joint, enumerate_total_progeny, first_states, law_fractions, streams_of
 
 
 def totals(law: OffspringLaw, x: int, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +170,9 @@ class TestTotalProgeny:
     def test_recording_flag_consumes_same_draws(self, binary_half):
         params = IGWParams(binary_half, 0.7)
         runs = [
-            simulate_chunk(2, params, 10, ExtendedCount.exact(10**9), stream_for(2, 7, "flag"), record=record)
+            simulate_chunks(
+                2, params, 10, ExtendedCount.exact(10**9), [stream_for(2, 7, "flag")], [RNG_CHUNK], record=record
+            )[0]
             for record in (False, True)
         ]
         assert np.array_equal(runs[0].termination, runs[1].termination)
@@ -253,7 +256,7 @@ class TestRemainder:
         n = 20_000
         z_log = np.full(n, 50 * math.log(2.0))
         left = np.full(n, left, np.int64)
-        log_r = _remainder_log(ctx, z_log, left, stream_for(5, left[0], spec))
+        log_r = _remainder_log(ctx, z_log, left, streams_of(stream_for(5, left[0], spec), n))
         log_mu, rho = _remainder_moments(ctx, left)
         w = np.expm1(log_r - (z_log + log_mu)) / np.sqrt(rho * np.exp(-z_log))
         assert abs(w.mean()) <= 4 / math.sqrt(n)
@@ -268,7 +271,7 @@ class TestRemainder:
         z_log = np.full(left.size, math.log(DEFAULT_EXACT_CAP + 1.0))
         log_mu, rho = _remainder_moments(ctx, left)
         assert np.isfinite(log_mu).all() and np.isfinite(rho).all() and (rho > 0).all()
-        log_r = _remainder_log(ctx, z_log, left, stream_for(6, 0, spec))
+        log_r = _remainder_log(ctx, z_log, left, streams_of(stream_for(6, 0, spec), left.size))
         assert not np.isnan(log_r).any() and (log_r < np.inf).all()
         assert np.isfinite(np.logaddexp(z_log, log_r)).all()
 
@@ -281,8 +284,8 @@ class TestThin:
         # totals carry logs only past the cap, the step everywhere
         ctx = law_context(binary_half)
         x = np.arange(1, 200)
-        want, want_log = _chunk_totals(ctx, x, stream_for(0, 0, "t"))
-        got, got_log = _chunk_step(ctx, 1.0, x, np.log(x), stream_for(0, 0, "t"))
+        want, want_log = _chunk_totals(ctx, x, streams_of(stream_for(0, 0, "t"), x.size))
+        got, got_log = _chunk_step(ctx, 1.0, x, np.log(x), streams_of(stream_for(0, 0, "t"), x.size))
         assert np.array_equal(got, want) and (want < 0).any() and (want >= 0).any()
         assert np.array_equal(got_log, np.where(want < 0, want_log, np.log(np.maximum(want, 1))))
 

@@ -26,18 +26,18 @@ from igw import (
     mc_death_prob,
     parse_law_spec,
     ratio_crossing_errors,
-    simulate_chunk,
+    simulate_chunks,
     stream_for,
 )
 import igw.igw_process as igw_process
 from igw.analysis import _crossing_errors
 from igw.igw_process import (
-    DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, _simulate_lockstep, map_chunks,
+    DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, map_chunks,
 )
 from igw.gw_engine import law_context
 
 import reference
-from conftest import first_states
+from conftest import first_states, streams_of
 
 FAR = ExtendedCount.from_log(1e20)
 
@@ -51,7 +51,8 @@ class TestStep:
 
         monkeypatch.setattr(igw_process, "_chunk_step", checked)
         params = IGWParams(OffspringLaw.explicit({0: 0.5, 2: 0.5}), 0.5)
-        paths = simulate_chunk(2, params, 40, ExtendedCount.exact(10**9), stream_for(8, 0, "abs"))
+        gen = stream_for(8, 0, "abs")
+        paths = simulate_chunks(2, params, 40, ExtendedCount.exact(10**9), [gen], [RNG_CHUNK])[0]
         assert (paths.termination == DIED).sum() > 100
 
     def test_deterministic_step(self):
@@ -104,7 +105,7 @@ class TestStep:
     def test_log_tier_step_is_deterministic_growth(self):
         params = IGWParams(OffspringLaw.binary(0.5), 0.8)
         ni, nl = _chunk_step(
-            law_context(params.law), 0.8, np.array([-1]), np.array([100.0]), stream_for(0, 0, "s")
+            law_context(params.law), 0.8, np.array([-1]), np.array([100.0]), streams_of(stream_for(0, 0, "s"), 1)
         )
         expected = math.exp(100.0) * math.log(1.5) + math.log(1.5 / 0.5) + math.log(0.8)
         assert ni[0] == -1 and nl[0] == pytest.approx(expected, rel=1e-12)
@@ -112,20 +113,22 @@ class TestStep:
     def test_log_tier_needs_supercritical(self):
         ctx = law_context(OffspringLaw.explicit({0: 0.5, 1: 0.5}))
         with pytest.raises(RegimeError):
-            _chunk_step(ctx, 1.0, np.array([-1]), np.array([100.0]), stream_for(0, 0, "s"))
+            _chunk_step(ctx, 1.0, np.array([-1]), np.array([100.0]), streams_of(stream_for(0, 0, "s"), 1))
 
 
 class TestTrajectory:
     def test_immediate_death(self):
         params = IGWParams(OffspringLaw.explicit({0: 1.0}), 0.9)
-        paths = simulate_chunk(1, params, 50, ExtendedCount.exact(10**6), stream_for(0, 0, "t"), 1, record=True)
+        gen = stream_for(0, 0, "t")
+        paths = simulate_chunks(1, params, 50, ExtendedCount.exact(10**6), [gen], [1], record=True)[0]
         assert TERMINATIONS[paths.termination[0]] is TerminationKind.DIED
         assert paths.steps[0] == 1
         assert paths.exact[1, 0] == 0
 
     def test_deterministic_prefix_and_explosion(self):
         params = IGWParams(OffspringLaw.explicit({2: 1.0}), 1.0)
-        paths = simulate_chunk(1, params, 50, ExtendedCount.exact(10**6), stream_for(0, 0, "t"), 1, record=True)
+        gen = stream_for(0, 0, "t")
+        paths = simulate_chunks(1, params, 50, ExtendedCount.exact(10**6), [gen], [1], record=True)[0]
         assert TERMINATIONS[paths.termination[0]] is TerminationKind.EXPLODED
         assert paths.exact[:4, 0].tolist() == [1, 2, 6, 126]
         # S_126 = 2^127 - 2 crosses any desk-scale threshold
@@ -134,7 +137,7 @@ class TestTrajectory:
 
     def test_never_dies_without_thinning(self):
         params = IGWParams(OffspringLaw.binary(0.5), 1.0)
-        paths = simulate_chunk(5, params, 30, FAR, stream_for(4, 0, "nd"), 50, record=True)
+        paths = simulate_chunks(5, params, 30, FAR, [stream_for(4, 0, "nd")], [50], record=True)[0]
         assert not (paths.termination == DIED).any()
         for r in range(50):
             assert (np.diff(paths.log[: paths.steps[r] + 1, r]) >= 0).all()
@@ -142,7 +145,8 @@ class TestTrajectory:
     def test_absorption_invariant(self):
         # a path dies at its first zero state and is reported at that step
         params = IGWParams(OffspringLaw.explicit({0: 0.5, 2: 0.5}), 0.5)
-        paths = simulate_chunk(2, params, 40, ExtendedCount.exact(10**9), stream_for(8, 0, "abs"), 200, record=True)
+        gen = stream_for(8, 0, "abs")
+        paths = simulate_chunks(2, params, 40, ExtendedCount.exact(10**9), [gen], [200], record=True)[0]
         for r in range(200):
             n = paths.steps[r]
             assert (paths.exact[1:n, r] != 0).all()
@@ -150,7 +154,7 @@ class TestTrajectory:
 
     def test_ratios_defined_where_expected(self):
         params = IGWParams(OffspringLaw.binary(0.5), 0.5)
-        paths = simulate_chunk(1, params, 20, FAR, stream_for(5, 0, "r"), 200, record=True)
+        paths = simulate_chunks(1, params, 20, FAR, [stream_for(5, 0, "r")], [200], record=True)[0]
         assert (paths.termination == DIED).any() and (paths.termination == EXPLODED).any()
         for r in range(200):
             n = paths.steps[r]
@@ -200,7 +204,8 @@ class TestChunkEngine:
         chunks, size = 16, 1024
         dead_by = np.zeros(4)
         for c in range(chunks):
-            paths = simulate_chunk(x, params, 4, ExtendedCount.exact(10**9), stream_for(5, c, spec))
+            gen = stream_for(5, c, spec)
+            paths = simulate_chunks(x, params, 4, ExtendedCount.exact(10**9), [gen], [size])[0]
             died = paths.termination == DIED
             dead_by += [np.sum(died & (paths.steps <= n)) for n in range(1, 5)]
         total = chunks * size
@@ -220,7 +225,7 @@ class TestChunkEngine:
         threshold = ExtendedCount.from_log(700.0)
         counts = np.zeros(3)
         for c in range(4):
-            paths = simulate_chunk(1, params, 200, threshold, stream_for(6, c, "tiers"))
+            paths = simulate_chunks(1, params, 200, threshold, [stream_for(6, c, "tiers")], [RNG_CHUNK])[0]
             counts += np.bincount(paths.termination, minlength=3)
         n_chunk = counts.sum()
         n_ref = 1500
@@ -261,9 +266,9 @@ class TestChunkEngine:
 
     def test_undecided_paths_kept_apart_and_nondecreasing(self):
         params = IGWParams(OffspringLaw.binary(0.5), 1.0)
-        paths = simulate_chunk(
-            5, params, 3, ExtendedCount.from_log(1e20), stream_for(4, 0, "nd"), 300, record=True
-        )
+        paths = simulate_chunks(
+            5, params, 3, ExtendedCount.from_log(1e20), [stream_for(4, 0, "nd")], [300], record=True
+        )[0]
         assert (paths.termination == UNDECIDED).all() and (paths.steps == 3).all()
         assert paths.exact.shape == (4, 300) and paths.ratio.shape == (3, 300)
         assert (np.diff(paths.log, axis=0) >= 0).all()
@@ -274,7 +279,7 @@ class TestChunkEngine:
 
     def test_threshold_at_start_explodes_at_step_zero(self):
         params = IGWParams(OffspringLaw.binary(0.5), 0.9)
-        paths = simulate_chunk(5, params, 10, ExtendedCount.exact(5), stream_for(0, 0, "t"), 8)
+        paths = simulate_chunks(5, params, 10, ExtendedCount.exact(5), [stream_for(0, 0, "t")], [8])[0]
         assert (paths.termination == EXPLODED).all() and (paths.steps == 0).all()
 
     def test_validation(self):
@@ -282,17 +287,28 @@ class TestChunkEngine:
         gen = stream_for(0, 0, "t")
         threshold = ExtendedCount.exact(10**6)
         with pytest.raises(ValueError):
-            simulate_chunk(0, params, 10, threshold, gen)
+            simulate_chunks(0, params, 10, threshold, [gen], [8])
         with pytest.raises(ValueError):
-            simulate_chunk(1, params, 0, threshold, gen)
+            simulate_chunks(1, params, 0, threshold, [gen], [8])
         with pytest.raises(ValueError):
-            simulate_chunk(10, params, 10, ExtendedCount.exact(5), gen)
+            simulate_chunks(10, params, 10, ExtendedCount.exact(5), [gen], [8])
+        with pytest.raises(ValueError, match="replica"):
+            simulate_chunks(1, params, 10, threshold, [gen], [0])
+
+    def test_one_generator_per_chunk(self):
+        # one generator for two chunks, two for one, and no chunk at all
+        params = IGWParams(OffspringLaw.binary(0.5), 0.9)
+        threshold = ExtendedCount.exact(10**6)
+        two = [stream_for(0, c, "t") for c in range(2)]
+        for gens, sizes in ((two[:1], [3, 3]), (two, [3]), ([], [])):
+            with pytest.raises(ValueError, match="one generator per chunk"):
+                simulate_chunks(1, params, 10, threshold, gens, sizes)
 
     def test_rejects_laws_that_overflow_int64(self):
         # 2^48 individuals with up to 2^15 children each reach 2^63
         wide = OffspringLaw.explicit({1: 0.5, 2**15: 0.5}, max_k=2**15)
         with pytest.raises(ValueError, match="int64"):
-            simulate_chunk(1, IGWParams(wide, 1.0), 10, ExtendedCount.exact(10**6), stream_for(0, 0, "t"))
+            simulate_chunks(1, IGWParams(wide, 1.0), 10, ExtendedCount.exact(10**6), [stream_for(0, 0, "t")], [8])
 
 
 def _chunk_size(index, paths):
@@ -379,13 +395,14 @@ class TestOracle:
         ]
         for record in (False, True):
             gens = [stream_for(seed, c, spec) for c in range(len(sizes))]
-            got = _simulate_lockstep(x0, params, horizon, threshold, gens, sizes, record)
+            got = simulate_chunks(x0, params, horizon, threshold, gens, sizes, record=record)
             for paths, ref in zip(got, want):
                 if not record:
                     ref = igw_process.ChunkPaths(ref.termination, ref.steps)
                 assert_same_paths(paths, ref)
-        # the one-chunk signature is the batch of one
-        alone = simulate_chunk(x0, params, horizon, threshold, stream_for(seed, 1, spec), 7, record=True)
+        # a chunk alone is the batch of one
+        gen = stream_for(seed, 1, spec)
+        alone = simulate_chunks(x0, params, horizon, threshold, [gen], [7], record=True)[0]
         assert_same_paths(alone, want[1])
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -416,9 +433,10 @@ class TestOracle:
         assert got == [tuple(e) for e in want.tolist()]
 
     def test_recorded_batches_hold_no_more_than_one_chunk(self):
-        # a recorded run of 8 chunks at horizon 256 peaks near one chunk of
-        # the oracle (1024 x 257 states, logs and ratios, held twice while
-        # the rows become arrays: 13.5 MB), not near 8 of them
+        # a recorded run of 8 chunks at horizon 256 holds one chunk's rows
+        # at a time, each written once (1024 x 257 states, logs and ratios:
+        # 6.3 MB), about half the peak of the oracle, which holds its rows
+        # twice while they become arrays
         params = IGWParams(OffspringLaw.explicit({1: 1.0}), 1.0)  # every path reaches the horizon
         threshold = ExtendedCount.exact(10**6)
         tracemalloc.start()
@@ -433,13 +451,16 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert out == [(c, RNG_CHUNK) for c in range(8)]
-        assert batched <= 1.25 * one_chunk, (batched, one_chunk)
+        assert batched <= 0.6 * one_chunk, (batched, one_chunk)
 
 
 #: the scalar simulator and the helpers only tests read; their oracles live
 #: in tests/reference.py
 REMOVED = {
-    "igw_process": ("step", "simulate_trajectory", "asymptotic_ratios", "Trajectory", "RatioRow"),
+    "igw_process": (
+        "step", "simulate_trajectory", "asymptotic_ratios", "Trajectory", "RatioRow",
+        "simulate_chunk", "_simulate_lockstep", "_streams",
+    ),
     "gw_engine": (
         "simulate_total_progeny", "thin", "_next_generation_exact", "INDIVIDUAL_DRAW_LIMIT",
         "_logaddexp", "_log_of_int", "ZERO_COUNT", "RngStream",

@@ -14,7 +14,7 @@ from igw import (
     OffspringLaw,
     finite_horizon_death,
     one_step_dist,
-    simulate_chunk,
+    simulate_chunks,
     stream_for,
 )
 from igw.igw_process import DIED
@@ -42,7 +42,8 @@ def test_finite_horizon_death_matches_simulator():
     params = IGWParams(OffspringLaw.binary(0.5), 0.7)
     x, horizon, n = 2, 4, 40_000
     iv = finite_horizon_death(x, params, horizon, CAPS)
-    paths = simulate_chunk(x, params, horizon, ExtendedCount.from_log(700.0), stream_for(404, 0, "fh"), n)
+    gen = stream_for(404, 0, "fh")
+    paths = simulate_chunks(x, params, horizon, ExtendedCount.from_log(700.0), [gen], [n])[0]
     freq = float(np.mean((paths.termination == DIED) & (paths.steps <= horizon)))
     se = math.sqrt(freq * (1 - freq) / n)
     assert iv.lo - 4 * se <= freq <= iv.hi + 4 * se
