@@ -95,10 +95,12 @@ def _parse_threshold(text: str) -> ExtendedCount:
         value = float(text)
     except ValueError:
         raise _UsageError(f"--threshold {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise _UsageError(f"--threshold {text!r} is not finite")
     if value < 1:
         raise _UsageError("--threshold must be >= 1")
     if value <= DEFAULT_EXACT_CAP:
-        return ExtendedCount.exact(int(value))
+        return ExtendedCount.exact(math.ceil(value))  # states are counts: 1.5 means 2
     return ExtendedCount(log_value=math.log(value))
 
 
@@ -162,7 +164,9 @@ _FLAGS = {
         type=int, default=1, help="processes, at most one per CPU; the output does not depend on it"
     ),
     "replicas": dict(type=int, default=10000),
-    "threshold": dict(default="1e9", help="state at which a path counts as exploded"),
+    "threshold": dict(
+        default="1e9", help="state at which a path counts as exploded; a fraction rounds up"
+    ),
     "confidence": dict(type=float, default=0.99, help="level of the Wilson interval"),
 }
 

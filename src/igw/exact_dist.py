@@ -379,13 +379,16 @@ def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDi
 def one_step_death_prob(x: int, params: IGWParams) -> float:
     """P_x(X_1 = 0) = E((1-theta)^{S_x}), by the scalar recursion
     a_0 = 1, a_{j+1} = f(t * a_j) at t = 1 - theta; exact to float precision
-    with no truncation of any kind."""
+    with no truncation of any kind.  Once a step returns a_j bit for bit,
+    every later step does too, so the recursion stops there."""
     if x < 0:
         raise ValueError("x must be nonnegative")
     t = 1.0 - params.theta
     a = 1.0
     for _ in range(x):
-        a = pgf_eval(params.law, t * a)
+        a, previous = pgf_eval(params.law, t * a), a
+        if a == previous:
+            break
     return a
 
 

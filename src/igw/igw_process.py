@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -283,18 +283,6 @@ def _remainder_log(ctx: LawContext, z_log: np.ndarray, left: np.ndarray, streams
         return z_log + log_mu + np.log1p(np.maximum(noise, -1.0))
 
 
-def _finishes(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(generation, positions of the entries of x that end there), in
-    increasing generation, then (0, -) for ever."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    bounds = [0, *(np.flatnonzero(xs[1:] != xs[:-1]) + 1).tolist(), x.size]
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield int(xs[lo]), order[lo:hi]
-    while True:
-        yield 0, order[:0]
-
-
 def _chunk_totals(ctx: LawContext, x: np.ndarray, streams: _Streams) -> tuple[np.ndarray, np.ndarray]:
     """S_x for each entry of x (all >= 1): exact values, -1 where S left the
     exact range, and logs, read only there.  Each replica runs its own x
@@ -305,10 +293,11 @@ def _chunk_totals(ctx: LawContext, x: np.ndarray, streams: _Streams) -> tuple[np
     No entry leaves the running arrays until half of them are inert: one
     that finishes, dies or leaves the exact range keeps Z = 0, which draws
     nothing and adds nothing.  A generation is then one draw per chunk, one
-    sum and one cap test.  Entries finish in the order of their sorted x;
-    sums already in the log range advance on their own index set.  Each
-    chunk draws its generations, then the Gaussian remainders of its entries
-    in the order they left the range.
+    sum, one cap test and one compare of x with the generation.  Sums in the
+    log range advance on their own index set, which a sum joins once it
+    crosses the cap; the entries of that set whose Z is past the cap are the
+    only ones that leave the exact range.  Each chunk draws its generations,
+    then its Gaussian remainders by the generation they left at, then entry.
     """
     law = ctx.law
     if law.point_mass is not None:
@@ -321,17 +310,7 @@ def _chunk_totals(ctx: LawContext, x: np.ndarray, streams: _Streams) -> tuple[np
     idx, xr, z, rs, rl = np.arange(x.size), x, np.ones(x.size, np.int64), s.copy(), s_log.copy()
     lg = idx[:0]  # running entries whose sum is in the log range
     gauss = []  # (generation, output index, log Z, generations left) of entries that left
-    finishes = _finishes(xr)
-    k_end, ends = next(finishes)
     k = 0
-
-    def leave(at: np.ndarray, z_at: np.ndarray) -> None:
-        left = xr[at] - k
-        on = left > 0
-        if np.count_nonzero(on):
-            gauss.append((np.full(np.count_nonzero(on), k), idx[at[on]], _log_of(z_at[on]), left[on]))
-        z[at] = 0
-
     while True:
         k += 1
         z = _next_generations(law, z, streams)
@@ -342,28 +321,27 @@ def _chunk_totals(ctx: LawContext, x: np.ndarray, streams: _Streams) -> tuple[np
                 lg, z_lg = lg[z_lg > 0], z_lg[z_lg > 0]
             rl[lg] = np.logaddexp(rl[lg], _log_of(z_lg))
             rs[lg] = 0
-            out = z_lg > DEFAULT_EXACT_CAP
-            if np.count_nonzero(out):
-                leave(lg[out], z_lg[out])
-                lg = lg[~out]
-        over = rs > DEFAULT_EXACT_CAP
-        if np.count_nonzero(over):
-            at = np.flatnonzero(over)
-            z_at = z[at]
-            out = z_at > DEFAULT_EXACT_CAP
-            # a sum that crossed the cap joins the log range ...
-            summed = at[~out]
-            rl[summed] = _log_of(rs[summed])
-            lg = np.concatenate((lg, summed))
-            # ... and so does one whose generation left the exact range
-            if np.count_nonzero(out):
-                at, z_at = at[out], z_at[out]
-                rl[at] = np.logaddexp(_log_of(rs[at] - z_at), _log_of(z_at))
-                leave(at, z_at)
+        over = (rs > DEFAULT_EXACT_CAP).nonzero()[0]
+        if over.size:
+            # a sum that crossed the cap joins the log range, its last
+            # generation apart if that one is past the cap too
+            sums, z_over = rs[over], z[over]
+            rl[over] = np.where(
+                z_over > DEFAULT_EXACT_CAP,
+                np.logaddexp(_log_of(sums - z_over), _log_of(z_over)),
+                _log_of(sums),
+            )
             rs[over] = 0
-        if k == k_end:
-            z[ends] = 0
-            k_end, ends = next(finishes)
+            lg = np.concatenate((lg, over))
+        z[xr == k] = 0  # before the cap test: a finished sum has nothing left to draw
+        if lg.size:
+            # an exact sum within the cap bounds its last generation, so only
+            # a log sum can hold a Z past the cap: the rest of its sum is Gaussian
+            out = z[lg] > DEFAULT_EXACT_CAP
+            if np.count_nonzero(out):
+                at, lg = lg[out], lg[~out]
+                gauss.append((np.full(at.size, k), idx[at], _log_of(z[at]), xr[at] - k))
+                z[at] = 0
         alive = np.count_nonzero(z)
         if not alive:
             break
@@ -374,8 +352,6 @@ def _chunk_totals(ctx: LawContext, x: np.ndarray, streams: _Streams) -> tuple[np
             lg = (np.cumsum(keep) - 1)[lg[keep[lg]]]
             idx, xr, z, rs, rl = idx[keep], xr[keep], z[keep], rs[keep], rl[keep]
             streams = streams[keep]
-            finishes = _finishes(xr)
-            k_end, ends = next(finishes)
     s[idx], s_log[idx] = rs, rl
     if gauss:
         kk, g, z_log, left = (np.concatenate(parts) for parts in zip(*gauss))
@@ -432,7 +408,7 @@ def simulate_chunks(
     x0: int,
     params: IGWParams,
     horizon: int,
-    threshold: Union[int, ExtendedCount],
+    threshold: Union[float, ExtendedCount],
     gens: Sequence[np.random.Generator],
     sizes: Sequence[int],
     *,
@@ -464,7 +440,7 @@ def simulate_chunks(
             f"above the exact cap {DEFAULT_EXACT_CAP}"
         )
     if not isinstance(threshold, ExtendedCount):
-        threshold = ExtendedCount.exact(int(threshold))
+        threshold = ExtendedCount.exact(math.ceil(threshold))  # a state explodes at >= threshold
     start = ExtendedCount.exact(x0)
     if threshold < start:
         raise ValueError("explosion threshold must be at least the start state")
@@ -548,7 +524,7 @@ def map_chunks(
     x0: int,
     params: IGWParams,
     horizon: int,
-    threshold: Union[int, ExtendedCount],
+    threshold: Union[float, ExtendedCount],
     master_seed: int,
     purpose: str,
     replicas: int,

@@ -342,6 +342,15 @@ class TestMcDeath:
         b = mc_death_prob(2, params, 4000, 40, ExtendedCount.exact(10**5), master_seed=9, workers=3)
         assert a == b
 
+    def test_fractional_threshold_rounds_up(self):
+        # a state explodes at >= threshold, so 1.5 is 2 and state 1 is below it
+        params = IGWParams(OffspringLaw.binary(0.5), 0.9)
+        a = mc_death_prob(1, params, 200, 20, 1.5, master_seed=1)
+        assert a == mc_death_prob(1, params, 200, 20, 2, master_seed=1)
+        assert a == mc_death_prob(1, params, 200, 20, ExtendedCount.exact(2), master_seed=1)
+        assert a.exploded_fraction < 1.0
+        assert mc_death_prob(3, params, 200, 20, 2.5, master_seed=1).exploded_fraction == 1.0
+
     @pytest.mark.parametrize("confidence", [0.0, 1.0, math.nan, -0.5, 1.5])
     def test_bad_confidence_rejected_before_any_replica(self, monkeypatch, confidence):
         def forbidden(*args, **kwargs):

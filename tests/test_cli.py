@@ -194,6 +194,25 @@ class TestErrorsAndExitCodes:
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == "" and "seed" in err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "1e400"])
+    def test_non_finite_threshold_rejected(self, capsys, threshold):
+        args = ["mc", "death", "--law", "binary:0.5", "--theta", "0.9", "--replicas", "10"]
+        code, out, err = run_cli([*args, "--threshold", threshold], capsys)
+        assert code == 1 and out == "" and "--threshold" in err
+
+    def test_fractional_threshold_rounds_up(self, capsys):
+        # a state explodes at >= threshold, so 1.5 is 2: state 1 is below it
+        args = ["mc", "death", "--law", "binary:0.5", "--theta", "0.9", "--replicas", "10", "--seed", "1"]
+        rows = {}
+        for x, threshold in (("1", "1.5"), ("1", "2"), ("3", "2.5")):
+            code, out, _ = run_cli([*args, "--x", x, "--threshold", threshold], capsys)
+            assert code == 0
+            header, row = data_lines(out)
+            rows[threshold] = dict(zip(header.split(","), row.split(",")))
+        assert rows["1.5"] == rows["2"] and rows["2"]["exploded"] != "1.0"
+        # from 3 the threshold 2.5 is 3: every path explodes at once
+        assert rows["2.5"]["exploded"] == "1.0"
+
     def test_sweep_point_seeds_past_64_bits_rejected_before_any_replica(self, capsys, monkeypatch):
         # point i runs at --seed + i: the second point would alias seed 0
         def forbidden(*args, **kwargs):

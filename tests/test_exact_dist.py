@@ -365,6 +365,28 @@ class TestOneStepDeathProb:
         law = OffspringLaw.explicit({0: 0.2, 2: 0.8})
         assert one_step_death_prob(5, IGWParams(law, 1.0)) == pytest.approx(0.2, abs=1e-15)
 
+    @pytest.mark.parametrize("spec, theta, calls", [
+        ("binary:0.5", 0.9, 250), ("binary:0.5", 0.3, 712), ("pmf:0=0.2,2=0.8", 0.9, 9),
+    ])
+    def test_stops_at_its_fixed_point(self, monkeypatch, spec, theta, calls):
+        # once f(t a) returns a bit for bit, every later step does too; the
+        # step that finds it is the last call
+        params = IGWParams(parse_law_spec(spec), theta)
+        plain = 1.0
+        for _ in range(calls + 20):
+            plain = pgf_eval(params.law, (1.0 - theta) * plain)
+        count = 0
+
+        def counted(law, s):
+            nonlocal count
+            count += 1
+            assert count <= 10 * calls, "the recursion ran past its fixed point"
+            return pgf_eval(law, s)
+
+        monkeypatch.setattr(exact_dist, "pgf_eval", counted)
+        assert one_step_death_prob(10**9, params) == plain
+        assert count == calls
+
     def test_theta_near_one_vanishes(self, binary_half):
         vals = [one_step_death_prob(2, IGWParams(binary_half, th)) for th in (0.9, 0.99, 0.999)]
         assert vals[0] > vals[1] > vals[2]

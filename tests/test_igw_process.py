@@ -459,7 +459,7 @@ class TestOracle:
 REMOVED = {
     "igw_process": (
         "step", "simulate_trajectory", "asymptotic_ratios", "Trajectory", "RatioRow",
-        "simulate_chunk", "_simulate_lockstep", "_streams",
+        "simulate_chunk", "_simulate_lockstep", "_streams", "_finishes",
     ),
     "gw_engine": (
         "simulate_total_progeny", "thin", "_next_generation_exact", "INDIVIDUAL_DRAW_LIMIT",
