@@ -45,7 +45,7 @@ import numpy as np
 from .exact_dist import Caps, IntervalProb, finite_horizon_death, thinned_rows
 from .gw_engine import ExtendedCount, harmonic_moments
 from .igw_process import EXPLODED, ChunkPaths, map_chunks, states_below
-from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, mean, thinned_pgf
+from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, thinned_pgf
 
 #: every product factor is kept at least this large so certificates stay
 #: strictly inside (0, 1) even when the underlying tails underflow floats;
@@ -80,8 +80,7 @@ def fixed_point_q(params: IGWParams, tol: float = 1e-12) -> float:
         raise RegimeError("the fixed-point certificate needs p_0 = 0")
     if not tol > 0.0:  # NaN too
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    m = mean(params.law)
-    if m * params.theta <= 1.0:
+    if params.law.m * params.theta <= 1.0:
         return 1.0
     g0 = thinned_pgf(params, 0.0)
     if g0 == 0.0:
@@ -133,13 +132,7 @@ def geometric_death_bound(q1_hi: float, x: int) -> float:
         raise ValueError(f"q1 bound {q1_hi!r} outside [0, 1]")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 1.0
-    if q1_hi == 0.0:
-        return 0.0
-    if x * abs(math.log(q1_hi)) < 700.0:
-        return q1_hi**x
-    return math.exp(x * math.log(q1_hi))
+    return q1_hi**x
 
 
 # -- explosion certificate --------------------------------------------------------
@@ -465,10 +458,9 @@ def _ratio_log_m(params: IGWParams) -> float:
     law = params.law
     if law.p0 > 0.0:
         raise RegimeError("ratio experiments need p_0 = 0")
-    m = mean(law)
-    if m <= 1.0:
+    if law.m <= 1.0:
         raise RegimeError("ratio experiments need a supercritical mean (m > 1)")
-    return math.log(m)
+    return law.log_m
 
 
 def _ratio_paths(summarise, params, x0, replicas, master_seed, horizon, workers) -> list:

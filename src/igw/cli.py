@@ -43,7 +43,6 @@ from .exact_dist import (
     swept_states,
     total_progeny_dist,
 )
-from .gw_engine import DEFAULT_EXACT_CAP, ExtendedCount
 from .igw_process import RNG_CHUNK, TERMINATIONS, ChunkPaths, classify_regimes, map_chunks
 from .reproduction_laws import (
     IGWParams,
@@ -90,7 +89,7 @@ def _seed(text: str) -> int:
     return value
 
 
-def _parse_threshold(text: str) -> ExtendedCount:
+def _parse_threshold(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -99,9 +98,7 @@ def _parse_threshold(text: str) -> ExtendedCount:
         raise _UsageError(f"--threshold {text!r} is not finite")
     if value < 1:
         raise _UsageError("--threshold must be >= 1")
-    if value <= DEFAULT_EXACT_CAP:
-        return ExtendedCount.exact(math.ceil(value))  # states are counts: 1.5 means 2
-    return ExtendedCount(log_value=math.log(value))
+    return value
 
 
 def _emit(out, meta: dict, header: Sequence[str], rows: Iterable[Sequence]) -> None:

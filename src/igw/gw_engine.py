@@ -1,5 +1,5 @@
-"""Branching-layer building blocks: the count ladder, per-law constants,
-counter-based random streams, and harmonic moments.
+"""Branching-layer building blocks: the count ladder, counter-based
+random streams, and harmonic moments.
 
 Population counts travel on a count ladder, which the batched simulator
 in :mod:`igw.igw_process` advances:
@@ -17,7 +17,8 @@ in :mod:`igw.igw_process` advances:
 
 Promotion between tiers never overflows; it is how growth is handled.
 The per-law constants these tiers read (m, v, log m, log(m/(m-1))) are
-computed once per law by :func:`law_context`.  All randomness flows
+cached on the law itself, as properties of
+:class:`~igw.reproduction_laws.OffspringLaw`.  All randomness flows
 through :func:`stream_for`, a counter-based (Philox) stream keyed by
 (master_seed, stream id) so that a path depends only on its key, never on
 scheduling.
@@ -37,7 +38,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .reproduction_laws import OffspringLaw, RegimeError, mean, variance
+from .reproduction_laws import OffspringLaw, RegimeError
 
 #: counts at or below this stay exact integers.
 DEFAULT_EXACT_CAP = 2**48
@@ -104,34 +105,6 @@ class ExtendedCount:
         if self.exact_value is not None:
             return f"ExtendedCount({self.exact_value})"
         return f"ExtendedCount(log={self.log_value!r})"
-
-
-# -- per-law constants ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LawContext:
-    """The constants of one offspring law that every simulated step reads.
-
-    ``log_fold`` is log(m/(m-1)), the offset in the deterministic step
-    log S_x = x*log(m) + log(m/(m-1)) (nan unless m > 1).
-    """
-
-    law: OffspringLaw
-    m: float
-    v: float
-    log_m: float
-    log_fold: float
-
-
-@lru_cache(maxsize=64)
-def law_context(law: OffspringLaw) -> LawContext:
-    """The law's constants, computed once per law (bounded cache)."""
-    m = mean(law)
-    v = variance(law)
-    log_m = math.log(m) if m > 0.0 else -math.inf
-    log_fold = math.log(m / (m - 1.0)) if m > 1.0 else math.nan
-    return LawContext(law, m, v, log_m, log_fold)
 
 
 # -- random streams -----------------------------------------------------------

@@ -37,17 +37,9 @@ from .gw_engine import (
     LOG_EXACT_CAP,
     LOG_VALUE_LIMIT,
     ExtendedCount,
-    LawContext,
-    law_context,
     stream_for,
 )
-from .reproduction_laws import (
-    IGWParams,
-    MEAN_CRITICAL_TOL,
-    OffspringLaw,
-    RegimeError,
-    mean,
-)
+from .reproduction_laws import IGWParams, MEAN_CRITICAL_TOL, OffspringLaw, RegimeError
 
 
 class TerminationKind(str, Enum):
@@ -85,10 +77,9 @@ def classify_regimes(params: IGWParams) -> RegimeReport:
     """
     law = params.law
     theta = params.theta
-    m = mean(law)
-    critical = abs(m - 1.0) <= MEAN_CRITICAL_TOL
+    critical = abs(law.m - 1.0) <= MEAN_CRITICAL_TOL
 
-    if m > 1.0 and not critical:
+    if law.m > 1.0 and not critical:
         mean_regime = MeanRegime.EXPLODES
     elif critical and theta == 1.0:
         mean_regime = MeanRegime.CONSTANT
@@ -218,9 +209,10 @@ def _point_mass_table(pm: int) -> np.ndarray:
     return out
 
 
-def _point_mass_totals(ctx: LawContext, pm: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S_x in closed form when every individual has exactly pm children, as
-    :func:`_chunk_totals` returns it."""
+def _point_mass_totals(law: OffspringLaw, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S_x in closed form when every individual has exactly pm =
+    ``law.point_mass`` children, as :func:`_chunk_totals` returns it."""
+    pm = law.point_mass
     if pm == 0:
         return np.zeros_like(x), np.full(x.shape, -np.inf)
     if pm == 1:
@@ -230,8 +222,8 @@ def _point_mass_totals(ctx: LawContext, pm: int, x: np.ndarray) -> tuple[np.ndar
     exact_x = x < table.size
     s = np.full(x.shape, -1, np.int64)
     s[exact_x] = table[x[exact_x]]
-    g = x[~exact_x].astype(np.float64) * ctx.log_m
-    logs[~exact_x] = np.minimum(g + ctx.log_fold + np.log1p(-np.exp(-g)), LOG_VALUE_LIMIT)
+    g = x[~exact_x].astype(np.float64) * law.log_m
+    logs[~exact_x] = np.minimum(g + law.log_fold + np.log1p(-np.exp(-g)), LOG_VALUE_LIMIT)
     return s, logs
 
 
@@ -240,7 +232,7 @@ def _point_mass_totals(ctx: LawContext, pm: int, x: np.ndarray) -> tuple[np.ndar
 _TAYLOR = [1.0 / math.factorial(n) for n in range(19, 1, -1)]
 
 
-def _remainder_moments(ctx: LawContext, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _remainder_moments(law: OffspringLaw, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log mu_L, rho_L): mu_L = E S_L = m (m^L - 1)/(m - 1) and rho_L =
     Var S_L / mu_L^2 for S_L, the total of L generations from one ancestor.
     With x = L log m, P = (x/2)^2 / sinh(x/2)^2, r = log(m)/(m-1) and
@@ -250,7 +242,7 @@ def _remainder_moments(ctx: LawContext, left: np.ndarray) -> tuple[np.ndarray, n
     is negative, so nothing cancels near m = 1.  Series give k near m = 1
     and the factors in x below |x| = 1; above it, closed forms in
     sinh(|x|/2) and e^-|x| overflow for no m > 0 and no L."""
-    m, log_m = ctx.m, ctx.log_m
+    m, log_m = law.m, law.log_m
     d = m - 1.0
     r = log_m / d if d else 1.0
     k = (sum((-d) ** n * (n + 1) / ((n + 2) * (n + 3)) for n in range(40)) if abs(d) < 0.25
@@ -267,23 +259,23 @@ def _remainder_moments(ctx: LawContext, left: np.ndarray) -> tuple[np.ndarray, n
         tail = (np.expm1(-ax) + ax) / (4.0 * sh2)  # P f(-|x|), and P f(x) + P f(-x) = 1
         pf = np.where(small, p * f, np.where(x > 0.0, 1.0 - tail, tail))
         log_e = np.where(small, np.log1p(xs * f), np.log(-np.expm1(-ax) / ax) + np.maximum(x, 0.0))
-    rho = ctx.v / (m * m) * (2.0 * left * r * pa + p * k / (r * r * left) + pf)
+    rho = law.v / (m * m) * (2.0 * left * r * pa + p * k / (r * r * left) + pf)
     return log_m + np.log(left * r) + log_e, rho
 
 
-def _remainder_log(ctx: LawContext, z_log: np.ndarray, left: np.ndarray, streams: _Streams) -> np.ndarray:
+def _remainder_log(law: OffspringLaw, z_log: np.ndarray, left: np.ndarray, streams: _Streams) -> np.ndarray:
     """log R, R = Z_{K+1} + ... + Z_{K+L} once Z_K = z has left the exact
     range with L generations to go: z i.i.d. copies of S_L, drawn as one
     Gaussian with their exact mean and variance, clamped at R >= 0.  One
     standard normal per entry, from its chunk's stream."""
-    log_mu, rho = _remainder_moments(ctx, left)
+    log_mu, rho = _remainder_moments(law, left)
     normals = streams.draw(lambda gen, part: gen.standard_normal(part.size), left)
     noise = np.sqrt(rho * np.exp(-z_log)) * normals
     with np.errstate(divide="ignore"):
         return z_log + log_mu + np.log1p(np.maximum(noise, -1.0))
 
 
-def _chunk_totals(ctx: LawContext, x: np.ndarray, streams: _Streams) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_totals(law: OffspringLaw, x: np.ndarray, streams: _Streams) -> tuple[np.ndarray, np.ndarray]:
     """S_x for each entry of x (all >= 1): exact values, -1 where S left the
     exact range, and logs, read only there.  Each replica runs its own x
     generations from one ancestor: exact generations while Z stays within
@@ -299,9 +291,8 @@ def _chunk_totals(ctx: LawContext, x: np.ndarray, streams: _Streams) -> tuple[np
     only ones that leave the exact range.  Each chunk draws its generations,
     then its Gaussian remainders by the generation they left at, then entry.
     """
-    law = ctx.law
     if law.point_mass is not None:
-        return _point_mass_totals(ctx, law.point_mass, x)
+        return _point_mass_totals(law, x)
     owner = streams.owner
     s = np.zeros(x.size, np.int64)
     s_log = np.full(x.size, -np.inf)
@@ -357,7 +348,7 @@ def _chunk_totals(ctx: LawContext, x: np.ndarray, streams: _Streams) -> tuple[np
         kk, g, z_log, left = (np.concatenate(parts) for parts in zip(*gauss))
         order = np.lexsort((g, kk, owner[g]))
         g = g[order]
-        remainder = _remainder_log(ctx, z_log[order], left[order], _Streams(streams.gens, owner[g]))
+        remainder = _remainder_log(law, z_log[order], left[order], _Streams(streams.gens, owner[g]))
         s_log[g] = np.logaddexp(s_log[g], remainder)
     logged = s_log > -np.inf
     if np.count_nonzero(logged):
@@ -378,7 +369,7 @@ def _thinned(theta: float, s: np.ndarray, s_log, streams: _Streams) -> tuple[np.
 
 
 def _chunk_step(
-    ctx: LawContext, theta: float, xi: np.ndarray, xl: np.ndarray, streams: _Streams
+    law: OffspringLaw, theta: float, xi: np.ndarray, xl: np.ndarray, streams: _Streams
 ) -> tuple[np.ndarray, np.ndarray]:
     """One transition for every replica (all states nonzero).  States are
     (exact values, -1 in the log tier; logs).  An exact state x moves to the
@@ -389,18 +380,18 @@ def _chunk_step(
     with np.errstate(divide="ignore"):
         big = xi < 0
         if not np.count_nonzero(big):
-            return _thinned(theta, *_chunk_totals(ctx, xi, streams), streams)
-        if ctx.m <= 1.0:
+            return _thinned(theta, *_chunk_totals(law, xi, streams), streams)
+        if law.m <= 1.0:
             raise RegimeError("log-tier states only arise from supercritical growth (m > 1)")
         ni = np.empty_like(xi)
         nl = np.empty_like(xl)
         with np.errstate(over="ignore"):
-            log_next = np.exp(xl[big]) * ctx.log_m + (ctx.log_fold + math.log(theta))
+            log_next = np.exp(xl[big]) * law.log_m + (law.log_fold + math.log(theta))
         ni[big], nl[big] = _from_log(log_next)
         small = ~big
         if np.count_nonzero(small):
             part = streams[small]
-            ni[small], nl[small] = _thinned(theta, *_chunk_totals(ctx, xi[small], part), part)
+            ni[small], nl[small] = _thinned(theta, *_chunk_totals(law, xi[small], part), part)
         return ni, nl
 
 
@@ -417,7 +408,9 @@ def simulate_chunks(
     """Advance chunk c's ``sizes[c]`` replicas of the chain from x0, drawing
     from ``gens[c]``, until each dies (a zero state), explodes (a state at
     or above ``threshold``) or reaches the horizon undecided, a verdict of
-    its own.  The chunks step in lockstep, each drawing in its own order
+    its own.  A numeric threshold up to DEFAULT_EXACT_CAP rounds up to a
+    count, a larger one is compared in logs, and a non-finite one is
+    rejected.  The chunks step in lockstep, each drawing in its own order
     (:func:`_chunk_step`) from its own stream, so a chunk's paths are those
     of the batch of that chunk alone.  Exact states are int64, so the law's
     largest offspring count must keep DEFAULT_EXACT_CAP * max_k below 2**63.
@@ -440,14 +433,17 @@ def simulate_chunks(
             f"above the exact cap {DEFAULT_EXACT_CAP}"
         )
     if not isinstance(threshold, ExtendedCount):
-        threshold = ExtendedCount.exact(math.ceil(threshold))  # a state explodes at >= threshold
+        if not -math.inf < threshold < math.inf:  # nan too; an int of any size passes
+            raise ValueError(f"explosion threshold {threshold!r} is not finite")
+        # states are counts, so 1.5 means 2
+        threshold = (ExtendedCount.exact(math.ceil(threshold)) if threshold <= DEFAULT_EXACT_CAP
+                     else ExtendedCount(log_value=math.log(threshold)))
     start = ExtendedCount.exact(x0)
     if threshold < start:
         raise ValueError("explosion threshold must be at least the start state")
 
-    ctx = law_context(law)
     theta = params.theta
-    shift = ctx.log_fold + math.log(theta)  # nan unless m > 1
+    shift = law.log_fold + math.log(theta)  # nan unless m > 1
     monotone = theta == 1.0 and law.p0 == 0.0
     size = sum(sizes)
     streams = _Streams(gens, np.repeat(np.arange(len(sizes)), sizes))
@@ -471,14 +467,14 @@ def simulate_chunks(
     for n in range(horizon):
         if not live.size:
             break
-        ni, nl = _chunk_step(ctx, theta, xi, xl, streams)
+        ni, nl = _chunk_step(law, theta, xi, xl, streams)
         if monotone:
             fell = np.where((ni >= 0) & (xi >= 0), ni < xi, nl < xl)
             assert not fell.any(), "paths must be nondecreasing without thinning or deaths"
         died = ni == 0
         if record:
             with np.errstate(over="ignore"):
-                y = np.where(xi >= 0, nl / xi, ctx.log_m + shift / np.exp(xl))
+                y = np.where(xi >= 0, nl / xi, law.log_m + shift / np.exp(xl))
             y[died] = np.nan
             for row, values, fill in (
                 (exact[n + 1], ni, -1),

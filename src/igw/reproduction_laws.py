@@ -49,6 +49,11 @@ class OffspringLaw:
     trimmed so equal laws compare equal regardless of construction route.
     ``binary_lambda`` remembers the binary-family parameter purely for
     round-tripping law spec strings; it does not affect equality.
+
+    Views the engines read are computed on first use and cached on the
+    law (a cached law still pickles): the moments ``m`` and ``v``, the
+    log-tier constants ``log_m`` and ``log_fold``, the support shapes
+    ``point_mass`` and ``two_atoms``, and ``probs_array`` and ``ks_array``.
     """
 
     probs: tuple[float, ...]
@@ -118,6 +123,28 @@ class OffspringLaw:
         return self.probs[1] if len(self.probs) > 1 else 0.0
 
     @cached_property
+    def m(self) -> float:
+        """The mean sum_k k * p_k."""
+        return math.fsum(k * p for k, p in enumerate(self.probs))
+
+    @cached_property
+    def v(self) -> float:
+        """The variance, clamped at 0."""
+        second = math.fsum(k * k * p for k, p in enumerate(self.probs))
+        return max(second - self.m * self.m, 0.0)
+
+    @cached_property
+    def log_m(self) -> float:
+        """log m, -inf at m = 0."""
+        return math.log(self.m) if self.m > 0.0 else -math.inf
+
+    @cached_property
+    def log_fold(self) -> float:
+        """log(m/(m-1)), the offset in the deterministic log-tier step
+        log S_x = x*log(m) + log(m/(m-1)); nan unless m > 1."""
+        return math.log(self.m / (self.m - 1.0)) if self.m > 1.0 else math.nan
+
+    @cached_property
     def probs_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=np.float64)
 
@@ -166,13 +193,11 @@ class IGWParams:
 
 def mean(law: OffspringLaw) -> float:
     """m = sum_k k * p_k."""
-    return math.fsum(k * p for k, p in enumerate(law.probs))
+    return law.m
 
 
 def variance(law: OffspringLaw) -> float:
-    m = mean(law)
-    second = math.fsum(k * k * p for k, p in enumerate(law.probs))
-    return max(second - m * m, 0.0)
+    return law.v
 
 
 def _check_unit_interval(s: float) -> float:

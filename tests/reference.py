@@ -51,7 +51,7 @@ from igw.exact_dist import (
     _progeny_laws,
     thinned_rows,
 )
-from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_EXACT_CAP, LOG_VALUE_LIMIT, law_context
+from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_EXACT_CAP, LOG_VALUE_LIMIT
 from igw.igw_process import (
     DIED, EXPLODED, UNDECIDED, ChunkPaths, _point_mass_table, _remainder_moments,
 )
@@ -272,12 +272,11 @@ def handover_log(law: OffspringLaw) -> float:
     """The log count above which :func:`total_progeny` folds: where
     sqrt(v / (m (m-1) Z)) = HANDOVER_REL_SD, clamped at LOG_FLOAT_CAP; -inf
     for a zero-variance supercritical law, +inf unless m > 1."""
-    ctx = law_context(law)
-    if ctx.m <= 1.0:
+    if law.m <= 1.0:
         return math.inf
-    if ctx.v == 0.0:
+    if law.v == 0.0:
         return -math.inf
-    level = math.log(ctx.v / (ctx.m * (ctx.m - 1.0))) - 2.0 * math.log(HANDOVER_REL_SD)
+    level = math.log(law.v / (law.m * (law.m - 1.0))) - 2.0 * math.log(HANDOVER_REL_SD)
     return min(level, LOG_FLOAT_CAP)
 
 
@@ -287,7 +286,6 @@ def total_progeny(law: OffspringLaw, x: int, gen: np.random.Generator) -> tuple[
     Z' = max(m Z + sqrt(v Z) N, 1) one generation at a time up to
     :func:`handover_log`, then the remaining generations folded as
     sum_j Z m^j."""
-    ctx = law_context(law)
     handover = handover_log(law)
     z, s, k = 1, 0, 0
     while k < x and 0 < z <= DEFAULT_EXACT_CAP:
@@ -299,13 +297,13 @@ def total_progeny(law: OffspringLaw, x: int, gen: np.random.Generator) -> tuple[
     z_log, s_log = math.log(z), math.log(s)
     while k < x and z_log <= handover:
         zf = math.exp(z_log)
-        z_log = math.log(max(ctx.m * zf + math.sqrt(ctx.v * zf) * gen.standard_normal(), 1.0))
+        z_log = math.log(max(law.m * zf + math.sqrt(law.v * zf) * gen.standard_normal(), 1.0))
         s_log = float(np.logaddexp(s_log, z_log))
         k += 1
     if k < x:
         # the remaining noise cannot move a float: add sum_j Z m^j at once
-        g = (x - k) * ctx.log_m
-        fold = z_log + ctx.log_m + g + math.log1p(-math.exp(-g)) - math.log(ctx.m - 1.0)
+        g = (x - k) * law.log_m
+        fold = z_log + law.log_m + g + math.log1p(-math.exp(-g)) - math.log(law.m - 1.0)
         s_log = float(np.logaddexp(s_log, fold))
         z_log += g
     return (
@@ -328,9 +326,9 @@ def step(x: ExtendedCount, params: IGWParams, gen: np.random.Generator) -> Exten
     log X' = X log m + log(m/(m-1)) + log(theta)."""
     if x.is_exact:
         return thin(total_progeny(params.law, x.exact_value, gen)[1], params.theta, gen)
-    ctx = law_context(params.law)
+    law = params.law
     xf = math.exp(x.log()) if x.log() < 709.0 else math.inf
-    log_next = xf * ctx.log_m + ctx.log_fold + math.log(params.theta)
+    log_next = xf * law.log_m + law.log_fold + math.log(params.theta)
     return ExtendedCount.from_log(min(log_next, LOG_VALUE_LIMIT))
 
 
@@ -385,7 +383,7 @@ def _next_generations(law: OffspringLaw, z: np.ndarray, gen: np.random.Generator
     ])
 
 
-def _point_mass_totals(ctx, pm: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _point_mass_totals(law, pm: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if pm == 0:
         return np.zeros_like(x), np.full(x.shape, -np.inf)
     if pm == 1:
@@ -396,25 +394,24 @@ def _point_mass_totals(ctx, pm: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     s[exact_x] = table[x[exact_x]]
     logs = np.empty(x.shape)
     logs[exact_x] = _log_of(s[exact_x])
-    g = x[~exact_x].astype(np.float64) * ctx.log_m
-    logs[~exact_x] = np.minimum(g + ctx.log_fold + np.log1p(-np.exp(-g)), LOG_VALUE_LIMIT)
+    g = x[~exact_x].astype(np.float64) * law.log_m
+    logs[~exact_x] = np.minimum(g + law.log_fold + np.log1p(-np.exp(-g)), LOG_VALUE_LIMIT)
     return s, logs
 
 
-def _remainder_log(ctx, z_log: np.ndarray, left: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    log_mu, rho = _remainder_moments(ctx, left)
+def _remainder_log(law, z_log: np.ndarray, left: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    log_mu, rho = _remainder_moments(law, left)
     noise = np.sqrt(rho * np.exp(-z_log)) * gen.standard_normal(left.size)
     with np.errstate(divide="ignore"):
         return z_log + log_mu + np.log1p(np.maximum(noise, -1.0))
 
 
-def chunk_totals(ctx, x: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def chunk_totals(law, x: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """S_x for each entry of x: (exact values, -1 past the cap; logs).  The
     running arrays are compacted every generation; one Gaussian draw per
     replica for the rest of a sum that left the exact range."""
-    law = ctx.law
     if law.point_mass is not None:
-        return _point_mass_totals(ctx, law.point_mass, x)
+        return _point_mass_totals(law, law.point_mass, x)
     s = np.zeros(x.size, np.int64)
     s_log = np.full(x.size, -np.inf)
     run, z = np.arange(x.size), np.ones(x.size, np.int64)
@@ -444,28 +441,28 @@ def chunk_totals(ctx, x: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarr
             run, z, rs, rl, left = run[keep], z[keep], rs[keep], rl[keep], left[keep]
     if gauss:
         g, z_log, left = (np.concatenate(parts) for parts in zip(*gauss))
-        s_log[g] = np.logaddexp(s_log[g], _remainder_log(ctx, z_log, left, gen))
+        s_log[g] = np.logaddexp(s_log[g], _remainder_log(law, z_log, left, gen))
     exact = s >= 0
     s_log[exact] = _log_of(s[exact])
     s[~exact], s_log[~exact] = _from_log(s_log[~exact])
     return s, s_log
 
 
-def chunk_step(ctx, theta: float, xi: np.ndarray, xl: np.ndarray, gen: np.random.Generator):
+def chunk_step(law, theta: float, xi: np.ndarray, xl: np.ndarray, gen: np.random.Generator):
     """One transition for every replica of one chunk (all states nonzero)."""
     ni = np.empty_like(xi)
     nl = np.empty_like(xl)
     big = xi < 0
     if big.any():
-        if ctx.m <= 1.0:
+        if law.m <= 1.0:
             raise RegimeError("log-tier states only arise from supercritical growth (m > 1)")
         with np.errstate(over="ignore"):
-            log_next = np.exp(xl[big]) * ctx.log_m + (ctx.log_fold + math.log(theta))
+            log_next = np.exp(xl[big]) * law.log_m + (law.log_fold + math.log(theta))
         ni[big], nl[big] = _from_log(log_next)
     small = ~big
     if not small.any():
         return ni, nl
-    si, sl = chunk_totals(ctx, xi[small], gen)
+    si, sl = chunk_totals(law, xi[small], gen)
     if theta < 1.0:
         exact = si >= 0
         out = gen.binomial(si[exact], theta)
@@ -483,9 +480,8 @@ def simulate_chunk(
     """``size`` paths of the chain from x0, all drawing from ``gen``, each
     until it dies, crosses ``threshold`` or reaches the horizon."""
     law = params.law
-    ctx = law_context(law)
     theta = params.theta
-    shift = ctx.log_fold + math.log(theta)
+    shift = law.log_fold + math.log(theta)
     start = ExtendedCount.exact(x0)
     termination = np.full(size, UNDECIDED, np.int8)
     steps = np.full(size, horizon, np.int64)
@@ -500,11 +496,11 @@ def simulate_chunk(
     for n in range(horizon):
         if not live.size:
             break
-        ni, nl = chunk_step(ctx, theta, xi, xl, gen)
+        ni, nl = chunk_step(law, theta, xi, xl, gen)
         died = ni == 0
         if record:
             with np.errstate(over="ignore"):
-                y = np.where(xi >= 0, nl / xi, ctx.log_m + shift / np.exp(xl))
+                y = np.where(xi >= 0, nl / xi, law.log_m + shift / np.exp(xl))
             y[died] = np.nan
             for rows, values, fill in (
                 (rows_exact, ni, -1),

@@ -122,6 +122,11 @@ class TestGeometricDeathBound:
         v = geometric_death_bound(0.5, 5000)
         assert v == pytest.approx(math.exp(5000 * math.log(0.5)), rel=1e-9)
 
+    @pytest.mark.parametrize("x", [1010, 1015, 1020])
+    def test_exact_power_among_subnormals(self, x):
+        # exp(x log q1) rounds below q1^x here; a bound must not
+        assert geometric_death_bound(0.5, x) == 2.0**-x
+
 
 class TestExplosionCertificate:
     def test_deterministic_law_certificate(self):
@@ -350,6 +355,22 @@ class TestMcDeath:
         assert a == mc_death_prob(1, params, 200, 20, ExtendedCount.exact(2), master_seed=1)
         assert a.exploded_fraction < 1.0
         assert mc_death_prob(3, params, 200, 20, 2.5, master_seed=1).exploded_fraction == 1.0
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, threshold):
+        params = IGWParams(OffspringLaw.binary(0.5), 0.9)
+        with pytest.raises(ValueError, match="threshold"):
+            mc_death_prob(1, params, 10, 5, threshold, 1)
+
+    @pytest.mark.parametrize("threshold", [1e15, 2.0**50 + 0.5, 1e300, 10**400])
+    def test_threshold_above_the_cap_is_a_log(self, threshold):
+        # above DEFAULT_EXACT_CAP a numeric threshold is compared in logs
+        params = IGWParams(OffspringLaw.binary(0.5), 1.0)
+        a = mc_death_prob(3, params, 300, 120, threshold, master_seed=4)
+        assert a.exploded_fraction == 1.0
+        assert a == mc_death_prob(
+            3, params, 300, 120, ExtendedCount(log_value=math.log(threshold)), master_seed=4
+        )
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, math.nan, -0.5, 1.5])
     def test_bad_confidence_rejected_before_any_replica(self, monkeypatch, confidence):

@@ -19,7 +19,7 @@ from igw import (
     variance,
 )
 
-from igw.gw_engine import _iterates, _trapezoid_grid, law_context
+from igw.gw_engine import _iterates, _trapezoid_grid
 from igw.igw_process import _chunk_step, _chunk_totals, _remainder_log, _remainder_moments
 
 import reference
@@ -235,11 +235,11 @@ class TestRemainder:
     def test_moments_match_the_recursions(self, spec):
         # S_L = sum over the Z_1 children of 1 + S_{L-1}:
         # mu_L = m (1 + mu_{L-1}) and Var_L = m Var_{L-1} + v (1 + mu_{L-1})^2
-        ctx = law_context(parse_law_spec(spec))
-        log_mu, rho = _remainder_moments(ctx, np.arange(1, 61))
+        law = parse_law_spec(spec)
+        log_mu, rho = _remainder_moments(law, np.arange(1, 61))
         mu, var = 0.0, 0.0
         for n in range(60):
-            mu, var = ctx.m * (1.0 + mu), ctx.m * var + ctx.v * (1.0 + mu) ** 2
+            mu, var = law.m * (1.0 + mu), law.m * var + law.v * (1.0 + mu) ** 2
             assert math.exp(log_mu[n]) == pytest.approx(mu, rel=1e-12), (spec, n + 1)
             assert rho[n] == pytest.approx(var / mu**2, rel=1e-12), (spec, n + 1)
 
@@ -252,12 +252,12 @@ class TestRemainder:
         # standardized through the draw's own log mu_L: at m = 1.5 and
         # L = 2^40, log R is near 4.5e11, whose ulp (6e-5) is far above the
         # relative sd 1.7e-8 of R, so only laws with m <= 1 resolve that L
-        ctx = law_context(parse_law_spec(spec))
+        law = parse_law_spec(spec)
         n = 20_000
         z_log = np.full(n, 50 * math.log(2.0))
         left = np.full(n, left, np.int64)
-        log_r = _remainder_log(ctx, z_log, left, streams_of(stream_for(5, left[0], spec), n))
-        log_mu, rho = _remainder_moments(ctx, left)
+        log_r = _remainder_log(law, z_log, left, streams_of(stream_for(5, left[0], spec), n))
+        log_mu, rho = _remainder_moments(law, left)
         w = np.expm1(log_r - (z_log + log_mu)) / np.sqrt(rho * np.exp(-z_log))
         assert abs(w.mean()) <= 4 / math.sqrt(n)
         assert abs(w.var(ddof=1) - 1.0) <= 4 * math.sqrt(2.0 / (n - 1))
@@ -266,12 +266,12 @@ class TestRemainder:
     def test_draws_stay_finite_without_growth(self, spec):
         # m <= 1 (and m near 1): up to 2^62 generations left, no overflow
         # and no nan; a clamped draw is R = 0, so S = Z + R stays finite
-        ctx = law_context(parse_law_spec(spec))
+        law = parse_law_spec(spec)
         left = np.array([1, 2, 10**6, 2**40, 2**48, 2**62] * 500, np.int64)
         z_log = np.full(left.size, math.log(DEFAULT_EXACT_CAP + 1.0))
-        log_mu, rho = _remainder_moments(ctx, left)
+        log_mu, rho = _remainder_moments(law, left)
         assert np.isfinite(log_mu).all() and np.isfinite(rho).all() and (rho > 0).all()
-        log_r = _remainder_log(ctx, z_log, left, streams_of(stream_for(6, 0, spec), left.size))
+        log_r = _remainder_log(law, z_log, left, streams_of(stream_for(6, 0, spec), left.size))
         assert not np.isnan(log_r).any() and (log_r < np.inf).all()
         assert np.isfinite(np.logaddexp(z_log, log_r)).all()
 
@@ -282,10 +282,9 @@ class TestThin:
     def test_theta_one_identity(self, binary_half):
         # theta = 1 leaves the totals as drawn and draws nothing more; the
         # totals carry logs only past the cap, the step everywhere
-        ctx = law_context(binary_half)
         x = np.arange(1, 200)
-        want, want_log = _chunk_totals(ctx, x, streams_of(stream_for(0, 0, "t"), x.size))
-        got, got_log = _chunk_step(ctx, 1.0, x, np.log(x), streams_of(stream_for(0, 0, "t"), x.size))
+        want, want_log = _chunk_totals(binary_half, x, streams_of(stream_for(0, 0, "t"), x.size))
+        got, got_log = _chunk_step(binary_half, 1.0, x, np.log(x), streams_of(stream_for(0, 0, "t"), x.size))
         assert np.array_equal(got, want) and (want < 0).any() and (want >= 0).any()
         assert np.array_equal(got_log, np.where(want < 0, want_log, np.log(np.maximum(want, 1))))
 

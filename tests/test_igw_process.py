@@ -34,7 +34,6 @@ from igw.analysis import _crossing_errors
 from igw.igw_process import (
     DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, map_chunks,
 )
-from igw.gw_engine import law_context
 
 import reference
 from conftest import first_states, streams_of
@@ -45,9 +44,9 @@ FAR = ExtendedCount.from_log(1e20)
 class TestStep:
     def test_zero_is_absorbing(self, monkeypatch):
         # a replica that dies leaves the live set: no zero state is stepped
-        def checked(ctx, theta, xi, xl, gen):
+        def checked(law, theta, xi, xl, gen):
             assert (xi != 0).all()
-            return _chunk_step(ctx, theta, xi, xl, gen)
+            return _chunk_step(law, theta, xi, xl, gen)
 
         monkeypatch.setattr(igw_process, "_chunk_step", checked)
         params = IGWParams(OffspringLaw.explicit({0: 0.5, 2: 0.5}), 0.5)
@@ -105,15 +104,15 @@ class TestStep:
     def test_log_tier_step_is_deterministic_growth(self):
         params = IGWParams(OffspringLaw.binary(0.5), 0.8)
         ni, nl = _chunk_step(
-            law_context(params.law), 0.8, np.array([-1]), np.array([100.0]), streams_of(stream_for(0, 0, "s"), 1)
+            params.law, 0.8, np.array([-1]), np.array([100.0]), streams_of(stream_for(0, 0, "s"), 1)
         )
         expected = math.exp(100.0) * math.log(1.5) + math.log(1.5 / 0.5) + math.log(0.8)
         assert ni[0] == -1 and nl[0] == pytest.approx(expected, rel=1e-12)
 
     def test_log_tier_needs_supercritical(self):
-        ctx = law_context(OffspringLaw.explicit({0: 0.5, 1: 0.5}))
+        law = OffspringLaw.explicit({0: 0.5, 1: 0.5})
         with pytest.raises(RegimeError):
-            _chunk_step(ctx, 1.0, np.array([-1]), np.array([100.0]), streams_of(stream_for(0, 0, "s"), 1))
+            _chunk_step(law, 1.0, np.array([-1]), np.array([100.0]), streams_of(stream_for(0, 0, "s"), 1))
 
 
 class TestTrajectory:
@@ -463,7 +462,7 @@ REMOVED = {
     ),
     "gw_engine": (
         "simulate_total_progeny", "thin", "_next_generation_exact", "INDIVIDUAL_DRAW_LIMIT",
-        "_logaddexp", "_log_of_int", "ZERO_COUNT", "RngStream",
+        "_logaddexp", "_log_of_int", "ZERO_COUNT", "RngStream", "LawContext", "law_context",
     ),
     "reproduction_laws": ("sample_offspring", "chi", "log_chi"),
     "exact_dist": ("transition_kernel", "_envelope_kernels", "_Kernel", "_distinct"),

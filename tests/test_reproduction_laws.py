@@ -1,5 +1,8 @@
 import math
+import pickle
+import struct
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +111,37 @@ class TestMeanVariance:
     def test_variance_binary(self):
         lam = 0.5
         assert variance(OffspringLaw.binary(lam)) == pytest.approx(lam * (1 - lam), abs=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        small_laws(),
+        st.sampled_from([0, 1, 3]).map(lambda k: OffspringLaw.explicit({k: 1.0})),
+    ))
+    def test_cached_constants(self, law):
+        # the constants the engine reads, bit for bit as computed from the
+        # pmf, -inf and nan included; cached on first read, and a cached
+        # law pickles (worker processes receive laws)
+        m = math.fsum(k * p for k, p in enumerate(law.probs))
+        second = math.fsum(k * k * p for k, p in enumerate(law.probs))
+        want = {
+            "m": m,
+            "v": max(second - m * m, 0.0),
+            "log_m": math.log(m) if m > 0.0 else -math.inf,
+            "log_fold": math.log(m / (m - 1.0)) if m > 1.0 else math.nan,
+        }
+
+        def bits(x: float) -> bytes:
+            return struct.pack("<d", x)
+
+        assert not set(want) & set(vars(law))
+        for name, value in want.items():
+            assert bits(getattr(law, name)) == bits(value), name
+            assert bits(vars(law)[name]) == bits(value), name
+        assert bits(mean(law)) == bits(want["m"]) and bits(variance(law)) == bits(want["v"])
+        copy = pickle.loads(pickle.dumps(law))
+        assert copy == law
+        for name, value in want.items():
+            assert bits(vars(copy)[name]) == bits(value), name
 
 
 class TestThinnedPgf:
