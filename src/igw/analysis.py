@@ -132,7 +132,10 @@ def geometric_death_bound(q1_hi: float, x: int) -> float:
         raise ValueError(f"q1 bound {q1_hi!r} outside [0, 1]")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return q1_hi**x
+    try:
+        return q1_hi**x
+    except OverflowError:  # no float holds x: pow's limit, 1 at q1 = 1 and 0 below
+        return 1.0 if q1_hi == 1.0 else 0.0
 
 
 # -- explosion certificate --------------------------------------------------------
@@ -623,10 +626,10 @@ def geometric_absorption_check(
         raise RegimeError("the absorption bound needs p_0 > 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
+    rows, rate, bound = [], 1 - Fraction(p0), Fraction(1)
     for n in range(1, n_max + 1):
         death = finite_horizon_death(x, params, n, caps)
-        bound = (1 - Fraction(p0)) ** n
+        bound *= rate  # (1 - p_0)^n, exactly
         if 1 - Fraction(death.lo) <= bound:
             status = "certified"
         elif 1 - Fraction(death.hi) <= bound:

@@ -50,8 +50,9 @@ theta = 0.92.
 
 Both envelope chains absorb at 0, so P_x(X_n = 0) = (K^n e_0)[x] for either
 kernel K.  One backward sweep u <- K u from u = e_0 therefore answers every
-start state x at once.  Each column is swept alone and kept per horizon
-asked for; a new horizon is swept on from the longest kept one below it.  A
+start state x at once, at every horizon n >= 1.  Each column is swept alone
+on from a cursor at the last step it reached, or again from its start for
+an earlier horizon, so a loop over horizons holds two vectors per column.  A
 column stops at its float fixed point, the first step that leaves it
 bitwise unchanged: every later step returns the same vector, so every
 longer horizon reads it, bit for bit as a sweep that never stops.  On
@@ -272,40 +273,36 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
     The sum is taken in a zeroed cap + 1 buffer, which is marked read-only
     and kept as the law's ``atoms``, with its support found once here.  A
     law with no mass below the cap is the shared :func:`_empty` one and
-    pins no buffer.  A law with all its mass beyond the cap leaves only
-    Z_1 = 0 below it, so at p_0 = 0 its successor is itself and ``prev`` is
-    returned."""
-    if not len(prev.coef) and law.p0 == 0.0:
+    pins no buffer.  The k = 0 term puts p_0 at 0, so only a law with
+    p_0 = 0 reaches one; its successor is itself, and ``prev`` is returned."""
+    if not len(prev.coef):
         return prev
     cap = prev.cap
     out = np.zeros(cap + 1)
-    if len(prev.coef):
-        if theta == 1.0:
-            w, w_off = prev.coef, prev.offset + 1
-        else:
-            w, w_off = np.zeros(len(prev.coef) + 1), prev.offset
-            w[:-1] = (1.0 - theta) * prev.coef
-            w[1:] += theta * prev.coef
-        _, w_exp = math.frexp(float(w.max()))
-        w = np.ldexp(w, -w_exp)
-        power, p_off, p_exp = np.ones(1), 0, 0  # w^0
-        for k, p in enumerate(law.probs):
-            if k > 0:
-                p_off += w_off
-                if p_off > cap:
-                    break
-                n = cap + 1 - p_off
-                if k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
-                    power, e_mul = _sqr_low(power, n), p_exp
-                else:
-                    power, e_mul = _mul_low(power, w, n), w_exp
-                _, e = math.frexp(float(power.max()))
-                power = np.ldexp(power, -e)
-                p_exp += e_mul + e
-            if p > 0.0:
-                out[p_off : p_off + len(power)] += np.ldexp(p * power, p_exp)
+    if theta == 1.0:
+        w, w_off = prev.coef, prev.offset + 1
     else:
-        out[0] = law.p0  # all of prev lies beyond the cap, so only Z_1 = 0 stays below it
+        w, w_off = np.zeros(len(prev.coef) + 1), prev.offset
+        w[:-1] = (1.0 - theta) * prev.coef
+        w[1:] += theta * prev.coef
+    _, w_exp = math.frexp(float(w.max()))
+    w = np.ldexp(w, -w_exp)
+    power, p_off, p_exp = np.ones(1), 0, 0  # w^0
+    for k, p in enumerate(law.probs):
+        if k > 0:
+            p_off += w_off
+            if p_off > cap:
+                break
+            n = cap + 1 - p_off
+            if k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
+                power, e_mul = _sqr_low(power, n), p_exp
+            else:
+                power, e_mul = _mul_low(power, w, n), w_exp
+            _, e = math.frexp(float(power.max()))
+            power = np.ldexp(power, -e)
+            p_exp += e_mul + e
+        if p > 0.0:
+            out[p_off : p_off + len(power)] += np.ldexp(p * power, p_exp)
     nz = np.flatnonzero(out)
     if nz.size == 0:
         return _empty(cap)
@@ -474,31 +471,30 @@ def _merge(K: np.ndarray, s: int, x_cap: int) -> np.ndarray:
 class _Column:
     """R^n v for the horizons n asked for, swept backward by v <- R v.
 
-    Only the horizons asked for are kept; a new one is swept on from the
-    longest kept horizon below it, so asking for n = 1, 2, ..., N costs at
-    most N matvecs in all.  The sweep stops at ``frozen``, the first step
-    that leaves the column bitwise unchanged (compared as bytes, so that
-    -0.0 and NaN cannot pass for a fixed point): every later step returns
-    the same vector, so every horizon from ``frozen`` on reads it.
+    Two (step, vector) pairs are held, ``start`` and ``cursor``, the last
+    step reached: a horizon at or past the cursor is swept on from it, an
+    earlier one again from the start.  The sweep stops at ``frozen``, the
+    first step that leaves the column bitwise unchanged (compared as bytes,
+    so that -0.0 and NaN cannot pass for a fixed point): every later step
+    returns the same vector, so every horizon from ``frozen`` on reads it.
 
     With ``shift`` = k > 0 a step is w = 2^-k (R (2^k v)): exact scalings
     that keep every product out of the subnormal range (see the module
-    docstring) and round only a subnormal w.  The kept columns stay in the
-    true frame, so the bytewise stop and every kept horizon mean the same
-    as for the plain step.
+    docstring) and round only a subnormal w.  Held vectors stay in the true
+    frame, so the bytewise stop and every horizon mean the same as for the
+    plain step.
     """
 
     def __init__(self, R: np.ndarray, v: np.ndarray, n: int = 0, shift: int = 0) -> None:
-        self.R, self.kept, self.shift = R, {n: v}, shift
+        self.R, self.shift = R, shift
+        self.start = self.cursor = (n, v)
         self.frozen: Optional[int] = None
 
     def at(self, n: int) -> np.ndarray:
-        if self.frozen is not None and n >= self.frozen:
-            return self.kept[self.frozen]
-        if n in self.kept:
-            return self.kept[n]
-        m = max(k for k in self.kept if k < n)
-        R, v, k = self.R, self.kept[m], self.shift
+        if self.frozen is not None:
+            n = min(n, self.frozen)
+        m, v = self.cursor if n >= self.cursor[0] else self.start
+        R, k = self.R, self.shift
         bits = v.tobytes()
         while m < n:
             m += 1
@@ -512,12 +508,12 @@ class _Column:
                 self.frozen = m
                 break
             v, bits = w, w_bits
-        self.kept[m] = v
+        self.cursor = (m, v)
         return v
 
     def frozen_by(self, n: int) -> Optional[int]:
         """The step <= n at which the column froze, or None; it is read
-        after sweeping to n, so it does not depend on what is kept."""
+        after sweeping to n, so it does not depend on the cursor."""
         self.at(n)
         return self.frozen if self.frozen is not None and self.frozen <= n else None
 
@@ -531,9 +527,10 @@ class _Envelope:
     arithmetic this is the full-width sweep; only the rounding of the
     merged column differs.  No full-width kernel is kept.
 
-    Each column is a :class:`_Column`, swept alone and stopped at its float
-    fixed point.  ``lo`` and ``hi`` sweep K_lo^n e_0 and K_hi^n e_0 on the
-    distinct states: the lower and the upper end of P_x(X_n = 0).  Once the
+    Each column is a :class:`_Column`, swept alone from its cursor to a
+    horizon n >= 1 and stopped at its float fixed point.  ``lo`` and ``hi``
+    sweep K_lo^n e_0 and K_hi^n e_0 on the distinct states: the lower and
+    the upper end of P_x(X_n = 0).  Once the
     lower one freezes, no longer horizon can raise a lower end.  ``closure``
     sweeps K_hi^n c with c_y = q*^y for y >= 1 and c_0 = 0: it closes the
     mass still alive at horizon n by the fixed-point certificate.  c is not
@@ -561,9 +558,7 @@ class _Envelope:
         return float(self.lo.at(n)[j]), float(self.hi.at(n)[j])
 
     def closure_at(self, n: int, x: int) -> float:
-        """(K_hi^n c)[x]."""
-        if n == 0:
-            return float(self._powers()[x])
+        """(K_hi^n c)[x] for n >= 1."""
         return float(self.closure.at(n)[min(x, self.last)])
 
     @property
@@ -643,12 +638,13 @@ def death_interval_detail(
     """Certified enclosure of the total death probability P_x(D), with the
     parts of its width.
 
-    Defined in the mixed regime (p_0 = 0, p_1 != 1).  Without thinning the
-    chain cannot die, so theta = 1 gives [0, 0].  The lower end is the
-    never-dying-overflow envelope at the horizon (finite-horizon death
-    increases to P_x(D)); the upper end closes the still-alive mass with
-    the fixed-point certificate q*^y, using q*^{x_cap} for clamped mass,
-    which degenerates to 1 when m*theta <= 1.
+    Defined in the mixed regime (p_0 = 0, p_1 != 1) at horizons >= 1 (at 0
+    it is [0, q*^x], the bound of ``geometric_death_bound``).  Without
+    thinning the chain cannot die, so theta = 1 gives [0, 0].  The lower end
+    is the never-dying-overflow envelope at the horizon (finite-horizon
+    death increases to P_x(D)); the upper end closes the still-alive mass
+    with the fixed-point certificate q*^y, using q*^{x_cap} for clamped
+    mass, which degenerates to 1 when m*theta <= 1.
     """
     law = params.law
     if law.p0 > 0.0:
@@ -657,16 +653,15 @@ def death_interval_detail(
         raise RegimeError("single-child laws form a pure thinning chain; no mixed regime")
     if not 1 <= x <= caps.x_cap:
         raise ValueError(f"start state {x} outside the tracked range 1..{caps.x_cap}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    if horizon < 1:
+        raise ValueError(f"horizon {horizon} must be >= 1")
     if params.theta == 1.0:
         return DeathIntervalDetail(IntervalProb(0.0, 0.0), 0.0, 0.0, 0, (None, None, None))
     env = _envelope(params, caps.x_cap)
     lo, hi = env.death_at(horizon, x)
     closure = env.closure_at(horizon, x)
     iv = IntervalProb(lo, max(lo, min(1.0, hi + closure)))
-    closure_frozen = env.closure.frozen_by(horizon) if horizon else None  # it starts at step 1
-    frozen = (env.lo.frozen_by(horizon), env.hi.frozen_by(horizon), closure_frozen)
+    frozen = tuple(column.frozen_by(horizon) for column in (env.lo, env.hi, env.closure))
     return DeathIntervalDetail(iv, hi - lo, closure, env.last + 1, frozen)
 
 

@@ -117,15 +117,20 @@ class TestGeometricDeathBound:
         assert geometric_death_bound(1.0, 50) == 1.0
         assert geometric_death_bound(0.3, 0) == 1.0
         assert geometric_death_bound(0.0, 3) == 0.0
+        # past the float range, pow's limit: what q1**x gives at x = 2000 already
+        assert geometric_death_bound(1.0, 10**400) == 1.0
+        assert geometric_death_bound(1.0 - 2.0**-53, 10**400) == 0.0
 
     def test_log_domain_for_large_x(self):
         v = geometric_death_bound(0.5, 5000)
         assert v == pytest.approx(math.exp(5000 * math.log(0.5)), rel=1e-9)
 
-    @pytest.mark.parametrize("x", [1010, 1015, 1020])
+    @pytest.mark.parametrize("x", [1010, 1015, 1020, 10**400], ids=["1010", "1015", "1020", "10**400"])
     def test_exact_power_among_subnormals(self, x):
-        # exp(x log q1) rounds below q1^x here; a bound must not
-        assert geometric_death_bound(0.5, x) == 2.0**-x
+        # exp(x log q1) rounds below q1^x here; a bound must not.  ldexp is
+        # the exact power of two, and 0.0 past the float range, where
+        # 2.0**-x cannot convert x
+        assert geometric_death_bound(0.5, x) == math.ldexp(1.0, -x)
 
 
 class TestExplosionCertificate:
@@ -495,6 +500,30 @@ class TestGeometricAbsorption:
         for row in reversed(report.rows):
             iv = finite_horizon_death(2, params, row.n, SMALL_CAPS)
             assert (row.survival_lo, row.survival_hi) == (1.0 - iv.hi, 1.0 - iv.lo)
+
+    @pytest.mark.parametrize("spec,theta,x,caps", [
+        ("pmf:0=0.2,2=0.8", 0.9, 1, SMALL_CAPS),
+        ("pmf:0=0.001,1=0.5,2=0.499", 0.9, 1, SMALL_CAPS),
+        ("pmf:0=0.2,2=0.8", 1.0, 1, Caps(x_cap=3)),  # rows one ulp either side of the bound
+    ])
+    def test_rows_match_the_power_formula(self, spec, theta, x, caps):
+        # the running product is (1 - p_0)^n exactly, so every status is the
+        # one the power (1 - p_0)**n decides
+        params = IGWParams(parse_law_spec(spec), theta)
+        p0 = params.law.p0
+        report = geometric_absorption_check(params, x, 300, caps)
+        want = []
+        for n in range(1, 301):
+            death = finite_horizon_death(x, params, n, caps)
+            bound = (1 - Fraction(p0)) ** n
+            if 1 - Fraction(death.lo) <= bound:
+                status = "certified"
+            elif 1 - Fraction(death.hi) <= bound:
+                status = "indeterminate"
+            else:
+                status = "violated"
+            want.append((n, 1.0 - death.hi, 1.0 - death.lo, (1.0 - p0) ** n, status))
+        assert [tuple(vars(row).values()) for row in report.rows] == want
 
     def test_certain_immediate_death(self):
         params = IGWParams(OffspringLaw.explicit({0: 1.0}), 0.5)

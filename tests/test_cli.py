@@ -152,6 +152,13 @@ class TestBounds:
         )
         assert code == 1 and out == "" and "tolerance" in err
 
+    def test_geometric_death_beyond_the_float_range(self, capsys):
+        # x converts to no float: the bound is pow's limit, not a traceback
+        for q1, want in (("0.5", "0.0"), ("1", "1.0")):
+            code, out, err = run_cli(["bounds", "geometric-death", "--q1", q1, "--x", str(10**400)], capsys)
+            assert (code, err) == (0, "")
+            assert data_lines(out)[1] == want
+
 
 class TestErrorsAndExitCodes:
     def test_malformed_law_names_token(self, capsys):
@@ -251,6 +258,8 @@ class TestErrorsAndExitCodes:
             (["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9", "--tol", "nan"], 1),
             (["exact", "death-interval", "--law", "binary:0.6", "--theta", "0.9", "--x", "0"], 1),
             (["exact", "death-interval", "--law", "pmf:0=0.2,2=0.8", "--theta", "0.9", "--x", "1"], 2),
+            (["exact", "death-interval", "--law", "binary:0.6", "--theta", "0.9", "--x", "1", "--horizon", "0"], 1),
+            (["sweep", "death-interval", "--law", "binary:0.6", "--theta", "0.9", "--x", "1", "--horizon", "0"], 1),
         ],
     )
     def test_rejected_command_keeps_out_file(self, capsys, tmp_path, args, want):
@@ -378,6 +387,21 @@ class TestVerify:
         rows = data_lines(out)[1:]
         assert len(rows) == 3
         assert all(r.endswith("violated") for r in rows)
+
+    def test_absorption_indeterminate_exit_three(self, capsys, monkeypatch):
+        # death in [0, 1] puts survival in [0, 1], across the bound at every n
+        monkeypatch.setattr(igw.analysis, "finite_horizon_death", lambda *args: igw.IntervalProb(0.0, 1.0))
+        code, out, _ = run_cli(
+            [
+                "verify", "absorption", "--law", "pmf:0=0.2,2=0.8", "--theta", "0.9",
+                "--x", "1", "--n-max", "3",
+            ],
+            capsys,
+        )
+        assert code == 3
+        rows = data_lines(out)[1:]
+        assert len(rows) == 3
+        assert all(r.endswith("indeterminate") for r in rows)
 
 
 class TestDeterminism:

@@ -6,7 +6,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from igw import (
     Caps,
@@ -131,6 +132,15 @@ class TestTotalProgenyDist:
         empty = laws[first]
         assert empty.atoms is exact_dist._empty(4093).atoms and empty.overflow == 1.0
         assert all(law is empty for law in laws[first:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_laws(), st.integers(1, 4), st.sampled_from([1.0, 0.5]))
+    def test_composed_rows_hold_p0_at_zero(self, law, cap, theta):
+        # the k = 0 term: with p_0 > 0 no composed law is empty, so only
+        # p_0 = 0 laws reach the empty-law exit of _compose
+        assume(law.p0 > 0.0)
+        for row in islice(exact_dist.thinned_rows(law, theta, cap), 1, 16):
+            assert row.atoms[0] >= law.p0
 
     def test_atoms_are_the_stored_law(self):
         # a second call returns the cached buffer itself, and neither the
@@ -481,6 +491,14 @@ class TestDeathProbInterval:
         with pytest.raises(RegimeError):
             death_prob_interval(1, IGWParams(OffspringLaw.explicit({1: 1.0}), 0.5))
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, binary_half, horizon):
+        # as for finite_horizon_death; horizon 0 would be [0, q*^x], the bound
+        # of fixed_point_q and geometric_death_bound
+        for theta in (0.7, 1.0):
+            with pytest.raises(ValueError, match=f"horizon {horizon} "):
+                exact_dist.death_interval_detail(1, IGWParams(binary_half, theta), SMALL_CAPS, horizon)
+
     def test_subcritical_thinning_gives_trivial_upper(self, binary_half):
         # m * theta < 1: no fixed-point certificate, upper end degenerates to 1
         params = IGWParams(binary_half, 0.6)
@@ -609,19 +627,7 @@ class TestDistinctStateSweep:
         assert shapes == {(r + 1, r + 1), (r + 2, r + 2)}
         assert exact_dist.swept_states(params) == r + 1
 
-        def arrays(obj):
-            if isinstance(obj, np.ndarray):
-                yield obj
-            elif isinstance(obj, exact_dist._Column):
-                yield from arrays(vars(obj))
-            elif isinstance(obj, dict):
-                for value in obj.values():
-                    yield from arrays(value)
-            elif isinstance(obj, (tuple, list)):
-                for value in obj:
-                    yield from arrays(value)
-
-        held = list(arrays(vars(_envelope(params, 512))))
+        held = list(_arrays(vars(_envelope(params, 512))))
         assert len(held) >= 6
         for a in held:  # no dense kernel, column or view of one
             for arr in (a, a.base):
@@ -641,6 +647,20 @@ class TestDistinctStateSweep:
         assert theta_one == (IntervalProb(0.0, 0.0), 0.0, 0.0, 0, (None, None, None))
 
 
+def _arrays(obj):
+    """Every array an envelope or a column holds, walking its attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, exact_dist._Column):
+        yield from _arrays(vars(obj))
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _arrays(value)
+
+
 class TestFixedPointStop:
     """Each envelope column stops at the first step that leaves it bitwise
     unchanged; a plain sweep with no exit, on the same arrays, is the oracle.
@@ -648,7 +668,7 @@ class TestFixedPointStop:
     each product back by 2^-k, the same exact products as the package's
     lifted column."""
 
-    HORIZONS = (300, 1, 3, 17, 256, 64)
+    HORIZONS = (300, 1, 3, 17, 256, 64, 2, 400, 5)
 
     @staticmethod
     def _plain(R: np.ndarray, v: np.ndarray, first: int, n_max: int, k: int) -> dict[int, bytes]:
@@ -687,6 +707,9 @@ class TestFixedPointStop:
         for n in self.HORIZONS:
             for column, plain in columns:
                 assert column.at(n).tobytes() == plain[n], n
+                # a start and a cursor, whatever horizons came before
+                swept = {id(a) for a in _arrays(vars(column)) if a is not column.R}
+                assert len(swept) <= 2, (n, len(swept))
         for column, plain in columns:
             frozen = column.frozen_by(n_max)
             steps = range(min(plain) + 1, n_max + 1)
