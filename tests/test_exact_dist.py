@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from igw import (
 )
 from igw.analysis import explosion_lower_bound, fixed_point_q
 import igw.exact_dist as exact_dist
+import igw.parallel as parallel
 from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _progeny_cache
 
 import reference
@@ -295,6 +297,85 @@ class TestDirectComposition:
         monkeypatch.setattr(exact_dist, "thinned_rows", reference.direct_rows)
         for got, want in zip(kernels, _kernels(params, 512)):
             assert np.array_equal(got, want)
+
+
+class _Boom(Exception):
+    pass
+
+
+def _progeny_bytes(law: OffspringLaw, xs=(1, 64, 512)) -> list[tuple[bytes, str]]:
+    dists = [total_progeny_dist(law, x) for x in xs]
+    return [(dist.atoms.tobytes(), dist.overflow.hex()) for dist in dists]
+
+
+class TestSplitOnTwoThreads:
+    """A top-level split product hands its low half to the helper thread;
+    every byte stays the serial one."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # which thread ran each part handed to fork
+        threads, fork = [], parallel.fork
+
+        def recorded(fn, *args):
+            def run(*args):
+                threads.append(threading.current_thread().name)
+                return fn(*args)
+
+            return fork(run, *args)
+
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "fork", recorded)
+        return threads
+
+    @pytest.mark.parametrize("size", [1026, 1027, 2049, 3073, 4096])
+    def test_forked_products_are_the_serial_bytes(self, two_cpus, size):
+        rng = np.random.default_rng(size)
+        a, b = _operand(rng, size, True), _operand(rng, size, True)
+        # n below, at and above the operand length, and past the full product
+        for n in (size - 1, size, size + size // 2, 2 * size):
+            for forked, serial in ((exact_dist._sqr_low(a, n, fork=True), exact_dist._sqr_low(a, n)),
+                                   (exact_dist._mul_low(a, b, n, fork=True), exact_dist._mul_low(a, b, n))):
+                assert forked.tobytes() == serial.tobytes(), n
+        assert two_cpus and set(two_cpus) == {"igw-helper"}
+
+    @pytest.mark.parametrize("spec", ["binary:0.6", "pmf:1=0.3,2=0.3,5=0.4"])
+    def test_progeny_laws_do_not_depend_on_cpus(self, monkeypatch, spec):
+        law = parse_law_spec(spec)
+        got = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+            _progeny_cache.cache_clear()
+            got[cpus] = _progeny_bytes(law)
+        assert got[1] == got[2]
+
+    @pytest.mark.parametrize("side", ["helper", "caller"])
+    def test_failed_half_leaves_no_result_behind(self, monkeypatch, two_cpus, side):
+        # the first split square raises in one of its halves, once: on the
+        # helper in its low square, or here in the cross term after the fork
+        # (the only calls of _mul_low on this thread without fork set)
+        law = parse_law_spec("binary:0.6")
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        _progeny_cache.cache_clear()
+        want = _progeny_bytes(law)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        _progeny_cache.cache_clear()
+        name, original = ("_sqr_low", exact_dist._sqr_low) if side == "helper" else ("_mul_low", exact_dist._mul_low)
+        raised = []
+
+        def failing_once(*args, **kwargs):
+            on_helper = threading.current_thread().name == "igw-helper"
+            chosen = on_helper if side == "helper" else not on_helper and not kwargs.get("fork")
+            if chosen and not raised:
+                raised.append(side)
+                raise _Boom(side)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(exact_dist, name, failing_once)
+        with pytest.raises(_Boom, match=side):
+            total_progeny_dist(law, 512)
+        assert raised == [side]
+        assert _progeny_bytes(law) == want
 
 
 class TestBinomialTable:

@@ -2,7 +2,6 @@ import ast
 import concurrent.futures
 import importlib
 import math
-import os
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -30,6 +29,7 @@ from igw import (
     stream_for,
 )
 import igw.igw_process as igw_process
+import igw.parallel as parallel
 from igw.analysis import _crossing_errors
 from igw.igw_process import (
     DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, map_chunks,
@@ -343,11 +343,12 @@ class TestMapChunks:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         five = [(c, RNG_CHUNK) for c in range(5)]
         assert map_chunks(*self.ARGS, 5 * RNG_CHUNK, workers=1) == five and sizes == []
-        # (CPUs, replicas, pool sizes started): never more processes than
-        # CPUs or chunks, and none when the CPU count is unknown
-        cases = ((3, 5 * RNG_CHUNK, [3]), (64, 2 * RNG_CHUNK + 1, [3]), (None, 5 * RNG_CHUNK, []))
+        # (usable CPUs, replicas, pool sizes started): never more processes
+        # than usable CPUs or chunks, and none on one CPU, which the rule
+        # also returns when the CPU count is unknown
+        cases = ((3, 5 * RNG_CHUNK, [3]), (64, 2 * RNG_CHUNK + 1, [3]), (1, 5 * RNG_CHUNK, []))
         for cpus, replicas, started in cases:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             sizes.clear()
             out = map_chunks(*self.ARGS, replicas, workers=1000)
             assert out == (five if replicas == 5 * RNG_CHUNK else [*five[:2], (2, 1)]), cpus
