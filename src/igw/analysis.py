@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exact_dist import Caps, IntervalProb, finite_horizon_death, thinned_rows
+from .exact_dist import Caps, IntervalProb, finite_horizon_death, one_step_dist
 from .gw_engine import ExtendedCount, harmonic_moments
 from .igw_process import EXPLODED, ChunkPaths, map_chunks, states_below
 from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, thinned_pgf
@@ -311,10 +311,10 @@ def explosion_lower_bound(
     harmonic_y, harmonic_bound = _switch_point(law, theta)
     raw: list[tuple[int, float, str]] = []
 
-    # exact region, y = x..y0 - 1 (zip stops before composing any row when
-    # x >= y0): row y holds P_y(X_1 = offset + i) = coef[i]
-    rows = islice(thinned_rows(law, theta, harmonic_y), x, None)
-    for y, row in zip(range(x, harmonic_y), rows):
+    # exact region, y = x..y0 - 1 (none when x >= y0): the law of X_1 from
+    # y cut at y0 holds P_y(X_1 = offset + i) = coef[i]
+    for y in range(x, harmonic_y):
+        row = one_step_dist(y, params, Caps(x_cap=harmonic_y))
         p = float(row.coef[: max(0, y + 2 - row.offset)].sum())
         raw.append((y, min(p, 1.0), "exact"))
 

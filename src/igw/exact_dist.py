@@ -25,13 +25,19 @@ when more than one CPU is usable (:mod:`igw.parallel`), and takes the
 rest on the calling thread; each part is the same call on the same
 operands, added in the same order, so the output bytes never depend on
 it.  Recursive products never fork, and kernel and certificate rows at
-x_cap <= 1024 never split.  The law of S_x is cut at ``s_cap``, and only
-:func:`total_progeny_dist` reads it.  The law of X_1, and with it every
-kernel row, death interval and one-step law, is cut at ``x_cap`` alone.
-The explosion certificate reads the same rows of H_x, cut just above the
-largest state of its exact region (:func:`thinned_rows`).  Every law, of
-S_x or of X_1, is one :class:`TruncatedDist`, stored once when it is
-composed; composition, kernels, certificate and callers all read it.
+x_cap <= 1024 never split.
+
+Every row lives in one table per (law, theta, cap), the eight most
+recently used kept, and one reader grows it on demand (:func:`_row`): the
+law of S_x is the theta = 1 row at cap ``s_cap``, the law of X_1 from x
+(one-step laws, kernel rows) the (theta, ``x_cap``) row, and the explosion
+certificate reads the rows cut just above its exact region.  Each row is
+one :class:`TruncatedDist`, stored once.  A table stops at its float fixed
+point: a step reads nothing but the bytes of the row before, so once
+:func:`_compose` returns a row bit for bit, every later row is that row.
+For pmf:0=0.2,2=0.8 at theta = 1 and cap 4096 that is row 863 (measured,
+not a proven bound); with p_0 = 0 the rows empty out.  The cache thus
+holds at most 8 tables of min(x, fixed point) + 1 rows of cap + 1 floats.
 
 Every death probability is closed into a rigorous two-sided interval:
 
@@ -102,8 +108,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -139,7 +144,7 @@ class Caps:
 
     ``x_cap`` truncates the chain: one-step laws, kernel rows and every
     death interval are exact below it and read nothing else.  ``s_cap``
-    truncates the law of S_x, which only :func:`total_progeny_dist` reads.
+    caps the theta = 1 table, the law of S_x (:func:`total_progeny_dist`).
     ``z_cap`` is accepted for compatibility and affects no result.
     """
 
@@ -154,13 +159,13 @@ class Caps:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedDist:
-    """The law of S_x (cap s_cap) or of X_1 (cap x_cap) on {0..cap}, plus
-    ``overflow``, the mass beyond the cap; atoms.sum() + overflow = 1 up to
-    float accumulation.  ``atoms`` is the read-only cap + 1 buffer the law
-    was summed in (:func:`_compose`), shared with this module's caches, so
-    a caller copies it before mutating.  The support, stored when the law
-    is composed, is ``coef`` = atoms[offset : offset + len(coef)] from the
-    first to the last nonzero atom (empty, offset cap + 1, for an empty law).
+    """One row of a composition table: the law of X_1 from x (of S_x at
+    theta = 1) on {0..cap}, plus ``overflow``, the mass beyond the cap;
+    atoms.sum() + overflow = 1 up to float accumulation.  ``atoms`` is the
+    read-only cap + 1 buffer the law was summed in (:func:`_compose`),
+    shared with the table, so a caller copies it before mutating.  The
+    support is ``coef`` = atoms[offset : offset + len(coef)] from the first
+    to the last nonzero atom (empty, offset cap + 1, for an empty law).
     Only this module constructs the type."""
 
     atoms: np.ndarray
@@ -201,7 +206,7 @@ class IntervalProb:
         return self.hi - self.lo
 
 
-# -- the law of S_x by truncated pgf composition ---------------------------------
+# -- the composition table: the laws of S_x and of X_1 ---------------------------
 
 
 @lru_cache(maxsize=8)
@@ -211,16 +216,6 @@ def _empty(cap: int) -> TruncatedDist:
     atoms = np.zeros(cap + 1)
     atoms.flags.writeable = False
     return TruncatedDist(atoms, 1.0, cap + 1, atoms[cap + 1 :])
-
-
-@lru_cache(maxsize=8)
-def _first_row(cap: int) -> TruncatedDist:
-    """The law of S_0 = X_1 = 0 from x = 0: a read-only cap + 1 buffer
-    holding a 1 at 0, as :func:`_compose` stores every later law."""
-    atoms = np.zeros(cap + 1)
-    atoms[0] = 1.0
-    atoms.flags.writeable = False
-    return TruncatedDist(atoms, 0.0, 0, atoms[:1])
 
 
 def _mul_low(a: np.ndarray, b: np.ndarray, n: int, fork: bool = False) -> np.ndarray:
@@ -289,8 +284,10 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
     The sum is taken in a zeroed cap + 1 buffer, which is marked read-only
     and kept as the law's ``atoms``, with its support found once here.  A
     law with no mass below the cap is the shared :func:`_empty` one and
-    pins no buffer.  The k = 0 term puts p_0 at 0, so only a law with
-    p_0 = 0 reaches one; its successor is itself, and ``prev`` is returned."""
+    pins no buffer.  A row whose successor is itself, the empty law (the
+    k = 0 term puts p_0 at 0, so only p_0 = 0 reaches one) or a row whose
+    composed bytes equal ``prev.atoms``, is returned as ``prev``: the step
+    reads only those bytes, so every later row is that float fixed point."""
     if not len(prev.coef):
         return prev
     cap = prev.cap
@@ -319,6 +316,8 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
             p_exp += e_mul + e
         if p > 0.0:
             out[p_off : p_off + len(power)] += np.ldexp(p * power, p_exp)
+    if out.tobytes() == prev.atoms.tobytes():
+        return prev
     nz = np.flatnonzero(out)
     if nz.size == 0:
         return _empty(cap)
@@ -329,64 +328,51 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
 
 
 @lru_cache(maxsize=8)
-def _progeny_cache(law: OffspringLaw, s_cap: int) -> list[TruncatedDist]:
-    """The laws of S_0, S_1, ... computed so far for one (law, s_cap), for
-    the eight most recently used.  One holds at most x + 1 arrays of
-    s_cap + 1 floats for the largest x asked for (x_cap + 1 on a sweep to
-    x_cap), the buffers the laws were composed in; empty laws hold none,
-    and :func:`total_progeny_dist` returns these laws themselves."""
-    return [_first_row(s_cap)]
+def _table(law: OffspringLaw, theta: float, cap: int) -> list[TruncatedDist]:
+    """The rows H_0, H_1, ... of (law, theta, cap) composed so far, for the
+    eight most recently used, seeded with the law of X_1 = 0 from x = 0 in
+    a read-only cap + 1 buffer.  A row that :func:`_compose` returns as its
+    own successor is appended once more: that repeat ends the table."""
+    atoms = np.zeros(cap + 1)
+    atoms[0] = 1.0
+    atoms.flags.writeable = False
+    return [TruncatedDist(atoms, 0.0, 0, atoms[:1])]
 
 
-def _progeny_laws(law: OffspringLaw, x_max: int, s_cap: int) -> list[TruncatedDist]:
-    """The law of S_x for every x = 0..x_max, from one cached list per
-    (law, s_cap) that grows by composition on demand."""
-    laws = _progeny_cache(law, s_cap)
-    while len(laws) <= x_max:
-        laws.append(_compose(law, laws[-1]))
-    return laws[: x_max + 1]
+def _row(law: OffspringLaw, theta: float, cap: int, x: int) -> TruncatedDist:
+    """Row x of :func:`_table`, composed on demand; past the fixed point
+    every x reads the fixed row itself."""
+    rows = _table(law, theta, cap)
+    while len(rows) <= x and (len(rows) == 1 or rows[-1] is not rows[-2]):
+        rows.append(_compose(law, rows[-1], theta))
+    return rows[min(x, len(rows) - 1)]
 
 
 def total_progeny_dist(
     law: OffspringLaw, x: int, z_cap: int = 4096, s_cap: int = 4096
 ) -> TruncatedDist:
-    """Exact (truncated) law of S_x = Z_1 + ... + Z_x; ``z_cap`` is accepted
-    and ignored.
+    """Exact (truncated) law of S_x = Z_1 + ... + Z_x on 0..s_cap; ``z_cap``
+    is accepted and ignored.
 
-    The law is the one cached for (law, s_cap), returned itself on every
-    call: the cache holds at most x_cap + 1 arrays of s_cap + 1 floats per
-    (law, s_cap) on a sweep to x_cap, and the returned laws add nothing.
-    Every empty law at one s_cap is one object with one zero vector."""
+    This is the theta = 1 row of the composition table at cap ``s_cap``
+    (:func:`_row`), returned itself with no copy: the same object as
+    ``one_step_dist(x, IGWParams(law, 1.0), Caps(x_cap=s_cap))``."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return _progeny_laws(law, x, s_cap)[x]
-
-
-# -- the law of X_1 by thinned pgf composition -----------------------------------
-
-
-def thinned_rows(law: OffspringLaw, theta: float, x_cap: int) -> Iterator[TruncatedDist]:
-    """The laws of X_1 from x = 0, 1, 2, ... on 0..x_cap, by the thinned
-    total-progeny equation H_x(u) = f((1 - theta + theta*u) * H_{x-1}(u));
-    each row is composed only when it is asked for.  Row x holds
-    P_x(X_1 = j) = atoms[j] exactly (up to rounding) for every j <= x_cap,
-    and its overflow is P_x(X_1 > x_cap)."""
-    row = _first_row(x_cap)
-    while True:
-        yield row
-        row = _compose(law, row, theta)
+    return _row(law, 1.0, s_cap, x)
 
 
 def one_step_dist(x: int, params: IGWParams, caps: Caps = Caps()) -> TruncatedDist:
     """Law of X_1 from state x, the theta-thinning of S_x, on 0..x_cap.
 
-    The atoms are exact up to float rounding whatever the law of S_x does
-    beyond ``s_cap``; the overflow is the mass of X_1 beyond ``x_cap``.
-    The law is the row as composed, read-only atoms and all, with no copy.
+    The atoms are exact up to float rounding and the overflow is the mass of
+    X_1 beyond ``x_cap``.  The law is row x of the (law, theta, x_cap) table
+    (:func:`_row`), read-only atoms and all, with no copy: a second call
+    composes nothing, and past the table's fixed point no x composes more.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return next(islice(thinned_rows(params.law, params.theta, caps.x_cap), x, None))
+    return _row(params.law, params.theta, caps.x_cap, x)
 
 
 def one_step_death_prob(x: int, params: IGWParams) -> float:
@@ -436,7 +422,8 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.
     full-width rows are built, floored and merged one kernel at a time.
     """
     live, shared = [], 0.0  # the shared row is unused when no row is dead
-    for row in islice(thinned_rows(params.law, params.theta, x_cap), x_cap + 1):
+    for x in range(x_cap + 1):
+        row = _row(params.law, params.theta, x_cap, x)
         mass = float(row.coef.sum())
         if mass < KERNEL_FLOOR:
             shared = mass

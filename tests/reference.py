@@ -7,10 +7,10 @@
   consistent with them, Binomial(s_cap + 1, theta), in the upper kernel and
   go to the phantom in the lower one.  It shares the law of S_x with the
   package, but not the thinned composition of the kernel rows.
-* The full-width envelope kernels, assembled row by row from
-  ``thinned_rows``: every state keeps its own row, lost mass goes to x_cap
-  or to the phantom, every state from the first dead row on takes the
-  shared row, and ``_floor_into`` runs last.  It shares the rows and the
+* The full-width envelope kernels, assembled row by row from the
+  package's composition table (``_row``): every state keeps its own row,
+  lost mass goes to x_cap or to the phantom, every state from the first
+  dead row on takes the shared row, and ``_floor_into`` runs last.  It shares the rows and the
   floor with the package, not its kernels on the distinct states.
 * The direct composition of the law of S_x and of the thinned rows H_x:
   every power w^k by one full ``np.convolve`` cut at the cap, without the
@@ -48,8 +48,7 @@ from igw.exact_dist import (
     _SHIFT_STATES,
     TruncatedDist,
     _floor_into,
-    _progeny_laws,
-    thinned_rows,
+    _row,
 )
 from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_EXACT_CAP, LOG_VALUE_LIMIT
 from igw.igw_process import (
@@ -87,7 +86,7 @@ def progeny_rows(params: IGWParams, caps: Caps) -> tuple[np.ndarray, np.ndarray,
     of S_x on 0..x_cap, overflow[x] the mass of S_x beyond s_cap, and spill
     the law of Binomial(s_cap + 1, theta) on 0..x_cap."""
     B = binomial_table(params.theta, caps.s_cap + 1, caps.x_cap)
-    laws = _progeny_laws(params.law, caps.x_cap, caps.s_cap)
+    laws = [_row(params.law, 1.0, caps.s_cap, x) for x in range(caps.x_cap + 1)]
     rows = np.array([p.coef @ B[p.offset : p.offset + len(p.coef)] for p in laws])
     return rows, np.array([p.overflow for p in laws]), B[caps.s_cap + 1]
 
@@ -128,7 +127,7 @@ def death_intervals(params: IGWParams, caps: Caps, horizon: int) -> list[Interva
 def dead_row(params: IGWParams, x_cap: int) -> int:
     """r, the first state whose tracked mass P_r(X_1 <= x_cap) is below
     ``KERNEL_FLOOR`` (x_cap + 1 when there is none)."""
-    rows = islice(thinned_rows(params.law, params.theta, x_cap), x_cap + 1)
+    rows = (_row(params.law, params.theta, x_cap, x) for x in range(x_cap + 1))
     return next((x for x, row in enumerate(rows) if row.coef.sum() < KERNEL_FLOOR), x_cap + 1)
 
 
@@ -141,7 +140,8 @@ def thinned_kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarr
     phantom (lower); the phantom dies at p_0; then ``_floor_into``."""
     n = x_cap + 1
     K_hi, K_lo = np.zeros((n, n)), np.zeros((n + 1, n + 1))
-    for x, row in enumerate(islice(thinned_rows(params.law, params.theta, x_cap), n)):
+    for x in range(n):
+        row = _row(params.law, params.theta, x_cap, x)
         mass = float(row.coef.sum())
         if mass < KERNEL_FLOOR:
             K_hi[x:, 0], K_hi[x:, x_cap] = mass, 1.0 - mass
@@ -240,8 +240,8 @@ def direct_compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -
 
 def direct_rows(law: OffspringLaw, theta: float, cap: int) -> Iterator[TruncatedDist]:
     """The laws of S_x (theta = 1) or of X_1 from x (theta < 1), cut at the
-    cap, for x = 0, 1, 2, ... by :func:`direct_compose`; a stand-in for
-    ``exact_dist.thinned_rows``."""
+    cap, for x = 0, 1, 2, ... by :func:`direct_compose`, with no stop at a
+    fixed point."""
     atoms = np.zeros(cap + 1)
     atoms[0] = 1.0
     row = TruncatedDist(atoms, 0.0, 0, atoms[:1])

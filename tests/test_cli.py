@@ -403,6 +403,26 @@ class TestVerify:
         assert len(rows) == 3
         assert all(r.endswith("indeterminate") for r in rows)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4 (outward rounding): at theta = 1 the unrounded float death "
+        "interval misses the exact (1 - p_0)^n by an ulp at n = 3 and 7",
+    )
+    def test_absorption_never_violated_at_theta_one(self, capsys):
+        # at theta = 1 death comes only from an empty first generation, so
+        # P_1(X_n != 0) = (1 - p_0)^n exactly and the bound holds with equality
+        code, out, _ = run_cli(
+            [
+                "verify", "absorption", "--law", "pmf:0=0.2,2=0.8", "--theta", "1",
+                "--x", "1", "--n-max", "8", "--x-cap", "3",
+            ],
+            capsys,
+        )
+        rows = data_lines(out)[1:]
+        assert len(rows) == 8
+        assert not any(r.endswith("violated") for r in rows)
+        assert code == 0
+
 
 class TestDeterminism:
     def test_mc_byte_identical_across_workers(self, capsys):

@@ -27,7 +27,7 @@ from igw import (
 from igw.analysis import explosion_lower_bound, fixed_point_q
 import igw.exact_dist as exact_dist
 import igw.parallel as parallel
-from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _progeny_cache
+from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _row, _table
 
 import reference
 from conftest import enumerate_total_progeny, law_fractions, small_laws
@@ -107,11 +107,11 @@ class TestTotalProgenyDist:
             assert dist.atoms.min() >= 0.0 and dist.overflow >= 0.0, x
             assert abs(dist.atoms.sum() + dist.overflow - 1.0) <= budget, x
 
-    def test_progeny_cache_is_bounded(self):
-        size = _progeny_cache.cache_parameters()["maxsize"]
+    def test_composition_table_is_bounded(self):
+        size = _table.cache_parameters()["maxsize"]
         for i in range(size + 3):
             total_progeny_dist(OffspringLaw.binary(0.01 * (i + 1)), 4, s_cap=32)
-        assert _progeny_cache.cache_info().currsize == size
+        assert _table.cache_info().currsize == size
 
     def test_point_mass_law_is_fast(self):
         # binary:1 always has two children, so S_x = 2^(x+1) - 2 is a single
@@ -126,14 +126,17 @@ class TestTotalProgenyDist:
     def test_empty_law_is_its_own_successor(self):
         # S_x >= 2^(x+1) - 2 here: once all mass is beyond s_cap (p_0 = 0)
         # every later law is the one empty object, and its atoms are the
-        # shared zero vector, so it pins no buffer of its own
-        laws = exact_dist._progeny_laws(parse_law_spec("pmf:2=0.5,3=0.5"), 512, 4093)
+        # shared zero vector, so it pins no buffer of its own; the table
+        # stops there and holds the empty law once more as its end
+        offspring = parse_law_spec("pmf:2=0.5,3=0.5")
+        laws = [_row(offspring, 1.0, 4093, x) for x in range(513)]
         first = next(x for x, law in enumerate(laws) if not len(law.coef))
         assert first <= 12
         assert laws[first - 1].coef.size
         empty = laws[first]
         assert empty.atoms is exact_dist._empty(4093).atoms and empty.overflow == 1.0
         assert all(law is empty for law in laws[first:])
+        assert _table(offspring, 1.0, 4093)[first:] == [empty, empty]
 
     @settings(max_examples=40, deadline=None)
     @given(small_laws(), st.integers(1, 4), st.sampled_from([1.0, 0.5]))
@@ -141,8 +144,8 @@ class TestTotalProgenyDist:
         # the k = 0 term: with p_0 > 0 no composed law is empty, so only
         # p_0 = 0 laws reach the empty-law exit of _compose
         assume(law.p0 > 0.0)
-        for row in islice(exact_dist.thinned_rows(law, theta, cap), 1, 16):
-            assert row.atoms[0] >= law.p0
+        for x in range(1, 16):
+            assert _row(law, theta, cap, x).atoms[0] >= law.p0
 
     def test_atoms_are_the_stored_law(self):
         # a second call returns the cached buffer itself, and neither the
@@ -169,19 +172,87 @@ class TestTotalProgenyDist:
         assert total_progeny_dist(parse_law_spec("binary:1"), 20, s_cap=4092).atoms is not zeros
 
     def test_held_laws_allocate_nothing_beside_the_cache(self):
-        # holding S_1..S_512 of binary:0.6 costs the cache's 512 buffers of
+        # holding S_1..S_512 of binary:0.6 costs the table's 512 buffers of
         # 4097 floats (16.8 MB) and nothing more: the laws returned are those
         # buffers, not dense copies
         law = parse_law_spec("binary:0.6")
         tracemalloc.start()
         try:
-            exact_dist._progeny_laws(law, 512, 4096)
+            _row(law, 1.0, 4096, 512)
             cache, _ = tracemalloc.get_traced_memory()
             held = [total_progeny_dist(law, x) for x in range(1, 513)]
             grown = tracemalloc.get_traced_memory()[0] - cache
         finally:
             tracemalloc.stop()
         assert len(held) == 512 and grown < 512 * 1024
+
+
+def _fixed_point(law: OffspringLaw, theta: float, cap: int) -> int:
+    """The first x whose row is its own successor, read off the end of the
+    (law, theta, cap) table after growing it far past that row."""
+    rows = _table(law, theta, cap)
+    _row(law, theta, cap, 100_000)
+    assert len(rows) >= 2 and rows[-1] is rows[-2], "no fixed point"
+    return len(rows) - 2
+
+
+class TestCompositionTable:
+    """One table per (law, theta, cap), stopped at its float fixed point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_laws(), st.integers(1, 64), st.sampled_from([1.0, 0.5]))
+    def test_rows_past_the_fixed_point_are_the_composed_ones(self, law, cap, theta):
+        # the direct composition never stops and, at caps below _DIRECT_MAX,
+        # rounds as _compose does: every row of the stopped table, to three
+        # times the fixed point, is its row byte for byte
+        assume(law.p0 > 0.0)
+        _table.cache_clear()
+        fixed = _fixed_point(law, theta, cap)
+        direct = reference.direct_rows(law, theta, cap)
+        for x in range(3 * fixed + 2):
+            row, want = _row(law, theta, cap, x), next(direct)
+            assert row.atoms.tobytes() == want.atoms.tobytes(), x
+            assert row.overflow.hex() == want.overflow.hex(), x
+
+    def test_law_of_s_x_stops_at_its_fixed_point(self, monkeypatch):
+        law = parse_law_spec("pmf:0=0.2,2=0.8")
+        calls, compose = [], exact_dist._compose
+
+        def counted(*args):
+            calls.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(exact_dist, "_compose", counted)
+        _table.cache_clear()
+        dist = total_progeny_dist(law, 20000)
+        rows = _table(law, 1.0, 4096)
+        fixed = rows.index(dist)
+        # the returned law is the first row that is its own successor
+        assert compose(law, dist).atoms.tobytes() == dist.atoms.tobytes()
+        assert rows[fixed - 1].atoms.tobytes() != dist.atoms.tobytes()
+        assert rows[fixed:] == [dist, dist] and fixed < 1000
+        assert len(calls) <= fixed + 1
+
+    @pytest.mark.parametrize("spec", ["binary:0.6", "pmf:0=0.2,2=0.8", "pmf:2=0.5,3=0.5"])
+    def test_law_of_s_x_is_the_theta_one_row(self, spec):
+        law = parse_law_spec(spec)
+        for cap in (64, 512):
+            for x in (0, 1, 7, 64, 300, 3000):
+                one_step = one_step_dist(x, IGWParams(law, 1.0), Caps(x_cap=cap))
+                assert total_progeny_dist(law, x, s_cap=cap) is one_step, (cap, x)
+
+    def test_second_read_composes_nothing(self, monkeypatch):
+        params, caps = IGWParams(parse_law_spec("pmf:0=0.2,2=0.8"), 0.7), Caps(x_cap=512)
+        row, fixed = one_step_dist(100, params, caps), one_step_dist(10**6, params, caps)
+
+        def forbidden(*args):
+            raise AssertionError("composed again")
+
+        monkeypatch.setattr(exact_dist, "_compose", forbidden)
+        assert one_step_dist(100, params, caps) is row
+        # past the fixed point every state reads the fixed row
+        assert one_step_dist(10**9, params, caps) is fixed
+        assert one_step_dist(_fixed_point(params.law, 0.7, 512), params, caps) is fixed
 
 
 def _gamma(n: int) -> float:
@@ -294,8 +365,13 @@ class TestDirectComposition:
         # direct route's rounding bit for bit
         params = IGWParams(parse_law_spec(spec), theta)
         kernels = _kernels(params, 512)
-        monkeypatch.setattr(exact_dist, "thinned_rows", reference.direct_rows)
-        for got, want in zip(kernels, _kernels(params, 512)):
+        monkeypatch.setattr(exact_dist, "_compose", reference.direct_compose)
+        _table.cache_clear()
+        try:
+            direct = _kernels(params, 512)
+        finally:
+            _table.cache_clear()  # no direct row outlives the patch
+        for got, want in zip(kernels, direct):
             assert np.array_equal(got, want)
 
 
@@ -345,7 +421,7 @@ class TestSplitOnTwoThreads:
         got = {}
         for cpus in (1, 2):
             monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-            _progeny_cache.cache_clear()
+            _table.cache_clear()
             got[cpus] = _progeny_bytes(law)
         assert got[1] == got[2]
 
@@ -356,10 +432,10 @@ class TestSplitOnTwoThreads:
         # (the only calls of _mul_low on this thread without fork set)
         law = parse_law_spec("binary:0.6")
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        _progeny_cache.cache_clear()
+        _table.cache_clear()
         want = _progeny_bytes(law)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        _progeny_cache.cache_clear()
+        _table.cache_clear()
         name, original = ("_sqr_low", exact_dist._sqr_low) if side == "helper" else ("_mul_low", exact_dist._mul_low)
         raised = []
 
@@ -922,21 +998,31 @@ class TestThinnedKernels:
             return compose(*args)
 
         monkeypatch.setattr(exact_dist, "_compose", counted)
+        _table.cache_clear()  # rows composed by earlier tests would not be counted
         _kernels(IGWParams(parse_law_spec("pmf:2=0.5,3=0.5"), 0.45), Caps().x_cap)
         assert 1 <= len(calls) <= 12
 
     def test_envelope_reads_no_progeny_law(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("read while building an envelope")
+        # every row an envelope composes is a thinned row of its own theta,
+        # none a row of the law of S_x (theta = 1)
+        thetas, compose = [], exact_dist._compose
 
-        monkeypatch.setattr(exact_dist, "_progeny_laws", forbidden)
+        def recorded(law, prev, theta=1.0):
+            thetas.append(theta)
+            return compose(law, prev, theta)
+
+        monkeypatch.setattr(exact_dist, "_compose", recorded)
         _envelope.cache_clear()
+        _table.cache_clear()
         params = IGWParams(parse_law_spec("binary:0.6"), 0.8)
         assert death_prob_interval(3, params).width == 0.0
         assert finite_horizon_death(3, params, 5).lo > 0.0
+        assert thetas and set(thetas) == {0.8}
         # the explosion certificate's exact region reads the same thinned
-        # rows, so its pinned value comes out with the law of S_x forbidden
+        # rows, so its pinned value comes out with no row of the law of S_x
+        thetas.clear()
         cert = explosion_lower_bound(2, IGWParams(parse_law_spec("binary:0.6"), 0.92))
+        assert thetas and set(thetas) == {0.92}
         assert cert.bound == pytest.approx(0.3954270314624218, rel=1e-12, abs=0.0)
         assert cert.bound >= 0.3954270256435304  # the fixed switch point 64 gave this
         assert cert.bound >= 0.395418796324328  # and adaptive Simpson this

@@ -63,7 +63,7 @@ class TestFork:
 
 
 def _compose_in_child(want: bytes) -> None:
-    exact_dist._progeny_cache.cache_clear()
+    exact_dist._table.cache_clear()
     got = exact_dist.total_progeny_dist(parse_law_spec("binary:0.6"), 40)
     if got.atoms.tobytes() != want:
         raise SystemExit(1)
