@@ -27,17 +27,20 @@ operands, added in the same order, so the output bytes never depend on
 it.  Recursive products never fork, and kernel and certificate rows at
 x_cap <= 1024 never split.
 
-Every row lives in one table per (law, theta, cap), the eight most
-recently used kept, and one reader grows it on demand (:func:`_row`): the
-law of S_x is the theta = 1 row at cap ``s_cap``, the law of X_1 from x
-(one-step laws, kernel rows) the (theta, ``x_cap``) row, and the explosion
-certificate reads the rows cut just above its exact region.  Each row is
-one :class:`TruncatedDist`, stored once.  A table stops at its float fixed
-point: a step reads nothing but the bytes of the row before, so once
-:func:`_compose` returns a row bit for bit, every later row is that row.
-For pmf:0=0.2,2=0.8 at theta = 1 and cap 4096 that is row 863 (measured,
-not a proven bound); with p_0 = 0 the rows empty out.  The cache thus
-holds at most 8 tables of min(x, fixed point) + 1 rows of cap + 1 floats.
+One successor loop composes every row from the one before
+(:func:`_successors`) and stops at the float fixed point: a step reads
+nothing but the bytes of the row before, so once :func:`_compose` returns
+a row bit for bit, every later row is that row.  For pmf:0=0.2,2=0.8 at
+theta = 1 and cap 4096 that is row 863 (measured, not a proven bound);
+with p_0 = 0 the rows empty out.  Rows that are read again live in one
+table per (law, theta, cap), the eight most recently used kept, which one
+reader grows on demand (:func:`_row`): the law of S_x is the theta = 1 row
+at cap ``s_cap``, a one-step law the (theta, ``x_cap``) row, and the
+explosion certificate reads the rows cut just above its exact region.
+Each row is one :class:`TruncatedDist`, stored once.  The cache thus holds
+at most 8 tables of min(x, fixed point) + 1 rows of cap + 1 floats.  The
+envelope kernels read each row once, so they take the rows as a stream
+from the same loop and no table is made for them.
 
 Every death probability is closed into a rigorous two-sided interval:
 
@@ -58,7 +61,12 @@ into column s, and a sweep costs (s + 1)^2 per step instead of
 whose rows die early: at the default caps pmf:2=0.5,3=0.5 steps 10 to 11
 states at every theta, and binary:0.9 at theta = 0.9 steps 209.  Nothing
 is saved when r is near x_cap: binary:0.6 has r = 509 of 512 at
-theta = 0.92.
+theta = 0.92.  An envelope holds these kernels, the upper one's columns
+s..x_cap and its swept columns, nothing more: the kernels take
+8 ((s + 1)^2 + (s + 2)^2 + (s + 1)(x_cap + 1 - s)) bytes, 4.19 MB for
+binary:0.6 at theta = 0.92 and x_cap = 512.  Building them holds the r live
+rows of x_cap + 1 floats besides (2.1 MB there) and one block of
+``_BLOCK`` full-width rows, never a full-width kernel.
 
 Both envelope chains absorb at 0, so P_x(X_n = 0) = (K^n e_0)[x] for either
 kernel K.  One backward sweep u <- K u from u = e_0 therefore answers every
@@ -108,7 +116,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple, Optional
+from itertools import chain, islice
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -136,6 +145,10 @@ _DIRECT_MAX = 1025
 #: scalings double a step of 65 states (1.5 to 3 us), and where products
 #: are subnormal they already win at 60 states (binary:0.9999, theta = 0.9).
 _SHIFT, _SHIFT_STATES = 1000, 64
+
+#: the envelope kernels are assembled this many full-width rows at a time
+#: (:func:`_assemble`), so no full-width matrix of all the states is built.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -327,24 +340,39 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
     return TruncatedDist(out, max(0.0, 1.0 - float(coef.sum())), offset, coef)
 
 
-@lru_cache(maxsize=8)
-def _table(law: OffspringLaw, theta: float, cap: int) -> list[TruncatedDist]:
-    """The rows H_0, H_1, ... of (law, theta, cap) composed so far, for the
-    eight most recently used, seeded with the law of X_1 = 0 from x = 0 in
-    a read-only cap + 1 buffer.  A row that :func:`_compose` returns as its
-    own successor is appended once more: that repeat ends the table."""
+def _origin(cap: int) -> TruncatedDist:
+    """H_0, the law of X_1 = 0 from x = 0, in a read-only cap + 1 buffer."""
     atoms = np.zeros(cap + 1)
     atoms[0] = 1.0
     atoms.flags.writeable = False
-    return [TruncatedDist(atoms, 0.0, 0, atoms[:1])]
+    return TruncatedDist(atoms, 0.0, 0, atoms[:1])
+
+
+def _successors(law: OffspringLaw, theta: float, row: TruncatedDist) -> Iterator[TruncatedDist]:
+    """The rows after ``row``, each composed from the one before
+    (:func:`_compose`), ending with the first row returned as its own
+    successor: that repeat is the float fixed point, every later row."""
+    while True:
+        prev, row = row, _compose(law, row, theta)
+        yield row
+        if row is prev:
+            return
+
+
+@lru_cache(maxsize=8)
+def _table(law: OffspringLaw, theta: float, cap: int) -> list[TruncatedDist]:
+    """The rows H_0, H_1, ... of (law, theta, cap) composed so far, for the
+    eight most recently used, seeded with :func:`_origin`.  The repeat that
+    ends :func:`_successors` ends the table."""
+    return [_origin(cap)]
 
 
 def _row(law: OffspringLaw, theta: float, cap: int, x: int) -> TruncatedDist:
     """Row x of :func:`_table`, composed on demand; past the fixed point
     every x reads the fixed row itself."""
     rows = _table(law, theta, cap)
-    while len(rows) <= x and (len(rows) == 1 or rows[-1] is not rows[-2]):
-        rows.append(_compose(law, rows[-1], theta))
+    if len(rows) <= x and (len(rows) == 1 or rows[-1] is not rows[-2]):
+        rows.extend(islice(_successors(law, theta, rows[-1]), x + 1 - len(rows)))
     return rows[min(x, len(rows) - 1)]
 
 
@@ -416,14 +444,23 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.
 
     With s = min(r, x_cap) the states s..x_cap step alike, so each kernel is
     kept on the rows of states 0..s (and the phantom) with the columns of
-    states s..x_cap summed into column s (:func:`_merge`): R_hi is
+    states s..x_cap summed into column s, smallest term first: R_hi is
     (s + 1)^2 and R_lo, with the phantom last, (s + 2)^2.  ``tail`` holds
-    the upper kernel's full-width columns s..x_cap of rows 0..s.  The
-    full-width rows are built, floored and merged one kernel at a time.
+    the upper kernel's full-width columns s..x_cap of rows 0..s.
+
+    The rows come as a stream from :func:`_successors`, stopped at the
+    float fixed point as the table stops, and no table row is read or
+    kept: while the kernels are built this holds the r live rows, and
+    after it only the three arrays it returns.  Each kernel is assembled
+    in its final arrays ``_BLOCK`` full-width rows at a time
+    (:func:`_assemble`); every reduction is along a row, so the bytes are
+    those of the whole full-width matrix floored and merged at once.
     """
+    row = _origin(x_cap)
+    rows = chain([row], _successors(params.law, params.theta, row))
     live, shared = [], 0.0  # the shared row is unused when no row is dead
-    for x in range(x_cap + 1):
-        row = _row(params.law, params.theta, x_cap, x)
+    for _ in range(x_cap + 1):
+        row = next(rows, row)  # past the fixed point every row is the fixed one
         mass = float(row.coef.sum())
         if mass < KERNEL_FLOOR:
             shared = mass
@@ -431,44 +468,57 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.
         live.append(row)
     r = len(live)
     s = min(r, x_cap)  # row s is the shared row when r = s
-    hi = _dense(live, (s + 1, x_cap + 1))
-    lost = np.maximum(0.0, 1.0 - hi[:r].sum(axis=1))
-    hi[:r, x_cap] += lost
-    if r == s:
-        hi[s, 0], hi[s, x_cap] = shared, 1.0 - shared
-    _floor_into(hi, 0)
-    R_hi, tail = _merge(hi, s, x_cap), hi[:, s:].copy()
-    del hi  # freed before the lower kernel is built
-    lo = _dense(live, (s + 2, x_cap + 2))
-    lo[:r, x_cap + 1] = lost
-    if r == s:
-        lo[s, x_cap + 1] = 1.0
-    lo[s + 1, 0], lo[s + 1, x_cap + 1] = params.law.p0, 1.0 - params.law.p0
-    _floor_into(lo, x_cap + 1)
-    return R_hi, _merge(lo, s, x_cap), tail
+    dead = [((0, shared), (x_cap, 1.0 - shared))] if r == s else []
+    R_hi, tail = np.empty((s + 1, s + 1)), np.empty((s + 1, x_cap + 1 - s))
+    _assemble(R_hi, live, dead, x_cap, 0, tail)
+    dead = [((x_cap + 1, 1.0),)] if r == s else []
+    phantom = ((0, params.law.p0), (x_cap + 1, 1.0 - params.law.p0))
+    R_lo = np.empty((s + 2, s + 2))
+    _assemble(R_lo, live, [*dead, phantom], x_cap, x_cap + 1)
+    return R_hi, R_lo, tail
 
 
-def _dense(rows: list[TruncatedDist], shape: tuple[int, int]) -> np.ndarray:
-    """A zero matrix of ``shape`` with the atoms of ``rows`` as its first rows."""
-    K = np.zeros(shape)
-    for x, row in enumerate(rows):
-        K[x, row.offset : row.offset + len(row.coef)] = row.coef
-    return K
+def _assemble(
+    R: np.ndarray,
+    live: list[TruncatedDist],
+    extra: list[tuple[tuple[int, float], ...]],
+    x_cap: int,
+    col: int,
+    tail: Optional[np.ndarray] = None,
+) -> None:
+    """Fill the kernel ``R`` on its distinct states 0..s, with a phantom
+    state last when ``col`` = x_cap + 1, ``_BLOCK`` rows at a time.
 
-
-def _floor_into(K: np.ndarray, col: int) -> None:
-    """Move every entry below ``KERNEL_FLOOR`` into column ``col`` of its row."""
-    small = K < KERNEL_FLOOR
-    small[:, col] = False
-    K[:, col] += np.where(small, K, 0.0).sum(axis=1)
-    K[small] = 0.0
-
-
-def _merge(K: np.ndarray, s: int, x_cap: int) -> np.ndarray:
-    """K with the columns of states s..x_cap summed into column s, smallest
-    term first; the phantom column past x_cap, if any, stays last."""
-    merged = np.cumsum(np.sort(K[:, s : x_cap + 1], axis=1), axis=1)[:, -1]
-    return np.column_stack((K[:, :s], merged, K[:, x_cap + 1 :]))
+    A block starts as the full-width rows of its states: the atoms of the
+    ``live`` rows with their lost mass, max(0, 1 - sum of the atoms), added
+    in the last column (x_cap, or the phantom's), then the rows of
+    ``extra``, given as (column, entry) pairs.  Every entry below
+    ``KERNEL_FLOOR`` then moves into column ``col`` of its row, the columns
+    of states s..x_cap are summed into column s, smallest term first, and
+    the phantom column stays last; ``tail``, if given, takes columns
+    s..x_cap as they are."""
+    phantom = col > x_cap
+    s = len(R) - 1 - phantom
+    for start in range(0, len(R), _BLOCK):
+        K = np.zeros((min(_BLOCK, len(R) - start), x_cap + 1 + phantom))
+        for k, x in enumerate(range(start, start + len(K))):
+            if x < len(live):
+                row = live[x]
+                K[k, row.offset : row.offset + len(row.coef)] = row.coef
+                K[k, -1] += max(0.0, 1.0 - float(row.atoms.sum()))
+            else:
+                for j, entry in extra[x - len(live)]:
+                    K[k, j] = entry
+        small = K < KERNEL_FLOOR
+        small[:, col] = False
+        K[:, col] += np.where(small, K, 0.0).sum(axis=1)
+        K[small] = 0.0
+        block = R[start : start + len(K)]
+        block[:, :s] = K[:, :s]
+        block[:, s] = np.cumsum(np.sort(K[:, s : x_cap + 1], axis=1), axis=1)[:, -1]
+        block[:, s + 1 :] = K[:, x_cap + 1 :]
+        if tail is not None:
+            tail[start : start + len(K)] = K[:, s:]
 
 
 class _Column:
@@ -583,8 +633,9 @@ class _Envelope:
 
 @lru_cache(maxsize=8)
 def _envelope(params: IGWParams, x_cap: int) -> _Envelope:
-    """The envelopes of the eight most recently used (params, x_cap); one
-    holds at most 2 x 8 (x_cap + 2)^2 bytes of kernels plus its columns."""
+    """The envelopes of the eight most recently used (params, x_cap).  One
+    holds its kernels, at most 2 x 8 (x_cap + 2)^2 bytes, and its columns,
+    and no composed row: the (law, theta, x_cap) table is not made for it."""
     return _Envelope(params, x_cap)
 
 

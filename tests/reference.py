@@ -10,8 +10,12 @@
 * The full-width envelope kernels, assembled row by row from the
   package's composition table (``_row``): every state keeps its own row,
   lost mass goes to x_cap or to the phantom, every state from the first
-  dead row on takes the shared row, and ``_floor_into`` runs last.  It shares the rows and the
-  floor with the package, not its kernels on the distinct states.
+  dead row on takes the shared row, and ``_floor_into`` runs last.  It shares the rows
+  with the package, not its kernels on the distinct states.
+* The envelope kernels on the distinct states as the package assembled them
+  before its row blocks (``distinct_kernels``): whole full-width matrices
+  of the rows read from the table, floored at once (``_floor_into``) and
+  merged at once (``_merge``).  The blocked assembly must give its bytes.
 * The direct composition of the law of S_x and of the thinned rows H_x:
   every power w^k by one full ``np.convolve`` cut at the cap, without the
   package's short products and symmetric square.
@@ -47,7 +51,6 @@ from igw.exact_dist import (
     _SHIFT,
     _SHIFT_STATES,
     TruncatedDist,
-    _floor_into,
     _row,
 )
 from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_EXACT_CAP, LOG_VALUE_LIMIT
@@ -156,6 +159,59 @@ def thinned_kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarr
     _floor_into(K_hi, 0)
     _floor_into(K_lo, n)
     return K_hi, K_lo
+
+
+def _floor_into(K: np.ndarray, col: int) -> None:
+    """Move every entry below ``KERNEL_FLOOR`` into column ``col`` of its row."""
+    small = K < KERNEL_FLOOR
+    small[:, col] = False
+    K[:, col] += np.where(small, K, 0.0).sum(axis=1)
+    K[small] = 0.0
+
+
+def _dense(rows: list[TruncatedDist], shape: tuple[int, int]) -> np.ndarray:
+    """A zero matrix of ``shape`` with the atoms of ``rows`` as its first rows."""
+    K = np.zeros(shape)
+    for x, row in enumerate(rows):
+        K[x, row.offset : row.offset + len(row.coef)] = row.coef
+    return K
+
+
+def _merge(K: np.ndarray, s: int, x_cap: int) -> np.ndarray:
+    """K with the columns of states s..x_cap summed into column s, smallest
+    term first; the phantom column past x_cap, if any, stays last."""
+    merged = np.cumsum(np.sort(K[:, s : x_cap + 1], axis=1), axis=1)[:, -1]
+    return np.column_stack((K[:, :s], merged, K[:, x_cap + 1 :]))
+
+
+def distinct_kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R_hi, R_lo, tail) of ``exact_dist._kernels`` by whole full-width
+    matrices: the live rows 0..r-1 read from the table, the shared row s = r
+    when r <= x_cap, the phantom last in the lower kernel, each kernel
+    floored and merged at once."""
+    live, shared = [], 0.0
+    for x in range(x_cap + 1):
+        row = _row(params.law, params.theta, x_cap, x)
+        mass = float(row.coef.sum())
+        if mass < KERNEL_FLOOR:
+            shared = mass
+            break
+        live.append(row)
+    r = len(live)
+    s = min(r, x_cap)
+    hi = _dense(live, (s + 1, x_cap + 1))
+    lost = np.maximum(0.0, 1.0 - hi[:r].sum(axis=1))
+    hi[:r, x_cap] += lost
+    if r == s:
+        hi[s, 0], hi[s, x_cap] = shared, 1.0 - shared
+    _floor_into(hi, 0)
+    lo = _dense(live, (s + 2, x_cap + 2))
+    lo[:r, x_cap + 1] = lost
+    if r == s:
+        lo[s, x_cap + 1] = 1.0
+    lo[s + 1, 0], lo[s + 1, x_cap + 1] = params.law.p0, 1.0 - params.law.p0
+    _floor_into(lo, x_cap + 1)
+    return _merge(hi, s, x_cap), _merge(lo, s, x_cap), hi[:, s:].copy()
 
 
 def dense_sweep(

@@ -1028,6 +1028,107 @@ class TestThinnedKernels:
         assert cert.bound >= 0.395418796324328  # and adaptive Simpson this
 
 
+class TestBlockedAssembly:
+    """The kernels are assembled ``_BLOCK`` rows at a time from a stream of
+    rows; ``reference.distinct_kernels``, whole full-width matrices of the
+    table's rows floored and merged at once, must give the same bytes."""
+
+    @pytest.mark.parametrize(
+        "spec,theta,x_cap,states",
+        [
+            # no dead row: s + 1 = 63..129 on both sides of one and two blocks
+            ("binary:0.9", 0.9, 62, 63),
+            ("binary:0.9", 0.9, 63, 64),
+            ("binary:0.9", 0.9, 64, 65),
+            ("binary:0.9", 0.9, 127, 128),
+            ("binary:0.9", 0.9, 128, 129),
+            # a shared dead row last in a full block, and alone in a block
+            ("binary:0.978", 0.9, 256, 128),
+            ("binary:0.978", 0.7, 256, 129),
+            ("binary:0.6", 0.92, 512, 510),  # a shared dead row
+            ("pmf:2=0.5,3=0.5", 0.45, 512, 11),  # a shared dead row, 11 states
+            # p_0 > 0: a dying phantom and rows past the fixed point
+            ("pmf:0=0.2,2=0.8", 0.7, 512, 513),
+        ],
+    )
+    def test_matches_full_width_assembly(self, spec, theta, x_cap, states):
+        params = IGWParams(parse_law_spec(spec), theta)
+        R_hi, R_lo, tail = _kernels(params, x_cap)
+        want = reference.distinct_kernels(params, x_cap)
+        assert len(R_hi) == states
+        for got, expected in zip((R_hi, R_lo, tail), want):
+            assert got.shape == expected.shape and got.flags.c_contiguous
+            assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+        if spec.startswith("pmf:0="):
+            assert _fixed_point(params.law, theta, x_cap) < x_cap  # rows past it share one object
+            assert R_lo[-1, 0] == params.law.p0
+
+
+def _held_bytes(env) -> int:
+    return sum(a.nbytes for a in {id(a): a for a in _arrays(vars(env))}.values())
+
+
+class TestEnvelopeMemory:
+    """An envelope holds its kernels and its columns and nothing more: the
+    rows stream through ``_kernels`` and no (theta, x_cap) table is made."""
+
+    def test_envelope_holds_only_its_kernels(self):
+        params = IGWParams(parse_law_spec("binary:0.6"), 0.92)
+        fixed_point_q(params, 1e-13)  # q* and the imports the closure takes
+        _envelope.cache_clear()
+        _table.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            env = _envelope(params, 512)
+            for n in (1, 17, 256):
+                env.death_at(n, 1), env.closure_at(n, 1)
+            held, peak = (b - start for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        s = env.last
+        kernels = env.R_hi.nbytes + env.R_lo.nbytes + env.tail.nbytes
+        assert kernels == 8 * ((s + 1) ** 2 + (s + 2) ** 2 + (s + 1) * (513 - s))
+        objects = 32 * 1024  # the envelope, its columns and the cache entry
+        assert held <= _held_bytes(env) + objects
+        # while building: the s live rows of 513 floats, each a row object,
+        # and one block of 64 full-width rows with its floor mask and masked
+        # copy, far below one full-width kernel of s + 1 rows
+        live = s * (513 * 8 + 512)
+        block = 3 * 64 * 514 * 8
+        assert peak <= _held_bytes(env) + objects + live + block
+        _envelope.cache_clear()
+
+    def test_theta_sweep_keeps_eight_envelopes_and_no_rows(self):
+        law, caps = parse_law_spec("binary:0.6"), Caps(x_cap=128)
+        thetas = [round(0.70 + 0.02 * i, 2) for i in range(12)]
+        for theta in thetas:
+            fixed_point_q(IGWParams(law, theta), 1e-13)
+        _envelope.cache_clear()
+        _table.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for theta in thetas:
+                for x in range(1, 21):
+                    death_prob_interval(x, IGWParams(law, theta), caps)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert _table.cache_info().currsize == 0  # no row of any theta is kept
+        assert _envelope.cache_info().currsize == 8
+        kept = [_envelope(IGWParams(law, theta), 128) for theta in thetas[-8:]]
+        assert _envelope.cache_info().misses == len(thetas)  # the last 8 are the ones kept
+        assert held <= sum(map(_held_bytes, kept)) + 8 * 32 * 1024
+        # a later one-step law at the same (theta, x_cap) is composed as before
+        direct = reference.direct_rows(law, thetas[-1], 128)
+        for x in range(40):
+            row, want = one_step_dist(x, IGWParams(law, thetas[-1]), caps), next(direct)
+            assert row.atoms.tobytes() == want.atoms.tobytes(), x
+            assert row.overflow.hex() == want.overflow.hex(), x
+        _envelope.cache_clear()
+
+
 class TestIntervalProb:
     def test_validation(self):
         with pytest.raises(ValueError):
