@@ -3,7 +3,8 @@
 Certificates
     * the smallest fixed point q* of s = g(s) for the thinned generating
       function, an upper bound on the death probability from state 1 in the
-      supercritical-thinned regime (m * theta > 1),
+      supercritical-thinned regime (m * theta > 1), re-exported from
+      :mod:`igw.reproduction_laws`,
     * its closed form for the binary family,
     * the geometric chain bound q1^x for higher start states,
     * a product lower bound on the explosion probability: with
@@ -45,7 +46,7 @@ import numpy as np
 from .exact_dist import Caps, IntervalProb, finite_horizon_death, one_step_dist
 from .gw_engine import ExtendedCount, harmonic_moments
 from .igw_process import EXPLODED, ChunkPaths, map_chunks, states_below
-from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, thinned_pgf
+from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, fixed_point_q  # q* is re-exported
 
 #: every product factor is kept at least this large so certificates stay
 #: strictly inside (0, 1) even when the underlying tails underflow floats;
@@ -65,45 +66,6 @@ MAX_SWITCH = 1024
 
 
 # -- fixed points and closed forms ----------------------------------------------
-
-
-def fixed_point_q(params: IGWParams, tol: float = 1e-12) -> float:
-    """Smallest root q* of s = g(s) in [0, 1), by bisection.
-
-    g is convex with g(1) = 1, so a nontrivial root below 1 exists exactly
-    when g'(1) = m * theta > 1; otherwise 1.0 is reported.  Requires
-    p_0 = 0 (with p_0 > 0 the plain extinction analysis applies instead).
-    Bisection stops at width min(tol, 1e-14), so every tol >= 1e-14 gives
-    the same q*.
-    """
-    if params.law.p0 > 0.0:
-        raise RegimeError("the fixed-point certificate needs p_0 = 0")
-    if not tol > 0.0:  # NaN too
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if params.law.m * params.theta <= 1.0:
-        return 1.0
-    g0 = thinned_pgf(params, 0.0)
-    if g0 == 0.0:
-        return 0.0  # no thinning: 0 is itself the smallest fixed point
-    lo = 0.0
-    hi = None
-    for i in range(1, 60):
-        cand = 1.0 - 0.5**i
-        if thinned_pgf(params, cand) < cand:
-            hi = cand
-            break
-    if hi is None:
-        return 1.0  # root indistinguishable from 1 at float resolution
-    width_goal = min(tol, 1e-14)
-    while hi - lo > width_goal:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats: tol is below their spacing
-        if thinned_pgf(params, mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def binary_death_bound(lam: float, theta: float) -> float:

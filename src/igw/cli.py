@@ -401,12 +401,10 @@ def _verify_absorption(args, out) -> int:
     return _verdict_exit(r.status for r in report.rows)
 
 
-def _parse_grid(text: str, kind: type) -> list:
+def _parse_grid(text: str, kind: type, flag: str) -> list:
     """Grid syntax: 'a:b' or 'a:b:step' for integer ranges, or a comma list
-    of ``kind`` values."""
+    of ``kind`` values; a grid with no points is refused, naming ``flag``."""
     text = text.strip()
-    if not text:
-        return []
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -418,20 +416,24 @@ def _parse_grid(text: str, kind: type) -> list:
             raise _UsageError(f"grid range {text!r} has non-integer parts") from None
         if step < 1:
             raise _UsageError("grid step must be >= 1")
-        return [kind(v) for v in range(start, stop + 1, step)]
-    try:
-        return [kind(token) for token in text.split(",")]
-    except ValueError as exc:
-        raise _UsageError(f"grid entry is not of type {kind.__name__}: {exc}") from None
+        values = [kind(v) for v in range(start, stop + 1, step)]
+    else:
+        try:
+            values = [kind(token) for token in text.split(",")] if text else []
+        except ValueError as exc:
+            raise _UsageError(f"grid entry is not of type {kind.__name__}: {exc}") from None
+    if not values:
+        raise _UsageError(f"{flag} {text!r} has no points")
+    return values
 
 
 def _grid(args) -> list[tuple[int, float, int]]:
     """(index, theta, x) for every grid point, x varying fastest."""
-    thetas = [args.theta] if args.theta_grid is None else _parse_grid(args.theta_grid, float)
+    thetas = [args.theta] if args.theta_grid is None else _parse_grid(args.theta_grid, float, "--theta-grid")
     if args.x_grid is None:
         xs = [args.x]
     else:
-        xs, args.x = _parse_grid(args.x_grid, int), None  # the metadata echoes the grid alone
+        xs, args.x = _parse_grid(args.x_grid, int, "--x-grid"), None  # the metadata echoes the grid alone
     if len(xs) * len(thetas) > 10**6:
         raise _UsageError("grid larger than 1e6 points; refuse to run")
     return [(i, theta, x) for i, (theta, x) in enumerate(itertools.product(thetas, xs))]

@@ -61,12 +61,13 @@ into column s, and a sweep costs (s + 1)^2 per step instead of
 whose rows die early: at the default caps pmf:2=0.5,3=0.5 steps 10 to 11
 states at every theta, and binary:0.9 at theta = 0.9 steps 209.  Nothing
 is saved when r is near x_cap: binary:0.6 has r = 509 of 512 at
-theta = 0.92.  An envelope holds these kernels, the upper one's columns
-s..x_cap and its swept columns, nothing more: the kernels take
-8 ((s + 1)^2 + (s + 2)^2 + (s + 1)(x_cap + 1 - s)) bytes, 4.19 MB for
-binary:0.6 at theta = 0.92 and x_cap = 512.  Building them holds the r live
-rows of x_cap + 1 floats besides (2.1 MB there) and one block of
-``_BLOCK`` full-width rows, never a full-width kernel.
+theta = 0.92.  An envelope is built whole and then holds its two kernels
+and its swept columns, nothing more: the kernels take
+8 ((s + 1)^2 + (s + 2)^2) bytes, 4.17 MB for binary:0.6 at theta = 0.92
+and x_cap = 512.  Building them holds the r live rows of x_cap + 1 floats
+besides (2.1 MB there), one block of ``_BLOCK`` full-width rows and the
+upper kernel's full-width columns s..x_cap, which the closure's first step
+reads, never a full-width kernel.
 
 Both envelope chains absorb at 0, so P_x(X_n = 0) = (K^n e_0)[x] for either
 kernel K.  One backward sweep u <- K u from u = e_0 therefore answers every
@@ -77,8 +78,8 @@ column stops at its float fixed point, the first step that leaves it
 bitwise unchanged: every later step returns the same vector, so every
 longer horizon reads it, bit for bit as a sweep that never stops.  On
 binary:0.6 at theta = 0.92 the lower death column freezes about 60 steps
-into 256.  The upper end of the total death probability adds a third
-column swept on the upper kernel, the closure K^n c with c_y = q*^y for
+into 256.  The upper end of the total death probability (p_0 = 0) adds a
+third column swept on the upper kernel, the closure K^n c with c_y = q*^y for
 y >= 1 and c_0 = 0.  It is kept apart from the upper death column, not
 folded into one sweep of the vector (1, q*, q*^2, ...), so that the width
 splits into the truncation (upper minus lower death column) and the
@@ -122,7 +123,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import parallel
-from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, pgf_eval
+from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, fixed_point_q, pgf_eval
 
 #: envelope-kernel entries below this are moved to the conservative column
 #: (state 0 in the death-upper kernel, the phantom in the death-lower one),
@@ -448,13 +449,15 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.
     (s + 1)^2 and R_lo, with the phantom last, (s + 2)^2.  ``tail`` holds
     the upper kernel's full-width columns s..x_cap of rows 0..s.
 
-    The rows come as a stream from :func:`_successors`, stopped at the
+    The live rows come as a stream from :func:`_successors`, stopped at the
     float fixed point as the table stops, and no table row is read or
     kept: while the kernels are built this holds the r live rows, and
-    after it only the three arrays it returns.  Each kernel is assembled
-    in its final arrays ``_BLOCK`` full-width rows at a time
-    (:func:`_assemble`); every reduction is along a row, so the bytes are
-    those of the whole full-width matrix floored and merged at once.
+    after it only the three arrays it returns.  :func:`_assemble` fills the
+    live rows of each kernel ``_BLOCK`` full-width rows at a time; every
+    reduction is along a row, so the bytes are those of the whole
+    full-width matrix floored and merged at once.  The shared and the
+    phantom row are written here as flooring and merging leaves them, with
+    p_0 taken as 0 below ``KERNEL_FLOOR``.
     """
     row = _origin(x_cap)
     rows = chain([row], _successors(params.law, params.theta, row))
@@ -466,49 +469,39 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.
             shared = mass
             break
         live.append(row)
-    r = len(live)
-    s = min(r, x_cap)  # row s is the shared row when r = s
-    dead = [((0, shared), (x_cap, 1.0 - shared))] if r == s else []
-    R_hi, tail = np.empty((s + 1, s + 1)), np.empty((s + 1, x_cap + 1 - s))
-    _assemble(R_hi, live, dead, x_cap, 0, tail)
-    dead = [((x_cap + 1, 1.0),)] if r == s else []
-    phantom = ((0, params.law.p0), (x_cap + 1, 1.0 - params.law.p0))
-    R_lo = np.empty((s + 2, s + 2))
-    _assemble(R_lo, live, [*dead, phantom], x_cap, x_cap + 1)
+    s = min(len(live), x_cap)  # row s is the shared row when r = s
+    R_hi, R_lo = np.zeros((s + 1, s + 1)), np.zeros((s + 2, s + 2))
+    tail = np.zeros((s + 1, x_cap + 1 - s))
+    _assemble(R_hi, live, x_cap, 0, tail)
+    _assemble(R_lo, live, x_cap, x_cap + 1)
+    if len(live) == s:
+        R_hi[s, 0], R_hi[s, s], tail[s, -1], R_lo[s, -1] = shared, 1.0 - shared, 1.0 - shared, 1.0
+    p0 = params.law.p0 if params.law.p0 >= KERNEL_FLOOR else 0.0
+    R_lo[-1, 0], R_lo[-1, -1] = p0, 1.0 - p0
     return R_hi, R_lo, tail
 
 
 def _assemble(
-    R: np.ndarray,
-    live: list[TruncatedDist],
-    extra: list[tuple[tuple[int, float], ...]],
-    x_cap: int,
-    col: int,
-    tail: Optional[np.ndarray] = None,
+    R: np.ndarray, live: list[TruncatedDist], x_cap: int, col: int, tail: Optional[np.ndarray] = None
 ) -> None:
-    """Fill the kernel ``R`` on its distinct states 0..s, with a phantom
-    state last when ``col`` = x_cap + 1, ``_BLOCK`` rows at a time.
+    """Fill the rows of the ``live`` states in the kernel ``R`` on its
+    distinct states 0..s, with a phantom state last when ``col`` =
+    x_cap + 1, ``_BLOCK`` rows at a time.
 
-    A block starts as the full-width rows of its states: the atoms of the
-    ``live`` rows with their lost mass, max(0, 1 - sum of the atoms), added
-    in the last column (x_cap, or the phantom's), then the rows of
-    ``extra``, given as (column, entry) pairs.  Every entry below
-    ``KERNEL_FLOOR`` then moves into column ``col`` of its row, the columns
-    of states s..x_cap are summed into column s, smallest term first, and
-    the phantom column stays last; ``tail``, if given, takes columns
-    s..x_cap as they are."""
+    A block starts as the full-width rows of its states: the atoms with
+    their lost mass, max(0, 1 - sum of the atoms), added in the last column
+    (x_cap, or the phantom's).  Every entry below ``KERNEL_FLOOR`` then
+    moves into column ``col`` of its row, the columns of states s..x_cap
+    are summed into column s, smallest term first, and the phantom column
+    stays last; ``tail``, if given, takes columns s..x_cap as they are."""
     phantom = col > x_cap
     s = len(R) - 1 - phantom
-    for start in range(0, len(R), _BLOCK):
-        K = np.zeros((min(_BLOCK, len(R) - start), x_cap + 1 + phantom))
-        for k, x in enumerate(range(start, start + len(K))):
-            if x < len(live):
-                row = live[x]
-                K[k, row.offset : row.offset + len(row.coef)] = row.coef
-                K[k, -1] += max(0.0, 1.0 - float(row.atoms.sum()))
-            else:
-                for j, entry in extra[x - len(live)]:
-                    K[k, j] = entry
+    for start in range(0, len(live), _BLOCK):
+        block_rows = live[start : start + _BLOCK]
+        K = np.zeros((len(block_rows), x_cap + 1 + phantom))
+        for k, row in enumerate(block_rows):
+            K[k, row.offset : row.offset + len(row.coef)] = row.coef
+            K[k, -1] += max(0.0, 1.0 - float(row.atoms.sum()))
         small = K < KERNEL_FLOOR
         small[:, col] = False
         K[:, col] += np.where(small, K, 0.0).sum(axis=1)
@@ -587,8 +580,10 @@ class _Envelope:
     lower one freezes, no longer horizon can raise a lower end.  ``closure``
     sweeps K_hi^n c with c_y = q*^y for y >= 1 and c_0 = 0: it closes the
     mass still alive at horizon n by the fixed-point certificate.  c is not
-    constant past s, so its first step takes the full-width rows: the first
-    s columns of ``R_hi`` plus ``tail``; the closure is built on first use.
+    constant past s, so its first step, taken when the envelope is built,
+    reads the full-width rows: the first s columns of ``R_hi`` and the
+    ``tail`` of :func:`_kernels`, which is then dropped.  q* needs p_0 = 0;
+    for p_0 > 0 there is no closure and ``closure`` is None.
 
     ``shift`` is ``_SHIFT`` when s + 1 >= ``_SHIFT_STATES`` and 0 below:
     every column, the closure's first step too, steps on its column scaled
@@ -596,14 +591,18 @@ class _Envelope:
     """
 
     def __init__(self, params: IGWParams, x_cap: int) -> None:
-        self.params, self.x_cap = params, x_cap
-        self.R_hi, self.R_lo, self.tail = _kernels(params, x_cap)
+        self.R_hi, self.R_lo, tail = _kernels(params, x_cap)
         self.last = s = len(self.R_hi) - 1
         k = self.shift = _SHIFT if s + 1 >= _SHIFT_STATES else 0
         lo, hi = np.zeros(s + 2), np.zeros(s + 1)
         lo[0] = hi[0] = 1.0
         self.lo, self.hi = _Column(self.R_lo, lo, 0, k), _Column(self.R_hi, hi, 0, k)
-        self._closure: Optional[_Column] = None
+        self.closure: Optional[_Column] = None
+        if params.law.p0 == 0.0:
+            c = np.ldexp(fixed_point_q(params, 1e-13) ** np.arange(x_cap + 1, dtype=float), k)
+            c[0] = 0.0
+            first = np.ldexp(self.R_hi[:, :s] @ c[:s] + tail @ c[s:], -k)
+            self.closure = _Column(self.R_hi, first, 1, k)
 
     def death_at(self, n: int, x: int) -> tuple[float, float]:
         """The lower and the upper end of P_x(X_n = 0)."""
@@ -614,28 +613,13 @@ class _Envelope:
         """(K_hi^n c)[x] for n >= 1."""
         return float(self.closure.at(n)[min(x, self.last)])
 
-    @property
-    def closure(self) -> _Column:
-        if self._closure is None:
-            s, k = self.last, self.shift
-            c = np.ldexp(self._powers(), k)
-            first = np.ldexp(self.R_hi[:, :s] @ c[:s] + self.tail @ c[s:], -k)
-            self._closure = _Column(self.R_hi, first, 1, k)
-        return self._closure
-
-    def _powers(self) -> np.ndarray:
-        from .analysis import fixed_point_q  # deferred: analysis builds on this module
-
-        c = fixed_point_q(self.params, 1e-13) ** np.arange(self.x_cap + 1, dtype=float)
-        c[0] = 0.0
-        return c
-
 
 @lru_cache(maxsize=8)
 def _envelope(params: IGWParams, x_cap: int) -> _Envelope:
     """The envelopes of the eight most recently used (params, x_cap).  One
-    holds its kernels, at most 2 x 8 (x_cap + 2)^2 bytes, and its columns,
-    and no composed row: the (law, theta, x_cap) table is not made for it."""
+    holds its two kernels, at most 2 x 8 (x_cap + 2)^2 bytes, and its
+    columns, and no composed row: the (law, theta, x_cap) table is not made
+    for it."""
     return _Envelope(params, x_cap)
 
 

@@ -17,8 +17,8 @@ is computed, only which thread computes it.
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from collections import deque
 from typing import Callable, Optional
 
 
@@ -31,70 +31,43 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Job:
-    """One call handed to the helper.  Its lock is held until the value or
-    the exception is stored, so each fork waits on its own handle and never
-    reads another's result, even one left behind by a caller that raised
-    before joining."""
-
-    def __init__(self, fn: Callable, args: tuple) -> None:
-        self.fn, self.args = fn, args
-        self.value = self.error = None
-        self.done = threading.Lock()
-        self.done.acquire()
-
-    def run(self) -> None:
-        try:
-            self.value = self.fn(*self.args)
-        except BaseException as exc:  # re-raised in the caller by join
-            self.error = exc
-        finally:
-            self.done.release()
-
-    def join(self):
-        with self.done:
-            pass
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-class _Helper:
-    """One daemon thread that runs the jobs handed to it, in order."""
-
-    def __init__(self) -> None:
-        self.pid = os.getpid()
-        self.jobs: deque[_Job] = deque()
-        self.ready = threading.Semaphore(0)
-        threading.Thread(target=self._serve, name="igw-helper", daemon=True).start()
-
-    def submit(self, job: _Job) -> None:
-        self.jobs.append(job)
-        self.ready.release()
-
-    def _serve(self) -> None:
-        while True:
-            self.ready.acquire()
-            self.jobs.popleft().run()
-
-
-_helper: Optional[_Helper] = None
+#: (process id, job queue) of the helper thread, which runs the jobs in order
+_helper: Optional[tuple[int, queue.SimpleQueue]] = None
 _starting = threading.Lock()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        fn, args, result = jobs.get()
+        try:
+            result.put((fn(*args), None))
+        except BaseException as exc:  # all, or a join would wait forever; it re-raises
+            result.put((None, exc))
 
 
 def fork(fn: Callable, *args) -> Callable:
     """Start ``fn(*args)`` and return its join, a function that waits for
     the value and returns it, or raises what the call raised.  The call
     runs on the helper thread when more than one CPU is usable, and inline
-    before returning otherwise."""
+    before returning otherwise.  Each call has its own one-slot result
+    queue, so a join never reads another call's result, even one left
+    behind by a caller that raised before joining."""
     global _helper
     if usable_cpus() < 2:
         value = fn(*args)
         return lambda: value
     with _starting:
-        if _helper is None or _helper.pid != os.getpid():
-            _helper = _Helper()
-        helper = _helper
-    job = _Job(fn, args)
-    helper.submit(job)
-    return job.join
+        if _helper is None or _helper[0] != os.getpid():
+            _helper = (os.getpid(), queue.SimpleQueue())
+            threading.Thread(target=_serve, args=(_helper[1],), name="igw-helper", daemon=True).start()
+        jobs = _helper[1]
+    result = queue.SimpleQueue()
+    jobs.put((fn, args, result))
+
+    def join():
+        value, error = result.get()
+        if error is not None:
+            raise error
+        return value
+
+    return join

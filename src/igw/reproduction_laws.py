@@ -8,8 +8,8 @@ and behaves identically to one in every operation.
 Besides the law itself this module provides the probability generating
 function f(s) = sum_k p_k s^k, the thinned generating function
 g(s) = f(1 - theta + theta*s) of a count whose individuals each survive
-independently with probability theta, and the law spec strings of the
-command line.
+independently with probability theta, its smallest fixed point q*, which
+the death intervals read, and the law spec strings of the command line.
 """
 
 from __future__ import annotations
@@ -222,6 +222,45 @@ def thinned_pgf(params: IGWParams, s: float) -> float:
     of progeny from a single ancestor."""
     s = _check_unit_interval(s)
     return pgf_eval(params.law, 1.0 - params.theta + params.theta * s)
+
+
+def fixed_point_q(params: IGWParams, tol: float = 1e-12) -> float:
+    """Smallest root q* of s = g(s) in [0, 1), by bisection.
+
+    g is convex with g(1) = 1, so a nontrivial root below 1 exists exactly
+    when g'(1) = m * theta > 1; otherwise 1.0 is reported.  Requires
+    p_0 = 0 (with p_0 > 0 the plain extinction analysis applies instead).
+    Bisection stops at width min(tol, 1e-14), so every tol >= 1e-14 gives
+    the same q*.
+    """
+    if params.law.p0 > 0.0:
+        raise RegimeError("the fixed-point certificate needs p_0 = 0")
+    if not tol > 0.0:  # NaN too
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if params.law.m * params.theta <= 1.0:
+        return 1.0
+    g0 = thinned_pgf(params, 0.0)
+    if g0 == 0.0:
+        return 0.0  # no thinning: 0 is itself the smallest fixed point
+    lo = 0.0
+    hi = None
+    for i in range(1, 60):
+        cand = 1.0 - 0.5**i
+        if thinned_pgf(params, cand) < cand:
+            hi = cand
+            break
+    if hi is None:
+        return 1.0  # root indistinguishable from 1 at float resolution
+    width_goal = min(tol, 1e-14)
+    while hi - lo > width_goal:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: tol is below their spacing
+        if thinned_pgf(params, mid) > mid:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # -- law spec strings --------------------------------------------------------

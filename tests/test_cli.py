@@ -557,16 +557,13 @@ class TestSweep:
         assert all(float(r[3]) == 0.0 for r in rows)
         assert meta_dict(out)["rng-chunk"] == "1024"
 
-    def test_empty_grid_header_only(self, capsys):
-        code, out, _ = run_cli(
-            [
-                "sweep", "death-interval", "--law", "binary:1",
-                "--theta", "0.8", "--x-grid", "",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert data_lines(out) == ["index,theta,x,lo,hi"]
+    @pytest.mark.parametrize("command", ["death-interval", "mc-death"])
+    @pytest.mark.parametrize("grid", [["--x-grid", ""], ["--x-grid", "5:1"], ["--theta-grid", " "]])
+    def test_empty_grid_refused(self, capsys, command, grid):
+        point = ["--theta", "0.8"] if grid[0] == "--x-grid" else ["--x", "1"]
+        code, out, err = run_cli(["sweep", command, "--law", "binary:1", *point, *grid], capsys)
+        assert code == 1 and not data_lines(out)
+        assert grid[0] in err and "no points" in err
 
     def test_oversize_grid_refused(self, capsys):
         code, _, err = run_cli(

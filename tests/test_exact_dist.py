@@ -196,6 +196,16 @@ def _fixed_point(law: OffspringLaw, theta: float, cap: int) -> int:
     return len(rows) - 2
 
 
+def _closure_rows(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R_hi, tail, c): the full-width rows the closure's first step reads,
+    the first s columns of ``R_hi`` and ``tail``, and the vector c_y = q*^y
+    for y >= 1, c_0 = 0, on 0..x_cap."""
+    R_hi, _, tail = _kernels(params, x_cap)
+    c = fixed_point_q(params, 1e-13) ** np.arange(x_cap + 1, dtype=float)
+    c[0] = 0.0
+    return R_hi, tail, c
+
+
 class TestCompositionTable:
     """One table per (law, theta, cap), stopped at its float fixed point."""
 
@@ -852,8 +862,9 @@ class TestFixedPointStop:
         assert (k > 0) == (spec == "binary:0.6")
         e_lo, e_hi = np.zeros(s + 2), np.zeros(s + 1)
         e_lo[0] = e_hi[0] = 1.0
-        c = env._powers()
-        R_k, tail_k = np.ldexp(env.R_hi, k), np.ldexp(env.tail, k)
+        R_hi, tail, c = _closure_rows(params, x_cap)
+        assert R_hi.tobytes() == env.R_hi.tobytes()
+        R_k, tail_k = np.ldexp(R_hi, k), np.ldexp(tail, k)
         first_closure = np.ldexp(R_k[:, :s] @ c[:s] + tail_k @ c[s:], -k)
         n_max = max(self.HORIZONS)
         columns = (
@@ -922,9 +933,9 @@ class TestShiftedSweep:
         _envelope.cache_clear()
         env = _envelope(params, 512)
         assert env.last + 1 < exact_dist._SHIFT_STATES and env.shift == 0
-        c = env._powers()
+        R_hi, tail, c = _closure_rows(params, 512)
         v = {"lo": np.eye(env.last + 2)[0], "hi": np.eye(env.last + 1)[0]}
-        v["closure"] = env.R_hi[:, : env.last] @ c[: env.last] + env.tail @ c[env.last :]
+        v["closure"] = R_hi[:, : env.last] @ c[: env.last] + tail @ c[env.last :]
         kernels = {"lo": env.R_lo, "hi": env.R_hi, "closure": env.R_hi}
         for n in range(1, 257):
             for name, R in kernels.items():
@@ -1049,6 +1060,8 @@ class TestBlockedAssembly:
             ("pmf:2=0.5,3=0.5", 0.45, 512, 11),  # a shared dead row, 11 states
             # p_0 > 0: a dying phantom and rows past the fixed point
             ("pmf:0=0.2,2=0.8", 0.7, 512, 513),
+            # p_0 below KERNEL_FLOOR: a phantom that never dies
+            ("pmf:0=1e-250,2=1.0", 0.7, 512, 11),
         ],
     )
     def test_matches_full_width_assembly(self, spec, theta, x_cap, states):
@@ -1059,9 +1072,11 @@ class TestBlockedAssembly:
         for got, expected in zip((R_hi, R_lo, tail), want):
             assert got.shape == expected.shape and got.flags.c_contiguous
             assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
-        if spec.startswith("pmf:0="):
+        p0 = params.law.p0
+        if p0 > 0.0:
+            assert R_lo[-1, 0] == (p0 if p0 >= KERNEL_FLOOR else 0.0)
+        if spec == "pmf:0=0.2,2=0.8":
             assert _fixed_point(params.law, theta, x_cap) < x_cap  # rows past it share one object
-            assert R_lo[-1, 0] == params.law.p0
 
 
 def _held_bytes(env) -> int:
@@ -1069,12 +1084,13 @@ def _held_bytes(env) -> int:
 
 
 class TestEnvelopeMemory:
-    """An envelope holds its kernels and its columns and nothing more: the
-    rows stream through ``_kernels`` and no (theta, x_cap) table is made."""
+    """An envelope holds its two kernels and its columns and nothing more:
+    the rows stream through ``_kernels``, no (theta, x_cap) table is made,
+    and the upper kernel's full-width columns are dropped once the
+    closure's first step has read them."""
 
     def test_envelope_holds_only_its_kernels(self):
         params = IGWParams(parse_law_spec("binary:0.6"), 0.92)
-        fixed_point_q(params, 1e-13)  # q* and the imports the closure takes
         _envelope.cache_clear()
         _table.cache_clear()
         tracemalloc.start()
@@ -1087,16 +1103,43 @@ class TestEnvelopeMemory:
         finally:
             tracemalloc.stop()
         s = env.last
-        kernels = env.R_hi.nbytes + env.R_lo.nbytes + env.tail.nbytes
-        assert kernels == 8 * ((s + 1) ** 2 + (s + 2) ** 2 + (s + 1) * (513 - s))
+        kernels = env.R_hi.nbytes + env.R_lo.nbytes
+        assert kernels == 8 * ((s + 1) ** 2 + (s + 2) ** 2)
+        # beside them a start and a cursor vector per column, nothing more
+        assert _held_bytes(env) <= kernels + 8 * (2 * (s + 2) + 4 * (s + 1))
         objects = 32 * 1024  # the envelope, its columns and the cache entry
         assert held <= _held_bytes(env) + objects
         # while building: the s live rows of 513 floats, each a row object,
-        # and one block of 64 full-width rows with its floor mask and masked
-        # copy, far below one full-width kernel of s + 1 rows
+        # one block of 64 full-width rows with its floor mask and masked
+        # copy, and the upper kernel's columns s..512 with the closure's
+        # first vectors, far below one full-width kernel of s + 1 rows
         live = s * (513 * 8 + 512)
         block = 3 * 64 * 514 * 8
-        assert peak <= _held_bytes(env) + objects + live + block
+        tail = 8 * ((s + 1) * (513 - s) + 3 * 513)
+        assert peak <= _held_bytes(env) + objects + live + block + tail
+        _envelope.cache_clear()
+
+    def test_p0_envelope_takes_no_closure(self, monkeypatch):
+        # q* needs p_0 = 0: a p_0 > 0 envelope never asks for it, and a
+        # p_0 = 0 one asks once, when it is built
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fixed_point_q(*args)
+
+        monkeypatch.setattr(exact_dist, "fixed_point_q", counted)
+        _envelope.cache_clear()
+        params = IGWParams(parse_law_spec("pmf:0=0.2,2=0.8"), 0.7)
+        env = _envelope(params, 64)
+        assert env.closure is None and calls == []
+        assert finite_horizon_death(3, params, 40, Caps(x_cap=64)).hi > 0.0
+        with pytest.raises(RegimeError):
+            death_prob_interval(3, params, Caps(x_cap=64))
+        assert calls == []
+        params = IGWParams(parse_law_spec("binary:0.6"), 0.92)
+        env = _envelope(params, 64)
+        assert env.closure is not None and calls == [(params, 1e-13)]
         _envelope.cache_clear()
 
     def test_theta_sweep_keeps_eight_envelopes_and_no_rows(self):

@@ -74,7 +74,7 @@ def test_forked_child_starts_its_own_helper(monkeypatch):
     # the child inherits the record of this process's helper but not its
     # thread: a fork handed to that record would never be joined
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    assert parallel.fork(os.getpid)() == os.getpid() and parallel._helper.pid == os.getpid()
+    assert parallel.fork(os.getpid)() == os.getpid() and parallel._helper[0] == os.getpid()
     want = exact_dist.total_progeny_dist(parse_law_spec("binary:0.6"), 40).atoms.tobytes()
     child = multiprocessing.get_context("fork").Process(target=_compose_in_child, args=(want,))
     child.start()
