@@ -35,10 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count, islice
-from statistics import NormalDist
 from typing import Iterator
 
 import numpy as np
@@ -350,6 +348,8 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[f
         raise ValueError("need at least one trial")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    from statistics import NormalDist  # loaded on call: it imports decimal and random
+
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / n
     denom = 1.0 + z * z / n
@@ -548,6 +548,8 @@ def submultiplicativity_check(
     ixy = finite_horizon_death(x + y, params, n, caps)
     ix = finite_horizon_death(x, params, n, caps)
     iy = finite_horizon_death(y, params, n, caps)
+    from fractions import Fraction  # loaded on call: it imports decimal
+
     proved = Fraction(ixy.hi) <= Fraction(ix.lo) * Fraction(iy.lo)
     return SubmultReport(x, y, n, ixy, ix, iy, "certified" if proved else "indeterminate")
 
@@ -588,6 +590,8 @@ def geometric_absorption_check(
         raise RegimeError("the absorption bound needs p_0 > 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    from fractions import Fraction  # loaded on call: it imports decimal
+
     rows, rate, bound = [], 1 - Fraction(p0), Fraction(1)
     for n in range(1, n_max + 1):
         death = finite_horizon_death(x, params, n, caps)

@@ -30,8 +30,8 @@ value and yields certified upper bounds on E(1/Z_y) for y = 1, 2, ....
 
 from __future__ import annotations
 
-import hashlib
 import math
+from _blake2 import blake2s
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Iterator, Optional
@@ -118,12 +118,15 @@ def stream_for(master_seed: int, index: int, purpose: str) -> np.random.Generato
     draw statistically independent, reproducible sequences, identical
     however chunks are spread over workers.  The master seed is the key's
     low 64 bits, so a seed outside [0, 2**64) is rejected, not aliased.
+
+    The hash is BLAKE2s from CPython's builtin ``_blake2``, the very
+    function ``hashlib.blake2s`` returns (hashlib never serves BLAKE2 from
+    OpenSSL); importing ``hashlib`` itself would map OpenSSL's libcrypto
+    into every process, exact-layer ones included, for nothing.
     """
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master seeds lie in [0, 2**64), got {master_seed}")
-    digest = hashlib.blake2s(
-        f"{purpose}|{index}".encode("utf-8"), digest_size=8
-    ).digest()
+    digest = blake2s(f"{purpose}|{index}".encode("utf-8"), digest_size=8).digest()
     key = master_seed | (int.from_bytes(digest, "big") << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -146,11 +149,14 @@ def _trapezoid_grid() -> tuple[np.ndarray, np.ndarray]:
     distinct floats in all.  Below 1/2 every point is a multiple of
     2**-16, and from 1/2 on neighbours lie within a factor two of each
     other, so every width and every 1 - s is exact.  Built on first use,
-    not at import.
+    not at import.  Repeated points go by a sort and a neighbour mask, the
+    steps ``np.unique`` takes, since ``np.unique`` itself imports
+    ``numpy.ma`` on its first call.
     """
     dyadic = np.arange(2**16 + 1) / 2.0**16
     geometric = 1.0 - np.exp2(-np.arange(64, 3393) / 64.0)
-    s = np.unique(np.concatenate((dyadic, geometric)))
+    s = np.sort(np.concatenate((dyadic, geometric)))
+    s = s[np.concatenate(([True], s[1:] != s[:-1]))]
     return s, np.diff(s)
 
 
@@ -173,6 +179,9 @@ def _iterates(law: OffspringLaw, s: np.ndarray) -> Iterator[np.ndarray]:
       f_y(s) is 1 up to a tiny u_y.  (1 - u) + 2**-53 bounds 1 - u from
       above: the subtraction errs by at most 2**-54, and the addition
       then rounds to a value no smaller than 1 - u.
+
+    Every step writes into arrays made once per walk, the yielded one
+    included: a yielded bound holds until the next value is drawn.
     """
     probs = law.probs
     k_max = len(probs) - 1
@@ -183,6 +192,7 @@ def _iterates(law: OffspringLaw, s: np.ndarray) -> Iterator[np.ndarray]:
     u = 1.0 - s
     v = s.copy()  # 1 - u, exact on the grid
     acc = np.empty_like(s)
+    bound = np.empty_like(s)
     while True:
         acc.fill(probs[-1])
         for p in reversed(probs[:-1]):
@@ -202,7 +212,7 @@ def _iterates(law: OffspringLaw, s: np.ndarray) -> Iterator[np.ndarray]:
         np.minimum(acc, 1.0, out=u)
         np.subtract(1.0, u, out=v)
 
-        bound = v + _U
+        np.add(v, _U, out=bound)
         np.minimum(t, bound, out=bound)
         yield bound
 
@@ -224,15 +234,18 @@ def harmonic_moments(law: OffspringLaw) -> Iterator[float]:
     ``_iterates``, g(0) = p_1^y is inflated for rounding, and the final
     sum of nonnegative terms (at most N + 2 roundings on N grid points) by
     1 + (N + 4) * 2**-53.  The p_0 check runs when the first value is
-    drawn.
+    drawn.  g and the trapezoid cells live in buffers made once per walk.
     """
     if law.p0 > 0.0:
         raise RegimeError("harmonic moments via the pgf identity need p_0 = 0")
     s, width = _trapezoid_grid()
     inflate = 1.0 + (len(s) + 4) * _U
     g = np.empty_like(s)
+    cells = np.empty_like(width)
     for y, f in enumerate(_iterates(law, s), start=1):
         g[0] = law.p1**y * (1.0 + 4 * y * _U) + _TINY
         np.divide(f[1:], s[1:], out=g[1:])
-        yield 0.5 * float(np.sum(width * (g[:-1] + g[1:]))) * inflate
+        np.add(g[:-1], g[1:], out=cells)
+        np.multiply(width, cells, out=cells)
+        yield 0.5 * float(np.sum(cells)) * inflate
 

@@ -31,13 +31,18 @@
   generation (``chunk_totals``, ``chunk_step``, ``simulate_chunk``).  The
   package must reproduce its paths byte for byte; it shares only the
   law's constants, the point-mass table and the remainder moments.
+* The harmonic walk as it stood before its buffers were made once per
+  walk: the trapezoid grid deduplicated by ``np.unique``
+  (``trapezoid_grid``), and the iterates and trapezoid sums on fresh
+  arrays every draw (``harmonic_walk``).  The package must give the same
+  bytes: it shares only the law.
 * The one-step mean map chi(x) = E_x(X_1) in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 import numpy as np
@@ -306,12 +311,65 @@ def direct_rows(law: OffspringLaw, theta: float, cap: int) -> Iterator[Truncated
         row = direct_compose(law, row, theta)
 
 
-# -- the scalar simulator ----------------------------------------------------------
+# -- the harmonic walk -------------------------------------------------------------
 
 
 def harmonic_moment(law: OffspringLaw, y: int) -> float:
     """h(y), the y-th value of ``harmonic_moments``."""
     return next(islice(harmonic_moments(law), y - 1, None))
+
+
+_U = 2.0**-53
+_TINY = np.finfo(float).tiny
+
+
+def trapezoid_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The grid of ``harmonic_moments`` and its widths, deduplicated by
+    ``np.unique``."""
+    dyadic = np.arange(2**16 + 1) / 2.0**16
+    geometric = 1.0 - np.exp2(-np.arange(64, 3393) / 64.0)
+    s = np.unique(np.concatenate((dyadic, geometric)))
+    return s, np.diff(s)
+
+
+def harmonic_walk(law: OffspringLaw) -> Iterator[float]:
+    """h(y) for y = 1, 2, ..., with fresh arrays for every yielded bound and
+    every trapezoid sum."""
+    s, width = trapezoid_grid()
+    probs = law.probs
+    k_max = len(probs) - 1
+    tails = np.cumsum(probs[::-1])[::-1][1:]
+    up = 1.0 + 4 * k_max * _U
+    down = 1.0 - 4 * k_max * k_max * _U
+    inflate = 1.0 + (len(s) + 4) * _U
+    t, u, v = s.copy(), 1.0 - s, s.copy()
+    acc = np.empty_like(s)
+    g = np.empty_like(s)
+    for y in count(1):
+        acc.fill(probs[-1])
+        for p in reversed(probs[:-1]):
+            acc *= t
+            if p:
+                acc += p
+        acc *= up
+        acc += _TINY
+        np.minimum(acc, 1.0, out=t)
+        acc.fill(tails[-1])
+        for tail in tails[-2::-1]:
+            acc *= v
+            acc += tail
+        acc *= u
+        acc *= down
+        np.minimum(acc, 1.0, out=u)
+        np.subtract(1.0, u, out=v)
+        bound = v + _U
+        np.minimum(t, bound, out=bound)
+        g[0] = law.p1**y * (1.0 + 4 * y * _U) + _TINY
+        np.divide(bound[1:], s[1:], out=g[1:])
+        yield 0.5 * float(np.sum(width * (g[:-1] + g[1:]))) * inflate
+
+
+# -- the scalar simulator ----------------------------------------------------------
 
 
 def _count(n: int) -> ExtendedCount:

@@ -770,12 +770,55 @@ def test_module_runs_from_the_checkout():
     assert out.stdout.startswith("usage: igw ")
 
 
-def test_import_leaves_scipy_out():
-    # every CLI call pays the import; scipy.stats alone took over a second
+def _python(code: str) -> str:
+    """The stdout of ``python -c code`` in a fresh process, with this igw
+    first on the path."""
     src = str(Path(igw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, igw; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_out():
+    # every CLI call pays the import; scipy.stats alone took over a second
+    code = "import sys, igw; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _python(code) == "[]"
+
+
+#: what the exact layer and the analytic certificates never need: OpenSSL's
+#: hashlib, numpy.ma (np.unique), the random streams, and decimal and
+#: statistics (Fraction and NormalDist)
+_NOT_EXACT = ("_hashlib", "numpy.ma", "numpy.random", "decimal", "statistics")
+
+
+def test_exact_layer_loads_no_unused_library():
+    code = f"""
+import contextlib, io, sys
+import igw
+from igw import IGWParams, cli, death_prob_interval, explosion_lower_bound, parse_law_spec, total_progeny_dist
+law = parse_law_spec("binary:0.6")
+total_progeny_dist(law, 64)
+death_prob_interval(1, IGWParams(law, 0.92))
+explosion_lower_bound(2, IGWParams(law, 0.92))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["exact", "death-interval", "--law", "binary:0.6", "--theta", "0.92", "--x", "1"]) == 0
+print(sorted(m for m in {_NOT_EXACT!r} if m in sys.modules))
+"""
+    assert _python(code) == "[]"
+
+
+def test_checks_load_their_modules_on_call():
+    # the Wilson interval and the exact comparisons still work, loading
+    # statistics and fractions (and with them decimal) when called
+    code = """
+import sys
+from igw import Caps, IGWParams, geometric_absorption_check, parse_law_spec, wilson_interval
+before = sorted(m for m in ("decimal", "fractions", "statistics") if m in sys.modules)
+lo, hi = wilson_interval(3, 100)
+report = geometric_absorption_check(IGWParams(parse_law_spec("pmf:0=0.2,2=0.8"), 0.9), 1, 3, Caps(16, 16, 8))
+after = sorted(m for m in ("decimal", "fractions", "statistics") if m in sys.modules)
+print(before, after, 0.0 < lo < 0.03 < hi < 0.2, report.all_certified)
+"""
+    assert _python(code) == "[] ['decimal', 'fractions', 'statistics'] True True"

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from igw import (
     OffspringLaw,
     RNG_CHUNK,
     RegimeError,
+    harmonic_moments,
     mean,
     parse_law_spec,
     simulate_chunks,
@@ -104,6 +107,16 @@ class TestRngStreams:
         stream_id = int.from_bytes(hashlib.blake2s(b"mc-death|17", digest_size=8).digest(), "big")
         philox = np.random.Generator(np.random.Philox(key=9 | stream_id << 64))
         assert np.array_equal(first, philox.random(10))
+        # so at the edges of the key: index 0 and 2**40, the largest master
+        # seed and a non-ASCII purpose, on random, binomial and normal draws
+        edges = ((9, 0, "mc-death"), (9, 2**40, "mc-death"), (2**64 - 1, 17, "mc-death"), (5, 3, "θ-sweep|ß"))
+        for seed, index, purpose in edges:
+            digest = hashlib.blake2s(f"{purpose}|{index}".encode("utf-8"), digest_size=8).digest()
+            philox = np.random.Generator(np.random.Philox(key=seed | int.from_bytes(digest, "big") << 64))
+            gen = stream_for(seed, index, purpose)
+            assert np.array_equal(gen.random(10), philox.random(10))
+            assert np.array_equal(gen.binomial(1000, 0.3, 10), philox.binomial(1000, 0.3, 10))
+            assert np.array_equal(gen.standard_normal(10), philox.standard_normal(10))
 
     def test_seeds_outside_64_bits_are_rejected_not_aliased(self):
         # -1 and 2**64 + 5 used to key the streams of 2**64 - 1 and 5
@@ -383,6 +396,41 @@ class TestHarmonicMoment:
         for a, b, w in zip(s[:-1].tolist(), s[1:].tolist(), width.tolist()):
             assert Fraction(b) - Fraction(a) == Fraction(w)
             assert Fraction(1) - Fraction(b) == Fraction(1.0 - b)
+
+    def test_grid_matches_unique(self):
+        # a sort and a neighbour mask keep the points np.unique kept, bit for bit
+        for ours, seed in zip(_trapezoid_grid(), reference.trapezoid_grid()):
+            assert ours.dtype == seed.dtype and ours.tobytes() == seed.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec", ["binary:0.6", "binary:0.5", "binary:0.2", "pmf:2=0.5,3=0.5", "pmf:1=0.3,2=0.3,5=0.4"]
+    )
+    def test_walk_matches_fresh_arrays(self, spec):
+        # buffers made once per walk run the same ufuncs in the same order
+        law = parse_law_spec(spec)
+        ours = np.fromiter(islice(harmonic_moments(law), 120), float)
+        seed = np.fromiter(islice(reference.harmonic_walk(law), 120), float)
+        assert ours.tobytes() == seed.tobytes()
+
+    def test_walk_allocates_nothing_per_draw(self):
+        # the 85 draws of a binary:0.6 walk, as many as its explosion
+        # certificate takes, hold the seven grid-sized buffers made at the
+        # first draw and nothing more: a fresh array per draw raised the
+        # peak by one grid
+        grid_bytes = _trapezoid_grid()[0].nbytes
+        walk = harmonic_moments(parse_law_spec("binary:0.6"))
+        tracemalloc.start()
+        try:
+            next(walk)
+            after_first, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _ in islice(walk, 84):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * grid_bytes
+        assert peak - after_first < 64 * 1024
 
     def test_binary_one_generation(self, binary_half):
         assert reference.harmonic_moment(binary_half, 1) == pytest.approx(0.75, abs=1e-10)
