@@ -463,13 +463,34 @@ def mc_ratio_convergence(
     parts = _ratio_paths(_exploded_ratios, params, x0, replicas, master_seed, horizon, workers)
     rows = []
     for n in range(max(len(p) for p in parts)):
-        ys = np.concatenate([p[n] for p in parts if n < len(p)])
+        ys = np.sort(np.concatenate([p[n] for p in parts if n < len(p)]))
         if not ys.size:
             continue
-        errs = ys / log_m - 1.0
-        q10, q50, q90 = np.quantile(errs, [0.1, 0.5, 0.9])
-        rows.append(RatioTableRow(n, len(ys), float(np.median(ys)), float(q10), float(q50), float(q90)))
+        errs = ys / log_m - 1.0  # sorted too: log_m > 0
+        q10, q50, q90 = (_sorted_quantile(errs, q) for q in (0.1, 0.5, 0.9))
+        rows.append(RatioTableRow(n, len(ys), _sorted_median(ys), q10, q50, q90))
     return rows
+
+
+def _sorted_quantile(row: np.ndarray, q: float) -> float:
+    """``np.quantile(row, q)`` of a sorted ``row`` (its default, linear
+    method) bit for bit, without the import of ``numpy.ma`` that its
+    first call makes: the same virtual index (n - 1) q, neighbours and
+    weight, and the same interpolation, taken from the right end for a
+    weight of at least 1/2."""
+    last = len(row) - 1
+    v = last * q
+    i = math.floor(v) if v < last else -1  # at or past the end: the last value, twice
+    a, b = float(row[i]), float(row[i + 1 if i >= 0 else -1])
+    t, diff = v - i, b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _sorted_median(row: np.ndarray) -> float:
+    """``np.median(row)`` of a sorted ``row`` bit for bit: the middle value,
+    or the mean of the two middle ones as ``np.mean`` takes it."""
+    h = len(row) // 2
+    return float(row[h]) if len(row) % 2 else (float(row[h - 1]) + float(row[h])) / 2
 
 
 def _crossing_errors(level: ExtendedCount, log_m: float, index: int, paths: ChunkPaths) -> np.ndarray:

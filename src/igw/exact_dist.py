@@ -27,6 +27,16 @@ operands, added in the same order, so the output bytes never depend on
 it.  Recursive products never fork, and kernel and certificate rows at
 x_cap <= 1024 never split.
 
+A row is summed term by term, p_0 + p_1 w + p_2 w^2 + ..., and for
+y >= 0, x + y rounds to x where y < x 2^-54, less than half an ulp
+(Higham, Accuracy and Stability of Numerical Algorithms, section 2.1).
+With p_0 = 0 the mass of w below the cap falls like p_1^x and the terms
+from w^2 on like its powers, so :func:`_compose` stops before w^k once no
+term from k on can change a byte where it lands (:func:`_rounds_away`
+bounds them, rounding included): the same row without the products, the
+fixed-point stop of whole rows carried over to single terms.  binary:0.6
+at cap 4096 takes 58 squares to x = 512, not 512.
+
 One successor loop composes every row from the one before
 (:func:`_successors`) and stops at the float fixed point: a step reads
 nothing but the bytes of the row before, so once :func:`_compose` returns
@@ -139,6 +149,12 @@ KERNEL_FLOOR = 1e-200
 #: certificate (cut at its switch point, at most 1024) is rounded exactly as
 #: the direct product rounds it; longer ones split (:func:`_mul_low`).
 _DIRECT_MAX = 1025
+
+#: :func:`_compose` tests whether the terms from w^k on round away
+#: (:func:`_rounds_away`) only where they reach at least this many
+#: coefficients: the test costs 15 to 25 us, about what a square of 256
+#: coefficients and its sum cost, and a shorter product is cheaper than it.
+_CUT_MIN = 256
 
 #: envelope sweeps of at least _SHIFT_STATES states step on the column
 #: scaled by 2^_SHIFT and scale the product back (:class:`_Column`).  Below
@@ -284,6 +300,26 @@ def _sqr_low(a: np.ndarray, n: int, fork: bool = False) -> np.ndarray:
     return out
 
 
+def _rounds_away(law: OffspringLaw, k: int, w: np.ndarray, w_exp: int, reach: np.ndarray) -> bool:
+    """Whether adding the terms p_j w^j, j >= k, of :func:`_compose`
+    leaves ``reach`` bit for bit as it is: ``reach`` is the sum of the
+    terms before them from u^(k w_off) on, where term k starts, and ``w``
+    is w scaled by 2^-w_exp.  The proof is in :func:`_compose`."""
+    n, K = len(reach), law.max_k
+    if (3 * K + 10) * n > 2**50 or not reach.min() > math.ldexp((K + 1) * (n + 1), -1014):
+        return False
+    w = w[:n]
+    total = np.add.accumulate(w)
+    with np.errstate(over="ignore"):  # an infinite bound is no cut
+        bound = np.maximum.accumulate(w)
+        bound *= total if k == 2 else total ** (k - 1)
+        bound *= 2.0 * law.tails[k] * max(1.0, math.ldexp(float(total[-1]), w_exp)) ** (K - k)
+        np.maximum(bound, 2.0**-1019, out=bound)
+        np.ldexp(bound, k * w_exp + 55, out=bound)
+    # past the end of w the largest entry and the sum stay as they are
+    return bool((bound <= reach[: len(w)]).all() and bound[-1] <= reach[len(w) :].min(initial=math.inf))
+
+
 def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> TruncatedDist:
     """Coefficients 0..cap of f(w) with w(u) = (1 - theta + theta*u) * prev(u)
     and cap = ``prev.cap``, as the sum of p_k * w^k: G_x from G_{x-1} at theta = 1 (w = u * G_{x-1}),
@@ -294,6 +330,38 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
     arrays are rescaled by exact powers of two, so the convolutions run
     near 1 and products of small probabilities stay out of the slow
     subnormal range.
+
+    From k = 2 on, the terms from w^k are left out once none of them can
+    change a byte of the sum (:func:`_rounds_away`): the row is the same
+    bytes without their products.  Each term is nonnegative, and for
+    y >= 0, x + y rounds to x where y < x 2^-54, less than half an ulp of
+    x, normal or subnormal; so it suffices that every term is below 2^-54
+    of each entry it meets.
+
+    * The bound.  At index r from where term k starts,
+      (w^j)_r <= M_r S_r^(j-1), with M_r and S_r the largest entry and the
+      sum of w_0..w_r: fix every factor but the last, which is at most M_r.
+      Term j starts no earlier than term k, so every term j >= k is at
+      most T_k M_r S_r^(k-1) max(1, S)^(K-k) there, with S the sum of
+      w_0..w_(n-1), n the length of term k, and T_k = p_k + ... + p_K
+      (``law.tails``).
+    * Rounding.  A computed term exceeds its exact value by the relative
+      error of at most K products of at most n coefficients (gamma_n
+      each), of the multiply by p_j and of the bound's own arithmetic, a
+      factor (1 + gamma_n)^(3K + 10) < 2 while (3K + 10) n <= 2^50; and by
+      less than A = (K + 1)(n + 1) 2^-1069, which covers the products that
+      underflow and the rescalings by powers of two into the subnormal
+      range.
+    * The test.  Twice the bound is at most 2^-55 of each entry, and A
+      below 2^-55 of it, so every entry must exceed (K + 1)(n + 1) 2^-1014:
+      a zero where term k reaches means no cut.  The bound is clamped
+      below at 2^-1019 before its rescaling by 2^(k w_exp + 55), which
+      only an underflow within it reaches; where the rescaled bound is
+      subnormal, the true one is below 2^-1021, under every entry.
+
+    The test runs where term k reaches at least ``_CUT_MIN`` coefficients
+    and T_k mass^(k-1) < 2^-54, mass = 1 - ``prev.overflow``: about what
+    it needs at the last coefficient, so elsewhere it could rarely pass.
 
     The sum is taken in a zeroed cap + 1 buffer, which is marked read-only
     and kept as the law's ``atoms``, with its support found once here.  A
@@ -314,6 +382,7 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
         w[1:] += theta * prev.coef
     _, w_exp = math.frexp(float(w.max()))
     w = np.ldexp(w, -w_exp)
+    mass = 1.0 - prev.overflow  # that of w, for the pre-test
     power, p_off, p_exp = np.ones(1), 0, 0  # w^0
     for k, p in enumerate(law.probs):
         if k > 0:
@@ -321,6 +390,9 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
             if p_off > cap:
                 break
             n = cap + 1 - p_off
+            tested = k > 1 and n >= _CUT_MIN and law.tails[k] * mass ** (k - 1) < 2.0**-54
+            if tested and _rounds_away(law, k, w, w_exp, out[p_off:]):
+                break
             if k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
                 power, e_mul = _sqr_low(power, n, fork=True), p_exp
             else:

@@ -53,7 +53,8 @@ class OffspringLaw:
     Views the engines read are computed on first use and cached on the
     law (a cached law still pickles): the moments ``m`` and ``v``, the
     log-tier constants ``log_m`` and ``log_fold``, the support shapes
-    ``point_mass`` and ``two_atoms``, and ``probs_array`` and ``ks_array``.
+    ``point_mass`` and ``two_atoms``, the ``tails``, and ``probs_array``
+    and ``ks_array``.
     """
 
     probs: tuple[float, ...]
@@ -143,6 +144,11 @@ class OffspringLaw:
         """log(m/(m-1)), the offset in the deterministic log-tier step
         log S_x = x*log(m) + log(m/(m-1)); nan unless m > 1."""
         return math.log(self.m / (self.m - 1.0)) if self.m > 1.0 else math.nan
+
+    @cached_property
+    def tails(self) -> tuple[float, ...]:
+        """T_k = p_k + p_(k+1) + ... for k = 0..K, each correctly rounded."""
+        return tuple(math.fsum(self.probs[k:]) for k in range(len(self.probs)))
 
     @cached_property
     def probs_array(self) -> np.ndarray:

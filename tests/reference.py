@@ -19,6 +19,10 @@
 * The direct composition of the law of S_x and of the thinned rows H_x:
   every power w^k by one full ``np.convolve`` cut at the cap, without the
   package's short products and symmetric square.
+* The composition step as it stood before it stopped at the terms that
+  round away (``uncut_compose``): every power w^k up to the cap, by the
+  package's own short products and square.  The package must give its
+  rows, overflows and offsets byte for byte.
 * A scalar simulator of the chain, one path at a time on a numpy
   generator: one multinomial draw per generation while Z is exact,
   Gaussian branching noise one generation at a time beyond it, folded
@@ -56,7 +60,10 @@ from igw.exact_dist import (
     _SHIFT,
     _SHIFT_STATES,
     TruncatedDist,
+    _empty,
+    _mul_low,
     _row,
+    _sqr_low,
 )
 from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_EXACT_CAP, LOG_VALUE_LIMIT
 from igw.igw_process import (
@@ -309,6 +316,49 @@ def direct_rows(law: OffspringLaw, theta: float, cap: int) -> Iterator[Truncated
     while True:
         yield row
         row = direct_compose(law, row, theta)
+
+
+def uncut_compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> TruncatedDist:
+    """The package's composition step (``exact_dist._compose``) summing
+    every term p_k w^k that starts below the cap, with no test of whether
+    it can change a byte."""
+    if not len(prev.coef):
+        return prev
+    cap = prev.cap
+    out = np.zeros(cap + 1)
+    if theta == 1.0:
+        w, w_off = prev.coef, prev.offset + 1
+    else:
+        w, w_off = np.zeros(len(prev.coef) + 1), prev.offset
+        w[:-1] = (1.0 - theta) * prev.coef
+        w[1:] += theta * prev.coef
+    _, w_exp = math.frexp(float(w.max()))
+    w = np.ldexp(w, -w_exp)
+    power, p_off, p_exp = np.ones(1), 0, 0  # w^0
+    for k, p in enumerate(law.probs):
+        if k > 0:
+            p_off += w_off
+            if p_off > cap:
+                break
+            n = cap + 1 - p_off
+            if k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
+                power, e_mul = _sqr_low(power, n, fork=True), p_exp
+            else:
+                power, e_mul = _mul_low(power, w, n, fork=True), w_exp
+            _, e = math.frexp(float(power.max()))
+            power = np.ldexp(power, -e)
+            p_exp += e_mul + e
+        if p > 0.0:
+            out[p_off : p_off + len(power)] += np.ldexp(p * power, p_exp)
+    if out.tobytes() == prev.atoms.tobytes():
+        return prev
+    nz = np.flatnonzero(out)
+    if nz.size == 0:
+        return _empty(cap)
+    out.flags.writeable = False
+    offset = int(nz[0])
+    coef = out[offset : nz[-1] + 1]
+    return TruncatedDist(out, max(0.0, 1.0 - float(coef.sum())), offset, coef)
 
 
 # -- the harmonic walk -------------------------------------------------------------

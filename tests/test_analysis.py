@@ -430,6 +430,22 @@ class TestRatioExperiments:
         assert float((e0 <= 0.1).mean()) >= 0.9
         assert np.median(e1) <= np.median(e0) / 2
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 101, 1000])
+    def test_order_statistics_are_numpys(self, size):
+        # read off the sorted row, the quantiles and the median are the bytes
+        # np.quantile and np.median give, on rows with and without repeats;
+        # q = 0.25 and 0.75 hit a weight of exactly 1/2 at sizes 3 and 7.
+        # No row holds -0.0 (a sort and numpy's partition may order the two
+        # zeros differently), as no ratio row does.
+        rng = np.random.default_rng(size)
+        rows = (rng.normal(size=size) * 10.0 ** rng.uniform(-5.0, 5.0),
+                rng.integers(0, 3, size).astype(float), np.round(rng.normal(size=size), 1) + 0.0)
+        for row in rows:
+            ordered = np.sort(row)
+            for q in (0.1, 0.25, 0.5, 0.75, 0.9):
+                assert analysis._sorted_quantile(ordered, q).hex() == float(np.quantile(row, q)).hex(), q
+            assert analysis._sorted_median(ordered).hex() == float(np.median(row)).hex()
+
     def test_subcritical_rejected(self):
         with pytest.raises(RegimeError):
             mc_ratio_convergence(IGWParams(OffspringLaw.explicit({1: 1.0}), 1.0), 1, 10, 0)

@@ -809,6 +809,20 @@ print(sorted(m for m in {_NOT_EXACT!r} if m in sys.modules))
     assert _python(code) == "[]"
 
 
+def test_mc_ratio_loads_no_numpy_ma():
+    # its quantiles and medians are read off sorted rows, so numpy.ma,
+    # which np.quantile and np.median import on their first call, stays out
+    code = """
+import contextlib, io, sys
+from igw import cli
+args = ["mc", "ratio", "--law", "binary:0.5", "--theta", "1.0", "--x0", "6", "--replicas", "200", "--horizon", "20"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(args) == 0
+print("numpy.ma" in sys.modules)
+"""
+    assert _python(code) == "False"
+
+
 def test_checks_load_their_modules_on_call():
     # the Wilson interval and the exact comparisons still work, loading
     # statistics and fractions (and with them decimal) when called

@@ -385,6 +385,124 @@ class TestDirectComposition:
             assert np.array_equal(got, want)
 
 
+def _uncut_steps(law: OffspringLaw, theta: float, cap: int, rows: int) -> int:
+    """Compose up to ``rows`` rows of (law, theta, cap) from H_0, each step by
+    ``_compose`` and by the reference's uncut step on the same row, and
+    assert that both give the same bytes, overflow and offset, and the same
+    fixed point."""
+    row = exact_dist._origin(cap)
+    for x in range(1, rows + 1):
+        got, want = exact_dist._compose(law, row, theta), reference.uncut_compose(law, row, theta)
+        assert got.atoms.tobytes() == want.atoms.tobytes(), x
+        assert (got.overflow.hex(), got.offset) == (want.overflow.hex(), want.offset), x
+        assert (got is row) == (want is row), x
+        if want is row:
+            return
+        row = want
+
+
+#: laws with and without a one-child atom, with p_0 > 0, with a gap in the
+#: support, a lone high term (K = 50) and a one-child atom far below any
+#: other term
+CUT_LAWS = ["binary:0.6", "binary:0.5", "binary:0.9", "binary:0.01", "binary:1", "pmf:1=0.3,2=0.3,5=0.4",
+            "pmf:0=0.2,2=0.8", "pmf:2=0.5,3=0.5", "pmf:1=0.99,50=0.01", "pmf:1=1e-300,2=1.0",
+            "pmf:1=0.5,3=0.25,4=0.25", "pmf:0=0.1,1=0.5,2=0.4"]
+
+
+class TestRoundedAwayTerms:
+    """``_compose`` stops at the terms that cannot change a byte of the row:
+    every row, overflow and offset is that of the uncut step."""
+
+    @pytest.fixture
+    def tests_run(self, monkeypatch):
+        # the answer of every call of _rounds_away, in order
+        answers, rounds_away = [], exact_dist._rounds_away
+
+        def recorded(*args):
+            answers.append(rounds_away(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(exact_dist, "_rounds_away", recorded)
+        return answers
+
+    @pytest.mark.parametrize("spec", CUT_LAWS)
+    def test_every_row_is_the_uncut_one(self, monkeypatch, spec):
+        # as composed at caps 300 and 512 (theta = 1 reaches the length
+        # gate only there), and with the gate off at every row of the small
+        # caps 8 and 100
+        law = parse_law_spec(spec)
+        thetas, rows = (1.0, 0.95, 0.8, 0.6, 0.45), 150 if law.max_k > 5 else 300  # K = 50: 50 products a row
+        for theta in thetas:
+            _uncut_steps(law, theta, 512 if theta == 1.0 else 300, rows)
+        monkeypatch.setattr(exact_dist, "_CUT_MIN", 0)
+        for theta in thetas:
+            for cap in (8, 100):
+                _uncut_steps(law, theta, cap, rows * 2 // 3)
+
+    @pytest.mark.parametrize("spec, theta, cap, rows", [
+        ("binary:0.6", 1.0, 4096, 512), ("binary:0.6", 0.8, 4096, 100), ("binary:0.6", 0.92, 2048, 700),
+        ("pmf:1=0.3,2=0.3,5=0.4", 1.0, 2048, 300),
+    ])
+    def test_split_products_are_the_uncut_ones(self, spec, theta, cap, rows):
+        # caps past _DIRECT_MAX: the products the cut skips would split
+        _uncut_steps(parse_law_spec(spec), theta, cap, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_laws(max_k=6), st.integers(1, 160), st.sampled_from([1.0, 0.9, 0.5]))
+    def test_drawn_laws(self, law, cap, theta):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_dist, "_CUT_MIN", 0)
+            _uncut_steps(law, theta, cap, 120)
+
+    @pytest.mark.parametrize("spec, k", [("binary:0.5", 2), ("pmf:1=0.5,3=0.5", 3)])
+    def test_terms_at_the_rounding_boundary(self, tests_run, spec, k):
+        # w = u (a + b u + ... + b u^299) at cap 300, a = 2^-100 its largest
+        # entry: term k adds p_k a^k to p_1 b where it starts, and its bound
+        # is that sum there, while its other coefficients are far smaller.
+        # With b = 1.37 a^k 2^t, t = 40..70, the uncut step changes the row
+        # up to t = 52, and the cut drops the term from t = 56 on: there
+        # 2 T_k a^k is at most 2^-55 of p_1 b.
+        law, a = parse_law_spec(spec), 2.0**-100
+        changed = []
+        for t in range(40, 71):
+            atoms = np.full(301, 1.37 * a**k * 2.0**t)
+            atoms[0], atoms[-1] = a, 0.0
+            prev = exact_dist.TruncatedDist(atoms, 1.0 - float(atoms.sum()), 0, atoms[:-1])
+            got, want = exact_dist._compose(law, prev), reference.uncut_compose(law, prev)
+            assert got.atoms.tobytes() == want.atoms.tobytes(), t
+            changed.append(want.atoms[k] != 0.5 * atoms[1])
+        assert changed == [t <= 52 for t in range(40, 71)]
+        assert tests_run.count(True) == 70 - 56 + 1
+
+    def test_law_of_s_x_squares_about_sixty_times(self, monkeypatch):
+        # binary:0.6 to x = 512 at s_cap 4096: every row from about x = 57 on
+        # drops its square, where the uncut step took all 512
+        squares, sqr_low = [], exact_dist._sqr_low
+
+        def counted(*args, **kwargs):
+            if kwargs.get("fork"):  # a top-level square
+                squares.append(args[1])
+            return sqr_low(*args, **kwargs)
+
+        monkeypatch.setattr(exact_dist, "_sqr_low", counted)
+        _table.cache_clear()
+        total_progeny_dist(parse_law_spec("binary:0.6"), 512)
+        _table.cache_clear()
+        assert 40 <= len(squares) <= 64
+
+    @pytest.mark.parametrize("spec", ["pmf:2=0.5,3=0.5", "pmf:0=0.2,2=0.8", "pmf:0=0.1,1=0.5,2=0.4"])
+    def test_laws_that_never_cut(self, tests_run, spec):
+        # without a one-child atom every term from w^2 on lands where the
+        # row is still 0; with p_0 > 0 the row keeps mass p_0, so the scalar
+        # pre-test never even calls the exact one
+        law = parse_law_spec(spec)
+        for theta, cap in ((1.0, 4096), (0.9, 1024), (0.5, 512)):
+            for _ in islice(exact_dist._successors(law, theta, exact_dist._origin(cap)), 400):
+                pass
+        assert not any(tests_run)
+        assert bool(tests_run) == (law.p0 == 0.0)
+
+
 class _Boom(Exception):
     pass
 
