@@ -19,12 +19,8 @@ probabilities up to float rounding, and the missing mass lies provably
 beyond the cap.  Each product computes only the coefficients below the cap
 (a short product, Brent and Kung 1978), and the square w^2 uses symmetry;
 both sum the same nonnegative terms as the full product, with no
-subtraction and no FFT.  A top-level product that splits (more than
-``_DIRECT_MAX`` coefficients) hands its low half to one helper thread
-when more than one CPU is usable (:mod:`igw.parallel`), and takes the
-rest on the calling thread; each part is the same call on the same
-operands, added in the same order, so the output bytes never depend on
-it.  Recursive products never fork, and kernel and certificate rows at
+subtraction and no FFT.  A product of at most ``_DIRECT_MAX``
+coefficients is one direct convolution, so kernel and certificate rows at
 x_cap <= 1024 never split.
 
 A row is summed term by term, p_0 + p_1 w + p_2 w^2 + ..., and for
@@ -126,13 +122,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from . import parallel
 from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, fixed_point_q, pgf_eval
 
 #: envelope-kernel entries below this are moved to the conservative column
@@ -248,7 +243,7 @@ def _empty(cap: int) -> TruncatedDist:
     return TruncatedDist(atoms, 1.0, cap + 1, atoms[cap + 1 :])
 
 
-def _mul_low(a: np.ndarray, b: np.ndarray, n: int, fork: bool = False) -> np.ndarray:
+def _mul_low(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Coefficients 0..n-1 of a*b, as many as ``np.convolve(a[:n], b[:n])[:n]``
     returns, at about half its cost once the product is truncated.
 
@@ -256,20 +251,13 @@ def _mul_low(a: np.ndarray, b: np.ndarray, n: int, fork: bool = False) -> np.nda
     low halves take one full convolution, the cross terms two recursive
     short products of length n - h.  Every coefficient sums the same
     nonnegative products a_i*b_j as the direct route, grouped differently,
-    so it keeps the direct route's bound of gamma_n relative error.
-
-    With ``fork`` set (a top-level call of :func:`_compose`; recursive
-    calls never set it), the low halves go to the helper thread
-    (:func:`igw.parallel.fork`) while this thread takes the cross terms.
-    Each part is the same call on the same operands, added into ``out`` in
-    the same order, so the result is the same bytes on any thread."""
+    so it keeps the direct route's bound of gamma_n relative error."""
     a, b = a[:n], b[:n]
     if n <= _DIRECT_MAX or len(a) + len(b) - 1 <= n:
         return np.convolve(a, b)[:n]
     h = (n + 1) // 2
-    low = (parallel.fork if fork else partial)(np.convolve, a[:h], b[:h])  # joined below
+    low = np.convolve(a[:h], b[:h])
     crosses = [_mul_low(high, other, n - h) for high, other in ((a[h:], b), (b[h:], a)) if len(high)]
-    low = low()
     out = np.zeros(n)
     out[: len(low)] = low
     for cross in crosses:
@@ -277,21 +265,18 @@ def _mul_low(a: np.ndarray, b: np.ndarray, n: int, fork: bool = False) -> np.nda
     return out
 
 
-def _sqr_low(a: np.ndarray, n: int, fork: bool = False) -> np.ndarray:
+def _sqr_low(a: np.ndarray, n: int) -> np.ndarray:
     """Coefficients 0..n-1 of a*a, as :func:`_mul_low` returns them, at
     about half its cost again: with h = ceil(len(a)/2),
     a*a = a0*a0 + 2 u^h (a0*a1) + u^(2h) a1*a1, so the cross term is taken
-    once and doubled (exactly), and the squares split the same way.  With
-    ``fork`` set, the low square a0*a0 goes to the helper thread while
-    this thread takes the cross and the high terms, as in :func:`_mul_low`."""
+    once and doubled (exactly), and the squares split the same way."""
     a = a[:n]
     if len(a) <= _DIRECT_MAX:
         return np.convolve(a, a)[:n]
     h = (len(a) + 1) // 2
-    low = (parallel.fork if fork else partial)(_sqr_low, a[:h], n)  # joined below
+    low = _sqr_low(a[:h], n)
     cross = _mul_low(a[:h], a[h:], n - h)
     high = _sqr_low(a[h:], n - 2 * h) if n > 2 * h else None
-    low = low()
     out = np.zeros(min(n, 2 * len(a) - 1))
     out[: len(low)] = low
     out[h : h + len(cross)] += 2.0 * cross
@@ -394,9 +379,9 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
             if tested and _rounds_away(law, k, w, w_exp, out[p_off:]):
                 break
             if k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
-                power, e_mul = _sqr_low(power, n, fork=True), p_exp
+                power, e_mul = _sqr_low(power, n), p_exp
             else:
-                power, e_mul = _mul_low(power, w, n, fork=True), w_exp
+                power, e_mul = _mul_low(power, w, n), w_exp
             _, e = math.frexp(float(power.max()))
             power = np.ldexp(power, -e)
             p_exp += e_mul + e

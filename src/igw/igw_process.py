@@ -24,6 +24,7 @@ which draws nothing, until half of the entries are inert.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -31,7 +32,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import parallel
 from .gw_engine import (
     DEFAULT_EXACT_CAP,
     LOG_EXACT_CAP,
@@ -506,6 +506,15 @@ def simulate_chunks(
     return out
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask
+    where the OS reports one, else ``os.cpu_count()``, else 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_batch(summarise, x0, params, horizon, threshold, master_seed, purpose, record, batch):
     """``summarise(index, paths)`` for each (index, size) chunk of one
     lockstep batch."""
@@ -537,7 +546,7 @@ def map_chunks(
     its own generations, Gaussian remainders and thinning in its own order;
     a batch holds at most ``_LOCKSTEP_CELLS`` replicas times recorded rows.
     ``workers`` > 1 spreads the batches over that many processes, never more
-    than there are chunks or usable CPUs (:func:`igw.parallel.usable_cpus`).
+    than there are chunks or usable CPUs (:func:`usable_cpus`).
     ``summarise`` runs in the worker and must be a module-level function, or
     a partial of one, so that it pickles.
     """
@@ -547,7 +556,7 @@ def map_chunks(
         raise ValueError(f"workers must be >= 1, got {workers}")
     starts = range(0, replicas, RNG_CHUNK)
     chunks = [(index, min(RNG_CHUNK, replicas - start)) for index, start in enumerate(starts)]
-    processes = min(workers, len(chunks), parallel.usable_cpus())
+    processes = min(workers, len(chunks), usable_cpus())
     rows = horizon + 1 if record else 1
     per_batch = max(1, min(_LOCKSTEP_CELLS // (RNG_CHUNK * rows), -(-len(chunks) // processes)))
     batches = [chunks[i:i + per_batch] for i in range(0, len(chunks), per_batch)]

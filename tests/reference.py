@@ -23,6 +23,10 @@
   round away (``uncut_compose``): every power w^k up to the cap, by the
   package's own short products and square.  The package must give its
   rows, overflows and offsets byte for byte.
+* The law of the whole total progeny S_inf = Z_1 + Z_2 + ... of a
+  two-atom law {0: a, k: b} by the hitting-time formula (``otter_row``),
+  in exact integer arithmetic on the floats' own values.  It shares
+  nothing with the package but the law.
 * A scalar simulator of the chain, one path at a time on a numpy
   generator: one multinomial draw per generation while Z is exact,
   Gaussian branching noise one generation at a time beyond it, folded
@@ -342,9 +346,9 @@ def uncut_compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) ->
                 break
             n = cap + 1 - p_off
             if k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
-                power, e_mul = _sqr_low(power, n, fork=True), p_exp
+                power, e_mul = _sqr_low(power, n), p_exp
             else:
-                power, e_mul = _mul_low(power, w, n, fork=True), w_exp
+                power, e_mul = _mul_low(power, w, n), w_exp
             _, e = math.frexp(float(power.max()))
             power = np.ldexp(power, -e)
             p_exp += e_mul + e
@@ -359,6 +363,32 @@ def uncut_compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) ->
     offset = int(nz[0])
     coef = out[offset : nz[-1] + 1]
     return TruncatedDist(out, max(0.0, 1.0 - float(coef.sum())), offset, coef)
+
+
+def otter_row(law: OffspringLaw, cap: int) -> np.ndarray:
+    """P(S_inf = n) for n = 0..cap, where S_inf = Z_1 + Z_2 + ... is the
+    total progeny without the ancestor: P(S_inf = n) = [w^n] f(w)^(n+1) /
+    (n+1) (Otter 1949; Dwass 1969).
+
+    For a law on {0, k} with p_0 = a and p_k = b, the atom at n is
+    C(n+1, n/k) a^(n+1-n/k) b^(n/k) / (n+1) where k divides n, and 0
+    otherwise.  a and b enter as the exact values of the floats, integer
+    mantissas over powers of two, so each atom is the exact probability
+    for the law the package sees, rounded once."""
+    support = law.two_atoms
+    if support is None or support[0] != 0:
+        raise ValueError(f"otter_row needs a law on {{0, k}}, got {law!r}")
+    k = support[1]
+    (na, da), (nb, db) = law.probs[0].as_integer_ratio(), law.probs[k].as_integer_ratio()
+    ea, eb = da.bit_length() - 1, db.bit_length() - 1  # da = 2^ea, db = 2^eb
+    out = np.zeros(cap + 1)
+    mantissa, step = na, na ** (k - 1) * nb  # na^(n+1-j) nb^j at n = k j
+    for j in range(cap // k + 1):
+        n = k * j
+        # int / int rounds correctly, subnormals included
+        out[n] = math.comb(n + 1, j) * mantissa / ((n + 1) << (ea * (n + 1 - j) + eb * j))
+        mantissa *= step
+    return out
 
 
 # -- the harmonic walk -------------------------------------------------------------

@@ -788,9 +788,9 @@ def test_import_leaves_scipy_out():
 
 
 #: what the exact layer and the analytic certificates never need: OpenSSL's
-#: hashlib, numpy.ma (np.unique), the random streams, and decimal and
-#: statistics (Fraction and NormalDist)
-_NOT_EXACT = ("_hashlib", "numpy.ma", "numpy.random", "decimal", "statistics")
+#: hashlib, numpy.ma (np.unique), the random streams, decimal and
+#: statistics (Fraction and NormalDist), and queue (it runs on one thread)
+_NOT_EXACT = ("_hashlib", "numpy.ma", "numpy.random", "decimal", "statistics", "queue")
 
 
 def test_exact_layer_loads_no_unused_library():

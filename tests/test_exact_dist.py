@@ -1,5 +1,4 @@
 import math
-import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -26,7 +25,6 @@ from igw import (
 )
 from igw.analysis import explosion_lower_bound, fixed_point_q
 import igw.exact_dist as exact_dist
-import igw.parallel as parallel
 from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _row, _table
 
 import reference
@@ -409,6 +407,72 @@ CUT_LAWS = ["binary:0.6", "binary:0.5", "binary:0.9", "binary:0.01", "binary:1",
             "pmf:1=0.5,3=0.25,4=0.25", "pmf:0=0.1,1=0.5,2=0.4"]
 
 
+#: more laws on {0, k} for the oracle, with their caps: subcritical,
+#: critical and supercritical, and k = 4, whose w^4 takes a square and
+#: two short products
+OTTER_LAWS = {"pmf:0=0.7,2=0.3": 2048, "pmf:0=0.5,2=0.5": 2048, "pmf:0=0.6,3=0.4": 2048, "pmf:0=0.4,4=0.6": 1536}
+
+
+class TestOtterOracle:
+    """The law of S_inf = Z_1 + Z_2 + ... against the hitting-time formula
+    (``reference.otter_row``), at caps where the top-level products split."""
+
+    @pytest.mark.parametrize("spec", ["pmf:0=0.25,2=0.75", "pmf:0=0.5,3=0.5", "pmf:0=0.2,2=0.8", *OTTER_LAWS])
+    def test_formula_is_the_enumerated_law(self, spec):
+        # the oracle itself, against the naive enumeration on the floats'
+        # exact values: both round the same rationals once
+        law = parse_law_spec(spec)
+        exact = enumerate_total_progeny({k: Fraction(p) for k, p in enumerate(law.probs) if p > 0.0}, 14, cap=12)
+        assert reference.otter_row(law, 12).tolist() == [float(exact.get(n, 0)) for n in range(13)]
+
+    @pytest.mark.parametrize("spec, cap", [("pmf:0=0.25,2=0.75", 2048), ("pmf:0=0.5,3=0.5", 4096),
+                                           ("pmf:0=0.2,2=0.8", 2048), *OTTER_LAWS.items()])
+    def test_law_of_s_inf(self, spec, cap):
+        # atoms n <= x - 2 are final, so row cap + 2 is S_inf's law on 0..cap
+        assert cap > exact_dist._DIRECT_MAX
+        law = parse_law_spec(spec)
+        want = reference.otter_row(law, cap)
+        got = total_progeny_dist(law, cap + 2, s_cap=cap).atoms
+        _table.cache_clear()
+        _assert_within_tree_roundings(law, got, want)
+
+    @pytest.mark.parametrize("spec", ["pmf:0=0.2,2=0.8", "pmf:0=0.4,4=0.6"])
+    def test_rows_before_the_fixed_point(self, spec):
+        # a row x that is not yet the fixed row, composed by split products
+        # at s_cap 1536, holds its atoms n <= x - 2 whole: each counts every
+        # tree of n + 1 nodes
+        law = parse_law_spec(spec)
+        want = reference.otter_row(law, 1536)
+        last = total_progeny_dist(law, 1538, s_cap=1536)
+        for x in (64, 128):
+            row = total_progeny_dist(law, x, s_cap=1536)
+            assert row is not last and not np.array_equal(row.atoms, last.atoms), x
+            _assert_within_tree_roundings(law, row.atoms[: x - 1], want[: x - 1])
+        _table.cache_clear()
+
+
+def _assert_within_tree_roundings(law: OffspringLaw, got: np.ndarray, want: np.ndarray) -> None:
+    """Atoms 0..len(want)-1 of the law of S_inf, as composed, against the
+    oracle's ``want``: the same zeros, and every other atom within the
+    rounding of the products that make it."""
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    assert want[want > 0.0].min() > 1e-210
+    # Atom n sums one product of p's per plane tree of n + 1 nodes.  A
+    # node with k children and m <= n descendants adds it through the
+    # coefficient m of w^k, k - 1 products of at most m + 1 nonnegative
+    # terms each, so (k - 1)(m + 1) roundings, and one more for the
+    # multiply by p_k; the leaves' p_0, the rescalings by powers of two
+    # and the add to the row's 0 are exact, away from underflow (every
+    # atom is above 1e-210, as asserted).  A tree has n/k such nodes, so
+    # each of its products carries at most R_n = (n/k)((k - 1)(n + 1) + 1)
+    # roundings, and the row lies within gamma_{R_n} of the exact atom.
+    # The oracle lies within u of it, and gamma_{R_n + 2} covers both.
+    k = law.two_atoms[1]
+    n = np.arange(len(want))
+    bound = _gamma((n // k) * ((k - 1) * (n + 1) + 1) + 2)
+    assert np.all(np.abs(got - want) <= bound * want)
+
+
 class TestRoundedAwayTerms:
     """``_compose`` stops at the terms that cannot change a byte of the row:
     every row, overflow and offset is that of the uncut step."""
@@ -477,12 +541,16 @@ class TestRoundedAwayTerms:
     def test_law_of_s_x_squares_about_sixty_times(self, monkeypatch):
         # binary:0.6 to x = 512 at s_cap 4096: every row from about x = 57 on
         # drops its square, where the uncut step took all 512
-        squares, sqr_low = [], exact_dist._sqr_low
+        squares, depth, sqr_low = [], [0], exact_dist._sqr_low
 
-        def counted(*args, **kwargs):
-            if kwargs.get("fork"):  # a top-level square
-                squares.append(args[1])
-            return sqr_low(*args, **kwargs)
+        def counted(a, n):
+            if not depth[0]:  # a top-level square, not one of its halves
+                squares.append(n)
+            depth[0] += 1
+            try:
+                return sqr_low(a, n)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(exact_dist, "_sqr_low", counted)
         _table.cache_clear()
@@ -501,85 +569,6 @@ class TestRoundedAwayTerms:
                 pass
         assert not any(tests_run)
         assert bool(tests_run) == (law.p0 == 0.0)
-
-
-class _Boom(Exception):
-    pass
-
-
-def _progeny_bytes(law: OffspringLaw, xs=(1, 64, 512)) -> list[tuple[bytes, str]]:
-    dists = [total_progeny_dist(law, x) for x in xs]
-    return [(dist.atoms.tobytes(), dist.overflow.hex()) for dist in dists]
-
-
-class TestSplitOnTwoThreads:
-    """A top-level split product hands its low half to the helper thread;
-    every byte stays the serial one."""
-
-    @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        # which thread ran each part handed to fork
-        threads, fork = [], parallel.fork
-
-        def recorded(fn, *args):
-            def run(*args):
-                threads.append(threading.current_thread().name)
-                return fn(*args)
-
-            return fork(run, *args)
-
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "fork", recorded)
-        return threads
-
-    @pytest.mark.parametrize("size", [1026, 1027, 2049, 3073, 4096])
-    def test_forked_products_are_the_serial_bytes(self, two_cpus, size):
-        rng = np.random.default_rng(size)
-        a, b = _operand(rng, size, True), _operand(rng, size, True)
-        # n below, at and above the operand length, and past the full product
-        for n in (size - 1, size, size + size // 2, 2 * size):
-            for forked, serial in ((exact_dist._sqr_low(a, n, fork=True), exact_dist._sqr_low(a, n)),
-                                   (exact_dist._mul_low(a, b, n, fork=True), exact_dist._mul_low(a, b, n))):
-                assert forked.tobytes() == serial.tobytes(), n
-        assert two_cpus and set(two_cpus) == {"igw-helper"}
-
-    @pytest.mark.parametrize("spec", ["binary:0.6", "pmf:1=0.3,2=0.3,5=0.4"])
-    def test_progeny_laws_do_not_depend_on_cpus(self, monkeypatch, spec):
-        law = parse_law_spec(spec)
-        got = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-            _table.cache_clear()
-            got[cpus] = _progeny_bytes(law)
-        assert got[1] == got[2]
-
-    @pytest.mark.parametrize("side", ["helper", "caller"])
-    def test_failed_half_leaves_no_result_behind(self, monkeypatch, two_cpus, side):
-        # the first split square raises in one of its halves, once: on the
-        # helper in its low square, or here in the cross term after the fork
-        # (the only calls of _mul_low on this thread without fork set)
-        law = parse_law_spec("binary:0.6")
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        _table.cache_clear()
-        want = _progeny_bytes(law)
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        _table.cache_clear()
-        name, original = ("_sqr_low", exact_dist._sqr_low) if side == "helper" else ("_mul_low", exact_dist._mul_low)
-        raised = []
-
-        def failing_once(*args, **kwargs):
-            on_helper = threading.current_thread().name == "igw-helper"
-            chosen = on_helper if side == "helper" else not on_helper and not kwargs.get("fork")
-            if chosen and not raised:
-                raised.append(side)
-                raise _Boom(side)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(exact_dist, name, failing_once)
-        with pytest.raises(_Boom, match=side):
-            total_progeny_dist(law, 512)
-        assert raised == [side]
-        assert _progeny_bytes(law) == want
 
 
 class TestBinomialTable:

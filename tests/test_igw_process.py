@@ -2,6 +2,8 @@ import ast
 import concurrent.futures
 import importlib
 import math
+import os
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -29,7 +31,6 @@ from igw import (
     stream_for,
 )
 import igw.igw_process as igw_process
-import igw.parallel as parallel
 from igw.analysis import _crossing_errors
 from igw.igw_process import (
     DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, map_chunks,
@@ -310,6 +311,35 @@ class TestChunkEngine:
             simulate_chunks(1, IGWParams(wide, 1.0), 10, ExtendedCount.exact(10**6), [stream_for(0, 0, "t")], [8])
 
 
+class TestUsableCpus:
+    def test_affinity_mask_first(self, monkeypatch):
+        # a process pinned to one CPU of two may use one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert igw_process.usable_cpus() == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, usable in ((2, 2), (64, 64), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert igw_process.usable_cpus() == usable, count
+
+    def test_this_process(self):
+        want = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        assert igw_process.usable_cpus() == want
+
+
+def test_intervals_and_monte_carlo_start_no_thread(monkeypatch):
+    # the exact layer runs on the calling thread, and a one-worker Monte
+    # Carlo run starts no pool, even where two CPUs are usable
+    monkeypatch.setattr(igw_process, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    params = IGWParams(OffspringLaw.binary(0.55), 0.83)
+    assert death_prob_interval(1, params).width >= 0.0
+    assert mc_death_prob(2, params, 2000, 64, ExtendedCount.exact(10**6), master_seed=3).estimate.replicas == 2000
+    assert threading.active_count() == before
+
+
 def _chunk_size(index, paths):
     return index, len(paths.termination)
 
@@ -348,7 +378,7 @@ class TestMapChunks:
         # also returns when the CPU count is unknown
         cases = ((3, 5 * RNG_CHUNK, [3]), (64, 2 * RNG_CHUNK + 1, [3]), (1, 5 * RNG_CHUNK, []))
         for cpus, replicas, started in cases:
-            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(igw_process, "usable_cpus", lambda: cpus)
             sizes.clear()
             out = map_chunks(*self.ARGS, replicas, workers=1000)
             assert out == (five if replicas == 5 * RNG_CHUNK else [*five[:2], (2, 1)]), cpus
