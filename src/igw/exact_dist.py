@@ -31,7 +31,12 @@ from w^2 on like its powers, so :func:`_compose` stops before w^k once no
 term from k on can change a byte where it lands (:func:`_rounds_away`
 bounds them, rounding included): the same row without the products, the
 fixed-point stop of whole rows carried over to single terms.  binary:0.6
-at cap 4096 takes 58 squares to x = 512, not 512.
+at cap 4096 takes 58 squares to x = 512, not 512.  A row cut before w^2
+costs about one pass over its coefficients: w^1 is w itself, and one sum
+of w screens the bound at every coefficient at once, so the prefix sums
+of the full test are taken only where the screen fails, as in most kernel
+rows.  Where the support has a gap, p_k = 0 between two support points,
+the terms are tested once per gap, from the next support point on.
 
 One successor loop composes every row from the one before
 (:func:`_successors`) and stops at the float fixed point: a step reads
@@ -289,20 +294,33 @@ def _rounds_away(law: OffspringLaw, k: int, w: np.ndarray, w_exp: int, reach: np
     """Whether adding the terms p_j w^j, j >= k, of :func:`_compose`
     leaves ``reach`` bit for bit as it is: ``reach`` is the sum of the
     terms before them from u^(k w_off) on, where term k starts, and ``w``
-    is w scaled by 2^-w_exp.  The proof is in :func:`_compose`."""
+    is w scaled by 2^-w_exp.  A screen from one sum of w bounds every
+    coefficient at once; the running maxima and sums bound each one where
+    it fails.  The proof is in :func:`_compose`."""
     n, K = len(reach), law.max_k
-    if (3 * K + 10) * n > 2**50 or not reach.min() > math.ldexp((K + 1) * (n + 1), -1014):
+    floor = reach.min()
+    if (3 * K + 10) * n > 2**50 or not floor > math.ldexp((K + 1) * (n + 1), -1014):
         return False
     w = w[:n]
+    tail = 2.0 * law.tails[k]
+    S = float(w.sum()) * (1.0 + n * 2.0**-52)  # the screen: M_r < 1 and S_r <= S for every r
+    try:
+        screen = S ** (k - 1) * tail * max(1.0, math.ldexp(S, w_exp)) ** (K - k)
+        if math.ldexp(max(screen, 2.0**-1019), k * w_exp + 55) <= floor:
+            return True
+    except OverflowError:  # left to the prefix test
+        pass
     total = np.add.accumulate(w)
     with np.errstate(over="ignore"):  # an infinite bound is no cut
         bound = np.maximum.accumulate(w)
         bound *= total if k == 2 else total ** (k - 1)
-        bound *= 2.0 * law.tails[k] * max(1.0, math.ldexp(float(total[-1]), w_exp)) ** (K - k)
+        bound *= tail * max(1.0, math.ldexp(float(total[-1]), w_exp)) ** (K - k)
         np.maximum(bound, 2.0**-1019, out=bound)
         np.ldexp(bound, k * w_exp + 55, out=bound)
     # past the end of w the largest entry and the sum stay as they are
-    return bool((bound <= reach[: len(w)]).all() and bound[-1] <= reach[len(w) :].min(initial=math.inf))
+    return bool((bound <= reach[: len(w)]).all()) and (
+        len(w) == n or bool(bound[-1] <= reach[len(w) :].min())
+    )
 
 
 def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> TruncatedDist:
@@ -311,10 +329,11 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
     and H_x from H_{x-1} below it.  The powers w^k start at k times the
     offset of w, so each one only needs the coefficients of w below
     cap + 1 - k * offset, and each product computes only the coefficients
-    it keeps (:func:`_mul_low`); w^2 is a square (:func:`_sqr_low`).  The
-    arrays are rescaled by exact powers of two, so the convolutions run
-    near 1 and products of small probabilities stay out of the slow
-    subnormal range.
+    it keeps (:func:`_mul_low`); w^2 is a square (:func:`_sqr_low`) and
+    w^1 is w itself.  The arrays are rescaled by exact powers of two, so
+    the convolutions run near 1 and products of small probabilities stay
+    out of the slow subnormal range: w has its largest entry in [1/2, 1),
+    and w^1 is rescaled only where the cap cuts that entry off.
 
     From k = 2 on, the terms from w^k are left out once none of them can
     change a byte of the sum (:func:`_rounds_away`): the row is the same
@@ -330,6 +349,13 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
       most T_k M_r S_r^(k-1) max(1, S)^(K-k) there, with S the sum of
       w_0..w_(n-1), n the length of term k, and T_k = p_k + ... + p_K
       (``law.tails``).
+    * Gaps.  Where p_k = ... = p_(j-1) = 0 < p_j, the terms from w^k are
+      those from w^j and T_k = T_j, so the test at k is the test at j,
+      from where term j starts.  At each coefficient its bound is at most
+      that of the test at any k' in k..j: term k' meets the coefficient at
+      an index r' >= r, and S_r^(j-1) <= S_r'^(k'-1) max(1, S)^(j-k').  So
+      the test runs once per gap, at the first k after a support point, and
+      where term j would start past the cap no term from k on lands.
     * Rounding.  A computed term exceeds its exact value by the relative
       error of at most K products of at most n coefficients (gamma_n
       each), of the multiply by p_j and of the bound's own arithmetic, a
@@ -343,10 +369,24 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
       below at 2^-1019 before its rescaling by 2^(k w_exp + 55), which
       only an underflow within it reaches; where the rescaled bound is
       subnormal, the true one is below 2^-1021, under every entry.
+    * The screen.  Before the test, the bound at M_r = 1 and S_r = S' is
+      compared with the least entry term k meets, for every r at once.  In
+      w scaled below 1, M_r < 1, and S' = fl(s (1 + n 2^-52)), s the float
+      sum of w_0..w_(n-1), is at least S: s >= S (1 - (n - 1) 2^-53) for n
+      nonnegative terms, the product rounds down by less than a factor
+      1 - 2^-53 where it is normal, and (1 - n 2^-53)(1 + n 2^-52) >= 1
+      for n <= 2^52.  The screen's bound, taken by the same operations
+      after the sum, is thus at least the test's at every r, and a passing
+      screen passes the test.  Where S' is subnormal, S < 2^-1021 and
+      every term is below 2^-2000, under the clamp.  The screen decides
+      449 of the 454 cut rows of the law of S_x of binary:0.6 to x = 512;
+      in a kernel row, where term k meets the row's whole lower tail, it
+      mostly fails and the test runs.
 
     The test runs where term k reaches at least ``_CUT_MIN`` coefficients
-    and T_k mass^(k-1) < 2^-54, mass = 1 - ``prev.overflow``: about what
-    it needs at the last coefficient, so elsewhere it could rarely pass.
+    and T_k mass^(j-1) < 2^-54, j the next support point and
+    mass = 1 - ``prev.overflow``: about what it needs at the last
+    coefficient, so elsewhere it could rarely pass.
 
     The sum is taken in a zeroed cap + 1 buffer, which is marked read-only
     and kept as the law's ``atoms``, with its support found once here.  A
@@ -368,33 +408,43 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
     _, w_exp = math.frexp(float(w.max()))
     w = np.ldexp(w, -w_exp)
     mass = 1.0 - prev.overflow  # that of w, for the pre-test
-    power, p_off, p_exp = np.ones(1), 0, 0  # w^0
+    power, p_off, p_exp, bounded = np.ones(1), 0, 0, 1  # w^0; no term from w^2 on bounded yet
     for k, p in enumerate(law.probs):
         if k > 0:
             p_off += w_off
             if p_off > cap:
                 break
             n = cap + 1 - p_off
-            tested = k > 1 and n >= _CUT_MIN and law.tails[k] * mass ** (k - 1) < 2.0**-54
-            if tested and _rounds_away(law, k, w, w_exp, out[p_off:]):
-                break
-            if k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
+            if k > bounded:  # bound the terms from the next support point j on
+                j = k
+                while law.probs[j] == 0.0:
+                    j += 1
+                bounded, j_off = j, j * w_off
+                if j_off > cap:
+                    break
+                tested = n >= _CUT_MIN and law.tails[j] * mass ** (j - 1) < 2.0**-54
+                if tested and _rounds_away(law, j, w, w_exp, out[j_off:]):
+                    break
+            if k == 1:  # power is w, its largest entry in [1/2, 1) unless the cap cuts it off
+                power, e_mul = w[:n], w_exp
+            elif k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
                 power, e_mul = _sqr_low(power, n), p_exp
             else:
                 power, e_mul = _mul_low(power, w, n), w_exp
-            _, e = math.frexp(float(power.max()))
-            power = np.ldexp(power, -e)
-            p_exp += e_mul + e
+            if k > 1 or n < len(w):
+                _, e = math.frexp(float(power.max()))
+                power, e_mul = np.ldexp(power, -e), e_mul + e
+            p_exp += e_mul
         if p > 0.0:
             out[p_off : p_off + len(power)] += np.ldexp(p * power, p_exp)
     if out.tobytes() == prev.atoms.tobytes():
         return prev
-    nz = np.flatnonzero(out)
-    if nz.size == 0:
+    support = out != 0.0
+    offset = int(support.argmax())
+    if not support[offset]:
         return _empty(cap)
     out.flags.writeable = False
-    offset = int(nz[0])
-    coef = out[offset : nz[-1] + 1]
+    coef = out[offset : cap + 1 - int(support[::-1].argmax())]
     return TruncatedDist(out, max(0.0, 1.0 - float(coef.sum())), offset, coef)
 
 

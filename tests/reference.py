@@ -23,6 +23,10 @@
   round away (``uncut_compose``): every power w^k up to the cap, by the
   package's own short products and square.  The package must give its
   rows, overflows and offsets byte for byte.
+* The composition step as it stood before it tested those terms once per
+  gap of the support (``per_term_compose``): the test before every power,
+  by the prefix sums alone (``prefix_rounds_away``).  The package must
+  form none of the products it skips.
 * The law of the whole total progeny S_inf = Z_1 + Z_2 + ... of a
   two-atom law {0: a, k: b} by the hitting-time formula (``otter_row``),
   in exact integer arithmetic on the floats' own values.  It shares
@@ -58,6 +62,7 @@ import numpy as np
 from igw import (
     Caps, ExtendedCount, RegimeError, IGWParams, IntervalProb, OffspringLaw, TerminationKind, harmonic_moments, mean,
 )
+from igw import exact_dist
 from igw.analysis import fixed_point_q
 from igw.exact_dist import (
     KERNEL_FLOOR,
@@ -326,6 +331,39 @@ def uncut_compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) ->
     """The package's composition step (``exact_dist._compose``) summing
     every term p_k w^k that starts below the cap, with no test of whether
     it can change a byte."""
+    return _compose_terms(law, prev, theta, cut=False)
+
+
+def per_term_compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> TruncatedDist:
+    """The package's composition step as it stood before it tested the
+    terms that round away once per gap of the support: before every power
+    w^k from k = 2 on, the pre-test T_k mass^(k-1) < 2^-54 where term k
+    reaches ``_CUT_MIN`` or more coefficients, then the prefix-sum test
+    alone (``prefix_rounds_away``)."""
+    return _compose_terms(law, prev, theta, cut=True)
+
+
+def prefix_rounds_away(law: OffspringLaw, k: int, w: np.ndarray, w_exp: int, reach: np.ndarray) -> bool:
+    """``exact_dist._rounds_away`` as it stood before its screen: the bound
+    at every coefficient from the running maxima and sums of w."""
+    n, K = len(reach), law.max_k
+    if (3 * K + 10) * n > 2**50 or not reach.min() > math.ldexp((K + 1) * (n + 1), -1014):
+        return False
+    w = w[:n]
+    total = np.add.accumulate(w)
+    with np.errstate(over="ignore"):
+        bound = np.maximum.accumulate(w)
+        bound *= total if k == 2 else total ** (k - 1)
+        bound *= 2.0 * law.tails[k] * max(1.0, math.ldexp(float(total[-1]), w_exp)) ** (K - k)
+        np.maximum(bound, 2.0**-1019, out=bound)
+        np.ldexp(bound, k * w_exp + 55, out=bound)
+    return bool((bound <= reach[: len(w)]).all() and bound[-1] <= reach[len(w) :].min(initial=math.inf))
+
+
+def _compose_terms(law: OffspringLaw, prev: TruncatedDist, theta: float, cut: bool) -> TruncatedDist:
+    """The sum of the terms p_k w^k of a composition step, every power by
+    the package's short products and square (w^1 = 1 * w among them), up to
+    the cap or, with ``cut``, up to the first k the prefix-sum test cuts."""
     if not len(prev.coef):
         return prev
     cap = prev.cap
@@ -338,6 +376,7 @@ def uncut_compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) ->
         w[1:] += theta * prev.coef
     _, w_exp = math.frexp(float(w.max()))
     w = np.ldexp(w, -w_exp)
+    mass = 1.0 - prev.overflow
     power, p_off, p_exp = np.ones(1), 0, 0  # w^0
     for k, p in enumerate(law.probs):
         if k > 0:
@@ -345,6 +384,9 @@ def uncut_compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) ->
             if p_off > cap:
                 break
             n = cap + 1 - p_off
+            if (cut and k > 1 and n >= exact_dist._CUT_MIN and law.tails[k] * mass ** (k - 1) < 2.0**-54
+                    and prefix_rounds_away(law, k, w, w_exp, out[p_off:])):
+                break
             if k == 2:  # power is w rescaled by 2^(p_exp - w_exp)
                 power, e_mul = _sqr_low(power, n), p_exp
             else:

@@ -399,6 +399,45 @@ def _uncut_steps(law: OffspringLaw, theta: float, cap: int, rows: int) -> int:
         row = want
 
 
+def _products_per_row(monkeypatch, law: OffspringLaw, theta: float, cap: int, rows: int) -> dict[str, int]:
+    """Compose up to ``rows`` rows of (law, theta, cap) by ``_compose`` and by
+    the reference's per-term step on the same row, and assert that no row
+    of the package forms a product (a top-level ``_mul_low`` or
+    ``_sqr_low``) that the per-term step skips.  Returns the calls of each
+    side's test of the terms that round away."""
+    depth, products, tests = [0], {}, {"package": 0, "reference": 0}
+
+    def counted(side, fn, tally):
+        def wrapped(*args):
+            if tally is tests or not depth[0]:  # a product's halves are not counted
+                tally[side] += 1
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    for module, side in ((exact_dist, "package"), (reference, "reference")):
+        for name in ("_mul_low", "_sqr_low"):
+            monkeypatch.setattr(module, name, counted(side, getattr(module, name), products))
+    monkeypatch.setattr(exact_dist, "_rounds_away", counted("package", exact_dist._rounds_away, tests))
+    monkeypatch.setattr(reference, "prefix_rounds_away",
+                        counted("reference", reference.prefix_rounds_away, tests))
+    row = exact_dist._origin(cap)
+    for x in range(1, rows + 1):
+        products.update(package=0, reference=0)
+        got, want = exact_dist._compose(law, row, theta), reference.per_term_compose(law, row, theta)
+        assert got.atoms.tobytes() == want.atoms.tobytes(), x
+        assert products["package"] <= products["reference"], x
+        if want is row:
+            break
+        row = want
+    monkeypatch.undo()
+    return tests
+
+
 #: laws with and without a one-child atom, with p_0 > 0, with a gap in the
 #: support, a lone high term (K = 50) and a one-child atom far below any
 #: other term
@@ -473,6 +512,18 @@ def _assert_within_tree_roundings(law: OffspringLaw, got: np.ndarray, want: np.n
     assert np.all(np.abs(got - want) <= bound * want)
 
 
+class _Watched(np.ndarray):
+    """An array that records the ufunc methods applied to it in ``ops``
+    and computes them on plain arrays."""
+
+    ops: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Watched.ops.append((ufunc.__name__, method))
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _Watched) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 class TestRoundedAwayTerms:
     """``_compose`` stops at the terms that cannot change a byte of the row:
     every row, overflow and offset is that of the uncut step."""
@@ -537,6 +588,99 @@ class TestRoundedAwayTerms:
             changed.append(want.atoms[k] != 0.5 * atoms[1])
         assert changed == [t <= 52 for t in range(40, 71)]
         assert tests_run.count(True) == 70 - 56 + 1
+
+    @pytest.mark.parametrize("spec, k", [("binary:0.5", 2), ("pmf:1=0.5,3=0.5", 3)])
+    def test_screen_at_the_rounding_boundary(self, monkeypatch, spec, k):
+        # the rows above with a just below 2^-99, so that w's largest entry
+        # scales to just below 1: there the screen's bound, at M_r = 1 and
+        # S_r = S, is within a factor 1 + 2^-20 of the test's where term k
+        # starts.  The screen decides from t = 56 on, as the test does, and
+        # never where the uncut step changes the row (up to t = 52)
+        law, a = parse_law_spec(spec), math.nextafter(2.0**-99, 0.0)
+        screened, rounds_away = [], exact_dist._rounds_away
+
+        def watched(law, j, w, w_exp, reach):
+            _Watched.ops.clear()
+            answer = rounds_away(law, j, w.view(_Watched), w_exp, reach)
+            screened.append(answer and ("add", "accumulate") not in _Watched.ops)
+            return answer
+
+        monkeypatch.setattr(exact_dist, "_rounds_away", watched)
+        changed = []
+        for t in range(40, 71):
+            atoms = np.full(301, 1.37 * a**k * 2.0**t)
+            atoms[0], atoms[-1] = a, 0.0
+            prev = exact_dist.TruncatedDist(atoms, 1.0 - float(atoms.sum()), 0, atoms[:-1])
+            got, want = exact_dist._compose(law, prev), reference.uncut_compose(law, prev)
+            assert got.atoms.tobytes() == want.atoms.tobytes(), t
+            changed.append(want.atoms[k] != 0.5 * atoms[1])
+            assert len(screened) == len(changed) and not (changed[-1] and screened[-1]), t
+        assert changed == [t <= 52 for t in range(40, 71)]
+        assert screened == [t >= 56 for t in range(40, 71)]
+
+    @pytest.mark.parametrize("theta, cap", [(1.0, 4096), (0.92, 512)])
+    def test_cut_row_forms_no_product(self, monkeypatch, tests_run, theta, cap):
+        # binary:0.6 at x = 200: the terms from w^2 on round away, and w^1
+        # is w itself, so the row takes no convolution at all
+        law = parse_law_spec("binary:0.6")
+        prev = _row(law, theta, cap, 199)
+        _table.cache_clear()
+        tests_run.clear()
+
+        def forbidden(*args):
+            raise AssertionError("a cut row formed a product")
+
+        for module, name in ((exact_dist, "_mul_low"), (exact_dist, "_sqr_low"), (np, "convolve")):
+            monkeypatch.setattr(module, name, forbidden)
+        got = exact_dist._compose(law, prev, theta)
+        assert tests_run == [True]
+        monkeypatch.undo()
+        want = reference.uncut_compose(law, prev, theta)
+        assert got is not prev and got.atoms.tobytes() == want.atoms.tobytes()
+
+    @pytest.mark.parametrize("spec", ["pmf:1=1", "binary:0.5", "pmf:1=0.5,3=0.25,4=0.25"])
+    def test_first_power_cut_below_its_largest_entry(self, monkeypatch, spec):
+        # a row that doubles up to its last atom, at the cap: w^1 keeps w up
+        # to the entry before it, so its largest entry is 0.25, half of w's,
+        # and w^1 is rescaled by 2 (the second frexp) before it is added and
+        # squared
+        law, cap, offset = parse_law_spec(spec), 300, 5
+        atoms = np.zeros(cap + 1)
+        atoms[offset:] = 0.5 ** np.arange(cap + 1 - offset, 0, -1)
+        prev = exact_dist.TruncatedDist(atoms, 1.0 - float(atoms.sum()), offset, atoms[offset:])
+        maxima = []
+
+        class CountedMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def frexp(self, x):
+                maxima.append(x)
+                return math.frexp(x)
+
+        monkeypatch.setattr(exact_dist, "math", CountedMath())
+        got = exact_dist._compose(law, prev)
+        monkeypatch.undo()
+        assert maxima[:2] == [0.5, 0.25]
+        want = reference.uncut_compose(law, prev)
+        assert got.atoms.tobytes() == want.atoms.tobytes()
+        assert (got.overflow.hex(), got.offset) == (want.overflow.hex(), want.offset)
+
+    @pytest.mark.parametrize("spec", CUT_LAWS)
+    def test_one_test_per_gap(self, monkeypatch, spec):
+        # the test runs once per gap of the support, and no row forms a
+        # product that the test before every power skips; on
+        # pmf:1=0.99,50=0.01 it runs 237 times where that test ran 2769
+        law = parse_law_spec(spec)
+        rows = 150 if law.max_k > 5 else 300
+        tests = {"package": 0, "reference": 0}
+        for theta in (1.0, 0.95, 0.8, 0.45):
+            calls = _products_per_row(monkeypatch, law, theta, 512 if theta == 1.0 else 300, rows)
+            for side in tests:
+                tests[side] += calls[side]
+        assert tests["package"] <= tests["reference"]
+        if spec == "pmf:1=0.99,50=0.01":
+            assert 10 * tests["package"] < tests["reference"]
 
     def test_law_of_s_x_squares_about_sixty_times(self, monkeypatch):
         # binary:0.6 to x = 512 at s_cap 4096: every row from about x = 57 on
