@@ -12,7 +12,6 @@ from .analysis import (
     SubmultReport,
     binary_death_bound,
     explosion_lower_bound,
-    fixed_point_q,
     geometric_absorption_check,
     geometric_death_bound,
     mc_death_prob,
@@ -52,12 +51,11 @@ from .reproduction_laws import (
     LawSpecError,
     OffspringLaw,
     RegimeError,
+    fixed_point_q,
     format_law_spec,
-    mean,
     parse_law_spec,
     pgf_eval,
     thinned_pgf,
-    variance,
 )
 
 __version__ = "0.1.0"

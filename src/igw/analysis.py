@@ -1,11 +1,10 @@
 """Analytic certificates and the Monte Carlo estimation harness.
 
 Certificates
-    * the smallest fixed point q* of s = g(s) for the thinned generating
-      function, an upper bound on the death probability from state 1 in the
-      supercritical-thinned regime (m * theta > 1), re-exported from
-      :mod:`igw.reproduction_laws`,
-    * its closed form for the binary family,
+    * the closed form of q* for the binary family (q*, the smallest fixed
+      point of the thinned generating function, bounds the death
+      probability from state 1 when m * theta > 1; the general bisection is
+      :func:`igw.reproduction_laws.fixed_point_q`),
     * the geometric chain bound q1^x for higher start states,
     * a product lower bound on the explosion probability: with
       phi(y) = y + 1 and psi(y) = y^2, the chance that the chain ever fails
@@ -44,7 +43,7 @@ import numpy as np
 from .exact_dist import Caps, IntervalProb, finite_horizon_death, one_step_dist
 from .gw_engine import ExtendedCount, harmonic_moments
 from .igw_process import EXPLODED, ChunkPaths, map_chunks, states_below
-from .reproduction_laws import IGWParams, OffspringLaw, RegimeError, fixed_point_q  # q* is re-exported
+from .reproduction_laws import IGWParams, OffspringLaw, RegimeError
 
 #: every product factor is kept at least this large so certificates stay
 #: strictly inside (0, 1) even when the underlying tails underflow floats;
@@ -63,7 +62,7 @@ MAX_TERMS = 100_000
 MAX_SWITCH = 1024
 
 
-# -- fixed points and closed forms ----------------------------------------------
+# -- closed forms ---------------------------------------------------------------
 
 
 def binary_death_bound(lam: float, theta: float) -> float:

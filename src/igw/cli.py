@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Sequence
 from . import __version__
 from .analysis import (
     explosion_lower_bound,
-    fixed_point_q,
     binary_death_bound,
     geometric_absorption_check,
     geometric_death_bound,
@@ -48,6 +47,7 @@ from .reproduction_laws import (
     IGWParams,
     OffspringLaw,
     RegimeError,
+    fixed_point_q,
     format_law_spec,
     parse_law_spec,
 )
@@ -152,10 +152,6 @@ _FLAGS = {
     "x-cap": dict(type=_cap, default=512, help="chain-state cap; results below it are exact"),
     "s-cap": dict(type=_cap, default=4096, help="total-progeny cap"),
     "q1": dict(type=float, required=True, help="certified bound on the state-1 death probability"),
-    "tol": dict(
-        type=float, default=1e-12,
-        help="bisection stops at width min(tol, 1e-14), so any tol >= 1e-14 gives the same q*",
-    ),
     "seed": dict(type=_seed, default=0, help="master seed, in [0, 2**64)"),
     "workers": dict(
         type=int, default=1, help="processes, at most one per CPU; the output does not depend on it"
@@ -308,9 +304,9 @@ def _exact_death_interval(args, out) -> int:
     return 0
 
 
-@_command("bounds", "q-star", "smallest fixed point of the thinned pgf", "law", "theta", "tol")
+@_command("bounds", "q-star", "smallest fixed point of the thinned pgf", "law", "theta")
 def _bounds_q_star(args, out) -> int:
-    _emit(out, _meta(args), ["q_star"], [[fixed_point_q(_params(args), args.tol)]])
+    _emit(out, _meta(args), ["q_star"], [[fixed_point_q(_params(args))]])
     return 0
 
 

@@ -706,7 +706,7 @@ class _Envelope:
         self.lo, self.hi = _Column(self.R_lo, lo, 0, k), _Column(self.R_hi, hi, 0, k)
         self.closure: Optional[_Column] = None
         if params.law.p0 == 0.0:
-            c = np.ldexp(fixed_point_q(params, 1e-13) ** np.arange(x_cap + 1, dtype=float), k)
+            c = np.ldexp(fixed_point_q(params) ** np.arange(x_cap + 1, dtype=float), k)
             c[0] = 0.0
             first = np.ldexp(self.R_hi[:, :s] @ c[:s] + tail @ c[s:], -k)
             self.closure = _Column(self.R_hi, first, 1, k)

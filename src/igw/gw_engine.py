@@ -12,8 +12,12 @@ in :mod:`igw.igw_process` advances:
   totals, with the mean and variance that Gaussian branching noise
   ``Z' = m*Z + sqrt(v*Z) * N(0,1)`` gives them, which preserves the
   fluctuation scale of the almost-sure growth limit,
-* logs beyond the exact range, where a state steps deterministically:
-  ``log S_x = x*log m + log(m/(m-1))``.
+* logs beyond the exact range, where a state steps by a formula,
+  ``log S_x = x*log m + log(m/(m-1))``, the log of E(S_x) up to a
+  relative m^-x.  That step is not exact in law.  It drops the martingale
+  limit W of the one-ancestor tree, S_x/E(S_x) -> W, whose log has sd
+  about 0.74 on binary:0.5 (ROADMAP item 16).  For p_0 > 0 it also drops
+  the tree's extinction, so a log-tier path never dies (item 13).
 
 Promotion between tiers never overflows; it is how growth is handled.
 The per-law constants these tiers read (m, v, log m, log(m/(m-1))) are

@@ -6,8 +6,11 @@ generations, sums the total progeny S_x, and thins it binomially with
 survival probability theta.  State 0 is absorbing.  Generations run as
 exact integers while Z stays within the cap; once Z leaves it, the rest of
 the sum is one Gaussian draw with its exact mean and variance.  A state in
-the log tier makes the next total astronomically concentrated, so that
-step is deterministic: log X' = x*log(m) + log(m/(m-1)) + log(theta).
+the log tier steps by a formula, log X' = x*log(m) + log(m/(m-1)) +
+log(theta), the log of the next state's mean.  That step is not exact in
+law.  It drops the martingale limit W of the one-ancestor tree, whose log
+has sd about 0.74 on binary:0.5 (ROADMAP item 16).  For p_0 > 0 it also
+drops extinction, so a log-tier path never dies (item 13).
 
 :func:`map_chunks` drives every Monte Carlo experiment: replica r belongs
 to chunk r // RNG_CHUNK, and chunk c draws from the stream keyed by (master
@@ -374,8 +377,10 @@ def _chunk_step(
     """One transition for every replica (all states nonzero).  States are
     (exact values, -1 in the log tier; logs).  An exact state x moves to the
     theta-thinning of S_x: one exact binomial draw while S is exact, a shift
-    by log(theta) once S has left the exact range.  A log-tier state moves
-    deterministically to log X' = X log m + log(m/(m-1)) + log(theta).
+    by log(theta) once S has left the exact range.  A log-tier state moves,
+    with no draw, to the log of its next mean, log X' = X log m +
+    log(m/(m-1)) + log(theta); that drops the spread of the martingale
+    limit W (ROADMAP item 16) and, for p_0 > 0, extinction (item 13).
     Each chunk draws its totals, then its thinning."""
     with np.errstate(divide="ignore"):
         big = xi < 0

@@ -141,8 +141,10 @@ class OffspringLaw:
 
     @cached_property
     def log_fold(self) -> float:
-        """log(m/(m-1)), the offset in the deterministic log-tier step
-        log S_x = x*log(m) + log(m/(m-1)); nan unless m > 1."""
+        """log(m/(m-1)), the offset in the log-tier step log S_x =
+        x*log(m) + log(m/(m-1)), the log of E(S_x) up to a relative m^-x;
+        the step drops the martingale limit W and, for p_0 > 0, extinction
+        (ROADMAP items 16 and 13).  nan unless m > 1."""
         return math.log(self.m / (self.m - 1.0)) if self.m > 1.0 else math.nan
 
     @cached_property
@@ -195,15 +197,6 @@ class IGWParams:
 
 
 # -- moments and generating functions ---------------------------------------
-
-
-def mean(law: OffspringLaw) -> float:
-    """m = sum_k k * p_k."""
-    return law.m
-
-
-def variance(law: OffspringLaw) -> float:
-    return law.v
 
 
 def _check_unit_interval(s: float) -> float:

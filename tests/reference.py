@@ -60,10 +60,10 @@ from typing import Iterator
 import numpy as np
 
 from igw import (
-    Caps, ExtendedCount, RegimeError, IGWParams, IntervalProb, OffspringLaw, TerminationKind, harmonic_moments, mean,
+    Caps, ExtendedCount, RegimeError, IGWParams, IntervalProb, OffspringLaw, TerminationKind, fixed_point_q,
+    harmonic_moments,
 )
 from igw import exact_dist
-from igw.analysis import fixed_point_q
 from igw.exact_dist import (
     KERNEL_FLOOR,
     _SHIFT,
@@ -137,7 +137,7 @@ def death_intervals(params: IGWParams, caps: Caps, horizon: int) -> list[Interva
     K_hi, K_lo = envelope_kernels(params, caps)
     lo, hi = np.zeros(len(K_lo)), np.zeros(len(K_hi))
     lo[0] = hi[0] = 1.0
-    close = fixed_point_q(params, 1e-13) ** np.arange(len(K_hi), dtype=float)
+    close = fixed_point_q(params) ** np.arange(len(K_hi), dtype=float)
     close[0] = 0.0
     for _ in range(horizon):
         lo, hi, close = K_lo @ lo, K_hi @ hi, K_hi @ close
@@ -261,7 +261,7 @@ def dense_sweep(
     cols = [np.zeros(x_cap + 2), np.zeros(x_cap + 1)]
     cols[0][0] = cols[1][0] = 1.0
     if closure:
-        c = fixed_point_q(params, 1e-13) ** np.arange(x_cap + 1, dtype=float)
+        c = fixed_point_q(params) ** np.arange(x_cap + 1, dtype=float)
         c[0] = 0.0
         kernels.append(upper)
         cols.append(c)
@@ -769,7 +769,7 @@ def chi(params: IGWParams, x: int) -> float:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return 0.0
-    m = mean(params.law)
+    m = params.law.m
     if abs(m - 1.0) <= MEAN_CRITICAL_TOL:
         return params.theta * x
     if m > 1.0 and x * math.log(m) > 700.0:
@@ -784,7 +784,7 @@ def log_chi(params: IGWParams, x: int) -> float:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return -math.inf
-    m = mean(params.law)
+    m = params.law.m
     theta = params.theta
     if m <= 0.0:
         return -math.inf

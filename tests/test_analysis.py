@@ -20,7 +20,6 @@ from igw import (
     harmonic_moments,
     mc_death_prob,
     mc_ratio_convergence,
-    mean,
     parse_law_spec,
     ratio_crossing_errors,
     submultiplicativity_check,
@@ -28,6 +27,7 @@ from igw import (
     wilson_interval,
 )
 import igw.analysis as analysis
+import igw.reproduction_laws as reproduction_laws
 from igw.analysis import (
     MAX_SWITCH,
     _carried,
@@ -66,7 +66,7 @@ class TestFixedPoint:
             for theta in (0.6, 0.75, 0.9, 0.99):
                 params = IGWParams(OffspringLaw.binary(lam), theta)
                 q = fixed_point_q(params, tol)
-                if mean(params.law) * theta > 1.0:
+                if params.law.m * theta > 1.0:
                     assert q < 1.0
                     assert abs(thinned_pgf(params, q) - q) <= tol
                 else:
@@ -81,6 +81,24 @@ class TestFixedPoint:
         # a NaN tol once stopped the bisection at once, returning 0.25
         with pytest.raises(ValueError, match="tolerance"):
             fixed_point_q(IGWParams(OffspringLaw.binary(0.5), 0.9), tol)
+
+    @pytest.mark.parametrize(
+        "spec, theta",
+        [("binary:0.5", 0.9), ("binary:1", 0.8), ("binary:0.6", 0.92), ("pmf:1=0.3,2=0.3,5=0.4", 0.5)],
+    )
+    def test_every_tol_above_the_floor_gives_the_same_bytes(self, spec, theta):
+        # bisection stops at width min(tol, 1e-14): the envelope's q* and
+        # the one `igw bounds q-star` prints are the same float
+        params = IGWParams(parse_law_spec(spec), theta)
+        want = fixed_point_q(params)
+        assert 0.0 < want < 1.0
+        for tol in (1e-14, 1e-13, 1e-12, 1e-6, 1e-3):
+            assert fixed_point_q(params, tol).hex() == want.hex(), tol
+
+    def test_one_home(self):
+        # q* lives in reproduction_laws; analysis does not re-export it
+        assert fixed_point_q is reproduction_laws.fixed_point_q
+        assert not hasattr(analysis, "fixed_point_q")
 
     def test_tolerance_below_float_spacing_terminates(self):
         # the bracket cannot shrink below one float spacing at q*

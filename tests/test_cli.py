@@ -137,20 +137,20 @@ class TestExact:
 
 
 class TestBounds:
-    def test_q_star_tol_above_floor_changes_nothing(self, capsys):
-        # bisection stops at width min(tol, 1e-14)
-        args = ["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9"]
-        for extra in ([], ["--tol", "1e-3"]):
-            code, out, _ = run_cli(args + extra, capsys)
-            assert code == 0
-            assert data_lines(out)[1] == "0.1358024691358004"
+    def test_q_star_prints_the_bisection_floor(self, capsys):
+        # bisection stops at width 1e-14 whatever tol the library is given,
+        # so the command has no tol to echo
+        code, out, _ = run_cli(["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9"], capsys)
+        assert code == 0
+        assert "tol" not in meta_dict(out)
+        assert data_lines(out)[1] == "0.1358024691358004"
 
-    def test_q_star_nan_tol_rejected(self, capsys):
-        # a NaN tol once ended the bisection at once and printed q* = 0.25
+    def test_q_star_tol_option_removed(self, capsys):
         code, out, err = run_cli(
-            ["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9", "--tol", "nan"], capsys
+            ["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9", "--tol", "1e-3"], capsys
         )
-        assert code == 1 and out == "" and "tolerance" in err
+        assert code == 1 and out == ""
+        assert "--tol" in err
 
     def test_geometric_death_beyond_the_float_range(self, capsys):
         # x converts to no float: the bound is pow's limit, not a traceback
@@ -255,7 +255,7 @@ class TestErrorsAndExitCodes:
     @pytest.mark.parametrize(
         "args, want",
         [
-            (["bounds", "q-star", "--law", "binary:0.5", "--theta", "0.9", "--tol", "nan"], 1),
+            (["bounds", "q-star", "--law", "pmf:0=0.2,2=0.8", "--theta", "0.9"], 2),
             (["exact", "death-interval", "--law", "binary:0.6", "--theta", "0.9", "--x", "0"], 1),
             (["exact", "death-interval", "--law", "pmf:0=0.2,2=0.8", "--theta", "0.9", "--x", "1"], 2),
             (["exact", "death-interval", "--law", "binary:0.6", "--theta", "0.9", "--x", "1", "--horizon", "0"], 1),
@@ -667,7 +667,7 @@ PATHS = {
         ["--law", "binary:1", "--theta", "0.8", "--x", "2", "--x-cap", "64", "--horizon", "20"],
         [], ["swept-states", "width-truncation", "width-closure", "frozen-lo", "frozen-hi", "frozen-closure"],
     ),
-    ("bounds", "q-star"): (["--law", "binary:1", "--theta", "0.8", "--tol", "1e-9"], [], []),
+    ("bounds", "q-star"): (["--law", "binary:1", "--theta", "0.8"], [], []),
     ("bounds", "binary-death"): (["--law", "binary:1", "--theta", "0.8"], [], []),
     ("bounds", "geometric-death"): (["--q1", "0.5", "--x", "3"], [], []),
     ("bounds", "explosion"): (

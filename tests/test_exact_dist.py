@@ -23,7 +23,7 @@ from igw import (
     pgf_eval,
     total_progeny_dist,
 )
-from igw.analysis import explosion_lower_bound, fixed_point_q
+from igw import explosion_lower_bound, fixed_point_q
 import igw.exact_dist as exact_dist
 from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _row, _table
 
@@ -199,7 +199,7 @@ def _closure_rows(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray
     the first s columns of ``R_hi`` and ``tail``, and the vector c_y = q*^y
     for y >= 1, c_0 = 0, on 0..x_cap."""
     R_hi, _, tail = _kernels(params, x_cap)
-    c = fixed_point_q(params, 1e-13) ** np.arange(x_cap + 1, dtype=float)
+    c = fixed_point_q(params) ** np.arange(x_cap + 1, dtype=float)
     c[0] = 0.0
     return R_hi, tail, c
 
@@ -945,7 +945,7 @@ class TestBackwardSweep:
     def test_death_interval_matches_forward(self, spec, theta):
         params = IGWParams(parse_law_spec(spec), theta)
         K_hi, K_lo = reference.thinned_kernels(params, SMALL_CAPS.x_cap)
-        powers = fixed_point_q(params, 1e-13) ** np.arange(len(K_hi))
+        powers = fixed_point_q(params) ** np.arange(len(K_hi))
         for x in range(1, 9):
             lo = _forward(K_lo, x, 128)[0]
             hi = min(1.0, float(_forward(K_hi, x, 128) @ powers))
@@ -1390,14 +1390,14 @@ class TestEnvelopeMemory:
         assert calls == []
         params = IGWParams(parse_law_spec("binary:0.6"), 0.92)
         env = _envelope(params, 64)
-        assert env.closure is not None and calls == [(params, 1e-13)]
+        assert env.closure is not None and calls == [(params,)]
         _envelope.cache_clear()
 
     def test_theta_sweep_keeps_eight_envelopes_and_no_rows(self):
         law, caps = parse_law_spec("binary:0.6"), Caps(x_cap=128)
         thetas = [round(0.70 + 0.02 * i, 2) for i in range(12)]
         for theta in thetas:
-            fixed_point_q(IGWParams(law, theta), 1e-13)
+            fixed_point_q(IGWParams(law, theta))
         _envelope.cache_clear()
         _table.cache_clear()
         tracemalloc.start()

@@ -15,11 +15,9 @@ from igw import (
     RNG_CHUNK,
     RegimeError,
     harmonic_moments,
-    mean,
     parse_law_spec,
     simulate_chunks,
     stream_for,
-    variance,
 )
 
 from igw.gw_engine import _iterates, _trapezoid_grid
@@ -350,7 +348,7 @@ class TestHarmonicMoment:
         # outward.  bound - exact: at most (2**-16)**2 / 8 * (E(Z_y) - 1), the
         # chord's excess over cells of width <= 2**-16, or 1e-10 if larger.
         law = parse_law_spec(spec)
-        m = mean(law)
+        m = law.m
         for y in range(1, y_max + 1):
             joint = enumerate_joint(law_fractions(law), y)
             exact = sum(p / Fraction(z) for (z, _s), p in joint.items())

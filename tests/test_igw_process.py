@@ -484,8 +484,8 @@ class TestOracle:
         assert batched <= 0.6 * one_chunk, (batched, one_chunk)
 
 
-#: the scalar simulator and the helpers only tests read; their oracles live
-#: in tests/reference.py
+#: the scalar simulator and the helpers only tests read, whose oracles live
+#: in tests/reference.py, and the wrappers of the law's cached moments
 REMOVED = {
     "igw_process": (
         "step", "simulate_trajectory", "asymptotic_ratios", "Trajectory", "RatioRow",
@@ -495,7 +495,7 @@ REMOVED = {
         "simulate_total_progeny", "thin", "_next_generation_exact", "INDIVIDUAL_DRAW_LIMIT",
         "_logaddexp", "_log_of_int", "ZERO_COUNT", "RngStream", "LawContext", "law_context",
     ),
-    "reproduction_laws": ("sample_offspring", "chi", "log_chi"),
+    "reproduction_laws": ("sample_offspring", "chi", "log_chi", "mean", "variance"),
     "exact_dist": ("transition_kernel", "_envelope_kernels", "_Kernel", "_distinct"),
 }
 

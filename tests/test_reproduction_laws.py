@@ -12,12 +12,10 @@ from igw import (
     LawSpecError,
     OffspringLaw,
     format_law_spec,
-    mean,
     parse_law_spec,
     pgf_eval,
     stream_for,
     thinned_pgf,
-    variance,
 )
 
 from conftest import first_states, small_laws
@@ -93,24 +91,24 @@ class TestPgf:
         # one-sided second-order difference keeps the stencil inside [0, 1]
         h = 1e-6
         deriv = (3 * pgf_eval(law, 1.0) - 4 * pgf_eval(law, 1.0 - h) + pgf_eval(law, 1.0 - 2 * h)) / (2 * h)
-        m = mean(law)
+        m = law.m
         assert deriv == pytest.approx(m, rel=1e-6, abs=1e-9)
 
 
 class TestMeanVariance:
     def test_binary_mean(self):
         for lam in (0.0, 0.25, 1.0):
-            assert mean(OffspringLaw.binary(lam)) == pytest.approx(1 + lam, abs=1e-15)
+            assert OffspringLaw.binary(lam).m == pytest.approx(1 + lam, abs=1e-15)
 
     def test_degenerate(self):
-        assert mean(OffspringLaw.explicit({1: 1.0})) == 1.0
+        assert OffspringLaw.explicit({1: 1.0}).m == 1.0
 
     def test_two_atom(self):
-        assert mean(OffspringLaw.explicit({0: 0.5, 3: 0.5})) == pytest.approx(1.5, abs=1e-15)
+        assert OffspringLaw.explicit({0: 0.5, 3: 0.5}).m == pytest.approx(1.5, abs=1e-15)
 
     def test_variance_binary(self):
         lam = 0.5
-        assert variance(OffspringLaw.binary(lam)) == pytest.approx(lam * (1 - lam), abs=1e-15)
+        assert OffspringLaw.binary(lam).v == pytest.approx(lam * (1 - lam), abs=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(
@@ -137,7 +135,6 @@ class TestMeanVariance:
         for name, value in want.items():
             assert bits(getattr(law, name)) == bits(value), name
             assert bits(vars(law)[name]) == bits(value), name
-        assert bits(mean(law)) == bits(want["m"]) and bits(variance(law)) == bits(want["v"])
         copy = pickle.loads(pickle.dumps(law))
         assert copy == law
         for name, value in want.items():
@@ -193,7 +190,7 @@ class TestChi:
         # chi(x+1) - chi(x) = theta * m^(x+1)
         for law in [OffspringLaw.binary(0.1), OffspringLaw.explicit({0: 0.6, 1: 0.2, 2: 0.2})]:
             params = IGWParams(law, 0.7)
-            m = mean(law)
+            m = law.m
             for x in range(0, 51):
                 inc = chi(params, x + 1) - chi(params, x)
                 assert inc == pytest.approx(0.7 * m ** (x + 1), rel=1e-9)
@@ -229,7 +226,7 @@ class TestSampling:
         law = OffspringLaw.binary(0.5)
         n = 100_000
         draws = offspring_draws(law, n, stream_for(42, 0, "test"))
-        se = math.sqrt(variance(law) / n)
+        se = math.sqrt(law.v / n)
         assert abs(draws.mean() - 1.5) <= 4 * se
 
     def test_histogram_chisquare(self):
