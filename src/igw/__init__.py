@@ -7,18 +7,12 @@ rigorous interval certificates for its death and explosion probabilities.
 from .analysis import (
     AbsorptionReport,
     ExplosionCertificate,
-    McDeathResult,
-    McEstimate,
     SubmultReport,
     binary_death_bound,
     explosion_lower_bound,
     geometric_absorption_check,
     geometric_death_bound,
-    mc_death_prob,
-    mc_ratio_convergence,
-    ratio_crossing_errors,
     submultiplicativity_check,
-    wilson_interval,
 )
 from .exact_dist import (
     Caps,
@@ -30,21 +24,25 @@ from .exact_dist import (
     one_step_dist,
     total_progeny_dist,
 )
-from .gw_engine import (
-    DEFAULT_EXACT_CAP,
-    ExtendedCount,
-    harmonic_moments,
-    stream_for,
-)
+from .gw_engine import harmonic_moments
 from .igw_process import (
+    DEFAULT_EXACT_CAP,
     RNG_CHUNK,
     AlmostSureRegime,
     ChunkPaths,
+    ExtendedCount,
+    McDeathResult,
+    McEstimate,
     MeanRegime,
     RegimeReport,
     TerminationKind,
     classify_regimes,
+    mc_death_prob,
+    mc_ratio_convergence,
+    ratio_crossing_errors,
     simulate_chunks,
+    stream_for,
+    wilson_interval,
 )
 from .reproduction_laws import (
     IGWParams,

@@ -1,4 +1,4 @@
-"""Analytic certificates and the Monte Carlo estimation harness.
+"""Analytic certificates and the verification checks.
 
 Certificates
     * the closed form of q* for the binary family (q*, the smallest fixed
@@ -20,29 +20,21 @@ Certificates
       the terms provably decay geometrically, and all arithmetic after the
       trapezoid sum is rounded outward.
 
-Monte Carlo
-    Every experiment runs on the batched engine of :mod:`igw.igw_process`:
-    replicas advance in fixed chunks of ``RNG_CHUNK``, and chunk c draws from
-    the counter-based stream keyed by (master seed, purpose, c).  Chunking
-    does not depend on the worker count, so estimates are bit-for-bit
-    reproducible at any ``workers``.  Death-type estimates come with Wilson
-    score intervals; trajectories that are still undecided at the horizon
-    are reported separately, never folded into either class.
+Checks
+    Submultiplicativity of death in the start state and the geometric
+    absorption bound, each decided exactly on certified death intervals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import count, islice
+from functools import lru_cache
+from itertools import count
 from typing import Iterator
 
-import numpy as np
-
 from .exact_dist import Caps, IntervalProb, finite_horizon_death, one_step_dist
-from .gw_engine import ExtendedCount, harmonic_moments
-from .igw_process import EXPLODED, ChunkPaths, map_chunks, states_below
+from .gw_engine import harmonic_moments
 from .reproduction_laws import IGWParams, OffspringLaw, RegimeError
 
 #: every product factor is kept at least this large so certificates stay
@@ -55,6 +47,10 @@ GAMMA_FLOOR = 1e-16
 #: that needs more than MAX_TERMS analytic states is reported invalid.
 STOP_EPS = 1e-12
 MAX_TERMS = 100_000
+
+#: the largest start state a certificate takes: the stall bounds form y^2
+#: as a float, and past about 2**512 it overflows.
+MAX_START = 2**511
 
 #: the search for the switch point between the exact and the analytic
 #: region stops here at the latest (about a second for laws with a heavy
@@ -171,10 +167,19 @@ def _contraction(p1: float) -> float:
     return _up(1.0 - _down(1.0 - p1) / 2.0)
 
 
-def _carried(h: float, contraction: float) -> Iterator[float]:
-    """h, h c, h c^2, ...: each product rounded upward, so the k-th value
-    bounds E(1/Z_{y+k}) from above when h bounds E(1/Z_y) and c bounds the
-    one-step contraction."""
+def _carried(h: float, contraction: float, skip: int = 0) -> Iterator[float]:
+    """h, h c, h c^2, ... from the ``skip``-th value on: each product
+    rounded upward, so the k-th value bounds E(1/Z_{y+k}) from above when h
+    bounds E(1/Z_y) and c bounds the one-step contraction.
+
+    The carry reaches a float fixed point: once ``_up(h * c)`` returns h,
+    every later value is h, as a step reads only h.  The skip stops there,
+    so a far start state costs the steps to that point, not ``skip``."""
+    for _ in range(skip):
+        step = _up(h * contraction)
+        if step == h:
+            break
+        h = step
     while True:
         yield h
         h = _up(h * contraction)
@@ -235,11 +240,12 @@ def explosion_lower_bound(
 ) -> ExplosionCertificate:
     """Certified lower bound on the explosion probability from state x.
 
-    Requires p_0 = 0, p_1 != 1, x >= 1.  The switch point y0 is found from
-    the law by :func:`_switch_point`.  Exact one-step tail probabilities
-    are used at the states x_k = x + k below y0: the law of X_1 from y by
-    the thinned composition H_y, cut at y0, is exact on 0..y + 1, so
-    P_y(X_1 <= y + 1) is the sum of those atoms and no cap enters.
+    Requires p_0 = 0, p_1 != 1 and 1 <= x <= ``MAX_START``.  The switch
+    point y0 is found from the law by :func:`_switch_point`.  Exact
+    one-step tail probabilities are used at the states x_k = x + k below
+    y0: the law of X_1 from y by the thinned composition H_y, cut at y0, is
+    exact on 0..y + 1, so P_y(X_1 <= y + 1) is the sum of those atoms and
+    no cap enters.
     ``caps`` is therefore ignored; it stays in the signature for callers
     that pass it positionally.  From max(x, y0) on,
     gamma(y) <= y^2 * E(1/Z_y) + Chernoff(thinning), with E(1/Z_y) bounded
@@ -263,6 +269,8 @@ def explosion_lower_bound(
         raise RegimeError("single-child laws never explode; no certificate exists")
     if x < 1:
         raise ValueError("x must be >= 1")
+    if x > MAX_START:
+        raise ValueError("x must be at most 2**511 (MAX_START)")
 
     if x <= MAX_SWITCH and _always_stalls(law, theta):
         return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, MAX_SWITCH, 1.0)
@@ -280,7 +288,7 @@ def explosion_lower_bound(
     # analytic region from max(x, y0), extended until the terms are provably
     # in geometric decay
     start = max(x, harmonic_y)
-    carried = islice(_carried(harmonic_bound, r), start - harmonic_y, None)
+    carried = _carried(harmonic_bound, r, start - harmonic_y)
     for terms, (y, h_used) in enumerate(zip(count(start), carried)):
         if terms >= MAX_TERMS:
             return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, harmonic_y, harmonic_bound)
@@ -323,213 +331,6 @@ def explosion_lower_bound(
     log_tail = _up(tail_sum / _down(1.0 - tail_sup))
     bound = max(_down(math.exp(_down(log_prod - log_tail))), 0.0)
     return ExplosionCertificate(x, steps, tail_sum, tail_sup, bound, True, harmonic_y, harmonic_bound)
-
-
-# -- Monte Carlo -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte Carlo proportion with its Wilson score interval."""
-
-    replicas: int
-    successes: int
-    point: float
-    ci_lo: float
-    ci_hi: float
-    confidence: float
-    master_seed: int
-
-
-def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Wilson score interval; well behaved for proportions near 0 and 1."""
-    if n < 1:
-        raise ValueError("need at least one trial")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
-    from statistics import NormalDist  # loaded on call: it imports decimal and random
-
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    p_hat = successes / n
-    denom = 1.0 + z * z / n
-    center = (p_hat + z * z / (2.0 * n)) / denom
-    half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-@dataclass(frozen=True)
-class McDeathResult:
-    estimate: McEstimate
-    exploded_fraction: float
-    undecided_fraction: float
-
-
-def _verdict_counts(index: int, paths: ChunkPaths) -> np.ndarray:
-    """Died, exploded and undecided replicas of one chunk."""
-    return np.bincount(paths.termination, minlength=3)
-
-
-def mc_death_prob(
-    x: int,
-    params: IGWParams,
-    replicas: int,
-    horizon: int,
-    threshold,
-    master_seed: int,
-    *,
-    confidence: float = 0.99,
-    workers: int = 1,
-) -> McDeathResult:
-    """Fraction of trajectories absorbed at 0, with a Wilson interval.
-
-    Horizon-undecided trajectories are reported separately.  Replica r runs
-    in chunk r // RNG_CHUNK, which draws from the stream derived from
-    (master_seed, "mc-death:x", chunk), so the result is identical at any
-    worker count.  A confidence outside (0, 1) is rejected before any
-    replica runs.
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
-    parts = map_chunks(
-        _verdict_counts, x, params, horizon, threshold, master_seed, f"mc-death:{x}",
-        replicas, workers=workers,
-    )
-    died, exploded, undecided = (int(c) for c in np.sum(parts, axis=0))
-    ci_lo, ci_hi = wilson_interval(died, replicas, confidence)
-    est = McEstimate(replicas, died, died / replicas, ci_lo, ci_hi, confidence, master_seed)
-    return McDeathResult(est, exploded / replicas, undecided / replicas)
-
-
-# -- growth-ratio experiments -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RatioTableRow:
-    step: int
-    count: int
-    median_y: float
-    err_q10: float
-    err_q50: float
-    err_q90: float
-
-
-#: internal crossing threshold for ratio runs: effectively never triggers
-#: before the log-domain saturation does, so every observable ratio is kept.
-_RATIO_THRESHOLD = ExtendedCount(log_value=1e30)
-
-
-def _ratio_log_m(params: IGWParams) -> float:
-    law = params.law
-    if law.p0 > 0.0:
-        raise RegimeError("ratio experiments need p_0 = 0")
-    if law.m <= 1.0:
-        raise RegimeError("ratio experiments need a supercritical mean (m > 1)")
-    return law.log_m
-
-
-def _ratio_paths(summarise, params, x0, replicas, master_seed, horizon, workers) -> list:
-    """``summarise`` over the recorded chunks of a growth-ratio run."""
-    return map_chunks(
-        summarise, x0, params, horizon, _RATIO_THRESHOLD, master_seed, f"mc-ratio:{x0}",
-        replicas, workers=workers, record=True,
-    )
-
-
-def _exploded_ratios(index: int, paths: ChunkPaths) -> list[np.ndarray]:
-    """Per step n, the defined Y_n of the chunk's exploding paths."""
-    exploded = paths.termination == EXPLODED
-    out = []
-    for n, row in enumerate(paths.ratio):
-        ys = row[exploded & (paths.steps > n)]
-        out.append(ys[~np.isnan(ys)])
-    return out
-
-
-def mc_ratio_convergence(
-    params: IGWParams,
-    x0: int,
-    replicas: int,
-    master_seed: int,
-    *,
-    horizon: int = 256,
-    workers: int = 1,
-) -> list[RatioTableRow]:
-    """Per-step table of the growth ratio Y_n = log(X_{n+1})/X_n over
-    exploding paths only: count, median Y_n, and quantiles of the relative
-    error Y_n/log(m) - 1.  Deterministic given the seed, at any worker
-    count."""
-    log_m = _ratio_log_m(params)
-    parts = _ratio_paths(_exploded_ratios, params, x0, replicas, master_seed, horizon, workers)
-    rows = []
-    for n in range(max(len(p) for p in parts)):
-        ys = np.sort(np.concatenate([p[n] for p in parts if n < len(p)]))
-        if not ys.size:
-            continue
-        errs = ys / log_m - 1.0  # sorted too: log_m > 0
-        q10, q50, q90 = (_sorted_quantile(errs, q) for q in (0.1, 0.5, 0.9))
-        rows.append(RatioTableRow(n, len(ys), _sorted_median(ys), q10, q50, q90))
-    return rows
-
-
-def _sorted_quantile(row: np.ndarray, q: float) -> float:
-    """``np.quantile(row, q)`` of a sorted ``row`` (its default, linear
-    method) bit for bit, without the import of ``numpy.ma`` that its
-    first call makes: the same virtual index (n - 1) q, neighbours and
-    weight, and the same interpolation, taken from the right end for a
-    weight of at least 1/2."""
-    last = len(row) - 1
-    v = last * q
-    i = math.floor(v) if v < last else -1  # at or past the end: the last value, twice
-    a, b = float(row[i]), float(row[i + 1 if i >= 0 else -1])
-    t, diff = v - i, b - a
-    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
-
-
-def _sorted_median(row: np.ndarray) -> float:
-    """``np.median(row)`` of a sorted ``row`` bit for bit: the middle value,
-    or the mean of the two middle ones as ``np.mean`` takes it."""
-    h = len(row) // 2
-    return float(row[h]) if len(row) % 2 else (float(row[h - 1]) + float(row[h])) / 2
-
-
-def _crossing_errors(level: ExtendedCount, log_m: float, index: int, paths: ChunkPaths) -> np.ndarray:
-    """(error at the first state >= level, error one step later) for each of
-    the chunk's exploding paths that has both ratios, in replica order."""
-    n_ratio = len(paths.ratio) - 1
-    if n_ratio < 1:
-        return np.empty((0, 2))
-    reached = ~states_below(paths.exact[:n_ratio], paths.log[:n_ratio], level)
-    reached &= np.arange(n_ratio)[:, None] < paths.steps - 1
-    reached &= paths.termination == EXPLODED
-    cols = np.nonzero(reached.any(axis=0))[0]
-    first = reached.argmax(axis=0)[cols]
-    y0 = paths.ratio[first, cols]
-    y1 = paths.ratio[first + 1, cols]
-    keep = ~(np.isnan(y0) | np.isnan(y1))
-    return np.abs(np.column_stack((y0[keep], y1[keep])) / log_m - 1.0)
-
-
-def ratio_crossing_errors(
-    params: IGWParams,
-    x0: int,
-    replicas: int,
-    level: int,
-    master_seed: int,
-    *,
-    horizon: int = 256,
-    workers: int = 1,
-) -> list[tuple[float, float]]:
-    """Per-path relative ratio errors at the first state >= ``level`` and at
-    the following step, over exploding paths that reach both.
-
-    This is the desk-scale surrogate for almost-sure ratio convergence: the
-    error should already be small when the state first clears ``level`` and
-    should collapse further one step later.
-    """
-    log_m = _ratio_log_m(params)
-    summarise = partial(_crossing_errors, ExtendedCount.exact(level), log_m)
-    parts = _ratio_paths(summarise, params, x0, replicas, master_seed, horizon, workers)
-    return [(e0, e1) for e0, e1 in np.concatenate(parts).tolist()]
 
 
 # -- inequality verification --------------------------------------------------------

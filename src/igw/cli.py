@@ -26,8 +26,6 @@ from .analysis import (
     binary_death_bound,
     geometric_absorption_check,
     geometric_death_bound,
-    mc_death_prob,
-    mc_ratio_convergence,
     submultiplicativity_check,
 )
 from .exact_dist import (
@@ -42,7 +40,9 @@ from .exact_dist import (
     swept_states,
     total_progeny_dist,
 )
-from .igw_process import RNG_CHUNK, TERMINATIONS, ChunkPaths, classify_regimes, map_chunks
+from .igw_process import (
+    RNG_CHUNK, TERMINATIONS, ChunkPaths, classify_regimes, map_chunks, mc_death_prob, mc_ratio_convergence,
+)
 from .reproduction_laws import (
     IGWParams,
     OffspringLaw,

@@ -1,141 +1,20 @@
-"""Branching-layer building blocks: the count ladder, counter-based
-random streams, and harmonic moments.
-
-Population counts travel on a count ladder, which the batched simulator
-in :mod:`igw.igw_process` advances:
-
-* exact integers while the count stays at or below ``DEFAULT_EXACT_CAP``
-  (2**48); one generation advances by one binomial or multinomial draw
-  of the offspring counts of all its individuals,
-* one Gaussian draw for the rest of the sum once a generation Z = z
-  leaves the exact range with L generations to go: z i.i.d. L-generation
-  totals, with the mean and variance that Gaussian branching noise
-  ``Z' = m*Z + sqrt(v*Z) * N(0,1)`` gives them, which preserves the
-  fluctuation scale of the almost-sure growth limit,
-* logs beyond the exact range, where a state steps by a formula,
-  ``log S_x = x*log m + log(m/(m-1))``, the log of E(S_x) up to a
-  relative m^-x.  That step is not exact in law.  It drops the martingale
-  limit W of the one-ancestor tree, S_x/E(S_x) -> W, whose log has sd
-  about 0.74 on binary:0.5 (ROADMAP item 16).  For p_0 > 0 it also drops
-  the tree's extinction, so a log-tier path never dies (item 13).
-
-Promotion between tiers never overflows; it is how growth is handled.
-The per-law constants these tiers read (m, v, log m, log(m/(m-1))) are
-cached on the law itself, as properties of
-:class:`~igw.reproduction_laws.OffspringLaw`.  All randomness flows
-through :func:`stream_for`, a counter-based (Philox) stream keyed by
-(master_seed, stream id) so that a path depends only on its key, never on
-scheduling.
+"""The certified harmonic walk of the branching layer.
 
 Harmonic moments come from one pass, :func:`harmonic_moments`: it advances
 outward-rounded iterates of the generating function one generation per
-value and yields certified upper bounds on E(1/Z_y) for y = 1, 2, ....
+value (:func:`_iterates`, on the fixed grid of :func:`_trapezoid_grid`)
+and yields certified upper bounds on E(1/Z_y) for y = 1, 2, ..., which the
+explosion certificate of :mod:`igw.analysis` reads.
 """
 
 from __future__ import annotations
 
-import math
-from _blake2 import blake2s
-from dataclasses import dataclass
-from functools import lru_cache, total_ordering
-from typing import Iterator, Optional
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .reproduction_laws import OffspringLaw, RegimeError
-
-#: counts at or below this stay exact integers.
-DEFAULT_EXACT_CAP = 2**48
-
-LOG_EXACT_CAP = math.log(DEFAULT_EXACT_CAP)
-
-#: log values are saturated here so they stay finite floats; any state this
-#: large exceeds every usable explosion threshold.
-LOG_VALUE_LIMIT = 1e308
-
-_MASK64 = (1 << 64) - 1
-
-
-# -- counts ------------------------------------------------------------------
-
-
-@total_ordering
-@dataclass(frozen=True)
-class ExtendedCount:
-    """A population count, exact below the cap and log-domain above it.
-
-    Exactly one of ``exact_value`` (a nonnegative int) and ``log_value``
-    (the natural log of the represented count, a finite float) is set.
-    """
-
-    exact_value: Optional[int] = None
-    log_value: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if (self.exact_value is None) == (self.log_value is None):
-            raise ValueError("exactly one of exact_value/log_value must be set")
-        if self.exact_value is not None and self.exact_value < 0:
-            raise ValueError("counts are nonnegative")
-        if self.log_value is not None and not math.isfinite(self.log_value):
-            raise ValueError("log_value must be finite")
-
-    @classmethod
-    def exact(cls, value: int) -> "ExtendedCount":
-        return cls(exact_value=int(value))
-
-    @classmethod
-    def from_log(cls, log_value: float) -> "ExtendedCount":
-        """Build a count from its log, demoting to exact below the cap."""
-        if log_value <= LOG_EXACT_CAP:
-            return cls(exact_value=int(round(math.exp(log_value))))
-        return cls(log_value=min(float(log_value), LOG_VALUE_LIMIT))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact_value is not None
-
-    def log(self) -> float:
-        """Natural log of the count; -inf for an exact zero."""
-        if self.exact_value is not None:
-            return math.log(self.exact_value) if self.exact_value > 0 else -math.inf
-        return self.log_value  # type: ignore[return-value]
-
-    def __lt__(self, other: "ExtendedCount") -> bool:
-        if self.exact_value is not None and other.exact_value is not None:
-            return self.exact_value < other.exact_value
-        return self.log() < other.log()
-
-    def __repr__(self) -> str:
-        if self.exact_value is not None:
-            return f"ExtendedCount({self.exact_value})"
-        return f"ExtendedCount(log={self.log_value!r})"
-
-
-# -- random streams -----------------------------------------------------------
-
-
-def stream_for(master_seed: int, index: int, purpose: str) -> np.random.Generator:
-    """The random stream of chunk ``index`` of one experiment.
-
-    A counter-based (Philox) generator keyed by (master_seed, stream id),
-    with the stream id a stable hash of (purpose, index): distinct chunks
-    draw statistically independent, reproducible sequences, identical
-    however chunks are spread over workers.  The master seed is the key's
-    low 64 bits, so a seed outside [0, 2**64) is rejected, not aliased.
-
-    The hash is BLAKE2s from CPython's builtin ``_blake2``, the very
-    function ``hashlib.blake2s`` returns (hashlib never serves BLAKE2 from
-    OpenSSL); importing ``hashlib`` itself would map OpenSSL's libcrypto
-    into every process, exact-layer ones included, for nothing.
-    """
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master seeds lie in [0, 2**64), got {master_seed}")
-    digest = blake2s(f"{purpose}|{index}".encode("utf-8"), digest_size=8).digest()
-    key = master_seed | (int.from_bytes(digest, "big") << 64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-# -- harmonic moments ----------------------------------------------------------
 
 #: unit roundoff of a float64 operation rounded to nearest, and the
 #: smallest normal float.

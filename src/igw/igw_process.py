@@ -1,48 +1,154 @@
-"""The iterated chain itself: the batched simulator and regime
-classification.
+"""The iterated chain itself: the count ladder, the random streams, the
+batched simulator, its Monte Carlo estimators and regime classification.
 
 One step from state x >= 1 runs the auxiliary branching process for x
 generations, sums the total progeny S_x, and thins it binomially with
-survival probability theta.  State 0 is absorbing.  Generations run as
-exact integers while Z stays within the cap; once Z leaves it, the rest of
-the sum is one Gaussian draw with its exact mean and variance.  A state in
-the log tier steps by a formula, log X' = x*log(m) + log(m/(m-1)) +
-log(theta), the log of the next state's mean.  That step is not exact in
-law.  It drops the martingale limit W of the one-ancestor tree, whose log
-has sd about 0.74 on binary:0.5 (ROADMAP item 16).  For p_0 > 0 it also
-drops extinction, so a log-tier path never dies (item 13).
+survival probability theta.  State 0 is absorbing.  Counts travel on a
+ladder, and promotion between its tiers never overflows:
+
+* exact integers while the count stays at or below ``DEFAULT_EXACT_CAP``
+  (2**48); one generation advances by one binomial or multinomial draw
+  of the offspring counts of all its individuals,
+* one Gaussian draw for the rest of the sum once a generation Z = z
+  leaves the exact range with L generations to go: z i.i.d. L-generation
+  totals, with the mean and variance that Gaussian branching noise
+  ``Z' = m*Z + sqrt(v*Z) * N(0,1)`` gives them, which preserves the
+  fluctuation scale of the almost-sure growth limit,
+* logs beyond the exact range (:class:`ExtendedCount`, saturated at
+  ``LOG_VALUE_LIMIT``), where a state steps by a formula,
+  log X' = x*log(m) + log(m/(m-1)) + log(theta), the log of the next
+  state's mean up to a relative m^-x.  That step is not exact in law.  It
+  drops the martingale limit W of the one-ancestor tree, S_x/E(S_x) -> W,
+  whose log has sd about 0.74 on binary:0.5 (ROADMAP item 16).  For
+  p_0 > 0 it also drops the tree's extinction, so a log-tier path never
+  dies (item 13).
+
+The per-law constants these tiers read (m, v, log m, log(m/(m-1))) are
+cached on :class:`~igw.reproduction_laws.OffspringLaw`.
 
 :func:`map_chunks` drives every Monte Carlo experiment: replica r belongs
-to chunk r // RNG_CHUNK, and chunk c draws from the stream keyed by (master
-seed, purpose, c).  :func:`simulate_chunks` advances consecutive chunks in
-lockstep batches as numpy arrays: each step does its bookkeeping once for
-the whole batch, while each chunk draws from its own stream, in its own
-order: its exact generations, then its Gaussian remainders, then its
-thinning.  A chunk's paths are therefore those of the batch of that chunk
-alone.  Within a step, a replica whose total has finished, died or left the
-exact range stays in the running arrays as an inert entry with Z = 0,
-which draws nothing, until half of the entries are inert.
+to chunk r // RNG_CHUNK, and chunk c draws from :func:`stream_for`, the
+counter-based (Philox) stream keyed by (master seed, purpose, c), so
+results are bit-for-bit the same at any worker count.
+:func:`simulate_chunks` advances consecutive chunks in lockstep batches as
+numpy arrays: each step does its bookkeeping once for the whole batch,
+while each chunk draws from its own stream, in its own order: its exact
+generations, then its Gaussian remainders, then its thinning.  A chunk's
+paths are therefore those of the batch of that chunk alone.  Within a
+step, a replica whose total has finished, died or left the exact range
+stays in the running arrays as an inert entry with Z = 0, which draws
+nothing, until half of the entries are inert.
+
+The estimators summarise each chunk's verdicts and rows: death fractions
+with Wilson score intervals (:func:`mc_death_prob`), with paths undecided
+at the horizon reported apart, never folded into either class, and the
+growth ratio Y_n = log(X_{n+1})/X_n of exploding paths.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from _blake2 import blake2s
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache, partial, total_ordering
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .gw_engine import (
-    DEFAULT_EXACT_CAP,
-    LOG_EXACT_CAP,
-    LOG_VALUE_LIMIT,
-    ExtendedCount,
-    stream_for,
-)
 from .reproduction_laws import IGWParams, MEAN_CRITICAL_TOL, OffspringLaw, RegimeError
+
+
+#: counts at or below this stay exact integers.
+DEFAULT_EXACT_CAP = 2**48
+
+LOG_EXACT_CAP = math.log(DEFAULT_EXACT_CAP)
+
+#: log values are saturated here so they stay finite floats; any state this
+#: large exceeds every usable explosion threshold.
+LOG_VALUE_LIMIT = 1e308
+
+_MASK64 = (1 << 64) - 1
+
+
+# -- counts ------------------------------------------------------------------
+
+
+@total_ordering
+@dataclass(frozen=True)
+class ExtendedCount:
+    """A population count, exact below the cap and log-domain above it.
+
+    Exactly one of ``exact_value`` (a nonnegative int) and ``log_value``
+    (the natural log of the represented count, a finite float) is set.
+    """
+
+    exact_value: Optional[int] = None
+    log_value: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if (self.exact_value is None) == (self.log_value is None):
+            raise ValueError("exactly one of exact_value/log_value must be set")
+        if self.exact_value is not None and self.exact_value < 0:
+            raise ValueError("counts are nonnegative")
+        if self.log_value is not None and not math.isfinite(self.log_value):
+            raise ValueError("log_value must be finite")
+
+    @classmethod
+    def exact(cls, value: int) -> "ExtendedCount":
+        return cls(exact_value=int(value))
+
+    @classmethod
+    def from_log(cls, log_value: float) -> "ExtendedCount":
+        """Build a count from its log, demoting to exact below the cap."""
+        if log_value <= LOG_EXACT_CAP:
+            return cls(exact_value=int(round(math.exp(log_value))))
+        return cls(log_value=min(float(log_value), LOG_VALUE_LIMIT))
+
+    @property
+    def is_exact(self) -> bool:
+        return self.exact_value is not None
+
+    def log(self) -> float:
+        """Natural log of the count; -inf for an exact zero."""
+        if self.exact_value is not None:
+            return math.log(self.exact_value) if self.exact_value > 0 else -math.inf
+        return self.log_value  # type: ignore[return-value]
+
+    def __lt__(self, other: "ExtendedCount") -> bool:
+        if self.exact_value is not None and other.exact_value is not None:
+            return self.exact_value < other.exact_value
+        return self.log() < other.log()
+
+    def __repr__(self) -> str:
+        if self.exact_value is not None:
+            return f"ExtendedCount({self.exact_value})"
+        return f"ExtendedCount(log={self.log_value!r})"
+
+
+# -- random streams -----------------------------------------------------------
+
+
+def stream_for(master_seed: int, index: int, purpose: str) -> np.random.Generator:
+    """The random stream of chunk ``index`` of one experiment.
+
+    A counter-based (Philox) generator keyed by (master_seed, stream id),
+    with the stream id a stable hash of (purpose, index): distinct chunks
+    draw statistically independent, reproducible sequences, identical
+    however chunks are spread over workers.  The master seed is the key's
+    low 64 bits, so a seed outside [0, 2**64) is rejected, not aliased.
+
+    The hash is BLAKE2s from CPython's builtin ``_blake2``, the very
+    function ``hashlib.blake2s`` returns (hashlib never serves BLAKE2 from
+    OpenSSL); importing ``hashlib`` itself would map OpenSSL's libcrypto
+    into every process, exact-layer ones included, for nothing.
+    """
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seeds lie in [0, 2**64), got {master_seed}")
+    digest = blake2s(f"{purpose}|{index}".encode("utf-8"), digest_size=8).digest()
+    key = master_seed | (int.from_bytes(digest, "big") << 64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class TerminationKind(str, Enum):
@@ -575,3 +681,210 @@ def map_chunks(
         with ProcessPoolExecutor(max_workers=processes) as pool:
             return [out for part in pool.map(job, batches) for out in part]
     return [out for batch in batches for out in job(batch)]
+
+
+# -- Monte Carlo -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class McEstimate:
+    """A Monte Carlo proportion with its Wilson score interval."""
+
+    replicas: int
+    successes: int
+    point: float
+    ci_lo: float
+    ci_hi: float
+    confidence: float
+    master_seed: int
+
+
+def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
+    """Wilson score interval; well behaved for proportions near 0 and 1."""
+    if n < 1:
+        raise ValueError("need at least one trial")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    from statistics import NormalDist  # loaded on call: it imports decimal and random
+
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    p_hat = successes / n
+    denom = 1.0 + z * z / n
+    center = (p_hat + z * z / (2.0 * n)) / denom
+    half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+@dataclass(frozen=True)
+class McDeathResult:
+    estimate: McEstimate
+    exploded_fraction: float
+    undecided_fraction: float
+
+
+def _verdict_counts(index: int, paths: ChunkPaths) -> np.ndarray:
+    """Died, exploded and undecided replicas of one chunk."""
+    return np.bincount(paths.termination, minlength=3)
+
+
+def mc_death_prob(
+    x: int,
+    params: IGWParams,
+    replicas: int,
+    horizon: int,
+    threshold,
+    master_seed: int,
+    *,
+    confidence: float = 0.99,
+    workers: int = 1,
+) -> McDeathResult:
+    """Fraction of trajectories absorbed at 0, with a Wilson interval.
+
+    Horizon-undecided trajectories are reported separately.  Replica r runs
+    in chunk r // RNG_CHUNK, which draws from the stream derived from
+    (master_seed, "mc-death:x", chunk), so the result is identical at any
+    worker count.  A confidence outside (0, 1) is rejected before any
+    replica runs.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    parts = map_chunks(
+        _verdict_counts, x, params, horizon, threshold, master_seed, f"mc-death:{x}",
+        replicas, workers=workers,
+    )
+    died, exploded, undecided = (int(c) for c in np.sum(parts, axis=0))
+    ci_lo, ci_hi = wilson_interval(died, replicas, confidence)
+    est = McEstimate(replicas, died, died / replicas, ci_lo, ci_hi, confidence, master_seed)
+    return McDeathResult(est, exploded / replicas, undecided / replicas)
+
+
+# -- growth-ratio experiments -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RatioTableRow:
+    step: int
+    count: int
+    median_y: float
+    err_q10: float
+    err_q50: float
+    err_q90: float
+
+
+#: internal crossing threshold for ratio runs: effectively never triggers
+#: before the log-domain saturation does, so every observable ratio is kept.
+_RATIO_THRESHOLD = ExtendedCount(log_value=1e30)
+
+
+def _ratio_log_m(params: IGWParams) -> float:
+    law = params.law
+    if law.p0 > 0.0:
+        raise RegimeError("ratio experiments need p_0 = 0")
+    if law.m <= 1.0:
+        raise RegimeError("ratio experiments need a supercritical mean (m > 1)")
+    return law.log_m
+
+
+def _ratio_paths(summarise, params, x0, replicas, master_seed, horizon, workers) -> list:
+    """``summarise`` over the recorded chunks of a growth-ratio run."""
+    return map_chunks(
+        summarise, x0, params, horizon, _RATIO_THRESHOLD, master_seed, f"mc-ratio:{x0}",
+        replicas, workers=workers, record=True,
+    )
+
+
+def _exploded_ratios(index: int, paths: ChunkPaths) -> list[np.ndarray]:
+    """Per step n, the defined Y_n of the chunk's exploding paths."""
+    exploded = paths.termination == EXPLODED
+    out = []
+    for n, row in enumerate(paths.ratio):
+        ys = row[exploded & (paths.steps > n)]
+        out.append(ys[~np.isnan(ys)])
+    return out
+
+
+def mc_ratio_convergence(
+    params: IGWParams,
+    x0: int,
+    replicas: int,
+    master_seed: int,
+    *,
+    horizon: int = 256,
+    workers: int = 1,
+) -> list[RatioTableRow]:
+    """Per-step table of the growth ratio Y_n = log(X_{n+1})/X_n over
+    exploding paths only: count, median Y_n, and quantiles of the relative
+    error Y_n/log(m) - 1.  Deterministic given the seed, at any worker
+    count."""
+    log_m = _ratio_log_m(params)
+    parts = _ratio_paths(_exploded_ratios, params, x0, replicas, master_seed, horizon, workers)
+    rows = []
+    for n in range(max(len(p) for p in parts)):
+        ys = np.sort(np.concatenate([p[n] for p in parts if n < len(p)]))
+        if not ys.size:
+            continue
+        errs = ys / log_m - 1.0  # sorted too: log_m > 0
+        q10, q50, q90 = (_sorted_quantile(errs, q) for q in (0.1, 0.5, 0.9))
+        rows.append(RatioTableRow(n, len(ys), _sorted_median(ys), q10, q50, q90))
+    return rows
+
+
+def _sorted_quantile(row: np.ndarray, q: float) -> float:
+    """``np.quantile(row, q)`` of a sorted ``row`` (its default, linear
+    method) bit for bit, without the import of ``numpy.ma`` that its
+    first call makes: the same virtual index (n - 1) q, neighbours and
+    weight, and the same interpolation, taken from the right end for a
+    weight of at least 1/2."""
+    last = len(row) - 1
+    v = last * q
+    i = math.floor(v) if v < last else -1  # at or past the end: the last value, twice
+    a, b = float(row[i]), float(row[i + 1 if i >= 0 else -1])
+    t, diff = v - i, b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _sorted_median(row: np.ndarray) -> float:
+    """``np.median(row)`` of a sorted ``row`` bit for bit: the middle value,
+    or the mean of the two middle ones as ``np.mean`` takes it."""
+    h = len(row) // 2
+    return float(row[h]) if len(row) % 2 else (float(row[h - 1]) + float(row[h])) / 2
+
+
+def _crossing_errors(level: ExtendedCount, log_m: float, index: int, paths: ChunkPaths) -> np.ndarray:
+    """(error at the first state >= level, error one step later) for each of
+    the chunk's exploding paths that has both ratios, in replica order."""
+    n_ratio = len(paths.ratio) - 1
+    if n_ratio < 1:
+        return np.empty((0, 2))
+    reached = ~states_below(paths.exact[:n_ratio], paths.log[:n_ratio], level)
+    reached &= np.arange(n_ratio)[:, None] < paths.steps - 1
+    reached &= paths.termination == EXPLODED
+    cols = np.nonzero(reached.any(axis=0))[0]
+    first = reached.argmax(axis=0)[cols]
+    y0 = paths.ratio[first, cols]
+    y1 = paths.ratio[first + 1, cols]
+    keep = ~(np.isnan(y0) | np.isnan(y1))
+    return np.abs(np.column_stack((y0[keep], y1[keep])) / log_m - 1.0)
+
+
+def ratio_crossing_errors(
+    params: IGWParams,
+    x0: int,
+    replicas: int,
+    level: int,
+    master_seed: int,
+    *,
+    horizon: int = 256,
+    workers: int = 1,
+) -> list[tuple[float, float]]:
+    """Per-path relative ratio errors at the first state >= ``level`` and at
+    the following step, over exploding paths that reach both.
+
+    This is the desk-scale surrogate for almost-sure ratio convergence: the
+    error should already be small when the state first clears ``level`` and
+    should collapse further one step later.
+    """
+    log_m = _ratio_log_m(params)
+    summarise = partial(_crossing_errors, ExtendedCount.exact(level), log_m)
+    parts = _ratio_paths(summarise, params, x0, replicas, master_seed, horizon, workers)
+    return [(e0, e1) for e0, e1 in np.concatenate(parts).tolist()]

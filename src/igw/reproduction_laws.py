@@ -141,10 +141,9 @@ class OffspringLaw:
 
     @cached_property
     def log_fold(self) -> float:
-        """log(m/(m-1)), the offset in the log-tier step log S_x =
-        x*log(m) + log(m/(m-1)), the log of E(S_x) up to a relative m^-x;
-        the step drops the martingale limit W and, for p_0 > 0, extinction
-        (ROADMAP items 16 and 13).  nan unless m > 1."""
+        """log(m/(m-1)): log E(S_x) - x*log(m), up to a relative m^-x in
+        E(S_x), the offset of the log-tier step of
+        :func:`igw.igw_process._chunk_step`.  nan unless m > 1."""
         return math.log(self.m / (self.m - 1.0)) if self.m > 1.0 else math.nan
 
     @cached_property

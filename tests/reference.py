@@ -74,9 +74,9 @@ from igw.exact_dist import (
     _row,
     _sqr_low,
 )
-from igw.gw_engine import DEFAULT_EXACT_CAP, LOG_EXACT_CAP, LOG_VALUE_LIMIT
 from igw.igw_process import (
-    DIED, EXPLODED, UNDECIDED, ChunkPaths, _point_mass_table, _remainder_moments,
+    DEFAULT_EXACT_CAP, DIED, EXPLODED, LOG_EXACT_CAP, LOG_VALUE_LIMIT, UNDECIDED, ChunkPaths,
+    _point_mass_table, _remainder_moments,
 )
 from igw.reproduction_laws import MEAN_CRITICAL_TOL
 

@@ -1,5 +1,7 @@
 import math
+import time
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from igw import (
     wilson_interval,
 )
 import igw.analysis as analysis
+import igw.igw_process as igw_process
 import igw.reproduction_laws as reproduction_laws
 from igw.analysis import (
+    MAX_START,
     MAX_SWITCH,
     _carried,
     _chernoff_thinning,
@@ -324,6 +328,44 @@ class TestExplosionCertificate:
         assert (walked.valid, walked.bound, walked.harmonic_y) == (False, 0.0, MAX_SWITCH)
         _switch_point.cache_clear()
 
+    @pytest.mark.parametrize("spec, theta, k_star", [
+        ("binary:0.6", 0.92, 1982), ("binary:0.5", 0.9, 2457), ("binary:0.05", 0.99, 27806),
+        ("binary:1", 0.8, 1022),
+    ])
+    def test_carry_skips_to_its_fixed_point(self, spec, theta, k_star):
+        # the carry from the switch point stops moving at k_star, the first
+        # value equal to the one before it; a skipped carry gives the plain
+        # carry's values at every k, before, at and past that point
+        law = parse_law_spec(spec)
+        _, h = _switch_point(law, theta)
+        r = _contraction(law.p1)
+        plain = list(islice(_carried(h, r), 10**5 + 3))
+        assert plain[k_star] == plain[k_star - 1] != plain[k_star - 2]
+        for k in (0, 1, k_star - 1, k_star, k_star + 1, 10**5):
+            assert list(islice(_carried(h, r, k), 3)) == plain[k:k + 3], k
+
+    def test_far_start_replays_the_plain_carry(self, monkeypatch):
+        # every certificate, on both sides of the switch point y0 = 84, is the
+        # one the plain carry gives, which walks all start - y0 values
+        params = IGWParams(OffspringLaw.binary(0.6), 0.92)
+        xs = (2, 8, 84, 85, 10**4, 10**6)
+        skipped = [explosion_lower_bound(x, params) for x in xs]
+        plain = analysis._carried
+        monkeypatch.setattr(analysis, "_carried", lambda h, r, skip: islice(plain(h, r), skip, None))
+        assert skipped == [explosion_lower_bound(x, params) for x in xs]
+
+    def test_far_start_is_fast_and_bounded(self):
+        params = IGWParams(OffspringLaw.binary(0.6), 0.92)
+        explosion_lower_bound(2, params)  # the switch point, walked once
+        start = time.perf_counter()
+        cert = explosion_lower_bound(10**12, params)
+        assert time.perf_counter() - start < 1.0
+        assert cert.valid and cert.steps[0].x_k == 10**12
+        # y^2 of the stall bounds is a float up to MAX_START = 2**511
+        assert explosion_lower_bound(MAX_START, params).valid
+        with pytest.raises(ValueError, match="2\\*\\*511"):
+            explosion_lower_bound(MAX_START + 1, params)
+
     def test_switch_point_follows_the_law(self):
         # binary:0.2 puts 0.8 on one child: h(y) decays slowly, so the
         # switch point lies far beyond 64 (about 226)
@@ -400,7 +442,7 @@ class TestMcDeath:
         def forbidden(*args, **kwargs):
             raise AssertionError("replicas ran")
 
-        monkeypatch.setattr(analysis, "map_chunks", forbidden)
+        monkeypatch.setattr(igw_process, "map_chunks", forbidden)
         params = IGWParams(OffspringLaw.binary(0.5), 0.8)
         with pytest.raises(ValueError, match="confidence"):
             mc_death_prob(2, params, 100, 40, ExtendedCount.exact(10**5), 1, confidence=confidence)
@@ -461,8 +503,8 @@ class TestRatioExperiments:
         for row in rows:
             ordered = np.sort(row)
             for q in (0.1, 0.25, 0.5, 0.75, 0.9):
-                assert analysis._sorted_quantile(ordered, q).hex() == float(np.quantile(row, q)).hex(), q
-            assert analysis._sorted_median(ordered).hex() == float(np.median(row)).hex()
+                assert igw_process._sorted_quantile(ordered, q).hex() == float(np.quantile(row, q)).hex(), q
+            assert igw_process._sorted_median(ordered).hex() == float(np.median(row)).hex()
 
     def test_subcritical_rejected(self):
         with pytest.raises(RegimeError):

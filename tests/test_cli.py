@@ -182,7 +182,7 @@ class TestErrorsAndExitCodes:
         def forbidden(*args, **kwargs):
             raise AssertionError("replicas ran")
 
-        monkeypatch.setattr(igw.analysis, "map_chunks", forbidden)
+        monkeypatch.setattr(igw.igw_process, "map_chunks", forbidden)
         args = [*path, "--law", "binary:1", "--theta", "0.8", "--replicas", "100", "--confidence", confidence]
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == "" and "confidence" in err
@@ -195,7 +195,7 @@ class TestErrorsAndExitCodes:
         def forbidden(*args, **kwargs):
             raise AssertionError("replicas ran")
 
-        monkeypatch.setattr(igw.analysis, "map_chunks", forbidden)
+        monkeypatch.setattr(igw.igw_process, "map_chunks", forbidden)
         monkeypatch.setattr(igw.cli, "map_chunks", forbidden)
         args = [*path, "--law", "binary:0.5", "--theta", "0.9", "--replicas", "200", "--seed", seed]
         code, out, err = run_cli(args, capsys)
@@ -225,7 +225,7 @@ class TestErrorsAndExitCodes:
         def forbidden(*args, **kwargs):
             raise AssertionError("replicas ran")
 
-        monkeypatch.setattr(igw.analysis, "map_chunks", forbidden)
+        monkeypatch.setattr(igw.igw_process, "map_chunks", forbidden)
         args = ["sweep", "mc-death", "--law", "binary:0.5", "--theta-grid", "0.9,0.95", "--replicas", "200"]
         code, out, err = run_cli([*args, "--seed", str(2**64 - 1)], capsys)
         assert code == 1 and out == "" and "seed" in err
@@ -521,6 +521,12 @@ class TestMetadata:
         assert 0.0 < float(meta["harmonic-bound"]) < 1e-12
         assert "quad-tol" not in meta
         assert run_cli(args, capsys)[1] == out
+
+    def test_explosion_start_beyond_its_limit_exits_one(self, capsys):
+        # past 2**511 the stall bounds' y^2 would overflow a float
+        args = ["bounds", "explosion", "--law", "binary:0.6", "--theta", "0.92", "--x", str(2**511 + 1)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == "" and "2**511" in err
 
 
 class TestSweep:

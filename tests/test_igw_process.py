@@ -31,9 +31,8 @@ from igw import (
     stream_for,
 )
 import igw.igw_process as igw_process
-from igw.analysis import _crossing_errors
 from igw.igw_process import (
-    DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, map_chunks,
+    DIED, EXPLODED, RNG_CHUNK, TERMINATIONS, UNDECIDED, _chunk_step, _crossing_errors, map_chunks,
 )
 
 import reference
@@ -517,3 +516,77 @@ def test_scalar_path_is_gone():
                 continue
             for name in names:
                 assert name.split(".")[0] not in ("tests", "reference", "conftest"), (path.name, name)
+
+
+#: names that moved to the module that owns their decision: the count
+#: ladder, the stream key and the estimators that read the engine's verdicts
+MOVED = {
+    ("gw_engine", "igw_process"): (
+        "DEFAULT_EXACT_CAP", "LOG_EXACT_CAP", "LOG_VALUE_LIMIT", "_MASK64", "ExtendedCount",
+        "stream_for",
+    ),
+    ("analysis", "igw_process"): (
+        "McEstimate", "wilson_interval", "McDeathResult", "_verdict_counts", "mc_death_prob",
+        "RatioTableRow", "_RATIO_THRESHOLD", "_ratio_log_m", "_ratio_paths", "_exploded_ratios",
+        "mc_ratio_convergence", "_sorted_quantile", "_sorted_median", "_crossing_errors",
+        "ratio_crossing_errors",
+    ),
+}
+
+#: the moved names that ``igw`` exported before the move, and still does
+EXPORTED = (
+    "DEFAULT_EXACT_CAP", "ExtendedCount", "stream_for", "McEstimate", "McDeathResult",
+    "wilson_interval", "mc_death_prob", "mc_ratio_convergence", "ratio_crossing_errors",
+)
+
+
+def test_moved_names_have_one_home():
+    # no alias is left behind, and the package's name is the new home's object
+    for (old, new), names in MOVED.items():
+        old_module = importlib.import_module(f"igw.{old}")
+        new_module = importlib.import_module(f"igw.{new}")
+        for name in names:
+            assert not hasattr(old_module, name), (old, name)
+            obj = getattr(new_module, name)
+            if callable(obj):
+                assert obj.__module__ == new_module.__name__, name
+            assert getattr(igw, name, obj) is obj, name
+    assert all(hasattr(igw, name) for name in EXPORTED)
+
+
+#: the sibling modules each engine module may import from
+LAYERS = {
+    "reproduction_laws": set(),
+    "exact_dist": {"reproduction_laws"},
+    "gw_engine": {"reproduction_laws"},
+    "igw_process": {"reproduction_laws"},
+    "analysis": {"exact_dist", "gw_engine", "reproduction_laws"},
+}
+
+
+def _package_imports(path: Path, modules: set[str]) -> set[str]:
+    """The modules of the package that a source file imports from, relative
+    or absolute, deferred ones included; ``__init__`` for the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "igw"):
+            parts = (node.module or "").split(".")[0 if node.level else 1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "igw":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def test_engine_layering():
+    src = Path(igw.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")}
+    assert set(LAYERS) <= modules
+    for name, allowed in LAYERS.items():
+        imported = _package_imports(src / f"{name}.py", modules)
+        assert imported <= allowed, (name, imported - allowed)
