@@ -163,7 +163,8 @@ def _stall_bound(y: int, h: float, theta: float) -> float:
 
 def _contraction(p1: float) -> float:
     """c = 1 - (1 - p_1)/2 rounded upward, the provable one-step
-    contraction E(1/Z_{y+1}) <= c * E(1/Z_y); c lies in [1/2, 1]."""
+    contraction E(1/Z_{y+1}) <= c * E(1/Z_y); c lies in [1/2, 1 + 2^-52],
+    and c >= 1 for p_1 >= 1 - 3 2^-53 (1 + 2^-52 at p_1 = 1 - 2^-53)."""
     return _up(1.0 - _down(1.0 - p1) / 2.0)
 
 
@@ -245,9 +246,8 @@ def explosion_lower_bound(
     one-step tail probabilities are used at the states x_k = x + k below
     y0: the law of X_1 from y by the thinned composition H_y, cut at y0, is
     exact on 0..y + 1, so P_y(X_1 <= y + 1) is the sum of those atoms and
-    no cap enters.
-    ``caps`` is therefore ignored; it stays in the signature for callers
-    that pass it positionally.  From max(x, y0) on,
+    no cap enters.  ``caps`` is therefore ignored; it stays in the
+    signature for callers that pass it positionally.  From max(x, y0) on,
     gamma(y) <= y^2 * E(1/Z_y) + Chernoff(thinning), with E(1/Z_y) bounded
     once, at y0, by the certified trapezoid bound of
     :func:`harmonic_moments`, and carried to every later state by the
@@ -259,7 +259,9 @@ def explosion_lower_bound(
     x <= ``MAX_SWITCH`` that is decided before any harmonic bound is walked
     when :func:`_always_stalls` holds: the certificate then has no steps,
     ``tail_sum`` inf, ``tail_sup`` 1, ``harmonic_y`` = ``MAX_SWITCH`` and
-    ``harmonic_bound`` 1, the trivial bound on E(1/Z_y).
+    ``harmonic_bound`` 1, the trivial bound on E(1/Z_y).  Where the ratio
+    test provably fails at all ``MAX_TERMS`` analytic states (p_1 near 1),
+    that invalid certificate is returned before the carry and the exact region.
     """
     law = params.law
     theta = params.theta
@@ -276,6 +278,15 @@ def explosion_lower_bound(
         return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, MAX_SWITCH, 1.0)
     r = _contraction(law.p1)
     harmonic_y, harmonic_bound = _switch_point(law, theta)
+    # The loop ends at MAX_TERMS unless ratio_a, _up(r (y + 1)^2) < y^2, holds
+    # at some y <= Y; its left side is at least r N (1 - 2^-53)^2, N = (y + 1)^2.
+    # If r (Y + 1)^2 >= Y^2 (1 + 2^-51) exactly, r N >= y^2 (1 + 2^-51) for all
+    # y <= Y (r (1 + 1/y)^2 falls in y), and (1 + 2^-51)(1 - 2^-53)^2 > 1; if
+    # r >= 1, it is at least _up(fl(y^2)) > y^2.  So that exit is returned now.
+    Y = max(x, harmonic_y) + MAX_TERMS - 1
+    a, b = r.as_integer_ratio()
+    if r >= 1.0 or a * (Y + 1) ** 2 * 2**51 >= (2**51 + 1) * b * Y * Y:
+        return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, harmonic_y, harmonic_bound)
     raw: list[tuple[int, float, str]] = []
 
     # exact region, y = x..y0 - 1 (none when x >= y0): the law of X_1 from

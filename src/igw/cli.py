@@ -33,11 +33,9 @@ from .exact_dist import (
     TruncatedDist,
     death_interval_detail,
     death_prob_interval,
-    finite_horizon_death,
-    frozen_steps,
+    finite_horizon_detail,
     one_step_death_prob,
     one_step_dist,
-    swept_states,
     total_progeny_dist,
 )
 from .igw_process import (
@@ -281,11 +279,9 @@ def _frozen_meta(steps: Sequence[Optional[int]], columns: Sequence[str]) -> dict
     "law", "theta", "x!", "n", "x-cap",
 )
 def _exact_finite_horizon_death(args, out) -> int:
-    params, caps = _params(args), Caps(x_cap=args.x_cap)
-    iv = finite_horizon_death(args.x, params, args.n, caps)
-    frozen = _frozen_meta(frozen_steps(params, args.n, caps), ("lo", "hi"))
-    meta = _meta(args, **{"swept-states": swept_states(params, caps)}, **frozen)
-    _emit(out, meta, ["lo", "hi"], [[iv.lo, iv.hi]])
+    detail = finite_horizon_detail(args.x, _params(args), args.n, Caps(x_cap=args.x_cap))
+    meta = _meta(args, **{"swept-states": detail.swept_states}, **_frozen_meta(detail.frozen, ("lo", "hi")))
+    _emit(out, meta, ["lo", "hi"], [[detail.interval.lo, detail.interval.hi]])
     return 0
 
 

@@ -711,51 +711,19 @@ class _Envelope:
             first = np.ldexp(self.R_hi[:, :s] @ c[:s] + tail @ c[s:], -k)
             self.closure = _Column(self.R_hi, first, 1, k)
 
-    def death_at(self, n: int, x: int) -> tuple[float, float]:
-        """The lower and the upper end of P_x(X_n = 0)."""
+    def read(self, n: int, x: int, *columns: _Column) -> tuple[tuple[float, ...], tuple[Optional[int], ...]]:
+        """Entry x of each column at horizon n >= 1, and its frozen_by(n)."""
         j = min(x, self.last)
-        return float(self.lo.at(n)[j]), float(self.hi.at(n)[j])
-
-    def closure_at(self, n: int, x: int) -> float:
-        """(K_hi^n c)[x] for n >= 1."""
-        return float(self.closure.at(n)[min(x, self.last)])
+        return tuple(float(c.at(n)[j]) for c in columns), tuple(c.frozen_by(n) for c in columns)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _envelope(params: IGWParams, x_cap: int) -> _Envelope:
-    """The envelopes of the eight most recently used (params, x_cap).  One
-    holds its two kernels, at most 2 x 8 (x_cap + 2)^2 bytes, and its
-    columns, and no composed row: the (law, theta, x_cap) table is not made
-    for it."""
+    """The envelope of the last (params, x_cap) asked for: every caller
+    reads one at a time and never goes back to an earlier one.  It holds
+    its two kernels, at most 2 x 8 (x_cap + 2)^2 bytes, and its columns,
+    and no composed row: the (law, theta, x_cap) table is not made for it."""
     return _Envelope(params, x_cap)
-
-
-def swept_states(params: IGWParams, caps: Caps = Caps()) -> int:
-    """The number of distinct states the envelope sweeps of (params,
-    caps.x_cap) step: s + 1 with s = min(r, x_cap), r the first dead row."""
-    return _envelope(params, caps.x_cap).last + 1
-
-
-def frozen_steps(
-    params: IGWParams, n: int, caps: Caps = Caps()
-) -> tuple[Optional[int], Optional[int]]:
-    """The steps <= n at which the lower and the upper death column of
-    (params, caps.x_cap) stopped changing, None for a column that did not;
-    past a frozen lower column no horizon can raise a lower end."""
-    env = _envelope(params, caps.x_cap)
-    return env.lo.frozen_by(n), env.hi.frozen_by(n)
-
-
-def finite_horizon_death(
-    x: int, params: IGWParams, n: int, caps: Caps = Caps()
-) -> IntervalProb:
-    """Certified enclosure of P_x(X_n = 0)."""
-    if n < 1:
-        raise ValueError("horizon must be >= 1")
-    if not 0 <= x <= caps.x_cap:
-        raise ValueError(f"start state {x} outside the tracked range 0..{caps.x_cap}")
-    lo, hi = _envelope(params, caps.x_cap).death_at(n, x)
-    return IntervalProb(min(lo, hi), max(lo, hi))
 
 
 class DeathIntervalDetail(NamedTuple):
@@ -765,16 +733,41 @@ class DeathIntervalDetail(NamedTuple):
     whose fate the truncation at x_cap leaves open at the horizon (a few
     ulps below 0 where that is invisible at float precision); ``closure``
     is the closure column at x, the mass still alive at the horizon, closed
-    by q*^y; ``swept_states`` is :func:`swept_states`, 0 when nothing is
-    swept (theta = 1); ``frozen`` holds the steps <= horizon at which the
-    lower death, the upper death and the closure column stopped changing,
-    None for a column that did not (or is not swept)."""
+    by q*^y (0.0 for a finite horizon); ``swept_states`` is the number s + 1
+    of distinct states the envelope steps, s = min(r, x_cap) with r the
+    first dead row, 0 when nothing is swept (theta = 1); ``frozen`` holds
+    the steps <= horizon at which the lower death, the upper death and the
+    closure column stopped changing, None for a column that did not (or is
+    not swept)."""
 
     interval: IntervalProb
     truncation: float
     closure: float
     swept_states: int
     frozen: tuple[Optional[int], Optional[int], Optional[int]]
+
+
+def finite_horizon_detail(
+    x: int, params: IGWParams, n: int, caps: Caps = Caps()
+) -> DeathIntervalDetail:
+    """Certified enclosure of P_x(X_n = 0), with the parts of its width:
+    no closure, so ``closure`` is 0.0 and the closure's frozen step None."""
+    if n < 1:
+        raise ValueError("horizon must be >= 1")
+    if not 0 <= x <= caps.x_cap:
+        raise ValueError(f"start state {x} outside the tracked range 0..{caps.x_cap}")
+    env = _envelope(params, caps.x_cap)
+    (lo, hi), (lo_frozen, hi_frozen) = env.read(n, x, env.lo, env.hi)
+    iv = IntervalProb(min(lo, hi), max(lo, hi))
+    return DeathIntervalDetail(iv, hi - lo, 0.0, env.last + 1, (lo_frozen, hi_frozen, None))
+
+
+def finite_horizon_death(
+    x: int, params: IGWParams, n: int, caps: Caps = Caps()
+) -> IntervalProb:
+    """Certified enclosure of P_x(X_n = 0): the interval of
+    :func:`finite_horizon_detail`."""
+    return finite_horizon_detail(x, params, n, caps).interval
 
 
 def death_interval_detail(
@@ -803,10 +796,8 @@ def death_interval_detail(
     if params.theta == 1.0:
         return DeathIntervalDetail(IntervalProb(0.0, 0.0), 0.0, 0.0, 0, (None, None, None))
     env = _envelope(params, caps.x_cap)
-    lo, hi = env.death_at(horizon, x)
-    closure = env.closure_at(horizon, x)
+    (lo, hi, closure), frozen = env.read(horizon, x, env.lo, env.hi, env.closure)
     iv = IntervalProb(lo, max(lo, min(1.0, hi + closure)))
-    frozen = tuple(column.frozen_by(horizon) for column in (env.lo, env.hi, env.closure))
     return DeathIntervalDetail(iv, hi - lo, closure, env.last + 1, frozen)
 
 

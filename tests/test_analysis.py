@@ -366,6 +366,47 @@ class TestExplosionCertificate:
         with pytest.raises(ValueError, match="2\\*\\*511"):
             explosion_lower_bound(MAX_START + 1, params)
 
+    NEAR_ONE = (
+        OffspringLaw.explicit({1: 0.999999999, 2: 0.000000001}),
+        OffspringLaw.explicit({1: 1.0 - 2.0**-53, 2: 2.0**-53}),
+    )
+
+    @pytest.mark.parametrize(
+        "law, xs", [(NEAR_ONE[0], ()), (NEAR_ONE[1], (MAX_START,))], ids=["1-1e-9", "1-2^-53"]
+    )
+    def test_near_one_p1_is_invalid_at_once(self, law, xs):
+        # ratio_a fails at every state the analytic loop could reach, so the
+        # certificate is the MAX_TERMS exit, returned before the carry's
+        # skip; a contraction >= 1 (1 + 2^-52 for the second law) fails it
+        # at every start state, MAX_START too
+        params = IGWParams(law, 0.9)
+        harmonic = _switch_point(law, 0.9)  # the walk, once
+        for x in (2000, 10**5, 10**6, 4 * 10**6, 10**9, *xs):
+            start = time.perf_counter()
+            cert = explosion_lower_bound(x, params)
+            assert time.perf_counter() - start < 0.05, x
+            assert (cert.start, cert.steps, cert.tail_sum, cert.tail_sup) == (x, (), math.inf, 1.0), x
+            assert (cert.bound, cert.valid) == (0.0, False), x
+            assert (cert.harmonic_y, cert.harmonic_bound) == harmonic, x
+
+    @pytest.mark.parametrize("law", NEAR_ONE, ids=["1-1e-9", "1-2^-53"])
+    def test_near_one_p1_verdict_is_the_loops(self, law, monkeypatch):
+        # with the early test turned off (a contraction that is never >= 1
+        # and whose integer ratio is 0), the loop runs to MAX_TERMS and
+        # returns the same certificate
+        class Unchecked(float):
+            def __ge__(self, other):
+                return False
+
+            def as_integer_ratio(self):
+                return 0, 1
+
+        params = IGWParams(law, 0.9)
+        early = explosion_lower_bound(2000, params)
+        contraction = analysis._contraction
+        monkeypatch.setattr(analysis, "_contraction", lambda p1: Unchecked(contraction(p1)))
+        assert explosion_lower_bound(2000, params) == early
+
     def test_switch_point_follows_the_law(self):
         # binary:0.2 puts 0.8 on one child: h(y) decays slowly, so the
         # switch point lies far beyond 64 (about 226)

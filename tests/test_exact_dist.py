@@ -25,6 +25,7 @@ from igw import (
 )
 from igw import explosion_lower_bound, fixed_point_q
 import igw.exact_dist as exact_dist
+from igw.cli import main
 from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _row, _table
 
 import reference
@@ -999,7 +1000,7 @@ class TestDistinctStateSweep:
         want = reference.dense_sweep(params, x_cap, SWEEP_HORIZONS)
         for n in SWEEP_HORIZONS:
             lo_d, hi_d, close_d = want[n]
-            cols = np.array([[*env.death_at(n, x), env.closure_at(n, x)] for x in range(x_cap + 1)])
+            cols = np.array([env.read(n, x, env.lo, env.hi, env.closure)[0] for x in range(x_cap + 1)])
             lo, hi, close = cols.T
             _assert_rel(lo, lo_d[:-1], (n, "lo"))
             _assert_rel(hi, hi_d, (n, "hi"))
@@ -1043,7 +1044,7 @@ class TestDistinctStateSweep:
             death_prob_interval(3, params, horizon=horizon)
         finite_horizon_death(5, params, 40)
         assert shapes == {(r + 1, r + 1), (r + 2, r + 2)}
-        assert exact_dist.swept_states(params) == r + 1
+        assert exact_dist.finite_horizon_detail(5, params, 40).swept_states == r + 1
 
         held = list(_arrays(vars(_envelope(params, 512))))
         assert len(held) >= 6
@@ -1063,6 +1064,30 @@ class TestDistinctStateSweep:
             assert iv.hi == pytest.approx(parts, rel=1e-15, abs=0.0)
         theta_one = exact_dist.death_interval_detail(1, IGWParams(parse_law_spec("binary:0.9"), 1.0))
         assert theta_one == (IntervalProb(0.0, 0.0), 0.0, 0.0, 0, (None, None, None))
+
+    @pytest.mark.parametrize(
+        "spec,theta,x_cap,states", [("binary:0.9", 0.9, 512, 209), ("pmf:0=0.2,2=0.8", 0.7, 64, 65)]
+    )
+    def test_finite_horizon_detail_parts(self, spec, theta, x_cap, states, capsys):
+        params, caps = IGWParams(parse_law_spec(spec), theta), Caps(x_cap=x_cap)
+        for x, n in ((3, 40), (1, 400), (5, 2), (0, 7)):
+            detail = exact_dist.finite_horizon_detail(x, params, n, caps)
+            iv = detail.interval
+            assert iv == finite_horizon_death(x, params, n, caps)
+            assert detail.swept_states == states
+            assert detail.closure == 0.0 and detail.frozen[2] is None
+            env = _envelope(params, x_cap)
+            assert detail.frozen[:2] == (env.lo.frozen_by(n), env.hi.frozen_by(n))
+            # the ends are the two death columns, clamped to [0, 1]
+            assert iv.width == pytest.approx(abs(detail.truncation), rel=1e-15, abs=1e-15)
+            assert iv.width <= abs(detail.truncation)
+            args = ["--law", spec, "--theta", str(theta), "--x", str(x), "--n", str(n), "--x-cap", str(x_cap)]
+            assert main(["exact", "finite-horizon-death", *args]) == 0
+            out = capsys.readouterr().out.splitlines()
+            meta = dict(ln[2:].split("=", 1) for ln in out if ln.startswith("# "))
+            printed = [meta[f"frozen-{c}"] for c in ("lo", "hi")]
+            assert printed == ["none" if step is None else str(step) for step in detail.frozen[:2]]
+            assert meta["swept-states"] == str(states)
 
 
 def _arrays(obj):
@@ -1349,7 +1374,7 @@ class TestEnvelopeMemory:
             start = tracemalloc.get_traced_memory()[0]
             env = _envelope(params, 512)
             for n in (1, 17, 256):
-                env.death_at(n, 1), env.closure_at(n, 1)
+                env.read(n, 1, env.lo, env.hi, env.closure)
             held, peak = (b - start for b in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -1393,11 +1418,12 @@ class TestEnvelopeMemory:
         assert env.closure is not None and calls == [(params,)]
         _envelope.cache_clear()
 
-    def test_theta_sweep_keeps_eight_envelopes_and_no_rows(self):
+    def test_theta_sweep_keeps_one_envelope_and_no_rows(self):
         law, caps = parse_law_spec("binary:0.6"), Caps(x_cap=128)
         thetas = [round(0.70 + 0.02 * i, 2) for i in range(12)]
         for theta in thetas:
             fixed_point_q(IGWParams(law, theta))
+        assert _envelope.cache_parameters()["maxsize"] == 1
         _envelope.cache_clear()
         _table.cache_clear()
         tracemalloc.start()
@@ -1410,10 +1436,10 @@ class TestEnvelopeMemory:
         finally:
             tracemalloc.stop()
         assert _table.cache_info().currsize == 0  # no row of any theta is kept
-        assert _envelope.cache_info().currsize == 8
-        kept = [_envelope(IGWParams(law, theta), 128) for theta in thetas[-8:]]
-        assert _envelope.cache_info().misses == len(thetas)  # the last 8 are the ones kept
-        assert held <= sum(map(_held_bytes, kept)) + 8 * 32 * 1024
+        assert _envelope.cache_info().currsize == 1
+        last = _envelope(IGWParams(law, thetas[-1]), 128)
+        assert _envelope.cache_info().misses == len(thetas)  # the last one is the one kept
+        assert held <= _held_bytes(last) + 32 * 1024
         # a later one-step law at the same (theta, x_cap) is composed as before
         direct = reference.direct_rows(law, thetas[-1], 128)
         for x in range(40):
