@@ -116,7 +116,12 @@ nonzero lifted column entry (at least 2^-74) is at least 2^-738, and the
 smaller entries, all in the conservative column, meet the entry of state 0
 (1, or 0 in the closure) or of the phantom (0 when p_0 = 0).  Smaller
 sweeps step plainly: there a step is about 1 us of call overhead, which
-the two scalings would more than double.
+the two scalings would more than double.  A step multiplies with
+``ndarray.dot``, not ``@``: on a C-contiguous kernel and column both call
+the same BLAS matrix-vector product, so the bytes are the same on every
+BLAS kernel, and ``dot`` skips the ufunc dispatch of ``@``, about a third
+of an 11-state step.  The closure's first step keeps ``@``: it reads a
+column slice of ``R_hi``, which ``dot`` would first copy whole.
 
 One quantity needs no truncation at all: P_x(X_1 = 0) = E((1-theta)^{S_x})
 follows from the scalar recursion a_{j+1} = f(t * a_j) with t = 1 - theta,
@@ -560,9 +565,9 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.
     float fixed point as the table stops, and no table row is read or
     kept: while the kernels are built this holds the r live rows, and
     after it only the three arrays it returns.  :func:`_assemble` fills the
-    live rows of each kernel ``_BLOCK`` full-width rows at a time; every
-    reduction is along a row, so the bytes are those of the whole
-    full-width matrix floored and merged at once.  The shared and the
+    live rows of both kernels from one block of ``_BLOCK`` full-width rows
+    at a time; every reduction is along a row, so the bytes are those of
+    the whole full-width matrix floored and merged at once.  The shared and the
     phantom row are written here as flooring and merging leaves them, with
     p_0 taken as 0 below ``KERNEL_FLOOR``.
     """
@@ -579,8 +584,7 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.
     s = min(len(live), x_cap)  # row s is the shared row when r = s
     R_hi, R_lo = np.zeros((s + 1, s + 1)), np.zeros((s + 2, s + 2))
     tail = np.zeros((s + 1, x_cap + 1 - s))
-    _assemble(R_hi, live, x_cap, 0, tail)
-    _assemble(R_lo, live, x_cap, x_cap + 1)
+    _assemble(R_hi, R_lo, tail, live, x_cap)
     if len(live) == s:
         R_hi[s, 0], R_hi[s, s], tail[s, -1], R_lo[s, -1] = shared, 1.0 - shared, 1.0 - shared, 1.0
     p0 = params.law.p0 if params.law.p0 >= KERNEL_FLOOR else 0.0
@@ -589,36 +593,58 @@ def _kernels(params: IGWParams, x_cap: int) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _assemble(
-    R: np.ndarray, live: list[TruncatedDist], x_cap: int, col: int, tail: Optional[np.ndarray] = None
+    R_hi: np.ndarray, R_lo: np.ndarray, tail: np.ndarray, live: list[TruncatedDist], x_cap: int
 ) -> None:
-    """Fill the rows of the ``live`` states in the kernel ``R`` on its
-    distinct states 0..s, with a phantom state last when ``col`` =
-    x_cap + 1, ``_BLOCK`` rows at a time.
+    """Fill the rows of the ``live`` states in both kernels on their
+    distinct states 0..s, ``_BLOCK`` rows at a time.
 
-    A block starts as the full-width rows of its states: the atoms with
-    their lost mass, max(0, 1 - sum of the atoms), added in the last column
-    (x_cap, or the phantom's).  Every entry below ``KERNEL_FLOOR`` then
-    moves into column ``col`` of its row, the columns of states s..x_cap
-    are summed into column s, smallest term first, and the phantom column
-    stays last; ``tail``, if given, takes columns s..x_cap as they are."""
-    phantom = col > x_cap
-    s = len(R) - 1 - phantom
+    A block starts as the full-width rows of its states with a phantom
+    column last: the atoms, and in the phantom column their lost mass,
+    max(0, 1 - sum of the atoms), each worked out once for both kernels.
+    The lower kernel reads the block as it is; the upper one then clamps
+    the lost mass to x_cap, added to the atom there, and reads the block
+    without its phantom column (:func:`_floor_merge`).  ``tail`` takes the
+    upper kernel's columns s..x_cap."""
+    s = len(R_hi) - 1
     for start in range(0, len(live), _BLOCK):
         block_rows = live[start : start + _BLOCK]
-        K = np.zeros((len(block_rows), x_cap + 1 + phantom))
+        K = np.zeros((len(block_rows), x_cap + 2))
         for k, row in enumerate(block_rows):
             K[k, row.offset : row.offset + len(row.coef)] = row.coef
-            K[k, -1] += max(0.0, 1.0 - float(row.atoms.sum()))
-        small = K < KERNEL_FLOOR
-        small[:, col] = False
-        K[:, col] += np.where(small, K, 0.0).sum(axis=1)
-        K[small] = 0.0
-        block = R[start : start + len(K)]
-        block[:, :s] = K[:, :s]
-        block[:, s] = np.cumsum(np.sort(K[:, s : x_cap + 1], axis=1), axis=1)[:, -1]
-        block[:, s + 1 :] = K[:, x_cap + 1 :]
-        if tail is not None:
-            tail[start : start + len(K)] = K[:, s:]
+            K[k, -1] = max(0.0, 1.0 - float(row.atoms.sum()))
+        rows = slice(start, start + len(K))
+        _floor_merge(R_lo[rows], K, x_cap + 1, s, x_cap)
+        K[:, x_cap] += K[:, -1]
+        _floor_merge(R_hi[rows], K[:, :-1], 0, s, x_cap, tail[rows])
+
+
+def _floor_merge(
+    block: np.ndarray, K: np.ndarray, col: int, s: int, x_cap: int, tail: Optional[np.ndarray] = None
+) -> None:
+    """Write the full-width rows ``K`` into ``block``, their rows of a
+    kernel on the distinct states 0..s, leaving ``K`` as it is.
+
+    Every entry below ``KERNEL_FLOOR`` moves into column ``col`` of its
+    row, the columns of states s..x_cap are summed into column s, smallest
+    term first, and a phantom column stays last; ``tail``, if given, takes
+    columns s..x_cap before they are summed.  The floored rows are K minus
+    its small entries, which is exact, taken in the buffer that held those
+    entries; the sum sorts and accumulates in place, so this holds no more
+    than one block beside ``K``."""
+    small = K < KERNEL_FLOOR
+    small[:, col] = False
+    floored = np.where(small, K, 0.0)
+    moved = floored.sum(axis=1)
+    np.subtract(K, floored, out=floored)
+    floored[:, col] += moved
+    block[:, :s] = floored[:, :s]
+    block[:, s + 1 :] = floored[:, x_cap + 1 :]
+    merged = floored[:, s : x_cap + 1]
+    if tail is not None:
+        tail[:] = merged
+    merged.sort(axis=1)
+    np.cumsum(merged, axis=1, out=merged)
+    block[:, s] = merged[:, -1]
 
 
 class _Column:
@@ -652,10 +678,10 @@ class _Column:
         while m < n:
             m += 1
             if k:
-                w = R @ np.ldexp(v, k)
+                w = R.dot(np.ldexp(v, k))
                 np.ldexp(w, -k, out=w)
             else:
-                w = R @ v
+                w = R.dot(v)
             w_bits = w.tobytes()
             if w_bits == bits:
                 self.frozen = m
@@ -717,13 +743,22 @@ class _Envelope:
         return tuple(float(c.at(n)[j]) for c in columns), tuple(c.frozen_by(n) for c in columns)
 
 
-@lru_cache(maxsize=1)
+#: the one envelope kept, keyed by its (params, x_cap)
+_slot: dict[tuple[IGWParams, int], _Envelope] = {}
+
+
 def _envelope(params: IGWParams, x_cap: int) -> _Envelope:
     """The envelope of the last (params, x_cap) asked for: every caller
     reads one at a time and never goes back to an earlier one.  It holds
     its two kernels, at most 2 x 8 (x_cap + 2)^2 bytes, and its columns,
-    and no composed row: the (law, theta, x_cap) table is not made for it."""
-    return _Envelope(params, x_cap)
+    and no composed row: the (law, theta, x_cap) table is not made for it.
+    The slot is emptied before the next envelope is built, so a theta
+    sweep never holds two."""
+    key = (params, x_cap)
+    if key not in _slot:
+        _slot.clear()
+        _slot[key] = _Envelope(params, x_cap)
+    return _slot[key]
 
 
 class DeathIntervalDetail(NamedTuple):

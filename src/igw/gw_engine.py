@@ -43,17 +43,32 @@ def _trapezoid_grid() -> tuple[np.ndarray, np.ndarray]:
     return s, np.diff(s)
 
 
+def _upper_step(probs: tuple[float, ...], up: float, t: np.ndarray, acc: np.ndarray) -> None:
+    """One upward-rounded step t <- phi(t) of :func:`_iterates`, in place,
+    with ``acc`` as scratch: the Horner sum of f at t, inflated by ``up``,
+    raised by the smallest normal float and clamped at 1."""
+    acc.fill(probs[-1])
+    for p in reversed(probs[:-1]):
+        acc *= t
+        if p:
+            acc += p
+    acc *= up
+    acc += _TINY
+    np.minimum(acc, 1.0, out=t)
+
+
 def _iterates(law: OffspringLaw, s: np.ndarray) -> Iterator[np.ndarray]:
     """Upper bounds on f_y(s) for y = 1, 2, ..., the iterates of the
-    generating function of a law on {1..K}, at points s in [0, 1] whose
-    1 - s is exact; each value advances them by one generation.
+    generating function of a law on {1..K}, at ascending points s in
+    [0, 1] whose 1 - s is exact; each value advances them by one
+    generation.
 
     Each point is bounded twice and the smaller bound kept:
 
-    * in s, by Horner iterates rounded upward: f is increasing, and each
-      step (at most 2K + 1 roundings) is inflated by 1 + 4K * 2**-53,
-      raised by the smallest normal float to cover underflow and clamped
-      at 1,
+    * in s, by Horner iterates rounded upward (:func:`_upper_step`): f is
+      increasing, and each step (at most 2K + 1 roundings) is inflated by
+      1 + 4K * 2**-53, raised by the smallest normal float to cover
+      underflow and clamped at 1,
     * in u = 1 - s, by a lower bound on u_y = 1 - f_y(s), iterated
       downward through u -> 1 - f(1 - u) = u * sum_{i<K} T_{i+1} (1 - u)^i
       with the tail sums T_j = sum_{k>=j} p_k; every term is nonnegative,
@@ -63,41 +78,57 @@ def _iterates(law: OffspringLaw, s: np.ndarray) -> Iterator[np.ndarray]:
       above: the subtraction errs by at most 2**-54, and the addition
       then rounds to a value no smaller than 1 - u.
 
-    Every step writes into arrays made once per walk, the yielded one
-    included: a yielded bound holds until the next value is drawn.
+    The second bound is left off the prefix of points whose upper iterate
+    t is at most 2**-53, where it cannot win, with the same bytes:
+
+    * The upper step phi is monotone: its coefficients are nonnegative
+      and rounding is monotone.  So t stays nondecreasing along the
+      ascending s, and one ``searchsorted`` finds the prefix.
+    * If phi(2**-53) <= 2**-53, no point ever leaves the prefix.  That is
+      checked once per walk, by :func:`_upper_step` itself on a one-entry
+      array holding 2**-53: the same operations in the same order.  Where
+      it fails (p_1 so near 1 that phi inflates 2**-53), no prefix is
+      taken.
+    * On the prefix, fl(v + 2**-53) >= 2**-53 >= t for any v = 1 - u >= 0,
+      so the bound there is t itself, and u and v are never read again.
+      The scratch ``acc`` already holds it there: the upper step leaves
+      in it t before the clamp at 1, and t < 1 on the prefix.
+
+    Every step writes into the four arrays made once per walk (t, u,
+    v = 1 - u and ``acc``).  The yielded bound is ``acc``: it holds until
+    the next value is drawn, and the caller may overwrite it, as the next
+    step reads nothing of it.
     """
     probs = law.probs
     k_max = len(probs) - 1
     tails = np.cumsum(probs[::-1])[::-1][1:]  # T_1..T_K
     up = 1.0 + 4 * k_max * _U
     down = 1.0 - 4 * k_max * k_max * _U
+    probe = np.full(1, _U)
+    _upper_step(probs, up, probe, np.empty(1))
+    closed = bool(probe[0] <= _U)  # phi(2**-53) <= 2**-53: the prefix never shrinks
     t = s.copy()
     u = 1.0 - s
     v = s.copy()  # 1 - u, exact on the grid
     acc = np.empty_like(s)
-    bound = np.empty_like(s)
+    p = 0  # the prefix where t <= 2**-53
     while True:
-        acc.fill(probs[-1])
-        for p in reversed(probs[:-1]):
-            acc *= t
-            if p:
-                acc += p
-        acc *= up
-        acc += _TINY
-        np.minimum(acc, 1.0, out=t)
-
-        acc.fill(tails[-1])
+        _upper_step(probs, up, t, acc)
+        if closed:
+            p = int(np.searchsorted(t, _U, side="right"))
+        u_s, v_s, acc_s = u[p:], v[p:], acc[p:]  # past the prefix
+        acc_s.fill(tails[-1])
         for tail in tails[-2::-1]:
-            acc *= v
-            acc += tail
-        acc *= u
-        acc *= down
-        np.minimum(acc, 1.0, out=u)
-        np.subtract(1.0, u, out=v)
+            acc_s *= v_s
+            acc_s += tail
+        acc_s *= u_s
+        acc_s *= down
+        np.minimum(acc_s, 1.0, out=u_s)
+        np.subtract(1.0, u_s, out=v_s)
 
-        np.add(v, _U, out=bound)
-        np.minimum(t, bound, out=bound)
-        yield bound
+        np.add(v_s, _U, out=acc_s)
+        np.minimum(t[p:], acc_s, out=acc_s)
+        yield acc
 
 
 def harmonic_moments(law: OffspringLaw) -> Iterator[float]:
@@ -117,18 +148,18 @@ def harmonic_moments(law: OffspringLaw) -> Iterator[float]:
     ``_iterates``, g(0) = p_1^y is inflated for rounding, and the final
     sum of nonnegative terms (at most N + 2 roundings on N grid points) by
     1 + (N + 4) * 2**-53.  The p_0 check runs when the first value is
-    drawn.  g and the trapezoid cells live in buffers made once per walk.
+    drawn.  g is taken in place in the yielded bound, and the trapezoid
+    cells live in one buffer made once per walk: with the four of
+    ``_iterates`` and the grid's two, a walk holds seven grid-sized arrays.
     """
     if law.p0 > 0.0:
         raise RegimeError("harmonic moments via the pgf identity need p_0 = 0")
     s, width = _trapezoid_grid()
     inflate = 1.0 + (len(s) + 4) * _U
-    g = np.empty_like(s)
     cells = np.empty_like(width)
-    for y, f in enumerate(_iterates(law, s), start=1):
+    for y, g in enumerate(_iterates(law, s), start=1):
         g[0] = law.p1**y * (1.0 + 4 * y * _U) + _TINY
-        np.divide(f[1:], s[1:], out=g[1:])
+        np.divide(g[1:], s[1:], out=g[1:])
         np.add(g[:-1], g[1:], out=cells)
         np.multiply(width, cells, out=cells)
         yield 0.5 * float(np.sum(cells)) * inflate
-

@@ -41,7 +41,7 @@ from igw.analysis import (
     _stall_bound,
     _switch_point,
 )
-from igw.exact_dist import _envelope
+from igw.exact_dist import _slot
 
 import reference
 
@@ -613,7 +613,7 @@ class TestGeometricAbsorption:
     def test_rows_match_finite_horizon_calls(self):
         params = IGWParams(OffspringLaw.explicit({0: 0.2, 2: 0.8}), 0.9)
         report = geometric_absorption_check(params, 2, 12, SMALL_CAPS)
-        _envelope.cache_clear()  # the calls below sweep again, longest horizon first
+        _slot.clear()  # the calls below sweep again, longest horizon first
         for row in reversed(report.rows):
             iv = finite_horizon_death(2, params, row.n, SMALL_CAPS)
             assert (row.survival_lo, row.survival_hi) == (1.0 - iv.hi, 1.0 - iv.lo)

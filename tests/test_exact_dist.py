@@ -26,7 +26,7 @@ from igw import (
 from igw import explosion_lower_bound, fixed_point_q
 import igw.exact_dist as exact_dist
 from igw.cli import main
-from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _row, _table
+from igw.exact_dist import KERNEL_FLOOR, _envelope, _kernels, _row, _slot, _table
 
 import reference
 from conftest import enumerate_total_progeny, law_fractions, small_laws
@@ -995,7 +995,7 @@ class TestDistinctStateSweep:
         params = IGWParams(parse_law_spec(spec), theta)
         assert r_range[0] <= reference.dead_row(params, x_cap) <= r_range[1]
         caps = Caps(x_cap=x_cap)
-        _envelope.cache_clear()  # horizon 1 takes the closure's full-width first step
+        _slot.clear()  # horizon 1 takes the closure's full-width first step
         env = _envelope(params, x_cap)
         want = reference.dense_sweep(params, x_cap, SWEEP_HORIZONS)
         for n in SWEEP_HORIZONS:
@@ -1039,7 +1039,7 @@ class TestDistinctStateSweep:
             return at(column, n)
 
         monkeypatch.setattr(exact_dist._Column, "at", recorded)
-        _envelope.cache_clear()
+        _slot.clear()
         for horizon in (1, 256):
             death_prob_interval(3, params, horizon=horizon)
         finite_horizon_death(5, params, 40)
@@ -1131,7 +1131,7 @@ class TestFixedPointStop:
     )
     def test_columns_match_plain_sweep(self, spec, theta, x_cap):
         params = IGWParams(parse_law_spec(spec), theta)
-        _envelope.cache_clear()
+        _slot.clear()
         env = _envelope(params, x_cap)
         s = env.last
         k = exact_dist._SHIFT if s + 1 >= exact_dist._SHIFT_STATES else 0
@@ -1181,7 +1181,7 @@ class TestShiftedSweep:
         params = IGWParams(parse_law_spec("binary:0.9999"), 0.9)
         gate = exact_dist._SHIFT_STATES
         monkeypatch.setattr(exact_dist, "_SHIFT_STATES", 1)
-        _envelope.cache_clear()
+        _slot.clear()
         env = _envelope(params, 512)
         assert env.last + 1 < gate and env.shift == exact_dist._SHIFT
         tiny, plain_within = Fraction(1, 2**1075), []
@@ -1201,12 +1201,12 @@ class TestShiftedSweep:
                 assert all(within(w, want)), n
                 plain_within += within(R @ v, want)
         assert not all(plain_within)
-        _envelope.cache_clear()
+        _slot.clear()
 
     @pytest.mark.parametrize("theta", GRID_POINTS[1])
     def test_theta_grid_sweeps_unshifted(self, theta):
         params = IGWParams(parse_law_spec(GRID_POINTS[0]), theta)
-        _envelope.cache_clear()
+        _slot.clear()
         env = _envelope(params, 512)
         assert env.last + 1 < exact_dist._SHIFT_STATES and env.shift == 0
         R_hi, tail, c = _closure_rows(params, 512)
@@ -1253,7 +1253,7 @@ class TestThinnedKernels:
         for spec, theta in (("binary:0.6", 0.92), ("pmf:2=0.5,3=0.5", 0.45), ("binary:0.5", 0.7)):
             params = IGWParams(parse_law_spec(spec), theta)
             small = [death_prob_interval(x, params, Caps(4096, 64, 512)) for x in range(1, 21)]
-            _envelope.cache_clear()
+            _slot.clear()
             big = [death_prob_interval(x, params, Caps(4096, 4096, 512)) for x in range(1, 21)]
             assert small == big, spec
 
@@ -1299,7 +1299,7 @@ class TestThinnedKernels:
             return compose(law, prev, theta)
 
         monkeypatch.setattr(exact_dist, "_compose", recorded)
-        _envelope.cache_clear()
+        _slot.clear()
         _table.cache_clear()
         params = IGWParams(parse_law_spec("binary:0.6"), 0.8)
         assert death_prob_interval(3, params).width == 0.0
@@ -1367,7 +1367,7 @@ class TestEnvelopeMemory:
 
     def test_envelope_holds_only_its_kernels(self):
         params = IGWParams(parse_law_spec("binary:0.6"), 0.92)
-        _envelope.cache_clear()
+        _slot.clear()
         _table.cache_clear()
         tracemalloc.start()
         try:
@@ -1393,7 +1393,7 @@ class TestEnvelopeMemory:
         block = 3 * 64 * 514 * 8
         tail = 8 * ((s + 1) * (513 - s) + 3 * 513)
         assert peak <= _held_bytes(env) + objects + live + block + tail
-        _envelope.cache_clear()
+        _slot.clear()
 
     def test_p0_envelope_takes_no_closure(self, monkeypatch):
         # q* needs p_0 = 0: a p_0 > 0 envelope never asks for it, and a
@@ -1405,7 +1405,7 @@ class TestEnvelopeMemory:
             return fixed_point_q(*args)
 
         monkeypatch.setattr(exact_dist, "fixed_point_q", counted)
-        _envelope.cache_clear()
+        _slot.clear()
         params = IGWParams(parse_law_spec("pmf:0=0.2,2=0.8"), 0.7)
         env = _envelope(params, 64)
         assert env.closure is None and calls == []
@@ -1416,15 +1416,14 @@ class TestEnvelopeMemory:
         params = IGWParams(parse_law_spec("binary:0.6"), 0.92)
         env = _envelope(params, 64)
         assert env.closure is not None and calls == [(params,)]
-        _envelope.cache_clear()
+        _slot.clear()
 
     def test_theta_sweep_keeps_one_envelope_and_no_rows(self):
         law, caps = parse_law_spec("binary:0.6"), Caps(x_cap=128)
         thetas = [round(0.70 + 0.02 * i, 2) for i in range(12)]
         for theta in thetas:
             fixed_point_q(IGWParams(law, theta))
-        assert _envelope.cache_parameters()["maxsize"] == 1
-        _envelope.cache_clear()
+        _slot.clear()
         _table.cache_clear()
         tracemalloc.start()
         try:
@@ -1436,9 +1435,8 @@ class TestEnvelopeMemory:
         finally:
             tracemalloc.stop()
         assert _table.cache_info().currsize == 0  # no row of any theta is kept
-        assert _envelope.cache_info().currsize == 1
-        last = _envelope(IGWParams(law, thetas[-1]), 128)
-        assert _envelope.cache_info().misses == len(thetas)  # the last one is the one kept
+        (last,) = _slot.values()
+        assert _envelope(IGWParams(law, thetas[-1]), 128) is last  # the last one is the one kept
         assert held <= _held_bytes(last) + 32 * 1024
         # a later one-step law at the same (theta, x_cap) is composed as before
         direct = reference.direct_rows(law, thetas[-1], 128)
@@ -1446,7 +1444,24 @@ class TestEnvelopeMemory:
             row, want = one_step_dist(x, IGWParams(law, thetas[-1]), caps), next(direct)
             assert row.atoms.tobytes() == want.atoms.tobytes(), x
             assert row.overflow.hex() == want.overflow.hex(), x
-        _envelope.cache_clear()
+        _slot.clear()
+
+    def test_previous_envelope_goes_before_the_next_is_built(self, monkeypatch):
+        # the slot is empty while an envelope is built: the theta = 0.8
+        # envelope is not held while the theta = 0.92 one is built
+        law, slots = parse_law_spec("binary:0.6"), []
+        build = exact_dist._Envelope
+
+        def recorded(params, x_cap):
+            slots.append(dict(_slot))
+            return build(params, x_cap)
+
+        monkeypatch.setattr(exact_dist, "_Envelope", recorded)
+        _slot.clear()
+        for theta in (0.8, 0.8, 0.92, 0.92, 0.8):
+            death_prob_interval(1, IGWParams(law, theta), Caps(x_cap=64))
+        assert slots == [{}, {}, {}]  # three builds, each into an empty slot
+        _slot.clear()
 
 
 class TestIntervalProb:

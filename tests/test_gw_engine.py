@@ -20,7 +20,7 @@ from igw import (
     stream_for,
 )
 
-from igw.gw_engine import _iterates, _trapezoid_grid
+from igw.gw_engine import _iterates, _trapezoid_grid, _upper_step
 from igw.igw_process import _chunk_step, _chunk_totals, _remainder_log, _remainder_moments
 
 import reference
@@ -333,6 +333,24 @@ class TestThin:
         assert thinned[0] == pytest.approx(full[0] + math.log(0.25), rel=1e-12)
 
 
+#: p_1 so near 1 that the upper step lifts 2**-53: the walk takes no prefix
+NEAR_ONE = "pmf:1=0.9999999999999996,2=0.0000000000000004"
+
+#: laws for the harmonic walk: with a prefix that covers most of the grid
+#: from about draw 45 (binary:0.6) or half of it by draw 5
+#: (pmf:2=0.5,3=0.5), with none beyond s = 0 (binary:0.05), and with none
+#: taken at all (NEAR_ONE)
+WALK_LAWS = (
+    "binary:0.6",
+    "binary:0.5",
+    "binary:0.2",
+    "binary:0.05",
+    "pmf:2=0.5,3=0.5",
+    "pmf:1=0.3,2=0.3,5=0.4",
+    NEAR_ONE,
+)
+
+
 class TestHarmonicMoment:
     def test_unit_law(self):
         law = OffspringLaw.explicit({1: 1.0})
@@ -400,19 +418,38 @@ class TestHarmonicMoment:
         for ours, seed in zip(_trapezoid_grid(), reference.trapezoid_grid()):
             assert ours.dtype == seed.dtype and ours.tobytes() == seed.tobytes()
 
-    @pytest.mark.parametrize(
-        "spec", ["binary:0.6", "binary:0.5", "binary:0.2", "pmf:2=0.5,3=0.5", "pmf:1=0.3,2=0.3,5=0.4"]
-    )
+    @pytest.mark.parametrize("spec", WALK_LAWS)
     def test_walk_matches_fresh_arrays(self, spec):
-        # buffers made once per walk run the same ufuncs in the same order
+        # buffers made once per walk, and a lower iterate left off the
+        # prefix where t <= 2**-53, give the bytes of fresh arrays on the
+        # whole grid
         law = parse_law_spec(spec)
-        ours = np.fromiter(islice(harmonic_moments(law), 120), float)
-        seed = np.fromiter(islice(reference.harmonic_walk(law), 120), float)
+        ours = np.fromiter(islice(harmonic_moments(law), 300), float)
+        seed = np.fromiter(islice(reference.harmonic_walk(law), 300), float)
         assert ours.tobytes() == seed.tobytes()
+
+    @pytest.mark.parametrize("spec", WALK_LAWS)
+    def test_prefix_check(self, spec):
+        # phi(2**-53) <= 2**-53 closes the prefix, except where p_1 is so
+        # near 1 that the upward rounding lifts 2**-53
+        law = parse_law_spec(spec)
+        probe = np.full(1, 2.0**-53)
+        _upper_step(law.probs, 1.0 + 4 * law.max_k * 2.0**-53, probe, np.empty(1))
+        assert (probe[0] > 2.0**-53) == (spec == NEAR_ONE)
+
+    def test_prefix_coverage(self):
+        # the share of the grid whose bound is at most 2**-53, which is the
+        # prefix: half the grid by draw 5 on pmf:2=0.5,3=0.5, only s = 0
+        # in 300 draws of binary:0.05
+        s, _ = _trapezoid_grid()
+        fifth = next(islice(_iterates(parse_law_spec("pmf:2=0.5,3=0.5"), s), 4, None))
+        assert 0.45 < (fifth <= 2.0**-53).mean() < 0.5
+        for f in islice(_iterates(parse_law_spec("binary:0.05"), s), 300):
+            assert np.flatnonzero(f <= 2.0**-53).tolist() == [0]
 
     def test_walk_allocates_nothing_per_draw(self):
         # the 85 draws of a binary:0.6 walk, as many as its explosion
-        # certificate takes, hold the seven grid-sized buffers made at the
+        # certificate takes, hold the five grid-sized buffers made at the
         # first draw and nothing more: a fresh array per draw raised the
         # peak by one grid
         grid_bytes = _trapezoid_grid()[0].nbytes
@@ -427,7 +464,7 @@ class TestHarmonicMoment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 7.5 * grid_bytes
+        assert peak < 5.5 * grid_bytes
         assert peak - after_first < 64 * 1024
 
     def test_binary_one_generation(self, binary_half):
