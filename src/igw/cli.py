@@ -393,9 +393,10 @@ def _verify_absorption(args, out) -> int:
     return _verdict_exit(r.status for r in report.rows)
 
 
-def _parse_grid(text: str, kind: type, flag: str) -> list:
+def _parse_grid(text: str, kind: type, flag: str) -> Sequence:
     """Grid syntax: 'a:b' or 'a:b:step' for integer ranges, or a comma list
-    of ``kind`` values; a grid with no points is refused, naming ``flag``."""
+    of ``kind`` values; a grid with no points is refused, naming ``flag``.
+    A range stays a ``range``, so it is sized before any point is built."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -408,7 +409,7 @@ def _parse_grid(text: str, kind: type, flag: str) -> list:
             raise _UsageError(f"grid range {text!r} has non-integer parts") from None
         if step < 1:
             raise _UsageError("grid step must be >= 1")
-        values = [kind(v) for v in range(start, stop + 1, step)]
+        values = range(start, stop + 1, step)
     else:
         try:
             values = [kind(token) for token in text.split(",")] if text else []
@@ -428,7 +429,7 @@ def _grid(args) -> list[tuple[int, float, int]]:
         xs, args.x = _parse_grid(args.x_grid, int, "--x-grid"), None  # the metadata echoes the grid alone
     if len(xs) * len(thetas) > 10**6:
         raise _UsageError("grid larger than 1e6 points; refuse to run")
-    return [(i, theta, x) for i, (theta, x) in enumerate(itertools.product(thetas, xs))]
+    return [(i, float(theta), x) for i, (theta, x) in enumerate(itertools.product(thetas, xs))]
 
 
 @_command(

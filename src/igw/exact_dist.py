@@ -43,15 +43,15 @@ One successor loop composes every row from the one before
 nothing but the bytes of the row before, so once :func:`_compose` returns
 a row bit for bit, every later row is that row.  For pmf:0=0.2,2=0.8 at
 theta = 1 and cap 4096 that is row 863 (measured, not a proven bound);
-with p_0 = 0 the rows empty out.  Rows that are read again live in one
-table per (law, theta, cap), the eight most recently used kept, which one
-reader grows on demand (:func:`_row`): the law of S_x is the theta = 1 row
-at cap ``s_cap``, a one-step law the (theta, ``x_cap``) row, and the
-explosion certificate reads the rows cut just above its exact region.
-Each row is one :class:`TruncatedDist`, stored once.  The cache thus holds
-at most 8 tables of min(x, fixed point) + 1 rows of cap + 1 floats.  The
-envelope kernels read each row once, so they take the rows as a stream
-from the same loop and no table is made for them.
+with p_0 = 0 the rows empty out.  Rows that are read again live in the
+table of the last (law, theta, cap) asked for, which one reader grows on
+demand (:func:`_row`): the law of S_x is the theta = 1 row at cap
+``s_cap``, a one-step law the (theta, ``x_cap``) row, and the explosion
+certificate reads the rows cut just above its exact region.  Each row is
+one :class:`TruncatedDist`, stored once, so the table holds
+min(x, fixed point) + 1 rows of cap + 1 floats.  The envelope kernels read
+each row once, so they take the rows as a stream from the same loop and no
+table is made for them.
 
 Every death probability is closed into a rigorous two-sided interval:
 
@@ -244,15 +244,6 @@ class IntervalProb:
 # -- the composition table: the laws of S_x and of X_1 ---------------------------
 
 
-@lru_cache(maxsize=8)
-def _empty(cap: int) -> TruncatedDist:
-    """The law with no mass on 0..cap: one per cap, shared by every empty
-    law of every offspring law, with one read-only zero vector as atoms."""
-    atoms = np.zeros(cap + 1)
-    atoms.flags.writeable = False
-    return TruncatedDist(atoms, 1.0, cap + 1, atoms[cap + 1 :])
-
-
 def _mul_low(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Coefficients 0..n-1 of a*b, as many as ``np.convolve(a[:n], b[:n])[:n]``
     returns, at about half its cost once the product is truncated.
@@ -394,12 +385,12 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
     coefficient, so elsewhere it could rarely pass.
 
     The sum is taken in a zeroed cap + 1 buffer, which is marked read-only
-    and kept as the law's ``atoms``, with its support found once here.  A
-    law with no mass below the cap is the shared :func:`_empty` one and
-    pins no buffer.  A row whose successor is itself, the empty law (the
-    k = 0 term puts p_0 at 0, so only p_0 = 0 reaches one) or a row whose
-    composed bytes equal ``prev.atoms``, is returned as ``prev``: the step
-    reads only those bytes, so every later row is that float fixed point."""
+    and kept as the law's ``atoms``, with its support found once here; a
+    law with no mass below the cap keeps the zeros.  A row whose successor
+    is itself, the empty law (the k = 0 term puts p_0 at 0, so only
+    p_0 = 0 reaches one) or a row whose composed bytes equal
+    ``prev.atoms``, is returned as ``prev``: the step reads only those
+    bytes, so every later row is that float fixed point."""
     if not len(prev.coef):
         return prev
     cap = prev.cap
@@ -446,8 +437,8 @@ def _compose(law: OffspringLaw, prev: TruncatedDist, theta: float = 1.0) -> Trun
         return prev
     support = out != 0.0
     offset = int(support.argmax())
-    if not support[offset]:
-        return _empty(cap)
+    if not support[offset]:  # the empty law: no coefficient, all mass beyond the cap
+        offset = cap + 1
     out.flags.writeable = False
     coef = out[offset : cap + 1 - int(support[::-1].argmax())]
     return TruncatedDist(out, max(0.0, 1.0 - float(coef.sum())), offset, coef)
@@ -472,11 +463,11 @@ def _successors(law: OffspringLaw, theta: float, row: TruncatedDist) -> Iterator
             return
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _table(law: OffspringLaw, theta: float, cap: int) -> list[TruncatedDist]:
     """The rows H_0, H_1, ... of (law, theta, cap) composed so far, for the
-    eight most recently used, seeded with :func:`_origin`.  The repeat that
-    ends :func:`_successors` ends the table."""
+    last one asked for, seeded with :func:`_origin`.  The repeat that ends
+    :func:`_successors` ends the table."""
     return [_origin(cap)]
 
 
@@ -500,6 +491,8 @@ def total_progeny_dist(
     ``one_step_dist(x, IGWParams(law, 1.0), Caps(x_cap=s_cap))``."""
     if x < 0:
         raise ValueError("x must be nonnegative")
+    if s_cap < 1:
+        raise ValueError("s_cap must be >= 1")
     return _row(law, 1.0, s_cap, x)
 
 

@@ -740,11 +740,13 @@ def mc_death_prob(
 ) -> McDeathResult:
     """Fraction of trajectories absorbed at 0, with a Wilson interval.
 
-    Horizon-undecided trajectories are reported separately.  Replica r runs
-    in chunk r // RNG_CHUNK, which draws from the stream derived from
-    (master_seed, "mc-death:x", chunk), so the result is identical at any
-    worker count.  A confidence outside (0, 1) is rejected before any
-    replica runs.
+    Horizon-undecided trajectories are reported separately.  With p_0 > 0
+    any state dies next step with probability p_0 or more, so the chain dies
+    almost surely: a threshold stop is undecided, and none is exploded.
+    Replica r runs in chunk r // RNG_CHUNK, which draws from the stream
+    derived from (master_seed, "mc-death:x", chunk), so the result is
+    identical at any worker count.  A confidence outside (0, 1) is
+    rejected before any replica runs.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
@@ -753,6 +755,8 @@ def mc_death_prob(
         replicas, workers=workers,
     )
     died, exploded, undecided = (int(c) for c in np.sum(parts, axis=0))
+    if params.law.p0 > 0.0:
+        exploded, undecided = 0, undecided + exploded
     ci_lo, ci_hi = wilson_interval(died, replicas, confidence)
     est = McEstimate(replicas, died, died / replicas, ci_lo, ci_hi, confidence, master_seed)
     return McDeathResult(est, exploded / replicas, undecided / replicas)

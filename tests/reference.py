@@ -69,7 +69,6 @@ from igw.exact_dist import (
     _SHIFT,
     _SHIFT_STATES,
     TruncatedDist,
-    _empty,
     _mul_low,
     _row,
     _sqr_low,
@@ -399,9 +398,9 @@ def _compose_terms(law: OffspringLaw, prev: TruncatedDist, theta: float, cut: bo
     if out.tobytes() == prev.atoms.tobytes():
         return prev
     nz = np.flatnonzero(out)
-    if nz.size == 0:
-        return _empty(cap)
     out.flags.writeable = False
+    if nz.size == 0:
+        return TruncatedDist(out, 1.0, cap + 1, out[cap + 1 :])
     offset = int(nz[0])
     coef = out[offset : nz[-1] + 1]
     return TruncatedDist(out, max(0.0, 1.0 - float(coef.sum())), offset, coef)

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -582,6 +583,15 @@ class TestSweep:
         assert code == 1
         assert "grid" in err
 
+    @pytest.mark.parametrize(
+        "grid", [["--theta", "0.9", "--x-grid", "1:10000000000"], ["--theta-grid", "1:2000", "--x-grid", "1:1000"]]
+    )
+    def test_oversize_grid_refused_before_it_is_built(self, capsys, grid):
+        # a range is sized without building its points
+        start = time.perf_counter()
+        code, out, err = run_cli(["sweep", "death-interval", "--law", "binary:0.6", *grid], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out and "grid larger than 1e6 points" in err
 
     def test_non_integer_x_grid_refused(self, capsys):
         code, _, err = run_cli(

@@ -434,6 +434,24 @@ class TestOracle:
         alone = simulate_chunks(x0, params, horizon, threshold, [gen], [7], record=True)[0]
         assert_same_paths(alone, want[1])
 
+    def test_threshold_stops_are_undecided_when_p0_is_positive(self):
+        # p_0 > 0: the chain dies almost surely, so a path that reached the
+        # threshold is counted undecided, and nothing is reported exploded;
+        # the paths themselves are the oracle's
+        params = IGWParams(parse_law_spec("pmf:0=0.1,1=0.4,2=0.5"), 0.9)
+        threshold = ExtendedCount.exact(10**9)
+        counts = sum(
+            np.bincount(reference.simulate_chunk(
+                4, params, 200, threshold, stream_for(5, c, "mc-death:4"), size
+            ).termination, minlength=3)
+            for c, size in enumerate((RNG_CHUNK, 976))
+        )
+        assert counts[EXPLODED] > 0.4 * 2000  # the threshold stops most paths
+        result = mc_death_prob(4, params, 2000, 200, threshold, 5)
+        assert result.estimate.successes == counts[DIED]
+        assert result.exploded_fraction == 0.0
+        assert result.undecided_fraction == (counts[EXPLODED] + counts[UNDECIDED]) / 2000
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mc_drivers_match_the_oracle(self, workers):
         tiers = IGWParams(OffspringLaw.binary(0.5), 0.9)
