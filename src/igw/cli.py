@@ -18,6 +18,7 @@ import io
 import itertools
 import math
 import sys
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
@@ -39,7 +40,8 @@ from .exact_dist import (
     total_progeny_dist,
 )
 from .igw_process import (
-    RNG_CHUNK, TERMINATIONS, ChunkPaths, classify_regimes, map_chunks, mc_death_prob, mc_ratio_convergence,
+    CENSORED_TERMINATIONS, RNG_CHUNK, TERMINATIONS, ChunkPaths, TerminationKind, classify_regimes, map_chunks,
+    mc_death_prob, mc_ratio_convergence,
 )
 from .reproduction_laws import (
     IGWParams,
@@ -213,12 +215,15 @@ def _classify(args, out) -> int:
     return 0
 
 
-def _trajectory_rows(index: int, paths: ChunkPaths) -> list[list]:
-    """CSV rows of one chunk's recorded paths, replica by replica."""
+def _trajectory_rows(
+    terminations: Sequence[TerminationKind], index: int, paths: ChunkPaths
+) -> list[list]:
+    """CSV rows of one chunk's recorded paths, replica by replica, each
+    verdict code labelled by ``terminations``."""
     exact, logs, ratio = paths.exact.tolist(), paths.log.tolist(), paths.ratio.tolist()
     rows = []
     for j, (kind, last) in enumerate(zip(paths.termination.tolist(), paths.steps.tolist())):
-        term = TERMINATIONS[kind].value
+        term = terminations[kind].value
         replica = index * RNG_CHUNK + j
         for n in range(last + 1):
             value = exact[n][j]
@@ -234,9 +239,12 @@ def _trajectory_rows(index: int, paths: ChunkPaths) -> list[list]:
     "law", "theta", "x0!", "horizon", "threshold", "replicas=1", "seed", "workers",
 )
 def _simulate(args, out) -> int:
+    params = _params(args)
+    terminations = CENSORED_TERMINATIONS if params.law.p0 > 0.0 else TERMINATIONS
     chunks = map_chunks(
-        _trajectory_rows, args.x0, _params(args), args.horizon, _parse_threshold(args.threshold),
-        args.seed, "simulate", args.replicas, workers=args.workers, record=True,
+        partial(_trajectory_rows, terminations), args.x0, params, args.horizon,
+        _parse_threshold(args.threshold), args.seed, "simulate", args.replicas, workers=args.workers,
+        record=True,
     )
     rows = [row for chunk in chunks for row in chunk]
     _emit(out, _meta(args, **_RNG_META),

@@ -155,6 +155,7 @@ class TerminationKind(str, Enum):
     DIED = "Died"
     EXPLODED = "Exploded"
     HORIZON = "HorizonReached"
+    CENSORED = "Censored"
 
 
 class MeanRegime(str, Enum):
@@ -216,6 +217,10 @@ RNG_CHUNK = 1024
 #: verdict codes of the batched engine, indexing ``TERMINATIONS``.
 DIED, EXPLODED, UNDECIDED = 0, 1, 2
 TERMINATIONS = (TerminationKind.DIED, TerminationKind.EXPLODED, TerminationKind.HORIZON)
+#: the same codes for a law with p_0 > 0, which dies almost surely: a path
+#: stopped at the threshold is censored, undecided as ``mc_death_prob``
+#: counts it, not exploded
+CENSORED_TERMINATIONS = (TerminationKind.DIED, TerminationKind.CENSORED, TerminationKind.HORIZON)
 
 _INT64_MAX = 2**63 - 1
 

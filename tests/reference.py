@@ -46,7 +46,10 @@
 * The harmonic walk as it stood before its buffers were made once per
   walk: the trapezoid grid deduplicated by ``np.unique``
   (``trapezoid_grid``), and the iterates and trapezoid sums on fresh
-  arrays every draw (``harmonic_walk``).  The package must give the same
+  arrays every draw, every point stepped in full (``harmonic_walk``).  It
+  takes the switch to the coarse grid by ``np.isin`` on the coarse points
+  (``coarse_mask``), or with ``switch=False`` never, which gives the
+  bytes the walk had before it switched.  The package must give the same
   bytes: it shares only the law.
 * The one-step mean map chi(x) = E_x(X_1) in closed form.
 """
@@ -54,6 +57,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator
 
@@ -453,21 +457,30 @@ def trapezoid_grid() -> tuple[np.ndarray, np.ndarray]:
     return s, np.diff(s)
 
 
-def harmonic_walk(law: OffspringLaw) -> Iterator[float]:
+def coarse_mask(s: np.ndarray) -> np.ndarray:
+    """The coarse points of the grid ``s``: those at or above
+    s* = 1 - 2**-10, and below s* the multiples of 2**-10 and the points
+    1 - 2**(-j/64), which below s* are the points that are not multiples
+    of 2**-16."""
+    return (s >= 1.0 - 2.0**-10) | (s * 2.0**10 % 1.0 == 0.0) | (s * 2.0**16 % 1.0 != 0.0)
+
+
+def harmonic_walk(law: OffspringLaw, switch: bool = True) -> Iterator[float]:
     """h(y) for y = 1, 2, ..., with fresh arrays for every yielded bound and
-    every trapezoid sum."""
+    every trapezoid sum.  With ``switch``, after the first y with
+    2**-11 * g_y(s*) <= 2**-36 * (E(Z_y) - 1), both sides rounded against
+    it, only the coarse points are kept."""
     s, width = trapezoid_grid()
+    star = s.tolist().index(1.0 - 2.0**-10)
     probs = law.probs
     k_max = len(probs) - 1
     tails = np.cumsum(probs[::-1])[::-1][1:]
     up = 1.0 + 4 * k_max * _U
     down = 1.0 - 4 * k_max * k_max * _U
-    inflate = 1.0 + (len(s) + 4) * _U
+    mean, mean_y = law.m * (1.0 - 4 * _U), 1.0
     t, u, v = s.copy(), 1.0 - s, s.copy()
-    acc = np.empty_like(s)
-    g = np.empty_like(s)
     for y in count(1):
-        acc.fill(probs[-1])
+        acc = np.full_like(s, probs[-1])
         for p in reversed(probs[:-1]):
             acc *= t
             if p:
@@ -475,7 +488,7 @@ def harmonic_walk(law: OffspringLaw) -> Iterator[float]:
         acc *= up
         acc += _TINY
         np.minimum(acc, 1.0, out=t)
-        acc.fill(tails[-1])
+        acc = np.full_like(s, tails[-1])
         for tail in tails[-2::-1]:
             acc *= v
             acc += tail
@@ -485,9 +498,18 @@ def harmonic_walk(law: OffspringLaw) -> Iterator[float]:
         np.subtract(1.0, u, out=v)
         bound = v + _U
         np.minimum(t, bound, out=bound)
+        g = np.empty_like(s)
         g[0] = law.p1**y * (1.0 + 4 * y * _U) + _TINY
         np.divide(bound[1:], s[1:], out=g[1:])
-        yield 0.5 * float(np.sum(width * (g[:-1] + g[1:]))) * inflate
+        yield 0.5 * float(np.sum(width * (g[:-1] + g[1:]))) * (1.0 + (len(s) + 4) * _U)
+        if switch:
+            mean_y = math.nextafter(mean_y * mean, -math.inf)
+            g_star = Fraction(math.nextafter(float(g[star]), math.inf))
+            if g_star / 2**11 <= Fraction(math.nextafter(mean_y - 1.0, -math.inf)) / 2**36:
+                keep = coarse_mask(s)
+                s, t, u, v = s[keep], t[keep], u[keep], v[keep]
+                width = np.diff(s)
+                switch = False
 
 
 # -- the scalar simulator ----------------------------------------------------------

@@ -416,6 +416,47 @@ class TestExplosionCertificate:
         cert = explosion_lower_bound(2000, IGWParams(OffspringLaw.binary(0.6), 0.92))
         assert cert.valid and cert.harmonic_y < 2000
 
+    def test_coarse_grid_leaves_the_certificates(self, monkeypatch):
+        # the walk's switch to its coarse grid moves h(y0) by a few parts in
+        # 1e7 at most, and no certificate by a byte: against a walk that
+        # never switches, on laws with and without a one-child atom, from
+        # y0 = 17 (pmf:10=1) to 882 (binary:0.05), and on either side of y0
+        probes = [
+            ("binary:0.6", 0.92, (1, 2, 3, 8, 100)), ("binary:0.6", 0.8, (2, 8)),
+            ("binary:0.5", 0.9, (2, 8)), ("binary:0.5", 0.67, (16,)),
+            ("binary:1", 0.8, (1, 2)), ("binary:1", 0.9, (10,)),
+            ("binary:0.9", 0.95, (2, 10)), ("binary:0.2", 0.99, (2, 30)), ("binary:0.05", 0.99, (2,)),
+            ("pmf:2=1", 0.9, (2, 3)), ("pmf:3=1", 0.9, (1, 2)), ("pmf:10=1", 0.9, (1, 2)),
+            ("pmf:2=0.5,10=0.5", 0.9, (1, 2)), ("pmf:1=0.1,9=0.9", 0.7, (1, 2)),
+            ("pmf:1=0.5,3=0.25,4=0.25", 0.9, (2, 4)), ("pmf:1=0.95,20=0.05", 0.9, (5,)),
+            ("pmf:2=0.5,3=0.5", 0.45, (1, 4)), ("pmf:2=0.5,3=0.5", 0.7, (1, 2)),
+            ("pmf:1=0.3,2=0.3,5=0.4", 0.6, (2, 5)), ("pmf:1=0.9,3=0.1", 0.9, (2, 20)),
+        ]
+
+        def certificates():
+            _switch_point.cache_clear()
+            return [
+                explosion_lower_bound(x, IGWParams(parse_law_spec(spec), theta))
+                for spec, theta, xs in probes for x in xs
+            ]
+
+        def fine_walk(law):
+            return reference.harmonic_walk(law, switch=False)
+
+        switched = certificates()
+        monkeypatch.setattr(analysis, "harmonic_moments", fine_walk)
+        fine = certificates()
+        monkeypatch.undo()
+        _switch_point.cache_clear()
+        assert len(switched) == 39
+        for ours, seed in zip(switched, fine):
+            assert (ours.bound, ours.valid, ours.harmonic_y, len(ours.steps)) == (
+                seed.bound, seed.valid, seed.harmonic_y, len(seed.steps)
+            )
+            assert ours.harmonic_bound == pytest.approx(seed.harmonic_bound, rel=1e-6, abs=0.0)
+        assert (switched[1].bound, switched[3].bound) == (0.3954270314624218, 0.9961406267260651)  # certify
+        assert switched[12].bound == 0.9999999999918001  # README's binary:1 at theta 0.9, x 10
+
 
 class TestMcDeath:
     def test_certain_death(self):

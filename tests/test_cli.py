@@ -489,6 +489,22 @@ class TestDeterminism:
         assert lines[1].endswith("Exploded")
         assert meta_dict(out)["rng-chunk"] == "1024"
 
+    def test_simulate_censors_threshold_stops_when_p0_positive(self, capsys):
+        # with p_0 > 0 death is certain (classify: AlmostSureDeath), so a
+        # path stopped at the threshold is censored, as mc death counts it,
+        # not exploded: 43 rows of the 10 paths; the paths themselves stay
+        law_args = ["--law", "pmf:0=0.1,1=0.4,2=0.5", "--theta", "0.9"]
+        _, out, _ = run_cli(["classify", *law_args], capsys)
+        assert data_lines(out)[1].endswith("AlmostSureDeath")
+        code, out, _ = run_cli(
+            ["simulate", *law_args, "--x0", "4", "--horizon", "200", "--replicas", "10", "--seed", "5"],
+            capsys,
+        )
+        assert code == 0
+        terms = [line.rsplit(",", 1)[1] for line in data_lines(out)[1:]]
+        assert terms.count("Censored") == 43 and "Exploded" not in terms
+        assert set(terms) <= {"Censored", "Died", "HorizonReached"}
+
 
 class TestMetadata:
     def test_law_round_trips_from_metadata(self, capsys):

@@ -20,7 +20,7 @@ from igw import (
     stream_for,
 )
 
-from igw.gw_engine import _iterates, _trapezoid_grid, _upper_step
+from igw.gw_engine import _coarse_grid, _iterates, _trapezoid_grid, _upper_step
 from igw.igw_process import _chunk_step, _chunk_totals, _remainder_log, _remainder_moments
 
 import reference
@@ -350,6 +350,21 @@ WALK_LAWS = (
     NEAR_ONE,
 )
 
+#: the draw after which a walk leaves its fine grid for the coarse one,
+#: for the walk laws and two point masses (pmf:2=1 is binary:1); NEAR_ONE,
+#: with m - 1 near 1e-16, never switches
+SWITCH_DRAWS = {
+    "binary:0.6": 23,
+    "binary:0.5": 27,
+    "binary:0.2": 64,
+    "binary:0.05": 246,
+    "pmf:2=0.5,3=0.5": 11,
+    "pmf:1=0.3,2=0.3,5=0.4": 12,
+    NEAR_ONE: None,
+    "pmf:2=1": 14,
+    "pmf:10=1": 4,
+}
+
 
 class TestHarmonicMoment:
     def test_unit_law(self):
@@ -359,19 +374,35 @@ class TestHarmonicMoment:
             assert 1.0 <= h <= 1.0 + 1e-10
 
     @pytest.mark.parametrize(
-        "spec, y_max", [("binary:0.5", 4), ("pmf:1=0.3,2=0.3,5=0.4", 3), ("pmf:1=0.5,3=0.5", 4)]
+        "spec, ys",
+        [
+            pytest.param("binary:0.5", range(1, 5), id="binary:0.5-4"),
+            pytest.param("pmf:1=0.3,2=0.3,5=0.4", range(1, 4), id="pmf:1=0.3,2=0.3,5=0.4-3"),
+            pytest.param("pmf:1=0.5,3=0.5", range(1, 5), id="pmf:1=0.5,3=0.5-4"),
+            # point masses past their switch, where E(1/Z_y) = k**-y
+            pytest.param("pmf:2=1", range(15, 41), id="pmf:2=1-15..40"),
+            pytest.param("pmf:10=1", range(5, 13), id="pmf:10=1-5..12"),
+        ],
     )
-    def test_bound_brackets_exact_value(self, spec, y_max):
+    def test_bound_brackets_exact_value(self, spec, ys):
         # exact <= bound: the trapezoid rule over a convex integrand, rounded
         # outward.  bound - exact: at most (2**-16)**2 / 8 * (E(Z_y) - 1), the
-        # chord's excess over cells of width <= 2**-16, or 1e-10 if larger.
+        # chord's excess over cells of width <= 2**-16, or 1e-10 if larger;
+        # past the switch to the coarse grid 2**-36 * (E(Z_y) - 1) more
         law = parse_law_spec(spec)
-        m = law.m
-        for y in range(1, y_max + 1):
-            joint = enumerate_joint(law_fractions(law), y)
-            exact = sum(p / Fraction(z) for (z, _s), p in joint.items())
-            bound = Fraction(reference.harmonic_moment(law, y))
+        m, k = law.m, law.point_mass
+        switch = SWITCH_DRAWS.get(spec)
+        bounds = list(islice(harmonic_moments(law), max(ys)))
+        for y in ys:
+            if k is None:
+                joint = enumerate_joint(law_fractions(law), y)
+                exact = sum(p / Fraction(z) for (z, _s), p in joint.items())
+            else:
+                exact = Fraction(1, k**y)
+            bound = Fraction(bounds[y - 1])
             slack = max(1e-10, 2.0**-35 * (m**y - 1.0))
+            if switch is not None and y > switch:
+                slack = 2.0**-35 * (m**y - 1.0) + 2.0**-36 * (m**y - 1.0)
             assert exact <= bound <= exact + Fraction(slack), (spec, y, float(bound - exact))
 
     def test_five_child_law_stays_finite(self):
@@ -418,15 +449,53 @@ class TestHarmonicMoment:
         for ours, seed in zip(_trapezoid_grid(), reference.trapezoid_grid()):
             assert ours.dtype == seed.dtype and ours.tobytes() == seed.tobytes()
 
+    def test_coarse_grid_is_exact(self):
+        # the fine points from s* = 1 - 2**-10 on, and below s* the
+        # geometric points and the multiples of 2**-10, as np.isin finds
+        # them; cells below s* at most 2**-10 wide, and every width and
+        # every 1 - s exact
+        s, _ = _trapezoid_grid()
+        keep, coarse, width = _coarse_grid()
+        assert len(coarse) == 4_074 and coarse.tobytes() == s[keep].tobytes()
+        assert keep.tolist() == np.flatnonzero(reference.coarse_mask(s)).tolist()
+        assert width.max() == 2.0**-10 and width.min() > 0.0
+        star = int(np.searchsorted(s, 1.0 - 2.0**-10))
+        assert s[star:].tobytes() == coarse[len(coarse) - (len(s) - star):].tobytes()
+        for a, b, w in zip(coarse[:-1].tolist(), coarse[1:].tolist(), width.tolist()):
+            assert Fraction(b) - Fraction(a) == Fraction(w)
+            assert Fraction(1) - Fraction(b) == Fraction(1.0 - b)
+
     @pytest.mark.parametrize("spec", WALK_LAWS)
     def test_walk_matches_fresh_arrays(self, spec):
-        # buffers made once per walk, and a lower iterate left off the
-        # prefix where t <= 2**-53, give the bytes of fresh arrays on the
-        # whole grid
+        # buffers made once per walk, a lower iterate left off the prefix
+        # where t <= 2**-53 and an upper one off the prefix where
+        # t = 2**-1022, give the bytes of fresh arrays with every point
+        # stepped in full, on the fine grid and after the switch on the
+        # coarse one
         law = parse_law_spec(spec)
         ours = np.fromiter(islice(harmonic_moments(law), 300), float)
         seed = np.fromiter(islice(reference.harmonic_walk(law), 300), float)
         assert ours.tobytes() == seed.tobytes()
+
+    @pytest.mark.parametrize("spec", SWITCH_DRAWS)
+    def test_switch_keeps_the_bytes_before_it(self, spec):
+        # every value up to the switch draw is the fine grid's, byte for
+        # byte; the first on the coarse grid moves, if only by the smaller
+        # rounding allowance of a shorter sum
+        law = parse_law_spec(spec)
+        ours = np.fromiter(islice(harmonic_moments(law), 300), float)
+        fine = np.fromiter(islice(reference.harmonic_walk(law, switch=False), 300), float)
+        moved = np.flatnonzero(ours != fine).tolist()
+        assert (moved[0] if moved else None) == SWITCH_DRAWS[spec]
+
+    @pytest.mark.parametrize("spec", WALK_LAWS)
+    def test_fixed_prefix_check(self, spec):
+        # phi(2**-1022) = 2**-1022 exactly where p_1 = 0: otherwise the
+        # one-child term lifts it
+        law = parse_law_spec(spec)
+        probe = np.full(1, np.finfo(float).tiny)
+        _upper_step(law.probs, 1.0 + 4 * law.max_k * 2.0**-53, probe, np.empty(1))
+        assert (probe[0] == np.finfo(float).tiny) == (law.p1 == 0.0)
 
     @pytest.mark.parametrize("spec", WALK_LAWS)
     def test_prefix_check(self, spec):
@@ -447,11 +516,23 @@ class TestHarmonicMoment:
         for f in islice(_iterates(parse_law_spec("binary:0.05"), s), 300):
             assert np.flatnonzero(f <= 2.0**-53).tolist() == [0]
 
+    def test_fixed_prefix_coverage(self):
+        # the share of the grid at 2**-1022, the prefix the upper step
+        # leaves off, on pmf:2=0.5,3=0.5: 65 % by draw 10, 99.7 % by draw 43
+        s, _ = _trapezoid_grid()
+        walk = _iterates(parse_law_spec("pmf:2=0.5,3=0.5"), s)
+        for y, f in enumerate(islice(walk, 43), start=1):
+            if y in (10, 43):
+                share = (f == np.finfo(float).tiny).mean()
+                assert share > (0.6 if y == 10 else 0.99), (y, share)
+
     def test_walk_allocates_nothing_per_draw(self):
         # the 85 draws of a binary:0.6 walk, as many as its explosion
-        # certificate takes, hold the five grid-sized buffers made at the
-        # first draw and nothing more: a fresh array per draw raised the
-        # peak by one grid
+        # certificate takes: up to the switch after draw 23 they hold the
+        # five grid-sized buffers made at the first draw and nothing more
+        # (a fresh array per draw raised the peak by one grid); at the
+        # switch coarse buffers replace them, with no fine one kept beside
+        # them, and the 61 draws after it allocate nothing either
         grid_bytes = _trapezoid_grid()[0].nbytes
         walk = harmonic_moments(parse_law_spec("binary:0.6"))
         tracemalloc.start()
@@ -459,13 +540,23 @@ class TestHarmonicMoment:
             next(walk)
             after_first, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            for _ in islice(walk, 84):
+            for _ in islice(walk, 22):
                 pass
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            next(walk)  # draw 24, the first on the coarse grid
+            after_switch, switch_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _ in islice(walk, 61):
+                pass
+            _, coarse_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 5.5 * grid_bytes
         assert peak - after_first < 64 * 1024
+        assert switch_peak < 5.5 * grid_bytes
+        assert after_switch < grid_bytes
+        assert coarse_peak - after_switch < 16 * 1024
 
     def test_binary_one_generation(self, binary_half):
         assert reference.harmonic_moment(binary_half, 1) == pytest.approx(0.75, abs=1e-10)
