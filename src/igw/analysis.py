@@ -13,10 +13,11 @@ Certificates
       switch point y0 use exact one-step tail probabilities, read off the
       thinned composition H_y of :mod:`igw.exact_dist` (exact, so no
       truncation cap enters); from y0 on, a Markov bound on 1/Z_y, with
-      E(1/Z_y) bounded above by a certified trapezoid sum taken at y0 and
-      carried by a contraction, plus an exponential-moment bound on the
-      thinning.  y0 is read off the law: it is where that analytic bound
-      stops decreasing.  The infinite tail is closed in closed form once
+      E(1/Z_y) bounded above by a certified trapezoid sum h(y0) taken at
+      y0 and carried as h(y0) c^(y - y0), plus an exponential-moment bound
+      on the thinning.  y0 is read off the law: it is where that analytic
+      bound stops decreasing; y^2 p_1^y + Chernoff(y) >= 1 proves a stall
+      at y without it.  The infinite tail is closed in closed form once
       the terms provably decay geometrically, and all arithmetic after the
       trapezoid sum is rounded outward.
 
@@ -30,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
-from typing import Iterator
 
 from .exact_dist import Caps, IntervalProb, finite_horizon_death, one_step_dist
 from .gw_engine import harmonic_moments
@@ -168,22 +167,16 @@ def _contraction(p1: float) -> float:
     return _up(1.0 - _down(1.0 - p1) / 2.0)
 
 
-def _carried(h: float, contraction: float, skip: int = 0) -> Iterator[float]:
-    """h, h c, h c^2, ... from the ``skip``-th value on: each product
-    rounded upward, so the k-th value bounds E(1/Z_{y+k}) from above when h
-    bounds E(1/Z_y) and c bounds the one-step contraction.
-
-    The carry reaches a float fixed point: once ``_up(h * c)`` returns h,
-    every later value is h, as a step reads only h.  The skip stops there,
-    so a far start state costs the steps to that point, not ``skip``."""
-    for _ in range(skip):
-        step = _up(h * contraction)
-        if step == h:
-            break
-        h = step
-    while True:
-        yield h
-        h = _up(h * contraction)
+def _carry(h: float, contraction: float, k: int) -> float:
+    """h c^k rounded upward, a bound on E(1/Z_{y+k}) when h bounds E(1/Z_y)
+    and c < 1 bounds the one-step contraction: h itself at k = 0, else one
+    libm power and one product, each raised by :func:`_up`.  A k past 2^53
+    is rounded down to a float, which only raises c^k."""
+    if k == 0:
+        return h
+    e = float(k)
+    e = _down(e) if e > k else e
+    return _up(h * _up(contraction**e))
 
 
 @lru_cache(maxsize=8)
@@ -207,19 +200,12 @@ def _switch_point(law: OffspringLaw, theta: float) -> tuple[int, float]:
     return MAX_SWITCH, prev_h
 
 
-def _always_stalls(law: OffspringLaw, theta: float) -> bool:
-    """True when gamma(y) >= 1 is certain for every y <= ``MAX_SWITCH``, so
-    that the walk of :func:`_switch_point` cannot stop before it and
-    gamma(MAX_SWITCH) >= 1 leaves no certificate.  h(y) >= E(1/Z_y) >= p_1^y
-    (Z_y = 1 with probability p_1^y), and the stall bound rounds upward, so
-    gamma(y) >= y^2 p_1^y + Chernoff(y); the check sums that lower bound
-    rounded downward and stops at the first y where it falls below 1."""
-    power = 1.0
-    for y in range(1, MAX_SWITCH + 1):
-        power = max(0.0, _down(power * law.p1))
-        if _down(_down((y * y) * power) + _chernoff_thinning(y, theta)) < 1.0:
-            return False
-    return True
+def _certain_stall(law: OffspringLaw, theta: float, y: int) -> bool:
+    """True when gamma(y) >= 1 is certain for any bound h on E(1/Z_y): h
+    >= p_1^y (Z_y = 1 with probability p_1^y, and a carried h(y0) c^k too,
+    as c >= p_1), so gamma(y) >= y^2 p_1^y + Chernoff(y), a lower bound
+    summed here rounded downward."""
+    return _down(_down((y * y) * _down(law.p1**y)) + _chernoff_thinning(y, theta)) >= 1.0
 
 
 def _harmonic_tail(h: float, r: float, y: int) -> float:
@@ -252,16 +238,16 @@ def explosion_lower_bound(
     once, at y0, by the certified trapezoid bound of
     :func:`harmonic_moments`, and carried to every later state by the
     provable one-step contraction
-    E(1/Z_{y+1}) <= (1 - (1-p_1)/2) * E(1/Z_y).  Every step after that
-    bound is rounded outward: the contraction, the carry, the stall bounds
-    and the tail sums upward, the final product downward.  Returns bound 0
-    with ``valid=False`` if any stall probability reaches 1.  For
-    x <= ``MAX_SWITCH`` that is decided before any harmonic bound is walked
-    when :func:`_always_stalls` holds: the certificate then has no steps,
-    ``tail_sum`` inf, ``tail_sup`` 1, ``harmonic_y`` = ``MAX_SWITCH`` and
-    ``harmonic_bound`` 1, the trivial bound on E(1/Z_y).  Where the ratio
-    test provably fails at all ``MAX_TERMS`` analytic states (p_1 near 1),
-    that invalid certificate is returned before the carry and the exact region.
+    E(1/Z_{y+1}) <= (1 - (1-p_1)/2) * E(1/Z_y), in closed form
+    (:func:`_carry`).  Every step after that bound is rounded outward: the
+    contraction, the carry, the stall bounds and the tail sums upward, the
+    final product downward.  Returns bound 0 with ``valid=False`` if any
+    stall probability reaches 1.  Where :func:`_certain_stall` proves that
+    at once, or the contraction is not below 1, the certificate has no
+    steps, ``tail_sum`` inf and ``tail_sup`` 1, as when more than
+    ``MAX_TERMS`` analytic states would be needed; if every y <=
+    ``MAX_SWITCH`` stalls, no harmonic bound is walked (``harmonic_y`` =
+    ``MAX_SWITCH``, ``harmonic_bound`` 1, the trivial bound on E(1/Z_y)).
     """
     law = params.law
     theta = params.theta
@@ -274,18 +260,13 @@ def explosion_lower_bound(
     if x > MAX_START:
         raise ValueError("x must be at most 2**511 (MAX_START)")
 
-    if x <= MAX_SWITCH and _always_stalls(law, theta):
+    if x <= MAX_SWITCH and all(_certain_stall(law, theta, y) for y in range(1, MAX_SWITCH + 1)):
         return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, MAX_SWITCH, 1.0)
     r = _contraction(law.p1)
     harmonic_y, harmonic_bound = _switch_point(law, theta)
-    # The loop ends at MAX_TERMS unless ratio_a, _up(r (y + 1)^2) < y^2, holds
-    # at some y <= Y; its left side is at least r N (1 - 2^-53)^2, N = (y + 1)^2.
-    # If r (Y + 1)^2 >= Y^2 (1 + 2^-51) exactly, r N >= y^2 (1 + 2^-51) for all
-    # y <= Y (r (1 + 1/y)^2 falls in y), and (1 + 2^-51)(1 - 2^-53)^2 > 1; if
-    # r >= 1, it is at least _up(fl(y^2)) > y^2.  So that exit is returned now.
-    Y = max(x, harmonic_y) + MAX_TERMS - 1
-    a, b = r.as_integer_ratio()
-    if r >= 1.0 or a * (Y + 1) ** 2 * 2**51 >= (2**51 + 1) * b * Y * Y:
+    start = max(x, harmonic_y)
+    # r >= 1 fails ratio_a at every state, so the loop would end at MAX_TERMS
+    if r >= 1.0 or _certain_stall(law, theta, start):
         return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, harmonic_y, harmonic_bound)
     raw: list[tuple[int, float, str]] = []
 
@@ -298,17 +279,16 @@ def explosion_lower_bound(
 
     # analytic region from max(x, y0), extended until the terms are provably
     # in geometric decay
-    start = max(x, harmonic_y)
-    carried = _carried(harmonic_bound, r, start - harmonic_y)
-    for terms, (y, h_used) in enumerate(zip(count(start), carried)):
-        if terms >= MAX_TERMS:
-            return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, harmonic_y, harmonic_bound)
+    for y in range(start, start + MAX_TERMS):
+        h_used = _carry(harmonic_bound, r, y - harmonic_y)
         g = min(_stall_bound(y, h_used, theta), 1.0)
         raw.append((y, g, "tail-bound"))
         ratio_a_ok = _up(r * (y + 1) ** 2) < y * y
         ratio_b_ok = theta == 1.0 or _up(1.0 + _up((2.0 * y + 1.0) * _log_beta(theta))) < 0.0
         if g <= STOP_EPS and ratio_a_ok and ratio_b_ok:
             break
+    else:
+        return ExplosionCertificate(x, (), math.inf, 1.0, 0.0, False, harmonic_y, harmonic_bound)
 
     # closed-form tail beyond the last explicit state Y = y
     tail_a = _harmonic_tail(h_used, r, y)

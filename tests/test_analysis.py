@@ -1,7 +1,6 @@
 import math
 import time
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -34,18 +33,38 @@ import igw.reproduction_laws as reproduction_laws
 from igw.analysis import (
     MAX_START,
     MAX_SWITCH,
-    _carried,
+    MAX_TERMS,
+    _carry,
+    _certain_stall,
     _chernoff_thinning,
     _contraction,
     _harmonic_tail,
     _stall_bound,
     _switch_point,
+    _up,
 )
 from igw.exact_dist import _slot
 
 import reference
 
 SMALL_CAPS = Caps(256, 256, 64)
+
+
+def power_above(c: Fraction, k: int) -> Fraction:
+    """An upper bound on c^k for 0 <= c <= 1: binary powering, each product
+    rounded up to a multiple of 2^-1100, below the least subnormal 2^-1074."""
+    scale = 2**1100
+
+    def up(v: Fraction) -> Fraction:
+        return Fraction(-(-v.numerator * scale // v.denominator), scale)
+
+    result, base = Fraction(1), c
+    while k:
+        if k & 1:
+            result = up(result * base)
+        base = up(base * base)
+        k >>= 1
+    return result
 
 
 class TestFixedPoint:
@@ -280,20 +299,24 @@ class TestExplosionCertificate:
     def test_carry_and_tail_round_upward(self):
         # against exact arithmetic, for a bound h on E(1/Z_y0) that is not a
         # dyadic fraction: the contraction r >= c = 1 - (1 - p_1)/2, the
-        # carried values h r^k >= h c^k, and the closed-form tail
+        # carry h r^k >= h c^k in closed form (at k = 2^40, r^k underflows;
+        # 2^60 + 200 is no float, and the float above it would lose a factor
+        # c^56 of the last law's), and the closed-form tail
         # sum_{k>=1} (y + k)^2 h r^k
         h = Fraction(1e-16 / 3.0)
-        for spec in ("binary:0.6", "binary:0.2", "pmf:1=0.9,3=0.1", "pmf:1=0.3,2=0.3,5=0.4"):
-            p1 = parse_law_spec(spec).p1
-            r = _contraction(p1)
+        specs = ("binary:0.6", "binary:0.2", "pmf:1=0.9,3=0.1", "pmf:1=0.3,2=0.3,5=0.4")
+        near_one = OffspringLaw.explicit({1: 1.0 - 2.0**-50, 2: 2.0**-50})
+        for law in (*map(parse_law_spec, specs), near_one):
+            r = _contraction(law.p1)
             c = Fraction(r)
-            assert c >= 1 - (1 - Fraction(p1)) / 2
-            for k, value in zip(range(201), _carried(float(h), r)):
-                assert Fraction(value) >= h * c**k, (spec, k)
+            assert c >= 1 - (1 - Fraction(law.p1)) / 2
+            assert _carry(float(h), r, 0) == float(h)
+            for k in (*range(201), 10**6, 2**40, 2**60 + 200):
+                assert Fraction(_carry(float(h), r, k)) >= h * power_above(c, k), (law, k)
             d = 1 - c
             for y in (3, 55, 84, 389, 1000):
                 exact = h * (y * y * c / d + 2 * y * c / d**2 + c * (1 + c) / d**3)
-                assert Fraction(_harmonic_tail(float(h), r, y)) >= exact, (spec, y)
+                assert Fraction(_harmonic_tail(float(h), r, y)) >= exact, (law, y)
 
     def test_always_stalling_law_walks_no_harmonic_bound(self, monkeypatch):
         # binary:0.01 at theta = 1: y^2 p_1^y >= 1 for every y <= MAX_SWITCH,
@@ -315,44 +338,43 @@ class TestExplosionCertificate:
         assert explosion_lower_bound(8, certify).bound == 0.9961406267260651
 
     def test_always_stalling_agrees_with_the_walk(self, monkeypatch):
-        # the shortcut's lower bound y^2 p_1^y + Chernoff(y) lies below every
-        # stall bound the walk computes, and the full walk, with the
-        # shortcut off, gives the same invalid certificate
+        # the stall bound's lower bound y^2 p_1^y + Chernoff(y) lies below
+        # every stall bound the walk computes, and the full walk, with the
+        # certain stall off, gives the same invalid certificate
         params = IGWParams(OffspringLaw.binary(0.01), 1.0)
         for y, h in zip(range(1, 65), harmonic_moments(params.law)):
             lower = y * y * Fraction(params.law.p1) ** y + Fraction(_chernoff_thinning(y, 1.0))
             assert lower <= Fraction(_stall_bound(y, h, 1.0)), y
-        monkeypatch.setattr(analysis, "_always_stalls", lambda law, theta: False)
+            assert _certain_stall(params.law, 1.0, y), y
+        monkeypatch.setattr(analysis, "_certain_stall", lambda law, theta, y: False)
         _switch_point.cache_clear()
         walked = explosion_lower_bound(1, params)
         assert (walked.valid, walked.bound, walked.harmonic_y) == (False, 0.0, MAX_SWITCH)
         _switch_point.cache_clear()
 
-    @pytest.mark.parametrize("spec, theta, k_star", [
-        ("binary:0.6", 0.92, 1982), ("binary:0.5", 0.9, 2457), ("binary:0.05", 0.99, 27806),
-        ("binary:1", 0.8, 1022),
-    ])
-    def test_carry_skips_to_its_fixed_point(self, spec, theta, k_star):
-        # the carry from the switch point stops moving at k_star, the first
-        # value equal to the one before it; a skipped carry gives the plain
-        # carry's values at every k, before, at and past that point
-        law = parse_law_spec(spec)
-        _, h = _switch_point(law, theta)
-        r = _contraction(law.p1)
-        plain = list(islice(_carried(h, r), 10**5 + 3))
-        assert plain[k_star] == plain[k_star - 1] != plain[k_star - 2]
-        for k in (0, 1, k_star - 1, k_star, k_star + 1, 10**5):
-            assert list(islice(_carried(h, r, k), 3)) == plain[k:k + 3], k
-
     def test_far_start_replays_the_plain_carry(self, monkeypatch):
-        # every certificate, on both sides of the switch point y0 = 84, is the
-        # one the plain carry gives, which walks all start - y0 values
+        # on both sides of the switch point y0 = 84, the closed-form carry
+        # certifies what a carry multiplied out state by state, h r^k as k
+        # products each rounded upward, certifies
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)
         xs = (2, 8, 84, 85, 10**4, 10**6)
-        skipped = [explosion_lower_bound(x, params) for x in xs]
-        plain = analysis._carried
-        monkeypatch.setattr(analysis, "_carried", lambda h, r, skip: islice(plain(h, r), skip, None))
-        assert skipped == [explosion_lower_bound(x, params) for x in xs]
+        closed = [explosion_lower_bound(x, params) for x in xs]
+        last = {}
+
+        def plain(h, r, k):
+            j, value = last.get((h, r), (0, h))
+            if j > k:
+                j, value = 0, h
+            for _ in range(k - j):
+                value = _up(value * r)
+            last[(h, r)] = (k, value)
+            return value
+
+        monkeypatch.setattr(analysis, "_carry", plain)
+        for x, ours in zip(xs, closed):
+            seed = explosion_lower_bound(x, params)
+            assert (ours.valid, ours.bound, len(ours.steps)) == (seed.valid, seed.bound, len(seed.steps)), x
+            assert ours.valid, x
 
     def test_far_start_is_fast_and_bounded(self):
         params = IGWParams(OffspringLaw.binary(0.6), 0.92)
@@ -375,13 +397,15 @@ class TestExplosionCertificate:
         "law, xs", [(NEAR_ONE[0], ()), (NEAR_ONE[1], (MAX_START,))], ids=["1-1e-9", "1-2^-53"]
     )
     def test_near_one_p1_is_invalid_at_once(self, law, xs):
-        # ratio_a fails at every state the analytic loop could reach, so the
-        # certificate is the MAX_TERMS exit, returned before the carry's
-        # skip; a contraction >= 1 (1 + 2^-52 for the second law) fails it
-        # at every start state, MAX_START too
+        # y^2 p_1^y >= 1 at the start state max(x, y0) = x, so the stall is
+        # certain whatever bound is carried, and the certificate is invalid
+        # before any loop; a contraction >= 1 (1 + 2^-52 for the second law)
+        # decides it at every start state, MAX_START too.  From 3999897893
+        # on, the ratio test could pass within MAX_TERMS states, so only the
+        # stall decides them
         params = IGWParams(law, 0.9)
         harmonic = _switch_point(law, 0.9)  # the walk, once
-        for x in (2000, 10**5, 10**6, 4 * 10**6, 10**9, *xs):
+        for x in (2000, 10**5, 10**6, 4 * 10**6, 10**9, 3999897893, 10**10, *xs):
             start = time.perf_counter()
             cert = explosion_lower_bound(x, params)
             assert time.perf_counter() - start < 0.05, x
@@ -391,21 +415,44 @@ class TestExplosionCertificate:
 
     @pytest.mark.parametrize("law", NEAR_ONE, ids=["1-1e-9", "1-2^-53"])
     def test_near_one_p1_verdict_is_the_loops(self, law, monkeypatch):
-        # with the early test turned off (a contraction that is never >= 1
-        # and whose integer ratio is 0), the loop runs to MAX_TERMS and
+        # with the early verdict turned off (no certain stall, and a
+        # contraction that is never >= 1), the loop runs to MAX_TERMS and
         # returns the same certificate
         class Unchecked(float):
             def __ge__(self, other):
                 return False
 
-            def as_integer_ratio(self):
-                return 0, 1
-
         params = IGWParams(law, 0.9)
         early = explosion_lower_bound(2000, params)
         contraction = analysis._contraction
         monkeypatch.setattr(analysis, "_contraction", lambda p1: Unchecked(contraction(p1)))
+        monkeypatch.setattr(analysis, "_certain_stall", lambda law, theta, y: False)
         assert explosion_lower_bound(2000, params) == early
+
+    @pytest.mark.parametrize("theta", [0.5, 0.9, 1.0])
+    def test_certain_stall_covers_the_reach_test(self, theta):
+        # the reference is the integer test that once returned the MAX_TERMS
+        # exit early: ratio_a, _up(r (y + 1)^2) < y^2, fails at every
+        # y <= Y = max(x, y0) + MAX_TERMS - 1 if r >= 1 or, exactly,
+        # r (Y + 1)^2 >= Y^2 (1 + 2^-51).  Wherever it fires, r >= 1 or the
+        # start state max(x, y0) stalls for certain, the early verdict now
+        xs = {2**j for j in range(0, 512, 8)} | {10**j for j in range(1, 13)} | {3999897893, MAX_START}
+        probes = fired = 0
+        for eps in (1e-4, 4e-5, 1e-5, 1e-6, 1e-7, 1e-9, 1e-11, 1e-13, 1e-15, 2.0**-52, 2.0**-53):
+            law = OffspringLaw.explicit({1: 1.0 - eps, 2: eps})
+            # every y <= MAX_SWITCH stalls, so the walk cannot stop before it
+            assert all(_certain_stall(law, theta, y) for y in range(1, MAX_SWITCH + 1)), eps
+            y0 = MAX_SWITCH
+            r = _contraction(law.p1)
+            a, b = r.as_integer_ratio()
+            for x in xs:
+                Y = max(x, y0) + MAX_TERMS - 1
+                probes += 1
+                if r >= 1.0 or a * (Y + 1) ** 2 * 2**51 >= (2**51 + 1) * b * Y * Y:
+                    fired += 1
+                    assert r >= 1.0 or _certain_stall(law, theta, max(x, y0)), (eps, x)
+        assert (probes, fired) == (858, 253)
+        assert _switch_point(self.NEAR_ONE[0], 0.9)[0] == MAX_SWITCH
 
     def test_switch_point_follows_the_law(self):
         # binary:0.2 puts 0.8 on one child: h(y) decays slowly, so the

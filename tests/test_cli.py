@@ -545,6 +545,15 @@ class TestMetadata:
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == "" and "2**511" in err
 
+    def test_explosion_certain_stall_prints_no_steps(self, capsys):
+        # 2000^2 * 0.999^2000 >= 1: the start state stalls whatever bound is
+        # carried, so the certificate is invalid with no step rows
+        args = ["bounds", "explosion", "--law", "pmf:1=0.999,2=0.001", "--theta", "0.9", "--x", "2000"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert "# valid=false" in out.splitlines()
+        assert data_lines(out) == ["x_k,gamma_raw,gamma,method"]
+
 
 class TestSweep:
     def test_death_interval_sweep_nonincreasing(self, capsys):
